@@ -482,4 +482,86 @@ mod tests {
             batch as f64 / incremental as f64
         );
     }
+
+    /// The exploration counters the representation of object states must
+    /// not move: `(nodes, memo_hits, illegal_placements, state_clones,
+    /// evictions)`.
+    fn exploration(stats: tm_opacity::SearchStats) -> [usize; 5] {
+        [
+            stats.nodes,
+            stats.memo_hits,
+            stats.illegal_placements,
+            stats.state_clones,
+            stats.evictions,
+        ]
+    }
+
+    #[test]
+    fn exploration_counters_are_pinned() {
+        // Exhaustive searches are deterministic, so their counters are
+        // facts about the search, not about the host. Pinned exactly: a
+        // change to how object states are stored or fingerprinted must not
+        // move a single node, and a fingerprint change that reshuffles the
+        // memo shards shows up in the bounded check's evictions.
+        use tm_opacity::search::Search;
+        use tm_opacity::{CheckSession, SearchConfig, SearchMode};
+        let specs = SpecRegistry::registers();
+        let check = |h: &History, config: SearchConfig| {
+            let mut s = CheckSession::new(&specs, SearchMode::OPACITY, config);
+            for e in h.events() {
+                s.extend(e).unwrap();
+            }
+            let out = s.check().unwrap();
+            assert!(!out.holds(), "every pinned history is non-opaque");
+            (exploration(out.stats), s.memo_resident())
+        };
+        // The four shapes of the benchmark's check batch.
+        let shapes = [
+            (
+                "chained 3x3",
+                rt_chain_knot_history(3, 3),
+                [339, 65, 144, 274, 0],
+            ),
+            (
+                "concurrent 3x2",
+                search_knot_history(3, 2),
+                [1345, 833, 1088, 512, 0],
+            ),
+            (
+                "chained 5x3",
+                rt_chain_knot_history(5, 3),
+                [3147, 605, 1332, 2542, 0],
+            ),
+            (
+                "concurrent 2x4",
+                search_knot_history(2, 4),
+                [8905, 6096, 5459, 2809, 0],
+            ),
+        ];
+        for (name, h, pinned) in &shapes {
+            let (counters, resident) = check(h, SearchConfig::default());
+            assert_eq!(&counters, pinned, "{name}");
+            assert_eq!(
+                resident, pinned[3],
+                "{name}: an unbounded batch check keeps every insert"
+            );
+            let oneshot = Search::new(h, &specs, SearchMode::OPACITY, SearchConfig::default())
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(exploration(oneshot.stats), counters, "{name}");
+        }
+        // The quarter-capacity bounded check of the phased knot workload.
+        let h = sequential_knot_search(15, 3);
+        let (unbounded, peak) = check(&h, SearchConfig::default());
+        assert_eq!((unbounded, peak), ([460, 159, 166, 301, 0], 301));
+        let bounded = check(
+            &h,
+            SearchConfig {
+                memo_capacity: Some(peak / 4),
+                ..SearchConfig::default()
+            },
+        );
+        assert_eq!(bounded, ([483, 145, 199, 338, 264], 74));
+    }
 }

@@ -1099,7 +1099,9 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
             metrics_out,
             trace_out,
         } => {
-            use tm_harness::{conformance_parallel_with, object_conformance_with};
+            use tm_harness::{
+                conformance_observed, conformance_parallel_with, object_conformance_with,
+            };
             let obs = obs_for(metrics_out, trace_out, false);
             let search = SearchConfig {
                 search_jobs: *search_jobs,
@@ -1131,13 +1133,20 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                 (None, None) => reg.names().iter().map(|n| n.to_string()).collect(),
             };
             type Factory = Box<dyn Fn(usize) -> Box<dyn tm_stm::Stm> + Sync>;
-            let mut selection: Vec<(String, tm_stm::StmProperties, Factory)> = Vec::new();
+            // Per TM: its label, its advertised properties, the factory of
+            // the battery, and the same TM with no observability handle (the
+            // threaded lost-update probe's, whose scheduling-dependent
+            // aborts must stay out of the stm.* counters).
+            let mut selection: Vec<(String, tm_stm::StmProperties, Factory, Factory)> = Vec::new();
             for spec in specs_to_run {
                 let props = reg
                     .parse_spec(&spec)
                     .map_err(|e| format!("conformance: {e}"))?
                     .0
                     .properties;
+                let unobserved = reg
+                    .factory(&spec)
+                    .map_err(|e| format!("conformance: {e}"))?;
                 let factory: Factory = if obs.enabled() {
                     // Thread the observability handle into every TM the
                     // battery builds, so the STM-layer commit/abort/clock
@@ -1150,12 +1159,9 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                             .unwrap_or_else(|e| panic!("validated spec '{spec}': {e}"))
                     })
                 } else {
-                    Box::new(
-                        reg.factory(&spec)
-                            .map_err(|e| format!("conformance: {e}"))?,
-                    )
+                    Box::new(unobserved)
                 };
-                selection.push((spec, props, factory));
+                selection.push((spec, props, factory, Box::new(unobserved)));
             }
             // Deliberately job-count-free output: `--jobs N` must be
             // byte-identical to `--jobs 1` (deterministic sharded merge).
@@ -1165,7 +1171,7 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                 // Typed-object battery: rich-semantics probes judged
                 // against the objects' own sequential specifications.
                 w(out, tm_harness::object_header())?;
-                for (label, props, factory) in &selection {
+                for (label, props, factory, _) in &selection {
                     let report = object_conformance_with(factory.as_ref(), kinds, *jobs, search);
                     // Well-formedness is unconditional; the full battery is
                     // the contract for opaque-by-design TMs, and committed
@@ -1208,8 +1214,9 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                 }
             } else {
                 w(out, tm_harness::conformance_header())?;
-                for (label, _props, factory) in &selection {
-                    let mut report = conformance_parallel_with(factory.as_ref(), *jobs, search);
+                for (label, _props, factory, unobserved) in &selection {
+                    let mut report =
+                        conformance_observed(factory.as_ref(), unobserved.as_ref(), *jobs, search);
                     report.name = label.clone();
                     // Opacity is the contract under test; TMs that advertise
                     // a weaker criterion (sistm, nonopaque) are expected

@@ -58,6 +58,7 @@ pub mod incremental;
 mod memo;
 pub mod opacity;
 pub mod search;
+mod state;
 mod steal;
 
 pub use criteria::{classify, CriteriaProfile};

@@ -58,17 +58,29 @@
 //! Queues are lazy — a touch enqueues a fresh record and stale records
 //! are skipped on pop and compacted when they outnumber live entries.
 //!
-//! Shards are selected by the states' incremental XOR fingerprint
-//! ([`ObjStates::fingerprint`], maintained in O(1) by the delta-replay
-//! machinery) mixed with the placed-set mask, so concurrent workers mostly
-//! hit distinct `std::sync::Mutex`-guarded shards; probes never clone the
-//! live snapshot (`Arc<ObjStates>: Borrow<ObjStates>` does the lookup).
+//! ## Keys, fingerprints, and shards
+//!
+//! The states of a key are the search's slot-indexed canonical state
+//! ([`SlotStates`], see `crate::state`). Its XOR fingerprint — one
+//! `DefaultHasher` digest of `(object, value)` per non-initial object,
+//! cached per entry and updated in place by the replay — is mixed with the
+//! placed-set mask to pick the shard, so concurrent workers mostly hit
+//! distinct `std::sync::Mutex`-guarded shards. The fingerprint's bits are
+//! part of the table's behaviour: the shard choice follows them, and with
+//! it which entries a bounded table evicts (eviction is per shard), so a
+//! different hash would change node counts under a capacity bound.
+//!
+//! Within a shard the fingerprint is only a pre-filter. The maps hash it
+//! with their own `RandomState` (the values behind it come from clients),
+//! and a hit is decided by equality of the entry lists, so two distinct
+//! states with colliding fingerprints stay two entries. Probes never clone
+//! the live state (`Arc<SlotStates>: Borrow<SlotStates>` does the lookup).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tm_model::ObjStates;
+use crate::state::SlotStates;
 use tm_obs::Counter;
 
 /// Default shard count (a power of two; also the upper bound when the
@@ -81,7 +93,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// entries.
 struct QueueRef {
     mask: u64,
-    states: Arc<ObjStates>,
+    states: Arc<SlotStates>,
     stamp: u64,
 }
 
@@ -96,7 +108,7 @@ struct EntryMeta {
 }
 
 /// The two-level entry index of one shard.
-type MaskIndex = HashMap<u64, HashMap<Arc<ObjStates>, EntryMeta>>;
+type MaskIndex = HashMap<u64, HashMap<Arc<SlotStates>, EntryMeta>>;
 
 /// One mutex-guarded shard.
 #[derive(Default)]
@@ -130,7 +142,7 @@ impl MemoShard {
     }
 
     /// Enqueues the current record of an entry into its cost segment.
-    fn enqueue(&mut self, bucket: u32, mask: u64, states: Arc<ObjStates>, stamp: u64) {
+    fn enqueue(&mut self, bucket: u32, mask: u64, states: Arc<SlotStates>, stamp: u64) {
         self.segments
             .entry(bucket)
             .or_default()
@@ -295,7 +307,7 @@ impl ShardedMemo {
         }
     }
 
-    fn shard_for(&self, mask: u64, states: &ObjStates) -> &Mutex<MemoShard> {
+    fn shard_for(&self, mask: u64, states: &SlotStates) -> &Mutex<MemoShard> {
         // Mix the placed-set mask into the states fingerprint so frontiers
         // sharing a state (common: many masks, few reachable states) still
         // spread across shards.
@@ -312,7 +324,7 @@ impl ShardedMemo {
     /// Is `(mask, states)` a recorded dead end? Under a capacity bound a
     /// hit refreshes the entry's recency within its cost segment — an
     /// entry that keeps pruning stays at the warm end of its segment.
-    pub(crate) fn probe(&self, mask: u64, states: &ObjStates) -> bool {
+    pub(crate) fn probe(&self, mask: u64, states: &SlotStates) -> bool {
         let mut guard = Self::lock(self.shard_for(mask, states));
         let sh = &mut *guard;
         let Some(arc) = sh
@@ -343,7 +355,7 @@ impl ShardedMemo {
     /// `cost` DFS nodes (idempotent — a concurrent duplicate insert is
     /// ignored). Evicts per the cost-segmented-LRU policy when the shard
     /// is at capacity.
-    pub(crate) fn insert(&self, mask: u64, states: &ObjStates, cost: usize) {
+    pub(crate) fn insert(&self, mask: u64, states: &SlotStates, cost: usize) {
         let mut guard = Self::lock(self.shard_for(mask, states));
         let sh = &mut *guard;
         if sh
@@ -439,12 +451,15 @@ impl ShardedMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
     use tm_model::{ObjId, Value};
 
-    fn state(n: i64) -> ObjStates {
-        let mut s = ObjStates::new();
-        s.set(ObjId::new("x"), Value::Int(n));
-        s
+    /// The state with object `x` (slot 0) at `n`, with its real entry hash.
+    fn state(n: i64) -> SlotStates {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        ObjId::new("x").hash(&mut h);
+        Value::Int(n).hash(&mut h);
+        SlotStates::from_entries([(0, Value::Int(n), h.finish())])
     }
 
     /// A mask with `d` low bits set (depth `d`).
@@ -680,5 +695,26 @@ mod tests {
             }
         });
         assert!(memo.resident() <= 64, "resident {}", memo.resident());
+    }
+
+    #[test]
+    fn colliding_fingerprints_stay_distinct_entries() {
+        // The fingerprint picks the shard and pre-filters; equality of the
+        // entry lists decides a hit. Two distinct states forced to the same
+        // fingerprint are two dead ends, not one.
+        let memo = ShardedMemo::new(None);
+        let a = SlotStates::from_entries([(0, Value::Int(1), 0xfeed)]);
+        let b = SlotStates::from_entries([(0, Value::Int(2), 0xfeed)]);
+        let c = SlotStates::from_entries([(0, Value::Int(1), 0x0f0f), (3, Value::Int(5), 0xf1e2)]);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), c.fingerprint());
+        memo.insert(0b1, &a, 1);
+        assert!(memo.probe(0b1, &a));
+        assert!(!memo.probe(0b1, &b), "a colliding state is not a hit");
+        assert!(!memo.probe(0b1, &c), "a colliding state is not a hit");
+        memo.insert(0b1, &b, 1);
+        memo.insert(0b1, &c, 1);
+        assert_eq!(memo.resident(), 3);
+        assert!(memo.probe(0b1, &a) && memo.probe(0b1, &b) && memo.probe(0b1, &c));
     }
 }

@@ -44,11 +44,22 @@
 //!    check walks straight down the witness in `O(|H|)` replay work with no
 //!    backtracking.
 //!
-//! Object states are mutated **in place** during the DFS via the
-//! apply/undo delta API of `tm-model` ([`tm_model::StatesDelta`]) instead of
-//! being cloned per placement; the only remaining clone is the one that
-//! stores a dead end into the memo table, and [`SearchStats`] reports both
-//! counts.
+//! Object states live in a core-private, slot-indexed representation
+//! (`crate::state`). [`SearchCore::extend`] gives every object a dense slot
+//! the first time one of its operations completes, resolving its
+//! sequential specification, initial value, and name hash once, and
+//! records each completed operation's slot beside the operation. The DFS
+//! then mutates one canonical state **in place** — a slot-sorted list of
+//! the non-initial `(slot, value, entry hash)` entries plus their XOR
+//! fingerprint — and undoes placements from a log that keeps each
+//! displaced entry's hash, so a placement and its rollback hash one value
+//! per changed object and look nothing up by name. The only clone left is
+//! the one that stores a dead end into the memo table, and [`SearchStats`]
+//! reports both counts. Slots are never reused inside a core, so a memo
+//! entry recorded before an object appeared (the object was then at its
+//! initial state, which has no entry) still compares correctly against
+//! every later state; equality of the entry lists, not the fingerprint,
+//! decides a memo hit.
 //!
 //! ## The parallel, memory-bounded core
 //!
@@ -103,10 +114,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::memo::ShardedMemo;
+use crate::state::{ReplayError, Slot, SlotStates, SlotTable, Undo};
 use crate::steal::StealQueues;
-use tm_model::legal::{replay_tx_mut, LegalityError};
 use tm_model::wellformed::WfError;
-use tm_model::{Event, History, ObjStates, SpecRegistry, StatesDelta, TxId, TxStatus, TxView};
+use tm_model::{Event, History, SpecRegistry, TxId, TxStatus, TxView};
 
 /// How a transaction was placed in a serialization witness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -211,10 +222,10 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Placements rejected by legality replay.
     pub illegal_placements: usize,
-    /// `ObjStates` snapshots actually cloned (memo-table inserts — the only
-    /// clones left in the engine).
+    /// Object-state snapshots actually cloned (memo-table inserts — the
+    /// only clones left in the engine).
     pub state_clones: usize,
-    /// `ObjStates` clones *avoided* by the in-place apply/undo replay: one
+    /// Object-state clones *avoided* by the in-place apply/undo replay: one
     /// per placement expansion and one per memo probe, each of which the
     /// pre-resumable engine paid with a full snapshot clone.
     pub clones_saved: usize,
@@ -370,6 +381,8 @@ enum TxWf {
 struct TxCell {
     id: TxId,
     view: TxView,
+    /// The slot of each operation in `view.ops`.
+    op_slots: Vec<u32>,
     wf: TxWf,
     issued_try_abort: bool,
     /// Bit index in the placement masks, assigned when the transaction
@@ -386,7 +399,7 @@ struct TxCell {
 /// check: transaction metadata, candidate order, the shared memo, and the
 /// cross-worker coordination cells.
 struct DfsShared<'a> {
-    specs: &'a SpecRegistry,
+    slots: &'a [Slot<'a>],
     txs: &'a [TxCell],
     by_bit: &'a [usize],
     order: &'a [u32],
@@ -430,8 +443,8 @@ struct SplitFrame {
 
 /// The per-worker mutable scratch of one DFS.
 struct Explorer {
-    states: ObjStates,
-    delta: StatesDelta,
+    states: SlotStates,
+    undo: Undo,
     stack: Vec<(TxId, Placement)>,
     stats: SearchStats,
     /// Set once this worker's current exploration became partial (node cap
@@ -457,8 +470,8 @@ struct Explorer {
 impl Explorer {
     fn new(worker: usize) -> Self {
         Explorer {
-            states: ObjStates::new(),
-            delta: StatesDelta::new(),
+            states: SlotStates::default(),
+            undo: Undo::default(),
             stack: Vec::new(),
             stats: SearchStats::default(),
             truncated: false,
@@ -471,8 +484,8 @@ impl Explorer {
 
     /// Resets the per-subtree scratch (statistics persist across tasks).
     fn reset(&mut self) {
-        self.states = ObjStates::new();
-        self.delta = StatesDelta::new();
+        self.states = SlotStates::default();
+        self.undo.clear();
         self.stack.clear();
         self.truncated = false;
         self.base_depth = 0;
@@ -485,8 +498,8 @@ impl Explorer {
 /// the empty frontier to an unexplored branch. Root tasks carry a length-1
 /// path; donated tasks carry the donor's prefix plus the donated candidate.
 /// The path is a *reconstruction recipe*: the thief replays it against a
-/// fresh `ObjStates` via the same apply/undo delta machinery the search
-/// uses, so no object-state snapshot ever crosses threads.
+/// fresh state with the same [`place`] replay the search uses, so no
+/// object-state snapshot ever crosses threads.
 struct SearchTask {
     path: Box<[(u32, Placement)]>,
 }
@@ -502,6 +515,27 @@ fn allowed_placements(status: TxStatus) -> &'static [Placement] {
         // Aborted, abort-pending, and live transactions can only be
         // aborted in a completion.
         _ => &[Placement::Aborted],
+    }
+}
+
+/// Replays candidate `ci` in place against the explorer's state — the one
+/// replay every DFS path (sequential, split, task rehydration) uses.
+/// `Ok(true)`: legal, effects applied; `Ok(false)`: illegal (counted, state
+/// untouched); `Err`: an object without a specification.
+fn place(sh: &DfsShared<'_>, w: &mut Explorer, ci: usize) -> Result<bool, CheckError> {
+    let tx = &sh.txs[ci];
+    match w
+        .states
+        .replay(&tx.view.ops, &tx.op_slots, sh.slots, &mut w.undo)
+    {
+        Ok(()) => Ok(true),
+        Err(ReplayError::Illegal) => {
+            w.stats.illegal_placements += 1;
+            Ok(false)
+        }
+        Err(ReplayError::NoSpec(slot)) => Err(CheckError::NoSpec(
+            sh.slots[slot as usize].obj().name().to_string(),
+        )),
     }
 }
 
@@ -557,24 +591,17 @@ fn dfs(sh: &DfsShared<'_>, w: &mut Explorer, placed: u64) -> Result<bool, CheckE
         if placed & bit != 0 || sh.txs[ci].pred_mask & !placed != 0 {
             continue;
         }
-        let mark = w.delta.mark();
+        let mark = w.undo.mark();
         // Replay the candidate against the committed-prefix state.
-        match replay_tx_mut(&sh.txs[ci].view, &mut w.states, sh.specs, &mut w.delta) {
-            Ok(()) => {}
-            Err(LegalityError::NoSpec(op)) => {
-                return Err(CheckError::NoSpec(op.obj.name().to_string()));
-            }
-            Err(LegalityError::IllegalResponse { .. }) => {
-                w.stats.illegal_placements += 1;
-                continue;
-            }
+        if !place(sh, w, ci)? {
+            continue;
         }
         let id = sh.txs[ci].id;
         let status = sh.txs[ci].view.status;
         for &placement in allowed_placements(status) {
             if placement == Placement::Aborted {
                 // Validated above; effects are discarded.
-                w.delta.rollback_to(&mut w.states, mark);
+                w.states.rollback_to(&mut w.undo, mark);
             }
             w.stats.clones_saved += 1; // placement without a clone
             w.stack.push((id, placement));
@@ -583,7 +610,7 @@ fn dfs(sh: &DfsShared<'_>, w: &mut Explorer, placed: u64) -> Result<bool, CheckE
             }
             w.stack.pop();
         }
-        w.delta.rollback_to(&mut w.states, mark);
+        w.states.rollback_to(&mut w.undo, mark);
     }
     // Frames that finished exploring before the node limit (or a
     // cancellation) fired are genuine dead ends; frames unwinding after it
@@ -637,21 +664,18 @@ fn dfs_split(
         };
         let bit = 1u64 << b;
         let ci = sh.by_bit[b as usize];
-        let mark = w.delta.mark();
-        match replay_tx_mut(&sh.txs[ci].view, &mut w.states, sh.specs, &mut w.delta) {
-            Ok(()) => {}
-            Err(LegalityError::NoSpec(op)) => {
-                outcome = Err(CheckError::NoSpec(op.obj.name().to_string()));
+        let mark = w.undo.mark();
+        match place(sh, w, ci) {
+            Ok(true) => {}
+            Ok(false) => continue,
+            Err(e) => {
+                outcome = Err(e);
                 break;
-            }
-            Err(LegalityError::IllegalResponse { .. }) => {
-                w.stats.illegal_placements += 1;
-                continue;
             }
         }
         if placement == Placement::Aborted {
             // Validated above; effects are discarded.
-            w.delta.rollback_to(&mut w.states, mark);
+            w.states.rollback_to(&mut w.undo, mark);
         }
         w.stats.clones_saved += 1;
         w.stack.push((sh.txs[ci].id, placement));
@@ -665,7 +689,7 @@ fn dfs_split(
             Ok(false) => {
                 w.stack.pop();
                 w.path.pop();
-                w.delta.rollback_to(&mut w.states, mark);
+                w.states.rollback_to(&mut w.undo, mark);
             }
             Err(e) => {
                 outcome = Err(e);
@@ -734,28 +758,21 @@ fn maybe_donate(sh: &DfsShared<'_>, w: &mut Explorer) {
 }
 
 /// Rehydrates a task's placement path against a fresh state — replaying
-/// each `(bit, placement)` with the same apply/undo delta machinery the
-/// search uses — then explores the subtree below it.
+/// each `(bit, placement)` with the same [`place`] replay the search uses —
+/// then explores the subtree below it.
 fn run_task(sh: &DfsShared<'_>, w: &mut Explorer, task: &SearchTask) -> Result<bool, CheckError> {
     w.reset();
     let mut placed = 0u64;
     for &(b, placement) in task.path.iter() {
         let ci = sh.by_bit[b as usize];
-        let mark = w.delta.mark();
-        match replay_tx_mut(&sh.txs[ci].view, &mut w.states, sh.specs, &mut w.delta) {
-            Ok(()) => {}
-            Err(LegalityError::NoSpec(op)) => {
-                return Err(CheckError::NoSpec(op.obj.name().to_string()));
-            }
-            Err(LegalityError::IllegalResponse { .. }) => {
-                // Only the path's final (donated, never-tried) element can
-                // be illegal: the prefix was replayed by the donor.
-                w.stats.illegal_placements += 1;
-                return Ok(false);
-            }
+        let mark = w.undo.mark();
+        if !place(sh, w, ci)? {
+            // Only the path's final (donated, never-tried) element can be
+            // illegal: the prefix was replayed by the donor.
+            return Ok(false);
         }
         if placement == Placement::Aborted {
-            w.delta.rollback_to(&mut w.states, mark);
+            w.states.rollback_to(&mut w.undo, mark);
         }
         w.stats.clones_saved += 1;
         w.stack.push((sh.txs[ci].id, placement));
@@ -847,6 +864,8 @@ fn worker_loop(
 /// core alive across a growing history.
 pub struct SearchCore<'a> {
     specs: &'a SpecRegistry,
+    /// The objects seen so far, each resolved against `specs` once.
+    slots: SlotTable<'a>,
     mode: SearchMode,
     config: SearchConfig,
     txs: Vec<TxCell>,
@@ -875,6 +894,7 @@ impl<'a> SearchCore<'a> {
     pub fn new(specs: &'a SpecRegistry, mode: SearchMode, config: SearchConfig) -> Self {
         SearchCore {
             specs,
+            slots: SlotTable::default(),
             mode,
             config,
             txs: Vec::new(),
@@ -984,6 +1004,7 @@ impl<'a> SearchCore<'a> {
                         pending: None,
                         status: TxStatus::Live,
                     },
+                    op_slots: Vec::new(),
                     wf: TxWf::Idle,
                     issued_try_abort: false,
                     bit: None,
@@ -1082,6 +1103,8 @@ impl<'a> SearchCore<'a> {
                     .pending
                     .take()
                     .expect("WF automaton guarantees a pending invocation");
+                let slot = self.slots.slot_of(&obj, self.specs);
+                self.txs[ci].op_slots.push(slot);
                 self.txs[ci].view.ops.push(tm_model::OpExec {
                     tx,
                     obj,
@@ -1270,7 +1293,7 @@ impl<'a> SearchCore<'a> {
         let nodes_spent = AtomicUsize::new(0);
         let cancel = AtomicBool::new(false);
         let sh = DfsShared {
-            specs: self.specs,
+            slots: self.slots.slots(),
             txs: &self.txs,
             by_bit: &self.by_bit,
             order: &self.order,
@@ -1305,7 +1328,7 @@ impl<'a> SearchCore<'a> {
         // The root frame (the sequential dfs(0) prologue): count it, probe
         // the memo so a cached root dead end short-circuits the check.
         stats.nodes += 1;
-        let initial = ObjStates::new();
+        let initial = SlotStates::default();
         if self.config.memoize {
             stats.clones_saved += 1;
             if self.memo.probe(0, &initial) {
@@ -1342,7 +1365,7 @@ impl<'a> SearchCore<'a> {
         let nodes_spent = AtomicUsize::new(stats.nodes);
         let cancel = AtomicBool::new(false);
         let sh = DfsShared {
-            specs: self.specs,
+            slots: self.slots.slots(),
             txs: &self.txs,
             by_bit: &self.by_bit,
             order: &self.order,

@@ -274,6 +274,24 @@ pub fn conformance_parallel_with(
     jobs: usize,
     search: SearchConfig,
 ) -> ConformanceReport {
+    conformance_observed(make, make, jobs, search)
+}
+
+/// [`conformance_parallel_with`] for a factory whose TMs carry an
+/// observability handle: `make` builds the TMs of the scheduled executions
+/// (the interleaving sweep and the progressiveness probe), `unobserved`
+/// builds the one the threaded lost-update probe runs on.
+///
+/// The threaded probe's aborts depend on how the OS schedules its two
+/// threads, so it must not count into the `stm.*` metrics: with the
+/// handle kept off it, those counters are a function of the scheduled
+/// executions alone and agree for every `jobs` value.
+pub fn conformance_observed(
+    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
+    unobserved: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
+    jobs: usize,
+    search: SearchConfig,
+) -> ConformanceReport {
     let name = make(1).name().to_string();
     let blocking = make(1).blocking();
     let mut report = ConformanceReport {
@@ -349,7 +367,7 @@ pub fn conformance_parallel_with(
     }
 
     // ---- threaded lost-update probe ----------------------------------------
-    let stm = make(1);
+    let stm = unobserved(1);
     stm.recorder().set_enabled(false);
     let per_thread = 150;
     std::thread::scope(|scope| {

@@ -41,7 +41,7 @@ pub mod workload;
 
 pub use complexity::{fraction_scenario, paper_scenario, solo_scan, sweep, ComplexityRow};
 pub use conformance::{
-    check_conformance, conformance_parallel, conformance_parallel_with,
+    check_conformance, conformance_observed, conformance_parallel, conformance_parallel_with,
     header as conformance_header, ConformanceReport,
 };
 pub use dpor::{

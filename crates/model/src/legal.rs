@@ -17,7 +17,7 @@
 use crate::event::TxId;
 use crate::history::History;
 use crate::ops::{OpExec, TxView};
-use crate::spec::{ObjStates, SpecRegistry, StatesDelta};
+use crate::spec::{ObjStates, SpecRegistry};
 use std::fmt;
 
 /// Why a replay failed.
@@ -70,61 +70,6 @@ pub fn replay_tx(
     // A trailing pending invocation imposes no constraint: Seq(ob) is
     // prefix-closed and contains sequences ending with a pending invocation.
     Ok(cur)
-}
-
-/// [`replay_tx`] without the clones: validates and applies the operations of
-/// one transaction view **in place**, recording every displaced entry in
-/// `delta` so the caller can roll the effects back with
-/// [`StatesDelta::rollback_to`].
-///
-/// On an illegal response the partially applied effects are rolled back
-/// before returning, so `states` is untouched on `Err`. On success the
-/// effects are left applied (and `states` stays canonical — entries equal to
-/// an object's initial state are dropped, not stored), and the caller
-/// decides whether to keep them (committed placement) or roll back to its
-/// own mark (aborted placement / backtrack).
-pub fn replay_tx_mut(
-    view: &TxView,
-    states: &mut ObjStates,
-    specs: &SpecRegistry,
-    delta: &mut StatesDelta,
-) -> Result<(), LegalityError> {
-    let mark = delta.mark();
-    for op in &view.ops {
-        if let Err(e) = apply_op_canonical(op, states, specs, delta) {
-            delta.rollback_to(states, mark);
-            return Err(e);
-        }
-    }
-    // A trailing pending invocation imposes no constraint: Seq(ob) is
-    // prefix-closed and contains sequences ending with a pending invocation.
-    Ok(())
-}
-
-/// Validates a single operation execution and applies it in place via
-/// [`ObjStates::set_canonical`], recording the undo entry in `delta`.
-pub fn apply_op_canonical(
-    op: &OpExec,
-    states: &mut ObjStates,
-    specs: &SpecRegistry,
-    delta: &mut StatesDelta,
-) -> Result<(), LegalityError> {
-    let spec = specs
-        .spec_for(&op.obj)
-        .ok_or_else(|| LegalityError::NoSpec(op.clone()))?;
-    let state = states
-        .get(&op.obj, specs)
-        .ok_or_else(|| LegalityError::NoSpec(op.clone()))?;
-    match spec.accepts(&state, &op.op, &op.args, &op.val) {
-        Some(next) => {
-            states.set_canonical(op.obj.clone(), next, specs, delta);
-            Ok(())
-        }
-        None => Err(LegalityError::IllegalResponse {
-            op: op.clone(),
-            state,
-        }),
-    }
 }
 
 /// Validates and applies a single operation execution.
@@ -385,55 +330,6 @@ mod tests {
             .inv_read(1, "x")
             .build();
         assert!(all_txs_legal(&s, &regs()).is_ok());
-    }
-
-    #[test]
-    fn replay_tx_mut_agrees_with_replay_tx() {
-        // In-place replay must produce exactly the canonical form of the
-        // cloning replay, and rollback must restore the original snapshot.
-        let specs = regs();
-        for h in [paper::h1(), paper::h2(), paper::h5()] {
-            let mut states = ObjStates::new();
-            let mut delta = StatesDelta::new();
-            for t in h.txs() {
-                let view = h.tx_view(t);
-                let cloning = replay_tx(&view, &states, &specs);
-                let before = states.clone();
-                let mark = delta.mark();
-                let in_place = replay_tx_mut(&view, &mut states, &specs, &mut delta);
-                match (cloning, in_place) {
-                    (Ok(after), Ok(())) => {
-                        assert_eq!(states, after.clone().canonical(&specs), "{h} {t}");
-                        if !view.status.is_committed() {
-                            delta.rollback_to(&mut states, mark);
-                            assert_eq!(states, before, "{h} {t}");
-                        }
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b);
-                        assert_eq!(states, before, "failed replay must not mutate");
-                    }
-                    (a, b) => panic!("divergent replay for {t} in {h}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replay_tx_mut_rolls_back_partial_effects_on_error() {
-        let specs = regs();
-        // write x=1 succeeds, then read y=9 fails: x must be restored.
-        let h = HistoryBuilder::new()
-            .write(1, "x", 1)
-            .read(1, "y", 9)
-            .commit_ok(1)
-            .build();
-        let view = h.tx_view(TxId(1));
-        let mut states = ObjStates::new();
-        let mut delta = StatesDelta::new();
-        assert!(replay_tx_mut(&view, &mut states, &specs, &mut delta).is_err());
-        assert_eq!(states, ObjStates::new());
-        assert!(delta.is_empty());
     }
 
     #[test]

@@ -51,14 +51,11 @@ pub use builder::HistoryBuilder;
 pub use complete::{apply_completion, complete_histories, completions, CommitDecision, Completion};
 pub use event::{Event, ObjId, OpName, TxId};
 pub use history::History;
-pub use legal::{
-    all_txs_legal, apply_op_canonical, replay_tx_mut, sequential_history_legal, tx_legal_in,
-    LegalityError,
-};
+pub use legal::{all_txs_legal, sequential_history_legal, tx_legal_in, LegalityError};
 pub use nesting::{flatten, NestingInfo, NestingMode};
 pub use nontx::NonTxWrapper;
 pub use ops::{OpExec, TxStatus, TxView};
 pub use realtime::{preserves_real_time, RealTimeOrder};
-pub use spec::{ObjStates, SeqSpec, SpecRegistry, StatesDelta};
+pub use spec::{ObjStates, SeqSpec, SpecRegistry};
 pub use value::Value;
 pub use wellformed::{check_well_formed, is_well_formed, WfError};

@@ -17,7 +17,6 @@ use crate::event::{ObjId, OpName};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A sequential specification of one shared object.
@@ -107,43 +106,12 @@ impl SpecRegistry {
 /// The states of all touched objects during a legality replay.
 ///
 /// Untouched objects are implicitly in their initial state. The map is
-/// ordered so that snapshots render deterministically, and the structure
-/// maintains an incremental *fingerprint* — the XOR of one hash per `(obj,
-/// state)` entry — so the opacity checker can key its memo tables on a
-/// snapshot in O(1) instead of rehashing the whole map at every lookup.
-/// Updates through [`ObjStates::set`] (or the delta-tracked
-/// [`ObjStates::set_canonical`]) keep the fingerprint in sync in O(1).
-#[derive(Clone, Debug, Default)]
+/// ordered so that snapshots render deterministically; [`ObjStates::canonical`]
+/// drops entries equal to an object's initial state, so canonical snapshots
+/// are equal exactly when every object is in the same state.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ObjStates {
     states: BTreeMap<ObjId, Value>,
-    fingerprint: u64,
-}
-
-/// The per-entry hash folded (by XOR) into an [`ObjStates`] fingerprint.
-///
-/// `DefaultHasher::new()` uses fixed keys, so the fingerprint is
-/// deterministic within a process — exactly what a memo key needs.
-fn entry_hash(obj: &ObjId, state: &Value) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    obj.hash(&mut h);
-    state.hash(&mut h);
-    h.finish()
-}
-
-impl PartialEq for ObjStates {
-    fn eq(&self, other: &Self) -> bool {
-        self.states == other.states
-    }
-}
-
-impl Eq for ObjStates {}
-
-impl Hash for ObjStates {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // The fingerprint is a pure function of `states`, so hashing it is
-        // consistent with `Eq` — and O(1) instead of O(entries).
-        state.write_u64(self.fingerprint);
-    }
 }
 
 impl ObjStates {
@@ -161,61 +129,9 @@ impl ObjStates {
         }
     }
 
-    /// The incremental XOR fingerprint over all materialized entries.
-    ///
-    /// Equal states always have equal fingerprints; the converse holds up to
-    /// hash collisions, so the fingerprint is a *pre-filter* (and a cheap
-    /// `Hash` implementation), not an equality proof.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Inserts or replaces the entry for `obj`, maintaining the fingerprint,
-    /// and returns the previous entry (`None` if `obj` was untouched).
-    fn set_raw(&mut self, obj: ObjId, state: Value) -> Option<Value> {
-        self.fingerprint ^= entry_hash(&obj, &state);
-        let old = self.states.insert(obj.clone(), state);
-        if let Some(prev) = &old {
-            self.fingerprint ^= entry_hash(&obj, prev);
-        }
-        old
-    }
-
-    /// Removes the entry for `obj`, maintaining the fingerprint, and returns
-    /// it (`None` if `obj` was untouched).
-    fn remove_raw(&mut self, obj: &ObjId) -> Option<Value> {
-        let old = self.states.remove(obj);
-        if let Some(prev) = &old {
-            self.fingerprint ^= entry_hash(obj, prev);
-        }
-        old
-    }
-
     /// Overwrites the state of `obj`.
     pub fn set(&mut self, obj: ObjId, state: Value) {
-        self.set_raw(obj, state);
-    }
-
-    /// Overwrites the state of `obj` **canonically** — an entry equal to the
-    /// object's initial state is dropped instead of stored — and records the
-    /// previous entry in `delta` so the write can be undone in place.
-    ///
-    /// A snapshot mutated only through this method stays canonical at all
-    /// times, which is what lets the search engine use live snapshots as
-    /// memo keys without per-node clones.
-    pub fn set_canonical(
-        &mut self,
-        obj: ObjId,
-        state: Value,
-        specs: &SpecRegistry,
-        delta: &mut StatesDelta,
-    ) {
-        let old = if specs.initial_of(&obj).as_ref() == Some(&state) {
-            self.remove_raw(&obj)
-        } else {
-            self.set_raw(obj.clone(), state)
-        };
-        delta.entries.push((obj, old));
+        self.states.insert(obj, state);
     }
 
     /// Canonicalizes by dropping entries equal to the object's initial state,
@@ -224,67 +140,12 @@ impl ObjStates {
     pub fn canonical(mut self, specs: &SpecRegistry) -> Self {
         self.states
             .retain(|obj, v| specs.initial_of(obj).as_ref() != Some(v));
-        self.fingerprint = self
-            .states
-            .iter()
-            .fold(0, |acc, (obj, v)| acc ^ entry_hash(obj, v));
         self
     }
 
     /// Iterates over explicitly materialized (touched) object states.
     pub fn iter(&self) -> impl Iterator<Item = (&ObjId, &Value)> {
         self.states.iter()
-    }
-}
-
-/// An undo log for in-place [`ObjStates`] mutation.
-///
-/// Every [`ObjStates::set_canonical`] pushes the displaced entry here;
-/// [`StatesDelta::rollback_to`] pops entries (down to a [`StatesDelta::mark`]
-/// taken earlier) and restores them, fingerprint included. This is the
-/// "delta" half of the memo-key API: the search engine explores placements by
-/// applying a transaction's effects in place and rolling them back on
-/// backtrack, instead of cloning the whole state map per branch.
-#[derive(Clone, Debug, Default)]
-pub struct StatesDelta {
-    entries: Vec<(ObjId, Option<Value>)>,
-}
-
-impl StatesDelta {
-    /// An empty delta.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A position in the log to roll back to later.
-    pub fn mark(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of recorded (not yet rolled back) writes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Undoes every write recorded after `mark`, restoring `states` (and its
-    /// fingerprint) to exactly what it was when the mark was taken.
-    pub fn rollback_to(&mut self, states: &mut ObjStates, mark: usize) {
-        while self.entries.len() > mark {
-            let (obj, old) = self.entries.pop().expect("len > mark");
-            match old {
-                Some(v) => {
-                    states.set_raw(obj, v);
-                }
-                None => {
-                    states.remove_raw(&obj);
-                }
-            }
-        }
     }
 }
 
@@ -360,80 +221,5 @@ mod tests {
         b.set(ObjId::new("x"), Value::int(1));
         set.insert(a);
         assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn fingerprint_tracks_mutation_and_is_order_independent() {
-        let mut a = ObjStates::new();
-        assert_eq!(a.fingerprint(), 0);
-        a.set(ObjId::new("x"), Value::int(1));
-        a.set(ObjId::new("y"), Value::int(2));
-        let mut b = ObjStates::new();
-        b.set(ObjId::new("y"), Value::int(2));
-        b.set(ObjId::new("x"), Value::int(1));
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a, b);
-        // Overwriting and removing keep the incremental fingerprint equal to
-        // the from-scratch one.
-        a.set(ObjId::new("x"), Value::int(9));
-        let fresh = {
-            let mut f = ObjStates::new();
-            f.set(ObjId::new("x"), Value::int(9));
-            f.set(ObjId::new("y"), Value::int(2));
-            f
-        };
-        assert_eq!(a.fingerprint(), fresh.fingerprint());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn canonical_recomputes_fingerprint() {
-        let reg = SpecRegistry::registers();
-        let mut st = ObjStates::new();
-        st.set(ObjId::new("x"), Value::int(0)); // initial value: drops
-        st.set(ObjId::new("y"), Value::int(3));
-        let canon = st.canonical(&reg);
-        let mut expect = ObjStates::new();
-        expect.set(ObjId::new("y"), Value::int(3));
-        assert_eq!(canon, expect);
-        assert_eq!(canon.fingerprint(), expect.fingerprint());
-    }
-
-    #[test]
-    fn set_canonical_with_delta_rolls_back_exactly() {
-        let reg = SpecRegistry::registers();
-        let mut st = ObjStates::new();
-        st.set(ObjId::new("x"), Value::int(7));
-        let snapshot = st.clone();
-        let mut delta = StatesDelta::new();
-        assert!(delta.is_empty());
-        let mark = delta.mark();
-        // Overwrite x, touch y, restore z to initial (no-op entry).
-        st.set_canonical(ObjId::new("x"), Value::int(8), &reg, &mut delta);
-        st.set_canonical(ObjId::new("y"), Value::int(1), &reg, &mut delta);
-        st.set_canonical(ObjId::new("z"), Value::int(0), &reg, &mut delta);
-        assert_eq!(delta.len(), 3);
-        assert_eq!(st.get(&ObjId::new("x"), &reg), Some(Value::int(8)));
-        // z stayed canonical: writing the initial value created no entry.
-        assert!(st.iter().all(|(o, _)| o.name() != "z"));
-        delta.rollback_to(&mut st, mark);
-        assert_eq!(st, snapshot);
-        assert_eq!(st.fingerprint(), snapshot.fingerprint());
-        assert!(delta.is_empty());
-    }
-
-    #[test]
-    fn partial_rollback_to_mark() {
-        let reg = SpecRegistry::registers();
-        let mut st = ObjStates::new();
-        let mut delta = StatesDelta::new();
-        st.set_canonical(ObjId::new("x"), Value::int(1), &reg, &mut delta);
-        let mid = st.clone();
-        let mark = delta.mark();
-        st.set_canonical(ObjId::new("x"), Value::int(2), &reg, &mut delta);
-        st.set_canonical(ObjId::new("y"), Value::int(2), &reg, &mut delta);
-        delta.rollback_to(&mut st, mark);
-        assert_eq!(st, mid);
-        assert_eq!(delta.len(), 1, "entries before the mark survive");
     }
 }
