@@ -3,7 +3,7 @@
 //!
 //! `incremental/N` feeds the standard contention-knot workload
 //! ([`tm_bench::monitor_workload`]) event by event through one
-//! `OpacityMonitor`, whose `SearchCore` keeps its memo table and witness
+//! `OpacityMonitor`, whose `CheckSession` keeps its memo table and witness
 //! across checks. `batch/N` re-runs the one-shot checker on every
 //! response-event prefix — exactly what the monitor did before the
 //! pipeline refactor. The machine-independent companion numbers (node

@@ -1,53 +1,29 @@
-//! The `search` bench: the parallel, memory-bounded serialization search.
+//! The `search` bench: the memory-bounded serialization search.
 //!
-//! `search/workers/N` runs the batch opacity check of the concurrent
-//! contention-knot workload ([`tm_bench::search_knot_history`]) with `N`
-//! work-stealing workers (`SearchConfig::search_jobs`). The workload is
-//! non-opaque by construction, so every run exhausts the same
-//! serialization space — wall-clock differences are pure parallel-search
-//! scaling, with no early-exit variance. `search/rt-chain/N` does the same
-//! on the realtime-chained knot ([`tm_bench::rt_chain_knot_history`]),
-//! whose root fan-out is exactly 1: it scales only through depth-adaptive
-//! subtree donation, never through the root split.
-//! `search/obs/{disabled,enabled}` reprices the sequential check with the
-//! observability handle off (the default no-op path, which must stay at
-//! noise level) and with a live metrics sink attached.
-//! `search/memo-cap/C` runs the same
-//! check under a bounded dead-end table, measuring what eviction-induced
-//! re-exploration costs at each capacity. The machine-readable companion
-//! numbers (node throughput per worker count, verdict-latency percentiles
-//! under a streaming monitor at several caps) are emitted by the `report`
-//! bin into `BENCH_search.json`.
+//! `search/obs/{disabled,enabled}` runs the batch opacity check of the
+//! concurrent contention-knot workload ([`tm_bench::search_knot_history`])
+//! with the observability handle off (the default no-op path, which must
+//! stay at noise level) and with a live metrics sink attached. The
+//! workload is non-opaque by construction, so every run exhausts the same
+//! serialization space, with no early-exit variance. `search/memo-cap/C`
+//! runs a phased check under a bounded dead-end table, measuring what
+//! eviction-induced re-exploration costs at each capacity. The
+//! machine-readable companion numbers (sequential node throughput,
+//! verdict-latency percentiles under a streaming monitor at several caps)
+//! are emitted by the `report` bin into `BENCH_search.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tm_bench::{rt_chain_knot_history, search_knot_history, sequential_knot_search};
+use tm_bench::{search_knot_history, sequential_knot_search};
 use tm_model::SpecRegistry;
-use tm_opacity::search::Search;
-use tm_opacity::{SearchConfig, SearchMode};
+use tm_opacity::{CheckSession, SearchConfig, SearchMode};
 
-fn bench_worker_scaling(c: &mut Criterion) {
+fn bench_search(c: &mut Criterion) {
     let specs = SpecRegistry::registers();
     let h = search_knot_history(3, 3);
     let mut group = c.benchmark_group("search");
     group.sample_size(10);
-    for workers in [1usize, 2, 4, 8, 16] {
-        let config = SearchConfig {
-            search_jobs: workers,
-            ..SearchConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("workers", workers), &h, |b, h| {
-            b.iter(|| {
-                let out = Search::new(h, &specs, SearchMode::OPACITY, config)
-                    .expect("workload is well-formed")
-                    .run()
-                    .expect("workload is checkable");
-                assert!(!out.holds(), "the knot workload must stay non-opaque");
-                out.stats.nodes
-            })
-        });
-    }
-    // The observability axis: the identical sequential check with the
+    // The observability axis: the identical check with the
     // handle disabled (the default — no sink, every call a no-op on a
     // Copy handle) and with a live sink installed. CI tracks the pair
     // warn-only; the disabled point must price at noise level (<2% of
@@ -65,32 +41,10 @@ fn bench_worker_scaling(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("obs", label), &h, |b, h| {
             b.iter(|| {
-                let out = Search::new(h, &specs, SearchMode::OPACITY, config)
-                    .expect("workload is well-formed")
-                    .run()
+                let out = CheckSession::new(&specs, SearchMode::OPACITY, config)
+                    .check_history(h)
                     .expect("workload is checkable");
                 assert!(!out.holds(), "the knot workload must stay non-opaque");
-                out.stats.nodes
-            })
-        });
-    }
-    // The RT-chained knot has root fan-out exactly 1, so any scaling here
-    // comes purely from depth-adaptive subtree donation — the root-only
-    // split is provably flat on this shape. Splitting stays at its default
-    // window; only the worker count varies.
-    let hrt = rt_chain_knot_history(3, 3);
-    for workers in [1usize, 2, 4, 8] {
-        let config = SearchConfig {
-            search_jobs: workers,
-            ..SearchConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("rt-chain", workers), &hrt, |b, h| {
-            b.iter(|| {
-                let out = Search::new(h, &specs, SearchMode::OPACITY, config)
-                    .expect("workload is well-formed")
-                    .run()
-                    .expect("workload is checkable");
-                assert!(!out.holds(), "the RT-chain workload must stay non-opaque");
                 out.stats.nodes
             })
         });
@@ -104,8 +58,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
     // the workload or engine shifts the absolute size.
     let hp = sequential_knot_search(15, 3);
     let peak = {
-        let mut s =
-            tm_opacity::CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
         for e in hp.events() {
             s.extend(e).expect("workload is well-formed");
         }
@@ -119,9 +72,8 @@ fn bench_worker_scaling(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("memo-cap", label), &hp, |b, h| {
             b.iter(|| {
-                let out = Search::new(h, &specs, SearchMode::OPACITY, config)
-                    .expect("workload is well-formed")
-                    .run()
+                let out = CheckSession::new(&specs, SearchMode::OPACITY, config)
+                    .check_history(h)
                     .expect("workload is checkable");
                 assert!(!out.holds());
                 out.stats.nodes
@@ -131,5 +83,5 @@ fn bench_worker_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_worker_scaling);
+criterion_group!(benches, bench_search);
 criterion_main!(benches);

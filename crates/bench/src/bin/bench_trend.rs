@@ -13,7 +13,7 @@
 //! | `monitor` | `node_ratio` (batch / incremental search nodes — deterministic) | history length (`events`) |
 //! | `typed-objects` | `commits_per_sec` of the typed storms | tm × object × threads |
 //! | `clocks` | `commits_per_sec` of the commit storm | tm × clock × threads |
-//! | `search` | `nodes_per_sec` of the parallel batch search | worker count, prefixed by the point's `workload` when present (e.g. `rt_chain/workers=8`) |
+//! | `search` | `nodes_per_sec` of the sequential batch search | the point's `workload` (`knot/nodes_per_sec`) |
 //! | `serve` | `verdicts_per_sec` of the multiplexed replay daemon | session count × memo budget |
 //!
 //! The `search` artifact's verdict-latency points additionally contribute
@@ -134,18 +134,11 @@ fn parse_artifact(json: &str) -> Option<Artifact> {
                 }
             }
             "search" => {
-                if let Some(workers) = field(line, "workers") {
-                    // Scaling points. Points with a "workload" discriminator
-                    // (e.g. rt_chain) are keyed per workload; legacy knot
-                    // points keep the bare key.
-                    let workers = workers as u64;
-                    let key = match sfield(line, "workload") {
-                        Some(w) => format!("{w}/workers={workers}"),
-                        None => format!("workers={workers}"),
-                    };
-                    if let Some(v) = field(line, "nodes_per_sec") {
-                        points.push(Point::higher(key, v));
-                    }
+                if let (Some(workload), Some(v)) =
+                    (sfield(line, "workload"), field(line, "nodes_per_sec"))
+                {
+                    // The throughput point, keyed by its workload.
+                    points.push(Point::higher(format!("{workload}/nodes_per_sec"), v));
                 } else if field(line, "hist_count").is_some() {
                     // Verdict-latency points: the folded histogram
                     // percentiles trend lower-is-better, keyed per memo cap.
@@ -384,32 +377,25 @@ mod tests {
     const SEARCH: &str = r#"{
   "bench": "search",
   "points": [
-    {"workers": 1, "wall_ns": 1000000, "nodes": 33076, "nodes_per_sec": 33076000, "speedup": 1.00},
-    {"workers": 8, "wall_ns": 250000, "nodes": 33163, "nodes_per_sec": 132652000, "speedup": 4.00},
-    {"workload": "rt_chain", "workers": 1, "wall_ns": 2000000, "nodes": 50000, "nodes_per_sec": 25000000, "speedup": 1.00, "splits": 0, "donated_tasks": 0},
-    {"workload": "rt_chain", "workers": 8, "wall_ns": 400000, "nodes": 50100, "nodes_per_sec": 125250000, "speedup": 5.00, "splits": 40, "donated_tasks": 90},
+    {"workload": "knot", "wall_ns": 1000000, "nodes": 33076, "nodes_per_sec": 33076000},
     {"cap": "unbounded", "events": 192, "p50_ns": 900, "p95_ns": 4000, "p99_ns": 9000, "resident": 484, "evictions": 0, "total_nodes": 3567},
     {"cap": 121, "events": 192, "p50_ns": 950, "p95_ns": 4200, "p99_ns": 9400, "resident": 120, "evictions": 214, "total_nodes": 3789, "hist_count": 96, "hist_p50_ns": 1024, "hist_p95_ns": 4095, "hist_p99_ns": 8191}
   ]
 }"#;
 
     #[test]
-    fn extracts_search_scaling_points_and_latency_histograms() {
+    fn extracts_search_throughput_and_latency_histograms() {
         let a = parse_artifact(SEARCH).unwrap();
         assert_eq!(a.kind, "search");
         assert_eq!(
             a.points,
             vec![
-                Point::higher("workers=1".to_string(), 33_076_000.0),
-                Point::higher("workers=8".to_string(), 132_652_000.0),
-                Point::higher("rt_chain/workers=1".to_string(), 25_000_000.0),
-                Point::higher("rt_chain/workers=8".to_string(), 125_250_000.0),
+                Point::higher("knot/nodes_per_sec".to_string(), 33_076_000.0),
                 Point::lower("latency/cap=121/hist_p50_ns".to_string(), 1024.0),
                 Point::lower("latency/cap=121/hist_p95_ns".to_string(), 4095.0),
             ],
             "latency points trend only through their folded histogram \
-             fields (lower-is-better); pre-histogram baselines are skipped; \
-             rt_chain points get workload-prefixed keys"
+             fields (lower-is-better); pre-histogram baselines are skipped"
         );
     }
 
@@ -498,7 +484,7 @@ mod tests {
     #[test]
     fn regression_direction_follows_the_metric() {
         let throughput = Delta {
-            key: "workers=8".to_string(),
+            key: "knot/nodes_per_sec".to_string(),
             baseline: 100.0,
             current: 70.0,
             lower_is_better: false,

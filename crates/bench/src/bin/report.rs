@@ -12,8 +12,8 @@
 //! exact node/step counts), so it is diff-stable across runs; wall-clock
 //! numbers go to **`BENCH_monitor.json`** (history length vs
 //! incremental/batch check time and node counts) and
-//! **`BENCH_search.json`** (parallel-search node throughput per worker
-//! count, bounded-memo node overheads, and verdict-latency percentiles —
+//! **`BENCH_search.json`** (sequential search node throughput,
+//! bounded-memo node overheads, and verdict-latency percentiles —
 //! hand-timed and as folded `check.verdict_ns` histograms — under a
 //! streaming monitor at several memo caps), and **`BENCH_serve.json`**
 //! (the serve daemon: N concurrent synthetic sessions interleaved through
@@ -24,14 +24,11 @@
 //! PR to PR.
 //!
 //! Flags: `--quick` shrinks the E7 sample and the monitor sweep for CI;
-//! `--jobs N` overrides the worker count (default: available parallelism);
-//! `--rt-smoke` runs only the RT-chain split-scaling smoke (1 vs 4
-//! workers, prints the wall-clock ratio and split counters, writes no
-//! artifacts) — the warn-only CI probe for the depth-adaptive splitter.
+//! `--jobs N` overrides the worker count (default: available parallelism).
 
 use std::time::Instant;
 
-use tm_bench::{batch_prefix_nodes, monitor_workload, rt_chain_knot_history, search_knot_history};
+use tm_bench::{batch_prefix_nodes, monitor_workload, search_knot_history};
 use tm_harness::complexity::{paper_scenario, solo_scan, sweep};
 use tm_harness::parallel::default_jobs;
 use tm_harness::randhist::{cross_validate, GenConfig};
@@ -228,90 +225,27 @@ fn clocks_json(points: &[ClockPoint]) -> String {
     out
 }
 
-/// One row of the parallel-search scaling study.
-struct SearchScalingPoint {
-    workers: usize,
+/// The search-throughput point: one sequential batch check.
+struct SearchThroughputPoint {
     wall_ns: u128,
     nodes: usize,
 }
 
-/// Batch-checks the concurrent contention-knot workload once per worker
-/// count. The workload is non-opaque, so every run exhausts the same
-/// serialization space — no early-exit variance.
-fn search_scaling_points(
-    worker_counts: &[usize],
-    knots: u32,
-    writers: u32,
-) -> Vec<SearchScalingPoint> {
-    use tm_opacity::search::Search;
-    use tm_opacity::{SearchConfig, SearchMode};
+/// Batch-checks the concurrent contention-knot workload once. The workload
+/// is non-opaque, so the check exhausts the serialization space — no
+/// early-exit variance.
+fn search_throughput_point(knots: u32, writers: u32) -> SearchThroughputPoint {
+    use tm_opacity::search::{search, SearchMode};
     let specs = SpecRegistry::registers();
     let h = search_knot_history(knots, writers);
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let config = SearchConfig {
-                search_jobs: workers,
-                ..SearchConfig::default()
-            };
-            let t0 = Instant::now();
-            let out = Search::new(&h, &specs, SearchMode::OPACITY, config)
-                .expect("workload is well-formed")
-                .run()
-                .expect("workload is checkable");
-            let wall_ns = t0.elapsed().as_nanos();
-            assert!(!out.holds(), "the knot workload must stay non-opaque");
-            SearchScalingPoint {
-                workers,
-                wall_ns,
-                nodes: out.stats.nodes,
-            }
-        })
-        .collect()
-}
-
-/// One row of the RT-chain split-scaling study: root fan-out is 1 by
-/// construction, so these points isolate the depth-adaptive splitter.
-struct RtChainPoint {
-    workers: usize,
-    wall_ns: u128,
-    nodes: usize,
-    splits: usize,
-    donated: usize,
-}
-
-/// Batch-checks the realtime-chained knot workload once per worker count.
-/// Like the concurrent knot it is non-opaque, so every run exhausts the
-/// same space; unlike it, the root split contributes nothing — all
-/// scaling comes from subtree donation.
-fn rt_chain_scaling_points(worker_counts: &[usize], knots: u32, writers: u32) -> Vec<RtChainPoint> {
-    use tm_opacity::search::Search;
-    use tm_opacity::{SearchConfig, SearchMode};
-    let specs = SpecRegistry::registers();
-    let h = rt_chain_knot_history(knots, writers);
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let config = SearchConfig {
-                search_jobs: workers,
-                ..SearchConfig::default()
-            };
-            let t0 = Instant::now();
-            let out = Search::new(&h, &specs, SearchMode::OPACITY, config)
-                .expect("workload is well-formed")
-                .run()
-                .expect("workload is checkable");
-            let wall_ns = t0.elapsed().as_nanos();
-            assert!(!out.holds(), "the RT-chain workload must stay non-opaque");
-            RtChainPoint {
-                workers,
-                wall_ns,
-                nodes: out.stats.nodes,
-                splits: out.stats.splits,
-                donated: out.stats.donated_tasks,
-            }
-        })
-        .collect()
+    let t0 = Instant::now();
+    let out = search(&h, &specs, SearchMode::OPACITY).expect("workload is checkable");
+    let wall_ns = t0.elapsed().as_nanos();
+    assert!(!out.holds(), "the knot workload must stay non-opaque");
+    SearchThroughputPoint {
+        wall_ns,
+        nodes: out.stats.nodes,
+    }
 }
 
 /// One row of the bounded-memo verdict-latency study.
@@ -463,13 +397,12 @@ fn search_memory_points(knots: u32, writers: u32) -> Vec<SearchMemoryPoint> {
 }
 
 /// Renders `BENCH_search.json` by hand (no serde in the tree): the
-/// node-throughput scaling points (tracked by `bench_trend`), the batch
+/// sequential node-throughput point (tracked by `bench_trend`), the batch
 /// bounded-memo points, and the verdict-latency points — each carrying
 /// both hand-timed percentiles and the folded `check.verdict_ns`
 /// histogram (`hist_*` fields, trend-diffed lower-is-better).
 fn search_json(
-    scaling: &[SearchScalingPoint],
-    rt_chain: &[RtChainPoint],
+    throughput: &SearchThroughputPoint,
     memory: &[SearchMemoryPoint],
     latency: &[SearchLatencyPoint],
 ) -> String {
@@ -477,50 +410,20 @@ fn search_json(
     out.push_str("  \"bench\": \"search\",\n");
     out.push_str(
         "  \"workload\": \"concurrent contention knots (tm_bench::search_knot_history) + \
-         RT-chained knots (tm_bench::rt_chain_knot_history) + \
          phased knots (tm_bench::sequential_knot_search) + streaming monitor knots \
          (tm_bench::monitor_workload)\",\n",
     );
     out.push_str("  \"points\": [\n");
-    let base_ns = scaling.first().map(|p| p.wall_ns).unwrap_or(1).max(1);
-    let total = scaling.len() + rt_chain.len() + memory.len() + latency.len();
-    let mut emitted = 0usize;
-    for p in scaling {
-        emitted += 1;
-        let per_sec = p.nodes as f64 / (p.wall_ns.max(1) as f64 / 1e9);
-        let speedup = base_ns as f64 / p.wall_ns.max(1) as f64;
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ns\": {}, \"nodes\": {}, \
-             \"nodes_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
-            p.workers,
-            p.wall_ns,
-            p.nodes,
-            per_sec,
-            speedup,
-            if emitted == total { "" } else { "," }
-        ));
-    }
-    // RT-chain points carry a "workload" discriminator so bench_trend can
-    // key them separately from the legacy knot points above.
-    let rt_base_ns = rt_chain.first().map(|p| p.wall_ns).unwrap_or(1).max(1);
-    for p in rt_chain {
-        emitted += 1;
-        let per_sec = p.nodes as f64 / (p.wall_ns.max(1) as f64 / 1e9);
-        let speedup = rt_base_ns as f64 / p.wall_ns.max(1) as f64;
-        out.push_str(&format!(
-            "    {{\"workload\": \"rt_chain\", \"workers\": {}, \"wall_ns\": {}, \
-             \"nodes\": {}, \"nodes_per_sec\": {:.0}, \"speedup\": {:.2}, \
-             \"splits\": {}, \"donated_tasks\": {}}}{}\n",
-            p.workers,
-            p.wall_ns,
-            p.nodes,
-            per_sec,
-            speedup,
-            p.splits,
-            p.donated,
-            if emitted == total { "" } else { "," }
-        ));
-    }
+    let total = 1 + memory.len() + latency.len();
+    let mut emitted = 1usize;
+    out.push_str(&format!(
+        "    {{\"workload\": \"knot\", \"wall_ns\": {}, \"nodes\": {}, \
+         \"nodes_per_sec\": {:.0}}}{}\n",
+        throughput.wall_ns,
+        throughput.nodes,
+        throughput.nodes as f64 / (throughput.wall_ns.max(1) as f64 / 1e9),
+        if emitted == total { "" } else { "," }
+    ));
     let membase = memory.first().map(|p| p.nodes).unwrap_or(1).max(1);
     for p in memory {
         emitted += 1;
@@ -750,40 +653,9 @@ fn monitor_json(points: &[MonitorPoint], jobs: usize) -> String {
     out
 }
 
-/// The warn-only CI probe: RT-chain at 1 and 4 workers, wall-clock ratio
-/// and split counters to stdout, no artifacts.
-fn rt_smoke() {
-    let points = rt_chain_scaling_points(&[1, 4], 3, 3);
-    let (one, four) = (&points[0], &points[1]);
-    let ratio = one.wall_ns.max(1) as f64 / four.wall_ns.max(1) as f64;
-    println!("rt-chain split-scaling smoke (3 knots × 3 writers)");
-    println!(
-        "  1 worker : {} nodes in {:.2} ms",
-        one.nodes,
-        one.wall_ns as f64 / 1e6
-    );
-    println!(
-        "  4 workers: {} nodes in {:.2} ms ({} splits, {} donated tasks)",
-        four.nodes,
-        four.wall_ns as f64 / 1e6,
-        four.splits,
-        four.donated
-    );
-    println!("  scaling ratio (t1/t4): {ratio:.2}x");
-    if four.donated == 0 {
-        println!("  WARN: no donations happened — the splitter never engaged");
-    } else if ratio < 1.1 {
-        println!("  WARN: ratio below 1.1x — expected on few-core hosts, investigate otherwise");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--rt-smoke") {
-        rt_smoke();
-        return;
-    }
     let jobs = args
         .iter()
         .position(|a| a == "--jobs")
@@ -999,36 +871,16 @@ fn main() {
     std::fs::write(cpath, &cjson).expect("write BENCH_clocks.json");
     println!("\n_Wall-clock companion written to `{cpath}`._");
 
-    // ---- parallel search scaling + bounded-memo verdict latency -----------
-    println!("\n## Serialization search: work-stealing scaling and bounded memo\n");
-    let (worker_counts, knot_shape): (&[usize], (u32, u32)) = if quick {
-        (&[1, 2, 4, 8], (3, 3))
-    } else {
-        (&[1, 2, 4, 8, 16], (3, 4))
-    };
-    let spoints = search_scaling_points(worker_counts, knot_shape.0, knot_shape.1);
-    // Wall-clock scaling is machine-dependent and lives in the JSON; the
+    // ---- search throughput + bounded-memo verdict latency -----------------
+    println!("\n## Serialization search: throughput and bounded memo\n");
+    let knot_shape: (u32, u32) = if quick { (3, 3) } else { (3, 4) };
+    let spoint = search_throughput_point(knot_shape.0, knot_shape.1);
+    // Wall-clock throughput is machine-dependent and lives in the JSON; the
     // markdown records only the deterministic exploration size.
     println!(
-        "- batch workload: {} concurrent knots × {} writers, {} DFS nodes \
-         sequentially; per-worker node throughput and speedups in \
-         `BENCH_search.json`",
-        knot_shape.0, knot_shape.1, spoints[0].nodes
-    );
-    // The RT-chain study: root fan-out 1, so these points isolate the
-    // depth-adaptive splitter (root-only splitting is provably flat here).
-    let rt_workers: &[usize] = if quick {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16]
-    };
-    let rt_shape = (3u32, 3u32);
-    let rpoints = rt_chain_scaling_points(rt_workers, rt_shape.0, rt_shape.1);
-    println!(
-        "- RT-chain workload: {} chained knots × {} writers (root fan-out 1), \
-         {} DFS nodes sequentially; split/donation counters and speedups in \
-         `BENCH_search.json`",
-        rt_shape.0, rt_shape.1, rpoints[0].nodes
+        "- batch workload: {} concurrent knots × {} writers, {} DFS nodes; \
+         node throughput in `BENCH_search.json`",
+        knot_shape.0, knot_shape.1, spoint.nodes
     );
     // Batch bounded-memo study: deterministic node counts on the phased
     // knot workload (the cost-segmented-LRU acceptance numbers). Cheap
@@ -1066,10 +918,10 @@ fn main() {
             cap, p.resident, p.evictions, p.total_nodes
         );
     }
-    let sjson = search_json(&spoints, &rpoints, &mpoints, &lpoints);
+    let sjson = search_json(&spoint, &mpoints, &lpoints);
     let spath = "BENCH_search.json";
     std::fs::write(spath, &sjson).expect("write BENCH_search.json");
-    println!("\n_Scaling + latency-percentile companion written to `{spath}`._");
+    println!("\n_Throughput + latency-percentile companion written to `{spath}`._");
 
     // ---- serve daemon: multiplexed verdict throughput and latency ----------
     println!("\n## Serve daemon: interleaved session fleets through replay\n");

@@ -100,11 +100,10 @@ pub fn monitor_workload(events: usize) -> History {
 ///
 /// Every transaction's first event precedes every completion, so there are
 /// **no real-time edges at all**: every transaction is a root candidate,
-/// which gives the parallel search `knots × (writers + 1) + 1` independent
-/// root subtrees to distribute over its work-stealing pool. The impossible
-/// final read makes the history non-opaque, so a batch check must exhaust
-/// the entire serialization space — a deterministic node count with no
-/// early-exit variance, which is what a throughput-scaling bench needs.
+/// `knots × (writers + 1) + 1` root subtrees wide. The impossible final
+/// read makes the history non-opaque, so a batch check must exhaust the
+/// entire serialization space — a deterministic node count with no
+/// early-exit variance, which is what a throughput bench needs.
 /// The per-knot state spaces multiply, so the dead-end memo grows into the
 /// thousands of entries even at small sizes (the stress case for
 /// `memo_capacity`).
@@ -174,26 +173,24 @@ pub fn sequential_knot_search(knots: u32, writers: u32) -> History {
     b.build()
 }
 
-/// The adversary of the root-split parallel search: `knots` contention
-/// knots (`writers` blind writers plus one needle reader per knot, each on
-/// its own register) **chained in real time behind one-transaction
-/// gates**, closed by a committed reader observing a value nobody wrote.
+/// The real-time-chained counterpart of [`search_knot_history`]: `knots`
+/// contention knots (`writers` blind writers plus one needle reader per
+/// knot, each on its own register) **chained in real time behind
+/// one-transaction gates**, closed by a committed reader observing a value
+/// nobody wrote.
 ///
 /// Each phase opens with a *gate* transaction that completes before any
 /// later transaction begins, so the gate is a real-time predecessor of
 /// everything after it — the history's **root fan-out is exactly 1 by
 /// construction** (only the first gate is placeable on an empty frontier,
-/// and it is committed, so it admits one placement). Root-only parallelism
-/// therefore degenerates to a sequential walk no matter how many workers
-/// are configured; only dynamic subtree splitting
-/// ([`tm_opacity::SearchConfig::split_depth`]) lets the pool distribute
-/// the wide interior of each knot (knot `r`'s `writers + 1` transactions
-/// are mutually concurrent, and the reader observes the knot's FIRST
-/// writer, so the needle prunes late). Distinct final writes per knot keep
-/// the phase-boundary states distinct, so the interior work grows with
-/// `writers ^ knots` — plenty of nodes to distribute. The impossible final
-/// read keeps the history non-opaque, so every check exhausts the space:
-/// deterministic sequential node counts with no early-exit variance.
+/// and it is committed, so it admits one placement). The width is all in
+/// the interior of each knot (knot `r`'s `writers + 1` transactions are
+/// mutually concurrent, and the reader observes the knot's FIRST writer, so
+/// the needle prunes late). Distinct final writes per knot keep the
+/// phase-boundary states distinct, so the interior work grows with
+/// `writers ^ knots`. The impossible final read keeps the history
+/// non-opaque, so every check exhausts the space: deterministic node counts
+/// with no early-exit variance.
 pub fn rt_chain_knot_history(knots: u32, writers: u32) -> History {
     let mut b = HistoryBuilder::new();
     let mut next = 1u32;
@@ -290,92 +287,23 @@ mod tests {
     }
 
     #[test]
-    fn search_knot_history_is_wellformed_nonopaque_and_root_parallel() {
-        use tm_opacity::search::Search;
-        use tm_opacity::{SearchConfig, SearchMode};
+    fn search_knot_history_is_wellformed_and_nonopaque() {
+        use tm_opacity::search::{search, SearchMode};
         let specs = SpecRegistry::registers();
         let h = search_knot_history(2, 3);
         assert!(tm_model::is_well_formed(&h));
-        let seq = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(!seq.holds(), "the poison read must defeat every witness");
-        // Parallel verdict identity on the bench workload itself.
-        for jobs in [2usize, 4, 8] {
-            let out = Search::new(
-                &h,
-                &specs,
-                SearchMode::OPACITY,
-                SearchConfig {
-                    search_jobs: jobs,
-                    ..SearchConfig::default()
-                },
-            )
-            .unwrap()
-            .run()
-            .unwrap();
-            assert_eq!(out.holds(), seq.holds(), "jobs={jobs}");
-        }
+        let out = search(&h, &specs, SearchMode::OPACITY).unwrap();
+        assert!(!out.holds(), "the poison read must defeat every witness");
     }
 
     #[test]
-    fn rt_chain_knot_history_has_root_fanout_one_and_splits_feed_workers() {
-        use tm_opacity::search::Search;
-        use tm_opacity::{SearchConfig, SearchMode};
+    fn rt_chain_knot_history_is_wellformed_and_nonopaque() {
+        use tm_opacity::search::{search, SearchMode};
         let specs = SpecRegistry::registers();
         let h = rt_chain_knot_history(3, 3);
         assert!(tm_model::is_well_formed(&h));
-        let seq = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(!seq.holds(), "the poison read must defeat every witness");
-        // Root fan-out 1 by construction: with splitting disabled, the
-        // parallel engine degenerates to a single root task no matter the
-        // worker count — no steals, nothing donated.
-        let rootonly = Search::new(
-            &h,
-            &specs,
-            SearchMode::OPACITY,
-            SearchConfig {
-                search_jobs: 8,
-                split_depth: 0,
-                ..SearchConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(rootonly.holds(), seq.holds());
-        assert_eq!(rootonly.stats.steals, 0, "root fan-out must be 1");
-        assert_eq!(rootonly.stats.donated_tasks, 0, "splitting was disabled");
-        // With splitting enabled the hungry workers actually get fed, and
-        // the verdict is unchanged.
-        for jobs in [4usize, 8] {
-            let out = Search::new(
-                &h,
-                &specs,
-                SearchMode::OPACITY,
-                SearchConfig {
-                    search_jobs: jobs,
-                    ..SearchConfig::default()
-                },
-            )
-            .unwrap()
-            .run()
-            .unwrap();
-            assert_eq!(out.holds(), seq.holds(), "jobs={jobs}");
-            assert!(
-                out.stats.donated_tasks > 0,
-                "jobs={jobs}: splitting must feed the hungry workers"
-            );
-            assert!(out.stats.splits > 0, "jobs={jobs}");
-            assert!(
-                out.stats.splits <= out.stats.donated_tasks,
-                "each split donates at least one task"
-            );
-        }
+        let out = search(&h, &specs, SearchMode::OPACITY).unwrap();
+        assert!(!out.holds(), "the poison read must defeat every witness");
     }
 
     #[test]
@@ -503,7 +431,7 @@ mod tests {
         // change to how object states are stored or fingerprinted must not
         // move a single node, and a fingerprint change that reshuffles the
         // memo shards shows up in the bounded check's evictions.
-        use tm_opacity::search::Search;
+        use tm_opacity::search::search;
         use tm_opacity::{CheckSession, SearchConfig, SearchMode};
         let specs = SpecRegistry::registers();
         let check = |h: &History, config: SearchConfig| {
@@ -545,10 +473,7 @@ mod tests {
                 resident, pinned[3],
                 "{name}: an unbounded batch check keeps every insert"
             );
-            let oneshot = Search::new(h, &specs, SearchMode::OPACITY, SearchConfig::default())
-                .unwrap()
-                .run()
-                .unwrap();
+            let oneshot = search(h, &specs, SearchMode::OPACITY).unwrap();
             assert_eq!(exploration(oneshot.stats), counters, "{name}");
         }
         // The quarter-capacity bounded check of the phased knot workload.

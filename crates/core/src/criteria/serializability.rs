@@ -12,7 +12,7 @@
 //! Neither criterion constrains live or aborted transactions — the gap
 //! opacity fills.
 
-use crate::search::{search, CheckError, Search, SearchConfig, SearchMode};
+use crate::search::{search, CheckError, CheckSession, SearchConfig, SearchMode};
 use tm_model::{History, SpecRegistry};
 
 /// Final-state serializability of the committed transactions of `h`.
@@ -20,17 +20,19 @@ pub fn is_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckE
     Ok(search(h, specs, SearchMode::SERIALIZABILITY)?.holds())
 }
 
-/// [`is_serializable`] with an explicit search configuration (parallel
-/// workers, bounded memo) — the knob the conformance pipeline threads
-/// through for adversarial recorded histories.
+/// [`is_serializable`] with an explicit search configuration (node cap,
+/// bounded memo) — the knob the conformance pipeline threads through for
+/// adversarial recorded histories.
 pub fn is_serializable_with(
     h: &History,
     specs: &SpecRegistry,
     config: SearchConfig,
 ) -> Result<bool, CheckError> {
-    Ok(Search::new(h, specs, SearchMode::SERIALIZABILITY, config)?
-        .run()?
-        .holds())
+    Ok(
+        CheckSession::new(specs, SearchMode::SERIALIZABILITY, config)
+            .check_history(h)?
+            .holds(),
+    )
 }
 
 /// Global atomicity (Weihl): serializability over arbitrary objects.

@@ -219,8 +219,8 @@ impl<'a> OpacityMonitor<'a> {
         self.session.lifetime_stats()
     }
 
-    /// Dead-end memo entries currently resident in the session's search
-    /// core. Unbounded by default; capped (with segmented-LRU eviction)
+    /// Dead-end memo entries currently resident in the session's memo
+    /// table. Unbounded by default; capped (with segmented-LRU eviction)
     /// when the monitor was configured with
     /// [`SearchConfig::memo_capacity`].
     pub fn memo_resident(&self) -> usize {

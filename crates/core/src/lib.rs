@@ -15,15 +15,12 @@
 //!   histories;
 //! * [`incremental`] — an online monitor enforcing opacity of every prefix
 //!   of a TM-generated history;
-//! * [`search`] — the shared memoized serialization-search engine, built
-//!   around a **resumable [`SearchCore`]**: the memo table, transaction
+//! * [`search`] — the shared memoized serialization-search engine, one
+//!   **resumable [`CheckSession`]** type: the memo table, transaction
 //!   metadata, and last witness survive across checks, so the monitor
 //!   extends the previous prefix's search state instead of recomputing it.
-//!   The core is also **parallel and memory-bounded**: `search_jobs` splits
-//!   a check at its root placements across a work-stealing pool of scoped
-//!   threads sharing a fingerprint-sharded dead-end memo, and
-//!   `memo_capacity` bounds the resident entries with segmented-LRU
-//!   eviction (both knobs on [`SearchConfig`]).
+//!   The memo is **memory-bounded**: [`SearchConfig::memo_capacity`] caps
+//!   the resident dead-end entries with cost-segmented LRU eviction.
 //!
 //! ## Example: the paper's Figure 1 vs Figure 2
 //!
@@ -59,7 +56,6 @@ mod memo;
 pub mod opacity;
 pub mod search;
 mod state;
-mod steal;
 
 pub use criteria::{classify, CriteriaProfile};
 pub use explain::{explain_violation, StuckTransaction, ViolationExplanation};
@@ -68,6 +64,6 @@ pub use graphcheck::{construct_graph_witness, decide_via_graph, GraphVerdict, Gr
 pub use incremental::{MonitorVerdict, OpacityMonitor};
 pub use opacity::{is_opaque, is_opaque_with, witness_history, OpacityReport};
 pub use search::{
-    CheckError, CheckSession, Placement, SearchConfig, SearchCore, SearchMode, SearchOutcome,
-    SearchStats, Witness,
+    CheckError, CheckSession, Placement, SearchConfig, SearchMode, SearchOutcome, SearchStats,
+    Witness,
 };

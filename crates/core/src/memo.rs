@@ -1,25 +1,23 @@
-//! The shared dead-end memo table of the serialization search: a
+//! The dead-end memo table of the serialization search: a
 //! fingerprint-sharded, optionally capacity-bounded map from
 //! `(placed-set mask, canonical object states)` to "this frontier is a
 //! dead end".
 //!
-//! ## Why sharing is sound
+//! ## Why an entry is sound
 //!
 //! A memo entry records a *path-independent* fact: from the frontier
 //! `(placed, states)` the remaining selected transactions cannot all be
-//! placed legally. Which worker discovered the fact — and through which
-//! serialization prefix it reached the frontier — is irrelevant, because
-//! the legality of every further placement depends only on the committed
-//! effects accumulated in `states` and on the set of transactions still
-//! unplaced (the complement of `placed`). Workers of the parallel search
-//! therefore share one table: an entry inserted by any worker prunes every
-//! other worker that reaches the same frontier.
+//! placed legally. The serialization prefix through which the search
+//! reached the frontier is irrelevant, because the legality of every
+//! further placement depends only on the committed effects accumulated in
+//! `states` and on the set of transactions still unplaced (the complement
+//! of `placed`).
 //!
-//! The one obligation the *writers* carry is completeness: an entry may be
+//! The one obligation the *writer* carries is completeness: an entry may be
 //! inserted only after the subtree below the frontier was explored
-//! **exhaustively**. The search enforces this by never inserting while a
-//! worker's exploration is truncated (node cap) or cancelled (witness found
-//! elsewhere) — see `truncated` in [`crate::search`].
+//! **exhaustively**. The search enforces this by never inserting once its
+//! exploration is truncated by the node cap — see `truncated` in
+//! [`crate::search`].
 //!
 //! ## Why eviction is sound
 //!
@@ -64,11 +62,11 @@
 //! ([`SlotStates`], see `crate::state`). Its XOR fingerprint — one
 //! `DefaultHasher` digest of `(object, value)` per non-initial object,
 //! cached per entry and updated in place by the replay — is mixed with the
-//! placed-set mask to pick the shard, so concurrent workers mostly hit
-//! distinct `std::sync::Mutex`-guarded shards. The fingerprint's bits are
-//! part of the table's behaviour: the shard choice follows them, and with
-//! it which entries a bounded table evicts (eviction is per shard), so a
-//! different hash would change node counts under a capacity bound.
+//! placed-set mask to pick the shard. The fingerprint's bits are part of
+//! the table's behaviour: the shard choice follows them, and with it which
+//! entries a bounded table evicts (eviction is per shard, each shard
+//! capped separately), so a different hash — or a different shard count —
+//! would change node counts under a capacity bound.
 //!
 //! Within a shard the fingerprint is only a pre-filter. The maps hash it
 //! with their own `RandomState` (the values behind it come from clients),
@@ -77,11 +75,9 @@
 //! the live state (`Arc<SlotStates>: Borrow<SlotStates>` does the lookup).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::state::SlotStates;
-use tm_obs::Counter;
 
 /// Default shard count (a power of two; also the upper bound when the
 /// configured capacity is smaller).
@@ -110,7 +106,7 @@ struct EntryMeta {
 /// The two-level entry index of one shard.
 type MaskIndex = HashMap<u64, HashMap<Arc<SlotStates>, EntryMeta>>;
 
-/// One mutex-guarded shard.
+/// One shard: its entries and their eviction queues.
 #[derive(Default)]
 struct MemoShard {
     /// `placed-set mask → states → metadata`. The inner key is an `Arc` so
@@ -206,20 +202,14 @@ impl MemoShard {
     }
 }
 
-/// The fingerprint-sharded dead-end table shared by all search workers.
+/// The fingerprint-sharded dead-end table of one search session.
 pub(crate) struct ShardedMemo {
-    shards: Vec<Mutex<MemoShard>>,
+    shards: Vec<MemoShard>,
     /// Per-shard entry cap; `0` = unbounded (no segment bookkeeping at
-    /// all). Atomic so a memory governor (the `tm-serve` session table)
-    /// can retune a live table without stopping its workers — inserts
-    /// read the cap once per call, so a mid-flight change only staggers
-    /// where the bound bites, never whether it holds after
-    /// [`ShardedMemo::set_capacity`] returns.
-    per_shard_cap: AtomicUsize,
-    /// Entries evicted by the capacity bound since creation (monotone; a
-    /// `tm-obs` counter — the sanctioned home for embedded telemetry
-    /// tallies, see the `atomic-telemetry` lint).
-    evictions: Counter,
+    /// all).
+    per_shard_cap: usize,
+    /// Entries evicted by the capacity bound since creation (monotone).
+    evictions: usize,
 }
 
 impl ShardedMemo {
@@ -236,25 +226,21 @@ impl ShardedMemo {
                 // entries: skew between shards wastes a fixed number of
                 // slots per shard, so tiny per-shard caps would evict live
                 // working-set entries while other shards sit below cap.
-                // (Concurrency matters most for the big/unbounded tables,
-                // which still get the full shard count.)
                 let nshards = DEFAULT_SHARDS
                     .min(1usize << (usize::BITS - 1 - (cap / 32).max(1).leading_zeros()));
                 (nshards, Some(cap / nshards))
             }
         };
         ShardedMemo {
-            shards: (0..nshards)
-                .map(|_| Mutex::new(MemoShard::default()))
-                .collect(),
-            per_shard_cap: AtomicUsize::new(per_shard_cap.unwrap_or(0)),
-            evictions: Counter::new(),
+            shards: (0..nshards).map(|_| MemoShard::default()).collect(),
+            per_shard_cap: per_shard_cap.unwrap_or(0),
+            evictions: 0,
         }
     }
 
     /// The per-shard cap currently in force (`None` = unbounded).
     fn per_shard_cap(&self) -> Option<usize> {
-        match self.per_shard_cap.load(Ordering::Relaxed) {
+        match self.per_shard_cap {
             0 => None,
             cap => Some(cap),
         }
@@ -277,11 +263,9 @@ impl ShardedMemo {
     /// inserted while unbounded carry no queue records, so the eviction
     /// queues cannot reach them — the table is cleared instead (a pure
     /// re-discovery cost, never a verdict change).
-    pub(crate) fn set_capacity(&self, capacity: Option<usize>) {
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
         let new_per_shard = capacity.map(|c| (c.max(1) / self.shards.len()).max(1));
-        let old = self
-            .per_shard_cap
-            .swap(new_per_shard.unwrap_or(0), Ordering::Relaxed);
+        let old = std::mem::replace(&mut self.per_shard_cap, new_per_shard.unwrap_or(0));
         let Some(cap) = new_per_shard else {
             // Now unbounded: existing queue records go stale harmlessly
             // (probes stop touching them, inserts stop enqueueing).
@@ -293,12 +277,10 @@ impl ShardedMemo {
             return;
         }
         // Bounded → bounded: evict each shard down to the new cap.
-        for shard in &self.shards {
-            let mut guard = Self::lock(shard);
-            let sh = &mut *guard;
+        for sh in &mut self.shards {
             while sh.len > cap {
                 if sh.evict_one() {
-                    self.evictions.add(1);
+                    self.evictions += 1;
                 } else {
                     break; // unreachable with len > 0; defensive
                 }
@@ -307,26 +289,21 @@ impl ShardedMemo {
         }
     }
 
-    fn shard_for(&self, mask: u64, states: &SlotStates) -> &Mutex<MemoShard> {
+    fn shard_for(&mut self, mask: u64, states: &SlotStates) -> &mut MemoShard {
         // Mix the placed-set mask into the states fingerprint so frontiers
         // sharing a state (common: many masks, few reachable states) still
         // spread across shards.
         let key = states.fingerprint() ^ mask.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(key as usize) & (self.shards.len() - 1)]
-    }
-
-    fn lock(shard: &Mutex<MemoShard>) -> std::sync::MutexGuard<'_, MemoShard> {
-        // A worker never panics while holding a shard lock (pure map/queue
-        // operations), but recover instead of propagating just in case.
-        shard.lock().unwrap_or_else(|e| e.into_inner())
+        let n = self.shards.len();
+        &mut self.shards[(key as usize) & (n - 1)]
     }
 
     /// Is `(mask, states)` a recorded dead end? Under a capacity bound a
     /// hit refreshes the entry's recency within its cost segment — an
     /// entry that keeps pruning stays at the warm end of its segment.
-    pub(crate) fn probe(&self, mask: u64, states: &SlotStates) -> bool {
-        let mut guard = Self::lock(self.shard_for(mask, states));
-        let sh = &mut *guard;
+    pub(crate) fn probe(&mut self, mask: u64, states: &SlotStates) -> bool {
+        let bounded = self.per_shard_cap().is_some();
+        let sh = self.shard_for(mask, states);
         let Some(arc) = sh
             .by_mask
             .get(&mask)
@@ -335,7 +312,7 @@ impl ShardedMemo {
         else {
             return false;
         };
-        if self.per_shard_cap().is_some() {
+        if bounded {
             let stamp = sh.next_stamp();
             let meta = sh
                 .by_mask
@@ -352,18 +329,17 @@ impl ShardedMemo {
     }
 
     /// Records `(mask, states)` as a dead end established by exploring
-    /// `cost` DFS nodes (idempotent — a concurrent duplicate insert is
-    /// ignored). Evicts per the cost-segmented-LRU policy when the shard
-    /// is at capacity.
-    pub(crate) fn insert(&self, mask: u64, states: &SlotStates, cost: usize) {
-        let mut guard = Self::lock(self.shard_for(mask, states));
-        let sh = &mut *guard;
+    /// `cost` DFS nodes (idempotent — a duplicate insert is ignored).
+    /// Evicts per the cost-segmented-LRU policy when the shard is at
+    /// capacity.
+    pub(crate) fn insert(&mut self, mask: u64, states: &SlotStates, cost: usize) {
+        let cap = self.per_shard_cap();
+        let sh = self.shard_for(mask, states);
         if sh
             .by_mask
             .get(&mask)
             .is_some_and(|m| m.contains_key(states))
         {
-            // Another worker raced us to the same dead end.
             return;
         }
         let bucket = usize::BITS - cost.max(1).leading_zeros(); // ⌊log₂⌋ + 1
@@ -374,16 +350,18 @@ impl ShardedMemo {
             .or_default()
             .insert(Arc::clone(&arc), EntryMeta { stamp, bucket });
         sh.len += 1;
-        if let Some(cap) = self.per_shard_cap() {
+        if let Some(cap) = cap {
             sh.enqueue(bucket, mask, arc, stamp);
+            let mut evicted = 0;
             while sh.len > cap {
                 if sh.evict_one() {
-                    self.evictions.add(1);
+                    evicted += 1;
                 } else {
                     break; // unreachable with len > 0; defensive
                 }
             }
             sh.maybe_compact();
+            self.evictions += evicted;
         }
     }
 
@@ -392,10 +370,8 @@ impl ShardedMemo {
     /// widening of the transaction owning `bit` (entries that already
     /// placed the transaction only claim things about the others, so they
     /// stay).
-    pub(crate) fn retain_placing(&self, bit: u64) {
-        for shard in &self.shards {
-            let mut guard = Self::lock(shard);
-            let sh = &mut *guard;
+    pub(crate) fn retain_placing(&mut self, bit: u64) {
+        for sh in &mut self.shards {
             let mut removed = 0usize;
             sh.by_mask.retain(|&mask, inner| {
                 if mask & bit != 0 {
@@ -419,10 +395,8 @@ impl ShardedMemo {
     }
 
     /// Drops every entry (the committed-only re-selection rule).
-    pub(crate) fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = Self::lock(shard);
-            let sh = &mut *guard;
+    pub(crate) fn clear(&mut self) {
+        for sh in &mut self.shards {
             sh.by_mask.clear();
             sh.len = 0;
             sh.stale = 0;
@@ -432,13 +406,13 @@ impl ShardedMemo {
 
     /// Resident entries across all shards.
     pub(crate) fn resident(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).len).sum()
+        self.shards.iter().map(|s| s.len).sum()
     }
 
     /// Total entries evicted by the capacity bound since creation
     /// (monotone; invalidation drops are not evictions).
     pub(crate) fn evictions(&self) -> usize {
-        self.evictions.get() as usize
+        self.evictions
     }
 
     /// The total capacity actually enforced (shard count × per-shard cap);
@@ -473,7 +447,7 @@ mod tests {
 
     #[test]
     fn probe_miss_then_insert_then_hit() {
-        let memo = ShardedMemo::new(None);
+        let mut memo = ShardedMemo::new(None);
         let s = state(1);
         assert!(!memo.probe(0b11, &s));
         memo.insert(0b11, &s, 1);
@@ -486,7 +460,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_resident_entries() {
-        let memo = ShardedMemo::new(Some(8));
+        let mut memo = ShardedMemo::new(Some(8));
         for i in 0..100 {
             memo.insert(1 << (i % 60), &state(i), 1);
         }
@@ -501,7 +475,7 @@ mod tests {
 
     #[test]
     fn tiny_capacity_still_works() {
-        let memo = ShardedMemo::new(Some(1));
+        let mut memo = ShardedMemo::new(Some(1));
         memo.insert(1, &state(1), 1);
         memo.insert(2, &state(2), 1);
         assert_eq!(memo.resident(), 1);
@@ -514,7 +488,7 @@ mod tests {
         // of nodes to establish is never displaced by a flood of cost-1
         // leaf dead ends — the failure mode that makes plain LRU (and
         // depth-priority eviction) catastrophic for DFS backtracking.
-        let memo = ShardedMemo::new(Some(64));
+        let mut memo = ShardedMemo::new(Some(64));
         let expensive = state(-7);
         memo.insert(0b1, &expensive, 10_000);
         for i in 0..400 {
@@ -533,7 +507,7 @@ mod tests {
         // Recently probed entries outlive unprobed ones of the SAME cost
         // bucket: the hot entry is touched between every equal-cost cold
         // insert, keeping it at the warm end of its segment's queue.
-        let memo = ShardedMemo::new(Some(64));
+        let mut memo = ShardedMemo::new(Some(64));
         let hot = state(-1);
         memo.insert(deep_mask(10), &hot, 8);
         for i in 0..400 {
@@ -548,7 +522,7 @@ mod tests {
 
     #[test]
     fn retain_placing_drops_exactly_the_unplacing_masks() {
-        let memo = ShardedMemo::new(Some(32));
+        let mut memo = ShardedMemo::new(Some(32));
         for i in 0..16 {
             memo.insert(i, &state(i as i64), 1);
         }
@@ -569,7 +543,7 @@ mod tests {
 
     #[test]
     fn clear_empties_everything() {
-        let memo = ShardedMemo::new(Some(16));
+        let mut memo = ShardedMemo::new(Some(16));
         for i in 0..10 {
             memo.insert(i, &state(i as i64), 1);
         }
@@ -584,7 +558,7 @@ mod tests {
     fn eviction_counter_is_monotone_and_capacity_rounds_down() {
         // Small capacities collapse to one shard (per-shard caps below ~32
         // would let inter-shard skew evict live working-set entries).
-        let memo = ShardedMemo::new(Some(20));
+        let mut memo = ShardedMemo::new(Some(20));
         assert_eq!(memo.capacity(), Some(20));
         // Larger capacities shard, rounding the total down to a multiple
         // of the shard count — never above the configured bound.
@@ -605,7 +579,7 @@ mod tests {
 
     #[test]
     fn set_capacity_shrink_evicts_down_and_growth_stops_evicting() {
-        let memo = ShardedMemo::new(Some(64));
+        let mut memo = ShardedMemo::new(Some(64));
         for i in 0..60 {
             memo.insert(1 << (i % 60), &state(i), (i as usize) % 9 + 1);
         }
@@ -630,7 +604,7 @@ mod tests {
         // Unbounded inserts carry no queue records, so the eviction queues
         // cannot reach them: the transition clears (sound — entries are
         // pure pruning) and the bound holds for everything inserted after.
-        let memo = ShardedMemo::new(None);
+        let mut memo = ShardedMemo::new(None);
         for i in 0..50 {
             memo.insert(1 << (i % 50), &state(i), 1);
         }
@@ -658,51 +632,11 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_races_with_inserts_without_losing_the_bound() {
-        let memo = ShardedMemo::new(Some(256));
-        std::thread::scope(|scope| {
-            let m = &memo;
-            scope.spawn(move || {
-                for i in 0..500 {
-                    m.insert((i as u64) % 61 + 1, &state(i), (i as usize) % 7 + 1);
-                }
-            });
-            scope.spawn(move || {
-                for cap in [128usize, 64, 32, 16] {
-                    m.set_capacity(Some(cap));
-                }
-            });
-        });
-        // The last cap wins: one more retune with no concurrent inserts
-        // leaves the table within it.
-        memo.set_capacity(Some(16));
-        assert!(memo.resident() <= 16, "resident {}", memo.resident());
-    }
-
-    #[test]
-    fn concurrent_probes_and_inserts_keep_the_bound() {
-        let memo = ShardedMemo::new(Some(64));
-        std::thread::scope(|scope| {
-            for t in 0..4i64 {
-                let memo = &memo;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        let s = state(t * 1000 + i);
-                        memo.insert((i as u64) % 61 + 1, &s, (i as usize) % 7 + 1);
-                        memo.probe((i as u64) % 61 + 1, &s);
-                    }
-                });
-            }
-        });
-        assert!(memo.resident() <= 64, "resident {}", memo.resident());
-    }
-
-    #[test]
     fn colliding_fingerprints_stay_distinct_entries() {
         // The fingerprint picks the shard and pre-filters; equality of the
         // entry lists decides a hit. Two distinct states forced to the same
         // fingerprint are two dead ends, not one.
-        let memo = ShardedMemo::new(None);
+        let mut memo = ShardedMemo::new(None);
         let a = SlotStates::from_entries([(0, Value::Int(1), 0xfeed)]);
         let b = SlotStates::from_entries([(0, Value::Int(2), 0xfeed)]);
         let c = SlotStates::from_entries([(0, Value::Int(1), 0x0f0f), (3, Value::Int(5), 0xf1e2)]);

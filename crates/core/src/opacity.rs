@@ -78,8 +78,7 @@ pub fn is_opaque_with(
     specs: &SpecRegistry,
     config: SearchConfig,
 ) -> Result<OpacityReport, CheckError> {
-    let mut session = CheckSession::new(specs, SearchMode::OPACITY, config);
-    let out = session.check_history(h)?;
+    let out = CheckSession::new(specs, SearchMode::OPACITY, config).check_history(h)?;
     Ok(OpacityReport::from_outcome(out))
 }
 

@@ -21,13 +21,15 @@
 //!   object states)`, which prunes the factorial search to the number of
 //!   distinct reachable states.
 //!
-//! ## The resumable core
+//! ## The resumable session
 //!
-//! The engine is a **[`SearchCore`]**: a persistent structure fed one event
-//! at a time ([`SearchCore::extend`]) and queried for a verdict on the
-//! history seen so far ([`SearchCore::check`]). Three things survive across
-//! checks and make the online monitor asymptotically cheaper than
-//! re-checking every prefix from scratch:
+//! The engine is one type, **[`CheckSession`]**: a persistent structure fed
+//! one event at a time ([`CheckSession::extend`]) and queried for a verdict
+//! on the history seen so far ([`CheckSession::check`]);
+//! [`CheckSession::check_history`] does both for the unseen suffix of a
+//! growing history, and [`search`] is the default-config one-shot. Three
+//! things survive across checks and make the online monitor asymptotically
+//! cheaper than re-checking every prefix from scratch:
 //!
 //! 1. **Per-transaction metadata** (views, statuses, real-time predecessor
 //!    masks) is maintained incrementally, so a check never re-scans the
@@ -44,9 +46,9 @@
 //!    check walks straight down the witness in `O(|H|)` replay work with no
 //!    backtracking.
 //!
-//! Object states live in a core-private, slot-indexed representation
-//! (`crate::state`). [`SearchCore::extend`] gives every object a dense slot
-//! the first time one of its operations completes, resolving its
+//! Object states live in a session-private, slot-indexed representation
+//! (`crate::state`). [`CheckSession::extend`] gives every object a dense
+//! slot the first time one of its operations completes, resolving its
 //! sequential specification, initial value, and name hash once, and
 //! records each completed operation's slot beside the operation. The DFS
 //! then mutates one canonical state **in place** — a slot-sorted list of
@@ -55,67 +57,38 @@
 //! displaced entry's hash, so a placement and its rollback hash one value
 //! per changed object and look nothing up by name. The only clone left is
 //! the one that stores a dead end into the memo table, and [`SearchStats`]
-//! reports both counts. Slots are never reused inside a core, so a memo
+//! reports both counts. Slots are never reused inside a session, so a memo
 //! entry recorded before an object appeared (the object was then at its
 //! initial state, which has no entry) still compares correctly against
 //! every later state; equality of the entry lists, not the fingerprint,
 //! decides a memo hit.
 //!
-//! ## The parallel, memory-bounded core
+//! ## The memory-bounded memo
 //!
-//! Two knobs lift the engine from "one thread, unbounded table" to a core
-//! that exploits the machine and respects a memory budget:
-//!
-//! * **[`SearchConfig::search_jobs`]** drives a check with a work-stealing
-//!   pool of scoped threads (`crate::steal`). The pool is seeded with the
-//!   root placements — every first-level `(transaction, placement)`
-//!   candidate is an independent subtree — and, because root fan-out can
-//!   be as low as 1 (realtime-chained histories), workers also **split
-//!   dynamically**: a worker whose DFS holds untried sibling branches
-//!   within the [`SearchConfig::split_depth`] window donates the coldest
-//!   of them the moment another worker goes hungry. A donated task carries
-//!   the `(bit, placement)` path to its branch — a reconstruction recipe
-//!   the thief replays in place, not a state clone — and the thief can
-//!   recursively split its own shallow frames, so deep chained searches
-//!   keep every worker busy. Workers share the dead-end memo through a
-//!   fingerprint-sharded concurrent table (`crate::memo`), a found witness
-//!   raises a cancellation flag that stops the remaining workers, and the
-//!   node cap is a *shared* budget while the `truncated` marker stays
-//!   **per worker** — a worker whose exploration was cut short (by the cap
-//!   or by cancellation) never inserts into the shared table, so one
-//!   truncated subtree cannot poison the others; a frame that *donated* a
-//!   branch likewise withholds its own (now non-exhaustive) dead end,
-//!   while the donated branch is explored exhaustively by its thief before
-//!   the pool can terminate. The *verdict* is identical to the sequential
-//!   search (dead ends are path-independent facts and every subtree is
-//!   explored exhaustively, by someone, unless the search is already
-//!   decided); the witness may be a different valid serialization.
-//!   Per-worker statistics (nodes, memo hits, steals, splits, donations,
-//!   cancellations) are merged in worker-index order, so the aggregation
-//!   itself is deterministic even though the per-worker split is
-//!   scheduling-dependent.
-//! * **[`SearchConfig::memo_capacity`]** bounds the resident dead-end
-//!   entries with per-shard segmented-LRU eviction. Evicting a dead end is
-//!   always sound — the entry is pure pruning, so the search can only
-//!   re-pay the exploration that rediscovers it — and composes with the
-//!   invalidation rules above, which remove entries regardless of segment.
-//!   [`SearchStats::evictions`] reports the per-check eviction count.
-//!   Eviction priority is *recompute cost* (see `crate::memo`): the
-//!   entries that survive a tight budget are the ones whose loss would be
-//!   expensive, so bounded tables degrade gracefully instead of thrashing.
+//! A check runs on the calling thread; parallelism lives above it, across
+//! sessions and across independent checks (DESIGN.md, "Why a check is
+//! single-threaded"). **[`SearchConfig::memo_capacity`]** bounds the
+//! resident dead-end entries with per-shard segmented-LRU eviction.
+//! Evicting a dead end is always sound — the entry is pure pruning, so the
+//! search can only re-pay the exploration that rediscovers it — and
+//! composes with the invalidation rules above, which remove entries
+//! regardless of segment. [`SearchStats::evictions`] reports the per-check
+//! eviction count. Eviction priority is *recompute cost* (see
+//! `crate::memo`): the entries that survive a tight budget are the ones
+//! whose loss would be expensive, so bounded tables degrade gracefully
+//! instead of thrashing. An entry is inserted only once its subtree was
+//! explored exhaustively: after the node cap fires, every unwinding frame
+//! withholds its (partial) dead end.
 //!
 //! Opacity checking over arbitrary histories is NP-hard (it embeds
 //! view-serializability), so the worst case is necessarily exponential; the
 //! memoized search is nonetheless fast for the history sizes produced by
 //! tests, the random-history cross-validation, and recorded STM executions.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::HashMap;
 
 use crate::memo::ShardedMemo;
 use crate::state::{ReplayError, Slot, SlotStates, SlotTable, Undo};
-use crate::steal::StealQueues;
 use tm_model::wellformed::WfError;
 use tm_model::{Event, History, SpecRegistry, TxId, TxStatus, TxView};
 
@@ -209,11 +182,6 @@ impl SearchMode {
 }
 
 /// Statistics from a search, for the ablation benchmarks (E13).
-///
-/// Under a parallel check ([`SearchConfig::search_jobs`] > 1) the counters
-/// are the sum of the per-worker counters, merged in worker-index order
-/// (deterministic aggregation; the per-worker split itself depends on
-/// scheduling).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// DFS nodes expanded.
@@ -229,27 +197,15 @@ pub struct SearchStats {
     /// per placement expansion and one per memo probe, each of which the
     /// pre-resumable engine paid with a full snapshot clone.
     pub clones_saved: usize,
-    /// Tasks (root subtrees or donated branches) a worker took from
-    /// another worker's deque.
-    pub steals: usize,
-    /// Donation events: times a worker split its DFS frontier because
-    /// another worker was hungry (each event donates ≥ 1 task).
-    pub splits: usize,
-    /// Branches donated to the pool as stealable tasks by frontier splits.
-    pub donated_tasks: usize,
-    /// Tasks never explored because a witness was already found.
-    pub cancelled_tasks: usize,
     /// Memo entries evicted by the capacity bound during this check.
     pub evictions: usize,
-    /// Worker threads the check actually ran with (the *resolved* pool
-    /// size — 1 for the sequential engine, and the effective count when
-    /// `search_jobs = 0` asked for "auto"). Merged by maximum, not sum:
-    /// it is a property of the pool, not a per-worker tally.
+    /// Threads a check ran on: always 1 (a check is single-threaded).
+    /// Merged by maximum, not sum.
     pub workers: usize,
 }
 
 /// Number of monotone counter cells in [`SearchStats::counter_cells`].
-const STAT_CELLS: usize = 10;
+const STAT_CELLS: usize = 6;
 
 impl SearchStats {
     /// The monotone counters as one flat cell array (everything except
@@ -262,10 +218,6 @@ impl SearchStats {
             self.illegal_placements as u64,
             self.state_clones as u64,
             self.clones_saved as u64,
-            self.steals as u64,
-            self.splits as u64,
-            self.donated_tasks as u64,
-            self.cancelled_tasks as u64,
             self.evictions as u64,
         ]
     }
@@ -276,15 +228,10 @@ impl SearchStats {
         self.illegal_placements = cells[2] as usize;
         self.state_clones = cells[3] as usize;
         self.clones_saved = cells[4] as usize;
-        self.steals = cells[5] as usize;
-        self.splits = cells[6] as usize;
-        self.donated_tasks = cells[7] as usize;
-        self.cancelled_tasks = cells[8] as usize;
-        self.evictions = cells[9] as usize;
+        self.evictions = cells[5] as usize;
     }
 
-    /// Accumulates `other` into `self` (used for lifetime totals and for
-    /// the deterministic per-worker merge of parallel checks). The
+    /// Accumulates `other` into `self` (used for lifetime totals). The
     /// counters delegate to [`tm_obs::merge_counters`] — the workspace's
     /// one telemetry-merge implementation; `workers` merges by maximum.
     pub fn absorb(&mut self, other: &SearchStats) {
@@ -318,33 +265,17 @@ pub struct SearchConfig {
     pub memoize: bool,
     /// Hard cap on DFS nodes per check; `None` for unlimited. When hit, the
     /// search conservatively reports "no witness found" via
-    /// [`SearchOutcome::witness`] `= None`. Under a parallel check the cap
-    /// is a budget shared by all workers.
+    /// [`SearchOutcome::witness`] `= None`.
     pub node_limit: Option<usize>,
-    /// Worker threads for the work-stealing parallel DFS. `1` — the
-    /// default — runs the sequential in-place engine with no thread spawns
-    /// at all; `0` means "auto": one worker per hardware thread reported
-    /// by `std::thread::available_parallelism()`.
-    pub search_jobs: usize,
     /// Bound on resident dead-end memo entries, enforced with per-shard
     /// segmented-LRU eviction; `None` — the default — keeps every entry.
     /// Rounded down to a multiple of the shard count, so the resident
     /// total never exceeds the configured value.
     pub memo_capacity: Option<usize>,
-    /// Depth window (relative to a task's root) in which a parallel worker
-    /// materializes its untried sibling candidates so it can donate them
-    /// to hungry workers. `0` disables splitting (root-only parallelism);
-    /// frames deeper than the window run the allocation-free inline loop.
-    /// Default `8`. Ignored by the sequential engine.
-    pub split_depth: usize,
-    /// Minimum number of untried candidates a splittable frame must hold
-    /// to donate one (≥ 1, default `1`). Raising it keeps more local work
-    /// per split at the cost of slower work distribution.
-    pub split_granularity: usize,
     /// Observability handle (disabled by default — every instrumented
     /// path is then a no-op branch). When enabled, each check folds its
-    /// merged [`SearchStats`] into the sink's counters, records the
-    /// feed→verdict latency histogram, and emits worker-lifecycle spans.
+    /// [`SearchStats`] into the sink's counters and records the
+    /// feed→verdict latency histogram.
     pub obs: tm_obs::ObsHandle,
 }
 
@@ -353,10 +284,7 @@ impl Default for SearchConfig {
         SearchConfig {
             memoize: true,
             node_limit: None,
-            search_jobs: 1,
             memo_capacity: None,
-            split_depth: 8,
-            split_granularity: 1,
             obs: tm_obs::ObsHandle::disabled(),
         }
     }
@@ -366,7 +294,7 @@ const MAX_TXS: usize = 64;
 
 /// Mirror of the per-transaction well-formedness automaton of
 /// `tm_model::wellformed`, maintained incrementally so that
-/// [`SearchCore::extend`] rejects exactly the events `check_well_formed`
+/// [`CheckSession::extend`] rejects exactly the events `check_well_formed`
 /// would reject, with the same [`WfError`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum TxWf {
@@ -377,7 +305,7 @@ enum TxWf {
     Done,
 }
 
-/// Per-transaction state of the resumable core.
+/// Per-transaction state of the resumable session.
 struct TxCell {
     id: TxId,
     view: TxView,
@@ -395,113 +323,32 @@ struct TxCell {
     pred_mask: u64,
 }
 
-/// The read-only context one DFS (worker) borrows from the core during a
-/// check: transaction metadata, candidate order, the shared memo, and the
-/// cross-worker coordination cells.
-struct DfsShared<'a> {
-    slots: &'a [Slot<'a>],
-    txs: &'a [TxCell],
-    by_bit: &'a [usize],
-    order: &'a [u32],
+/// One check's depth-first search: the transaction metadata and candidate
+/// order it borrows from the session, the session's memo table, and the
+/// in-place replay scratch.
+struct Dfs<'s> {
+    slots: &'s [Slot<'s>],
+    txs: &'s [TxCell],
+    by_bit: &'s [usize],
+    order: &'s [u32],
     selected_mask: u64,
     memoize: bool,
     node_limit: Option<usize>,
-    memo: &'a ShardedMemo,
-    /// Nodes expanded by *all* workers this check (the shared node budget).
-    nodes_spent: &'a AtomicUsize,
-    /// Raised when some worker found a witness: everyone else unwinds.
-    cancel: &'a AtomicBool,
-    /// The task pool, present only under a parallel check: lets a worker
-    /// donate untried sibling branches to hungry workers. `None` on the
-    /// sequential path, which therefore never materializes frontiers.
-    queues: Option<&'a StealQueues<SearchTask>>,
-    /// [`SearchConfig::split_depth`] (relative donation window).
-    split_depth: usize,
-    /// [`SearchConfig::split_granularity`].
-    split_granularity: usize,
+    memo: &'s mut ShardedMemo,
     /// [`SearchConfig::obs`]: a disabled handle outside `--metrics-out`/
     /// `--trace-out`/`--progress` runs. The hot loop touches it only once
     /// every 1024 nodes (the live-progress counter), so the disabled cost
     /// is one masked branch per kilonode.
     obs: tm_obs::ObsHandle,
-}
-
-/// One splittable DFS frame of a parallel worker: the untried sibling
-/// candidates are materialized so the coldest (back) ones can be donated.
-struct SplitFrame {
-    /// Absolute frontier depth (`placed.count_ones()`) at frame entry ==
-    /// the length of the worker's placement path above this frame.
-    depth: usize,
-    /// True once any candidate of this frame was donated away: the donor
-    /// no longer explores this subtree exhaustively, so neither this frame
-    /// nor any ancestor frame of this task may cache a dead end.
-    donated: bool,
-    /// Untried `(bit, placement)` candidates in witness-biased order. The
-    /// owner pops from the front; donations pop from the back.
-    pending: VecDeque<(u32, Placement)>,
-}
-
-/// The per-worker mutable scratch of one DFS.
-struct Explorer {
     states: SlotStates,
     undo: Undo,
     stack: Vec<(TxId, Placement)>,
     stats: SearchStats,
-    /// Set once this worker's current exploration became partial (node cap
-    /// or cancellation). From that moment every unwinding frame's subtree is
-    /// only partially explored, so its "dead end" is unreliable and must NOT
-    /// enter the shared memo table (a truncated false would otherwise poison
-    /// later checks and other workers).
+    /// Set once the exploration became partial (node cap). From that moment
+    /// every unwinding frame's subtree is only partially explored, so its
+    /// "dead end" is unreliable and must NOT enter the memo table (a
+    /// truncated false would otherwise poison later checks).
     truncated: bool,
-    /// This worker's index in the pool (its own deque for donations).
-    worker: usize,
-    /// The current task's root depth (its path length): the donation window
-    /// `split_depth` is measured relative to it, so a thief that rehydrates
-    /// a deep branch can itself split its shallow-relative frames.
-    base_depth: usize,
-    /// The `(bit, placement)` path from the *empty* frontier through every
-    /// splittable frame — the reconstruction recipe a donated task carries.
-    /// Not maintained below the donation window (nothing there is donated).
-    path: Vec<(u32, Placement)>,
-    /// The stack of currently-open splittable frames, shallowest first.
-    frames: Vec<SplitFrame>,
-}
-
-impl Explorer {
-    fn new(worker: usize) -> Self {
-        Explorer {
-            states: SlotStates::default(),
-            undo: Undo::default(),
-            stack: Vec::new(),
-            stats: SearchStats::default(),
-            truncated: false,
-            worker,
-            base_depth: 0,
-            path: Vec::new(),
-            frames: Vec::new(),
-        }
-    }
-
-    /// Resets the per-subtree scratch (statistics persist across tasks).
-    fn reset(&mut self) {
-        self.states = SlotStates::default();
-        self.undo.clear();
-        self.stack.clear();
-        self.truncated = false;
-        self.base_depth = 0;
-        self.path.clear();
-        self.frames.clear();
-    }
-}
-
-/// One stealable unit of a parallel check: the `(bit, placement)` path from
-/// the empty frontier to an unexplored branch. Root tasks carry a length-1
-/// path; donated tasks carry the donor's prefix plus the donated candidate.
-/// The path is a *reconstruction recipe*: the thief replays it against a
-/// fresh state with the same [`place`] replay the search uses, so no
-/// object-state snapshot ever crosses threads.
-struct SearchTask {
-    path: Box<[(u32, Placement)]>,
 }
 
 /// The placement decisions allowed for a transaction by its status in
@@ -518,351 +365,108 @@ fn allowed_placements(status: TxStatus) -> &'static [Placement] {
     }
 }
 
-/// Replays candidate `ci` in place against the explorer's state — the one
-/// replay every DFS path (sequential, split, task rehydration) uses.
-/// `Ok(true)`: legal, effects applied; `Ok(false)`: illegal (counted, state
-/// untouched); `Err`: an object without a specification.
-fn place(sh: &DfsShared<'_>, w: &mut Explorer, ci: usize) -> Result<bool, CheckError> {
-    let tx = &sh.txs[ci];
-    match w
-        .states
-        .replay(&tx.view.ops, &tx.op_slots, sh.slots, &mut w.undo)
-    {
-        Ok(()) => Ok(true),
-        Err(ReplayError::Illegal) => {
-            w.stats.illegal_placements += 1;
-            Ok(false)
-        }
-        Err(ReplayError::NoSpec(slot)) => Err(CheckError::NoSpec(
-            sh.slots[slot as usize].obj().name().to_string(),
-        )),
-    }
-}
-
-/// The recursive search below the frontier `placed`, shared verbatim by the
-/// sequential engine (one `Explorer`, `cancel` never raised) and by every
-/// parallel worker. Parallel frames within the donation window dispatch to
-/// [`dfs_split`]; everything else runs the allocation-free inline loop.
-fn dfs(sh: &DfsShared<'_>, w: &mut Explorer, placed: u64) -> Result<bool, CheckError> {
-    if placed == sh.selected_mask {
-        return Ok(true);
-    }
-    if sh.cancel.load(Ordering::Relaxed) {
-        // Another worker already found a witness: unwind without caching
-        // (this subtree was not exhaustively explored).
-        w.truncated = true;
-        return Ok(false);
-    }
-    if let Some(limit) = sh.node_limit {
-        if sh.nodes_spent.load(Ordering::Relaxed) >= limit {
-            w.truncated = true;
-            return Ok(false);
-        }
-    }
-    sh.nodes_spent.fetch_add(1, Ordering::Relaxed);
-    let nodes_at_entry = w.stats.nodes;
-    w.stats.nodes += 1;
-    if w.stats.nodes & 0x3FF == 0 {
-        // Live-progress feed (`tmcheck check --progress`): amortized to one
-        // registry touch per 1024 nodes so enabled observability stays off
-        // the hot path; the exact totals are folded per check.
-        sh.obs.counter_add("search.nodes_live", 0x400);
-    }
-    if sh.memoize {
-        w.stats.clones_saved += 1; // memo probe without a key clone
-        if sh.memo.probe(placed, &w.states) {
-            w.stats.memo_hits += 1;
-            return Ok(false);
-        }
-    }
-    if sh.queues.is_some() {
-        let depth = placed.count_ones() as usize;
-        if sh.split_depth > 0 && depth - w.base_depth < sh.split_depth {
-            return dfs_split(sh, w, placed, depth, nodes_at_entry);
-        }
-        // Deep (non-splittable) frames still feed hungry workers — from the
-        // shallow frames already materialized above — one poll per node.
-        maybe_donate(sh, w);
-    }
-    for k in 0..sh.order.len() {
-        let b = sh.order[k];
-        let bit = 1u64 << b;
-        let ci = sh.by_bit[b as usize];
-        if placed & bit != 0 || sh.txs[ci].pred_mask & !placed != 0 {
-            continue;
-        }
-        let mark = w.undo.mark();
-        // Replay the candidate against the committed-prefix state.
-        if !place(sh, w, ci)? {
-            continue;
-        }
-        let id = sh.txs[ci].id;
-        let status = sh.txs[ci].view.status;
-        for &placement in allowed_placements(status) {
-            if placement == Placement::Aborted {
-                // Validated above; effects are discarded.
-                w.states.rollback_to(&mut w.undo, mark);
+impl Dfs<'_> {
+    /// Replays candidate `ci` in place against the current state.
+    /// `Ok(true)`: legal, effects applied; `Ok(false)`: illegal (counted,
+    /// state untouched); `Err`: an object without a specification.
+    fn place(&mut self, ci: usize) -> Result<bool, CheckError> {
+        let tx = &self.txs[ci];
+        match self
+            .states
+            .replay(&tx.view.ops, &tx.op_slots, self.slots, &mut self.undo)
+        {
+            Ok(()) => Ok(true),
+            Err(ReplayError::Illegal) => {
+                self.stats.illegal_placements += 1;
+                Ok(false)
             }
-            w.stats.clones_saved += 1; // placement without a clone
-            w.stack.push((id, placement));
-            if dfs(sh, w, placed | bit)? {
-                return Ok(true);
-            }
-            w.stack.pop();
+            Err(ReplayError::NoSpec(slot)) => Err(CheckError::NoSpec(
+                self.slots[slot as usize].obj().name().to_string(),
+            )),
         }
-        w.states.rollback_to(&mut w.undo, mark);
     }
-    // Frames that finished exploring before the node limit (or a
-    // cancellation) fired are genuine dead ends; frames unwinding after it
-    // are not — caching them would let a truncated "no" poison every later
-    // check and every other worker.
-    if sh.memoize && !w.truncated {
-        w.stats.state_clones += 1;
-        // The entry's eviction priority is what it cost to establish: the
-        // nodes this worker expanded below (and including) this frontier.
-        sh.memo
-            .insert(placed, &w.states, w.stats.nodes - nodes_at_entry);
-    }
-    Ok(false)
-}
 
-/// One frame within the donation window: materializes the untried sibling
-/// candidates into a [`SplitFrame`] so [`maybe_donate`] can hand the
-/// coldest ones to hungry workers, then explores the rest front-first in
-/// the usual witness-biased order.
-fn dfs_split(
-    sh: &DfsShared<'_>,
-    w: &mut Explorer,
-    placed: u64,
-    depth: usize,
-    nodes_at_entry: usize,
-) -> Result<bool, CheckError> {
-    let mut pending: VecDeque<(u32, Placement)> = VecDeque::new();
-    for &b in sh.order {
-        let bit = 1u64 << b;
-        let ci = sh.by_bit[b as usize];
-        if placed & bit != 0 || sh.txs[ci].pred_mask & !placed != 0 {
-            continue;
+    /// The recursive search below the frontier `placed`.
+    fn dfs(&mut self, placed: u64) -> Result<bool, CheckError> {
+        if placed == self.selected_mask {
+            return Ok(true);
         }
-        // Legality replay stays lazy: an illegal candidate donated to a
-        // thief is rejected by the thief's own replay.
-        for &placement in allowed_placements(sh.txs[ci].view.status) {
-            pending.push_back((b, placement));
-        }
-    }
-    w.frames.push(SplitFrame {
-        depth,
-        donated: false,
-        pending,
-    });
-    let fi = w.frames.len() - 1;
-    let mut outcome: Result<bool, CheckError> = Ok(false);
-    loop {
-        maybe_donate(sh, w);
-        let Some((b, placement)) = w.frames[fi].pending.pop_front() else {
-            break;
-        };
-        let bit = 1u64 << b;
-        let ci = sh.by_bit[b as usize];
-        let mark = w.undo.mark();
-        match place(sh, w, ci) {
-            Ok(true) => {}
-            Ok(false) => continue,
-            Err(e) => {
-                outcome = Err(e);
-                break;
+        if let Some(limit) = self.node_limit {
+            if self.stats.nodes >= limit {
+                self.truncated = true;
+                return Ok(false);
             }
         }
-        if placement == Placement::Aborted {
-            // Validated above; effects are discarded.
-            w.states.rollback_to(&mut w.undo, mark);
+        let nodes_at_entry = self.stats.nodes;
+        self.stats.nodes += 1;
+        if self.stats.nodes & 0x3FF == 0 {
+            // Live-progress feed (`tmcheck check --progress`): amortized to
+            // one registry touch per 1024 nodes so enabled observability
+            // stays off the hot path; the exact totals are folded per check.
+            self.obs.counter_add("search.nodes_live", 0x400);
         }
-        w.stats.clones_saved += 1;
-        w.stack.push((sh.txs[ci].id, placement));
-        w.path.push((b, placement));
-        match dfs(sh, w, placed | bit) {
-            Ok(true) => {
-                // Keep the stack: it is the witness being published.
-                outcome = Ok(true);
-                break;
-            }
-            Ok(false) => {
-                w.stack.pop();
-                w.path.pop();
-                w.states.rollback_to(&mut w.undo, mark);
-            }
-            Err(e) => {
-                outcome = Err(e);
-                break;
+        if self.memoize {
+            self.stats.clones_saved += 1; // memo probe without a key clone
+            if self.memo.probe(placed, &self.states) {
+                self.stats.memo_hits += 1;
+                return Ok(false);
             }
         }
-    }
-    let frame = w.frames.pop().expect("frame pushed above");
-    if frame.donated {
-        // The donated branches now belong to other workers: this subtree —
-        // and transitively every ancestor of it in this task — is no longer
-        // exhaustively explored *by this worker*, so none of them may cache
-        // a dead end. (Donation does not set `truncated`: globally the
-        // donated branches are still explored before the pool terminates.)
-        if let Some(parent) = w.frames.last_mut() {
-            parent.donated = true;
-        }
-    }
-    if matches!(outcome, Ok(false)) && sh.memoize && !w.truncated && !frame.donated {
-        w.stats.state_clones += 1;
-        sh.memo
-            .insert(placed, &w.states, w.stats.nodes - nodes_at_entry);
-    }
-    outcome
-}
-
-/// Donates the coldest untried branches of this worker's shallowest
-/// eligible frames to the pool, one task per hungry worker. Called once
-/// per expanded node while parallel; the fast path is a single relaxed
-/// load of the hungry counter.
-fn maybe_donate(sh: &DfsShared<'_>, w: &mut Explorer) {
-    let Some(queues) = sh.queues else { return };
-    let mut hungry = queues.hungry();
-    if hungry == 0 || sh.cancel.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut donated = 0usize;
-    for fi in 0..w.frames.len() {
-        // Shallowest frames first: their back candidates root the largest
-        // unexplored subtrees (the steal-from-back discipline, one level
-        // up: donate the coldest work, keep the hot front).
-        while hungry > 0 && w.frames[fi].pending.len() >= sh.split_granularity.max(1) {
-            let (b, placement) = w.frames[fi].pending.pop_back().expect("len checked");
-            let depth = w.frames[fi].depth;
-            let mut path = Vec::with_capacity(depth + 1);
-            path.extend_from_slice(&w.path[..depth]);
-            path.push((b, placement));
-            queues.donate(
-                w.worker,
-                SearchTask {
-                    path: path.into_boxed_slice(),
-                },
-            );
-            w.frames[fi].donated = true;
-            donated += 1;
-            hungry -= 1;
-        }
-        if hungry == 0 {
-            break;
-        }
-    }
-    if donated > 0 {
-        w.stats.splits += 1;
-        w.stats.donated_tasks += donated;
-    }
-}
-
-/// Rehydrates a task's placement path against a fresh state — replaying
-/// each `(bit, placement)` with the same [`place`] replay the search uses —
-/// then explores the subtree below it.
-fn run_task(sh: &DfsShared<'_>, w: &mut Explorer, task: &SearchTask) -> Result<bool, CheckError> {
-    w.reset();
-    let mut placed = 0u64;
-    for &(b, placement) in task.path.iter() {
-        let ci = sh.by_bit[b as usize];
-        let mark = w.undo.mark();
-        if !place(sh, w, ci)? {
-            // Only the path's final (donated, never-tried) element can be
-            // illegal: the prefix was replayed by the donor.
-            return Ok(false);
-        }
-        if placement == Placement::Aborted {
-            w.states.rollback_to(&mut w.undo, mark);
-        }
-        w.stats.clones_saved += 1;
-        w.stack.push((sh.txs[ci].id, placement));
-        w.path.push((b, placement));
-        placed |= 1u64 << b;
-    }
-    w.base_depth = task.path.len();
-    dfs(sh, w, placed)
-}
-
-/// What one parallel worker hands back to the merge step.
-struct WorkerReport {
-    stats: SearchStats,
-    /// True if any of this worker's subtrees was cut short (node budget or
-    /// cancellation) — the root frame must then not be cached either.
-    truncated: bool,
-}
-
-/// The loop of one parallel worker: pop (or steal) tasks — root subtrees
-/// and donated branches alike — until the pool terminates, publishing the
-/// first witness found and draining the remainder as cancelled. Every
-/// popped task is acknowledged with `task_done` *after* its exploration
-/// (and hence after any donations it made), which is what lets the pool's
-/// inflight count prove termination.
-fn worker_loop(
-    wi: usize,
-    sh: &DfsShared<'_>,
-    queues: &StealQueues<SearchTask>,
-    witness_slot: &Mutex<Option<Vec<(TxId, Placement)>>>,
-) -> Result<WorkerReport, CheckError> {
-    let mut w = Explorer::new(wi);
-    let mut truncated = false;
-    loop {
-        // The wait span covers stealing attempts and condvar parking — the
-        // "worker starved" signal in a trace (inert when obs is disabled).
-        let popped = {
-            let _wait = sh.obs.span("task.wait", "search");
-            queues.pop(wi)
-        };
-        let Some((task, stolen)) = popped else { break };
-        if stolen {
-            w.stats.steals += 1;
-        }
-        if sh.cancel.load(Ordering::Relaxed) {
-            w.stats.cancelled_tasks += 1;
-            queues.task_done();
-            continue; // drain, so every unexplored subtree is counted once
-        }
-        let result = {
-            let _exec = sh.obs.span("task.execute", "search");
-            run_task(sh, &mut w, &task)
-        };
-        queues.task_done();
-        match result {
-            Ok(true) => {
-                let mut slot = witness_slot.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(w.stack.clone());
+        for k in 0..self.order.len() {
+            let b = self.order[k];
+            let bit = 1u64 << b;
+            let ci = self.by_bit[b as usize];
+            if placed & bit != 0 || self.txs[ci].pred_mask & !placed != 0 {
+                continue;
+            }
+            let mark = self.undo.mark();
+            // Replay the candidate against the committed-prefix state.
+            if !self.place(ci)? {
+                continue;
+            }
+            let id = self.txs[ci].id;
+            let status = self.txs[ci].view.status;
+            for &placement in allowed_placements(status) {
+                if placement == Placement::Aborted {
+                    // Validated above; effects are discarded.
+                    self.states.rollback_to(&mut self.undo, mark);
                 }
-                drop(slot);
-                sh.cancel.store(true, Ordering::Relaxed);
+                self.stats.clones_saved += 1; // placement without a clone
+                self.stack.push((id, placement));
+                if self.dfs(placed | bit)? {
+                    return Ok(true);
+                }
+                self.stack.pop();
             }
-            Ok(false) => {}
-            Err(e) => {
-                // A hard error decides the whole check; stop the others.
-                // (Any tasks still queued are drained by the surviving
-                // workers, so the pool's inflight count still reaches 0.)
-                sh.cancel.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
+            self.states.rollback_to(&mut self.undo, mark);
         }
-        truncated |= w.truncated;
+        // Frames that finished exploring before the node limit fired are
+        // genuine dead ends; frames unwinding after it are not — caching
+        // them would let a truncated "no" poison every later check.
+        if self.memoize && !self.truncated {
+            self.stats.state_clones += 1;
+            // The entry's eviction priority is what it cost to establish:
+            // the nodes expanded below (and including) this frontier.
+            self.memo
+                .insert(placed, &self.states, self.stats.nodes - nodes_at_entry);
+        }
+        Ok(false)
     }
-    Ok(WorkerReport {
-        stats: w.stats,
-        truncated,
-    })
 }
 
-/// The resumable serialization-search engine.
+/// The resumable serialization-search engine, and the one type through
+/// which the batch checkers (`is_opaque*`, the Section-3 criteria), the
+/// online monitor, and `tm-serve` sessions drive the search.
 ///
-/// Feed events with [`SearchCore::extend`]; ask for a verdict on everything
-/// fed so far with [`SearchCore::check`]. Between checks the core keeps its
-/// transaction metadata, its memo table of dead ends (selectively
-/// invalidated — see the module docs for the soundness argument), and the
-/// last witness (which biases the next check's DFS order towards extending
-/// it). One-shot callers go through [`Search`] / [`search`]; stateful
-/// callers (the online monitor, the `CheckSession` convenience) keep the
-/// core alive across a growing history.
-pub struct SearchCore<'a> {
+/// Feed events with [`CheckSession::extend`] (or let
+/// [`CheckSession::check_history`] consume the suffix of a monotonically
+/// growing history) and decide with [`CheckSession::check`]. Between checks
+/// the session keeps its transaction metadata, its memo table of dead ends
+/// (selectively invalidated — see the module docs for the soundness
+/// argument), and the last witness (which biases the next check's DFS order
+/// towards extending it), so checking every prefix of a history costs far
+/// less than independent batch checks.
+pub struct CheckSession<'a> {
     specs: &'a SpecRegistry,
     /// The objects seen so far, each resolved against `specs` once.
     slots: SlotTable<'a>,
@@ -878,8 +482,8 @@ pub struct SearchCore<'a> {
     /// `pred_mask` for transactions created later).
     completed_selected_mask: u64,
     /// Dead ends: placed-set mask × canonical object states from which the
-    /// remaining transactions cannot be completed. Sharded so parallel
-    /// workers share it; bounded per [`SearchConfig::memo_capacity`].
+    /// remaining transactions cannot be completed; bounded per
+    /// [`SearchConfig::memo_capacity`].
     memo: ShardedMemo,
     last_witness: Option<Witness>,
     stats: SearchStats,
@@ -889,10 +493,10 @@ pub struct SearchCore<'a> {
     order: Vec<u32>,
 }
 
-impl<'a> SearchCore<'a> {
-    /// A core over an initially empty history.
+impl<'a> CheckSession<'a> {
+    /// A session over an initially empty history.
     pub fn new(specs: &'a SpecRegistry, mode: SearchMode, config: SearchConfig) -> Self {
-        SearchCore {
+        CheckSession {
             specs,
             slots: SlotTable::default(),
             mode,
@@ -917,7 +521,7 @@ impl<'a> SearchCore<'a> {
         self.events_seen
     }
 
-    /// Statistics of the most recent [`SearchCore::check`].
+    /// Statistics of the most recent [`CheckSession::check`].
     pub fn last_stats(&self) -> SearchStats {
         self.stats
     }
@@ -949,7 +553,7 @@ impl<'a> SearchCore<'a> {
         self.memo.capacity()
     }
 
-    /// Retunes the memo capacity of a live core (`None` = unbounded) —
+    /// Retunes the memo capacity of a live session (`None` = unbounded) —
     /// the hook a memory governor (the `tm-serve` session table) uses to
     /// apportion a global memo budget across many sessions. Sound in both
     /// directions: memo entries are pure pruning, so shrinking (which
@@ -963,7 +567,7 @@ impl<'a> SearchCore<'a> {
     /// Consumes one event, updating transaction metadata incrementally and
     /// invalidating exactly the memo entries the event can unsound.
     ///
-    /// Fails — leaving the core unchanged, so the event is *not* consumed —
+    /// Fails — leaving the session unchanged, so the event is *not* consumed —
     /// if the event violates well-formedness or overflows the engine's
     /// transaction limit.
     pub fn extend(&mut self, e: &Event) -> Result<(), CheckError> {
@@ -973,7 +577,7 @@ impl<'a> SearchCore<'a> {
             Some(&ci) => ci,
             None => {
                 // First event of a new transaction. Validate before creating
-                // the cell so a failed extend leaves the core untouched.
+                // the cell so a failed extend leaves the session untouched.
                 match e {
                     Event::Inv { .. } | Event::TryCommit(_) | Event::TryAbort(_) => {}
                     _ => {
@@ -1076,7 +680,7 @@ impl<'a> SearchCore<'a> {
             }
         };
         // Last fallible step, checked BEFORE committing any mutation so a
-        // failed extend leaves the core exactly as it was: in committed-only
+        // failed extend leaves the session exactly as it was: in committed-only
         // modes a Commit event selects the transaction, which needs a bit.
         if matches!(e, Event::Commit(_))
             && !self.mode.include_noncommitted
@@ -1179,15 +783,24 @@ impl<'a> SearchCore<'a> {
         }
     }
 
+    /// Consumes the not-yet-seen suffix of `h` and checks.
+    ///
+    /// `h` must be an extension of the history fed so far (the session
+    /// trusts the already-consumed prefix and only reads `h`'s tail) — which
+    /// is exactly the monitor's situation, and trivially true for one-shot
+    /// batch checks on a fresh session.
+    pub fn check_history(&mut self, h: &History) -> Result<SearchOutcome, CheckError> {
+        for e in &h.events()[self.events_seen.min(h.len())..] {
+            self.extend(e)?;
+        }
+        self.check()
+    }
+
     /// Decides the criterion for the history fed so far.
     ///
     /// The DFS candidate order is biased towards the previous check's
     /// witness, so a check whose new events merely extend the old
-    /// serialization runs in linear replay time with no backtracking. With
-    /// [`SearchConfig::search_jobs`] > 1 the root placements are explored
-    /// by a work-stealing pool of scoped threads sharing the memo table;
-    /// the verdict is identical to the sequential search, the witness may
-    /// be a different valid serialization.
+    /// serialization runs in linear replay time with no backtracking.
     pub fn check(&mut self) -> Result<SearchOutcome, CheckError> {
         self.checks += 1;
         // Candidate order: last witness first (it remains real-time
@@ -1214,26 +827,29 @@ impl<'a> SearchCore<'a> {
             }
         }
         let evictions_before = self.memo.evictions();
-        // `search_jobs == 0` means "auto": one worker per hardware thread.
-        let jobs = match self.config.search_jobs {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         let obs = self.config.obs;
         let _check_span = obs.span("check", "search");
         let started = obs.enabled().then(std::time::Instant::now);
-        let (witness_order, mut stats) = if jobs == 1 {
-            self.run_sequential()?
-        } else {
-            self.run_parallel(jobs)?
+        let mut dfs = Dfs {
+            slots: self.slots.slots(),
+            txs: &self.txs,
+            by_bit: &self.by_bit,
+            order: &self.order,
+            selected_mask: self.selected_mask,
+            memoize: self.config.memoize,
+            node_limit: self.config.node_limit,
+            memo: &mut self.memo,
+            obs,
+            states: SlotStates::default(),
+            undo: Undo::default(),
+            stack: Vec::new(),
+            stats: SearchStats::default(),
+            truncated: false,
         };
+        let found = dfs.dfs(0)?;
+        let (witness_order, mut stats) = (found.then_some(dfs.stack), dfs.stats);
         stats.evictions = self.memo.evictions() - evictions_before;
-        // The resolved pool size (run_parallel records the effective worker
-        // count; every other path — sequential, trivial, fully memoized —
-        // ran on this one thread).
-        stats.workers = stats.workers.max(1);
+        stats.workers = 1;
         if let Some(t0) = started {
             // The feed→verdict latency: everything between the check request
             // and the verdict for the events fed so far.
@@ -1242,37 +858,21 @@ impl<'a> SearchCore<'a> {
         }
         self.stats = stats;
         self.lifetime.absorb(&stats);
-        match witness_order {
-            Some(order) => {
-                let witness = Witness { order };
-                self.last_witness = Some(witness.clone());
-                Ok(SearchOutcome {
-                    witness: Some(witness),
-                    stats,
-                })
-            }
-            None => Ok(SearchOutcome {
-                witness: None,
-                stats,
-            }),
+        let witness = witness_order.map(|order| Witness { order });
+        if witness.is_some() {
+            self.last_witness = witness.clone();
         }
+        Ok(SearchOutcome { witness, stats })
     }
 
-    /// Folds one check's deterministically merged [`SearchStats`] into the
-    /// observability sink — per check, never per node, so enabled metrics
-    /// stay off the DFS hot path. Counter totals are therefore identical
-    /// for any sharding of the same work (the jobs=1 vs jobs=N agreement
-    /// pinned in `tm-cli`'s tests).
+    /// Folds one check's [`SearchStats`] into the observability sink — per
+    /// check, never per node, so enabled metrics stay off the DFS hot path.
     fn fold_stats(&self, stats: &SearchStats) {
         let obs = self.config.obs;
         obs.counter_add("search.checks", 1);
         obs.counter_add("search.nodes", stats.nodes as u64);
         obs.counter_add("search.illegal_placements", stats.illegal_placements as u64);
         obs.counter_add("search.clones_saved", stats.clones_saved as u64);
-        obs.counter_add("search.steals", stats.steals as u64);
-        obs.counter_add("search.splits", stats.splits as u64);
-        obs.counter_add("search.donated_tasks", stats.donated_tasks as u64);
-        obs.counter_add("search.cancelled_tasks", stats.cancelled_tasks as u64);
         // The memo lifecycle: with memoization on, every expanded node is
         // exactly one probe, and every state clone is one insert.
         if self.config.memoize {
@@ -1284,272 +884,17 @@ impl<'a> SearchCore<'a> {
         obs.gauge_set("memo.resident", self.memo.resident() as u64);
         obs.gauge_set("search.workers", stats.workers as u64);
     }
-
-    /// The single-threaded check: one explorer, no spawns.
-    #[allow(clippy::type_complexity)]
-    fn run_sequential(
-        &mut self,
-    ) -> Result<(Option<Vec<(TxId, Placement)>>, SearchStats), CheckError> {
-        let nodes_spent = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
-        let sh = DfsShared {
-            slots: self.slots.slots(),
-            txs: &self.txs,
-            by_bit: &self.by_bit,
-            order: &self.order,
-            selected_mask: self.selected_mask,
-            memoize: self.config.memoize,
-            node_limit: self.config.node_limit,
-            memo: &self.memo,
-            nodes_spent: &nodes_spent,
-            cancel: &cancel,
-            queues: None,
-            split_depth: 0,
-            split_granularity: 1,
-            obs: self.config.obs,
-        };
-        let mut w = Explorer::new(0);
-        let found = dfs(&sh, &mut w, 0)?;
-        Ok((found.then_some(w.stack), w.stats))
-    }
-
-    /// The work-stealing check: seed at root placements, split subtrees
-    /// dynamically while workers are hungry, share the memo, cancel on the
-    /// first witness.
-    #[allow(clippy::type_complexity)]
-    fn run_parallel(
-        &mut self,
-        jobs: usize,
-    ) -> Result<(Option<Vec<(TxId, Placement)>>, SearchStats), CheckError> {
-        let mut stats = SearchStats::default();
-        if self.selected_mask == 0 {
-            return Ok((Some(Vec::new()), stats));
-        }
-        // The root frame (the sequential dfs(0) prologue): count it, probe
-        // the memo so a cached root dead end short-circuits the check.
-        stats.nodes += 1;
-        let initial = SlotStates::default();
-        if self.config.memoize {
-            stats.clones_saved += 1;
-            if self.memo.probe(0, &initial) {
-                stats.memo_hits += 1;
-                return Ok((None, stats));
-            }
-        }
-        // Root tasks in the witness-biased candidate order.
-        let mut tasks = Vec::new();
-        for &b in self.order.iter() {
-            let ci = self.by_bit[b as usize];
-            if self.txs[ci].pred_mask != 0 {
-                continue; // has unplaced real-time predecessors at the root
-            }
-            for &placement in allowed_placements(self.txs[ci].view.status) {
-                tasks.push(SearchTask {
-                    path: Box::new([(b, placement)]),
-                });
-            }
-        }
-        // With splitting enabled, workers beyond the root fan-out are
-        // useful — they start hungry and receive donated branches — so the
-        // pool size is capped by the number of selected transactions (a
-        // parallelism ceiling) rather than by the root task count.
-        let splitting = self.config.split_depth > 0;
-        let ceiling = if splitting {
-            tasks.len().max(self.by_bit.len())
-        } else {
-            tasks.len()
-        };
-        let workers = jobs.min(ceiling).max(1);
-        stats.workers = workers;
-        let queues = StealQueues::new(tasks, workers);
-        let nodes_spent = AtomicUsize::new(stats.nodes);
-        let cancel = AtomicBool::new(false);
-        let sh = DfsShared {
-            slots: self.slots.slots(),
-            txs: &self.txs,
-            by_bit: &self.by_bit,
-            order: &self.order,
-            selected_mask: self.selected_mask,
-            memoize: self.config.memoize,
-            node_limit: self.config.node_limit,
-            memo: &self.memo,
-            nodes_spent: &nodes_spent,
-            cancel: &cancel,
-            queues: if splitting { Some(&queues) } else { None },
-            split_depth: self.config.split_depth,
-            split_granularity: self.config.split_granularity.max(1),
-            obs: self.config.obs,
-        };
-        let witness_slot: Mutex<Option<Vec<(TxId, Placement)>>> = Mutex::new(None);
-        let reports: Vec<Result<WorkerReport, CheckError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|wi| {
-                    let sh = &sh;
-                    let queues = &queues;
-                    let witness_slot = &witness_slot;
-                    scope.spawn(move || worker_loop(wi, sh, queues, witness_slot))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .collect()
-        });
-        // Deterministic aggregation: merge per-worker stats (and surface
-        // the first error) in worker-index order.
-        let mut truncated = false;
-        let mut first_error = None;
-        for report in reports {
-            match report {
-                Ok(r) => {
-                    stats.absorb(&r.stats);
-                    truncated |= r.truncated;
-                }
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let witness = witness_slot.into_inner().unwrap_or_else(|e| e.into_inner());
-        if witness.is_none() && self.config.memoize && !truncated {
-            // Every subtree — root-seeded or donated — was explored
-            // exhaustively by some worker (the pool only terminates once
-            // nothing is queued or executing): the empty frontier is a
-            // genuine dead end (mirrors the sequential dfs(0) epilogue),
-            // whose recompute cost is the whole check.
-            stats.state_clones += 1;
-            self.memo.insert(0, &initial, stats.nodes);
-        }
-        Ok((witness, stats))
-    }
 }
 
-/// A stateful checking session over a growing history: the façade through
-/// which both the batch checkers (`is_opaque*`, the Section-3 criteria) and
-/// the online monitor drive the resumable [`SearchCore`].
-///
-/// Feed events with [`CheckSession::extend`] (or let
-/// [`CheckSession::check_history`] consume the suffix of a monotonically
-/// growing history) and decide with [`CheckSession::check`]. The underlying
-/// core keeps its memo table and witness between checks, so checking every
-/// prefix of a history costs far less than independent batch checks.
-pub struct CheckSession<'a> {
-    core: SearchCore<'a>,
-}
-
-impl<'a> CheckSession<'a> {
-    /// A session over an initially empty history.
-    pub fn new(specs: &'a SpecRegistry, mode: SearchMode, config: SearchConfig) -> Self {
-        CheckSession {
-            core: SearchCore::new(specs, mode, config),
-        }
-    }
-
-    /// Consumes one event. See [`SearchCore::extend`].
-    pub fn extend(&mut self, e: &Event) -> Result<(), CheckError> {
-        self.core.extend(e)
-    }
-
-    /// Decides the criterion for the events consumed so far.
-    pub fn check(&mut self) -> Result<SearchOutcome, CheckError> {
-        self.core.check()
-    }
-
-    /// Consumes the not-yet-seen suffix of `h` and checks.
-    ///
-    /// `h` must be an extension of the history fed so far (the session
-    /// trusts the already-consumed prefix and only reads `h`'s tail) — which
-    /// is exactly the monitor's situation, and trivially true for one-shot
-    /// batch checks on a fresh session.
-    pub fn check_history(&mut self, h: &History) -> Result<SearchOutcome, CheckError> {
-        let seen = self.core.events_seen();
-        for e in &h.events()[seen.min(h.len())..] {
-            self.core.extend(e)?;
-        }
-        self.core.check()
-    }
-
-    /// Number of events consumed so far.
-    pub fn events_seen(&self) -> usize {
-        self.core.events_seen()
-    }
-
-    /// Statistics of the most recent check.
-    pub fn last_stats(&self) -> SearchStats {
-        self.core.last_stats()
-    }
-
-    /// Statistics accumulated over every check in this session.
-    pub fn lifetime_stats(&self) -> SearchStats {
-        self.core.lifetime_stats()
-    }
-
-    /// Number of checks run in this session.
-    pub fn checks(&self) -> usize {
-        self.core.checks()
-    }
-
-    /// Dead-end entries currently resident in the memo table.
-    pub fn memo_resident(&self) -> usize {
-        self.core.memo_resident()
-    }
-
-    /// Memo entries evicted by the capacity bound in this session
-    /// (monotone).
-    pub fn memo_evictions(&self) -> usize {
-        self.core.memo_evictions()
-    }
-
-    /// The memo capacity actually enforced; `None` when unbounded.
-    pub fn memo_capacity(&self) -> Option<usize> {
-        self.core.memo_capacity()
-    }
-
-    /// Retunes the memo capacity mid-session. See
-    /// [`SearchCore::set_memo_capacity`].
-    pub fn set_memo_capacity(&mut self, capacity: Option<usize>) {
-        self.core.set_memo_capacity(capacity)
-    }
-}
-
-/// The one-shot façade over [`SearchCore`] (kept for the original API).
-pub struct Search<'a> {
-    core: SearchCore<'a>,
-}
-
-impl<'a> Search<'a> {
-    /// Prepares a search over `h` under `mode`.
-    pub fn new(
-        h: &History,
-        specs: &'a SpecRegistry,
-        mode: SearchMode,
-        config: SearchConfig,
-    ) -> Result<Self, CheckError> {
-        let mut core = SearchCore::new(specs, mode, config);
-        for e in h.events() {
-            core.extend(e)?;
-        }
-        Ok(Search { core })
-    }
-
-    /// Runs the search to completion.
-    pub fn run(mut self) -> Result<SearchOutcome, CheckError> {
-        self.core.check()
-    }
-}
-
-/// One-shot convenience: search `h` under `mode` with default configuration.
+/// One-shot convenience: search `h` under `mode` with default configuration
+/// (callers with a configuration use
+/// `CheckSession::new(specs, mode, config).check_history(h)`).
 pub fn search(
     h: &History,
     specs: &SpecRegistry,
     mode: SearchMode,
 ) -> Result<SearchOutcome, CheckError> {
-    Search::new(h, specs, mode, SearchConfig::default())?.run()
+    CheckSession::new(specs, mode, SearchConfig::default()).check_history(h)
 }
 
 #[cfg(test)]
@@ -1628,13 +973,11 @@ mod tests {
             b = b.commit_ok(t);
         }
         let h = b.build();
-        let on = Search::new(&h, &regs(), SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
+        let on = CheckSession::new(&regs(), SearchMode::OPACITY, SearchConfig::default())
+            .check_history(&h)
             .unwrap();
         assert!(on.holds());
-        let off = Search::new(
-            &h,
+        let off = CheckSession::new(
             &regs(),
             SearchMode::OPACITY,
             SearchConfig {
@@ -1643,8 +986,7 @@ mod tests {
                 ..SearchConfig::default()
             },
         )
-        .unwrap()
-        .run()
+        .check_history(&h)
         .unwrap();
         assert!(off.holds());
         assert!(on.stats.nodes <= off.stats.nodes);
@@ -1659,8 +1001,7 @@ mod tests {
         // No commits: all live, all must be aborted; trivially opaque, but
         // with a node limit of 1 the search gives up.
         let h = b.build();
-        let out = Search::new(
-            &h,
+        let out = CheckSession::new(
             &regs(),
             SearchMode::OPACITY,
             SearchConfig {
@@ -1669,8 +1010,7 @@ mod tests {
                 ..SearchConfig::default()
             },
         )
-        .unwrap()
-        .run()
+        .check_history(&h)
         .unwrap();
         assert!(!out.holds());
         assert_eq!(out.stats.nodes, 1);
@@ -1882,9 +1222,8 @@ mod tests {
         }
         let first = s.check().unwrap();
         let second = s.check().unwrap();
-        let reference = Search::new(&h, &specs, SearchMode::OPACITY, config)
-            .unwrap()
-            .run()
+        let reference = CheckSession::new(&specs, SearchMode::OPACITY, config)
+            .check_history(&h)
             .unwrap();
         assert_eq!(
             second.holds(),
@@ -1908,9 +1247,8 @@ mod tests {
         for (i, e) in h.events().iter().enumerate() {
             s.extend(e).unwrap();
             let live = s.check().unwrap().holds();
-            let fresh = Search::new(&h.prefix(i + 1), &specs, SearchMode::OPACITY, config)
-                .unwrap()
-                .run()
+            let fresh = CheckSession::new(&specs, SearchMode::OPACITY, config)
+                .check_history(&h.prefix(i + 1))
                 .unwrap()
                 .holds();
             // The session may only be BETTER than fresh (its witness bias
@@ -1970,88 +1308,12 @@ mod tests {
         assert!(s.checks() > 0);
     }
 
-    // ---- parallel root-split search ------------------------------------
-
-    /// A search config with `jobs` parallel workers.
-    fn par(jobs: usize) -> SearchConfig {
-        SearchConfig {
-            search_jobs: jobs,
-            ..SearchConfig::default()
-        }
-    }
-
     #[test]
-    fn parallel_verdicts_match_sequential_on_paper_histories() {
-        let specs = regs();
-        for h in [
-            paper::h1(),
-            paper::h2(),
-            paper::h3(),
-            paper::h4(),
-            paper::h5(),
-        ] {
-            let seq = search(&h, &specs, SearchMode::OPACITY).unwrap();
-            for jobs in [2, 4, 8] {
-                let out = Search::new(&h, &specs, SearchMode::OPACITY, par(jobs))
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                assert_eq!(out.holds(), seq.holds(), "{h} under jobs={jobs}");
-                // The witness may differ but must re-validate: check it
-                // through the sequential engine's own machinery.
-                if let Some(w) = &out.witness {
-                    let s = crate::opacity::witness_history(&h, w);
-                    assert!(
-                        tm_model::all_txs_legal(&s, &specs).is_ok(),
-                        "jobs={jobs} witness does not re-validate for {h}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_empty_and_trivial_histories() {
-        let specs = regs();
-        let h = History::new();
-        let out = Search::new(&h, &specs, SearchMode::OPACITY, par(4))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(out.holds());
-        let h = HistoryBuilder::new().write(1, "x", 1).commit_ok(1).build();
-        let out = Search::new(&h, &specs, SearchMode::OPACITY, par(4))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(out.holds());
-    }
-
-    #[test]
-    fn parallel_session_stays_resumable() {
-        // The shared memo and witness survive across checks of a parallel
-        // session exactly as in the sequential one: verdicts at every
-        // prefix match fresh sequential checks.
-        let specs = regs();
-        for h in [paper::h1(), paper::h4(), paper::h5()] {
-            let mut s = CheckSession::new(&specs, SearchMode::OPACITY, par(3));
-            for (i, e) in h.events().iter().enumerate() {
-                s.extend(e).unwrap();
-                let live = s.check().unwrap().holds();
-                let fresh = search(&h.prefix(i + 1), &specs, SearchMode::OPACITY)
-                    .unwrap()
-                    .holds();
-                assert_eq!(live, fresh, "prefix {} of {h}", i + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_truncation_never_inserts_into_the_shared_memo() {
-        // The regression pinned here: with the node budget exhausted from
-        // the first expansion, every worker's frames unwind truncated and
-        // the shared table must stay EMPTY — a single cached entry would be
-        // a partial exploration masquerading as a dead end.
+    fn truncation_never_inserts_into_the_memo() {
+        // The regression pinned here: with the node budget exhausted at the
+        // first expansion, every frame unwinds truncated and the table must
+        // stay EMPTY — a single cached entry would be a partial exploration
+        // masquerading as a dead end.
         let specs = regs();
         let mut b = HistoryBuilder::new();
         for t in 1..=6u32 {
@@ -2063,56 +1325,22 @@ mod tests {
         let h = b.build();
         let config = SearchConfig {
             node_limit: Some(1),
-            search_jobs: 4,
             ..SearchConfig::default()
         };
         let mut s = CheckSession::new(&specs, SearchMode::OPACITY, config);
-        for e in h.events() {
-            s.extend(e).unwrap();
-        }
-        assert!(!s.check().unwrap().holds(), "budget 1 cannot finish");
+        assert!(
+            !s.check_history(&h).unwrap().holds(),
+            "budget 1 cannot finish"
+        );
         assert_eq!(
             s.memo_resident(),
             0,
-            "truncated workers must not populate the shared memo"
+            "a truncated check must not populate the memo"
         );
         // And the truncation is not sticky knowledge: a session with the
         // budget lifted finds the witness (h IS opaque).
-        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, par(4));
-        for e in h.events() {
-            s.extend(e).unwrap();
-        }
-        assert!(s.check().unwrap().holds());
-    }
-
-    #[test]
-    fn parallel_stats_account_for_cancellations() {
-        // An opaque history with many root candidates: once some worker
-        // finds the witness, the drained root tasks are reported as
-        // cancelled (nodes + cancellations give the full task accounting).
-        let specs = regs();
-        let mut b = HistoryBuilder::new();
-        for t in 1..=8u32 {
-            b = b.write(t, "x", t as i64);
-        }
-        for t in 1..=8u32 {
-            b = b.commit_ok(t);
-        }
-        let h = b.build();
-        let out = Search::new(&h, &specs, SearchMode::OPACITY, par(2))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(out.holds());
-        // The task universe is the 8 root tasks plus whatever branches
-        // were donated before the witness landed; at least the successful
-        // task was not drained, so the cancellation counter stays strictly
-        // below that total (how many are actually drained is scheduling).
-        assert!(
-            out.stats.cancelled_tasks < 8 + out.stats.donated_tasks,
-            "{:?}",
-            out.stats
-        );
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        assert!(s.check_history(&h).unwrap().holds());
     }
 
     // ---- bounded memo --------------------------------------------------
@@ -2131,9 +1359,8 @@ mod tests {
         }
         b = b.read(7, "x", -1).try_commit(7).commit(7); // impossible read
         let h = b.build();
-        let unbounded = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
+        let unbounded = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default())
+            .check_history(&h)
             .unwrap();
         assert!(!unbounded.holds());
         for cap in [1usize, 8, 32] {
@@ -2180,30 +1407,5 @@ mod tests {
         assert!(!s.check().unwrap().holds());
         s.extend(&Event::TryCommit(TxId(1))).unwrap();
         assert!(s.check().unwrap().holds());
-    }
-
-    #[test]
-    fn parallel_and_bounded_compose() {
-        let specs = regs();
-        let mut b = HistoryBuilder::new();
-        for t in 1..=7u32 {
-            b = b.write(t, "x", t as i64);
-        }
-        for t in 1..=7u32 {
-            b = b.commit_ok(t);
-        }
-        b = b.read(8, "x", -1).try_commit(8).commit(8);
-        let h = b.build();
-        let config = SearchConfig {
-            search_jobs: 4,
-            memo_capacity: Some(16),
-            ..SearchConfig::default()
-        };
-        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, config);
-        for e in h.events() {
-            s.extend(e).unwrap();
-        }
-        assert!(!s.check().unwrap().holds());
-        assert!(s.memo_resident() <= 16);
     }
 }

@@ -1,7 +1,7 @@
 //! The object state of the serialization search: slot-indexed, canonical,
 //! and undone in place.
 //!
-//! A [`SearchCore`](crate::SearchCore) gives every object a dense **slot**
+//! A [`CheckSession`](crate::CheckSession) gives every object a dense **slot**
 //! the first time an operation on it completes ([`SlotTable::slot_of`]),
 //! and never reuses a slot. The slot resolves, once, everything a placement
 //! needs to know about the object: its sequential specification, its
@@ -166,11 +166,6 @@ impl Undo {
     /// A position in the log to roll back to later.
     pub(crate) fn mark(&self) -> usize {
         self.changes.len()
-    }
-
-    /// Empties the log.
-    pub(crate) fn clear(&mut self) {
-        self.changes.clear();
     }
 }
 

@@ -261,12 +261,10 @@ pub fn conformance_parallel(
 /// [`conformance_parallel`] with an explicit serialization-search
 /// configuration for the per-history opacity/serializability checks.
 ///
-/// This is how the *intra-history* parallel search composes with the
-/// *inter-history* sweep sharding: `jobs` spreads independent `(probe,
-/// schedule)` pairs across workers, while `search.search_jobs` parallelizes
-/// the root placements of each individual check and `search.memo_capacity`
-/// bounds its dead-end table. Verdicts are independent of both knobs (the
-/// parallel search is verdict-identical and eviction only costs
+/// `jobs` spreads independent `(probe, schedule)` pairs across workers —
+/// the level at which the checker runs in parallel; each check itself is
+/// single-threaded — while `search.memo_capacity` bounds each check's
+/// dead-end table. Verdicts are independent of both (eviction only costs
 /// recomputation), so the report stays byte-identical — pinned by the
 /// property tests.
 pub fn conformance_parallel_with(

@@ -5,7 +5,7 @@
 //! 1. **The incremental monitor is observationally equivalent to batch
 //!    re-checking.** For random well-formed histories, the monitor's verdict
 //!    *and* first-violation prefix must equal what running the batch checker
-//!    on every prefix reports — i.e. the resumable `SearchCore` (persistent
+//!    on every prefix reports — i.e. the resumable `CheckSession` (persistent
 //!    memo, witness-biased DFS, in-place states) may never change an answer,
 //!    only its cost.
 //! 2. **The parallel conformance kit is byte-identical to the sequential
