@@ -15,10 +15,12 @@
 //! 2. **forbid-unsafe** — every `crates/*/src/lib.rs` carries
 //!    `#![forbid(unsafe_code)]`.
 //! 3. **no-unwrap** — no `.unwrap()` / `.expect(` in non-test
-//!    `crates/cli/src` or `crates/serve/src` code; the CLI and the serve
-//!    daemon are the two long-lived user-facing surfaces, and a panic there
-//!    kills every multiplexed session instead of failing one check. Errors
-//!    return friendly messages or positioned `error` frames instead.
+//!    `crates/cli/src`, `crates/serve/src` or `crates/trace/src` code; the
+//!    CLI and the serve daemon are the two long-lived user-facing surfaces,
+//!    and a panic there kills every multiplexed session instead of failing
+//!    one check. `tm-trace` is covered because the daemon's decode path
+//!    (the JSON lexer, the event decoder) lives there. Errors return
+//!    friendly messages or positioned `error` frames instead.
 //!    Everything from the first `#[cfg(test)]` line to the end of a file is
 //!    considered test code (the house style keeps test modules last).
 //! 4. **atomic-telemetry** — telemetry counters live in `tm-obs`, not on
@@ -166,12 +168,13 @@ const TEST_MARKER: &str = concat!("#[cfg(", "test)]");
 
 /// Rule 3: no `.unwrap()` / `.expect(` on the user-facing paths of the
 /// CLI and the serve daemon — the two long-lived process surfaces, where a
-/// panic kills real sessions instead of failing one check. Errors must
+/// panic kills real sessions instead of failing one check — nor in
+/// `tm-trace`, which decodes every frame the daemon reads. Errors must
 /// flow to `error` frames or friendly messages instead.
 fn lint_no_unwrap(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
     // Assembled with concat! so this rule's own source passes its gate.
     const TOKENS: [&str; 2] = [concat!(".unwrap", "()"), concat!(".expect", "(")];
-    const DIRS: [&str; 2] = ["crates/cli/src", "crates/serve/src"];
+    const DIRS: [&str; 3] = ["crates/cli/src", "crates/serve/src", "crates/trace/src"];
     for dir in DIRS {
         let dir = root.join(dir);
         if !dir.is_dir() {
@@ -379,7 +382,7 @@ fn lint(root: &Path) -> Result<Vec<Finding>, String> {
 /// Usage text shown on argument errors.
 const USAGE: &str = "\
 tm-lint — source-discipline gate (ordering containment, forbid(unsafe), no unwraps on
-          cli/serve paths, no raw-atomic telemetry outside tm-obs, no sockets
+          cli/serve/trace paths, no raw-atomic telemetry outside tm-obs, no sockets
           outside tm-serve)
 
 USAGE:
@@ -580,6 +583,24 @@ mod tests {
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == "no-unwrap").collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].file.ends_with("crates/serve/src/lib.rs"));
+        assert_eq!(hits[0].line, 2);
+    }
+
+    #[test]
+    fn an_unwrap_in_the_trace_codec_is_flagged_too() {
+        // The daemon decodes every input line in tm-trace, so rule 3
+        // covers that crate as well.
+        let s = Scratch::new("trace-unwrap");
+        std::fs::create_dir_all(s.0.join("crates/trace/src")).unwrap();
+        s.write(
+            "crates/trace/src/json.rs",
+            "fn f(s: &str) -> i64 {\n    s.parse().unwrap()\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn g() { \"1\".parse::<i64>().unwrap(); }\n}\n",
+        );
+        let findings = lint(&s.0).unwrap();
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == "no-unwrap").collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].file.ends_with("crates/trace/src/json.rs"));
         assert_eq!(hits[0].line, 2);
     }
 

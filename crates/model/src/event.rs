@@ -114,11 +114,11 @@ impl OpName {
     pub fn custom(name: &str) -> Self {
         OpName::Custom(Arc::from(name))
     }
-}
 
-impl fmt::Display for OpName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The operation's name as it appears in traces (`"read"`, or the
+    /// custom name).
+    pub fn as_str(&self) -> &str {
+        match self {
             OpName::Read => "read",
             OpName::Write => "write",
             OpName::Inc => "inc",
@@ -134,8 +134,13 @@ impl fmt::Display for OpName {
             OpName::Cas => "cas",
             OpName::Append => "append",
             OpName::Custom(name) => name,
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for OpName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -38,7 +38,10 @@
 //! with unchanged `seq` numbering. Input errors degrade instead of
 //! aborting: transient kinds (`Interrupted`, `WouldBlock`) are retried a
 //! bounded number of times, hard errors end the input and trigger the
-//! normal drain — a broken pipe mid-stream loses no accepted work.
+//! normal drain — a broken pipe mid-stream loses no accepted work. On the
+//! output side every response line is rendered into one reused buffer and
+//! written whole: a short write or a transient error resumes from the byte
+//! the writer stopped at, so a peer never sees part of a line twice.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -72,9 +75,35 @@ pub enum Transport {
     Socket(PathBuf),
 }
 
-/// Applies one parsed client frame. Returns the immediate response frames
-/// and whether the frame requested shutdown.
-fn apply(table: &mut SessionTable, frame: ClientFrame, conn: usize) -> (Vec<Routed>, bool) {
+/// Parses one input line: `None` for a blank line (ignored), else the
+/// frame or, on a parse error, the `error` frame answering it, tagged with
+/// the input line number.
+fn parse_line(line: &str, lineno: usize, conn: usize) -> Option<Result<ClientFrame, Routed>> {
+    if line.trim().is_empty() {
+        return None;
+    }
+    Some(parse_client_frame(line).map_err(|e| Routed {
+        conn,
+        frame: ServerFrame::Error {
+            session: None,
+            seq: None,
+            message: format!("input line {lineno}: {}", e.message),
+        },
+    }))
+}
+
+/// Applies one parsed input line (see [`parse_line`]). Returns the
+/// immediate response frames and whether the frame requested shutdown.
+fn apply(
+    table: &mut SessionTable,
+    parsed: Option<Result<ClientFrame, Routed>>,
+    conn: usize,
+) -> (Vec<Routed>, bool) {
+    let frame = match parsed {
+        None => return (Vec::new(), false),
+        Some(Err(error)) => return (vec![error], false),
+        Some(Ok(frame)) => frame,
+    };
     match frame {
         ClientFrame::Open { session } => (table.open(&session, conn), false),
         ClientFrame::Feed {
@@ -87,59 +116,58 @@ fn apply(table: &mut SessionTable, frame: ClientFrame, conn: usize) -> (Vec<Rout
     }
 }
 
-/// Parses and applies one input line (empty lines are ignored); parse
-/// errors become `error` frames tagged with the input line number.
-fn apply_line(
-    table: &mut SessionTable,
-    line: &str,
-    lineno: usize,
-    conn: usize,
-) -> (Vec<Routed>, bool) {
-    if line.trim().is_empty() {
-        return (Vec::new(), false);
-    }
-    match parse_client_frame(line) {
-        Ok(frame) => apply(table, frame, conn),
-        Err(e) => (
-            vec![Routed {
-                conn,
-                frame: ServerFrame::Error {
-                    session: None,
-                    seq: None,
-                    message: format!("input line {lineno}: {}", e.message),
-                },
-            }],
-            false,
-        ),
-    }
-}
-
-/// Writes response frames, consulting the fault driver before each one: an
-/// armed transient write failure swallows that frame (the daemon carries
-/// on — a lost response is the client library's problem to recover, and
-/// seq-tagged resends make that safe). Real transient errors from the
-/// writer are retried a bounded number of times.
-fn emit(out: &mut dyn Write, driver: &mut FaultDriver, frames: &[Routed]) -> io::Result<()> {
-    for r in frames {
-        if driver.take_write_failure() {
-            continue;
-        }
-        let rendered = r.frame.render();
-        let mut retries = 0u32;
-        loop {
-            match writeln!(out, "{rendered}") {
-                Ok(()) => break,
-                Err(e)
-                    if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
-                        && retries < MAX_TRANSIENT_RETRIES =>
-                {
-                    retries += 1;
-                }
-                Err(e) => return Err(e),
+/// Writes one whole response line, resuming after short writes from the
+/// byte offset already accepted: a transient error (`Interrupted`,
+/// `WouldBlock`) is retried a bounded number of times without re-sending
+/// any byte the writer took.
+fn write_line(w: &mut dyn Write, line: &[u8]) -> io::Result<()> {
+    let mut done = 0;
+    let mut retries = 0u32;
+    while done < line.len() {
+        match w.write(&line[done..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e)
+                if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
+                    && retries < MAX_TRANSIENT_RETRIES =>
+            {
+                retries += 1;
             }
+            Err(e) => return Err(e),
         }
     }
     Ok(())
+}
+
+/// The single-stream response side: the writer plus the buffer every
+/// response line is rendered into, reused across frames.
+struct Responder<'w> {
+    out: &'w mut dyn Write,
+    line: String,
+}
+
+impl Responder<'_> {
+    /// Writes response frames, consulting the fault driver before each
+    /// one: an armed transient write failure swallows that frame (the
+    /// daemon carries on — a lost response is the client library's problem
+    /// to recover, and seq-tagged resends make that safe).
+    fn emit(&mut self, driver: &mut FaultDriver, frames: &[Routed]) -> io::Result<()> {
+        for r in frames {
+            if driver.take_write_failure() {
+                continue;
+            }
+            render_line(&mut self.line, &r.frame);
+            write_line(self.out, self.line.as_bytes())?;
+        }
+        Ok(())
+    }
+}
+
+/// Renders `frame` plus its newline into the cleared `buf`.
+fn render_line(buf: &mut String, frame: &ServerFrame) {
+    buf.clear();
+    frame.render_into(buf);
+    buf.push('\n');
 }
 
 /// Builds the table a run starts from: resume from the journal when
@@ -242,11 +270,16 @@ fn run_stream(
     mut input: impl BufRead,
     out: &mut dyn Write,
 ) -> i32 {
+    let mut out = Responder {
+        out,
+        line: String::new(),
+    };
     let mut lineno = 0usize;
     let mut buf = String::new();
     let mut transient = 0u32;
     let mut eof = false;
     while !eof {
+        buf.clear();
         // Read one line, accumulating across transient failures — a
         // WouldBlock mid-line must not discard the prefix already read
         // (`read_line` appends, so retrying completes the line in place).
@@ -278,7 +311,7 @@ fn run_stream(
                             message: format!("input stream error: {e}"),
                         },
                     }];
-                    let _ = emit(out, driver, &note);
+                    let _ = out.emit(driver, &note);
                     eof = true;
                     break !buf.is_empty();
                 }
@@ -288,27 +321,26 @@ fn run_stream(
             break;
         }
         lineno += 1;
-        let line = buf.trim_end_matches(['\n', '\r']).to_string();
-        buf.clear();
-        let (pumped, fate) = driver.on_line(table, &line);
-        if emit(out, driver, &pumped).is_err() {
+        let (pumped, fate) = driver.admit(table, buf.trim_end_matches(['\n', '\r']));
+        if out.emit(driver, &pumped).is_err() {
             return 2; // the response stream is gone; nothing left to serve
         }
         let line = match fate {
             LineFate::Deliver(l) => l,
             LineFate::Skip => {
                 let turn = table.pump_one();
-                if emit(out, driver, &turn).is_err() {
+                if out.emit(driver, &turn).is_err() {
                     return 2;
                 }
                 continue;
             }
             LineFate::Crash => return CRASH_EXIT_CODE,
         };
-        let (frames, shutdown) = apply_line(table, &line, lineno, 0);
+        let (frames, shutdown) = apply(table, parse_line(line, lineno, 0), 0);
         let turn = table.pump_one();
-        if emit(out, driver, &frames)
-            .and_then(|()| emit(out, driver, &turn))
+        if out
+            .emit(driver, &frames)
+            .and_then(|()| out.emit(driver, &turn))
             .is_err()
         {
             return 2;
@@ -318,7 +350,7 @@ fn run_stream(
         }
     }
     let last = table.drain_and_close_all();
-    if emit(out, driver, &last).is_err() {
+    if out.emit(driver, &last).is_err() {
         return 2;
     }
     i32::from(table.any_poisoned())
@@ -345,6 +377,10 @@ fn run_replay(
     text: &str,
     out: &mut dyn Write,
 ) -> i32 {
+    let mut out = Responder {
+        out,
+        line: String::new(),
+    };
     let mut shutdown = false;
     for (i, line) in text.lines().enumerate() {
         if shutdown {
@@ -354,45 +390,47 @@ fn run_replay(
         if line.trim().is_empty() {
             continue;
         }
-        let (pumped, fate) = driver.on_line(table, line);
-        if emit(out, driver, &pumped).is_err() {
+        let (pumped, fate) = driver.admit(table, line);
+        if out.emit(driver, &pumped).is_err() {
             return 2;
         }
         let line = match fate {
             LineFate::Deliver(l) => l,
             LineFate::Skip => {
                 let turn = table.pump_one();
-                if emit(out, driver, &turn).is_err() {
+                if out.emit(driver, &turn).is_err() {
                     return 2;
                 }
                 continue;
             }
             LineFate::Crash => return CRASH_EXIT_CODE,
         };
+        let parsed = parse_line(line, lineno, 0);
         // Flow control: a feed into a full inbox (or past the queue
         // watermark) waits for the scheduler instead of bouncing
         // (deterministically — `pump_one` always checks at least one
         // event of a runnable session).
-        if let Ok(ClientFrame::Feed { session, .. }) = parse_client_frame(&line) {
-            while !table.can_accept(&session) {
+        if let Some(Ok(ClientFrame::Feed { session, .. })) = &parsed {
+            while !table.can_accept(session) {
                 let turn = table.pump_one();
-                if emit(out, driver, &turn).is_err() {
+                if out.emit(driver, &turn).is_err() {
                     return 2;
                 }
             }
         }
-        let (frames, stop) = apply_line(table, &line, lineno, 0);
+        let (frames, stop) = apply(table, parsed, 0);
         shutdown = stop;
         let turn = table.pump_one();
-        if emit(out, driver, &frames)
-            .and_then(|()| emit(out, driver, &turn))
+        if out
+            .emit(driver, &frames)
+            .and_then(|()| out.emit(driver, &turn))
             .is_err()
         {
             return 2;
         }
     }
     let last = table.drain_and_close_all();
-    if emit(out, driver, &last).is_err() {
+    if out.emit(driver, &last).is_err() {
         return 2;
     }
     i32::from(table.any_poisoned())
@@ -478,7 +516,8 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
     // plus per-connection input line counts for error positions.
     let mut writers: Vec<Option<UnixStream>> = Vec::new();
     let mut line_counts: Vec<usize> = Vec::new();
-    let route = |writers: &mut Vec<Option<UnixStream>>, frames: &[Routed]| {
+    let mut response = String::new();
+    let mut route = |writers: &mut Vec<Option<UnixStream>>, frames: &[Routed]| {
         for r in frames {
             let Some(slot) = writers.get_mut(r.conn) else {
                 continue; // the session's connection is gone; drop the frame
@@ -486,22 +525,9 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
             let Some(w) = slot.as_mut() else {
                 continue;
             };
-            let rendered = r.frame.render();
-            let mut retries = 0u32;
-            loop {
-                match writeln!(w, "{rendered}") {
-                    Ok(()) => break,
-                    Err(e)
-                        if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
-                            && retries < MAX_TRANSIENT_RETRIES =>
-                    {
-                        retries += 1;
-                    }
-                    Err(_) => {
-                        *slot = None;
-                        break;
-                    }
-                }
+            render_line(&mut response, &r.frame);
+            if write_line(w, response.as_bytes()).is_err() {
+                *slot = None;
             }
         }
     };
@@ -538,7 +564,8 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
             }
             SocketMsg::Line(conn, line) => {
                 line_counts[conn] += 1;
-                let (frames, shutdown) = apply_line(table, &line, line_counts[conn], conn);
+                let parsed = parse_line(&line, line_counts[conn], conn);
+                let (frames, shutdown) = apply(table, parsed, conn);
                 route(&mut writers, &frames);
                 if shutdown {
                     let last = table.drain_and_close_all();

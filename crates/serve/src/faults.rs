@@ -460,11 +460,13 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What the driver decided about one input line.
+/// What the driver decided about one input line. The daemon loops use the
+/// borrowed form (`LineFate<&str>`), which delivers the input line itself
+/// or, under a torn-frame fault, a prefix of it — never a copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LineFate {
-    /// Deliver this (possibly mutated) line to the frame parser.
-    Deliver(String),
+pub enum LineFate<L = String> {
+    /// Deliver this (possibly truncated) line to the frame parser.
+    Deliver(L),
     /// The line was lost to a drop fault; skip it.
     Skip,
     /// A crash fault fired: the journal has been flushed, the daemon must
@@ -523,6 +525,22 @@ impl FaultDriver {
     /// there. Returns any frames produced by stall-driven scheduler turns
     /// plus the line's fate.
     pub fn on_line(&mut self, table: &mut SessionTable, line: &str) -> (Vec<Routed>, LineFate) {
+        let (out, fate) = self.admit(table, line);
+        let fate = match fate {
+            LineFate::Deliver(l) => LineFate::Deliver(l.to_string()),
+            LineFate::Skip => LineFate::Skip,
+            LineFate::Crash => LineFate::Crash,
+        };
+        (out, fate)
+    }
+
+    /// [`FaultDriver::on_line`] without the copy: the delivered line is
+    /// `line` or a prefix of it.
+    pub(crate) fn admit<'l>(
+        &mut self,
+        table: &mut SessionTable,
+        line: &'l str,
+    ) -> (Vec<Routed>, LineFate<&'l str>) {
         self.frame += 1;
         let f = self.frame;
         let mut out = Vec::new();
@@ -544,7 +562,7 @@ impl FaultDriver {
             self.note_affected(line);
             return (out, LineFate::Skip);
         }
-        let mut delivered = line.to_string();
+        let mut delivered = line;
         let mut fate_skip = false;
         for fault in self.plan.faults_at(f).to_vec() {
             match fault {
@@ -559,7 +577,7 @@ impl FaultDriver {
                     while !delivered.is_char_boundary(keep) {
                         keep -= 1;
                     }
-                    delivered.truncate(keep);
+                    delivered = &delivered[..keep];
                 }
                 Fault::Drop { frames } => {
                     self.note_affected(line);

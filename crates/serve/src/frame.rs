@@ -1,9 +1,12 @@
 //! The `tm-serve/v1.1` wire protocol: versioned, line-delimited JSON frames.
 //!
-//! One frame per line, parsed and rendered through the hand-rolled
-//! [`tm_trace::Json`] document model (the same layer the trace format uses —
-//! no new dependencies, and `feed` frames embed trace events in exactly the
-//! `events`-array element shape of the JSON trace format).
+//! One frame per line. Frames are decoded in one pass over the line and
+//! rendered straight into a `String` by the [`tm_trace::json`] codec (the
+//! same layer the trace format uses — no new dependencies, and `feed`
+//! frames embed trace events in exactly the `events`-array element shape
+//! of the JSON trace format). No document tree is built on either path;
+//! the accepted frames and every error message and line are those of a
+//! parse into a [`tm_trace::Json`] tree followed by a schema walk.
 //!
 //! ## Client → server
 //!
@@ -64,7 +67,8 @@
 //! fields are only added, never repurposed.
 
 use tm_model::Event;
-use tm_trace::{event_from_doc, event_to_doc, Json, ParseError};
+use tm_trace::json::{read_event, Lexer, ObjectWriter, Scalar, Schema, Token};
+use tm_trace::ParseError;
 
 /// The protocol major version (the `"v"` of `open`/`opened`).
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -76,6 +80,10 @@ pub const PROTOCOL_MINOR: i64 = 1;
 
 /// The protocol identifier (for banners and artifact metadata).
 pub const PROTOCOL: &str = "tm-serve/v1.1";
+
+/// Bytes reserved up front for a rendered frame: enough for the common
+/// frames in one allocation (a `verdict` line is about 70 bytes).
+const RENDER_CAPACITY: usize = 128;
 
 /// A parsed client-side frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,36 +115,64 @@ pub enum ClientFrame {
     Shutdown,
 }
 
-fn opt_seq(doc: &Json, key: &str) -> Result<Option<usize>, String> {
-    match doc.get(key) {
+/// A `seq`-style field: absent, or a positive integer.
+fn opt_seq(field: Option<Scalar<'_>>, key: &str) -> Result<Option<usize>, String> {
+    match field {
         None => Ok(None),
-        Some(Json::Int(v)) if *v >= 1 => Ok(Some(*v as usize)),
+        Some(Scalar::Int(v)) if v >= 1 => Ok(Some(v as usize)),
         Some(_) => Err(format!("`{key}` must be a positive integer")),
     }
 }
 
-/// Parses one client frame from one input line.
+/// Parses one client frame from one input line, in one pass: the frame is
+/// decoded as it is scanned, and the embedded `event` is decoded only when
+/// the frame can still be a `feed` (it is syntax-checked either way).
+/// Errors are exactly those of a parse into a [`tm_trace::Json`] tree
+/// followed by a schema walk (see [`tm_trace::json`]).
 pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
-    let doc = Json::parse(line)?;
-    let frame_err = |msg: String| ParseError {
-        line: doc.line(),
-        message: format!("invalid frame: {msg}"),
-    };
-    let Some(Json::Str(kind)) = doc.get("frame") else {
-        return Err(frame_err("missing string `frame` field".into()));
-    };
-    let session_of = |doc: &Json| -> Result<String, ParseError> {
-        match doc.get("session") {
-            Some(Json::Str(s)) if !s.is_empty() => Ok(s.clone()),
-            Some(Json::Str(_)) => Err(frame_err("`session` must be non-empty".into())),
-            _ => Err(frame_err("missing string `session` field".into())),
+    let mut lx = Lexer::new(line);
+    let (mut kind, mut session, mut v, mut seq) = (None, None, None, None);
+    let mut event: Option<Schema<Event>> = None;
+    let token = lx.token()?;
+    let line = match token {
+        Token::Obj(line) => {
+            while let Some(key) = lx.next_key()? {
+                match &*key {
+                    "frame" if kind.is_none() => kind = Some(lx.scalar()?),
+                    "session" if session.is_none() => session = Some(lx.scalar()?),
+                    "v" if v.is_none() => v = Some(lx.scalar()?),
+                    "seq" if seq.is_none() => seq = Some(lx.scalar()?),
+                    "event" if event.is_none() && may_feed(&kind) => {
+                        event = Some(read_event(&mut lx)?)
+                    }
+                    _ => lx.skip()?,
+                }
+            }
+            line
+        }
+        other => {
+            lx.drain(&other)?;
+            0
         }
     };
-    match kind.as_str() {
+    lx.finish()?;
+    let frame_err = |msg: String| ParseError {
+        line,
+        message: format!("invalid frame: {msg}"),
+    };
+    let Some(Scalar::Str(kind)) = kind else {
+        return Err(frame_err("missing string `frame` field".into()));
+    };
+    let session_of = |session: Option<Scalar<'_>>| match session {
+        Some(Scalar::Str(s)) if !s.is_empty() => Ok(s.into_owned()),
+        Some(Scalar::Str(_)) => Err(frame_err("`session` must be non-empty".into())),
+        _ => Err(frame_err("missing string `session` field".into())),
+    };
+    match &*kind {
         "open" => {
-            match doc.get("v") {
-                Some(Json::Int(v)) if *v == PROTOCOL_VERSION => {}
-                Some(Json::Int(v)) => {
+            match v {
+                Some(Scalar::Int(v)) if v == PROTOCOL_VERSION => {}
+                Some(Scalar::Int(v)) => {
                     return Err(frame_err(format!(
                         "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})"
                     )))
@@ -146,67 +182,70 @@ pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
             // `minor` is advisory: minors are additive, so any minor of a
             // supported major parses (v1 frames simply omit the field).
             Ok(ClientFrame::Open {
-                session: session_of(&doc)?,
+                session: session_of(session)?,
             })
         }
         "feed" => {
-            let session = session_of(&doc)?;
-            let event_doc = doc
-                .get("event")
-                .ok_or_else(|| frame_err("missing `event` field".into()))?;
-            let seq = opt_seq(&doc, "seq").map_err(&frame_err)?;
+            let session = session_of(session)?;
+            let event = event.ok_or_else(|| frame_err("missing `event` field".into()))?;
+            let seq = opt_seq(seq, "seq").map_err(frame_err)?;
             Ok(ClientFrame::Feed {
                 session,
-                event: event_from_doc(event_doc)?,
+                event: event?,
                 seq,
             })
         }
         "close" => Ok(ClientFrame::Close {
-            session: session_of(&doc)?,
+            session: session_of(session)?,
         }),
         "shutdown" => Ok(ClientFrame::Shutdown),
         other => Err(frame_err(format!("unknown frame kind `{other}`"))),
     }
 }
 
+/// Whether a frame whose `frame` field reads `kind` so far can be a `feed`
+/// (an unread field still can: fields arrive in any order).
+fn may_feed(kind: &Option<Scalar<'_>>) -> bool {
+    match kind {
+        None => true,
+        Some(Scalar::Str(k)) => k == "feed",
+        Some(_) => false,
+    }
+}
+
 /// Renders a client frame as its wire line (used by the client library,
 /// the bench driver, and fixture tooling).
 pub fn render_client_frame(frame: &ClientFrame) -> String {
-    let doc = match frame {
-        ClientFrame::Open { session } => Json::Obj(
-            0,
-            vec![
-                ("frame".into(), Json::Str("open".into())),
-                ("v".into(), Json::Int(PROTOCOL_VERSION)),
-                ("minor".into(), Json::Int(PROTOCOL_MINOR)),
-                ("session".into(), Json::Str(session.clone())),
-            ],
-        ),
+    let mut out = String::with_capacity(RENDER_CAPACITY);
+    let mut o = ObjectWriter::open(&mut out);
+    match frame {
+        ClientFrame::Open { session } => {
+            o.str("frame", "open")
+                .int("v", PROTOCOL_VERSION)
+                .int("minor", PROTOCOL_MINOR)
+                .str("session", session);
+        }
         ClientFrame::Feed {
             session,
             event,
             seq,
         } => {
-            let mut fields = vec![
-                ("frame".into(), Json::Str("feed".into())),
-                ("session".into(), Json::Str(session.clone())),
-                ("event".into(), event_to_doc(event)),
-            ];
+            o.str("frame", "feed")
+                .str("session", session)
+                .event("event", event);
             if let Some(seq) = seq {
-                fields.push(("seq".into(), Json::Int(*seq as i64)));
+                o.int("seq", *seq as i64);
             }
-            Json::Obj(0, fields)
         }
-        ClientFrame::Close { session } => Json::Obj(
-            0,
-            vec![
-                ("frame".into(), Json::Str("close".into())),
-                ("session".into(), Json::Str(session.clone())),
-            ],
-        ),
-        ClientFrame::Shutdown => Json::Obj(0, vec![("frame".into(), Json::Str("shutdown".into()))]),
-    };
-    doc.to_compact_string()
+        ClientFrame::Close { session } => {
+            o.str("frame", "close").str("session", session);
+        }
+        ClientFrame::Shutdown => {
+            o.str("frame", "shutdown");
+        }
+    }
+    o.close();
+    out
 }
 
 /// A server-side frame, ready to render.
@@ -282,74 +321,70 @@ pub enum ServerFrame {
 impl ServerFrame {
     /// Renders the frame as its compact wire line (no trailing newline).
     pub fn render(&self) -> String {
-        let doc = match self {
-            ServerFrame::Opened { session } => Json::Obj(
-                0,
-                vec![
-                    ("frame".into(), Json::Str("opened".into())),
-                    ("v".into(), Json::Int(PROTOCOL_VERSION)),
-                    ("minor".into(), Json::Int(PROTOCOL_MINOR)),
-                    ("session".into(), Json::Str(session.clone())),
-                ],
-            ),
+        let mut out = String::with_capacity(RENDER_CAPACITY);
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the frame's compact wire line (no trailing newline) to
+    /// `out` — the daemon renders every response into one reused buffer.
+    pub fn render_into(&self, out: &mut String) {
+        let mut o = ObjectWriter::open(out);
+        match self {
+            ServerFrame::Opened { session } => {
+                o.str("frame", "opened")
+                    .int("v", PROTOCOL_VERSION)
+                    .int("minor", PROTOCOL_MINOR)
+                    .str("session", session);
+            }
             ServerFrame::Verdict {
                 session,
                 seq,
                 verdict,
                 at,
             } => {
-                let mut fields = vec![
-                    ("frame".into(), Json::Str("verdict".into())),
-                    ("session".into(), Json::Str(session.clone())),
-                    ("seq".into(), Json::Int(*seq as i64)),
-                    ("verdict".into(), Json::Str((*verdict).into())),
-                ];
+                o.str("frame", "verdict")
+                    .str("session", session)
+                    .int("seq", *seq as i64)
+                    .str("verdict", verdict);
                 if let Some(at) = at {
-                    fields.push(("at".into(), Json::Int(*at as i64)));
+                    o.int("at", *at as i64);
                 }
-                Json::Obj(0, fields)
             }
-            ServerFrame::Ack { session, seq } => Json::Obj(
-                0,
-                vec![
-                    ("frame".into(), Json::Str("ack".into())),
-                    ("session".into(), Json::Str(session.clone())),
-                    ("seq".into(), Json::Int(*seq as i64)),
-                ],
-            ),
+            ServerFrame::Ack { session, seq } => {
+                o.str("frame", "ack")
+                    .str("session", session)
+                    .int("seq", *seq as i64);
+            }
             ServerFrame::Busy {
                 session,
                 inbox,
                 seq,
                 retry_after_turns,
             } => {
-                let mut fields = vec![
-                    ("frame".into(), Json::Str("busy".into())),
-                    ("session".into(), Json::Str(session.clone())),
-                    ("inbox".into(), Json::Int(*inbox as i64)),
-                ];
+                o.str("frame", "busy")
+                    .str("session", session)
+                    .int("inbox", *inbox as i64);
                 if let Some(seq) = seq {
-                    fields.push(("seq".into(), Json::Int(*seq as i64)));
+                    o.int("seq", *seq as i64);
                 }
                 if let Some(turns) = retry_after_turns {
-                    fields.push(("retry_after_turns".into(), Json::Int(*turns as i64)));
+                    o.int("retry_after_turns", *turns as i64);
                 }
-                Json::Obj(0, fields)
             }
             ServerFrame::Error {
                 session,
                 seq,
                 message,
             } => {
-                let mut fields = vec![("frame".into(), Json::Str("error".into()))];
+                o.str("frame", "error");
                 if let Some(session) = session {
-                    fields.push(("session".into(), Json::Str(session.clone())));
+                    o.str("session", session);
                 }
                 if let Some(seq) = seq {
-                    fields.push(("seq".into(), Json::Int(*seq as i64)));
+                    o.int("seq", *seq as i64);
                 }
-                fields.push(("message".into(), Json::Str(message.clone())));
-                Json::Obj(0, fields)
+                o.str("message", message);
             }
             ServerFrame::Closed {
                 session,
@@ -359,57 +394,92 @@ impl ServerFrame {
                 poisoned,
                 reaped,
             } => {
-                let mut fields = vec![
-                    ("frame".into(), Json::Str("closed".into())),
-                    ("session".into(), Json::Str(session.clone())),
-                    ("events".into(), Json::Int(*events as i64)),
-                    ("checks".into(), Json::Int(*checks as i64)),
-                ];
+                o.str("frame", "closed")
+                    .str("session", session)
+                    .int("events", *events as i64)
+                    .int("checks", *checks as i64);
                 if let Some(at) = violated_at {
-                    fields.push(("violated_at".into(), Json::Int(*at as i64)));
+                    o.int("violated_at", *at as i64);
                 }
-                fields.push(("poisoned".into(), Json::Bool(*poisoned)));
+                o.bool("poisoned", *poisoned);
                 if *reaped {
-                    fields.push(("reaped".into(), Json::Bool(true)));
+                    o.bool("reaped", true);
                 }
-                Json::Obj(0, fields)
             }
-        };
-        doc.to_compact_string()
+        }
+        o.close();
     }
 }
+
+/// The fields a server frame may carry, in [`SERVER_KEYS`] order.
+const SERVER_KEYS: [&str; 13] = [
+    "frame",
+    "session",
+    "seq",
+    "verdict",
+    "at",
+    "inbox",
+    "retry_after_turns",
+    "message",
+    "events",
+    "checks",
+    "violated_at",
+    "poisoned",
+    "reaped",
+];
 
 /// Parses one server frame from one response line — the client library's
 /// half of the protocol. Accepts both v1 and v1.1 renders (every v1.1
 /// field is optional on parse).
 pub fn parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
-    let doc = Json::parse(line)?;
+    let mut lx = Lexer::new(line);
+    let mut fields: [Option<Scalar<'_>>; 13] = Default::default();
+    let token = lx.token()?;
+    let line = match token {
+        Token::Obj(line) => {
+            while let Some(key) = lx.next_key()? {
+                match SERVER_KEYS.iter().position(|k| *k == key) {
+                    Some(i) if fields[i].is_none() => fields[i] = Some(lx.scalar()?),
+                    _ => lx.skip()?,
+                }
+            }
+            line
+        }
+        other => {
+            lx.drain(&other)?;
+            0
+        }
+    };
+    lx.finish()?;
+    let [kind, session, seq, verdict, at, inbox, retry_after_turns, message, events, checks, violated_at, poisoned, reaped] =
+        fields;
     let frame_err = |msg: String| ParseError {
-        line: doc.line(),
+        line,
         message: format!("invalid server frame: {msg}"),
     };
-    let Some(Json::Str(kind)) = doc.get("frame") else {
+    let Some(Scalar::Str(kind)) = kind else {
         return Err(frame_err("missing string `frame` field".into()));
     };
-    let session_of = |doc: &Json| -> Result<String, ParseError> {
-        match doc.get("session") {
-            Some(Json::Str(s)) if !s.is_empty() => Ok(s.clone()),
-            _ => Err(frame_err("missing string `session` field".into())),
-        }
+    let session_of = |session: Option<Scalar<'_>>| match session {
+        Some(Scalar::Str(s)) if !s.is_empty() => Ok(s.into_owned()),
+        _ => Err(frame_err("missing string `session` field".into())),
     };
-    let int_of = |doc: &Json, key: &str| -> Result<usize, ParseError> {
-        match doc.get(key) {
-            Some(Json::Int(v)) if *v >= 0 => Ok(*v as usize),
-            _ => Err(frame_err(format!("missing integer `{key}` field"))),
-        }
+    let int_of = |field: Option<Scalar<'_>>, key: &str| match field {
+        Some(Scalar::Int(v)) if v >= 0 => Ok(v as usize),
+        _ => Err(frame_err(format!("missing integer `{key}` field"))),
     };
-    match kind.as_str() {
+    let opt_int = |field: Option<Scalar<'_>>, key: &str| match field {
+        Some(Scalar::Int(v)) if v >= 0 => Ok(Some(v as usize)),
+        None => Ok(None),
+        Some(_) => Err(frame_err(format!("`{key}` must be a non-negative integer"))),
+    };
+    match &*kind {
         "opened" => Ok(ServerFrame::Opened {
-            session: session_of(&doc)?,
+            session: session_of(session)?,
         }),
         "verdict" => {
-            let verdict = match doc.get("verdict") {
-                Some(Json::Str(s)) => match s.as_str() {
+            let verdict = match verdict {
+                Some(Scalar::Str(s)) => match &*s {
                     "opaque" => "opaque",
                     "opaque_skip" => "opaque_skip",
                     "violated" => "violated",
@@ -417,61 +487,49 @@ pub fn parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
                 },
                 _ => return Err(frame_err("missing string `verdict` field".into())),
             };
-            let at = match doc.get("at") {
-                Some(Json::Int(v)) if *v >= 0 => Some(*v as usize),
-                None => None,
-                Some(_) => return Err(frame_err("`at` must be a non-negative integer".into())),
-            };
+            let at = opt_int(at, "at")?;
             Ok(ServerFrame::Verdict {
-                session: session_of(&doc)?,
-                seq: int_of(&doc, "seq")?,
+                session: session_of(session)?,
+                seq: int_of(seq, "seq")?,
                 verdict,
                 at,
             })
         }
         "ack" => Ok(ServerFrame::Ack {
-            session: session_of(&doc)?,
-            seq: int_of(&doc, "seq")?,
+            session: session_of(session)?,
+            seq: int_of(seq, "seq")?,
         }),
         "busy" => Ok(ServerFrame::Busy {
-            session: session_of(&doc)?,
-            inbox: int_of(&doc, "inbox")?,
-            seq: opt_seq(&doc, "seq").map_err(&frame_err)?,
-            retry_after_turns: match doc.get("retry_after_turns") {
-                Some(Json::Int(v)) if *v >= 0 => Some(*v as u64),
-                None => None,
-                Some(_) => {
-                    return Err(frame_err(
-                        "`retry_after_turns` must be a non-negative integer".into(),
-                    ))
-                }
-            },
+            session: session_of(session)?,
+            inbox: int_of(inbox, "inbox")?,
+            seq: opt_seq(seq, "seq").map_err(frame_err)?,
+            retry_after_turns: opt_int(retry_after_turns, "retry_after_turns")?.map(|v| v as u64),
         }),
         "error" => {
-            let session = match doc.get("session") {
-                Some(Json::Str(s)) => Some(s.clone()),
+            let session = match session {
+                Some(Scalar::Str(s)) => Some(s.into_owned()),
                 _ => None,
             };
-            let message = match doc.get("message") {
-                Some(Json::Str(s)) => s.clone(),
+            let message = match message {
+                Some(Scalar::Str(s)) => s.into_owned(),
                 _ => return Err(frame_err("missing string `message` field".into())),
             };
             Ok(ServerFrame::Error {
                 session,
-                seq: opt_seq(&doc, "seq").map_err(&frame_err)?,
+                seq: opt_seq(seq, "seq").map_err(frame_err)?,
                 message,
             })
         }
         "closed" => Ok(ServerFrame::Closed {
-            session: session_of(&doc)?,
-            events: int_of(&doc, "events")?,
-            checks: int_of(&doc, "checks")?,
-            violated_at: match doc.get("violated_at") {
-                Some(Json::Int(v)) if *v >= 0 => Some(*v as usize),
+            session: session_of(session)?,
+            events: int_of(events, "events")?,
+            checks: int_of(checks, "checks")?,
+            violated_at: match violated_at {
+                Some(Scalar::Int(v)) if v >= 0 => Some(v as usize),
                 _ => None,
             },
-            poisoned: matches!(doc.get("poisoned"), Some(Json::Bool(true))),
-            reaped: matches!(doc.get("reaped"), Some(Json::Bool(true))),
+            poisoned: poisoned == Some(Scalar::Bool(true)),
+            reaped: reaped == Some(Scalar::Bool(true)),
         }),
         other => Err(frame_err(format!("unknown frame kind `{other}`"))),
     }

@@ -55,7 +55,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use tm_model::Event;
-use tm_trace::{event_from_doc, event_to_doc, Json};
+use tm_trace::json::{read_event, write_int, Lexer, ObjectWriter, Scalar, Token};
 
 /// The journal file inside `--journal DIR`.
 pub fn journal_path(dir: &Path) -> PathBuf {
@@ -69,18 +69,16 @@ pub struct JournalWriter {
     unsynced: usize,
     /// Sync cadence (records); at least 1.
     fsync_every: usize,
+    /// Reused buffers: the record's JSON payload, then its whole line.
+    payload: String,
+    line: String,
 }
 
 impl JournalWriter {
     /// Creates (or truncates) `DIR/serve.journal` for a fresh run.
     pub fn create(dir: &Path, fsync_every: usize) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let file = File::create(journal_path(dir))?;
-        Ok(JournalWriter {
-            file,
-            unsynced: 0,
-            fsync_every: fsync_every.max(1),
-        })
+        Ok(Self::over(File::create(journal_path(dir))?, fsync_every))
     }
 
     /// Opens `DIR/serve.journal` for appending (the `--resume` path keeps
@@ -90,16 +88,37 @@ impl JournalWriter {
             .create(true)
             .append(true)
             .open(journal_path(dir))?;
-        Ok(JournalWriter {
+        Ok(Self::over(file, fsync_every))
+    }
+
+    fn over(file: File, fsync_every: usize) -> Self {
+        JournalWriter {
             file,
             unsynced: 0,
             fsync_every: fsync_every.max(1),
-        })
+            payload: String::new(),
+            line: String::new(),
+        }
     }
 
-    fn record(&mut self, doc: &Json) -> io::Result<()> {
-        let payload = doc.to_compact_string();
-        writeln!(self.file, "{} {payload}", payload.len())?;
+    /// Appends one record, `LEN payload\n`, with a single write.
+    fn record(
+        &mut self,
+        kind: &str,
+        session: &str,
+        body: impl FnOnce(&mut ObjectWriter<'_>),
+    ) -> io::Result<()> {
+        self.payload.clear();
+        let mut o = ObjectWriter::open(&mut self.payload);
+        o.str("r", kind).str("s", session);
+        body(&mut o);
+        o.close();
+        self.line.clear();
+        write_int(&mut self.line, self.payload.len() as i64);
+        self.line.push(' ');
+        self.line.push_str(&self.payload);
+        self.line.push('\n');
+        self.file.write_all(self.line.as_bytes())?;
         self.unsynced += 1;
         if self.unsynced >= self.fsync_every {
             self.flush_sync()?;
@@ -109,49 +128,28 @@ impl JournalWriter {
 
     /// Journals a session open.
     pub fn open(&mut self, session: &str) -> io::Result<()> {
-        self.record(&Json::Obj(
-            0,
-            vec![
-                ("r".into(), Json::Str("open".into())),
-                ("s".into(), Json::Str(session.into())),
-            ],
-        ))
+        self.record("open", session, |_| {})
     }
 
     /// Journals one accepted event.
     pub fn event(&mut self, session: &str, event: &Event) -> io::Result<()> {
-        self.record(&Json::Obj(
-            0,
-            vec![
-                ("r".into(), Json::Str("ev".into())),
-                ("s".into(), Json::Str(session.into())),
-                ("event".into(), event_to_doc(event)),
-            ],
-        ))
+        self.record("ev", session, |o| {
+            o.event("event", event);
+        })
     }
 
     /// Journals the response cursor: `n` events answered so far.
     pub fn checked(&mut self, session: &str, n: usize) -> io::Result<()> {
-        self.record(&Json::Obj(
-            0,
-            vec![
-                ("r".into(), Json::Str("ck".into())),
-                ("s".into(), Json::Str(session.into())),
-                ("n".into(), Json::Int(n as i64)),
-            ],
-        ))
+        self.record("ck", session, |o| {
+            o.int("n", n as i64);
+        })
     }
 
     /// Journals a completed session (`p` = poisoned, for the exit code).
     pub fn close(&mut self, session: &str, poisoned: bool) -> io::Result<()> {
-        self.record(&Json::Obj(
-            0,
-            vec![
-                ("r".into(), Json::Str("close".into())),
-                ("s".into(), Json::Str(session.into())),
-                ("p".into(), Json::Bool(poisoned)),
-            ],
-        ))
+        self.record("close", session, |o| {
+            o.bool("p", poisoned);
+        })
     }
 
     /// Flushes buffered records and `sync_data`s the file.
@@ -229,40 +227,60 @@ pub fn read_journal(dir: &Path) -> io::Result<JournalState> {
     Ok(state)
 }
 
-enum Record {
+#[derive(Debug, PartialEq)]
+pub(crate) enum Record {
     Open(String),
     Event(String, Event),
     Checked(String, usize),
     Close(String, bool),
 }
 
-fn parse_record(line: &[u8]) -> Option<Record> {
+/// Parses one journal line (without its newline), in one pass over the
+/// payload; `None` for anything torn, corrupt, or of an unknown kind.
+pub(crate) fn parse_record(line: &[u8]) -> Option<Record> {
     let line = std::str::from_utf8(line).ok()?;
     let (len, payload) = line.split_once(' ')?;
     let len: usize = len.parse().ok()?;
     if payload.len() != len {
         return None; // fails its own length prefix: torn
     }
-    let doc = Json::parse(payload).ok()?;
-    let Some(Json::Str(kind)) = doc.get("r") else {
+    let mut lx = Lexer::new(payload);
+    let Token::Obj(_) = lx.token().ok()? else {
         return None;
     };
-    let Some(Json::Str(session)) = doc.get("s") else {
+    let (mut kind, mut session, mut n, mut p) = (None, None, None, None);
+    let mut event = None;
+    while let Some(key) = lx.next_key().ok()? {
+        let read = match &*key {
+            "r" if kind.is_none() => lx.scalar().map(|v| kind = Some(v)),
+            "s" if session.is_none() => lx.scalar().map(|v| session = Some(v)),
+            "n" if n.is_none() => lx.scalar().map(|v| n = Some(v)),
+            "p" if p.is_none() => lx.scalar().map(|v| p = Some(v)),
+            // Decoded only while the record can still be an `ev`.
+            "event"
+                if event.is_none()
+                    && (kind.is_none() || matches!(&kind, Some(Scalar::Str(k)) if k == "ev")) =>
+            {
+                read_event(&mut lx).map(|e| event = Some(e))
+            }
+            _ => lx.skip(),
+        };
+        read.ok()?;
+    }
+    lx.finish().ok()?;
+    let (Some(Scalar::Str(kind)), Some(Scalar::Str(session))) = (kind, session) else {
         return None;
     };
-    let session = session.clone();
-    match kind.as_str() {
+    let session = session.into_owned();
+    match &*kind {
         "open" => Some(Record::Open(session)),
-        "ev" => {
-            let event = event_from_doc(doc.get("event")?).ok()?;
-            Some(Record::Event(session, event))
-        }
-        "ck" => match doc.get("n") {
-            Some(Json::Int(n)) if *n >= 0 => Some(Record::Checked(session, *n as usize)),
+        "ev" => Some(Record::Event(session, event?.ok()?)),
+        "ck" => match n {
+            Some(Scalar::Int(n)) if n >= 0 => Some(Record::Checked(session, n as usize)),
             _ => None,
         },
-        "close" => match doc.get("p") {
-            Some(Json::Bool(p)) => Some(Record::Close(session, *p)),
+        "close" => match p {
+            Some(Scalar::Bool(p)) => Some(Record::Close(session, p)),
             _ => None,
         },
         _ => None, // future record kinds: stop at the unknown prefix

@@ -10,8 +10,9 @@
 //!
 //! * [`frame`] — the versioned `tm-serve/v1.1` wire protocol:
 //!   line-delimited JSON frames (`open`/`feed`/`close`/`shutdown` in,
-//!   `opened`/`verdict`/`ack`/`busy`/`error`/`closed` out), built on the
-//!   hand-rolled [`tm_trace::Json`] document model;
+//!   `opened`/`verdict`/`ack`/`busy`/`error`/`closed` out), decoded and
+//!   rendered in one pass by the [`tm_trace::json`] codec, with no
+//!   document tree in between;
 //! * [`table`] — the [`SessionTable`]: fair round-robin scheduling under a
 //!   per-turn node budget, aggregate memory governance (a global memo-byte
 //!   ceiling apportioned across sessions via the monitors' sound
@@ -51,6 +52,9 @@ pub mod journal;
 pub mod table;
 
 mod session;
+
+#[cfg(test)]
+mod codec_tests;
 
 pub use client::{Backoff, Client, ClientError, FrameLink, SessionOutcome, SocketLink};
 pub use daemon::{replay, run, run_reader, Transport, CRASH_EXIT_CODE};

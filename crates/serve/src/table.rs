@@ -187,6 +187,36 @@ pub struct SessionTable {
     resume_skip: HashMap<String, SkipCounts>,
 }
 
+/// Runs one journal write, disabling journaling (and producing one
+/// session-less error frame) on failure — a full disk degrades the daemon
+/// to journal-less serving instead of killing sessions. A free function
+/// over the journal field, so callers can hold a session borrow meanwhile.
+fn write_journal(
+    journal: &mut Option<JournalWriter>,
+    obs: ObsHandle,
+    write: impl FnOnce(&mut JournalWriter) -> std::io::Result<()>,
+) -> Option<Routed> {
+    let writer = journal.as_mut()?;
+    match write(writer) {
+        Ok(()) => {
+            obs.counter_add("serve.journal_records", 1);
+            None
+        }
+        Err(e) => {
+            *journal = None;
+            obs.counter_add("serve.journal_failed", 1);
+            Some(routed(
+                0,
+                ServerFrame::Error {
+                    session: None,
+                    seq: None,
+                    message: format!("journal write failed; journaling disabled: {e}"),
+                },
+            ))
+        }
+    }
+}
+
 impl SessionTable {
     /// An empty table.
     pub fn new(config: ServeConfig) -> Self {
@@ -262,34 +292,6 @@ impl SessionTable {
         if let Some(w) = self.journal.as_mut() {
             if w.flush_sync().is_err() {
                 self.journal = None;
-            }
-        }
-    }
-
-    /// Runs one journal write, disabling journaling (and producing one
-    /// session-less error frame) on failure — a full disk degrades the
-    /// daemon to journal-less serving instead of killing sessions.
-    fn journal_write(
-        &mut self,
-        write: impl FnOnce(&mut JournalWriter) -> std::io::Result<()>,
-    ) -> Option<Routed> {
-        let writer = self.journal.as_mut()?;
-        match write(writer) {
-            Ok(()) => {
-                self.config.obs.counter_add("serve.journal_records", 1);
-                None
-            }
-            Err(e) => {
-                self.journal = None;
-                self.config.obs.counter_add("serve.journal_failed", 1);
-                Some(routed(
-                    0,
-                    ServerFrame::Error {
-                        session: None,
-                        seq: None,
-                        message: format!("journal write failed; journaling disabled: {e}"),
-                    },
-                ))
             }
         }
     }
@@ -472,7 +474,7 @@ impl SessionTable {
         obs.counter_add("serve.sessions_opened", 1);
         obs.gauge_set("serve.sessions", self.sessions.len() as u64);
         let mut out = Vec::new();
-        if let Some(err) = self.journal_write(|w| w.open(id)) {
+        if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| w.open(id)) {
             out.push(err);
         }
         out.push(routed(
@@ -576,16 +578,17 @@ impl SessionTable {
                 )];
             }
         }
+        // Journal the event before the inbox takes it: no copy is needed.
+        let mut out = Vec::new();
+        if let Some(err) = write_journal(&mut self.journal, obs, |w| w.event(id, &event)) {
+            out.push(err);
+        }
         let was_empty = session.inbox.is_empty();
-        session.enqueue(event.clone());
+        session.enqueue(event);
         session.last_active = clock;
         obs.counter_add("serve.frames_fed", 1);
         if was_empty {
             self.run_queue.push_back(id.to_string());
-        }
-        let mut out = Vec::new();
-        if let Some(err) = self.journal_write(|w| w.event(id, &event)) {
-            out.push(err);
         }
         out
     }
@@ -630,7 +633,9 @@ impl SessionTable {
         obs.counter_add("serve.sessions_closed", 1);
         obs.gauge_set("serve.sessions", self.sessions.len() as u64);
         let mut out = Vec::new();
-        if let Some(err) = self.journal_write(|w| w.close(id, session.poisoned)) {
+        if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| {
+            w.close(id, session.poisoned)
+        }) {
             out.push(err);
         }
         out.push(routed(session.conn, session.summary()));
@@ -702,7 +707,9 @@ impl SessionTable {
         obs.counter_add("serve.turns", 1);
         let requeue = !session.inbox.is_empty();
         if advanced {
-            if let Some(err) = self.journal_write(|w| w.checked(&id, cursor)) {
+            if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| {
+                w.checked(&id, cursor)
+            }) {
                 out.push(err);
             }
         }

@@ -44,6 +44,44 @@ impl Read for ScriptedReader {
     }
 }
 
+/// A writer that accepts a few bytes per call and fails transiently
+/// (`WouldBlock`, `Interrupted`) on a fixed schedule — so response lines
+/// are cut off mid-way, after part of them was already accepted.
+#[derive(Default)]
+struct ScriptedWriter {
+    bytes: Vec<u8>,
+    calls: u64,
+    short_writes: u64,
+    transient: u64,
+}
+
+impl Write for ScriptedWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.calls += 1;
+        match self.calls % 5 {
+            2 => {
+                self.transient += 1;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            4 if self.calls % 3 == 0 => {
+                self.transient += 1;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            _ => {}
+        }
+        let n = buf.len().min(1 + (self.calls % 7) as usize * 3);
+        if n < buf.len() {
+            self.short_writes += 1;
+        }
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 fn open_feed_close(id: &str, h: &History) -> String {
     let mut lines = vec![render_client_frame(&ClientFrame::Open {
         session: id.to_string(),
@@ -107,6 +145,36 @@ fn transient_read_errors_are_retried_and_the_run_completes() {
         "every event still gets its verdict"
     );
     assert_eq!(frames.iter().filter(|f| kind(f) == "closed").count(), 1);
+}
+
+#[test]
+fn short_writes_and_would_block_mid_line_never_duplicate_response_bytes() {
+    let h = random_history(&GenConfig::default(), 4);
+    let text = open_feed_close("s", &h) + &open_feed_close("t", &h);
+    let mut clean = Vec::new();
+    let code = run_reader(ServeConfig::default(), io::Cursor::new(&text), &mut clean);
+    assert_eq!(code, 0);
+    let mut scripted = ScriptedWriter::default();
+    let code = run_reader(
+        ServeConfig::default(),
+        io::Cursor::new(&text),
+        &mut scripted,
+    );
+    assert_eq!(
+        code, 0,
+        "transient write errors must not change the outcome"
+    );
+    assert!(
+        scripted.short_writes > 10 && scripted.transient > 10,
+        "the script must cut lines mid-way: {} short writes, {} transient errors",
+        scripted.short_writes,
+        scripted.transient
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&scripted.bytes),
+        String::from_utf8_lossy(&clean),
+        "a retried write resumes where the writer stopped"
+    );
 }
 
 #[test]

@@ -1,17 +1,38 @@
-//! The versioned JSON trace format.
+//! The versioned JSON trace format, and the JSON codec every wire surface
+//! of the workspace shares.
 //!
-//! Mirror types keep `tm-model` free of serialization concerns; conversion
-//! to and from [`History`] is total in one direction and validated in the
-//! other. Serialization is hand-rolled over a tiny internal JSON document
-//! model (`Json`) — the build environment vendors no `serde`/`serde_json`,
-//! and the trace schema is small enough that a direct implementation is
-//! clearer than a stubbed derive. The wire format follows the serde
-//! conventions the schema was designed with: externally tagged values
-//! (`"unit"`, `{"int": 5}`) and internally tagged events
-//! (`{"kind": "inv", ...}`), so traces are interchangeable with a
+//! The build environment vendors no `serde`/`serde_json`, so the codec is
+//! hand-rolled, in one pass each way:
+//!
+//! * **Reading.** A [`Lexer`] walks a `&str` once and hands out
+//!   [`Token`]s; strings come back as slices of the input, allocated only
+//!   when they contain escapes. Decoders built on it ([`from_json`] here,
+//!   the `tm-serve` frame and journal decoders) read a document straight
+//!   into its typed form, with no document tree in between. [`Json::parse`]
+//!   is built on the same lexer, so the workspace has one JSON grammar.
+//! * **Writing.** [`ObjectWriter`] appends compact JSON
+//!   straight into a caller-owned `String`.
+//!
+//! ## Errors
+//!
+//! Every decoder reports exactly the [`ParseError`] a parse into a [`Json`]
+//! tree followed by a walk of that tree would: a syntax error anywhere in
+//! the document wins (the decoders finish the syntax scan before reporting
+//! a schema error), repeated keys keep their first occurrence (as
+//! [`Json::get`] does), and schema errors are checked in a fixed field
+//! order, whatever order the fields arrive in. Decoders therefore return
+//! `Result<Schema<T>, ParseError>`: the outer error is a syntax error,
+//! reported at once; the inner [`Schema`] result is held until the
+//! document is known to be well-formed.
+//!
+//! ## Wire format
+//!
+//! The format follows the serde conventions the schema was designed with:
+//! externally tagged values (`"unit"`, `{"int": 5}`) and internally tagged
+//! events (`{"kind": "inv", ...}`), so traces are interchangeable with a
 //! serde-derived reader.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 
 use crate::{op_from_str, ParseError};
 use tm_model::{Event, History, ObjId, TxId, Value};
@@ -19,149 +40,600 @@ use tm_model::{Event, History, ObjId, TxId, Value};
 /// The format version emitted by [`to_json`].
 pub const FORMAT_VERSION: u32 = 1;
 
-/// JSON mirror of [`Value`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JsonValue {
-    /// `⊥`.
-    Unit,
-    /// `ok`.
-    Ok,
+/// The outcome of a schema check, held back until the syntax scan of the
+/// whole document has succeeded (see the module docs).
+pub type Schema<T> = Result<T, ParseError>;
+
+// ---------------------------------------------------------------------------
+// The lexer.
+
+/// One token of a JSON document, as [`Lexer::token`] reads it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer (the only number shape the trace formats use).
+    Int(i64),
+    /// A string: borrowed from the input unless it contains escapes.
+    Str(Cow<'a, str>),
+    /// An object was opened; read its fields with [`Lexer::next_key`].
+    /// Carries the 1-based line of the opening brace.
+    Obj(usize),
+    /// An array was opened; read its items with [`Lexer::next_item`].
+    Arr,
+}
+
+/// A value read by [`Lexer::scalar`]: the shapes a flat schema field can
+/// take. Containers and `null` are syntax-checked, skipped, and reported
+/// as [`Scalar::Other`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Scalar<'a> {
+    /// A string.
+    Str(Cow<'a, str>),
     /// An integer.
     Int(i64),
     /// A boolean.
     Bool(bool),
-    /// An ordered pair.
-    Pair(Box<JsonValue>, Box<JsonValue>),
-    /// A sequence.
-    List(Vec<JsonValue>),
+    /// `null`, an array, or an object.
+    Other,
 }
 
-impl From<&Value> for JsonValue {
-    fn from(v: &Value) -> Self {
-        match v {
-            Value::Unit => JsonValue::Unit,
-            Value::Ok => JsonValue::Ok,
-            Value::Int(i) => JsonValue::Int(*i),
-            Value::Bool(b) => JsonValue::Bool(*b),
-            Value::Pair(a, b) => {
-                JsonValue::Pair(Box::new(a.as_ref().into()), Box::new(b.as_ref().into()))
+/// A single-pass JSON pull lexer over a `&str`, tracking the current line
+/// for error reporting (1-based, as [`ParseError`] documents).
+///
+/// Protocol: [`token`](Lexer::token) reads one value; when it opens a
+/// container, loop on [`next_key`](Lexer::next_key) (then read exactly one
+/// value per key) or [`next_item`](Lexer::next_item) (then read exactly
+/// one value per `true`) until they report the closing bracket.
+/// [`finish`](Lexer::finish) rejects trailing input.
+pub struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    line: usize,
+    /// A container was just opened: the next `next_key`/`next_item` reads
+    /// no separator. One flag suffices — closing a container always lands
+    /// inside a parent whose first member has been read.
+    fresh: bool,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            fresh: false,
+        }
+    }
+
+    #[cold]
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            line: self.line,
+            message: message.into(),
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        if b == b'\n' {
+            self.line += 1;
+        }
+        Some(b)
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.bump();
+        }
+    }
+
+    /// Consumes `want` after optional whitespace.
+    fn eat(&mut self, want: u8) -> Result<(), ParseError> {
+        self.skip_ws();
+        match self.bump() {
+            Some(b) if b == want => Ok(()),
+            Some(b) => Err(self.err(format!(
+                "expected `{}`, found `{}`",
+                want as char, b as char
+            ))),
+            None => Err(self.err(format!("expected `{}`, found end of input", want as char))),
+        }
+    }
+
+    /// Reads the next value's token: scalars whole, containers opened.
+    pub fn token(&mut self) -> Result<Token<'a>, ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.bump();
+                self.fresh = true;
+                Ok(Token::Obj(self.line))
             }
-            Value::List(vs) => JsonValue::List(vs.iter().map(Into::into).collect()),
+            Some(b'[') => {
+                self.bump();
+                self.fresh = true;
+                Ok(Token::Arr)
+            }
+            Some(b'"') => Ok(Token::Str(self.string()?)),
+            Some(b't' | b'f' | b'n') => self.keyword(),
+            Some(b'-' | b'0'..=b'9') => Ok(Token::Int(self.number()?)),
+            Some(b) => Err(self.err(format!("unexpected character `{}`", b as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// The next key of the innermost open object, with its `:` consumed
+    /// (the caller reads the value next); `None` once the object closes.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.fresh) {
+            if self.peek() == Some(b'}') {
+                self.bump();
+                return Ok(None);
+            }
+        } else {
+            match self.bump() {
+                Some(b',') => {}
+                Some(b'}') => return Ok(None),
+                Some(b) => {
+                    return Err(self.err(format!(
+                        "expected `,` or `}}` in object, found `{}`",
+                        b as char
+                    )))
+                }
+                None => return Err(self.err("unterminated object")),
+            }
+        }
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected string object key"));
+        }
+        let key = self.string()?;
+        self.eat(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Whether the innermost open array has another item (the caller reads
+    /// it next); `false` once the array closes.
+    pub fn next_item(&mut self) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.fresh) {
+            if self.peek() == Some(b']') {
+                self.bump();
+                return Ok(false);
+            }
+            return Ok(true);
+        }
+        match self.bump() {
+            Some(b',') => Ok(true),
+            Some(b']') => Ok(false),
+            Some(b) => Err(self.err(format!(
+                "expected `,` or `]` in array, found `{}`",
+                b as char
+            ))),
+            None => Err(self.err("unterminated array")),
+        }
+    }
+
+    /// Syntax-checks and skips the rest of the container `token` opened
+    /// (nothing to do for scalars).
+    pub fn drain(&mut self, token: &Token<'a>) -> Result<(), ParseError> {
+        match token {
+            Token::Obj(_) => {
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Token::Arr => {
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Syntax-checks and skips one whole value.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        let token = self.token()?;
+        self.drain(&token)
+    }
+
+    /// Reads one whole value as a [`Scalar`].
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, ParseError> {
+        Ok(match self.token()? {
+            Token::Str(s) => Scalar::Str(s),
+            Token::Int(i) => Scalar::Int(i),
+            Token::Bool(b) => Scalar::Bool(b),
+            Token::Null => Scalar::Other,
+            container => {
+                self.drain(&container)?;
+                Scalar::Other
+            }
+        })
+    }
+
+    /// Ends the document: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.peek().is_some() {
+            return Err(self.err("trailing characters after JSON document"));
+        }
+        Ok(())
+    }
+
+    /// Reads a string literal; the caller has peeked its opening quote.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.pos += 1;
+        let start = self.pos;
+        // Fast path: no escapes, so the string is a slice of the input.
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'"' => {
+                    let s = self.slice(start)?;
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(s));
+                }
+                b'\\' => break,
+                b'\n' => self.line += 1,
+                _ => {}
+            }
+            self.pos += 1;
+        }
+        let mut out = self.slice(start)?.as_bytes().to_vec();
+        loop {
+            match self.bump() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => break,
+                Some(b'\\') => match self.bump() {
+                    Some(b'"') => out.push(b'"'),
+                    Some(b'\\') => out.push(b'\\'),
+                    Some(b'/') => out.push(b'/'),
+                    Some(b'b') => out.push(0x08),
+                    Some(b'f') => out.push(0x0C),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b'r') => out.push(b'\r'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(b'u') => {
+                        let code = self.hex4()?;
+                        let c = match code {
+                            // High surrogate: a low surrogate must follow
+                            // (the JSON encoding of astral-plane chars).
+                            0xD800..=0xDBFF => {
+                                if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                                    return Err(self.err("unpaired high surrogate in \\u escape"));
+                                }
+                                let low = self.hex4()?;
+                                if !(0xDC00..=0xDFFF).contains(&low) {
+                                    return Err(self.err("invalid low surrogate in \\u escape"));
+                                }
+                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                char::from_u32(combined)
+                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                            }
+                            0xDC00..=0xDFFF => {
+                                return Err(self.err("unpaired low surrogate in \\u escape"))
+                            }
+                            c => char::from_u32(c).ok_or_else(|| self.err("invalid \\u escape"))?,
+                        };
+                        let mut buf = [0u8; 4];
+                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+                    }
+                    Some(b) => return Err(self.err(format!("invalid escape `\\{}`", b as char))),
+                    None => return Err(self.err("unterminated string escape")),
+                },
+                Some(b) => out.push(b),
+            }
+        }
+        String::from_utf8(out)
+            .map(Cow::Owned)
+            .map_err(|_| self.err("invalid UTF-8 in string"))
+    }
+
+    /// The input from `start` to the current position. Both ends sit next
+    /// to an ASCII byte, so the slice is always on character boundaries.
+    fn slice(&self, start: usize) -> Result<&'a str, ParseError> {
+        self.src
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8 in string"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let mut code: u32 = 0;
+        for _ in 0..4 {
+            let d = self
+                .bump()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code * 16 + d;
+        }
+        Ok(code)
+    }
+
+    fn keyword(&mut self) -> Result<Token<'a>, ParseError> {
+        for (word, token) in [
+            ("true", Token::Bool(true)),
+            ("false", Token::Bool(false)),
+            ("null", Token::Null),
+        ] {
+            if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                return Ok(token);
+            }
+        }
+        Err(self.err("invalid keyword (expected true/false/null)"))
+    }
+
+    fn number(&mut self) -> Result<i64, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.bump();
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.bump();
+        }
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Err(self.err("non-integer numbers are not used by the trace format"));
+        }
+        let text = self.src.get(start..self.pos).unwrap_or_default();
+        text.parse::<i64>()
+            .map_err(|_| self.err(format!("invalid number `{text}`")))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writers.
+
+/// Appends `s` as a JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..=0x1F => "", // the other control bytes: `\u00XX` below
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` is on character boundaries.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `v` in decimal.
+pub fn write_int(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut n = v.unsigned_abs();
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    // Decimal digits are ASCII, so the conversion cannot fail.
+    out.push_str(std::str::from_utf8(&digits[i..]).unwrap_or_default());
+}
+
+/// Appends one compact JSON object to a `String`, field by field, in call
+/// order. Keys are written verbatim, so they must need no escaping (every
+/// schema key in the workspace is a plain identifier).
+pub struct ObjectWriter<'o> {
+    out: &'o mut String,
+    first: bool,
+}
+
+impl<'o> ObjectWriter<'o> {
+    /// Starts an object at the end of `out`.
+    pub fn open(out: &'o mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, first: true }
+    }
+
+    /// Writes `key` and its colon; the caller appends the value to the
+    /// returned buffer.
+    pub fn field(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_str(self.field(key), value);
+        self
+    }
+
+    /// An integer field.
+    pub fn int(&mut self, key: &str, value: i64) -> &mut Self {
+        write_int(self.field(key), value);
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.field(key)
+            .push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// An event field, in the trace's `events`-array element shape.
+    pub fn event(&mut self, key: &str, event: &Event) -> &mut Self {
+        write_event(self.field(key), event);
+        self
+    }
+
+    /// Ends the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Appends an event in its wire shape — the element shape of the trace's
+/// `events` array, also carried by `tm-serve/v1` `feed` frames (e.g.
+/// `{"kind":"inv","tx":1,"obj":"x","op":"read"}`; `args` is omitted when
+/// empty).
+fn write_event(out: &mut String, e: &Event) {
+    let mut o = ObjectWriter::open(out);
+    match e {
+        Event::Inv { tx, obj, op, args } => {
+            o.str("kind", "inv")
+                .int("tx", i64::from(tx.0))
+                .str("obj", obj.name())
+                .str("op", op.as_str());
+            if !args.is_empty() {
+                write_values(o.field("args"), args);
+            }
+        }
+        Event::Ret { tx, obj, op, val } => {
+            o.str("kind", "ret")
+                .int("tx", i64::from(tx.0))
+                .str("obj", obj.name())
+                .str("op", op.as_str());
+            write_value(o.field("val"), val);
+        }
+        Event::TryCommit(tx) => {
+            o.str("kind", "try_commit").int("tx", i64::from(tx.0));
+        }
+        Event::TryAbort(tx) => {
+            o.str("kind", "try_abort").int("tx", i64::from(tx.0));
+        }
+        Event::Commit(tx) => {
+            o.str("kind", "commit").int("tx", i64::from(tx.0));
+        }
+        Event::Abort(tx) => {
+            o.str("kind", "abort").int("tx", i64::from(tx.0));
+        }
+    }
+    o.close();
+}
+
+fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Unit => out.push_str("\"unit\""),
+        Value::Ok => out.push_str("\"ok\""),
+        Value::Int(i) => {
+            out.push_str("{\"int\":");
+            write_int(out, *i);
+            out.push('}');
+        }
+        Value::Bool(b) => out.push_str(if *b {
+            "{\"bool\":true}"
+        } else {
+            "{\"bool\":false}"
+        }),
+        Value::Pair(a, b) => {
+            out.push_str("{\"pair\":[");
+            write_value(out, a);
+            out.push(',');
+            write_value(out, b);
+            out.push_str("]}");
+        }
+        Value::List(vs) => {
+            out.push_str("{\"list\":");
+            write_values(out, vs);
+            out.push('}');
         }
     }
 }
 
-impl From<&JsonValue> for Value {
-    fn from(v: &JsonValue) -> Self {
-        match v {
-            JsonValue::Unit => Value::Unit,
-            JsonValue::Ok => Value::Ok,
-            JsonValue::Int(i) => Value::Int(*i),
-            JsonValue::Bool(b) => Value::Bool(*b),
-            JsonValue::Pair(a, b) => Value::pair(a.as_ref().into(), b.as_ref().into()),
-            JsonValue::List(vs) => Value::List(vs.iter().map(Into::into).collect()),
+fn write_values(out: &mut String, vs: &[Value]) {
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_value(out, v);
+    }
+    out.push(']');
+}
+
+/// Re-indents compact JSON (as the writers above produce it) two spaces
+/// per level: `"key": value`, one member per line, empty containers kept
+/// as `{}`/`[]`.
+fn indent(compact: &str, out: &mut String) {
+    fn newline(out: &mut String, depth: usize) {
+        out.push('\n');
+        for _ in 0..2 * depth {
+            out.push(' ');
         }
     }
-}
-
-/// JSON mirror of [`Event`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JsonEvent {
-    /// Operation invocation.
-    Inv {
-        /// Transaction number (the `i` of `T_i`).
-        tx: u32,
-        /// Object name.
-        obj: String,
-        /// Operation name.
-        op: String,
-        /// Operation arguments (omitted from the wire format when empty).
-        args: Vec<JsonValue>,
-    },
-    /// Operation response.
-    Ret {
-        /// Transaction number.
-        tx: u32,
-        /// Object name.
-        obj: String,
-        /// Operation name.
-        op: String,
-        /// Returned value.
-        val: JsonValue,
-    },
-    /// `tryC`.
-    TryCommit {
-        /// Transaction number.
-        tx: u32,
-    },
-    /// `tryA`.
-    TryAbort {
-        /// Transaction number.
-        tx: u32,
-    },
-    /// `C`.
-    Commit {
-        /// Transaction number.
-        tx: u32,
-    },
-    /// `A`.
-    Abort {
-        /// Transaction number.
-        tx: u32,
-    },
-}
-
-/// The top-level JSON document: a version tag and the event sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JsonTrace {
-    /// Format version; [`from_json`] accepts only [`FORMAT_VERSION`].
-    pub version: u32,
-    /// The history's events, in order.
-    pub events: Vec<JsonEvent>,
-}
-
-impl From<&Event> for JsonEvent {
-    fn from(e: &Event) -> Self {
-        match e {
-            Event::Inv { tx, obj, op, args } => JsonEvent::Inv {
-                tx: tx.0,
-                obj: obj.name().to_string(),
-                op: op.to_string(),
-                args: args.iter().map(Into::into).collect(),
-            },
-            Event::Ret { tx, obj, op, val } => JsonEvent::Ret {
-                tx: tx.0,
-                obj: obj.name().to_string(),
-                op: op.to_string(),
-                val: val.into(),
-            },
-            Event::TryCommit(tx) => JsonEvent::TryCommit { tx: tx.0 },
-            Event::TryAbort(tx) => JsonEvent::TryAbort { tx: tx.0 },
-            Event::Commit(tx) => JsonEvent::Commit { tx: tx.0 },
-            Event::Abort(tx) => JsonEvent::Abort { tx: tx.0 },
-        }
-    }
-}
-
-impl From<&JsonEvent> for Event {
-    fn from(e: &JsonEvent) -> Self {
-        match e {
-            JsonEvent::Inv { tx, obj, op, args } => Event::Inv {
-                tx: TxId(*tx),
-                obj: ObjId::new(obj),
-                op: op_from_str(op),
-                args: args.iter().map(Into::into).collect(),
-            },
-            JsonEvent::Ret { tx, obj, op, val } => Event::Ret {
-                tx: TxId(*tx),
-                obj: ObjId::new(obj),
-                op: op_from_str(op),
-                val: val.into(),
-            },
-            JsonEvent::TryCommit { tx } => Event::TryCommit(TxId(*tx)),
-            JsonEvent::TryAbort { tx } => Event::TryAbort(TxId(*tx)),
-            JsonEvent::Commit { tx } => Event::Commit(TxId(*tx)),
-            JsonEvent::Abort { tx } => Event::Abort(TxId(*tx)),
+    let mut depth = 0usize;
+    let mut chars = compact.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                out.push('"');
+                while let Some(c) = chars.next() {
+                    out.push(c);
+                    match c {
+                        '\\' => out.extend(chars.next()),
+                        '"' => break,
+                        _ => {}
+                    }
+                }
+            }
+            '{' | '[' => {
+                out.push(c);
+                let close = if c == '{' { '}' } else { ']' };
+                if chars.peek() == Some(&close) {
+                    out.extend(chars.next());
+                } else {
+                    depth += 1;
+                    newline(out, depth);
+                }
+            }
+            '}' | ']' => {
+                depth = depth.saturating_sub(1);
+                newline(out, depth);
+                out.push(c);
+            }
+            ',' => {
+                out.push(',');
+                newline(out, depth);
+            }
+            ':' => out.push_str(": "),
+            c => out.push(c),
         }
     }
 }
@@ -169,9 +641,8 @@ impl From<&JsonEvent> for Event {
 // ---------------------------------------------------------------------------
 // The JSON document model.
 //
-// Originally internal to this module; made public for the `tm-serve` wire
-// protocol (`tm-serve/v1` frames carry trace events inside framing objects),
-// which reuses this hand-rolled layer rather than growing a dependency.
+// Kept for the fault-plan format and for callers that want a whole
+// document; the trace, frame and journal codecs do not build it.
 
 /// A parsed JSON document node. Numbers are restricted to `i64`: every
 /// number in the trace schema (versions, transaction ids, integer values)
@@ -215,7 +686,33 @@ impl Json {
     /// Parses one JSON document (rejecting trailing input), tracking source
     /// lines for [`ParseError`] positions.
     pub fn parse(s: &str) -> Result<Json, ParseError> {
-        Parser::new(s).parse_document()
+        let mut lx = Lexer::new(s);
+        let doc = Json::read(&mut lx)?;
+        lx.finish()?;
+        Ok(doc)
+    }
+
+    fn read(lx: &mut Lexer<'_>) -> Result<Json, ParseError> {
+        Ok(match lx.token()? {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Int(i) => Json::Int(i),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Arr => {
+                let mut items = Vec::new();
+                while lx.next_item()? {
+                    items.push(Json::read(lx)?);
+                }
+                Json::Arr(items)
+            }
+            Token::Obj(line) => {
+                let mut fields = Vec::new();
+                while let Some(key) = lx.next_key()? {
+                    fields.push((key.into_owned(), Json::read(lx)?));
+                }
+                Json::Obj(line, fields)
+            }
+        })
     }
 
     /// Renders this node as compact (single-line) JSON.
@@ -229,10 +726,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Str(s) => write_json_string(s, out),
+            Json::Int(i) => write_int(out, *i),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -249,7 +744,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -257,510 +752,263 @@ impl Json {
             }
         }
     }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        const STEP: usize = 2;
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + STEP);
-                    item.write_pretty(out, indent + STEP);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(_, fields) if !fields.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + STEP);
-                    write_json_string(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + STEP);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-            other => other.write_compact(out),
-        }
-    }
-}
-
-fn push_indent(out: &mut String, n: usize) {
-    for _ in 0..n {
-        out.push(' ');
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A recursive-descent JSON parser that tracks the current line for error
-/// reporting (1-based, as [`ParseError`] documents).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        match self.bump() {
-            Some(b) if b == want => Ok(()),
-            Some(b) => Err(self.err(format!(
-                "expected `{}`, found `{}`",
-                want as char, b as char
-            ))),
-            None => Err(self.err(format!("expected `{}`, found end of input", want as char))),
-        }
-    }
-
-    fn parse_document(mut self) -> Result<Json, ParseError> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.peek().is_some() {
-            return Err(self.err("trailing characters after JSON document"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't' | b'f') => self.parse_keyword(),
-            Some(b'n') => self.parse_keyword(),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(b) => Err(self.err(format!("unexpected character `{}`", b as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let line = self.line;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Json::Obj(line, fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string object key"));
-            }
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(line, fields)),
-                Some(b) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `}}` in object, found `{}`",
-                        b as char
-                    )))
-                }
-                None => return Err(self.err("unterminated object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                Some(b) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `]` in array, found `{}`",
-                        b as char
-                    )))
-                }
-                None => return Err(self.err("unterminated array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0C),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'u') => {
-                        let code = self.parse_hex4()?;
-                        let c = match code {
-                            // High surrogate: a low surrogate must follow
-                            // (the JSON encoding of astral-plane chars).
-                            0xD800..=0xDBFF => {
-                                if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                    return Err(self.err("unpaired high surrogate in \\u escape"));
-                                }
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err(self.err("invalid low surrogate in \\u escape"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
-                            }
-                            0xDC00..=0xDFFF => {
-                                return Err(self.err("unpaired low surrogate in \\u escape"))
-                            }
-                            c => char::from_u32(c).ok_or_else(|| self.err("invalid \\u escape"))?,
-                        };
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    Some(b) => return Err(self.err(format!("invalid escape `\\{}`", b as char))),
-                    None => return Err(self.err("unterminated string escape")),
-                },
-                Some(b) => out.push(b),
-            }
-        }
-        String::from_utf8(out).map_err(|_| self.err("invalid UTF-8 in string"))
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, ParseError> {
-        let mut code: u32 = 0;
-        for _ in 0..4 {
-            let d = self
-                .bump()
-                .and_then(|b| (b as char).to_digit(16))
-                .ok_or_else(|| self.err("invalid \\u escape"))?;
-            code = code * 16 + d;
-        }
-        Ok(code)
-    }
-
-    fn parse_keyword(&mut self) -> Result<Json, ParseError> {
-        for (word, value) in [
-            ("true", Json::Bool(true)),
-            ("false", Json::Bool(false)),
-            ("null", Json::Null),
-        ] {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                return Ok(value);
-            }
-        }
-        Err(self.err("invalid keyword (expected true/false/null)"))
-    }
-
-    fn parse_number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.bump();
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("non-integer numbers are not used by the trace format"));
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are valid UTF-8");
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Schema mapping: mirror types ↔ the document model.
+// Decoders.
 
-impl JsonValue {
-    fn to_doc(&self) -> Json {
-        match self {
-            JsonValue::Unit => Json::Str("unit".into()),
-            JsonValue::Ok => Json::Str("ok".into()),
-            JsonValue::Int(i) => Json::Obj(0, vec![("int".into(), Json::Int(*i))]),
-            JsonValue::Bool(b) => Json::Obj(0, vec![("bool".into(), Json::Bool(*b))]),
-            JsonValue::Pair(a, b) => Json::Obj(
-                0,
-                vec![("pair".into(), Json::Arr(vec![a.to_doc(), b.to_doc()]))],
-            ),
-            JsonValue::List(vs) => Json::Obj(
-                0,
-                vec![(
-                    "list".into(),
-                    Json::Arr(vs.iter().map(JsonValue::to_doc).collect()),
-                )],
-            ),
-        }
+fn value_err(line: usize, msg: &str) -> ParseError {
+    ParseError {
+        line,
+        message: format!("invalid value: {msg}"),
     }
+}
 
-    fn from_doc(doc: &Json) -> Result<JsonValue, ParseError> {
-        let schema_err = |msg: &str| ParseError {
-            line: doc.line(),
-            message: format!("invalid value: {msg}"),
-        };
-        match doc {
-            Json::Str(s) => match s.as_str() {
-                "unit" => Ok(JsonValue::Unit),
-                "ok" => Ok(JsonValue::Ok),
-                other => Err(schema_err(&format!("unknown value tag `{other}`"))),
-            },
-            Json::Obj(_, fields) => {
-                let [(tag, body)] = fields.as_slice() else {
-                    return Err(schema_err("expected exactly one tag field"));
-                };
-                match (tag.as_str(), body) {
-                    ("int", Json::Int(i)) => Ok(JsonValue::Int(*i)),
-                    ("bool", Json::Bool(b)) => Ok(JsonValue::Bool(*b)),
-                    ("pair", Json::Arr(items)) => match items.as_slice() {
-                        [a, b] => Ok(JsonValue::Pair(
-                            Box::new(JsonValue::from_doc(a)?),
-                            Box::new(JsonValue::from_doc(b)?),
-                        )),
-                        _ => Err(schema_err("`pair` requires exactly two elements")),
-                    },
-                    ("list", Json::Arr(items)) => Ok(JsonValue::List(
-                        items
-                            .iter()
-                            .map(JsonValue::from_doc)
-                            .collect::<Result<_, _>>()?,
-                    )),
-                    (other, _) => Err(schema_err(&format!("unknown value tag `{other}`"))),
+/// Reads one tagged value.
+fn read_value(lx: &mut Lexer<'_>) -> Result<Schema<Value>, ParseError> {
+    match lx.token()? {
+        Token::Str(tag) => Ok(match &*tag {
+            "unit" => Ok(Value::Unit),
+            "ok" => Ok(Value::Ok),
+            other => Err(value_err(0, &format!("unknown value tag `{other}`"))),
+        }),
+        Token::Obj(line) => {
+            let mut fields = 0;
+            let mut value = None;
+            while let Some(tag) = lx.next_key()? {
+                fields += 1;
+                if fields == 1 {
+                    value = Some(read_tagged(lx, &tag, line)?);
+                } else {
+                    lx.skip()?;
                 }
             }
-            _ => Err(schema_err("expected a string tag or a tagged object")),
+            Ok(match value {
+                Some(value) if fields == 1 => value,
+                _ => Err(value_err(line, "expected exactly one tag field")),
+            })
+        }
+        other => {
+            lx.drain(&other)?;
+            Ok(Err(value_err(
+                0,
+                "expected a string tag or a tagged object",
+            )))
         }
     }
 }
 
-impl JsonEvent {
-    /// Renders this event as its wire-format document node (the element
-    /// shape of the trace's `events` array, e.g.
-    /// `{"kind":"inv","tx":1,"obj":"x","op":"read"}`).
-    pub fn to_doc(&self) -> Json {
-        let kind = |k: &str| ("kind".to_string(), Json::Str(k.to_string()));
-        let tx_field = |tx: u32| ("tx".to_string(), Json::Int(i64::from(tx)));
-        match self {
-            JsonEvent::Inv { tx, obj, op, args } => {
-                let mut fields = vec![
-                    kind("inv"),
-                    tx_field(*tx),
-                    ("obj".into(), Json::Str(obj.clone())),
-                    ("op".into(), Json::Str(op.clone())),
-                ];
-                if !args.is_empty() {
-                    fields.push((
-                        "args".into(),
-                        Json::Arr(args.iter().map(JsonValue::to_doc).collect()),
-                    ));
-                }
-                Json::Obj(0, fields)
-            }
-            JsonEvent::Ret { tx, obj, op, val } => Json::Obj(
-                0,
-                vec![
-                    kind("ret"),
-                    tx_field(*tx),
-                    ("obj".into(), Json::Str(obj.clone())),
-                    ("op".into(), Json::Str(op.clone())),
-                    ("val".into(), val.to_doc()),
-                ],
-            ),
-            JsonEvent::TryCommit { tx } => Json::Obj(0, vec![kind("try_commit"), tx_field(*tx)]),
-            JsonEvent::TryAbort { tx } => Json::Obj(0, vec![kind("try_abort"), tx_field(*tx)]),
-            JsonEvent::Commit { tx } => Json::Obj(0, vec![kind("commit"), tx_field(*tx)]),
-            JsonEvent::Abort { tx } => Json::Obj(0, vec![kind("abort"), tx_field(*tx)]),
+/// Reads the body of the one field of a tagged-value object at `line`.
+fn read_tagged(lx: &mut Lexer<'_>, tag: &str, line: usize) -> Result<Schema<Value>, ParseError> {
+    match (tag, lx.token()?) {
+        ("int", Token::Int(i)) => Ok(Ok(Value::Int(i))),
+        ("bool", Token::Bool(b)) => Ok(Ok(Value::Bool(b))),
+        ("pair", Token::Arr) => {
+            let (items, count) = read_items(lx, read_value)?;
+            let arity = || value_err(line, "`pair` requires exactly two elements");
+            Ok(match items {
+                _ if count != 2 => Err(arity()),
+                Ok(items) => <[Value; 2]>::try_from(items)
+                    .map(|[a, b]| Value::pair(a, b))
+                    .map_err(|_| arity()),
+                Err(e) => Err(e),
+            })
+        }
+        ("list", Token::Arr) => Ok(read_items(lx, read_value)?.0.map(Value::List)),
+        (_, other) => {
+            lx.drain(&other)?;
+            Ok(Err(value_err(line, &format!("unknown value tag `{tag}`"))))
         }
     }
+}
 
-    /// Parses one event from its wire-format document node, reporting the
-    /// node's source line on schema violations.
-    pub fn from_doc(doc: &Json) -> Result<JsonEvent, ParseError> {
-        let schema_err = |msg: String| ParseError {
-            line: doc.line(),
-            message: format!("invalid event: {msg}"),
-        };
-        let tx_of = |doc: &Json| -> Result<u32, ParseError> {
-            match doc.get("tx") {
-                Some(Json::Int(i)) => u32::try_from(*i)
-                    .map_err(|_| schema_err(format!("transaction id {i} out of range"))),
-                _ => Err(schema_err("missing integer `tx` field".into())),
+/// Reads the items of an opened array with `read`: the items (or the first
+/// item's schema error, after which items are only syntax-checked) and
+/// the item count.
+fn read_items<T>(
+    lx: &mut Lexer<'_>,
+    read: fn(&mut Lexer<'_>) -> Result<Schema<T>, ParseError>,
+) -> Result<(Schema<Vec<T>>, usize), ParseError> {
+    let mut items = Ok(Vec::new());
+    let mut count = 0;
+    while lx.next_item()? {
+        count += 1;
+        match &mut items {
+            Ok(done) => match read(lx)? {
+                Ok(item) => done.push(item),
+                Err(e) => items = Err(e),
+            },
+            Err(_) => lx.skip()?,
+        }
+    }
+    Ok((items, count))
+}
+
+/// An event object's fields, first occurrence of each.
+#[derive(Default)]
+struct EventFields<'a> {
+    kind: Option<Scalar<'a>>,
+    tx: Option<Scalar<'a>>,
+    obj: Option<Scalar<'a>>,
+    op: Option<Scalar<'a>>,
+    args: Option<Schema<Vec<Value>>>,
+    val: Option<Schema<Value>>,
+}
+
+/// Reads one event in its wire shape (as [`ObjectWriter::event`] writes
+/// it) — the decoder behind [`from_json`] and the `tm-serve` frame and
+/// journal decoders.
+pub fn read_event(lx: &mut Lexer<'_>) -> Result<Schema<Event>, ParseError> {
+    let token = lx.token()?;
+    let Token::Obj(line) = token else {
+        lx.drain(&token)?;
+        return Ok(Err(event_err(0, "missing string `kind` field".into())));
+    };
+    let mut f = EventFields::default();
+    while let Some(key) = lx.next_key()? {
+        match &*key {
+            "kind" if f.kind.is_none() => f.kind = Some(lx.scalar()?),
+            "tx" if f.tx.is_none() => f.tx = Some(lx.scalar()?),
+            "obj" if f.obj.is_none() => f.obj = Some(lx.scalar()?),
+            "op" if f.op.is_none() => f.op = Some(lx.scalar()?),
+            "args" if f.args.is_none() => {
+                f.args = Some(match lx.token()? {
+                    Token::Arr => read_items(lx, read_value)?.0,
+                    other => {
+                        lx.drain(&other)?;
+                        Err(event_err(line, "`args` must be an array".into()))
+                    }
+                })
             }
+            "val" if f.val.is_none() => f.val = Some(read_value(lx)?),
+            _ => lx.skip()?,
+        }
+    }
+    Ok(f.build(line))
+}
+
+fn event_err(line: usize, msg: String) -> ParseError {
+    ParseError {
+        line,
+        message: format!("invalid event: {msg}"),
+    }
+}
+
+impl EventFields<'_> {
+    /// The schema check, in the order the format has always applied it:
+    /// `kind`, then (for `inv`) `args`, then `tx`, `obj`, `op`, and (for
+    /// `ret`) `val`.
+    fn build(self, line: usize) -> Schema<Event> {
+        let err = |msg: String| event_err(line, msg);
+        let EventFields {
+            kind,
+            tx,
+            obj,
+            op,
+            args,
+            val,
+        } = self;
+        let Some(Scalar::Str(kind)) = kind else {
+            return Err(err("missing string `kind` field".into()));
         };
-        let str_of = |doc: &Json, key: &str| -> Result<String, ParseError> {
-            match doc.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(schema_err(format!("missing string `{key}` field"))),
-            }
+        let tx = || match tx {
+            Some(Scalar::Int(i)) => u32::try_from(i)
+                .map(TxId)
+                .map_err(|_| err(format!("transaction id {i} out of range"))),
+            _ => Err(err("missing integer `tx` field".into())),
         };
-        let Some(Json::Str(k)) = doc.get("kind") else {
-            return Err(schema_err("missing string `kind` field".into()));
-        };
-        match k.as_str() {
+        match &*kind {
             "inv" => {
-                let args = match doc.get("args") {
-                    None => Vec::new(),
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(JsonValue::from_doc)
-                        .collect::<Result<_, _>>()?,
-                    Some(_) => return Err(schema_err("`args` must be an array".into())),
-                };
-                Ok(JsonEvent::Inv {
-                    tx: tx_of(doc)?,
-                    obj: str_of(doc, "obj")?,
-                    op: str_of(doc, "op")?,
+                let args = args.unwrap_or(Ok(Vec::new()))?;
+                let tx = tx()?;
+                Ok(Event::Inv {
+                    tx,
+                    obj: ObjId::new(name(&obj, "obj", line)?),
+                    op: op_from_str(name(&op, "op", line)?),
                     args,
                 })
             }
-            "ret" => Ok(JsonEvent::Ret {
-                tx: tx_of(doc)?,
-                obj: str_of(doc, "obj")?,
-                op: str_of(doc, "op")?,
-                val: JsonValue::from_doc(
-                    doc.get("val")
-                        .ok_or_else(|| schema_err("missing `val` field".into()))?,
-                )?,
-            }),
-            "try_commit" => Ok(JsonEvent::TryCommit { tx: tx_of(doc)? }),
-            "try_abort" => Ok(JsonEvent::TryAbort { tx: tx_of(doc)? }),
-            "commit" => Ok(JsonEvent::Commit { tx: tx_of(doc)? }),
-            "abort" => Ok(JsonEvent::Abort { tx: tx_of(doc)? }),
-            other => Err(schema_err(format!("unknown event kind `{other}`"))),
+            "ret" => {
+                let tx = tx()?;
+                let obj = ObjId::new(name(&obj, "obj", line)?);
+                let op = op_from_str(name(&op, "op", line)?);
+                let val = val.unwrap_or_else(|| Err(err("missing `val` field".into())))?;
+                Ok(Event::Ret { tx, obj, op, val })
+            }
+            "try_commit" => Ok(Event::TryCommit(tx()?)),
+            "try_abort" => Ok(Event::TryAbort(tx()?)),
+            "commit" => Ok(Event::Commit(tx()?)),
+            "abort" => Ok(Event::Abort(tx()?)),
+            other => Err(err(format!("unknown event kind `{other}`"))),
         }
     }
 }
 
-impl JsonTrace {
-    fn to_doc(&self) -> Json {
-        Json::Obj(
-            0,
-            vec![
-                ("version".into(), Json::Int(i64::from(self.version))),
-                (
-                    "events".into(),
-                    Json::Arr(self.events.iter().map(JsonEvent::to_doc).collect()),
-                ),
-            ],
-        )
+/// An event's string field, or the schema error for its absence.
+fn name<'s>(field: &'s Option<Scalar<'_>>, key: &str, line: usize) -> Schema<&'s str> {
+    match field {
+        Some(Scalar::Str(s)) => Ok(s),
+        _ => Err(event_err(line, format!("missing string `{key}` field"))),
     }
-
-    fn from_doc(doc: &Json) -> Result<JsonTrace, ParseError> {
-        let schema_err = |msg: &str| ParseError {
-            line: doc.line(),
-            message: format!("invalid trace: {msg}"),
-        };
-        let version = match doc.get("version") {
-            Some(Json::Int(i)) => {
-                u32::try_from(*i).map_err(|_| schema_err("version out of range"))?
-            }
-            _ => return Err(schema_err("missing integer `version` field")),
-        };
-        let events = match doc.get("events") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(JsonEvent::from_doc)
-                .collect::<Result<_, _>>()?,
-            _ => return Err(schema_err("missing `events` array")),
-        };
-        Ok(JsonTrace { version, events })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points.
-
-/// Renders a model [`Event`] as its wire-format document node — the shape
-/// carried by the trace's `events` array and by `tm-serve/v1` `feed` frames.
-pub fn event_to_doc(e: &Event) -> Json {
-    JsonEvent::from(e).to_doc()
 }
 
 /// Parses one model [`Event`] from its wire-format document node.
 pub fn event_from_doc(doc: &Json) -> Result<Event, ParseError> {
-    Ok((&JsonEvent::from_doc(doc)?).into())
+    let line = doc.line();
+    let scalar = |key: &str| {
+        doc.get(key).map(|v| match v {
+            Json::Str(s) => Scalar::Str(Cow::Borrowed(s.as_str())),
+            Json::Int(i) => Scalar::Int(*i),
+            Json::Bool(b) => Scalar::Bool(*b),
+            _ => Scalar::Other,
+        })
+    };
+    EventFields {
+        kind: scalar("kind"),
+        tx: scalar("tx"),
+        obj: scalar("obj"),
+        op: scalar("op"),
+        args: doc.get("args").map(|args| match args {
+            Json::Arr(items) => items.iter().map(value_from_doc).collect(),
+            _ => Err(event_err(line, "`args` must be an array".into())),
+        }),
+        val: doc.get("val").map(value_from_doc),
+    }
+    .build(line)
 }
+
+fn value_from_doc(doc: &Json) -> Schema<Value> {
+    match doc {
+        Json::Str(s) => match s.as_str() {
+            "unit" => Ok(Value::Unit),
+            "ok" => Ok(Value::Ok),
+            other => Err(value_err(0, &format!("unknown value tag `{other}`"))),
+        },
+        Json::Obj(line, fields) => {
+            let [(tag, body)] = fields.as_slice() else {
+                return Err(value_err(*line, "expected exactly one tag field"));
+            };
+            match (tag.as_str(), body) {
+                ("int", Json::Int(i)) => Ok(Value::Int(*i)),
+                ("bool", Json::Bool(b)) => Ok(Value::Bool(*b)),
+                ("pair", Json::Arr(items)) => match items.as_slice() {
+                    [a, b] => Ok(Value::pair(value_from_doc(a)?, value_from_doc(b)?)),
+                    _ => Err(value_err(*line, "`pair` requires exactly two elements")),
+                },
+                ("list", Json::Arr(items)) => items
+                    .iter()
+                    .map(value_from_doc)
+                    .collect::<Schema<_>>()
+                    .map(Value::List),
+                (other, _) => Err(value_err(*line, &format!("unknown value tag `{other}`"))),
+            }
+        }
+        _ => Err(value_err(0, "expected a string tag or a tagged object")),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Trace documents.
 
 /// Serializes a history to the compact JSON trace format.
 ///
@@ -774,24 +1022,48 @@ pub fn event_from_doc(doc: &Json) -> Result<Event, ParseError> {
 /// assert_eq!(from_json(&encoded).unwrap().events(), h.events());
 /// ```
 pub fn to_json(h: &History) -> String {
-    let trace = JsonTrace {
-        version: FORMAT_VERSION,
-        events: h.events().iter().map(Into::into).collect(),
-    };
     let mut out = String::new();
-    trace.to_doc().write_compact(&mut out);
+    write_trace(&mut out, h);
     out
 }
 
 /// Serializes a history to human-indented JSON.
 pub fn to_json_pretty(h: &History) -> String {
-    let trace = JsonTrace {
-        version: FORMAT_VERSION,
-        events: h.events().iter().map(Into::into).collect(),
-    };
     let mut out = String::new();
-    trace.to_doc().write_pretty(&mut out, 0);
+    indent(&to_json(h), &mut out);
     out
+}
+
+fn write_trace(out: &mut String, h: &History) {
+    let mut o = ObjectWriter::open(out);
+    o.int("version", i64::from(FORMAT_VERSION));
+    let events = o.field("events");
+    events.push('[');
+    for (i, e) in h.events().iter().enumerate() {
+        if i > 0 {
+            events.push(',');
+        }
+        write_event(events, e);
+    }
+    events.push(']');
+    o.close();
+}
+
+fn read_events(lx: &mut Lexer<'_>, line: usize) -> Result<Schema<Vec<Event>>, ParseError> {
+    Ok(match lx.token()? {
+        Token::Arr => read_items(lx, read_event)?.0,
+        other => {
+            lx.drain(&other)?;
+            Err(trace_err(line, "missing `events` array"))
+        }
+    })
+}
+
+fn trace_err(line: usize, msg: &str) -> ParseError {
+    ParseError {
+        line,
+        message: format!("invalid trace: {msg}"),
+    }
 }
 
 /// Parses a JSON trace back into a [`History`].
@@ -802,20 +1074,43 @@ pub fn to_json_pretty(h: &History) -> String {
 /// [`tm_model::check_well_formed`] themselves, which keeps this crate usable
 /// for deliberately ill-formed fixtures.
 pub fn from_json(s: &str) -> Result<History, ParseError> {
-    let doc = Json::parse(s)?;
-    let trace = JsonTrace::from_doc(&doc)?;
-    if trace.version != FORMAT_VERSION {
+    let mut lx = Lexer::new(s);
+    let mut version = None;
+    let mut events = None;
+    let token = lx.token()?;
+    let line = match token {
+        Token::Obj(line) => {
+            while let Some(key) = lx.next_key()? {
+                match &*key {
+                    "version" if version.is_none() => version = Some(lx.scalar()?),
+                    "events" if events.is_none() => events = Some(read_events(&mut lx, line)?),
+                    _ => lx.skip()?,
+                }
+            }
+            line
+        }
+        other => {
+            lx.drain(&other)?;
+            0
+        }
+    };
+    lx.finish()?;
+    let version = match version {
+        Some(Scalar::Int(i)) => {
+            u32::try_from(i).map_err(|_| trace_err(line, "version out of range"))?
+        }
+        _ => return Err(trace_err(line, "missing integer `version` field")),
+    };
+    let events = events.unwrap_or_else(|| Err(trace_err(line, "missing `events` array")))?;
+    if version != FORMAT_VERSION {
         return Err(ParseError {
             line: 0,
             message: format!(
-                "unsupported trace version {} (this build reads version {FORMAT_VERSION})",
-                trace.version
+                "unsupported trace version {version} (this build reads version {FORMAT_VERSION})"
             ),
         });
     }
-    Ok(History::from_events(
-        trace.events.iter().map(Into::into).collect(),
-    ))
+    Ok(History::from_events(events))
 }
 
 #[cfg(test)]
@@ -866,9 +1161,13 @@ mod tests {
             Value::List(vec![Value::int(1), Value::Bool(false), Value::Unit]),
         ];
         for v in vals {
-            let j: JsonValue = (&v).into();
-            let back: Value = (&j).into();
-            assert_eq!(back, v);
+            let mut out = String::new();
+            write_value(&mut out, &v);
+            let mut lx = Lexer::new(&out);
+            let back = read_value(&mut lx).unwrap().unwrap();
+            lx.finish().unwrap();
+            assert_eq!(back, v, "{out}");
+            assert_eq!(value_from_doc(&Json::parse(&out).unwrap()).unwrap(), v);
         }
     }
 
@@ -896,6 +1195,10 @@ mod tests {
     fn empty_history_roundtrips() {
         let h = History::new();
         assert_eq!(from_json(&to_json(&h)).unwrap().events(), h.events());
+        assert_eq!(
+            to_json_pretty(&h),
+            "{\n  \"version\": 1,\n  \"events\": []\n}"
+        );
     }
 
     #[test]
@@ -912,12 +1215,40 @@ mod tests {
     fn escaped_strings_roundtrip() {
         let h = History::from_events(vec![Event::Inv {
             tx: TxId(1),
-            obj: ObjId::new("a\"b\\c\nd"),
+            obj: ObjId::new("a\"b\\c\nd\u{1}é"),
             op: op_from_str("read"),
             args: vec![],
         }]);
-        let back = from_json(&to_json(&h)).unwrap();
+        let json = to_json(&h);
+        assert!(json.contains(r#""a\"b\\c\nd\u0001é""#), "{json}");
+        let back = from_json(&json).unwrap();
         assert_eq!(back.events(), h.events());
+        let back = from_json(&to_json_pretty(&h)).unwrap();
+        assert_eq!(back.events(), h.events());
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut lx = Lexer::new(r#"["plain","esc\naped"]"#);
+        assert_eq!(lx.token().unwrap(), Token::Arr);
+        assert!(lx.next_item().unwrap());
+        assert!(matches!(
+            lx.token().unwrap(),
+            Token::Str(Cow::Borrowed("plain"))
+        ));
+        assert!(lx.next_item().unwrap());
+        assert!(matches!(lx.token().unwrap(), Token::Str(Cow::Owned(s)) if s == "esc\naped"));
+        assert!(!lx.next_item().unwrap());
+        lx.finish().unwrap();
+    }
+
+    #[test]
+    fn write_int_covers_the_whole_range() {
+        for v in [0, 7, -7, 10, -100, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            write_int(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]
@@ -960,19 +1291,24 @@ mod tests {
     }
 
     #[test]
+    fn a_later_syntax_error_beats_an_earlier_schema_error() {
+        let e = from_json(r#"{"version":1,"events":[{"kind":"zap","tx":1}],"x":tru}"#).unwrap_err();
+        assert!(e.message.contains("invalid keyword"), "{e}");
+    }
+
+    #[test]
     fn public_doc_api_roundtrips_events_and_framing() {
-        // The surface tm-serve builds its wire frames on: parse a document,
-        // pull an embedded event out by key, convert it to a model event,
-        // and render frames compactly.
+        // The document-model surface: parse a document, pull an embedded
+        // event out by key, convert it to a model event, and render it.
         let doc =
             Json::parse(r#"{"frame":"feed","session":"s1","event":{"kind":"commit","tx":3}}"#)
                 .unwrap();
         assert_eq!(doc.get("frame"), Some(&Json::Str("feed".into())));
         let event = event_from_doc(doc.get("event").unwrap()).unwrap();
         assert_eq!(event, Event::Commit(TxId(3)));
-        let back = event_to_doc(&event);
-        assert_eq!(back.to_compact_string(), r#"{"kind":"commit","tx":3}"#);
-        assert_eq!(back.line(), 0, "serializer-built nodes carry no line");
+        let mut back = String::new();
+        write_event(&mut back, &event);
+        assert_eq!(back, r#"{"kind":"commit","tx":3}"#);
         // Schema errors out of an embedded event still carry its line.
         let bad = Json::parse("{\n \"event\": {\"kind\": \"zap\"}\n}").unwrap();
         let err = event_from_doc(bad.get("event").unwrap()).unwrap_err();

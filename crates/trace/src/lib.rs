@@ -36,12 +36,14 @@
 //! as Chrome Trace Event JSON (`chrome://tracing` / Perfetto) — the
 //! `tmcheck … --trace-out` artifact.
 //!
-//! Dependency note: the JSON surface is hand-rolled over a tiny internal
-//! document model (see [`json`]) rather than pulling in `serde`/`serde_json`
-//! — the build environment is offline and the schema is small. The wire
-//! format keeps serde's tagging conventions, so traces remain interchangeable
-//! with serde-derived readers and the dependency can be reinstated without a
-//! format change.
+//! Dependency note: the JSON surface is a hand-rolled single-pass codec
+//! (see [`json`]: a pull lexer that decoders read typed values from
+//! directly, and writers that append to a caller's `String`) rather than
+//! `serde`/`serde_json` — the build environment is offline and the schema
+//! is small. The same codec carries the `tm-serve` wire frames and journal
+//! records. The wire format keeps serde's tagging conventions, so traces
+//! remain interchangeable with serde-derived readers and the dependency can
+//! be reinstated without a format change.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,7 +57,7 @@ use std::sync::Arc;
 
 use tm_model::OpName;
 
-pub use json::{event_from_doc, event_to_doc, from_json, to_json, to_json_pretty, Json};
+pub use json::{event_from_doc, from_json, to_json, to_json_pretty, Json};
 pub use spans::{chrome_trace_json, TRACE_SCHEMA_VERSION};
 pub use text::{from_text, to_text};
 
