@@ -15,12 +15,15 @@
 //! 2. **forbid-unsafe** — every `crates/*/src/lib.rs` carries
 //!    `#![forbid(unsafe_code)]`.
 //! 3. **no-unwrap** — no `.unwrap()` / `.expect(` in non-test
-//!    `crates/cli/src`, `crates/serve/src` or `crates/trace/src` code; the
-//!    CLI and the serve daemon are the two long-lived user-facing surfaces,
-//!    and a panic there kills every multiplexed session instead of failing
-//!    one check. `tm-trace` is covered because the daemon's decode path
-//!    (the JSON lexer, the event decoder) lives there. Errors return
-//!    friendly messages or positioned `error` frames instead.
+//!    `crates/cli/src`, `crates/serve/src`, `crates/trace/src` or
+//!    `crates/core/src` code; the CLI and the serve daemon are the two
+//!    long-lived user-facing surfaces, and a panic there kills every
+//!    multiplexed session instead of failing one check. `tm-trace` is
+//!    covered because the daemon's decode path (the JSON lexer, the event
+//!    decoder) lives there, and `tm-opacity` because every event the
+//!    daemon feeds runs through its resumable check. Errors return
+//!    friendly messages, positioned `error` frames or a `CheckError`
+//!    instead.
 //!    Everything from the first `#[cfg(test)]` line to the end of a file is
 //!    considered test code (the house style keeps test modules last).
 //! 4. **atomic-telemetry** — telemetry counters live in `tm-obs`, not on
@@ -169,12 +172,18 @@ const TEST_MARKER: &str = concat!("#[cfg(", "test)]");
 /// Rule 3: no `.unwrap()` / `.expect(` on the user-facing paths of the
 /// CLI and the serve daemon — the two long-lived process surfaces, where a
 /// panic kills real sessions instead of failing one check — nor in
-/// `tm-trace`, which decodes every frame the daemon reads. Errors must
-/// flow to `error` frames or friendly messages instead.
+/// `tm-trace`, which decodes every frame the daemon reads, nor in
+/// `tm-opacity`, which checks every event the daemon feeds. Errors must
+/// flow to `error` frames, friendly messages or a `CheckError` instead.
 fn lint_no_unwrap(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
     // Assembled with concat! so this rule's own source passes its gate.
     const TOKENS: [&str; 2] = [concat!(".unwrap", "()"), concat!(".expect", "(")];
-    const DIRS: [&str; 3] = ["crates/cli/src", "crates/serve/src", "crates/trace/src"];
+    const DIRS: [&str; 4] = [
+        "crates/cli/src",
+        "crates/serve/src",
+        "crates/trace/src",
+        "crates/core/src",
+    ];
     for dir in DIRS {
         let dir = root.join(dir);
         if !dir.is_dir() {
@@ -382,8 +391,8 @@ fn lint(root: &Path) -> Result<Vec<Finding>, String> {
 /// Usage text shown on argument errors.
 const USAGE: &str = "\
 tm-lint — source-discipline gate (ordering containment, forbid(unsafe), no unwraps on
-          cli/serve/trace paths, no raw-atomic telemetry outside tm-obs, no sockets
-          outside tm-serve)
+          cli/serve/trace/core paths, no raw-atomic telemetry outside tm-obs, no
+          sockets outside tm-serve)
 
 USAGE:
   tm-lint [--root DIR]     DIR defaults to the workspace root containing crates/
@@ -601,6 +610,24 @@ mod tests {
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == "no-unwrap").collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].file.ends_with("crates/trace/src/json.rs"));
+        assert_eq!(hits[0].line, 2);
+    }
+
+    #[test]
+    fn an_expect_in_the_checker_is_flagged_too() {
+        // Every event the daemon feeds runs through tm-opacity's resumable
+        // check, so rule 3 covers the checker crate as well.
+        let s = Scratch::new("core-expect");
+        std::fs::create_dir_all(s.0.join("crates/core/src")).unwrap();
+        s.write(
+            "crates/core/src/search.rs",
+            "fn f(v: Option<u8>) -> u8 {\n    v.expect(\"present\")\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn g() { Some(1).expect(\"fine\"); }\n}\n",
+        );
+        let findings = lint(&s.0).unwrap();
+        let hits: Vec<_> = findings.iter().filter(|f| f.rule == "no-unwrap").collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].file.ends_with("crates/core/src/search.rs"));
         assert_eq!(hits[0].line, 2);
     }
 

@@ -165,8 +165,10 @@ impl ScheduleProperties {
         // the writer of the value actually read, choosing the latest
         // matching write that precedes the read if several exist.
         let mut reads_from: Vec<(usize, TxId, TxId, ObjId)> = Vec::new(); // (read pos, reader, writer, obj)
-        for a in accesses.iter().filter(|a| a.read.is_some()) {
-            let v = a.read.as_ref().unwrap();
+        for (a, v) in accesses
+            .iter()
+            .filter_map(|a| a.read.as_ref().map(|v| (a, v)))
+        {
             let writer = accesses
                 .iter()
                 .filter(|w| w.obj == a.obj && w.written.as_ref() == Some(v) && w.pos < a.pos)

@@ -253,15 +253,15 @@ fn check_order(
     // Snapshot states after each prefix of the order: states[p] maps
     // register -> value after the first p committed transactions.
     let mut states: Vec<HashMap<ObjId, Value>> = Vec::with_capacity(order.len() + 1);
-    states.push(HashMap::new());
+    let mut snapshot: HashMap<ObjId, Value> = HashMap::new();
+    states.push(snapshot.clone());
     for &t in order {
-        let mut next = states.last().expect("non-empty").clone();
         if let Some(fp) = footprints.get(&t) {
             for (obj, v) in &fp.writes {
-                next.insert(obj.clone(), v.clone());
+                snapshot.insert(obj.clone(), v.clone());
             }
         }
-        states.push(next);
+        states.push(snapshot.clone());
     }
 
     let mut points = HashMap::new();

@@ -6,19 +6,22 @@
 //!
 //! * **which event broke it** — since a TM must keep *every prefix* of its
 //!   history opaque, the violation is pinned to the first event whose
-//!   prefix is non-opaque (the same notion the online monitor uses);
+//!   prefix is non-opaque, found by feeding the history to one online
+//!   monitor (whose checks resume from the last witness) instead of
+//!   checking every prefix from scratch;
 //! * **why the search got stuck there** — for the fatal prefix, the longest
 //!   placeable serialization prefix is reported together with, for every
 //!   remaining real-time-eligible transaction, the legality error that
 //!   blocks its placement.
 
+use crate::incremental::OpacityMonitor;
 use crate::opacity::is_opaque;
 use crate::search::CheckError;
 use tm_model::legal::{replay_tx, LegalityError};
 use tm_model::{History, ObjStates, RealTimeOrder, SpecRegistry, TxId};
 
 /// Why a specific transaction cannot be placed next in any serialization.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StuckTransaction {
     /// The transaction that cannot be placed.
     pub tx: TxId,
@@ -30,7 +33,7 @@ pub struct StuckTransaction {
 }
 
 /// A localized opacity violation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViolationExplanation {
     /// Index of the first event whose prefix is non-opaque.
     pub at_event: usize,
@@ -69,15 +72,18 @@ pub fn explain_violation(
     if is_opaque(h, specs)?.opaque {
         return Ok(None);
     }
-    // Find the first non-opaque prefix (responses only can break opacity,
-    // but scanning all prefixes keeps this simple and exact).
-    let mut at = h.len();
-    for n in 1..=h.len() {
-        if !is_opaque(&h.prefix(n), specs)?.opaque {
-            at = n;
-            break;
-        }
-    }
+    // The first non-opaque prefix. The monitor checks only after responses,
+    // which is exact: appending an invocation never makes an opaque history
+    // non-opaque (see `crate::incremental`).
+    let at = OpacityMonitor::new(specs)
+        .feed_all(h)?
+        .map_or(h.len(), |i| i + 1);
+    Ok(Some(explain_prefix(h, at, specs)))
+}
+
+/// Explains the violation of the first `at` events of `h`, the shortest
+/// non-opaque prefix.
+fn explain_prefix(h: &History, at: usize, specs: &SpecRegistry) -> ViolationExplanation {
     let fatal = h.prefix(at);
     let event = fatal
         .events()
@@ -128,22 +134,67 @@ pub fn explain_violation(
     // Greedy placement can also "succeed" on every transaction while the
     // real search fails (wrong commit choices); report the placed set as
     // stuck-free in that case — the prefix index is still exact.
-    Ok(Some(ViolationExplanation {
+    ViolationExplanation {
         at_event: at - 1,
         event,
         placeable_prefix: placed,
         stuck,
-    }))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tm_harness::randhist::{random_history, GenConfig};
     use tm_model::builder::paper;
     use tm_model::Event;
 
     fn regs() -> SpecRegistry {
         SpecRegistry::registers()
+    }
+
+    /// The reference: finds the first non-opaque prefix by checking every
+    /// prefix from scratch.
+    fn explain_by_prefix_scan(
+        h: &History,
+        specs: &SpecRegistry,
+    ) -> Result<Option<ViolationExplanation>, CheckError> {
+        if is_opaque(h, specs)?.opaque {
+            return Ok(None);
+        }
+        let mut at = h.len();
+        for n in 1..=h.len() {
+            if !is_opaque(&h.prefix(n), specs)?.opaque {
+                at = n;
+                break;
+            }
+        }
+        Ok(Some(explain_prefix(h, at, specs)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The monitor-located explanation is the prefix scan's, field for
+        /// field.
+        #[test]
+        fn monitor_explanation_matches_the_prefix_scan(seed in 0u64..100_000) {
+            let config = GenConfig {
+                txs: 5,
+                noise: 0.35,
+                commit_pending: 0.25,
+                ..GenConfig::default()
+            };
+            let h = random_history(&config, seed);
+            let specs = regs();
+            prop_assert_eq!(
+                explain_violation(&h, &specs).unwrap(),
+                explain_by_prefix_scan(&h, &specs).unwrap(),
+                "{}",
+                h
+            );
+        }
     }
 
     #[test]

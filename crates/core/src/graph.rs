@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
+use crate::search::CheckError;
 use tm_model::{Event, History, ObjId, OpExec, OpName, RealTimeOrder, SpecRegistry, TxId, Value};
 
 /// Node labels of the opacity graph.
@@ -181,6 +182,9 @@ pub enum GraphError {
         /// The duplicated value.
         value: Value,
     },
+    /// The definitional search that serializes the history failed (the
+    /// engine's transaction limit, for instance).
+    Search(CheckError),
 }
 
 impl std::fmt::Display for GraphError {
@@ -195,6 +199,7 @@ impl std::fmt::Display for GraphError {
             GraphError::DuplicateWrite { obj, value } => {
                 write!(f, "unique-writes violated: {value} written to {obj} twice")
             }
+            GraphError::Search(e) => write!(f, "{e}"),
         }
     }
 }

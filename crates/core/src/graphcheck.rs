@@ -90,8 +90,7 @@ pub fn construct_graph_witness(
     if !is_consistent(&h0) {
         return Ok(None);
     }
-    let report = crate::opacity::is_opaque(&h0, specs)
-        .expect("prepared history is well-formed and register-spec'd");
+    let report = crate::opacity::is_opaque(&h0, specs).map_err(GraphError::Search)?;
     let Some(w) = report.witness else {
         return Ok(None);
     };

@@ -25,13 +25,18 @@
 //! commit-pending transaction whose write was already read by a committed
 //! reader becomes unserializable when the TM aborts it).
 //!
-//! Since the pipeline refactor the monitor no longer re-runs the checker
-//! from scratch: it drives one resumable [`CheckSession`], which keeps the
-//! search's transaction metadata, dead-end memo table, and last witness
-//! across events. A check whose events merely extend the previous witness
-//! costs linear replay time — see `crate::search` for the invalidation
-//! argument — making long monitored histories asymptotically cheaper than
-//! batch re-checks (the `monitor` bench in `tm-bench` quantifies this).
+//! The monitor does not re-run the checker from scratch: it drives one
+//! resumable [`CheckSession`], which keeps the search's transaction
+//! metadata, dead-end memo table, and last witness across events. Each
+//! check resumes from that witness: it keeps the witness prefix up to the
+//! first transaction the new events changed and searches only the suffix
+//! below it, so a check whose events merely extend the previous witness
+//! places only the changed and new transactions, however long the history
+//! already is. `crate::search` gives the soundness argument and the
+//! full-walk fallback that keeps the check complete. Long monitored
+//! histories are therefore far cheaper than batch re-checks (the `monitor`
+//! bench in `tm-bench` quantifies this, and `tm-bench` pins the monitor's
+//! node counts).
 //!
 //! The memo table would otherwise grow with the history: on a streaming
 //! workload most of its entries describe frontiers of long-resolved

@@ -312,19 +312,18 @@ impl ShardedMemo {
         else {
             return false;
         };
-        if bounded {
-            let stamp = sh.next_stamp();
-            let meta = sh
-                .by_mask
-                .get_mut(&mask)
-                .and_then(|m| m.get_mut(states))
-                .expect("entry found above");
-            meta.stamp = stamp;
-            let bucket = meta.bucket;
-            sh.stale += 1; // the previous queue record just went stale
-            sh.enqueue(bucket, mask, arc, stamp);
-            sh.maybe_compact();
+        if !bounded {
+            return true;
         }
+        let stamp = sh.next_stamp();
+        let Some(meta) = sh.by_mask.get_mut(&mask).and_then(|m| m.get_mut(states)) else {
+            return true; // found above; nothing between can remove it
+        };
+        meta.stamp = stamp;
+        let bucket = meta.bucket;
+        sh.stale += 1; // the previous queue record just went stale
+        sh.enqueue(bucket, mask, arc, stamp);
+        sh.maybe_compact();
         true
     }
 

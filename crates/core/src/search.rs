@@ -41,10 +41,22 @@
 //!    `tryC` of transaction `t` drops the entries in which `t` was still
 //!    unplaced (its new op / widened placement set could rescue those dead
 //!    ends);
-//! 3. **The previous witness** biases the DFS candidate order, so when the
-//!    new events merely extend the old serialization — the common case — the
-//!    check walks straight down the witness in `O(|H|)` replay work with no
-//!    backtracking.
+//! 3. **The previous witness is a checkpoint.** A successful check leaves
+//!    its DFS path — the placements, the object states they produced, and
+//!    their undo log — in the session. The next check rolls the path back
+//!    only to the first placement whose transaction changed since (a
+//!    completed operation or a `tryC`, or a commit/abort that forbids the
+//!    recorded placement) and searches only the suffix below it, so when
+//!    the new events merely extend the old serialization — the common case
+//!    — a check costs `O(changed suffix)` placements, not `O(|H|)`. This is
+//!    sound because the legality of a serialization prefix depends only on
+//!    that prefix, and appending events never adds a real-time edge between
+//!    two existing transactions: the retained prefix stays a legal,
+//!    real-time-compatible prefix, so every completion of it is a witness.
+//!    If the suffix has no completion, the check falls back to the full
+//!    walk from the root (pruned by the dead ends the suffix search just
+//!    recorded), which keeps the search complete;
+//!    [`SearchStats::fallbacks`] counts those walks.
 //!
 //! Object states live in a session-private, slot-indexed representation
 //! (`crate::state`). [`CheckSession::extend`] gives every object a dense
@@ -199,13 +211,16 @@ pub struct SearchStats {
     pub clones_saved: usize,
     /// Memo entries evicted by the capacity bound during this check.
     pub evictions: usize,
+    /// Full walks from the root run because the search below the resumed
+    /// checkpoint found no witness (0 or 1 per check).
+    pub fallbacks: usize,
     /// Threads a check ran on: always 1 (a check is single-threaded).
     /// Merged by maximum, not sum.
     pub workers: usize,
 }
 
 /// Number of monotone counter cells in [`SearchStats::counter_cells`].
-const STAT_CELLS: usize = 6;
+const STAT_CELLS: usize = 7;
 
 impl SearchStats {
     /// The monotone counters as one flat cell array (everything except
@@ -219,6 +234,7 @@ impl SearchStats {
             self.state_clones as u64,
             self.clones_saved as u64,
             self.evictions as u64,
+            self.fallbacks as u64,
         ]
     }
 
@@ -229,6 +245,7 @@ impl SearchStats {
         self.state_clones = cells[3] as usize;
         self.clones_saved = cells[4] as usize;
         self.evictions = cells[5] as usize;
+        self.fallbacks = cells[6] as usize;
     }
 
     /// Accumulates `other` into `self` (used for lifetime totals). The
@@ -323,9 +340,44 @@ struct TxCell {
     pred_mask: u64,
 }
 
+/// One placement on the DFS path.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    id: TxId,
+    bit: u32,
+    placement: Placement,
+    /// The undo mark taken before the transaction was replayed: rolling
+    /// back to it undoes this step and every later one.
+    mark: usize,
+}
+
+/// The DFS path and the object states its committed placements produced.
+///
+/// Every step was a legal, real-time-compatible placement when it was
+/// pushed, and a failed replay leaves the states untouched, so the path is
+/// a serialization prefix at every point of the search. After a successful
+/// check it is the witness, and the session keeps it as the checkpoint the
+/// next check resumes from.
+#[derive(Default)]
+struct Checkpoint {
+    states: SlotStates,
+    undo: Undo,
+    stack: Vec<Step>,
+}
+
+impl Checkpoint {
+    /// Undoes every step from position `len` on.
+    fn truncate(&mut self, len: usize) {
+        if let Some(step) = self.stack.get(len) {
+            self.states.rollback_to(&mut self.undo, step.mark);
+            self.stack.truncate(len);
+        }
+    }
+}
+
 /// One check's depth-first search: the transaction metadata and candidate
 /// order it borrows from the session, the session's memo table, and the
-/// in-place replay scratch.
+/// session's checkpoint, which it extends in place and hands back.
 struct Dfs<'s> {
     slots: &'s [Slot<'s>],
     txs: &'s [TxCell],
@@ -340,9 +392,7 @@ struct Dfs<'s> {
     /// every 1024 nodes (the live-progress counter), so the disabled cost
     /// is one masked branch per kilonode.
     obs: tm_obs::ObsHandle,
-    states: SlotStates,
-    undo: Undo,
-    stack: Vec<(TxId, Placement)>,
+    path: Checkpoint,
     stats: SearchStats,
     /// Set once the exploration became partial (node cap). From that moment
     /// every unwinding frame's subtree is only partially explored, so its
@@ -371,9 +421,10 @@ impl Dfs<'_> {
     /// state untouched); `Err`: an object without a specification.
     fn place(&mut self, ci: usize) -> Result<bool, CheckError> {
         let tx = &self.txs[ci];
-        match self
+        let path = &mut self.path;
+        match path
             .states
-            .replay(&tx.view.ops, &tx.op_slots, self.slots, &mut self.undo)
+            .replay(&tx.view.ops, &tx.op_slots, self.slots, &mut path.undo)
         {
             Ok(()) => Ok(true),
             Err(ReplayError::Illegal) => {
@@ -407,7 +458,7 @@ impl Dfs<'_> {
         }
         if self.memoize {
             self.stats.clones_saved += 1; // memo probe without a key clone
-            if self.memo.probe(placed, &self.states) {
+            if self.memo.probe(placed, &self.path.states) {
                 self.stats.memo_hits += 1;
                 return Ok(false);
             }
@@ -419,7 +470,7 @@ impl Dfs<'_> {
             if placed & bit != 0 || self.txs[ci].pred_mask & !placed != 0 {
                 continue;
             }
-            let mark = self.undo.mark();
+            let mark = self.path.undo.mark();
             // Replay the candidate against the committed-prefix state.
             if !self.place(ci)? {
                 continue;
@@ -429,16 +480,21 @@ impl Dfs<'_> {
             for &placement in allowed_placements(status) {
                 if placement == Placement::Aborted {
                     // Validated above; effects are discarded.
-                    self.states.rollback_to(&mut self.undo, mark);
+                    self.path.states.rollback_to(&mut self.path.undo, mark);
                 }
                 self.stats.clones_saved += 1; // placement without a clone
-                self.stack.push((id, placement));
+                self.path.stack.push(Step {
+                    id,
+                    bit: b,
+                    placement,
+                    mark,
+                });
                 if self.dfs(placed | bit)? {
                     return Ok(true);
                 }
-                self.stack.pop();
+                self.path.stack.pop();
             }
-            self.states.rollback_to(&mut self.undo, mark);
+            self.path.states.rollback_to(&mut self.path.undo, mark);
         }
         // Frames that finished exploring before the node limit fired are
         // genuine dead ends; frames unwinding after it are not — caching
@@ -448,7 +504,7 @@ impl Dfs<'_> {
             // The entry's eviction priority is what it cost to establish:
             // the nodes expanded below (and including) this frontier.
             self.memo
-                .insert(placed, &self.states, self.stats.nodes - nodes_at_entry);
+                .insert(placed, &self.path.states, self.stats.nodes - nodes_at_entry);
         }
         Ok(false)
     }
@@ -463,9 +519,9 @@ impl Dfs<'_> {
 /// growing history) and decide with [`CheckSession::check`]. Between checks
 /// the session keeps its transaction metadata, its memo table of dead ends
 /// (selectively invalidated — see the module docs for the soundness
-/// argument), and the last witness (which biases the next check's DFS order
-/// towards extending it), so checking every prefix of a history costs far
-/// less than independent batch checks.
+/// argument), and the last witness as a checkpoint (the next check resumes
+/// below its longest unchanged prefix), so checking every prefix of a
+/// history costs far less than independent batch checks.
 pub struct CheckSession<'a> {
     specs: &'a SpecRegistry,
     /// The objects seen so far, each resolved against `specs` once.
@@ -485,11 +541,19 @@ pub struct CheckSession<'a> {
     /// remaining transactions cannot be completed; bounded per
     /// [`SearchConfig::memo_capacity`].
     memo: ShardedMemo,
-    last_witness: Option<Witness>,
+    /// The DFS path of the last check: the witness after a success.
+    checkpoint: Checkpoint,
+    /// Bits whose transaction completed an operation or issued `tryC`
+    /// since the last check: their checkpoint steps must be re-placed.
+    changed: u64,
+    /// Bits whose transaction committed or aborted since the last check:
+    /// their steps must be re-placed only if the new status forbids the
+    /// recorded placement.
+    settled: u64,
     stats: SearchStats,
     lifetime: SearchStats,
     checks: usize,
-    /// DFS scratch: candidate bit order, biased by the last witness.
+    /// DFS scratch: candidate bit order, the checkpoint path first.
     order: Vec<u32>,
 }
 
@@ -508,7 +572,9 @@ impl<'a> CheckSession<'a> {
             selected_mask: 0,
             completed_selected_mask: 0,
             memo: ShardedMemo::new(config.memo_capacity),
-            last_witness: None,
+            checkpoint: Checkpoint::default(),
+            changed: 0,
+            settled: 0,
             stats: SearchStats::default(),
             lifetime: SearchStats::default(),
             checks: 0,
@@ -692,7 +758,6 @@ impl<'a> CheckSession<'a> {
                 max: MAX_TXS,
             });
         }
-        self.txs[ci].wf = next_wf;
 
         // Apply the event to the view/status and invalidate memo entries.
         match e {
@@ -701,13 +766,20 @@ impl<'a> CheckSession<'a> {
                 // memo entry can become unsound.
                 self.txs[ci].view.pending = Some((obj.clone(), op.clone(), args.clone()));
             }
-            Event::Ret { val, .. } => {
-                let (obj, op, args) = self.txs[ci]
-                    .view
-                    .pending
-                    .take()
-                    .expect("WF automaton guarantees a pending invocation");
-                let slot = self.slots.slot_of(&obj, self.specs);
+            Event::Ret { obj, val, .. } => {
+                // An object the slot table has no room for (2^32 of them)
+                // cannot be given a specification slot.
+                let Some(slot) = self.slots.slot_of(obj, self.specs) else {
+                    return Err(CheckError::NoSpec(obj.name().to_string()));
+                };
+                // The WF automaton matched the response to this pending
+                // invocation (same object and operation).
+                let Some((obj, op, args)) = self.txs[ci].view.pending.take() else {
+                    return Err(CheckError::NotWellFormed(WfError::UnmatchedResponse {
+                        tx,
+                        index,
+                    }));
+                };
                 self.txs[ci].op_slots.push(slot);
                 self.txs[ci].view.ops.push(tm_model::OpExec {
                     tx,
@@ -721,13 +793,13 @@ impl<'a> CheckSession<'a> {
                 // now changes the state differently). Entries that already
                 // placed it remain sound: they only claim things about the
                 // *other* transactions.
-                self.drop_entries_not_placing(ci);
+                self.widened(ci);
             }
             Event::TryCommit(_) => {
                 self.txs[ci].view.status = TxStatus::CommitPending;
                 // Widening: {Aborted} → {Committed, Aborted}. Same rule as a
                 // new operation.
-                self.drop_entries_not_placing(ci);
+                self.widened(ci);
             }
             Event::TryAbort(_) => {
                 self.txs[ci].issued_try_abort = true;
@@ -743,9 +815,7 @@ impl<'a> CheckSession<'a> {
                     self.assign_bit(ci);
                     self.memo.clear();
                 }
-                if let Some(b) = self.txs[ci].bit {
-                    self.completed_selected_mask |= 1 << b;
-                }
+                self.settled(ci);
             }
             Event::Abort(_) => {
                 // An abort answering a pending operation leaves the
@@ -758,11 +828,10 @@ impl<'a> CheckSession<'a> {
                 } else {
                     TxStatus::ForcefullyAborted
                 };
-                if let Some(b) = self.txs[ci].bit {
-                    self.completed_selected_mask |= 1 << b;
-                }
+                self.settled(ci);
             }
         }
+        self.txs[ci].wf = next_wf;
         self.events_seen += 1;
         Ok(())
     }
@@ -774,12 +843,23 @@ impl<'a> CheckSession<'a> {
         self.selected_mask |= 1 << b;
     }
 
-    /// Drops memo entries whose placed-set does *not* contain transaction
-    /// `ci` — those are the entries a change to `ci`'s ops or placement set
-    /// could rescue.
-    fn drop_entries_not_placing(&mut self, ci: usize) {
+    /// Transaction `ci` completed an operation or widened its placement
+    /// set: drops the memo entries whose placed-set does *not* contain it
+    /// (those are the entries the change could rescue) and marks its
+    /// checkpoint step for re-placement.
+    fn widened(&mut self, ci: usize) {
         if let Some(b) = self.txs[ci].bit {
             self.memo.retain_placing(1u64 << b);
+            self.changed |= 1u64 << b;
+        }
+    }
+
+    /// Transaction `ci` committed or aborted: it is complete, and its
+    /// checkpoint step must be re-checked against the narrowed status.
+    fn settled(&mut self, ci: usize) {
+        if let Some(b) = self.txs[ci].bit {
+            self.completed_selected_mask |= 1u64 << b;
+            self.settled |= 1u64 << b;
         }
     }
 
@@ -798,34 +878,49 @@ impl<'a> CheckSession<'a> {
 
     /// Decides the criterion for the history fed so far.
     ///
-    /// The DFS candidate order is biased towards the previous check's
-    /// witness, so a check whose new events merely extend the old
-    /// serialization runs in linear replay time with no backtracking.
+    /// The search resumes from the checkpoint: the last check's path is
+    /// rolled back to its first step whose transaction changed since, and
+    /// only the suffix below that prefix is searched. A check whose new
+    /// events merely extend the old serialization therefore places only the
+    /// changed and new transactions. If the suffix has no completion, the
+    /// full walk from the root decides.
     pub fn check(&mut self) -> Result<SearchOutcome, CheckError> {
         self.checks += 1;
-        // Candidate order: last witness first (it remains real-time
-        // compatible — appending events never orders two existing
-        // transactions), then any transactions it does not cover, in
-        // first-selection order.
+        let (changed, settled) = (
+            std::mem::take(&mut self.changed),
+            std::mem::take(&mut self.settled),
+        );
+        // The checkpoint stays valid up to its first step that must be
+        // re-placed: its transaction completed an operation or issued
+        // `tryC`, or committed or aborted against the recorded placement.
+        let stack = &self.checkpoint.stack;
+        let valid = stack
+            .iter()
+            .position(|s| {
+                let bit = 1u64 << s.bit;
+                let forbidden = || {
+                    let status = self.txs[self.by_bit[s.bit as usize]].view.status;
+                    !allowed_placements(status).contains(&s.placement)
+                };
+                changed & bit != 0 || (settled & bit != 0 && forbidden())
+            })
+            .unwrap_or(stack.len());
+        // Candidate order: the checkpoint path (still real-time compatible
+        // — appending events never orders two existing transactions), then
+        // every other transaction in first-selection order.
         self.order.clear();
         let mut seen = 0u64;
-        if let Some(w) = &self.last_witness {
-            for (t, _) in &w.order {
-                if let Some(&ci) = self.index.get(t) {
-                    if let Some(b) = self.txs[ci].bit {
-                        if seen & (1 << b) == 0 {
-                            seen |= 1 << b;
-                            self.order.push(b);
-                        }
-                    }
-                }
-            }
+        for s in stack {
+            seen |= 1 << s.bit;
+            self.order.push(s.bit);
         }
         for b in 0..self.by_bit.len() as u32 {
             if seen & (1 << b) == 0 {
                 self.order.push(b);
             }
         }
+        let prefix_mask = self.order[..valid].iter().fold(0u64, |m, &b| m | 1 << b);
+        self.checkpoint.truncate(valid);
         let evictions_before = self.memo.evictions();
         let obs = self.config.obs;
         let _check_span = obs.span("check", "search");
@@ -834,20 +929,30 @@ impl<'a> CheckSession<'a> {
             slots: self.slots.slots(),
             txs: &self.txs,
             by_bit: &self.by_bit,
-            order: &self.order,
+            order: &self.order[valid..],
             selected_mask: self.selected_mask,
             memoize: self.config.memoize,
             node_limit: self.config.node_limit,
             memo: &mut self.memo,
             obs,
-            states: SlotStates::default(),
-            undo: Undo::default(),
-            stack: Vec::new(),
+            path: std::mem::take(&mut self.checkpoint),
             stats: SearchStats::default(),
             truncated: false,
         };
-        let found = dfs.dfs(0)?;
-        let (witness_order, mut stats) = (found.then_some(dfs.stack), dfs.stats);
+        let mut found = dfs.dfs(prefix_mask)?;
+        if !found && valid > 0 && !dfs.truncated {
+            // The retained prefix has no completion: decide from the root.
+            dfs.stats.fallbacks += 1;
+            dfs.path.truncate(0);
+            dfs.order = &self.order;
+            found = dfs.dfs(0)?;
+        }
+        let Dfs {
+            path, mut stats, ..
+        } = dfs;
+        // An error above drops the path: the next check starts from the
+        // root, as a fresh session would.
+        self.checkpoint = path;
         stats.evictions = self.memo.evictions() - evictions_before;
         stats.workers = 1;
         if let Some(t0) = started {
@@ -858,10 +963,14 @@ impl<'a> CheckSession<'a> {
         }
         self.stats = stats;
         self.lifetime.absorb(&stats);
-        let witness = witness_order.map(|order| Witness { order });
-        if witness.is_some() {
-            self.last_witness = witness.clone();
-        }
+        let witness = found.then(|| Witness {
+            order: self
+                .checkpoint
+                .stack
+                .iter()
+                .map(|s| (s.id, s.placement))
+                .collect(),
+        });
         Ok(SearchOutcome { witness, stats })
     }
 
@@ -881,6 +990,7 @@ impl<'a> CheckSession<'a> {
         obs.counter_add("memo.hits", stats.memo_hits as u64);
         obs.counter_add("memo.inserts", stats.state_clones as u64);
         obs.counter_add("memo.evictions", stats.evictions as u64);
+        obs.counter_add("search.fallbacks", stats.fallbacks as u64);
         obs.gauge_set("memo.resident", self.memo.resident() as u64);
         obs.gauge_set("search.workers", stats.workers as u64);
     }
@@ -1172,6 +1282,86 @@ mod tests {
     }
 
     #[test]
+    fn extension_check_cost_is_independent_of_history_length() {
+        // The check after appending one more link to a chain resumes below
+        // the whole previous witness: it places only the new transaction,
+        // whether the chain is 12 or 48 transactions long.
+        let specs = regs();
+        let extension_nodes = |n: u32| {
+            let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+            let mut b = HistoryBuilder::new();
+            for t in 1..=n + 1 {
+                b = b
+                    .read(t, "x", (t - 1) as i64)
+                    .write(t, "x", t as i64)
+                    .commit_ok(t);
+            }
+            let h = b.build();
+            let (chain, link) = h.events().split_at(h.len() - 6);
+            for e in chain {
+                s.extend(e).unwrap();
+            }
+            assert!(s.check().unwrap().holds());
+            for e in link {
+                s.extend(e).unwrap();
+            }
+            let out = s.check().unwrap();
+            assert!(out.holds());
+            assert_eq!(out.witness.unwrap().order.len(), n as usize + 1);
+            assert_eq!(out.stats.illegal_placements, 0);
+            assert_eq!(out.stats.fallbacks, 0);
+            out.stats.nodes
+        };
+        assert_eq!(extension_nodes(12), 1);
+        assert_eq!(extension_nodes(48), 1);
+    }
+
+    #[test]
+    fn a_prefix_without_completion_falls_back_to_the_full_walk() {
+        // T3's read of y is pending while T2 writes y=7 and commits, so the
+        // checkpoint after C2 is T1 · T2 · T3(aborted). Then T3's read
+        // returns 5: T3 must move before T2, which the retained prefix
+        // T1 · T2 cannot accommodate. The suffix search fails, and the
+        // walk from the root finds T1 · T3 · T2 — exactly one fallback.
+        let specs = regs();
+        let obs = tm_obs::ObsHandle::install();
+        let config = SearchConfig {
+            obs,
+            ..SearchConfig::default()
+        };
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, config);
+        let h = HistoryBuilder::new()
+            .write(1, "y", 5)
+            .commit_ok(1)
+            .inv_write(2, "y", 7)
+            .inv_read(3, "y")
+            .ret_write(2, "y")
+            .try_commit(2)
+            .commit(2)
+            .ret_read(3, "y", 5)
+            .build();
+        let mut last = None;
+        for e in h.events() {
+            s.extend(e).unwrap();
+            if e.is_response() {
+                let out = s.check().unwrap();
+                assert!(out.holds(), "every response prefix is opaque");
+                last = Some(out);
+            }
+        }
+        let last = last.unwrap();
+        assert_eq!(last.stats.fallbacks, 1);
+        assert_eq!(s.lifetime_stats().fallbacks, 1);
+        assert_eq!(
+            last.witness.unwrap().tx_order(),
+            vec![TxId(1), TxId(3), TxId(2)]
+        );
+        let snapshot = obs.snapshot().unwrap();
+        assert_eq!(snapshot.counter("search.fallbacks"), Some(1));
+        assert!(search(&h, &specs, SearchMode::OPACITY).unwrap().holds());
+    }
+
+    #[test]
     fn in_place_replay_reports_saved_clones() {
         let h = paper::h5();
         let out = search(&h, &regs(), SearchMode::OPACITY).unwrap();
@@ -1251,9 +1441,10 @@ mod tests {
                 .check_history(&h.prefix(i + 1))
                 .unwrap()
                 .holds();
-            // The session may only be BETTER than fresh (its witness bias
-            // finds serializations the truncated fresh search misses),
-            // never worse: a stale truncated "no" must never veto a "yes".
+            // The session may only be BETTER than fresh (resuming from its
+            // checkpoint finds serializations the truncated fresh search
+            // misses), never worse: a stale truncated "no" must never veto
+            // a "yes".
             assert!(
                 live || !fresh,
                 "prefix {}: session says no but fresh limited check says yes",

@@ -89,15 +89,16 @@ pub(crate) struct SlotTable<'a> {
 }
 
 impl<'a> SlotTable<'a> {
-    /// The slot of `obj`, assigning the next free one on first sight.
-    pub(crate) fn slot_of(&mut self, obj: &ObjId, specs: &'a SpecRegistry) -> u32 {
+    /// The slot of `obj`, assigning the next free one on first sight;
+    /// `None` once all 2^32 slots are taken.
+    pub(crate) fn slot_of(&mut self, obj: &ObjId, specs: &'a SpecRegistry) -> Option<u32> {
         if let Some(&s) = self.index.get(obj) {
-            return s;
+            return Some(s);
         }
-        let s = u32::try_from(self.slots.len()).expect("fewer than 2^32 objects in one history");
+        let s = u32::try_from(self.slots.len()).ok()?;
         self.slots.push(Slot::new(obj.clone(), specs));
         self.index.insert(obj.clone(), s);
-        s
+        Some(s)
     }
 
     /// The slots, indexed by slot number.
@@ -264,7 +265,10 @@ impl SlotStates {
     /// the fingerprint exactly.
     pub(crate) fn rollback_to(&mut self, undo: &mut Undo, mark: usize) {
         while undo.changes.len() > mark {
-            match undo.changes.pop().expect("len > mark") {
+            let Some(change) = undo.changes.pop() else {
+                break;
+            };
+            match change {
                 Change::Inserted(pos) => {
                     let entry = self.entries.remove(pos);
                     self.fingerprint ^= entry.hash;
@@ -335,7 +339,7 @@ mod tests {
     fn op_slots<'a>(view: &TxView, table: &mut SlotTable<'a>, specs: &'a SpecRegistry) -> Vec<u32> {
         view.ops
             .iter()
-            .map(|op| table.slot_of(&op.obj, specs))
+            .map(|op| table.slot_of(&op.obj, specs).unwrap())
             .collect()
     }
 

@@ -9,10 +9,11 @@ use tm_opacity::criteria::{
     is_strictly_serializable, is_tx_linearizable,
 };
 use tm_opacity::explain::explain_violation;
+use tm_opacity::graph::GraphError;
 use tm_opacity::graphcheck::{construct_graph_witness, decide_via_graph};
 use tm_opacity::incremental::OpacityMonitor;
 use tm_opacity::opacity::{is_opaque, is_opaque_with};
-use tm_opacity::{SearchConfig, SearchMode};
+use tm_opacity::{CheckError, SearchConfig, SearchMode};
 
 fn specs() -> SpecRegistry {
     SpecRegistry::registers()
@@ -162,7 +163,11 @@ fn monitor_with_custom_config() {
         ..SearchConfig::default()
     });
     assert_eq!(m.feed_all(&paper::h5()).unwrap(), None);
-    assert!(m.last_stats().nodes > 0);
+    // H5's ten responses are checked, its ten invocations skipped. The
+    // last check (C3, already placed committed) resumes from a complete
+    // checkpoint and may cost no node, so the work shows in the lifetime.
+    assert_eq!(m.check_counts(), (10, 10));
+    assert!(m.lifetime_stats().nodes > 0);
     assert_eq!(m.history().len(), paper::h5().len());
 }
 
@@ -203,6 +208,22 @@ fn graph_decider_rejects_when_only_bad_visibility_choices_exist() {
     assert!(!is_opaque(&h, &specs()).unwrap().opaque);
     assert!(!decide_via_graph(&h, &specs(), 6).unwrap().opaque());
     assert!(construct_graph_witness(&h, &specs()).unwrap().is_none());
+}
+
+#[test]
+fn graph_witness_past_the_engine_limit_is_an_error_not_a_panic() {
+    // 64 transactions plus the synthetic T0 exceed the search's bitmask:
+    // the construction reports the engine's error instead of panicking.
+    let mut b = HistoryBuilder::new();
+    for t in 1..=64u32 {
+        b = b.write(t, "x", t as i64).commit_ok(t);
+    }
+    let err = construct_graph_witness(&b.build(), &specs()).unwrap_err();
+    assert_eq!(
+        err,
+        GraphError::Search(CheckError::TooManyTransactions { found: 65, max: 64 })
+    );
+    assert!(err.to_string().contains("exceed engine limit"), "{err}");
 }
 
 #[test]

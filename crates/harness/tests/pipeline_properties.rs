@@ -6,8 +6,8 @@
 //!    re-checking.** For random well-formed histories, the monitor's verdict
 //!    *and* first-violation prefix must equal what running the batch checker
 //!    on every prefix reports — i.e. the resumable `CheckSession` (persistent
-//!    memo, witness-biased DFS, in-place states) may never change an answer,
-//!    only its cost.
+//!    memo, checks resumed from the last witness, in-place states) may never
+//!    change an answer, only its cost.
 //! 2. **The parallel conformance kit is byte-identical to the sequential
 //!    one** for every in-tree TM and mutant: sharding the schedule sweep
 //!    across worker threads must be invisible in the report.
