@@ -1,11 +1,12 @@
 //! The `search` bench: the memory-bounded serialization search.
 //!
 //! `search/obs/{disabled,enabled}` runs the batch opacity check of the
-//! concurrent contention-knot workload ([`tm_bench::search_knot_history`])
-//! with the observability handle off (the default no-op path, which must
-//! stay at noise level) and with a live metrics sink attached. The
-//! workload is non-opaque by construction, so every run exhausts the same
-//! serialization space, with no early-exit variance. `search/memo-cap/C`
+//! real-time-chained contention-knot workload
+//! ([`tm_bench::rt_chain_knot_history`]) with the observability handle off
+//! (the default no-op path, which must stay at noise level) and with a
+//! live metrics sink attached. The workload is non-opaque by construction
+//! and one component, so every run exhausts the same serialization space,
+//! with no early-exit variance. `search/memo-cap/C`
 //! runs a phased check under a bounded dead-end table, measuring what
 //! eviction-induced re-exploration costs at each capacity. The
 //! machine-readable companion numbers (sequential node throughput,
@@ -14,13 +15,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tm_bench::{search_knot_history, sequential_knot_search};
+use tm_bench::{rt_chain_knot_history, sequential_knot_search};
 use tm_model::SpecRegistry;
 use tm_opacity::{CheckSession, SearchConfig, SearchMode};
 
 fn bench_search(c: &mut Criterion) {
     let specs = SpecRegistry::registers();
-    let h = search_knot_history(3, 3);
+    let h = rt_chain_knot_history(5, 3);
     let mut group = c.benchmark_group("search");
     group.sample_size(10);
     // The observability axis: the identical check with the

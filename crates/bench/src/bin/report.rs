@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use tm_bench::{batch_prefix_nodes, monitor_workload, search_knot_history};
+use tm_bench::{batch_prefix_nodes, monitor_workload, rt_chain_knot_history};
 use tm_harness::complexity::{paper_scenario, solo_scan, sweep};
 use tm_harness::parallel::default_jobs;
 use tm_harness::randhist::{cross_validate, GenConfig};
@@ -231,13 +231,13 @@ struct SearchThroughputPoint {
     nodes: usize,
 }
 
-/// Batch-checks the concurrent contention-knot workload once. The workload
-/// is non-opaque, so the check exhausts the serialization space — no
-/// early-exit variance.
+/// Batch-checks the real-time-chained contention-knot workload once. The
+/// workload is non-opaque and one component, so the check exhausts the
+/// serialization space — no early-exit variance.
 fn search_throughput_point(knots: u32, writers: u32) -> SearchThroughputPoint {
     use tm_opacity::search::{search, SearchMode};
     let specs = SpecRegistry::registers();
-    let h = search_knot_history(knots, writers);
+    let h = rt_chain_knot_history(knots, writers);
     let t0 = Instant::now();
     let out = search(&h, &specs, SearchMode::OPACITY).expect("workload is checkable");
     let wall_ns = t0.elapsed().as_nanos();
@@ -409,7 +409,7 @@ fn search_json(
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"search\",\n");
     out.push_str(
-        "  \"workload\": \"concurrent contention knots (tm_bench::search_knot_history) + \
+        "  \"workload\": \"chained contention knots (tm_bench::rt_chain_knot_history) + \
          phased knots (tm_bench::sequential_knot_search) + streaming monitor knots \
          (tm_bench::monitor_workload)\",\n",
     );
@@ -873,12 +873,12 @@ fn main() {
 
     // ---- search throughput + bounded-memo verdict latency -----------------
     println!("\n## Serialization search: throughput and bounded memo\n");
-    let knot_shape: (u32, u32) = if quick { (3, 3) } else { (3, 4) };
+    let knot_shape: (u32, u32) = if quick { (3, 3) } else { (5, 3) };
     let spoint = search_throughput_point(knot_shape.0, knot_shape.1);
     // Wall-clock throughput is machine-dependent and lives in the JSON; the
     // markdown records only the deterministic exploration size.
     println!(
-        "- batch workload: {} concurrent knots × {} writers, {} DFS nodes; \
+        "- batch workload: {} real-time-chained knots × {} writers, {} DFS nodes; \
          node throughput in `BENCH_search.json`",
         knot_shape.0, knot_shape.1, spoint.nodes
     );

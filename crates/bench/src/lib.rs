@@ -100,13 +100,20 @@ pub fn monitor_workload(events: usize) -> History {
 ///
 /// Every transaction's first event precedes every completion, so there are
 /// **no real-time edges at all**: every transaction is a root candidate,
-/// `knots × (writers + 1) + 1` root subtrees wide. The impossible final
-/// read makes the history non-opaque, so a batch check must exhaust the
-/// entire serialization space — a deterministic node count with no
-/// early-exit variance, which is what a throughput bench needs.
-/// The per-knot state spaces multiply, so the dead-end memo grows into the
-/// thousands of entries even at small sizes (the stress case for
-/// `memo_capacity`).
+/// `knots × (writers + 1) + 1` transactions, any of which could go first.
+/// The impossible final read makes the history non-opaque, so every check
+/// refutes it with the same deterministic node count, with no early-exit
+/// variance.
+///
+/// The knots share no object and no real-time edge, so each knot (the first
+/// one together with the poison reader) is an independent component. The
+/// search completes one component before it starts the next and gives up
+/// as soon as one cannot be completed, so it pays the *sum* of the per-knot
+/// state spaces, not their product: with the poison on the first knot it
+/// stops inside that knot, and with the poison on the last knot it pays
+/// every knot once. The chained shape of [`rt_chain_knot_history`] is the
+/// one-component counterpart whose interior work still grows with the
+/// number of knots.
 pub fn search_knot_history(knots: u32, writers: u32) -> History {
     let mut b = HistoryBuilder::new();
     // Phase 1: every operation completes before any transaction does, so
@@ -119,8 +126,7 @@ pub fn search_knot_history(knots: u32, writers: u32) -> History {
         }
         // The knot reader observes the knot's FIRST writer, so only
         // serializations where that writer is the latest write before the
-        // reader survive — the search must thread every knot's needle
-        // simultaneously.
+        // reader survive.
         b = b.read(base + writers + 1, &obj, ((base + 1) * 10) as i64);
     }
     let poison = knots * (writers + 1) + 1;
@@ -442,6 +448,50 @@ mod tests {
         );
     }
 
+    /// [`search_knot_history`] with the poison read moved from the first
+    /// knot's register to the last knot's.
+    fn poison_on_last_knot(knots: u32, writers: u32) -> History {
+        use tm_model::{Event, ObjId, TxId};
+        let poison = TxId(knots * (writers + 1) + 1);
+        let last = ObjId::new(&format!("k{}", knots - 1));
+        let mut h = History::new();
+        for e in search_knot_history(knots, writers).events() {
+            h.push(match e {
+                Event::Inv { tx, op, args, .. } if *tx == poison => Event::Inv {
+                    tx: *tx,
+                    obj: last.clone(),
+                    op: op.clone(),
+                    args: args.clone(),
+                },
+                Event::Ret { tx, op, val, .. } if *tx == poison => Event::Ret {
+                    tx: *tx,
+                    obj: last.clone(),
+                    op: op.clone(),
+                    val: val.clone(),
+                },
+                _ => e.clone(),
+            });
+        }
+        h
+    }
+
+    #[test]
+    fn a_failing_last_component_costs_the_sum_of_the_components() {
+        // Each knot is a component. The first k - 1 are completed once
+        // each (four nodes: the boundary and three placements), and the
+        // last one, which holds the poison read, fails at its boundary.
+        // Searched as one product space, the same history took 113, 1 345,
+        // …, 117 440 513 nodes for k = 2, 3, …, 8.
+        use tm_opacity::search::{search, SearchMode};
+        let specs = SpecRegistry::registers();
+        for k in 2..=8u32 {
+            let h = poison_on_last_knot(k, 2);
+            let out = search(&h, &specs, SearchMode::OPACITY).unwrap();
+            assert!(!out.holds(), "k = {k}");
+            assert_eq!(out.stats.nodes, 4 * k as usize + 4, "k = {k}");
+        }
+    }
+
     /// The exploration counters the representation of object states must
     /// not move: `(nodes, memo_hits, illegal_placements, state_clones,
     /// evictions)`.
@@ -484,7 +534,7 @@ mod tests {
             (
                 "concurrent 3x2",
                 search_knot_history(3, 2),
-                [1345, 833, 1088, 512, 0],
+                [8, 0, 11, 8, 0],
             ),
             (
                 "chained 5x3",
@@ -494,7 +544,7 @@ mod tests {
             (
                 "concurrent 2x4",
                 search_knot_history(2, 4),
-                [8905, 6096, 5459, 2809, 0],
+                [85, 32, 78, 53, 0],
             ),
         ];
         for (name, h, pinned) in &shapes {

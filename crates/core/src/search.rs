@@ -27,7 +27,7 @@
 //! one event at a time ([`CheckSession::extend`]) and queried for a verdict
 //! on the history seen so far ([`CheckSession::check`]);
 //! [`CheckSession::check_history`] does both for the unseen suffix of a
-//! growing history, and [`search`] is the default-config one-shot. Three
+//! growing history, and [`search`] is the default-config one-shot. Four
 //! things survive across checks and make the online monitor asymptotically
 //! cheaper than re-checking every prefix from scratch:
 //!
@@ -57,6 +57,30 @@
 //!    walk from the root (pruned by the dead ends the suffix search just
 //!    recorded), which keeps the search complete;
 //!    [`SearchStats::fallbacks`] counts those walks.
+//! 4. **Independent components.** Two selected transactions are connected
+//!    when a completed operation of each touches the same object or one
+//!    real-time-precedes the other; [`CheckSession::components`] counts the
+//!    classes. `extend` keeps them as one mask per transaction, merged when
+//!    a transaction is selected (with its real-time predecessors and the
+//!    objects it touched) and when it completes an operation (with the
+//!    object's first toucher); appending events never removes an access
+//!    or an edge, so components only merge. The DFS completes one
+//!    component before it places anything from another: at a *boundary* —
+//!    a frame whose current component is fully placed, which includes
+//!    every search root — it starts the component of the first unplaced
+//!    candidate and skips every candidate outside it until it is complete.
+//!    This loses no witness: a completion can always be reordered stably
+//!    to place one component's remaining members first, since only they
+//!    touch its objects and no real-time edge crosses components. And once
+//!    a component is complete, whether the rest can be completed does not
+//!    depend on which of its completions was chosen, so a boundary that
+//!    fails (or is a memo dead end) condemns every choice made since the
+//!    search root: the search unwinds to the root at once, recording no
+//!    further dead ends. Opacity is then decided at the cost of the *sum*
+//!    of the components' searches, not their product. From a resumed
+//!    prefix that failure is relative to the prefix, so the full-walk
+//!    fallback still runs; from the root it is the verdict. A history with
+//!    one component is explored exactly as without the rule.
 //!
 //! Object states live in a session-private, slot-indexed representation
 //! (`crate::state`). [`CheckSession::extend`] gives every object a dense
@@ -382,6 +406,8 @@ struct Dfs<'s> {
     slots: &'s [Slot<'s>],
     txs: &'s [TxCell],
     by_bit: &'s [usize],
+    /// [`CheckSession`]'s component mask per bit.
+    comp: &'s [u64],
     order: &'s [u32],
     selected_mask: u64,
     memoize: bool,
@@ -399,6 +425,12 @@ struct Dfs<'s> {
     /// "dead end" is unreliable and must NOT enter the memo table (a
     /// truncated false would otherwise poison later checks).
     truncated: bool,
+    /// Set once a frame at a component boundary failed (or was a memo hit)
+    /// in an exploration that was not truncated: every choice made since
+    /// the search root is condemned (module docs, point 4), so every frame
+    /// unwinds at once without trying alternatives or recording a memo
+    /// entry.
+    abandon: bool,
 }
 
 /// The placement decisions allowed for a transaction by its status in
@@ -437,8 +469,11 @@ impl Dfs<'_> {
         }
     }
 
-    /// The recursive search below the frontier `placed`.
-    fn dfs(&mut self, placed: u64) -> Result<bool, CheckError> {
+    /// The recursive search below the frontier `placed`, completing the
+    /// component `comp` before any other. The frame is a *boundary* when
+    /// `comp` is fully placed (the search root always is, with `comp = 0`);
+    /// it then starts the component of the first unplaced candidate.
+    fn dfs(&mut self, placed: u64, mut comp: u64) -> Result<bool, CheckError> {
         if placed == self.selected_mask {
             return Ok(true);
         }
@@ -456,18 +491,30 @@ impl Dfs<'_> {
             // stays off the hot path; the exact totals are folded per check.
             self.obs.counter_add("search.nodes_live", 0x400);
         }
+        let boundary = placed & comp == comp;
         if self.memoize {
             self.stats.clones_saved += 1; // memo probe without a key clone
             if self.memo.probe(placed, &self.path.states) {
                 self.stats.memo_hits += 1;
+                // A dead end at a boundary condemns the whole search.
+                self.abandon |= boundary && !self.truncated;
                 return Ok(false);
             }
         }
+        if boundary {
+            comp = self
+                .order
+                .iter()
+                .find(|&&b| placed & 1 << b == 0)
+                .map_or(0, |&b| self.comp[b as usize]);
+        }
+        // Only the unplaced members of the current component are candidates.
+        let open = comp & !placed;
         for k in 0..self.order.len() {
             let b = self.order[k];
             let bit = 1u64 << b;
             let ci = self.by_bit[b as usize];
-            if placed & bit != 0 || self.txs[ci].pred_mask & !placed != 0 {
+            if open & bit == 0 || self.txs[ci].pred_mask & !placed != 0 {
                 continue;
             }
             let mark = self.path.undo.mark();
@@ -489,12 +536,18 @@ impl Dfs<'_> {
                     placement,
                     mark,
                 });
-                if self.dfs(placed | bit)? {
+                if self.dfs(placed | bit, comp)? {
                     return Ok(true);
                 }
                 self.path.stack.pop();
+                if self.abandon {
+                    break;
+                }
             }
             self.path.states.rollback_to(&mut self.path.undo, mark);
+            if self.abandon {
+                return Ok(false);
+            }
         }
         // Frames that finished exploring before the node limit fired are
         // genuine dead ends; frames unwinding after it are not — caching
@@ -506,6 +559,9 @@ impl Dfs<'_> {
             self.memo
                 .insert(placed, &self.path.states, self.stats.nodes - nodes_at_entry);
         }
+        // The components placed since the search root are complete and the
+        // rest cannot be completed: no other choice below the root helps.
+        self.abandon |= boundary && !self.truncated;
         Ok(false)
     }
 }
@@ -532,6 +588,13 @@ pub struct CheckSession<'a> {
     index: HashMap<TxId, usize>,
     /// Cell index per assigned bit.
     by_bit: Vec<usize>,
+    /// The component of each assigned bit: the mask of the selected
+    /// transactions connected to it by shared objects and real-time edges
+    /// (module docs, point 4). Components only ever merge.
+    comp: Vec<u64>,
+    /// Per object slot, some selected transaction (its bit) that completed
+    /// an operation on it.
+    slot_owner: Vec<Option<u32>>,
     events_seen: usize,
     selected_mask: u64,
     /// Bits of selected transactions that are completed (used to freeze
@@ -568,6 +631,8 @@ impl<'a> CheckSession<'a> {
             txs: Vec::new(),
             index: HashMap::new(),
             by_bit: Vec::new(),
+            comp: Vec::new(),
+            slot_owner: Vec::new(),
             events_seen: 0,
             selected_mask: 0,
             completed_selected_mask: 0,
@@ -600,6 +665,17 @@ impl<'a> CheckSession<'a> {
     /// Number of checks run since creation.
     pub fn checks(&self) -> usize {
         self.checks
+    }
+
+    /// Number of independent components among the selected transactions:
+    /// classes connected by operations on a shared object or by real-time
+    /// order. A check completes one component before it starts the next.
+    pub fn components(&self) -> usize {
+        self.comp
+            .iter()
+            .enumerate()
+            .filter(|&(b, &m)| m.trailing_zeros() as usize == b)
+            .count()
     }
 
     /// Dead-end entries currently resident in the memo table.
@@ -788,6 +864,9 @@ impl<'a> CheckSession<'a> {
                     args,
                     val: val.clone(),
                 });
+                if let Some(b) = self.txs[ci].bit {
+                    self.touch(b, slot);
+                }
                 // The new operation could rescue dead ends in which this
                 // transaction was still unplaced (its committed placement
                 // now changes the state differently). Entries that already
@@ -836,11 +915,50 @@ impl<'a> CheckSession<'a> {
         Ok(())
     }
 
+    /// Selects transaction `ci`: gives it the next bit and joins its
+    /// component with its real-time predecessors' and with the owners of
+    /// the objects its completed operations touched.
     fn assign_bit(&mut self, ci: usize) {
         let b = self.by_bit.len() as u32;
         self.txs[ci].bit = Some(b);
         self.by_bit.push(ci);
         self.selected_mask |= 1 << b;
+        self.comp.push(1 << b);
+        self.join(b, self.txs[ci].pred_mask);
+        for k in 0..self.txs[ci].op_slots.len() {
+            self.touch(b, self.txs[ci].op_slots[k]);
+        }
+    }
+
+    /// Bit `b` completed an operation on `slot`: joins its component with
+    /// the slot's owner's, or becomes the owner.
+    fn touch(&mut self, b: u32, slot: u32) {
+        let slot = slot as usize;
+        if self.slot_owner.len() <= slot {
+            self.slot_owner.resize(slot + 1, None);
+        }
+        match self.slot_owner[slot] {
+            Some(owner) => self.join(b, 1 << owner),
+            None => self.slot_owner[slot] = Some(b),
+        }
+    }
+
+    /// Merges the component of bit `b` with the components of the bits in
+    /// `with`: every member of the union gets the union's mask.
+    fn join(&mut self, b: u32, with: u64) {
+        let mut union = self.comp[b as usize];
+        let mut rest = with & !union;
+        while rest != 0 {
+            union |= self.comp[rest.trailing_zeros() as usize];
+            rest = with & !union;
+        }
+        if union != self.comp[b as usize] {
+            let mut members = union;
+            while members != 0 {
+                self.comp[members.trailing_zeros() as usize] = union;
+                members &= members - 1;
+            }
+        }
     }
 
     /// Transaction `ci` completed an operation or widened its placement
@@ -929,6 +1047,7 @@ impl<'a> CheckSession<'a> {
             slots: self.slots.slots(),
             txs: &self.txs,
             by_bit: &self.by_bit,
+            comp: &self.comp,
             order: &self.order[valid..],
             selected_mask: self.selected_mask,
             memoize: self.config.memoize,
@@ -938,14 +1057,17 @@ impl<'a> CheckSession<'a> {
             path: std::mem::take(&mut self.checkpoint),
             stats: SearchStats::default(),
             truncated: false,
+            abandon: false,
         };
-        let mut found = dfs.dfs(prefix_mask)?;
+        let mut found = dfs.dfs(prefix_mask, 0)?;
         if !found && valid > 0 && !dfs.truncated {
-            // The retained prefix has no completion: decide from the root.
+            // The retained prefix has no completion (an abandoned search
+            // proves only that much): decide from the root.
             dfs.stats.fallbacks += 1;
+            dfs.abandon = false;
             dfs.path.truncate(0);
             dfs.order = &self.order;
-            found = dfs.dfs(0)?;
+            found = dfs.dfs(0, 0)?;
         }
         let Dfs {
             path, mut stats, ..
@@ -993,6 +1115,7 @@ impl<'a> CheckSession<'a> {
         obs.counter_add("search.fallbacks", stats.fallbacks as u64);
         obs.gauge_set("memo.resident", self.memo.resident() as u64);
         obs.gauge_set("search.workers", stats.workers as u64);
+        obs.gauge_set("search.components", self.components() as u64);
     }
 }
 
@@ -1532,6 +1655,86 @@ mod tests {
         // budget lifted finds the witness (h IS opaque).
         let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
         assert!(s.check_history(&h).unwrap().holds());
+    }
+
+    // ---- independent components ----------------------------------------
+
+    #[test]
+    fn finishing_one_component_before_the_next_keeps_a_dstm_history_opaque() {
+        // Components {T1, T3} (r0) and {T2} (r1), with no real-time edge:
+        // T3 reads r0 before T1's write and aborts with a read of r1
+        // pending, T2 reads r1 = 0 then writes it. A search that switched
+        // to the component of each frame's first unplaced transaction,
+        // instead of finishing the one it started, refuted this history.
+        let h = HistoryBuilder::new()
+            .write(1, "r0", 5)
+            .read(2, "r1", 0)
+            .read(3, "r0", 0)
+            .try_commit(1)
+            .commit(1)
+            .inv_read(3, "r1")
+            .abort(3)
+            .write(2, "r1", 9)
+            .try_commit(2)
+            .commit(2)
+            .build();
+        let specs = regs();
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        assert!(s.check_history(&h).unwrap().holds());
+        assert_eq!(s.components(), 2);
+    }
+
+    #[test]
+    fn a_real_time_edge_joins_components() {
+        // T1 (x) and T2 (y) share no object, but T2 completes before T3
+        // (x) begins, so all three are one component. Split along objects
+        // alone, the component {T1, T3} could never place T3, whose
+        // predecessor T2 lies outside it, and the search would give up on
+        // an opaque history.
+        let h = HistoryBuilder::new()
+            .write(1, "x", 1)
+            .try_commit(1)
+            .write(2, "y", 1)
+            .try_commit(2)
+            .commit(2)
+            .read(3, "x", 1)
+            .try_commit(3)
+            .commit(3)
+            .commit(1)
+            .build();
+        let specs = regs();
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        let out = s.check_history(&h).unwrap();
+        assert!(out.holds());
+        assert_eq!(s.components(), 1);
+        assert_eq!(
+            out.witness.unwrap().tx_order(),
+            vec![TxId(1), TxId(2), TxId(3)]
+        );
+    }
+
+    #[test]
+    fn components_only_merge_as_events_arrive() {
+        // Counts after each event: T1 (x) and T2 (y) start apart; T3
+        // begins after T1 completed, so it joins T1 at once (a real-time
+        // edge) and the count stays 2; T2's completed write of x then
+        // joins T1's component.
+        let specs = regs();
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        let h = HistoryBuilder::new()
+            .write(1, "x", 1)
+            .write(2, "y", 2)
+            .try_commit(1)
+            .commit(1)
+            .read(3, "z", 0)
+            .write(2, "x", 3)
+            .build();
+        let mut counts = Vec::new();
+        for e in h.events() {
+            s.extend(e).unwrap();
+            counts.push(s.components());
+        }
+        assert_eq!(counts, [1, 1, 2, 2, 2, 2, 2, 2, 2, 1]);
     }
 
     // ---- bounded memo --------------------------------------------------

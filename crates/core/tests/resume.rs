@@ -2,10 +2,14 @@
 //! every event resumes each check from the last witness, and must decide
 //! exactly what a fresh search of the same prefix decides — in every
 //! search mode, with or without a memo bound, and through the full-walk
-//! fallback when the retained prefix has no completion.
+//! fallback when the retained prefix has no completion — and what fresh
+//! searches of the prefix's independent components decide together.
 
+mod common;
+
+use common::{components, projection};
 use proptest::prelude::*;
-use tm_harness::randhist::{random_history, GenConfig};
+use tm_harness::randhist::{interleaved_history, random_history, GenConfig};
 use tm_model::{History, SpecRegistry};
 use tm_opacity::search::search;
 use tm_opacity::{CheckSession, SearchConfig, SearchMode};
@@ -20,15 +24,26 @@ const NOISY: GenConfig = GenConfig {
     abort: 0.25,
 };
 
+/// Parts of an interleaved history: 4–9 transactions over 2–3 disjoint
+/// register sets, so the search sees several components.
+const PART: GenConfig = GenConfig {
+    txs: 3,
+    objs: 2,
+    max_ops: 3,
+    ..NOISY
+};
+
 const MODES: [SearchMode; 3] = [
     SearchMode::OPACITY,
     SearchMode::STRICT_SERIALIZABILITY,
     SearchMode::SERIALIZABILITY,
 ];
 
-/// Checks `h` after every event through one session and through a fresh
-/// search of each prefix; returns the session's fallback count, or the
-/// first disagreement.
+/// Checks `h` after every event through one session, through a fresh
+/// search of each prefix, and through fresh searches of the prefix's
+/// components (found by the test's own union-find, so one component at a
+/// time: the criterion holds iff it holds for each); returns the session's
+/// fallback count, or the first disagreement.
 fn session_against_fresh(
     h: &History,
     specs: &SpecRegistry,
@@ -43,10 +58,17 @@ fn session_against_fresh(
     for (i, e) in h.events().iter().enumerate() {
         session.extend(e).unwrap();
         let live = session.check().unwrap().holds();
-        let fresh = search(&h.prefix(i + 1), specs, mode).unwrap().holds();
-        if live != fresh {
+        let prefix = h.prefix(i + 1);
+        let fresh = search(&prefix, specs, mode).unwrap().holds();
+        let split = components(&prefix).iter().all(|part| {
+            search(&projection(&prefix, part), specs, mode)
+                .unwrap()
+                .holds()
+        });
+        if live != fresh || live != split {
             return Err(format!(
-                "{mode:?} cap {memo_capacity:?}: prefix {} of {h}: session {live}, fresh {fresh}",
+                "{mode:?} cap {memo_capacity:?}: prefix {} of {h}: session {live}, \
+                 fresh {fresh}, by components {split}",
                 i + 1
             ));
         }
@@ -61,6 +83,21 @@ proptest! {
     #[test]
     fn resumed_session_matches_fresh_search_at_every_prefix(seed in 0u64..100_000) {
         let h = random_history(&NOISY, seed);
+        let specs = SpecRegistry::registers();
+        for mode in MODES {
+            for cap in [None, Some(1), Some(8)] {
+                if let Err(msg) = session_against_fresh(&h, &specs, mode, cap) {
+                    prop_assert!(false, "{}", msg);
+                }
+            }
+        }
+    }
+
+    /// The same on histories of 2–3 independent parts, where a check
+    /// completes one component before it starts the next.
+    #[test]
+    fn resumed_session_matches_fresh_search_on_interleaved_parts(seed in 0u64..100_000) {
+        let h = interleaved_history(&PART, seed);
         let specs = SpecRegistry::registers();
         for mode in MODES {
             for cap in [None, Some(1), Some(8)] {

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use tm_model::{History, HistoryBuilder};
+use tm_model::{Event, History, HistoryBuilder, ObjId, TxId};
 
 /// Configuration of the random-history generator.
 #[derive(Clone, Copy, Debug)]
@@ -136,6 +136,77 @@ pub fn random_history(config: &GenConfig, seed: u64) -> History {
         }
     }
     b.build()
+}
+
+/// Generates a history of 2–3 independent parts from `seed`: outputs of
+/// [`random_history`] under `config`, merged by a seeded interleaving that
+/// keeps each part's own event order.
+///
+/// Part `i` shifts its transaction ids by `i · config.txs` and renames its
+/// registers `p{i}x{o}`, so the parts share no transaction and no object.
+/// The only edges between parts are real-time ones: a transaction of one
+/// part that completes before a transaction of another part begins
+/// precedes it. The merge emits runs of 1–3 events from one part at a
+/// time, so some histories keep their parts as separate components of the
+/// serialization search and others join them through such edges.
+pub fn interleaved_history(config: &GenConfig, seed: u64) -> History {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let parts = rng.gen_range(2..=3usize);
+    let mut streams: Vec<_> = (0..parts)
+        .map(|i| {
+            let shift = (i * config.txs) as u32;
+            let part = random_history(config, rng.next_u64());
+            let renamed: Vec<Event> = part
+                .events()
+                .iter()
+                .map(|e| rename_part(e, i, shift))
+                .collect();
+            renamed.into_iter()
+        })
+        .collect();
+    let mut h = History::new();
+    let mut live: Vec<usize> = (0..parts).collect();
+    while let Some(&i) = live.choose(&mut rng) {
+        for _ in 0..rng.gen_range(1..=3usize) {
+            match streams[i].next() {
+                Some(e) => h.push(e),
+                None => {
+                    live.retain(|&j| j != i);
+                    break;
+                }
+            }
+        }
+    }
+    h
+}
+
+/// Event `e` of part `part`: its transaction id shifted by `shift`, its
+/// object renamed into the part's namespace.
+fn rename_part(e: &Event, part: usize, shift: u32) -> Event {
+    let tx = TxId(e.tx().0 + shift);
+    let obj = |o: &ObjId| ObjId::new(&format!("p{part}{}", o.name()));
+    match e {
+        Event::Inv {
+            obj: o, op, args, ..
+        } => Event::Inv {
+            tx,
+            obj: obj(o),
+            op: op.clone(),
+            args: args.clone(),
+        },
+        Event::Ret {
+            obj: o, op, val, ..
+        } => Event::Ret {
+            tx,
+            obj: obj(o),
+            op: op.clone(),
+            val: val.clone(),
+        },
+        Event::TryCommit(_) => Event::TryCommit(tx),
+        Event::TryAbort(_) => Event::TryAbort(tx),
+        Event::Commit(_) => Event::Commit(tx),
+        Event::Abort(_) => Event::Abort(tx),
+    }
 }
 
 /// Generates `n` histories with consecutive seeds.

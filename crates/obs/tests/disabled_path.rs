@@ -4,7 +4,7 @@
 //! observable here, but the allocation count is).
 //!
 //! This is the cheap, deterministic half of the overhead acceptance
-//! criterion; the wall-clock half is the warn-only `search_knot_history`
+//! criterion; the wall-clock half is the warn-only `rt_chain_knot_history`
 //! node-throughput comparison in CI.
 
 use std::alloc::{GlobalAlloc, Layout, System};
