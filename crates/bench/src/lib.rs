@@ -1,60 +1,27 @@
-//! # tm-bench — benchmark harness
+//! # tm-bench — benchmark workloads with pinned counters
 //!
-//! Criterion benchmarks regenerating the paper's quantitative content:
+//! The history generators behind the search and monitor benchmarks (the
+//! `perfbench` package's `gen.rs` cites them by name), and the tests that
+//! pin what the serialization search does on them. Node, memo-hit, eviction
+//! and resident counts are facts about the search, not about the host, so
+//! they are exact assertions here; wall-clock figures live in `perfbench`.
 //!
-//! * `benches/lower_bound.rs` — E8/E9: the Theorem-3 scenarios (wall-clock
-//!   companion to the exact step counts printed by
-//!   `cargo run --release --example lower_bound`);
-//! * `benches/checker.rs` — E13: definitional checker, graph construction,
-//!   online monitor, and the memoization ablation;
-//! * `benches/throughput.rs` — E14: committed-transaction throughput and
-//!   abort rates across the TM design space, plus the contention-manager
-//!   ablation;
-//! * `benches/model_ops.rs` — model-layer primitives (projection, legality,
-//!   well-formedness);
-//! * `benches/monitor.rs` — the resumable online monitor against batch
-//!   re-check-from-scratch on growing histories (the `report` bin writes
-//!   the machine-readable companion `BENCH_monitor.json`);
-//! * `benches/clocks.rs` — commit-throughput scaling of the pluggable
-//!   version-clock schemes (`single`/`sharded:N`/`deferred`) on the
-//!   commit-storm workload (companion artifact: `BENCH_clocks.json`).
-//!
-//! The library itself only hosts shared history generators for the benches.
+//! * [`monitor_workload`] — real-time-sequenced contention knots, every
+//!   prefix opaque: the online monitor against batch re-checks from scratch
+//!   ([`batch_prefix_nodes`]), and the streaming monitor under memo caps;
+//! * [`search_knot_history`] — mutually concurrent knots, one independent
+//!   component each;
+//! * [`sequential_knot_search`] — phased knots on one register: the batch
+//!   check under memo caps;
+//! * [`rt_chain_knot_history`] — knots chained in real time behind gates:
+//!   one component whose interior work grows with the knot count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use tm_model::{History, HistoryBuilder};
 
-/// Builds a legal sequential chain history: `n` transactions, each reading
-/// the previous value of `x` and writing the next (a checker-friendly
-/// baseline whose serialization is unique).
-pub fn chain_history(n: u32) -> History {
-    let mut b = HistoryBuilder::new();
-    for t in 1..=n {
-        b = b
-            .read(t, "x", (t - 1) as i64)
-            .write(t, "x", t as i64)
-            .commit_ok(t);
-    }
-    b.build()
-}
-
-/// Builds a history of `n` concurrent committed blind writers to one
-/// register (the stress case for the serialization search: n! orders, tiny
-/// state space — memoization's best case).
-pub fn blind_writers_history(n: u32) -> History {
-    let mut b = HistoryBuilder::new();
-    for t in 1..=n {
-        b = b.write(t, "x", t as i64);
-    }
-    for t in 1..=n {
-        b = b.commit_ok(t);
-    }
-    b.build()
-}
-
-/// The standard workload of the `monitor` bench: a prefix-opaque history of
+/// The standard monitor workload: a prefix-opaque history of
 /// repeated **contention knots**, each of which makes a from-scratch check
 /// backtrack while the resumable monitor extends its previous witness.
 ///
@@ -93,7 +60,7 @@ pub fn monitor_workload(events: usize) -> History {
     b.build().prefix(events)
 }
 
-/// The workload of the `search/*` bench suite: `knots` mutually concurrent
+/// The concurrent search workload: `knots` mutually concurrent
 /// contention knots — `writers` blind writers plus one reader per knot,
 /// each knot on its own register — closed by a committed reader observing a
 /// value nobody ever wrote.
@@ -142,7 +109,7 @@ pub fn search_knot_history(knots: u32, writers: u32) -> History {
     b.build()
 }
 
-/// The memory-stress workload of the `search/*` suite: `knots`
+/// The memory-stress search workload: `knots`
 /// **real-time-sequenced** contention knots, all on ONE register, closed by
 /// a committed reader observing a value nobody wrote.
 ///
@@ -227,28 +194,9 @@ pub fn rt_chain_knot_history(knots: u32, writers: u32) -> History {
     b.build()
 }
 
-/// Builds a mixed reader/writer history with `n` committed transactions on
-/// two registers that exercises backtracking in the checker.
-pub fn mixed_history(n: u32) -> History {
-    let mut b = HistoryBuilder::new();
-    let mut last_x = 0i64;
-    for t in 1..=n {
-        if t % 2 == 1 {
-            b = b
-                .write(t, "x", t as i64)
-                .write(t, "y", t as i64)
-                .commit_ok(t);
-            last_x = t as i64;
-        } else {
-            b = b.read(t, "x", last_x).read(t, "y", last_x).commit_ok(t);
-        }
-    }
-    b.build()
-}
-
 /// Total DFS nodes for checking every response-event prefix of `h` from
 /// scratch — the cost model of the pre-resumable monitor, and the baseline
-/// the `monitor` bench and `BENCH_monitor.json` compare against.
+/// the monitor's pinned node counts are compared against.
 pub fn batch_prefix_nodes(h: &History, specs: &tm_model::SpecRegistry) -> usize {
     let mut total = 0;
     for i in 0..h.len() {
@@ -267,16 +215,6 @@ mod tests {
     use super::*;
     use tm_model::SpecRegistry;
     use tm_opacity::incremental::OpacityMonitor;
-    use tm_opacity::opacity::is_opaque;
-
-    #[test]
-    fn generated_bench_histories_are_opaque() {
-        let specs = SpecRegistry::registers();
-        for h in [chain_history(6), blind_writers_history(6), mixed_history(8)] {
-            assert!(tm_model::is_well_formed(&h));
-            assert!(is_opaque(&h, &specs).unwrap().opaque, "{h}");
-        }
-    }
 
     #[test]
     fn monitor_workload_prefixes_are_opaque_and_well_formed() {
@@ -371,46 +309,74 @@ mod tests {
         // The streaming half of the bounded-memory story: the monitor's
         // invalidation already keeps its table small, and even an
         // aggressive cap (an eighth of the streaming peak) costs only a
-        // modest amount of re-exploration — no thrash cliff.
-        use tm_opacity::incremental::OpacityMonitor;
+        // modest amount of re-exploration — no thrash cliff. Every point is
+        // pinned exactly: `(peak resident, evictions, lifetime nodes)` at
+        // caps of a half, a quarter and an eighth of the unbounded peak.
+        use tm_opacity::incremental::MonitorVerdict;
         use tm_opacity::SearchConfig;
         let specs = SpecRegistry::registers();
         let h = monitor_workload(192);
-        let mut unbounded = OpacityMonitor::new(&specs);
-        let mut peak = 0usize;
-        for e in h.events() {
-            unbounded.feed(e.clone()).unwrap();
-            peak = peak.max(unbounded.memo_resident());
+        let run = |config: SearchConfig| {
+            let mut m = OpacityMonitor::new(&specs).with_config(config);
+            let mut peak = 0usize;
+            for e in h.events() {
+                let verdict = m.feed(e.clone()).unwrap();
+                assert!(!matches!(verdict, MonitorVerdict::Violated { .. }));
+                peak = peak.max(m.memo_resident());
+            }
+            (peak, m.memo_evictions(), m.lifetime_stats().nodes)
+        };
+        let (peak, evictions, base_nodes) = run(SearchConfig::default());
+        assert_eq!((peak, evictions, base_nodes), (33, 0, 1399));
+        for (frac, pinned) in [
+            (2, (16, 326, 1480)),
+            (4, (8, 952, 1786)),
+            (8, (4, 1998, 2535)),
+        ] {
+            let cap = peak / frac;
+            let point = run(SearchConfig {
+                memo_capacity: Some(cap),
+                ..SearchConfig::default()
+            });
+            assert_eq!(point, pinned, "cap {cap}");
+            assert!(point.0 <= cap);
+            assert!(
+                point.2 < base_nodes * 2,
+                "cap {cap}: streaming overhead too high: {} vs {base_nodes}",
+                point.2
+            );
         }
-        let base_nodes = unbounded.lifetime_stats().nodes.max(1);
-        let cap = (peak / 8).max(1);
-        let mut bounded = OpacityMonitor::new(&specs).with_config(SearchConfig {
-            memo_capacity: Some(cap),
-            ..SearchConfig::default()
-        });
-        assert_eq!(bounded.feed_all(&h).unwrap(), None, "verdicts unchanged");
-        assert!(bounded.memo_resident() <= cap);
-        let nodes = bounded.lifetime_stats().nodes;
-        assert!(
-            nodes < base_nodes * 2,
-            "eighth-capacity streaming overhead too high: {nodes} vs {base_nodes}"
-        );
     }
 
     #[test]
     fn incremental_monitor_beats_batch_rechecks_12x_at_length_64() {
         // The acceptance bar of the resumable session: on the standard
         // workload at history length 64, the incremental path does at most
-        // a twelfth of the batch path's search work (deterministic node
-        // counts, so this is a stable proxy for the wall-clock bench). Each
-        // check resumes below the unchanged prefix of the last witness.
+        // a twelfth of the batch path's search work. Each check resumes
+        // below the unchanged prefix of the last witness. Both node counts
+        // are deterministic, so the whole table is pinned:
+        // `(events, incremental nodes, batch nodes)`.
         let specs = SpecRegistry::registers();
-        let h = monitor_workload(64);
-        assert_eq!(h.len(), 64);
-        let mut m = OpacityMonitor::new(&specs);
-        assert_eq!(m.feed_all(&h).unwrap(), None);
-        let incremental = m.lifetime_stats().nodes.max(1);
-        let batch = batch_prefix_nodes(&h, &specs);
+        let table = [
+            (16, 13, 35),
+            (32, 209, 1104),
+            (64, 418, 5308),
+            (96, 627, 12612),
+            (128, 841, 23015),
+            (192, 1399, 53459),
+        ];
+        for (events, incremental, batch) in table {
+            let h = monitor_workload(events);
+            assert_eq!(h.len(), events);
+            let mut m = OpacityMonitor::new(&specs);
+            assert_eq!(m.feed_all(&h).unwrap(), None);
+            assert_eq!(
+                (m.lifetime_stats().nodes, batch_prefix_nodes(&h, &specs)),
+                (incremental, batch),
+                "length {events}"
+            );
+        }
+        let (_, incremental, batch) = table[2];
         assert!(
             batch >= 12 * incremental,
             "batch {batch} nodes vs incremental {incremental} nodes: ratio {:.2} < 12",
@@ -557,17 +523,21 @@ mod tests {
             let oneshot = search(h, &specs, SearchMode::OPACITY).unwrap();
             assert_eq!(exploration(oneshot.stats), counters, "{name}");
         }
-        // The quarter-capacity bounded check of the phased knot workload.
+        // The half- and quarter-capacity bounded checks of the phased knot
+        // workload.
         let h = sequential_knot_search(15, 3);
         let (unbounded, peak) = check(&h, SearchConfig::default());
         assert_eq!((unbounded, peak), ([460, 159, 166, 301, 0], 301));
-        let bounded = check(
-            &h,
-            SearchConfig {
-                memo_capacity: Some(peak / 4),
-                ..SearchConfig::default()
-            },
-        );
-        assert_eq!(bounded, ([483, 145, 199, 338, 264], 74));
+        let capped = |cap| {
+            check(
+                &h,
+                SearchConfig {
+                    memo_capacity: Some(cap),
+                    ..SearchConfig::default()
+                },
+            )
+        };
+        assert_eq!(capped(peak / 2), ([460, 144, 181, 316, 168], 148));
+        assert_eq!(capped(peak / 4), ([483, 145, 199, 338, 264], 74));
     }
 }

@@ -34,9 +34,8 @@
 //! places only the changed and new transactions, however long the history
 //! already is. `crate::search` gives the soundness argument and the
 //! full-walk fallback that keeps the check complete. Long monitored
-//! histories are therefore far cheaper than batch re-checks (the `monitor`
-//! bench in `tm-bench` quantifies this, and `tm-bench` pins the monitor's
-//! node counts).
+//! histories are therefore far cheaper than batch re-checks (`tm-bench`
+//! pins the monitor's and the batch re-checks' node counts side by side).
 //!
 //! The memo table would otherwise grow with the history: on a streaming
 //! workload most of its entries describe frontiers of long-resolved
@@ -45,8 +44,8 @@
 //! segmented-LRU eviction — sound because a dead-end entry is pure pruning
 //! (see `crate::memo`) — and on the standard contention-knot workload a
 //! table bounded to a quarter of its unbounded peak re-explores only a few
-//! percent more nodes (pinned in `tm-bench`; the `search/*` suite measures
-//! the verdict-latency percentiles under several caps).
+//! percent more nodes (`tm-bench` pins the resident, eviction and node
+//! counts at caps of a half, a quarter and an eighth of the peak).
 
 use crate::search::{CheckError, CheckSession, SearchConfig, SearchMode, SearchStats};
 use tm_model::{Event, History, SpecRegistry};

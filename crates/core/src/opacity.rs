@@ -71,8 +71,8 @@ pub fn is_opaque(h: &History, specs: &SpecRegistry) -> Result<OpacityReport, Che
     )?))
 }
 
-/// [`is_opaque`] with an explicit search configuration (for the ablation
-/// benchmarks and for bounding work on adversarial inputs).
+/// [`is_opaque`] with an explicit search configuration (for bounding work
+/// or memo size on adversarial inputs).
 pub fn is_opaque_with(
     h: &History,
     specs: &SpecRegistry,

@@ -217,7 +217,8 @@ impl SearchMode {
     };
 }
 
-/// Statistics from a search, for the ablation benchmarks (E13).
+/// Statistics from a search: the exploration counters that tests pin and
+/// `--metrics-out` reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// DFS nodes expanded.
@@ -299,11 +300,9 @@ impl SearchOutcome {
     }
 }
 
-/// Engine configuration knobs (ablations are measured in `tm-bench`).
+/// Engine configuration knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchConfig {
-    /// Enable the `(mask, state)` memo table (on by default).
-    pub memoize: bool,
     /// Hard cap on DFS nodes per check; `None` for unlimited. When hit, the
     /// search conservatively reports "no witness found" via
     /// [`SearchOutcome::witness`] `= None`.
@@ -323,7 +322,6 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
-            memoize: true,
             node_limit: None,
             memo_capacity: None,
             obs: tm_obs::ObsHandle::disabled(),
@@ -410,7 +408,6 @@ struct Dfs<'s> {
     comp: &'s [u64],
     order: &'s [u32],
     selected_mask: u64,
-    memoize: bool,
     node_limit: Option<usize>,
     memo: &'s mut ShardedMemo,
     /// [`SearchConfig::obs`]: a disabled handle outside `--metrics-out`/
@@ -492,14 +489,12 @@ impl Dfs<'_> {
             self.obs.counter_add("search.nodes_live", 0x400);
         }
         let boundary = placed & comp == comp;
-        if self.memoize {
-            self.stats.clones_saved += 1; // memo probe without a key clone
-            if self.memo.probe(placed, &self.path.states) {
-                self.stats.memo_hits += 1;
-                // A dead end at a boundary condemns the whole search.
-                self.abandon |= boundary && !self.truncated;
-                return Ok(false);
-            }
+        self.stats.clones_saved += 1; // memo probe without a key clone
+        if self.memo.probe(placed, &self.path.states) {
+            self.stats.memo_hits += 1;
+            // A dead end at a boundary condemns the whole search.
+            self.abandon |= boundary && !self.truncated;
+            return Ok(false);
         }
         if boundary {
             comp = self
@@ -552,7 +547,7 @@ impl Dfs<'_> {
         // Frames that finished exploring before the node limit fired are
         // genuine dead ends; frames unwinding after it are not — caching
         // them would let a truncated "no" poison every later check.
-        if self.memoize && !self.truncated {
+        if !self.truncated {
             self.stats.state_clones += 1;
             // The entry's eviction priority is what it cost to establish:
             // the nodes expanded below (and including) this frontier.
@@ -1050,7 +1045,6 @@ impl<'a> CheckSession<'a> {
             comp: &self.comp,
             order: &self.order[valid..],
             selected_mask: self.selected_mask,
-            memoize: self.config.memoize,
             node_limit: self.config.node_limit,
             memo: &mut self.memo,
             obs,
@@ -1104,11 +1098,9 @@ impl<'a> CheckSession<'a> {
         obs.counter_add("search.nodes", stats.nodes as u64);
         obs.counter_add("search.illegal_placements", stats.illegal_placements as u64);
         obs.counter_add("search.clones_saved", stats.clones_saved as u64);
-        // The memo lifecycle: with memoization on, every expanded node is
-        // exactly one probe, and every state clone is one insert.
-        if self.config.memoize {
-            obs.counter_add("memo.probes", stats.nodes as u64);
-        }
+        // The memo lifecycle: every expanded node is exactly one probe, and
+        // every state clone is one insert.
+        obs.counter_add("memo.probes", stats.nodes as u64);
         obs.counter_add("memo.hits", stats.memo_hits as u64);
         obs.counter_add("memo.inserts", stats.state_clones as u64);
         obs.counter_add("memo.evictions", stats.evictions as u64);
@@ -1196,33 +1188,28 @@ mod tests {
 
     #[test]
     fn memoization_prunes() {
-        // Many concurrent committed writers: huge permutation space, small
-        // state space; the memo table must keep node counts reasonable.
+        // Eight concurrent committed blind writers and a committed reader of
+        // a value nobody wrote: the refutation must exhaust 8! writer orders,
+        // but their states are only (placed set, last writer), so the memo
+        // cuts the search to 8 · 2^7 + 1 dead-end frontiers. The exploration
+        // is pinned exactly: `(nodes, memo_hits, state_clones)`.
         let mut b = HistoryBuilder::new();
         for t in 1..=8u32 {
             b = b.write(t, "x", t as i64);
         }
-        for t in 1..=8u32 {
+        b = b.read(9, "x", 99);
+        for t in 1..=9u32 {
             b = b.commit_ok(t);
         }
         let h = b.build();
-        let on = CheckSession::new(&regs(), SearchMode::OPACITY, SearchConfig::default())
+        let out = CheckSession::new(&regs(), SearchMode::OPACITY, SearchConfig::default())
             .check_history(&h)
             .unwrap();
-        assert!(on.holds());
-        let off = CheckSession::new(
-            &regs(),
-            SearchMode::OPACITY,
-            SearchConfig {
-                memoize: false,
-                node_limit: Some(2_000_000),
-                ..SearchConfig::default()
-            },
-        )
-        .check_history(&h)
-        .unwrap();
-        assert!(off.holds());
-        assert!(on.stats.nodes <= off.stats.nodes);
+        assert!(!out.holds());
+        assert_eq!(
+            (out.stats.nodes, out.stats.memo_hits, out.stats.state_clones),
+            (3593, 2568, 1025)
+        );
     }
 
     #[test]
@@ -1238,7 +1225,6 @@ mod tests {
             &regs(),
             SearchMode::OPACITY,
             SearchConfig {
-                memoize: true,
                 node_limit: Some(1),
                 ..SearchConfig::default()
             },
@@ -1521,7 +1507,6 @@ mod tests {
         // must still be able to find the witness.
         let specs = regs();
         let config = SearchConfig {
-            memoize: true,
             node_limit: Some(3),
             ..SearchConfig::default()
         };

@@ -16,7 +16,8 @@
 //! their entry lists are. The entry hash of `(obj, value)` must stay the
 //! `DefaultHasher` digest of `obj` then `value`: the memo picks shards by
 //! the fingerprint, so a bounded memo's evictions (and with them its node
-//! counts, pinned in `tm-bench`) follow these bits.
+//! counts, pinned by `tm-bench`'s `exploration_counters_are_pinned`) follow
+//! these bits.
 //!
 //! [`SlotStates::replay`] validates a transaction's operations and applies
 //! them in place, logging each displaced entry (its hash included) in an

@@ -67,7 +67,6 @@ fn node_limit_makes_checker_conservative_not_wrong() {
         &h,
         &specs(),
         SearchConfig {
-            memoize: true,
             node_limit: Some(3),
             ..SearchConfig::default()
         },
@@ -77,7 +76,6 @@ fn node_limit_makes_checker_conservative_not_wrong() {
         &h,
         &specs(),
         SearchConfig {
-            memoize: true,
             node_limit: Some(10_000),
             ..SearchConfig::default()
         },
@@ -158,7 +156,6 @@ fn explanations_for_various_violations() {
 fn monitor_with_custom_config() {
     let specs = specs();
     let mut m = OpacityMonitor::new(&specs).with_config(SearchConfig {
-        memoize: true,
         node_limit: Some(100_000),
         ..SearchConfig::default()
     });

@@ -26,7 +26,8 @@
 //!    a commit-pending writer read by a committed reader yields opaque
 //!    histories whose committed projection is not serializable (the
 //!    classical criteria have no notion of `Complete(H)`) — another
-//!    generator-found counterexample, documented in EXPERIMENTS.md;
+//!    generator-found counterexample, pinned by
+//!    `opaque_but_committed_projection_not_serializable` below;
 //! 5. **monitor agreement** — the incremental monitor accepts exactly the
 //!    histories whose every response-closed prefix the offline checker
 //!    accepts.

@@ -346,16 +346,16 @@ mod tests {
     #[test]
     fn cross_validation_agrees_and_is_job_count_invariant() {
         let config = GenConfig::default();
-        let sequential = cross_validate(&config, 0, 60, 1);
-        assert_eq!(sequential.total, 60);
+        let sequential = cross_validate(&config, 0, 100, 1);
+        assert_eq!(sequential.total, 100);
         assert_eq!(
-            sequential.agree, 60,
+            sequential.agree, 100,
             "Theorem 2 disagreement on seeds {:?}",
             sequential.disagreeing_seeds
         );
-        assert!(sequential.opaque > 0 && sequential.opaque < 60);
+        assert!(sequential.opaque > 0 && sequential.opaque < 100);
         for jobs in [2, 4] {
-            assert_eq!(cross_validate(&config, 0, 60, jobs), sequential);
+            assert_eq!(cross_validate(&config, 0, 100, jobs), sequential);
         }
     }
 

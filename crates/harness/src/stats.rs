@@ -2,7 +2,8 @@
 //!
 //! The paper has no numeric tables (it is a theory paper), so the
 //! "regenerate every table and figure" duty falls on the experiment drivers
-//! — these helpers render their results the way EXPERIMENTS.md records them.
+//! — these helpers render their results as the examples print them
+//! (`examples/lower_bound.rs`).
 
 use std::fmt::Write as _;
 

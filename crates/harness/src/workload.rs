@@ -2,8 +2,8 @@
 //!
 //! Where the scheduler in [`crate::sched`] gives determinism, these
 //! workloads give *realism*: genuinely concurrent threads hammering a TM,
-//! with semantic invariants checked at the end. Used by the throughput
-//! benchmark (E14) and the threaded opacity-validation tests (E11).
+//! with semantic invariants checked at the end. This module's tests run
+//! every workload on every TM.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn commit_storm_commits_every_attempt_on_disjoint_registers() {
-        // The clock-bench workload: zero aborts by construction, on every
+        // The commit-storm workload: zero aborts by construction, on every
         // clocked TM × scheme (and on the clockless TMs for good measure).
         let reg = tm_stm::TmRegistry::suite();
         for spec in [

@@ -163,7 +163,7 @@ impl HistoryBuilder {
 }
 
 /// Constructs the paper's example histories, used throughout the tests and
-/// benchmarks of this workspace.
+/// examples of this workspace.
 pub mod paper {
     use super::*;
 

@@ -4,8 +4,9 @@
 //! observable here, but the allocation count is).
 //!
 //! This is the cheap, deterministic half of the overhead acceptance
-//! criterion; the wall-clock half is the warn-only `rt_chain_knot_history`
-//! node-throughput comparison in CI.
+//! criterion; the wall-clock half is perfbench's untraced runs, which take
+//! the disabled path (`bench.trace_overhead` compares them with traced
+//! runs of the same work).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -187,6 +187,62 @@ fn tiny_node_budget_changes_scheduling_not_verdicts() {
     assert_identical(config, "node-budget-1");
 }
 
+#[test]
+fn benchmark_fleets_pin_exit_codes_verdicts_and_turns() {
+    // Fleets of 16 and 64 random sessions, each replayed unbudgeted,
+    // starved at ~4 memo entries' worth of bytes per session (every session
+    // pinned at the governor's floor), and starved through a seeded
+    // verdict-preserving fault plan. Replay is a pure function of the frame
+    // stream, so `(exit code, serve.verdicts, serve.turns)` is pinned
+    // exactly; the faulted fleets drop frames, so a session may poison.
+    use tm_serve::faults::VERDICT_PRESERVING_KINDS;
+    use tm_serve::FaultPlan;
+    let pinned = [
+        (16usize, [(0, 425, 425), (0, 425, 425), (1, 310, 354)]),
+        (64, [(0, 1716, 1716), (0, 1716, 1716), (1, 1582, 1705)]),
+    ];
+    for (sessions, runs) in pinned {
+        let fleet: Vec<(String, History)> = (0..sessions)
+            .map(|i| {
+                (
+                    format!("s{i:03}"),
+                    random_history(&GenConfig::default(), 9000 + i as u64),
+                )
+            })
+            .collect();
+        let stream = interleaved_stream(&fleet);
+        let starved = sessions as u64 * 4 * tm_serve::EST_ENTRY_BYTES;
+        let faults = FaultPlan::generate(
+            0xC0FFEE ^ sessions as u64,
+            stream.lines().count(),
+            24,
+            VERDICT_PRESERVING_KINDS,
+        );
+        let configs = [
+            ("unbudgeted", None, FaultPlan::new()),
+            ("starved", Some(starved), FaultPlan::new()),
+            ("starved + faults", Some(starved), faults),
+        ];
+        for ((label, budget, fault_plan), expected) in configs.into_iter().zip(runs) {
+            let obs = tm_obs::ObsHandle::install();
+            let config = ServeConfig {
+                memo_budget_bytes: budget,
+                obs,
+                fault_plan,
+                ..ServeConfig::default()
+            };
+            let code = replay(config, &stream, &mut std::io::sink());
+            let snap = obs.snapshot().expect("installed sink");
+            let counter = |name| snap.counter(name).unwrap_or(0);
+            assert_eq!(
+                (code, counter("serve.verdicts"), counter("serve.turns")),
+                expected,
+                "{sessions} sessions, {label}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -73,7 +73,7 @@ use crate::trace_cells::CellId;
 /// the pre-trait TL2 sampled its GV1 counter at begin for free). Note that
 /// for the sharded scheme a `peek` really costs one load per shard, so
 /// begin-time work is O(shards); that cost is visible to wall-clock
-/// benchmarks (`clocks/*`) but, like all begin-time work, outside the
+/// measurement but, like all begin-time work, outside the
 /// per-operation step accounting of Theorem 3.
 pub trait GlobalClock: std::fmt::Debug + Send + Sync {
     /// The current time: every timestamp published so far is `≤ sample()`.

@@ -4,8 +4,7 @@
 //! upon a conflict between a transaction and the current owner of an object,
 //! whether to abort the owner or the attacker. The paper notes (Section 6.2)
 //! that DSTM/ASTM meet the Θ(k) bound "with most contention managers" —
-//! the policy affects progress and throughput, not the validation cost, which
-//! the throughput benchmark's CM ablation demonstrates.
+//! the policy affects progress and throughput, not the validation cost.
 
 use crate::base::{status, Meter, TxDesc};
 

@@ -8,7 +8,7 @@
 //! strong*: this TM forcefully serializes the overlapping blind writers that
 //! optimistic TMs (the commit-time validator, and — serially — TL2) commit.
 //! Having it executable lets the criteria lattice be demonstrated on real
-//! executions, and gives the throughput benchmark the classical pessimistic
+//! executions, and gives the throughput workloads the classical pessimistic
 //! baseline.
 //!
 //! **Rigorousness vs. non-blocking — a measured caveat** (test

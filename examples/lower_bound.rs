@@ -1,8 +1,8 @@
 //! The Theorem-3 experiment (E8/E9): the Ω(k) lower bound, measured.
 //!
 //! Sweeps `k` and prints, for every TM in the design space, the exact
-//! base-object step counts of the paper's proof-sketch scenario — the
-//! numbers recorded in EXPERIMENTS.md.
+//! base-object step counts of the paper's proof-sketch scenario. The tests
+//! of `tm_harness::complexity` assert their Ω(k)-versus-O(1) shape.
 //!
 //! ```sh
 //! cargo run --release --example lower_bound

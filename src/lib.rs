@@ -50,9 +50,10 @@
 //! assert!(report.opaque);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the system
-//! inventory and per-experiment index, and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! See `README.md` for the architecture overview and the examples,
+//! `DESIGN.md` for the soundness arguments and design decisions, and
+//! `tests/paper_examples.rs` for the paper's worked examples and criteria
+//! table as assertions.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

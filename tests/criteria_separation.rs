@@ -223,7 +223,7 @@ fn criteria_lattice_relationships() {
     assert!(!p.serializable && !p.opaque);
 }
 
-/// The snapshot-isolation column of the report's criteria table (E17):
+/// The snapshot-isolation column of the criteria table (E17):
 /// SI sits strictly between "anything goes" and opacity, and is
 /// *incomparable* with serializability.
 #[test]
@@ -232,7 +232,8 @@ fn snapshot_isolation_position_in_the_lattice() {
     use opacity_tm::opacity::criteria::snapshot_isolated;
     let specs = SpecRegistry::registers();
 
-    // The pinned verdicts for the paper's histories (cf. the report bin).
+    // The pinned verdicts for the paper's histories (the SI column of
+    // `criteria_table_of_the_paper_histories` in tests/paper_examples.rs).
     let expected = [
         ("H1", paper::h1(), false), // fractured aborted read: no snapshot
         ("H2", paper::h2(), false), // equivalent to H1, sequential

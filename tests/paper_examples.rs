@@ -10,7 +10,8 @@ use opacity_tm::model::{
     TxStatus,
 };
 use opacity_tm::opacity::criteria::{
-    is_global_atomic, is_serializable, is_strictly_serializable, ScheduleProperties,
+    classify, is_global_atomic, is_serializable, is_strictly_serializable, snapshot_isolated,
+    ScheduleProperties,
 };
 use opacity_tm::opacity::graphcheck::decide_via_graph;
 use opacity_tm::opacity::opacity::{is_opaque, witness_history};
@@ -98,6 +99,38 @@ fn e2_figure2_h5_is_opaque_with_paper_witness() {
     assert!(s.is_sequential());
     assert!(preserves_real_time(&h5, &s));
     assert!(opacity_tm::model::all_txs_legal(&s, &specs()).is_ok());
+}
+
+/// E1/E2 — every paper history judged by every criterion, as a table.
+/// Columns: serializable, strictly serializable, recoverable, avoids
+/// cascading aborts, strict, rigorous, snapshot-isolated, opaque. The
+/// captions' claims are in it: H1 is globally atomic, even strictly, and
+/// recoverable but not opaque (Figure 1); H3, H4 and H5 are opaque.
+#[test]
+fn criteria_table_of_the_paper_histories() {
+    const Y: bool = true;
+    const N: bool = false;
+    let table = [
+        ("H1", paper::h1(), [Y, Y, Y, Y, Y, N, N, N]),
+        ("H2", paper::h2(), [Y, Y, Y, Y, Y, Y, N, N]),
+        ("H3", paper::h3(), [Y, Y, Y, N, N, N, Y, Y]),
+        ("H4", paper::h4(), [Y, Y, Y, N, N, N, Y, Y]),
+        ("H5", paper::h5(), [Y, Y, Y, N, N, N, Y, Y]),
+    ];
+    for (name, h, pinned) in table {
+        let p = classify(&h, &specs()).unwrap();
+        let row = [
+            p.serializable,
+            p.strictly_serializable,
+            p.recoverable,
+            p.avoids_cascading_aborts,
+            p.strict,
+            p.rigorous,
+            snapshot_isolated(&h, &specs()).unwrap(),
+            p.opaque,
+        ];
+        assert_eq!(row, pinned, "{name}");
+    }
 }
 
 /// E3 — history H4 (Section 5.2): the dual semantics of a commit-pending
