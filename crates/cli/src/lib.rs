@@ -3,20 +3,8 @@
 //! The paper's criterion is only useful to practitioners if arbitrary TM
 //! traces can be judged without writing Rust. `tmcheck` reads a history in
 //! either trace format of `tm-trace` (JSON or line-oriented text,
-//! auto-detected) and runs the full `tm-opacity` toolbox over it:
-//!
-//! ```text
-//! tmcheck check    <file>   # opacity verdict + serialization witness
-//! tmcheck explain  <file>   # first fatal event + stuck-transaction analysis
-//! tmcheck criteria <file>   # the Section-3 criteria lattice, one verdict per row
-//! tmcheck graph    <file>   # Graphviz DOT of the Section-5.4 opacity graph
-//! tmcheck convert  <file> --json|--text   # format conversion
-//! tmcheck generate [--seed N --txs N --objs N --ops N --json]
-//! tmcheck conformance [--jobs N] [--tm SPEC] [--clock SCHEME] [--mutants]
-//! tmcheck race     [--tm SPEC] [--steps N] [--preemptions K]
-//! tmcheck serve    [--socket PATH | --replay FILE | --stdin] [--memo-budget BYTES]
-//! tmcheck list              # the TM registry and its configuration axes
-//! ```
+//! auto-detected) and runs the full `tm-opacity` toolbox over it. The
+//! command synopsis is [`USAGE`], the text `tmcheck help` prints.
 //!
 //! `race` is the *step-level* analogue of `conformance`: it drives each
 //! non-blocking TM through the DPOR interleaving explorer (yield points at
@@ -46,46 +34,59 @@
 //! scheme.
 //!
 //! Exit codes: `0` — the property holds (or output was produced), `1` — the
-//! history violates opacity, `2` — usage or input error, `3` — a `serve`
-//! fault-plan injected crash fired (the crash-recovery harness's signal).
-//! `-` reads stdin.
+//! history violates opacity, `2` — usage or input error (reported on
+//! stderr), `3` — a `serve` fault-plan injected crash fired (the
+//! crash-recovery harness's signal). `-` reads stdin.
 //!
-//! The library surface (`run`) is exercised directly by the test-suite; the
-//! binary in `main.rs` is a thin wrapper.
+//! The library surface ([`parse_args`], [`run`]) is exercised directly by
+//! the test-suite; the binary in `main.rs` is a thin wrapper.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashSet;
-use std::io::{Read as _, Write};
+mod args;
+mod battery;
+mod history;
+mod race;
+mod serve;
 
-use tm_harness::{random_history, GenConfig, ObjectKind};
-use tm_model::{History, RealTimeOrder, SpecRegistry};
-use tm_opacity::criteria;
-use tm_opacity::explain::explain_violation;
-use tm_opacity::graph::{build_opg, nonlocal, with_initial_tx};
-use tm_opacity::graphcheck::construct_graph_witness;
-use tm_opacity::opacity::is_opaque_with;
+use std::io::Write;
+
+use tm_harness::{DporConfig, GenConfig, ObjectKind};
+use tm_obs::ObsHandle;
 use tm_opacity::SearchConfig;
-use tm_trace::{from_json, from_text, to_json_pretty, to_text};
+use tm_serve::{ServeConfig, Transport};
 
-/// A parsed command line.
-#[derive(Clone, Debug, PartialEq, Eq)]
+pub use args::{parse_args, USAGE};
+pub use history::{load_history, parse_trace};
+
+/// The error of a failed command, reported as `error: …` on stderr.
+type Error = Box<dyn std::error::Error>;
+
+/// Where `--metrics-out` / `--trace-out` write the observability
+/// artifacts.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Artifacts {
+    /// Write a `tm-metrics/v1` JSON metrics snapshot here.
+    pub metrics_out: Option<String>,
+    /// Write a Chrome-trace (Perfetto-loadable) JSON span file here.
+    pub trace_out: Option<String>,
+}
+
+/// A parsed command line. Each variant carries the library configuration
+/// its flags set.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `check <file> [--memo-cap M] [--metrics-out FILE] [--trace-out FILE]
-    /// [--progress]`
+    /// `check <file>`: the opacity verdict and a witness.
     Check {
         /// Input path (`-` = stdin).
         file: String,
-        /// Bound on resident dead-end memo entries (≥ 1; default
-        /// unbounded).
-        memo_cap: Option<usize>,
-        /// Write a `tm-metrics/v1` JSON metrics snapshot here.
-        metrics_out: Option<String>,
-        /// Write a Chrome-trace JSON span file here.
-        trace_out: Option<String>,
+        /// Search knobs; `--memo-cap` sets `memo_capacity`.
+        search: SearchConfig,
         /// Render a live single-line progress counter on stderr.
         progress: bool,
+        /// Observability artifacts to write.
+        artifacts: Artifacts,
     },
     /// `explain <file>`
     Explain(String),
@@ -100,27 +101,21 @@ pub enum Command {
         /// Emit JSON (`true`) or text (`false`).
         json: bool,
     },
-    /// `generate [--seed N --txs N --objs N --ops N --json]`
+    /// `generate`: one random history.
     Generate {
         /// Generator seed.
         seed: u64,
-        /// Transactions.
-        txs: usize,
-        /// Registers.
-        objs: usize,
-        /// Max operations per transaction.
-        ops: usize,
+        /// Sizes; `--txs`, `--objs` and `--ops` set them.
+        config: GenConfig,
         /// Emit JSON instead of text.
         json: bool,
     },
-    /// `conformance [--jobs N] [--memo-cap M] [--tm SPEC] [--clock SCHEME]
-    /// [--mutants] [--objects SET]`
+    /// `conformance`: the TM conformance battery.
     Conformance {
         /// Worker threads for the interleaving sweep (≥ 1).
         jobs: usize,
-        /// Bound on each search's resident dead-end memo entries (≥ 1;
-        /// default unbounded).
-        memo_cap: Option<usize>,
+        /// Each history check's search knobs, as in `check`.
+        search: SearchConfig,
         /// Restrict to one TM spec (`tl2`, `tl2+sharded:16`, …; default:
         /// the whole suite).
         tm: Option<String>,
@@ -132,66 +127,32 @@ pub enum Command {
         /// Typed-object probe battery: `--objects all` or a comma list of
         /// kinds. `None` runs the classic register battery.
         objects: Option<Vec<ObjectKind>>,
-        /// Write a `tm-metrics/v1` JSON metrics snapshot here.
-        metrics_out: Option<String>,
-        /// Write a Chrome-trace JSON span file here.
-        trace_out: Option<String>,
+        /// Observability artifacts to write.
+        artifacts: Artifacts,
     },
-    /// `race [--tm SPEC] [--steps N] [--preemptions K] [--metrics-out FILE]
-    /// [--trace-out FILE]`
+    /// `race`: the step-level race analysis battery.
     Race {
         /// Restrict to one non-blocking TM spec (default: every
         /// non-blocking TM in the suite, plus the concurrency-mutant
         /// self-test).
         tm: Option<String>,
-        /// Budget: maximum explored interleavings per probe (≥ 1).
-        steps: usize,
-        /// Preemption bound for the real-TM sweep (0 = serial orders only).
-        preemptions: usize,
-        /// Write a `tm-metrics/v1` JSON metrics snapshot here.
-        metrics_out: Option<String>,
-        /// Write a Chrome-trace JSON span file here.
-        trace_out: Option<String>,
+        /// Exploration budget: `--steps` sets `max_interleavings`,
+        /// `--preemptions` the `preemption_bound`.
+        dpor: DporConfig,
+        /// Observability artifacts to write.
+        artifacts: Artifacts,
     },
-    /// `serve [--socket PATH | --replay FILE | --stdin] [--max-sessions N]
-    /// [--memo-budget BYTES] [--node-budget N] [--inbox-cap N]
-    /// [--fault-plan FILE|SPEC] [--journal DIR] [--resume]
-    /// [--fsync-every N] [--idle-reap N] [--queue-watermark N]
-    /// [--memo-watermark BYTES] [--metrics-out FILE] [--trace-out FILE]`
+    /// `serve`: the streaming monitoring daemon.
     Serve {
-        /// Listen on a Unix socket at this path (mutually exclusive with
-        /// `replay`; default is the stdin transport).
-        socket: Option<String>,
-        /// Offline deterministic mode: drain a recorded frame file.
-        replay: Option<String>,
-        /// Maximum concurrently open sessions.
-        max_sessions: usize,
-        /// Global memo-byte ceiling apportioned across open sessions
-        /// (default: unbudgeted).
-        memo_budget: Option<u64>,
-        /// Search nodes one session may burn per scheduler turn.
-        node_budget: u64,
-        /// Unchecked events buffered per session before `busy` pushback.
-        inbox_cap: usize,
+        /// Where frames come from.
+        transport: Transport,
+        /// Daemon configuration, except the fault plan.
+        config: ServeConfig,
         /// Injected fault schedule: a `tm-faults/v1` JSON file path or an
-        /// inline `kind@frame[:args],...` spec.
+        /// inline `kind@frame[:args],...` spec, resolved at run time.
         fault_plan: Option<String>,
-        /// Append the crash-recovery session journal under this directory.
-        journal: Option<String>,
-        /// Rebuild the session table from `--journal`'s journal first.
-        resume: bool,
-        /// `sync_data` the journal every N records.
-        fsync_every: usize,
-        /// Reap sessions idle for N scheduler turns (default: never).
-        idle_reap: Option<u64>,
-        /// Shed feeds with hinted `busy` frames at this run-queue depth.
-        queue_watermark: Option<usize>,
-        /// Shed opens with hinted `busy` frames past this resident memo.
-        memo_watermark: Option<u64>,
-        /// Write a `tm-metrics/v1` JSON metrics snapshot here.
-        metrics_out: Option<String>,
-        /// Write a Chrome-trace JSON span file here.
-        trace_out: Option<String>,
+        /// Observability artifacts to write.
+        artifacts: Artifacts,
     },
     /// `list`
     List,
@@ -199,1325 +160,150 @@ pub enum Command {
     Help,
 }
 
-/// Usage text shown by `tmcheck help` and on argument errors.
-pub const USAGE: &str = "\
-tmcheck — opacity checker for transactional-memory traces
-  (Guerraoui & Kapałka, \"On the Correctness of Transactional Memory\", PPoPP 2008)
-
-USAGE:
-  tmcheck check    <file> [--memo-cap M]
-                          [--metrics-out FILE] [--trace-out FILE] [--progress]
-                                    opacity verdict + witness (exit 1 if
-                                    violated); --memo-cap M bounds the
-                                    resident dead-end memo entries with
-                                    segmented-LRU eviction (verdict
-                                    unchanged); --metrics-out writes a
-                                    tm-metrics/v1 JSON snapshot of
-                                    search/memo/verdict counters,
-                                    --trace-out a Chrome-trace (Perfetto-
-                                    loadable) span file, --progress renders a
-                                    live node counter on stderr
-  tmcheck explain  <file>           localize the first opacity violation
-  tmcheck criteria <file>           verdicts for the full Section-3 criteria lattice
-  tmcheck graph    <file>           Graphviz DOT of the Section-5.4 opacity graph
-  tmcheck convert  <file> --json|--text    convert between trace formats
-  tmcheck generate [--seed N] [--txs N] [--objs N] [--ops N] [--json]
-  tmcheck conformance [--jobs N] [--memo-cap M] [--tm SPEC]
-                      [--clock SCHEME] [--mutants] [--objects SET]
-                      [--metrics-out FILE] [--trace-out FILE]
-                                    run the TM conformance battery (exit 1 if
-                                    any swept TM violates a contract); --jobs
-                                    shards the sweep deterministically;
-                                    --memo-cap bounds each individual history
-                                    check as in `check` (output is invariant
-                                    under both); --tm
-                                    takes a spec (tl2, tl2+sharded:16, …);
-                                    --clock single|sharded[:N]|deferred sweeps
-                                    the clocked TMs (tl2, mvstm, sistm) under
-                                    that version-clock scheme;
-                                    --objects all (or e.g. --objects set,queue)
-                                    sweeps typed-object probes — write-skew
-                                    sets, producer/consumer queues, commutative
-                                    counter storms — instead of the register
-                                    battery; --metrics-out/--trace-out write
-                                    the observability artifacts as in `check`
-                                    (the battery text itself is unchanged)
-  tmcheck race [--tm SPEC] [--steps N] [--preemptions K]
-               [--metrics-out FILE] [--trace-out FILE]
-                                    step-level race analysis: explore
-                                    instrumented base-object interleavings
-                                    with dynamic partial-order reduction,
-                                    check version-clock discipline
-                                    (vector-clock happens-before) and
-                                    committed-subset serializability on every
-                                    schedule (exit 1 on a conviction);
-                                    without --tm, sweeps every non-blocking
-                                    TM and re-convicts the two seeded
-                                    concurrency mutants as a self-test,
-                                    printing minimized replayable schedules;
-                                    --steps bounds explored interleavings per
-                                    probe, --preemptions bounds context
-                                    switches away from a runnable thread
-  tmcheck serve [--socket PATH | --replay FILE | --stdin]
-                [--max-sessions N] [--memo-budget BYTES] [--node-budget N]
-                [--inbox-cap N] [--fault-plan FILE|SPEC] [--journal DIR]
-                [--resume] [--fsync-every N] [--idle-reap N]
-                [--queue-watermark N] [--memo-watermark BYTES]
-                [--metrics-out FILE] [--trace-out FILE]
-                                    the streaming monitoring daemon: ingest
-                                    line-delimited tm-serve/v1.1 JSON frames
-                                    (open/feed/close/shutdown), multiplex one
-                                    resumable opacity monitor per session with
-                                    fair round-robin turns, and answer every
-                                    event with a verdict frame; --socket
-                                    listens on a Unix socket (one frame stream
-                                    per connection), --replay drains a
-                                    recorded frame file deterministically (the
-                                    CI mode; output is a pure function of the
-                                    file), --stdin is the default live
-                                    single-stream mode; --max-sessions caps
-                                    open sessions, --memo-budget apportions a
-                                    global memo-byte ceiling across sessions,
-                                    --node-budget bounds one session's search
-                                    nodes per scheduler turn, --inbox-cap the
-                                    events buffered before `busy` pushback;
-                                    --fault-plan injects a fault schedule
-                                    (torn@F:K, drop@F:N, stall@F:T, werr@F:N,
-                                    memo@F:BxD, node@F:NxD, crash@F,
-                                    gen@SEED:HxC — a file path or inline
-                                    spec; injected crashes exit 3);
-                                    --journal DIR appends an fsync-batched
-                                    session journal, --resume rebuilds the
-                                    table from it so a restarted daemon
-                                    continues every session with unchanged
-                                    seq numbering, --fsync-every batches the
-                                    journal syncs; --idle-reap closes
-                                    sessions idle that many turns,
-                                    --queue-watermark / --memo-watermark
-                                    shed load with `busy` frames carrying
-                                    retry_after_turns hints; exits 0 on a
-                                    clean drain, 1 if any session was
-                                    poisoned by a hard error
-  tmcheck list                      the TM registry: names, properties, and
-                                    which configuration axes each TM accepts
-  tmcheck help
-
-  <file> may be '-' for stdin. Formats (JSON / text) are auto-detected;
-  see the tm-trace crate documentation for their grammar.
-";
-
-/// Parses `--jobs`/`--memo-cap` style values: a number that must be at
-/// least 1, with the conformance-flag error style.
-fn positive_flag(
-    it: &mut std::slice::Iter<'_, String>,
-    cmd: &str,
-    flag: &str,
-) -> Result<usize, String> {
-    it.next()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("{cmd}: {flag} needs a number ≥ 1"))
-}
-
-/// Parses `--metrics-out`/`--trace-out` style values: a file path.
-fn path_flag(
-    it: &mut std::slice::Iter<'_, String>,
-    cmd: &str,
-    flag: &str,
-) -> Result<String, String> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| format!("{cmd}: {flag} needs a file path"))
-}
-
-/// Parses command-line arguments (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| "missing command".to_string())?;
-    let file_arg = |it: &mut std::slice::Iter<'_, String>| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{cmd}: missing <file> argument"))
-    };
-    match cmd.as_str() {
-        "check" => {
-            let file = file_arg(&mut it)?;
-            let mut memo_cap = None;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            let mut progress = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--memo-cap" => {
-                        memo_cap = Some(positive_flag(&mut it, "check", "--memo-cap")?);
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(path_flag(&mut it, "check", "--metrics-out")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(path_flag(&mut it, "check", "--trace-out")?);
-                    }
-                    "--progress" => progress = true,
-                    other => return Err(format!("check: unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Check {
-                file,
-                memo_cap,
-                metrics_out,
-                trace_out,
-                progress,
-            })
-        }
-        "explain" => Ok(Command::Explain(file_arg(&mut it)?)),
-        "criteria" => Ok(Command::Criteria(file_arg(&mut it)?)),
-        "graph" => Ok(Command::Graph(file_arg(&mut it)?)),
-        "convert" => {
-            let file = file_arg(&mut it)?;
-            let mut json = None;
-            for flag in it {
-                match flag.as_str() {
-                    "--json" => json = Some(true),
-                    "--text" => json = Some(false),
-                    other => return Err(format!("convert: unknown flag '{other}'")),
-                }
-            }
-            let json = json.ok_or_else(|| "convert: need --json or --text".to_string())?;
-            Ok(Command::Convert { file, json })
-        }
-        "generate" => {
-            let mut g = Command::Generate {
-                seed: 1,
-                txs: 4,
-                objs: 3,
-                ops: 4,
-                json: false,
-            };
-            let Command::Generate {
-                seed,
-                txs,
-                objs,
-                ops,
-                json,
-            } = &mut g
-            else {
-                unreachable!()
-            };
-            // Sizes must be ≥ 1: a 0-transaction / 0-register / 0-op
-            // request is a flag typo, not a meaningful workload.
-            fn size_of(v: u64, name: &str) -> Result<usize, String> {
-                if v == 0 {
-                    return Err(format!("generate: {name} must be ≥ 1"));
-                }
-                usize::try_from(v).map_err(|_| format!("generate: {name} is too large"))
-            }
-            while let Some(flag) = it.next() {
-                let mut num = |name: &str| -> Result<u64, String> {
-                    it.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| format!("generate: {name} needs a number"))
-                };
-                match flag.as_str() {
-                    "--seed" => *seed = num("--seed")?,
-                    "--txs" => *txs = size_of(num("--txs")?, "--txs")?,
-                    "--objs" => *objs = size_of(num("--objs")?, "--objs")?,
-                    "--ops" => *ops = size_of(num("--ops")?, "--ops")?,
-                    "--json" => *json = true,
-                    other => return Err(format!("generate: unknown flag '{other}'")),
-                }
-            }
-            Ok(g)
-        }
-        "list" => Ok(Command::List),
-        "conformance" => {
-            let mut jobs = 1usize;
-            let mut memo_cap = None;
-            let mut tm = None;
-            let mut clock = None;
-            let mut mutants = false;
-            let mut objects = None;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--jobs" => {
-                        jobs = positive_flag(&mut it, "conformance", "--jobs")?;
-                    }
-                    "--memo-cap" => {
-                        memo_cap = Some(positive_flag(&mut it, "conformance", "--memo-cap")?);
-                    }
-                    "--tm" => {
-                        tm = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| "conformance: --tm needs a name".to_string())?,
-                        );
-                    }
-                    "--clock" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| "conformance: --clock needs a scheme".to_string())?;
-                        clock = Some(
-                            tm_stm::ClockScheme::parse(spec)
-                                .map_err(|e| format!("conformance: {e}"))?,
-                        );
-                    }
-                    "--mutants" => mutants = true,
-                    "--objects" => {
-                        let spec = it.next().ok_or_else(|| {
-                            "conformance: --objects needs a set (all or a comma list of kinds)"
-                                .to_string()
-                        })?;
-                        objects = Some(
-                            ObjectKind::parse_set(spec).map_err(|e| format!("conformance: {e}"))?,
-                        );
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(path_flag(&mut it, "conformance", "--metrics-out")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(path_flag(&mut it, "conformance", "--trace-out")?);
-                    }
-                    other => return Err(format!("conformance: unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Conformance {
-                jobs,
-                memo_cap,
-                tm,
-                clock,
-                mutants,
-                objects,
-                metrics_out,
-                trace_out,
-            })
-        }
-        "race" => {
-            let mut tm = None;
-            let mut steps = 200_000usize;
-            let mut preemptions = 2usize;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--metrics-out" => {
-                        metrics_out = Some(path_flag(&mut it, "race", "--metrics-out")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(path_flag(&mut it, "race", "--trace-out")?);
-                    }
-                    "--tm" => {
-                        tm = Some(
-                            it.next()
-                                .cloned()
-                                .ok_or_else(|| "race: --tm needs a name".to_string())?,
-                        );
-                    }
-                    "--steps" => {
-                        steps = positive_flag(&mut it, "race", "--steps")?;
-                    }
-                    "--preemptions" => {
-                        // 0 is meaningful here (serial orders only), so the
-                        // ≥ 1 helper does not apply.
-                        preemptions = it
-                            .next()
-                            .and_then(|v| v.parse::<usize>().ok())
-                            .ok_or_else(|| "race: --preemptions needs a number ≥ 0".to_string())?;
-                    }
-                    other => return Err(format!("race: unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Race {
-                tm,
-                steps,
-                preemptions,
-                metrics_out,
-                trace_out,
-            })
-        }
-        "serve" => {
-            let defaults = tm_serve::ServeConfig::default();
-            let mut socket = None;
-            let mut replay = None;
-            let mut stdin = false;
-            let mut max_sessions = defaults.max_sessions;
-            let mut memo_budget = None;
-            let mut node_budget = defaults.node_budget;
-            let mut inbox_cap = defaults.inbox_capacity;
-            let mut fault_plan = None;
-            let mut journal = None;
-            let mut resume = false;
-            let mut fsync_every = defaults.fsync_every;
-            let mut idle_reap = None;
-            let mut queue_watermark = None;
-            let mut memo_watermark = None;
-            let mut metrics_out = None;
-            let mut trace_out = None;
-            // u64-valued flags (byte/node budgets) that must be ≥ 1.
-            fn positive_u64(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<u64, String> {
-                it.next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("serve: {flag} needs a number ≥ 1"))
-            }
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--socket" => socket = Some(path_flag(&mut it, "serve", "--socket")?),
-                    "--replay" => replay = Some(path_flag(&mut it, "serve", "--replay")?),
-                    "--stdin" => stdin = true,
-                    "--max-sessions" => {
-                        max_sessions = positive_flag(&mut it, "serve", "--max-sessions")?;
-                    }
-                    "--memo-budget" => {
-                        memo_budget = Some(positive_u64(&mut it, "--memo-budget")?);
-                    }
-                    "--node-budget" => node_budget = positive_u64(&mut it, "--node-budget")?,
-                    "--inbox-cap" => {
-                        inbox_cap = positive_flag(&mut it, "serve", "--inbox-cap")?;
-                    }
-                    "--fault-plan" => {
-                        fault_plan = Some(path_flag(&mut it, "serve", "--fault-plan")?);
-                    }
-                    "--journal" => journal = Some(path_flag(&mut it, "serve", "--journal")?),
-                    "--resume" => resume = true,
-                    "--fsync-every" => {
-                        fsync_every = positive_flag(&mut it, "serve", "--fsync-every")?;
-                    }
-                    "--idle-reap" => idle_reap = Some(positive_u64(&mut it, "--idle-reap")?),
-                    "--queue-watermark" => {
-                        queue_watermark =
-                            Some(positive_flag(&mut it, "serve", "--queue-watermark")?);
-                    }
-                    "--memo-watermark" => {
-                        memo_watermark = Some(positive_u64(&mut it, "--memo-watermark")?);
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(path_flag(&mut it, "serve", "--metrics-out")?);
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(path_flag(&mut it, "serve", "--trace-out")?);
-                    }
-                    other => return Err(format!("serve: unknown flag '{other}'")),
-                }
-            }
-            let chosen =
-                usize::from(socket.is_some()) + usize::from(replay.is_some()) + usize::from(stdin);
-            if chosen > 1 {
-                return Err(
-                    "serve: --socket, --replay, and --stdin are mutually exclusive".to_string(),
-                );
-            }
-            if resume && journal.is_none() {
-                return Err("serve: --resume requires --journal DIR".to_string());
-            }
-            Ok(Command::Serve {
-                socket,
-                replay,
-                max_sessions,
-                memo_budget,
-                node_budget,
-                inbox_cap,
-                fault_plan,
-                journal,
-                resume,
-                fsync_every,
-                idle_reap,
-                queue_watermark,
-                memo_watermark,
-                metrics_out,
-                trace_out,
-            })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command '{other}'")),
-    }
-}
-
-/// Reads a trace from `path` (`-` = stdin) and parses it, auto-detecting
-/// the format: inputs whose first non-whitespace byte is `{` are JSON.
-pub fn load_history(path: &str) -> Result<History, String> {
-    let raw = if path == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("stdin: {e}"))?;
-        s
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
-    };
-    parse_trace(&raw)
-}
-
-/// Parses trace content with format auto-detection.
-pub fn parse_trace(raw: &str) -> Result<History, String> {
-    if raw.trim_start().starts_with('{') {
-        from_json(raw).map_err(|e| format!("JSON trace: {e}"))
-    } else {
-        from_text(raw).map_err(|e| format!("text trace: {e}"))
-    }
-}
-
-/// Installs a process-wide observability sink when any observability
-/// output was requested; returns the disabled (no-op) handle otherwise, so
-/// unobserved runs carry zero instrumentation cost.
-fn obs_for(
-    metrics_out: &Option<String>,
-    trace_out: &Option<String>,
-    progress: bool,
-) -> tm_obs::ObsHandle {
-    if metrics_out.is_some() || trace_out.is_some() || progress {
-        tm_obs::ObsHandle::install()
-    } else {
-        tm_obs::ObsHandle::disabled()
-    }
-}
-
-/// Writes the versioned observability artifacts: a `tm-metrics/v1` JSON
-/// snapshot and/or a Chrome-trace (Perfetto-loadable) span file.
-fn write_artifacts(
-    obs: tm_obs::ObsHandle,
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<(), String> {
-    if let Some(path) = metrics_out {
-        let snap = obs
-            .snapshot()
-            .ok_or_else(|| "--metrics-out: observability sink missing".to_string())?;
-        std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(path) = trace_out {
-        let trace = tm_trace::chrome_trace_json(&obs.spans());
-        std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// A live single-line progress display on stderr, fed by the observability
-/// sink's `search.nodes_live` counter (updated once per kilonode by the
-/// search). Dropping the guard stops the ticker and clears the
-/// line, so the verdict output below is never interleaved with it.
-struct Progress {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Progress {
-    fn spawn(obs: tm_obs::ObsHandle) -> Progress {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let seen = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let mut printed = false;
-            while !seen.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                if let Some(snap) = obs.snapshot() {
-                    let nodes = snap.counter("search.nodes_live").unwrap_or(0);
-                    eprint!("\rsearch: {nodes} nodes explored …");
-                    printed = true;
-                }
-            }
-            if printed {
-                // Clear the counter line before the verdict is printed.
-                eprint!("\r\x1b[2K");
-            }
-        });
-        Progress {
-            stop,
-            handle: Some(handle),
+impl Command {
+    /// The artifacts this command was asked to write.
+    fn artifacts(&self) -> Option<&Artifacts> {
+        match self {
+            Command::Check { artifacts, .. }
+            | Command::Conformance { artifacts, .. }
+            | Command::Race { artifacts, .. }
+            | Command::Serve { artifacts, .. } => Some(artifacts),
+            _ => None,
         }
     }
 }
 
-impl Drop for Progress {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Executes a parsed command, writing human-readable output to `out`.
+/// Executes a parsed command, writing its output to `out` and any error to
+/// `err`.
 ///
 /// Returns the process exit code (0 ok / property holds, 1 opacity
-/// violated, 2 error).
-pub fn run(cmd: &Command, out: &mut dyn Write) -> i32 {
-    match execute(cmd, out) {
-        Ok(code) => code,
-        Err(e) => {
-            let _ = writeln!(out, "error: {e}");
-            2
+/// violated, 2 error, 3 injected `serve` crash).
+pub fn run(cmd: &Command, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
+    let artifacts = cmd.artifacts().cloned().unwrap_or_default();
+    // Install a sink only when something reads it, so unobserved runs
+    // carry zero instrumentation cost.
+    let progress = matches!(cmd, Command::Check { progress: true, .. });
+    let observed = artifacts != Artifacts::default() || progress;
+    let obs = observed.then(ObsHandle::install).unwrap_or_default();
+    let result = execute(cmd, obs, out).and_then(|code| {
+        if let Some(path) = &artifacts.metrics_out {
+            let snap = obs
+                .snapshot()
+                .ok_or("--metrics-out: observability sink missing")?;
+            std::fs::write(path, snap.to_json()).map_err(|e| format!("{path}: {e}"))?;
         }
-    }
+        if let Some(path) = &artifacts.trace_out {
+            let trace = tm_trace::chrome_trace_json(&obs.spans());
+            std::fs::write(path, trace).map_err(|e| format!("{path}: {e}"))?;
+        }
+        Ok(code)
+    });
+    result.unwrap_or_else(|e| {
+        let _ = writeln!(err, "error: {e}");
+        2
+    })
 }
 
-fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
-    let specs = SpecRegistry::registers();
-    let w = |out: &mut dyn Write, s: String| -> Result<(), String> {
-        writeln!(out, "{s}").map_err(|e| e.to_string())
-    };
+fn execute(cmd: &Command, obs: ObsHandle, out: &mut dyn Write) -> Result<i32, Error> {
+    let observed = |search: &SearchConfig| SearchConfig { obs, ..*search };
     match cmd {
         Command::Help => {
-            w(out, USAGE.to_string())?;
+            writeln!(out, "{USAGE}")?;
             Ok(0)
         }
         Command::Check {
             file,
-            memo_cap,
-            metrics_out,
-            trace_out,
+            search,
             progress,
-        } => {
-            let h = load_history(file)?;
-            tm_model::check_well_formed(&h).map_err(|e| format!("not well-formed: {e}"))?;
-            let obs = obs_for(metrics_out, trace_out, *progress);
-            let config = SearchConfig {
-                memo_capacity: *memo_cap,
-                obs,
-                ..SearchConfig::default()
-            };
-            let ticker = (*progress && obs.enabled()).then(|| Progress::spawn(obs));
-            let report = is_opaque_with(&h, &specs, config).map_err(|e| e.to_string())?;
-            drop(ticker);
-            write_artifacts(obs, metrics_out.as_deref(), trace_out.as_deref())?;
-            w(
-                out,
-                format!(
-                    "history: {} events, {} transactions",
-                    h.len(),
-                    h.txs().len()
-                ),
-            )?;
-            if report.opaque {
-                w(out, "verdict: OPAQUE".to_string())?;
-                if let Some(witness) = &report.witness {
-                    let order: Vec<String> = witness
-                        .order
-                        .iter()
-                        .map(|(t, p)| format!("{t}({p:?})"))
-                        .collect();
-                    w(out, format!("witness serialization: {}", order.join(" ≪ ")))?;
-                }
-                w(
-                    out,
-                    format!("search: {} nodes explored", report.stats.nodes),
-                )?;
-                Ok(0)
-            } else {
-                w(out, "verdict: NOT OPAQUE".to_string())?;
-                w(
-                    out,
-                    format!("search: {} nodes explored", report.stats.nodes),
-                )?;
-                w(
-                    out,
-                    "hint: run `tmcheck explain` for the violation localization".to_string(),
-                )?;
-                Ok(1)
-            }
+            ..
+        } => history::check(file, observed(search), *progress, out),
+        Command::Explain(file) => history::explain(file, out),
+        Command::Criteria(file) => history::criteria(file, out),
+        Command::Graph(file) => history::graph(file, out),
+        Command::Convert { file, json } => history::render(&load_history(file)?, *json, out),
+        Command::Generate { seed, config, json } => {
+            history::render(&tm_harness::random_history(config, *seed), *json, out)
         }
-        Command::Explain(file) => {
-            let h = load_history(file)?;
-            tm_model::check_well_formed(&h).map_err(|e| format!("not well-formed: {e}"))?;
-            match explain_violation(&h, &specs).map_err(|e| e.to_string())? {
-                None => {
-                    w(out, "history is opaque — nothing to explain".to_string())?;
-                    Ok(0)
-                }
-                Some(ex) => {
-                    w(out, format!("{ex}"))?;
-                    Ok(1)
-                }
-            }
-        }
-        Command::Criteria(file) => {
-            let h = load_history(file)?;
-            tm_model::check_well_formed(&h).map_err(|e| format!("not well-formed: {e}"))?;
-            let profile = criteria::classify(&h, &specs).map_err(|e| e.to_string())?;
-            let si = criteria::snapshot_isolated(&h, &specs)
-                .map(|b| if b { "yes" } else { "NO" })
-                .unwrap_or("n/a (non-register objects)");
-            let yn = |b: bool| if b { "yes" } else { "NO" };
-            w(
-                out,
-                format!(
-                    "serializable (global atomicity):  {}",
-                    yn(profile.serializable)
-                ),
-            )?;
-            w(
-                out,
-                format!(
-                    "strictly serializable:            {}",
-                    yn(profile.strictly_serializable)
-                ),
-            )?;
-            w(
-                out,
-                format!(
-                    "recoverable:                      {}",
-                    yn(profile.recoverable)
-                ),
-            )?;
-            w(
-                out,
-                format!(
-                    "avoids cascading aborts:          {}",
-                    yn(profile.avoids_cascading_aborts)
-                ),
-            )?;
-            w(
-                out,
-                format!("strict:                           {}", yn(profile.strict)),
-            )?;
-            w(
-                out,
-                format!("rigorous (§3.6):                  {}", yn(profile.rigorous)),
-            )?;
-            w(out, format!("snapshot-isolated:                {si}"))?;
-            w(
-                out,
-                format!("opaque (Definition 1):            {}", yn(profile.opaque)),
-            )?;
-            Ok(if profile.opaque { 0 } else { 1 })
-        }
-        Command::Graph(file) => {
-            let h = load_history(file)?;
-            tm_model::check_well_formed(&h).map_err(|e| format!("not well-formed: {e}"))?;
-            match construct_graph_witness(&h, &specs).map_err(|e| e.to_string())? {
-                Some(witness) => {
-                    let h0 = nonlocal(&with_initial_tx(&h, &specs));
-                    let visible: HashSet<_> = witness.visible.iter().copied().collect();
-                    let g = build_opg(&h0, &witness.order, &visible);
-                    w(
-                        out,
-                        "// OPG(nonlocal(H·T0), ≪, V) for the opacity witness".to_string(),
-                    )?;
-                    w(out, g.to_dot())?;
-                    Ok(0)
-                }
-                None => {
-                    // No witness exists: render the graph under the
-                    // real-time-compatible identity order with V = all
-                    // commit-pending, for inspection of the obstruction.
-                    let h0 = nonlocal(&with_initial_tx(&h, &specs));
-                    let rt = RealTimeOrder::of(&h0);
-                    let mut order = h0.txs();
-                    order.sort_by(|&a, &b| {
-                        if rt.precedes(a, b) {
-                            std::cmp::Ordering::Less
-                        } else if rt.precedes(b, a) {
-                            std::cmp::Ordering::Greater
-                        } else {
-                            a.cmp(&b)
-                        }
-                    });
-                    let visible: HashSet<_> = h0.commit_pending_txs().into_iter().collect();
-                    let g = build_opg(&h0, &order, &visible);
-                    w(
-                        out,
-                        "// history is NOT opaque: no (≪,V) yields a well-formed acyclic OPG;\n\
-                         // shown under the identity order with V = all commit-pending"
-                            .to_string(),
-                    )?;
-                    w(out, g.to_dot())?;
-                    Ok(1)
-                }
-            }
-        }
-        Command::Convert { file, json } => {
-            let h = load_history(file)?;
-            let rendered = if *json {
-                to_json_pretty(&h)
-            } else {
-                to_text(&h)
-            };
-            write!(out, "{rendered}").map_err(|e| e.to_string())?;
-            if *json {
-                w(out, String::new())?;
-            }
-            Ok(0)
-        }
-        Command::List => {
-            let reg = tm_stm::TmRegistry::suite();
-            let yn = |b: bool| if b { "yes" } else { "no " };
-            w(
-                out,
-                format!(
-                    "{:<10} {:>11} {:>10} {:>9} {:>6} {:>6} {:>8} {:>4} {:>8}",
-                    "tm",
-                    "progressive",
-                    "single-ver",
-                    "invisible",
-                    "opaque",
-                    "ser",
-                    "clock",
-                    "cm",
-                    "blocking"
-                ),
-            )?;
-            for spec in reg.specs() {
-                let p = spec.properties;
-                w(
-                    out,
-                    format!(
-                        "{:<10} {:>11} {:>10} {:>9} {:>6} {:>6} {:>8} {:>4} {:>8}",
-                        spec.name,
-                        yn(p.progressive),
-                        yn(p.single_version),
-                        yn(p.invisible_reads),
-                        yn(p.opaque_by_design),
-                        yn(p.serializable_by_design),
-                        if spec.clocked { "any" } else { "-" },
-                        if spec.cm_tunable { "any" } else { "-" },
-                        yn(spec.blocking),
-                    ),
-                )?;
-            }
-            w(
-                out,
-                "\nclock schemes (clocked TMs): single (GV1 counter), sharded:N \
-                 (GV5-style padded array), deferred (GV4 pass-on-failure)\n\
-                 spec syntax: <tm>[+<clock>], e.g. tl2+sharded:16, mvstm+deferred"
-                    .to_string(),
-            )?;
-            Ok(0)
-        }
+        Command::List => battery::list(out),
         Command::Conformance {
             jobs,
-            memo_cap,
+            search,
             tm,
             clock,
             mutants,
             objects,
-            metrics_out,
-            trace_out,
+            ..
         } => {
-            use tm_harness::{
-                conformance_observed, conformance_parallel_with, object_conformance_with,
-            };
-            let obs = obs_for(metrics_out, trace_out, false);
-            let search = SearchConfig {
-                memo_capacity: *memo_cap,
-                obs,
-                ..SearchConfig::default()
-            };
-            let reg = tm_stm::TmRegistry::suite();
-            // Resolve the sweep into TM specs; every lookup is fallible and
-            // the errors carry the registry's menu of valid names.
-            let specs_to_run: Vec<String> = match (tm, clock) {
-                (Some(spec), None) => vec![spec.clone()],
-                (Some(spec), Some(scheme)) => {
-                    if spec.contains('+') {
-                        return Err(format!(
-                            "conformance: clock given twice ('{spec}' and --clock {scheme})"
-                        ));
-                    }
-                    vec![format!("{spec}+{scheme}")]
-                }
-                (None, Some(scheme)) => reg
-                    .specs()
-                    .iter()
-                    .filter(|s| s.clocked)
-                    .map(|s| format!("{}+{scheme}", s.name))
-                    .collect(),
-                (None, None) => reg.names().iter().map(|n| n.to_string()).collect(),
-            };
-            type Factory = Box<dyn Fn(usize) -> Box<dyn tm_stm::Stm> + Sync>;
-            // Per TM: its label, its advertised properties, the factory of
-            // the battery, and the same TM with no observability handle (the
-            // threaded lost-update probe's, whose scheduling-dependent
-            // aborts must stay out of the stm.* counters).
-            let mut selection: Vec<(String, tm_stm::StmProperties, Factory, Factory)> = Vec::new();
-            for spec in specs_to_run {
-                let props = reg
-                    .parse_spec(&spec)
-                    .map_err(|e| format!("conformance: {e}"))?
-                    .0
-                    .properties;
-                let unobserved = reg
-                    .factory(&spec)
-                    .map_err(|e| format!("conformance: {e}"))?;
-                let factory: Factory = if obs.enabled() {
-                    // Thread the observability handle into every TM the
-                    // battery builds, so the STM-layer commit/abort/clock
-                    // counters land in the metrics snapshot. The spec was
-                    // validated by parse_spec above.
-                    let spec = spec.clone();
-                    Box::new(move |k: usize| {
-                        tm_stm::TmRegistry::suite()
-                            .build_with(&spec, &tm_stm::StmConfig::new(k).obs(obs))
-                            .unwrap_or_else(|e| panic!("validated spec '{spec}': {e}"))
-                    })
-                } else {
-                    Box::new(unobserved)
-                };
-                selection.push((spec, props, factory, Box::new(unobserved)));
-            }
-            // Deliberately job-count-free output: `--jobs N` must be
-            // byte-identical to `--jobs 1` (deterministic sharded merge).
-            let mut all_clean = true;
-            let mut failures: Vec<String> = Vec::new();
-            if let Some(kinds) = objects {
-                // Typed-object battery: rich-semantics probes judged
-                // against the objects' own sequential specifications.
-                w(out, tm_harness::object_header())?;
-                for (label, props, factory, _) in &selection {
-                    let report = object_conformance_with(factory.as_ref(), kinds, *jobs, search);
-                    // Well-formedness is unconditional; the full battery is
-                    // the contract for opaque-by-design TMs, and committed
-                    // transactions must stay serializable wherever the TM
-                    // advertises it (the object-level analogue of the
-                    // register battery's lost-update gate). SI-STM's
-                    // convictions are expected rows, not failures.
-                    let ok = report.probes.iter().all(|p| p.well_formed)
-                        && (!props.opaque_by_design || report.all_clean())
-                        && (!props.serializable_by_design
-                            || report.probes.iter().all(|p| p.serializable));
-                    if !ok {
-                        all_clean = false;
-                        failures.extend(
-                            report
-                                .probes
-                                .iter()
-                                .flat_map(|p| p.violations.iter().cloned()),
-                        );
-                    }
-                    for probe in &report.probes {
-                        w(out, probe.row(label))?;
-                    }
-                }
-                if *mutants {
-                    use tm_stm::{MutantStm, Mutation};
-                    for mutation in [
-                        Mutation::None,
-                        Mutation::SkipReadValidation,
-                        Mutation::SkipCommitValidation,
-                    ] {
-                        let factory = move |k: usize| -> Box<dyn tm_stm::Stm> {
-                            Box::new(MutantStm::new(k, mutation))
-                        };
-                        let report = object_conformance_with(&factory, kinds, *jobs, search);
-                        for probe in &report.probes {
-                            w(out, probe.row(&report.name))?;
-                        }
-                    }
-                }
-            } else {
-                w(out, tm_harness::conformance_header())?;
-                for (label, _props, factory, unobserved) in &selection {
-                    let mut report =
-                        conformance_observed(factory.as_ref(), unobserved.as_ref(), *jobs, search);
-                    report.name = label.clone();
-                    // Opacity is the contract under test; TMs that advertise
-                    // a weaker criterion (sistm, nonopaque) are expected
-                    // rows, not failures — only well-formedness and lost
-                    // updates are unconditional.
-                    if !report.well_formed || !report.no_lost_updates {
-                        all_clean = false;
-                        failures.extend(report.violations.iter().cloned());
-                    }
-                    w(out, report.row())?;
-                }
-                if *mutants {
-                    use tm_stm::{MutantStm, Mutation};
-                    for mutation in [
-                        Mutation::None,
-                        Mutation::SkipReadValidation,
-                        Mutation::SkipCommitValidation,
-                    ] {
-                        let factory = move |k: usize| -> Box<dyn tm_stm::Stm> {
-                            Box::new(MutantStm::new(k, mutation))
-                        };
-                        let report = conformance_parallel_with(&factory, *jobs, search);
-                        w(out, report.row())?;
-                    }
-                }
-            }
-            write_artifacts(obs, metrics_out.as_deref(), trace_out.as_deref())?;
-            if all_clean {
-                Ok(0)
-            } else {
-                for f in failures.iter().take(8) {
-                    w(out, format!("violation: {f}"))?;
-                }
-                Ok(1)
-            }
+            let (tm, objects) = (tm.as_deref(), objects.as_deref());
+            battery::conformance(tm, *clock, *jobs, observed(search), *mutants, objects, out)
         }
-        Command::Race {
-            tm,
-            steps,
-            preemptions,
-            metrics_out,
-            trace_out,
-        } => {
-            let obs = obs_for(metrics_out, trace_out, false);
-            let code = run_race(out, tm.as_deref(), *steps, *preemptions, obs)?;
-            write_artifacts(obs, metrics_out.as_deref(), trace_out.as_deref())?;
-            Ok(code)
-        }
+        Command::Race { tm, dpor, .. } => race::race(tm.as_deref(), dpor, obs, out),
         Command::Serve {
-            socket,
-            replay,
-            max_sessions,
-            memo_budget,
-            node_budget,
-            inbox_cap,
+            transport,
+            config,
             fault_plan,
-            journal,
-            resume,
-            fsync_every,
-            idle_reap,
-            queue_watermark,
-            memo_watermark,
-            metrics_out,
-            trace_out,
-        } => {
-            let obs = obs_for(metrics_out, trace_out, false);
-            let plan = match fault_plan {
-                Some(arg) => {
-                    // A path wins when it exists; otherwise the argument is
-                    // an inline `kind@frame[:args],...` (or JSON) spec.
-                    let text = match std::fs::read_to_string(arg) {
-                        Ok(contents) => contents,
-                        Err(_) => arg.clone(),
-                    };
-                    match tm_serve::FaultPlan::parse(&text) {
-                        Ok(plan) => plan,
-                        Err(e) => return Err(format!("serve: --fault-plan: {e}")),
-                    }
-                }
-                None => tm_serve::FaultPlan::new(),
-            };
-            let config = tm_serve::ServeConfig {
-                max_sessions: *max_sessions,
-                memo_budget_bytes: *memo_budget,
-                inbox_capacity: *inbox_cap,
-                node_budget: *node_budget,
-                fault_plan: plan,
-                journal_dir: journal.as_ref().map(std::path::PathBuf::from),
-                resume: *resume,
-                fsync_every: *fsync_every,
-                idle_reap_turns: *idle_reap,
-                queue_watermark: *queue_watermark,
-                memo_watermark_bytes: *memo_watermark,
-                obs,
-                ..tm_serve::ServeConfig::default()
-            };
-            let transport = match (socket, replay) {
-                (Some(path), _) => tm_serve::Transport::Socket(path.into()),
-                (None, Some(path)) => tm_serve::Transport::Replay(path.into()),
-                (None, None) => tm_serve::Transport::Stdin,
-            };
-            let code = tm_serve::run(transport, config, out);
-            write_artifacts(obs, metrics_out.as_deref(), trace_out.as_deref())?;
-            Ok(code)
-        }
-        Command::Generate {
-            seed,
-            txs,
-            objs,
-            ops,
-            json,
-        } => {
-            let config = GenConfig {
-                txs: *txs,
-                objs: *objs,
-                max_ops: *ops,
-                ..GenConfig::default()
-            };
-            let h = random_history(&config, *seed);
-            let rendered = if *json {
-                to_json_pretty(&h)
-            } else {
-                to_text(&h)
-            };
-            write!(out, "{rendered}").map_err(|e| e.to_string())?;
-            Ok(0)
-        }
+            ..
+        } => serve::serve(transport, config, fault_plan.as_deref(), obs, out),
     }
-}
-
-/// The step-level probe programs of the `race` sweep — the same §2 hazard
-/// shapes as the conformance battery, minus write skew: `sistm` commits
-/// write skew *by design* (a documented anomaly, not a clock-discipline
-/// race), so a skew probe would convict a TM that is exactly as weak as it
-/// advertises. The mutant self-test supplies the skew program where it
-/// belongs.
-fn race_probes() -> Vec<(&'static str, tm_harness::Program)> {
-    use tm_harness::TxScript;
-    vec![
-        (
-            "reader-vs-writer",
-            tm_harness::Program::new(vec![
-                TxScript::new().read(0).read(1),
-                TxScript::new().write(0, 7).write(1, 7),
-            ]),
-        ),
-        (
-            "rmw-vs-rmw",
-            tm_harness::Program::new(vec![
-                TxScript::new().read(0).write(0, 100),
-                TxScript::new().read(0).write(0, 200),
-            ]),
-        ),
-    ]
-}
-
-/// Explores every probe for one TM factory, printing a row per probe and
-/// the minimized replayable schedule for any conviction. Returns whether
-/// every probe came back clean.
-fn race_sweep_one(
-    out: &mut dyn Write,
-    label: &str,
-    factory: tm_harness::StmFactory<'_>,
-    cfg: &tm_harness::DporConfig,
-) -> Result<bool, String> {
-    use tm_harness::{committed_serializable, explore, replay_schedule, shrink_schedule};
-    let w = |out: &mut dyn Write, s: String| -> Result<(), String> {
-        writeln!(out, "{s}").map_err(|e| e.to_string())
-    };
-    let mut clean = true;
-    for (pname, program) in race_probes() {
-        let res = explore(factory, &program, cfg);
-        let complete = if res.truncated {
-            "truncated"
-        } else {
-            "complete"
-        };
-        if res.violations.is_empty() {
-            w(
-                out,
-                format!(
-                    "{label:<28} {pname:<18} {:>13} {complete:>9}  clean",
-                    res.interleavings
-                ),
-            )?;
-            continue;
-        }
-        clean = false;
-        let conviction = &res.violations[0];
-        w(
-            out,
-            format!(
-                "{label:<28} {pname:<18} {:>13} {complete:>9}  CONVICTED: {}",
-                res.interleavings, conviction.kind
-            ),
-        )?;
-        // Minimize towards seriality while the replay still convicts; the
-        // printed schedule is the artifact — feeding it back through the
-        // stepper reproduces the violation deterministically.
-        let violates = |sched: &[usize]| {
-            let r = replay_schedule(factory, &program, sched);
-            !tm_harness::check_race_trace(&r.trace, program.threads.len()).is_empty()
-                || !committed_serializable(factory, &program, &r.outcomes, &r.final_state)
-        };
-        let minimized = if violates(&conviction.schedule) {
-            shrink_schedule(&conviction.schedule, violates)
-        } else {
-            conviction.schedule.clone()
-        };
-        let rendered: Vec<String> = minimized.iter().map(usize::to_string).collect();
-        w(
-            out,
-            format!(
-                "  minimized schedule (thread per step): {}",
-                rendered.join(" ")
-            ),
-        )?;
-    }
-    Ok(clean)
-}
-
-/// `tmcheck race`: the step-level analysis battery. The observability
-/// handle (disabled unless `--metrics-out`/`--trace-out` was given) flows
-/// into every TM the battery builds, so STM commit/abort counters land in
-/// the metrics snapshot.
-fn run_race(
-    out: &mut dyn Write,
-    tm: Option<&str>,
-    steps: usize,
-    preemptions: usize,
-    obs: tm_obs::ObsHandle,
-) -> Result<i32, String> {
-    use std::sync::Arc;
-    use tm_harness::{DporConfig, SharedStm};
-    use tm_stm::trace_cells::StepProbe;
-    use tm_stm::StmConfig;
-    let w = |out: &mut dyn Write, s: String| -> Result<(), String> {
-        writeln!(out, "{s}").map_err(|e| e.to_string())
-    };
-    let reg = tm_stm::TmRegistry::suite();
-    let specs: Vec<String> = match tm {
-        Some(s) => vec![s.to_string()],
-        None => reg
-            .specs()
-            .iter()
-            .filter(|s| !s.blocking)
-            .map(|s| s.name.to_string())
-            .collect(),
-    };
-    w(
-        out,
-        format!(
-            "{:<28} {:<18} {:>13} {:>9}  verdict",
-            "tm", "probe", "interleavings", "explored"
-        ),
-    )?;
-    let cfg = DporConfig {
-        max_interleavings: steps,
-        preemption_bound: Some(preemptions),
-        ..DporConfig::default()
-    };
-    let mut all_clean = true;
-    for spec in &specs {
-        let (tmspec, scheme) = {
-            let (t, scheme) = reg.parse_spec(spec).map_err(|e| format!("race: {e}"))?;
-            (*t, scheme)
-        };
-        if tmspec.blocking {
-            return Err(format!(
-                "race: '{spec}' is blocking — a transaction would hold the global \
-                 lock across yield points; the step-level explorer needs \
-                 non-blocking TMs"
-            ));
-        }
-        let factory = move |p: Option<Arc<dyn StepProbe>>| -> SharedStm {
-            let cfg = StmConfig::new(2).clock(scheme).recording(false).obs(obs);
-            let cfg = match p {
-                Some(probe) => cfg.probe(probe),
-                None => cfg,
-            };
-            Arc::from(tmspec.build(&cfg))
-        };
-        all_clean &= race_sweep_one(out, spec, &factory, &cfg)?;
-    }
-    // Suite mode doubles as a self-test of the analysis: the two seeded
-    // concurrency mutants — invisible to every op-granular sweep — must be
-    // convicted at step granularity, each with a replayable schedule. Their
-    // programs and preemption bounds are fixed (the smallest known to
-    // convict), independent of the sweep knobs.
-    let mut mutants_convicted = true;
-    if tm.is_none() {
-        use tm_harness::TxScript;
-        use tm_stm::{MutantStm, Mutation};
-        let teeth: [(&str, Mutation, tm_harness::Program, usize); 2] = [
-            (
-                "mutant:dropped-residue",
-                Mutation::DroppedResidue,
-                tm_harness::Program::new(vec![
-                    TxScript::new().write(0, 1),
-                    TxScript::new().write(1, 2),
-                ]),
-                2,
-            ),
-            (
-                "mutant:unlicensed-fast-path",
-                Mutation::UnlicensedFastPath,
-                tm_harness::Program::new(vec![
-                    TxScript::new().read(0).write(1, 5),
-                    TxScript::new().read(1).write(0, 7),
-                    TxScript::new().write(2, 1),
-                ]),
-                3,
-            ),
-        ];
-        for (label, mutation, program, bound) in teeth {
-            let k = program.required_k();
-            let factory = move |p: Option<Arc<dyn StepProbe>>| -> SharedStm {
-                let cfg = StmConfig::new(k).recording(false).obs(obs);
-                let cfg = match p {
-                    Some(probe) => cfg.probe(probe),
-                    None => cfg,
-                };
-                Arc::new(MutantStm::with_config(&cfg, mutation))
-            };
-            let mcfg = DporConfig {
-                max_interleavings: steps.max(200_000),
-                preemption_bound: Some(bound),
-                stop_on_violation: true,
-                ..DporConfig::default()
-            };
-            let res = tm_harness::explore(&factory, &program, &mcfg);
-            if let Some(conviction) = res.violations.first() {
-                w(
-                    out,
-                    format!(
-                        "{label:<28} {:<18} {:>13} {:>9}  CONVICTED (expected): {}",
-                        "seeded-hazard",
-                        res.interleavings,
-                        if res.truncated {
-                            "truncated"
-                        } else {
-                            "complete"
-                        },
-                        conviction.kind
-                    ),
-                )?;
-                let violates = |sched: &[usize]| {
-                    let r = tm_harness::replay_schedule(&factory, &program, sched);
-                    !tm_harness::check_race_trace(&r.trace, program.threads.len()).is_empty()
-                        || !tm_harness::committed_serializable(
-                            &factory,
-                            &program,
-                            &r.outcomes,
-                            &r.final_state,
-                        )
-                };
-                let minimized = if violates(&conviction.schedule) {
-                    tm_harness::shrink_schedule(&conviction.schedule, violates)
-                } else {
-                    conviction.schedule.clone()
-                };
-                let rendered: Vec<String> = minimized.iter().map(usize::to_string).collect();
-                w(
-                    out,
-                    format!(
-                        "  minimized schedule (thread per step): {}",
-                        rendered.join(" ")
-                    ),
-                )?;
-            } else {
-                mutants_convicted = false;
-                w(
-                    out,
-                    format!(
-                        "{label:<28} {:<18} {:>13} {:>9}  ESCAPED — the analysis lost its teeth",
-                        "seeded-hazard",
-                        res.interleavings,
-                        if res.truncated {
-                            "truncated"
-                        } else {
-                            "complete"
-                        },
-                    ),
-                )?;
-            }
-        }
-    }
-    Ok(if all_clean && mutants_convicted { 0 } else { 1 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `cmd`: its exit code, stdout and stderr.
+    fn run_io(cmd: &Command) -> (i32, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = run(cmd, &mut out, &mut err);
+        let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+        (code, text(out), text(err))
+    }
+
     fn run_str(cmd: &Command) -> (i32, String) {
-        let mut buf = Vec::new();
-        let code = run(cmd, &mut buf);
-        (code, String::from_utf8(buf).unwrap())
+        let (code, out, _) = run_io(cmd);
+        (code, out)
+    }
+
+    /// Search knobs with the given memo capacity.
+    fn memo(memo_capacity: Option<usize>) -> SearchConfig {
+        SearchConfig {
+            memo_capacity,
+            ..SearchConfig::default()
+        }
+    }
+
+    fn artifacts(metrics_out: Option<String>, trace_out: Option<String>) -> Artifacts {
+        Artifacts {
+            metrics_out,
+            trace_out,
+        }
+    }
+
+    /// The race budget for `--steps` and `--preemptions`.
+    fn dpor(max_interleavings: usize, preemptions: usize) -> DporConfig {
+        DporConfig {
+            max_interleavings,
+            preemption_bound: Some(preemptions),
+            ..DporConfig::default()
+        }
+    }
+
+    /// Generator sizes for `--txs`, `--objs` and `--ops`.
+    fn gen(txs: usize, objs: usize, max_ops: usize) -> GenConfig {
+        GenConfig {
+            txs,
+            objs,
+            max_ops,
+            ..GenConfig::default()
+        }
     }
 
     /// A `check` command with default search knobs.
     fn check_cmd(file: String) -> Command {
         Command::Check {
             file,
-            memo_cap: None,
-            metrics_out: None,
-            trace_out: None,
+            search: SearchConfig::default(),
+            artifacts: Artifacts::default(),
             progress: false,
         }
     }
@@ -1547,9 +333,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("check f --memo-cap 4096")),
             Ok(Command::Check {
                 file: "f".into(),
-                memo_cap: Some(4096),
-                metrics_out: None,
-                trace_out: None,
+                search: memo(Some(4096)),
+                artifacts: Artifacts::default(),
                 progress: false,
             })
         );
@@ -1573,9 +358,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("generate --seed 7 --txs 3 --json")),
             Ok(Command::Generate {
                 seed: 7,
-                txs: 3,
-                objs: 3,
-                ops: 4,
+                config: gen(3, 3, 4),
                 json: true
             })
         );
@@ -1584,52 +367,48 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance")),
             Ok(Command::Conformance {
                 jobs: 1,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: None,
                 clock: None,
                 mutants: false,
                 objects: None,
-                metrics_out: None,
-                trace_out: None
+                artifacts: Artifacts::default(),
             })
         );
         assert_eq!(
             parse_args(&a("conformance --jobs 4 --tm tl2 --mutants")),
             Ok(Command::Conformance {
                 jobs: 4,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: Some("tl2".into()),
                 clock: None,
                 mutants: true,
                 objects: None,
-                metrics_out: None,
-                trace_out: None
+                artifacts: Artifacts::default(),
             })
         );
         assert_eq!(
             parse_args(&a("conformance --objects all")),
             Ok(Command::Conformance {
                 jobs: 1,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: None,
                 clock: None,
                 mutants: false,
                 objects: Some(ObjectKind::ALL.to_vec()),
-                metrics_out: None,
-                trace_out: None
+                artifacts: Artifacts::default(),
             })
         );
         assert_eq!(
             parse_args(&a("conformance --objects set,queue --tm sistm")),
             Ok(Command::Conformance {
                 jobs: 1,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: Some("sistm".into()),
                 clock: None,
                 mutants: false,
                 objects: Some(vec![ObjectKind::Queue, ObjectKind::Set]),
-                metrics_out: None,
-                trace_out: None
+                artifacts: Artifacts::default(),
             })
         );
         assert!(parse_args(&a("conformance --jobs 0")).is_err());
@@ -1676,9 +455,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             assert_eq!(code, expected);
             let (code_p, out_p) = run_str(&Command::Check {
                 file: f,
-                memo_cap: Some(8),
-                metrics_out: None,
-                trace_out: None,
+                search: memo(Some(8)),
+                artifacts: Artifacts::default(),
                 progress: false,
             });
             assert_eq!(code_p, expected, "{out_p}");
@@ -1689,13 +467,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_output_is_invariant_under_search_knobs() {
         let cmd = |memo_cap| Command::Conformance {
             jobs: 1,
-            memo_cap,
+            search: memo(memo_cap),
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         };
         let (code1, baseline) = run_str(&cmd(None));
         assert_eq!(code1, 0, "{baseline}");
@@ -1785,9 +562,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn generate_emits_parsable_wellformed_history() {
         let (code, text) = run_str(&Command::Generate {
             seed: 11,
-            txs: 4,
-            objs: 3,
-            ops: 4,
+            config: gen(4, 3, 4),
             json: false,
         });
         assert_eq!(code, 0);
@@ -1795,9 +570,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         assert!(tm_model::is_well_formed(&h));
         let (code, json) = run_str(&Command::Generate {
             seed: 11,
-            txs: 4,
-            objs: 3,
-            ops: 4,
+            config: gen(4, 3, 4),
             json: true,
         });
         assert_eq!(code, 0);
@@ -1810,23 +583,21 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // sweep across 4 workers is invisible in the rendered battery.
         let (code1, seq) = run_str(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: None,
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         let (code4, par) = run_str(&Command::Conformance {
             jobs: 4,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: None,
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code1, 0, "{seq}");
         assert_eq!(code4, 0, "{par}");
@@ -1839,29 +610,27 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_single_tm_and_unknown_tm() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("tl2"));
         assert!(!out.contains("glock"));
-        let (code, out) = run_str(&Command::Conformance {
+        let (code, _, err) = run_io(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("nonesuch".into()),
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 2);
-        assert!(out.contains("unknown TM"), "{out}");
+        assert!(err.contains("unknown TM"), "{err}");
     }
 
     #[test]
@@ -1871,13 +640,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // row, not a battery failure — exit code stays 0.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("sistm".into()),
             clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Set]),
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("set-write-skew"), "{out}");
@@ -1889,13 +657,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // An opaque TM passes the same probe.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Set, ObjectKind::Queue]),
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("queue-producer-consumer"), "{out}");
@@ -1909,13 +676,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_objects_output_is_identical_across_job_counts() {
         let cmd = |jobs| Command::Conformance {
             jobs,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Counter, ObjectKind::Set]),
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         };
         let (code1, seq) = run_str(&cmd(1));
         let (code3, par) = run_str(&cmd(3));
@@ -1939,13 +705,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_clock_flag_sweeps_the_clocked_tms() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: None,
             clock: Some(tm_stm::ClockScheme::Sharded(4)),
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         for row in ["tl2+sharded:4", "mvstm+sharded:4", "sistm+sharded:4"] {
@@ -1961,13 +726,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_tm_accepts_full_specs() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2+deferred".into()),
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("tl2+deferred"), "{out}");
@@ -1976,31 +740,29 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     #[test]
     fn conformance_clock_errors_are_friendly() {
         // Clock scheme on a clockless TM.
-        let (code, out) = run_str(&Command::Conformance {
+        let (code, _, err) = run_io(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("dstm".into()),
             clock: Some(tm_stm::ClockScheme::Deferred),
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 2);
-        assert!(out.contains("no global clock"), "{out}");
+        assert!(err.contains("no global clock"), "{err}");
         // Clock given twice.
-        let (code, out) = run_str(&Command::Conformance {
+        let (code, _, err) = run_io(&Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2+sharded:2".into()),
             clock: Some(tm_stm::ClockScheme::Deferred),
             mutants: false,
             objects: None,
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 2);
-        assert!(out.contains("clock given twice"), "{out}");
+        assert!(err.contains("clock given twice"), "{err}");
         // Unparsable scheme at parse_args level.
         let a = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
         assert!(parse_args(&a("conformance --clock gv9"))
@@ -2014,13 +776,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance --clock sharded:16 --jobs 2")),
             Ok(Command::Conformance {
                 jobs: 2,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: None,
                 clock: Some(tm_stm::ClockScheme::Sharded(16)),
                 mutants: false,
                 objects: None,
-                metrics_out: None,
-                trace_out: None
+                artifacts: Artifacts::default(),
             })
         );
     }
@@ -2029,13 +790,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_objects_with_clock_scheme() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("sistm".into()),
             clock: Some(tm_stm::ClockScheme::Sharded(2)),
             mutants: false,
             objects: Some(vec![ObjectKind::Set]),
-            metrics_out: None,
-            trace_out: None,
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         let skew_row = out
@@ -2056,20 +816,16 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("race")),
             Ok(Command::Race {
                 tm: None,
-                steps: 200_000,
-                preemptions: 2,
-                metrics_out: None,
-                trace_out: None
+                dpor: dpor(200_000, 2),
+                artifacts: Artifacts::default(),
             })
         );
         assert_eq!(
             parse_args(&a("race --tm tl2+deferred --steps 500 --preemptions 0")),
             Ok(Command::Race {
                 tm: Some("tl2+deferred".into()),
-                steps: 500,
-                preemptions: 0,
-                metrics_out: None,
-                trace_out: None
+                dpor: dpor(500, 0),
+                artifacts: Artifacts::default(),
             })
         );
         for (args, needle) in [
@@ -2090,10 +846,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn race_acquits_a_single_real_tm() {
         let (code, out) = run_str(&Command::Race {
             tm: Some("tl2".into()),
-            steps: 2_000,
-            preemptions: 2,
-            metrics_out: None,
-            trace_out: None,
+            dpor: dpor(2_000, 2),
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("reader-vs-writer"), "{out}");
@@ -2106,24 +860,20 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
 
     #[test]
     fn race_rejects_blocking_and_unknown_tms() {
-        let (code, out) = run_str(&Command::Race {
+        let (code, _, err) = run_io(&Command::Race {
             tm: Some("glock".into()),
-            steps: 100,
-            preemptions: 1,
-            metrics_out: None,
-            trace_out: None,
+            dpor: dpor(100, 1),
+            artifacts: Artifacts::default(),
         });
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("blocking"), "{out}");
-        let (code, out) = run_str(&Command::Race {
+        assert_eq!(code, 2, "{err}");
+        assert!(err.contains("blocking"), "{err}");
+        let (code, _, err) = run_io(&Command::Race {
             tm: Some("nonesuch".into()),
-            steps: 100,
-            preemptions: 1,
-            metrics_out: None,
-            trace_out: None,
+            dpor: dpor(100, 1),
+            artifacts: Artifacts::default(),
         });
-        assert_eq!(code, 2, "{out}");
-        assert!(out.contains("unknown TM"), "{out}");
+        assert_eq!(code, 2, "{err}");
+        assert!(err.contains("unknown TM"), "{err}");
     }
 
     #[test]
@@ -2132,10 +882,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // concurrency mutants convicted with a printed schedule artifact.
         let (code, out) = run_str(&Command::Race {
             tm: None,
-            steps: 200_000,
-            preemptions: 2,
-            metrics_out: None,
-            trace_out: None,
+            dpor: dpor(200_000, 2),
+            artifacts: Artifacts::default(),
         });
         assert_eq!(code, 0, "{out}");
         for name in ["tl2", "dstm", "sistm", "nonopaque", "tpl"] {
@@ -2153,9 +901,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn check_with_artifacts(file: String, metrics: &str, trace: &str) -> Command {
         Command::Check {
             file,
-            memo_cap: None,
-            metrics_out: Some(metrics.to_string()),
-            trace_out: Some(trace.to_string()),
+            search: SearchConfig::default(),
+            artifacts: artifacts(Some(metrics.to_string()), Some(trace.to_string())),
             progress: false,
         }
     }
@@ -2176,9 +923,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             )),
             Ok(Command::Check {
                 file: "f".into(),
-                memo_cap: None,
-                metrics_out: Some("m.json".into()),
-                trace_out: Some("t.json".into()),
+                search: SearchConfig::default(),
+                artifacts: artifacts(Some("m.json".into()), Some("t.json".into())),
                 progress: true,
             })
         );
@@ -2232,13 +978,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         let trace = artifact_path("conf-trace");
         let cmd = |m: Option<String>, t: Option<String>| Command::Conformance {
             jobs: 1,
-            memo_cap: None,
+            search: SearchConfig::default(),
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
             objects: None,
-            metrics_out: m,
-            trace_out: t,
+            artifacts: artifacts(m, t),
         };
         let (code_bare, bare) = run_str(&cmd(None, None));
         let (code, observed) = run_str(&cmd(Some(metrics.clone()), Some(trace.clone())));
@@ -2271,13 +1016,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             let metrics = artifact_path(tag);
             let (code, out) = run_str(&Command::Conformance {
                 jobs,
-                memo_cap: None,
+                search: SearchConfig::default(),
                 tm: Some("tl2".into()),
                 clock: None,
                 mutants: false,
                 objects: None,
-                metrics_out: Some(metrics.clone()),
-                trace_out: None,
+                artifacts: artifacts(Some(metrics.clone()), None),
             });
             assert_eq!(code, 0, "{out}");
             let m = std::fs::read_to_string(&metrics).unwrap();
@@ -2296,10 +1040,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         let metrics = artifact_path("race-metrics");
         let (code, out) = run_str(&Command::Race {
             tm: Some("tl2".into()),
-            steps: 2_000,
-            preemptions: 1,
-            metrics_out: Some(metrics.clone()),
-            trace_out: None,
+            dpor: dpor(2_000, 1),
+            artifacts: artifacts(Some(metrics.clone()), None),
         });
         assert_eq!(code, 0, "{out}");
         let m = std::fs::read_to_string(&metrics).unwrap();
@@ -2310,18 +1052,20 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
 
     #[test]
     fn missing_file_is_a_usage_error() {
-        let (code, output) = run_str(&check_cmd("/nonexistent/trace".into()));
+        let (code, out, err) = run_io(&check_cmd("/nonexistent/trace".into()));
         assert_eq!(code, 2);
-        assert!(output.contains("error:"));
+        assert_eq!(out, "", "errors go to stderr");
+        assert!(err.starts_with("error: /nonexistent/trace: "), "{err}");
     }
 
     #[test]
     fn ill_formed_trace_is_rejected() {
         // A response without its invocation.
         let f = fixture("wf", "ret T1 x read 0\n");
-        let (code, output) = run_str(&check_cmd(f));
+        let (code, out, err) = run_io(&check_cmd(f));
         assert_eq!(code, 2);
-        assert!(output.contains("not well-formed"), "{output}");
+        assert_eq!(out, "", "errors go to stderr");
+        assert!(err.contains("not well-formed"), "{err}");
     }
 
     #[test]
@@ -2331,79 +1075,60 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         assert!(output.contains("USAGE"));
     }
 
-    /// A `serve` command with default knobs and the given transport flags.
-    fn serve_cmd(socket: Option<String>, replay: Option<String>) -> Command {
+    /// A `serve` command with default knobs over `transport`.
+    fn serve_cmd(transport: Transport) -> Command {
+        serve_with(transport, ServeConfig::default(), None)
+    }
+
+    fn serve_with(transport: Transport, config: ServeConfig, fault_plan: Option<&str>) -> Command {
         Command::Serve {
-            socket,
-            replay,
-            max_sessions: 4096,
-            memo_budget: None,
-            node_budget: 50_000,
-            inbox_cap: 1024,
-            fault_plan: None,
-            journal: None,
-            resume: false,
-            fsync_every: 32,
-            idle_reap: None,
-            queue_watermark: None,
-            memo_watermark: None,
-            metrics_out: None,
-            trace_out: None,
+            transport,
+            config,
+            fault_plan: fault_plan.map(String::from),
+            artifacts: Artifacts::default(),
         }
+    }
+
+    fn replay(file: &str) -> Transport {
+        Transport::Replay(file.into())
     }
 
     #[test]
     fn serve_flags_parse_with_friendly_errors() {
         let a = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
-        assert_eq!(parse_args(&a("serve")), Ok(serve_cmd(None, None)));
+        assert_eq!(parse_args(&a("serve")), Ok(serve_cmd(Transport::Stdin)));
         assert_eq!(
             parse_args(&a("serve --stdin")),
-            Ok(serve_cmd(None, None)),
+            Ok(serve_cmd(Transport::Stdin)),
             "--stdin is the explicit spelling of the default transport"
         );
         assert_eq!(
             parse_args(&a(
                 "serve --replay frames.jsonl --memo-budget 65536 --max-sessions 128"
             )),
-            Ok(Command::Serve {
-                socket: None,
-                replay: Some("frames.jsonl".into()),
-                max_sessions: 128,
-                memo_budget: Some(65_536),
-                node_budget: 50_000,
-                inbox_cap: 1024,
-                fault_plan: None,
-                journal: None,
-                resume: false,
-                fsync_every: 32,
-                idle_reap: None,
-                queue_watermark: None,
-                memo_watermark: None,
-                metrics_out: None,
-                trace_out: None,
-            })
+            Ok(serve_with(
+                replay("frames.jsonl"),
+                ServeConfig {
+                    max_sessions: 128,
+                    memo_budget_bytes: Some(65_536),
+                    ..ServeConfig::default()
+                },
+                None
+            ))
         );
         assert_eq!(
             parse_args(&a(
                 "serve --socket /tmp/tm.sock --node-budget 1000 --inbox-cap 16"
             )),
-            Ok(Command::Serve {
-                socket: Some("/tmp/tm.sock".into()),
-                replay: None,
-                max_sessions: 4096,
-                memo_budget: None,
-                node_budget: 1000,
-                inbox_cap: 16,
-                fault_plan: None,
-                journal: None,
-                resume: false,
-                fsync_every: 32,
-                idle_reap: None,
-                queue_watermark: None,
-                memo_watermark: None,
-                metrics_out: None,
-                trace_out: None,
-            })
+            Ok(serve_with(
+                Transport::Socket("/tmp/tm.sock".into()),
+                ServeConfig {
+                    node_budget: 1000,
+                    inbox_capacity: 16,
+                    ..ServeConfig::default()
+                },
+                None
+            ))
         );
         for (args, needle) in [
             ("serve --memo-budget 0", "--memo-budget needs a number ≥ 1"),
@@ -2445,43 +1170,30 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             "serve --replay f.jsonl --fault-plan torn@3:10,crash@9 --journal /tmp/j \
              --resume --fsync-every 8 --idle-reap 100 --queue-watermark 32 \
              --memo-watermark 1048576",
-        ))
-        .unwrap();
-        match parsed {
-            Command::Serve {
-                fault_plan,
-                journal,
-                resume,
-                fsync_every,
-                idle_reap,
-                queue_watermark,
-                memo_watermark,
-                ..
-            } => {
-                assert_eq!(fault_plan.as_deref(), Some("torn@3:10,crash@9"));
-                assert_eq!(journal.as_deref(), Some("/tmp/j"));
-                assert!(resume);
-                assert_eq!(fsync_every, 8);
-                assert_eq!(idle_reap, Some(100));
-                assert_eq!(queue_watermark, Some(32));
-                assert_eq!(memo_watermark, Some(1_048_576));
-            }
-            other => panic!("parsed to {other:?}"),
-        }
+        ));
+        let config = ServeConfig {
+            journal_dir: Some("/tmp/j".into()),
+            resume: true,
+            fsync_every: 8,
+            idle_reap_turns: Some(100),
+            queue_watermark: Some(32),
+            memo_watermark_bytes: Some(1_048_576),
+            ..ServeConfig::default()
+        };
+        let plan = Some("torn@3:10,crash@9");
+        assert_eq!(parsed, Ok(serve_with(replay("f.jsonl"), config, plan)));
     }
 
     #[test]
     fn serve_rejects_a_bad_fault_plan_spec() {
         let stream = h1_frame_stream("fp");
         let file = fixture("serve-bad-plan", &stream);
-        let mut cmd = serve_cmd(None, Some(file));
-        if let Command::Serve { fault_plan, .. } = &mut cmd {
-            *fault_plan = Some("explode@1".into());
-        }
-        let (code, out) = run_str(&cmd);
+        let cmd = serve_with(replay(&file), ServeConfig::default(), Some("explode@1"));
+        let (code, out, err) = run_io(&cmd);
         assert_eq!(code, 2);
-        assert!(out.contains("--fault-plan"), "{out}");
-        assert!(out.contains("explode"), "{out}");
+        assert_eq!(out, "", "errors go to stderr");
+        assert!(err.contains("--fault-plan"), "{err}");
+        assert!(err.contains("explode"), "{err}");
     }
 
     #[test]
@@ -2494,33 +1206,23 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         let journal =
             std::env::temp_dir().join(format!("tmcheck-test-serve-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&journal);
-        let journal_s = journal.to_string_lossy().into_owned();
 
-        let (clean_code, clean_out) = run_str(&serve_cmd(None, Some(file.clone())));
+        let (clean_code, clean_out) = run_str(&serve_cmd(replay(&file)));
         assert_eq!(clean_code, 0);
 
-        let mut crashed = serve_cmd(None, Some(file.clone()));
-        if let Command::Serve {
-            fault_plan,
-            journal,
-            ..
-        } = &mut crashed
-        {
-            *fault_plan = Some("crash@5".into());
-            *journal = Some(journal_s.clone());
-        }
+        let journaled = ServeConfig {
+            journal_dir: Some(journal.clone()),
+            ..ServeConfig::default()
+        };
+        let crashed = serve_with(replay(&file), journaled.clone(), Some("crash@5"));
         let (code1, out1) = run_str(&crashed);
         assert_eq!(code1, 3, "injected crash must exit 3: {out1}");
 
-        let mut resumed = serve_cmd(None, Some(file));
-        if let Command::Serve {
-            journal, resume, ..
-        } = &mut resumed
-        {
-            *journal = Some(journal_s);
-            *resume = true;
-        }
-        let (code2, out2) = run_str(&resumed);
+        let resumed = ServeConfig {
+            resume: true,
+            ..journaled
+        };
+        let (code2, out2) = run_str(&serve_with(replay(&file), resumed, None));
         assert_eq!(code2, clean_code, "{out2}");
         let stitched: Vec<&str> = out1.lines().chain(out2.lines()).collect();
         let clean: Vec<&str> = clean_out.lines().collect();
@@ -2557,7 +1259,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn serve_replay_reproduces_the_library_replay_byte_for_byte() {
         let stream = h1_frame_stream("cli");
         let file = fixture("serve-replay", &stream);
-        let (code, output) = run_str(&serve_cmd(None, Some(file)));
+        let (code, output) = run_str(&serve_cmd(replay(&file)));
         assert_eq!(code, 0, "{output}");
         let mut expected = Vec::new();
         let expected_code =
@@ -2570,8 +1272,10 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
 
     #[test]
     fn serve_replay_missing_file_is_a_usage_error() {
-        let (code, _out) = run_str(&serve_cmd(None, Some("/nonexistent/frames.jsonl".into())));
+        // The daemon itself reports the unreadable file on stderr.
+        let (code, out, _) = run_io(&serve_cmd(replay("/nonexistent/frames.jsonl")));
         assert_eq!(code, 2);
+        assert_eq!(out, "", "no frame is written");
     }
 
     #[test]
@@ -2582,22 +1286,15 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             "tmcheck-test-serve-metrics-{}.json",
             std::process::id()
         ));
+        let config = ServeConfig {
+            memo_budget_bytes: Some(1 << 20),
+            ..ServeConfig::default()
+        };
         let cmd = Command::Serve {
-            socket: None,
-            replay: Some(file),
-            max_sessions: 4096,
-            memo_budget: Some(1 << 20),
-            node_budget: 50_000,
-            inbox_cap: 1024,
+            transport: replay(&file),
+            config,
             fault_plan: None,
-            journal: None,
-            resume: false,
-            fsync_every: 32,
-            idle_reap: None,
-            queue_watermark: None,
-            memo_watermark: None,
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            trace_out: None,
+            artifacts: artifacts(Some(metrics.to_string_lossy().into_owned()), None),
         };
         let (code, output) = run_str(&cmd);
         assert_eq!(code, 0, "{output}");

@@ -301,7 +301,7 @@ impl SearchOutcome {
 }
 
 /// Engine configuration knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Hard cap on DFS nodes per check; `None` for unlimited. When hit, the
     /// search conservatively reports "no witness found" via

@@ -498,7 +498,7 @@ fn read_back(stm: &dyn Stm, k: usize) -> Vec<i64> {
 // ---------------------------------------------------------------------------
 
 /// Budget and mode knobs for [`explore`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DporConfig {
     /// Stop after this many complete interleavings (sets `truncated`).
     pub max_interleavings: usize,

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use tm_model::{Event, History, HistoryBuilder, ObjId, TxId};
 
 /// Configuration of the random-history generator.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GenConfig {
     /// Number of transactions.
     pub txs: usize,

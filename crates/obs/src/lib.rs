@@ -126,6 +126,19 @@ impl std::fmt::Debug for ObsHandle {
     }
 }
 
+/// Two handles are equal when they feed the same sink, or are both
+/// disabled.
+impl PartialEq for ObsHandle {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.sink, other.sink) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+impl Eq for ObsHandle {}
+
 impl ObsHandle {
     /// The disabled handle: every operation is a no-op.
     pub const fn disabled() -> Self {

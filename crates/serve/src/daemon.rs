@@ -63,7 +63,7 @@ pub const CRASH_EXIT_CODE: i32 = 3;
 const MAX_TRANSIENT_RETRIES: u32 = 64;
 
 /// Where the daemon reads client frames from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Transport {
     /// Line-delimited frames on stdin, responses on the provided writer
     /// (stdout in the CLI). The live single-stream mode.

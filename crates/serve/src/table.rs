@@ -84,7 +84,7 @@ pub const EST_ENTRY_BYTES: u64 = 256;
 pub const MIN_MEMO_CAP: usize = 64;
 
 /// Daemon-wide configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum concurrently open sessions; `open` beyond it is refused
     /// with an `error` frame.
