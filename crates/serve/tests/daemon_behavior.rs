@@ -166,6 +166,47 @@ fn garbage_lines_become_error_frames_with_line_numbers() {
 }
 
 #[test]
+fn lines_nested_past_the_limit_are_error_frames_and_later_sessions_are_unchanged() {
+    // An unclosed 200 000-deep array, and a 50 000-deep one in an unknown
+    // field of an otherwise valid frame: the decoders stop at
+    // `tm_trace::MAX_NESTING` instead of recursing off the stack.
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    let deep = format!(
+        "{}\n{{\"frame\":\"open\",\"session\":\"deep\",\"pad\":{}}}",
+        "[".repeat(200_000),
+        nested(50_000)
+    );
+    let mut input = open_feed_all("zeta", &paper::h4());
+    input.extend(open_feed_all("alpha", &paper::h1()));
+    let sessions = stream(&input);
+    let mut clean = Vec::new();
+    let clean_code = replay(ServeConfig::default(), &sessions, &mut clean);
+    let mut out = Vec::new();
+    let code = replay(
+        ServeConfig::default(),
+        &format!("{deep}\n{sessions}"),
+        &mut out,
+    );
+    assert_eq!(code, clean_code);
+    let out = String::from_utf8(out).expect("daemon output is UTF-8");
+    let mut lines = out.lines();
+    for line in 1..=2 {
+        let frame = Json::parse(lines.next().expect("an error frame")).expect("valid JSON");
+        assert_eq!(kind(&frame), "error");
+        assert_eq!(
+            frame.get("message"),
+            Some(&Json::Str(format!(
+                "input line {line}: nesting deeper than {} levels",
+                tm_trace::MAX_NESTING
+            )))
+        );
+    }
+    let rest: Vec<&str> = lines.collect();
+    let clean = String::from_utf8(clean).expect("daemon output is UTF-8");
+    assert_eq!(rest, clean.lines().collect::<Vec<_>>());
+}
+
+#[test]
 fn missing_replay_file_is_a_usage_error() {
     let mut out = Vec::new();
     let code = run(

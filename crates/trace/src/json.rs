@@ -34,7 +34,7 @@
 
 use std::borrow::Cow;
 
-use crate::{op_from_str, ParseError};
+use crate::{op_from_str, too_deep, ParseError, MAX_NESTING};
 use tm_model::{Event, History, ObjId, TxId, Value};
 
 /// The format version emitted by [`to_json`].
@@ -96,6 +96,8 @@ pub struct Lexer<'a> {
     /// no separator. One flag suffices — closing a container always lands
     /// inside a parent whose first member has been read.
     fresh: bool,
+    /// Containers open around the current position (≤ [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -106,6 +108,7 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             fresh: false,
+            depth: 0,
         }
     }
 
@@ -157,13 +160,11 @@ impl<'a> Lexer<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
-                self.bump();
-                self.fresh = true;
+                self.open()?;
                 Ok(Token::Obj(self.line))
             }
             Some(b'[') => {
-                self.bump();
-                self.fresh = true;
+                self.open()?;
                 Ok(Token::Arr)
             }
             Some(b'"') => Ok(Token::Str(self.string()?)),
@@ -174,6 +175,23 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Consumes the bracket that opens a container, rejecting nesting
+    /// deeper than [`MAX_NESTING`]: every decoder recurses once per level.
+    fn open(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(too_deep()));
+        }
+        self.bump();
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Leaves the innermost container; its closing bracket was consumed.
+    fn close(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
+    }
+
     /// The next key of the innermost open object, with its `:` consumed
     /// (the caller reads the value next); `None` once the object closes.
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
@@ -181,12 +199,16 @@ impl<'a> Lexer<'a> {
         if std::mem::take(&mut self.fresh) {
             if self.peek() == Some(b'}') {
                 self.bump();
+                self.close();
                 return Ok(None);
             }
         } else {
             match self.bump() {
                 Some(b',') => {}
-                Some(b'}') => return Ok(None),
+                Some(b'}') => {
+                    self.close();
+                    return Ok(None);
+                }
                 Some(b) => {
                     return Err(self.err(format!(
                         "expected `,` or `}}` in object, found `{}`",
@@ -212,13 +234,17 @@ impl<'a> Lexer<'a> {
         if std::mem::take(&mut self.fresh) {
             if self.peek() == Some(b']') {
                 self.bump();
+                self.close();
                 return Ok(false);
             }
             return Ok(true);
         }
         match self.bump() {
             Some(b',') => Ok(true),
-            Some(b']') => Ok(false),
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
             Some(b) => Err(self.err(format!(
                 "expected `,` or `]` in array, found `{}`",
                 b as char
@@ -1142,6 +1168,31 @@ mod tests {
         let s = to_json(&sample()).replace("\"version\":1", "\"version\":99");
         let e = from_json(&s).unwrap_err();
         assert!(e.message.contains("unsupported trace version 99"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_a_positioned_error_past_it() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        // An unknown event field is skipped; the document, the events
+        // array and the event take three of the levels.
+        let trace = |n: usize| {
+            format!(
+                "{{\"version\": 1, \"events\": [\n{{\"kind\": \"try_commit\", \"tx\": 1, \"pad\": {}}}]}}",
+                nested(n)
+            )
+        };
+        let h = from_json(&trace(MAX_NESTING - 3)).unwrap();
+        assert_eq!(h.events(), [Event::TryCommit(TxId(1))]);
+        let too_deep = ParseError {
+            line: 2,
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
+        };
+        assert_eq!(from_json(&trace(MAX_NESTING - 2)), Err(too_deep.clone()));
+        // Far past the limit, and never closed: the same error, with the
+        // stack untouched.
+        let unclosed = format!("\n{}", "[".repeat(200_000));
+        assert_eq!(Json::parse(&unclosed), Err(too_deep));
     }
 
     #[test]

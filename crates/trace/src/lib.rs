@@ -61,6 +61,17 @@ pub use json::{event_from_doc, from_json, to_json, to_json_pretty, Json};
 pub use spans::{chrome_trace_json, TRACE_SCHEMA_VERSION};
 pub use text::{from_text, to_text};
 
+/// The deepest nesting either decoder accepts: JSON arrays and objects in
+/// the JSON codec, list and pair values in the text format. Both decoders
+/// recurse once per level, so the limit bounds their stack use; deeper
+/// input is a positioned [`ParseError`], not a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
+/// The message of a [`ParseError`] for input nested past [`MAX_NESTING`].
+fn too_deep() -> String {
+    format!("nesting deeper than {MAX_NESTING} levels")
+}
+
 /// An error produced while parsing a trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {

@@ -18,7 +18,7 @@
 //!   whitespace, so events tokenize on spaces.
 //! * Commit/abort lines: `tryC T1`, `tryA T1`, `C T1`, `A T1`.
 
-use crate::{op_from_str, ParseError};
+use crate::{op_from_str, too_deep, ParseError, MAX_NESTING};
 use tm_model::{Event, History, ObjId, TxId, Value};
 
 /// Renders a value in the text format (ASCII-safe, no internal spaces).
@@ -161,7 +161,7 @@ fn parse_tx(token: &str, line: usize) -> Result<TxId, ParseError> {
 
 /// Parses one value token (recursive descent; no internal whitespace).
 fn parse_value(token: &str, line: usize) -> Result<Value, ParseError> {
-    let (v, rest) = parse_value_inner(token, line)?;
+    let (v, rest) = parse_value_inner(token, line, 0)?;
     if !rest.is_empty() {
         return Err(ParseError::at(
             line,
@@ -171,7 +171,11 @@ fn parse_value(token: &str, line: usize) -> Result<Value, ParseError> {
     Ok(v)
 }
 
-fn parse_value_inner(s: &str, line: usize) -> Result<(Value, &str), ParseError> {
+/// Parses the value at the start of `s`, inside `depth` lists and pairs.
+fn parse_value_inner(s: &str, line: usize, depth: usize) -> Result<(Value, &str), ParseError> {
+    if depth == MAX_NESTING && s.starts_with(['[', '(']) {
+        return Err(ParseError::at(line, too_deep()));
+    }
     if let Some(rest) = s.strip_prefix('[') {
         let mut items = Vec::new();
         let mut cur = rest;
@@ -179,7 +183,7 @@ fn parse_value_inner(s: &str, line: usize) -> Result<(Value, &str), ParseError> 
             return Ok((Value::List(items), r));
         }
         loop {
-            let (v, r) = parse_value_inner(cur, line)?;
+            let (v, r) = parse_value_inner(cur, line, depth + 1)?;
             items.push(v);
             if let Some(r2) = r.strip_prefix(',') {
                 cur = r2;
@@ -194,11 +198,11 @@ fn parse_value_inner(s: &str, line: usize) -> Result<(Value, &str), ParseError> 
         }
     }
     if let Some(rest) = s.strip_prefix('(') {
-        let (a, r) = parse_value_inner(rest, line)?;
+        let (a, r) = parse_value_inner(rest, line, depth + 1)?;
         let r = r
             .strip_prefix(',')
             .ok_or_else(|| ParseError::at(line, format!("expected ',' in pair near '{r}'")))?;
-        let (b, r) = parse_value_inner(r, line)?;
+        let (b, r) = parse_value_inner(r, line, depth + 1)?;
         let r = r
             .strip_prefix(')')
             .ok_or_else(|| ParseError::at(line, format!("expected ')' in pair near '{r}'")))?;
@@ -259,6 +263,27 @@ mod tests {
             assert_eq!(value_to_text(&v), src);
             let again = parse_value(&value_to_text(&v), 1).unwrap();
             assert_eq!(again, v);
+        }
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_a_positioned_error_past_it() {
+        let list = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let v = parse_value(&list(MAX_NESTING), 1).unwrap();
+        assert_eq!(value_to_text(&v), list(MAX_NESTING));
+        let pairs = format!("{}1{}", "(1,".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert!(parse_value(&pairs, 1).is_ok());
+        let too_deep = ParseError {
+            line: 2,
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
+        };
+        for deep in [
+            list(MAX_NESTING + 1),
+            format!("(1,{pairs})"),
+            "[".repeat(200_000),
+        ] {
+            let src = format!("inv T1 x write 1\nret T1 x write {deep}\n");
+            assert_eq!(from_text(&src), Err(too_deep.clone()));
         }
     }
 
