@@ -147,10 +147,10 @@ impl<'a> Args<'a> {
         while let Some(flag) = self.it.next() {
             match flag.as_str() {
                 "--metrics-out" if self.observed => {
-                    self.artifacts.metrics_out = Some(self.value(flag, "a file path")?);
+                    self.artifacts.metrics_out = Some(self.path(flag)?);
                 }
                 "--trace-out" if self.observed => {
-                    self.artifacts.trace_out = Some(self.value(flag, "a file path")?);
+                    self.artifacts.trace_out = Some(self.path(flag)?);
                 }
                 flag => return Ok(Some(flag)),
             }
@@ -170,9 +170,13 @@ impl<'a> Args<'a> {
         value.ok_or_else(|| self.error(format_args!("{flag} needs {what}")))
     }
 
-    /// A flag's value: a name, a file path, or a plain number.
+    /// A flag's value: a name or a plain number.
     fn value<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
         self.checked(flag, what, |_| true)
+    }
+
+    fn path<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        self.value(flag, "a file path")
     }
 
     /// A count: a number ≥ 1.
@@ -306,8 +310,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 match flag {
                     "--socket" | "--replay" | "--stdin" => {
                         let chosen = match flag {
-                            "--socket" => Transport::Socket(r.value(flag, "a file path")?),
-                            "--replay" => Transport::Replay(r.value(flag, "a file path")?),
+                            "--socket" => Transport::Socket(r.path(flag)?),
+                            "--replay" => Transport::Replay(r.path(flag)?),
                             _ => Transport::Stdin,
                         };
                         let kind = std::mem::discriminant;
@@ -318,8 +322,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--memo-budget" => config.memo_budget_bytes = Some(r.count(flag)?),
                     "--node-budget" => config.node_budget = r.count(flag)?,
                     "--inbox-cap" => config.inbox_capacity = r.count(flag)?,
-                    "--fault-plan" => fault_plan = Some(r.value(flag, "a file path")?),
-                    "--journal" => config.journal_dir = Some(r.value(flag, "a file path")?),
+                    "--fault-plan" => fault_plan = Some(r.path(flag)?),
+                    "--journal" => config.journal_dir = Some(r.path(flag)?),
                     "--resume" => config.resume = true,
                     "--fsync-every" => config.fsync_every = r.count(flag)?,
                     "--idle-reap" => config.idle_reap_turns = Some(r.count(flag)?),

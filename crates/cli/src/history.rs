@@ -111,14 +111,12 @@ pub(crate) fn check(
 /// `explain`: localize the first opacity violation.
 pub(crate) fn explain(file: &str, out: &mut dyn Write) -> Result<i32, Error> {
     let h = load_checked(file)?;
-    match explain_violation(&h, &SpecRegistry::registers())? {
-        None => writeln!(out, "history is opaque — nothing to explain")?,
-        Some(ex) => {
-            writeln!(out, "{ex}")?;
-            return Ok(1);
-        }
-    }
-    Ok(0)
+    let Some(ex) = explain_violation(&h, &SpecRegistry::registers())? else {
+        writeln!(out, "history is opaque — nothing to explain")?;
+        return Ok(0);
+    };
+    writeln!(out, "{ex}")?;
+    Ok(1)
 }
 
 /// `criteria`: one verdict per criterion of the Section-3 lattice.

@@ -106,34 +106,34 @@ fn pin(name: &str, actual: &str) {
     );
 }
 
-/// Pins each `(golden name, args)` case in its own file.
-fn pin_each(cases: &[(&str, &str)], stdin: &str) {
-    for (name, args) in cases {
-        let args: Vec<&str> = args.split_whitespace().collect();
-        pin(&format!("{name}.txt"), &transcript(&args, stdin, None));
-    }
+/// Pins `tmcheck args` (split on whitespace), fed `stdin`, in the golden
+/// `name.txt`.
+fn pin_case(name: &str, args: &str, stdin: &str) {
+    let args: Vec<&str> = args.split_whitespace().collect();
+    pin(&format!("{name}.txt"), &transcript(&args, stdin, None));
 }
 
-/// `n` unclosed `[`: a nesting depth no decoder may recurse through.
-fn deep(n: usize) -> String {
-    "[".repeat(n)
+/// Pins each `(golden name, args)` case, with empty stdin.
+fn pin_each(cases: &[(&str, &str)]) {
+    for (name, args) in cases {
+        pin_case(name, args, "");
+    }
 }
 
 #[test]
 fn help_and_list() {
-    pin_each(&[("help", "help"), ("list", "list")], "");
+    pin_each(&[("help", "help"), ("list", "list")]);
 }
 
 #[test]
 fn history_commands() {
-    let mut cases = Vec::new();
     for cmd in ["check", "explain", "criteria", "graph"] {
         for input in ["h1.txt", "h1.json", "opaque.txt", "opaque.json"] {
             let name = format!("{cmd}_{}", input.replace('.', "_"));
-            cases.push((name, format!("{cmd} {input}")));
+            pin_case(&name, &format!("{cmd} {input}"), "");
         }
     }
-    for (name, args) in [
+    pin_each(&[
         ("convert_h1_txt_to_json", "convert h1.txt --json"),
         ("convert_h1_json_to_text", "convert h1.json --text"),
         ("generate_seed_9", "generate --seed 9"),
@@ -142,42 +142,32 @@ fn history_commands() {
         ("convert_missing_file", "convert missing.txt --json"),
         ("check_ill_formed", "check ill_formed.txt"),
         ("explain_ill_formed", "explain ill_formed.txt"),
-    ] {
-        cases.push((name.to_string(), args.to_string()));
-    }
-    let cases: Vec<(&str, &str)> = cases
-        .iter()
-        .map(|(n, a)| (n.as_str(), a.as_str()))
-        .collect();
-    pin_each(&cases, "");
+    ]);
 }
 
 #[test]
 fn conformance_battery() {
-    pin_each(
-        &[
-            ("conformance", "conformance"),
-            (
-                "conformance_objects_all_mutants",
-                "conformance --objects all --mutants",
-            ),
-            ("conformance_objects_all", "conformance --objects all"),
-            (
-                "conformance_clock_sharded_4",
-                "conformance --clock sharded:4",
-            ),
-            (
-                "conformance_mvstm_deferred_set",
-                "conformance --tm mvstm+deferred --objects set",
-            ),
-            ("conformance_unknown_tm", "conformance --tm nonesuch"),
-            (
-                "conformance_clock_twice",
-                "conformance --tm tl2+sharded:2 --clock deferred",
-            ),
-        ],
-        "",
-    );
+    pin_each(&[
+        ("conformance", "conformance"),
+        (
+            "conformance_objects_all_mutants",
+            "conformance --objects all --mutants",
+        ),
+        ("conformance_objects_all", "conformance --objects all"),
+        (
+            "conformance_clock_sharded_4",
+            "conformance --clock sharded:4",
+        ),
+        (
+            "conformance_mvstm_deferred_set",
+            "conformance --tm mvstm+deferred --objects set",
+        ),
+        ("conformance_unknown_tm", "conformance --tm nonesuch"),
+        (
+            "conformance_clock_twice",
+            "conformance --tm tl2+sharded:2 --clock deferred",
+        ),
+    ]);
     // The register battery's lost-update probe races real threads, so a
     // mutant may or may not lose an update on a given run: its rows' last
     // column is masked.
@@ -194,44 +184,35 @@ fn conformance_battery() {
 
 #[test]
 fn race_battery() {
-    pin_each(
-        &[
-            ("race_tl2_steps_500", "race --tm tl2 --steps 500"),
-            ("race", "race"),
-            ("race_blocking_tm", "race --tm glock"),
-        ],
-        "",
-    );
+    pin_each(&[
+        ("race_tl2_steps_500", "race --tm tl2 --steps 500"),
+        ("race", "race"),
+        ("race_blocking_tm", "race --tm glock"),
+    ]);
 }
 
 #[test]
 fn serve_errors() {
-    pin_each(
-        &[
-            ("serve_replay_missing_file", "serve --replay missing.jsonl"),
-            ("serve_bad_fault_plan", "serve --fault-plan explode@1"),
-        ],
-        "",
-    );
+    pin_each(&[
+        ("serve_replay_missing_file", "serve --replay missing.jsonl"),
+        ("serve_bad_fault_plan", "serve --fault-plan explode@1"),
+    ]);
 }
 
+/// Inputs nested 200 000 levels deep, never closed: deeper than any
+/// decoder may recurse.
 #[test]
 fn deep_nesting() {
-    let text = format!("inv T1 x write {}\n", deep(200_000));
-    pin(
-        "check_deep_text.txt",
-        &transcript(&["check", "-"], &text, None),
+    let deep = "[".repeat(200_000);
+    pin_case(
+        "check_deep_text",
+        "check -",
+        &format!("inv T1 x write {deep}\n"),
     );
-    let json = format!("{{\"version\":1,\"events\":{}", deep(200_000));
-    pin(
-        "check_deep_json.txt",
-        &transcript(&["check", "-"], &json, None),
-    );
-    let frames = format!("{}\n{{\"frame\":\"shutdown\"}}\n", deep(200_000));
-    pin(
-        "serve_deep_line.txt",
-        &transcript(&["serve", "--stdin"], &frames, None),
-    );
+    let json = format!("{{\"version\":1,\"events\":{deep}");
+    pin_case("check_deep_json", "check -", &json);
+    let frames = format!("{deep}\n{{\"frame\":\"shutdown\"}}\n");
+    pin_case("serve_deep_line", "serve --stdin", &frames);
 }
 
 /// Every parse error, in one golden file: the message is pinned exactly,

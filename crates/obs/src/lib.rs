@@ -297,5 +297,10 @@ mod tests {
         copy.counter_add("k", 1);
         obs.counter_add("k", 1);
         assert_eq!(obs.snapshot().unwrap().counter("k"), Some(2));
+        // Equality is sink identity.
+        assert_eq!(copy, obs);
+        assert_ne!(ObsHandle::install(), obs);
+        assert_ne!(ObsHandle::disabled(), obs);
+        assert_eq!(ObsHandle::disabled(), ObsHandle::default());
     }
 }
