@@ -148,8 +148,8 @@ pub enum Command {
         transport: Transport,
         /// Daemon configuration, except the fault plan.
         config: ServeConfig,
-        /// Injected fault schedule: a `tm-faults/v1` JSON file path or an
-        /// inline `kind@frame[:args],...` spec, resolved at run time.
+        /// Injected fault schedule: an inline `kind@frame[:args],...` spec
+        /// or the path of a file holding one, resolved at run time.
         fault_plan: Option<String>,
         /// Observability artifacts to write.
         artifacts: Artifacts,

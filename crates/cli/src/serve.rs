@@ -18,7 +18,7 @@ pub(crate) fn serve(
 ) -> Result<i32, Error> {
     let fault_plan = match fault_plan {
         // A path wins when it exists; otherwise the argument is an inline
-        // `kind@frame[:args],...` (or JSON) spec.
+        // `kind@frame[:args],...` spec. A file holds the same spec grammar.
         Some(arg) => {
             let text = std::fs::read_to_string(arg).unwrap_or_else(|_| arg.to_string());
             FaultPlan::parse(&text).map_err(|e| format!("serve: --fault-plan: {e}"))?

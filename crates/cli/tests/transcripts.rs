@@ -199,6 +199,16 @@ fn serve_errors() {
     ]);
 }
 
+/// A fault plan read from a file: the torn seventh line becomes an
+/// `error` frame and the session's sixth event is never fed.
+#[test]
+fn serve_fault_plan_file() {
+    pin_each(&[(
+        "serve_fault_plan_file",
+        "serve --replay serve_frames.jsonl --fault-plan fault_plan.txt",
+    )]);
+}
+
 /// Inputs nested 200 000 levels deep, never closed: deeper than any
 /// decoder may recurse.
 #[test]

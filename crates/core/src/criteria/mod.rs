@@ -30,11 +30,9 @@ pub mod strict_serializability;
 
 pub use progress::{check_progressive, ProgressReport, ProgressViolation};
 pub use recoverability::{RecoverabilityReport, ScheduleProperties};
-pub use serializability::{
-    is_global_atomic, is_one_copy_serializable, is_serializable, is_serializable_with,
-};
+pub use serializability::{is_serializable, is_serializable_with};
 pub use snapshot_isolation::{is_snapshot_isolated, snapshot_isolated, SiReport};
-pub use strict_serializability::{is_strictly_serializable, is_tx_linearizable};
+pub use strict_serializability::is_strictly_serializable;
 
 use crate::opacity::is_opaque;
 use crate::search::CheckError;

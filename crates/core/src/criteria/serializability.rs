@@ -1,4 +1,5 @@
-//! Serializability (Section 3.2) and global atomicity (Section 3.4).
+//! Serializability (Section 3.2), which in this model is also global
+//! atomicity (Section 3.4) and 1-copy serializability (Section 3.3).
 //!
 //! A history `H` is serializable if the committed transactions of `H` issue
 //! the same operations and receive the same responses as in some legal
@@ -6,16 +7,27 @@
 //! `H`. Classical serializability is stated for read/write objects;
 //! Weihl's *global atomicity* generalizes it to arbitrary objects with
 //! sequential specifications. In this object-generic model the two coincide,
-//! so [`is_global_atomic`] is an alias of [`is_serializable`] kept for
-//! vocabulary fidelity with the paper.
+//! so [`is_serializable`] decides global atomicity too.
 //!
-//! Neither criterion constrains live or aborted transactions — the gap
+//! 1-copy serializability (Bernstein & Goodman) allows multiple physical
+//! versions of each object while demanding that committed transactions
+//! behave as if a single copy existed. Our model is *value-based*: histories
+//! record the values operations actually returned, never which physical copy
+//! produced them, so the "one logical copy" requirement is exactly the
+//! existence of a legal single-state sequential history over the committed
+//! transactions — again [`is_serializable`]. The limitations the paper
+//! attributes to 1-copy serializability (read/write-only model, no
+//! constraint on live or aborted transactions) are therefore shared with it
+//! here, which is the point of the Section 3.3 comparison.
+//!
+//! None of these criteria constrains live or aborted transactions — the gap
 //! opacity fills.
 
 use crate::search::{search, CheckError, CheckSession, SearchConfig, SearchMode};
 use tm_model::{History, SpecRegistry};
 
-/// Final-state serializability of the committed transactions of `h`.
+/// Final-state serializability of the committed transactions of `h`; also
+/// global atomicity and 1-copy serializability (see the module docs).
 pub fn is_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
     Ok(search(h, specs, SearchMode::SERIALIZABILITY)?.holds())
 }
@@ -35,30 +47,6 @@ pub fn is_serializable_with(
     )
 }
 
-/// Global atomicity (Weihl): serializability over arbitrary objects.
-///
-/// See the module documentation — in this model this is the same decision
-/// procedure as [`is_serializable`].
-pub fn is_global_atomic(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
-    is_serializable(h, specs)
-}
-
-/// 1-copy serializability (Section 3.3, Bernstein & Goodman).
-///
-/// 1-copy serializability allows multiple physical versions of each object
-/// while demanding that committed transactions behave as if a single copy
-/// existed. Our model is *value-based*: histories record the values
-/// operations actually returned, never which physical copy produced them,
-/// so the "one logical copy" requirement is exactly the existence of a
-/// legal single-state sequential history over the committed transactions —
-/// the same decision procedure as [`is_serializable`]. The limitations the
-/// paper attributes to 1-copy serializability (read/write-only model, no
-/// constraint on live or aborted transactions) are therefore shared with it
-/// here, which is the point of the Section 3.3 comparison.
-pub fn is_one_copy_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
-    is_serializable(h, specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +63,6 @@ mod tests {
     fn h1_is_serializable() {
         // Aborted T2's inconsistent view is invisible to serializability.
         assert!(is_serializable(&paper::h1(), &regs()).unwrap());
-        assert!(is_global_atomic(&paper::h1(), &regs()).unwrap());
     }
 
     #[test]

@@ -12,22 +12,17 @@ use tm_model::{History, SpecRegistry};
 
 /// Is `h` strictly serializable (committed transactions, real-time order
 /// preserved)?
+///
+/// This is also transaction-level linearizability (Section 3.1): treating
+/// each committed transaction as one operation on the composite shared
+/// state, linearizability asks for a single point within each transaction's
+/// lifespan at which it appears to take effect — a legal sequential order of
+/// the committed transactions preserving real time. The paper's criticism
+/// stands regardless: a TM transaction "is not a black box operation" —
+/// linearizability says nothing about the values observed by live or
+/// aborted transactions, which is what opacity adds.
 pub fn is_strictly_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
     Ok(search(h, specs, SearchMode::STRICT_SERIALIZABILITY)?.holds())
-}
-
-/// Transaction-level linearizability (Section 3.1).
-///
-/// Treating each committed transaction as one operation on the composite
-/// shared state, linearizability asks for a single point within each
-/// transaction's lifespan at which it appears to take effect — i.e. a legal
-/// sequential order of the committed transactions preserving real time.
-/// That is strict serializability, so this is the same decision procedure;
-/// the paper's criticism stands regardless: a TM transaction "is not a
-/// black box operation" — linearizability says nothing about the values
-/// observed by live or aborted transactions, which is what opacity adds.
-pub fn is_tx_linearizable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
-    is_strictly_serializable(h, specs)
 }
 
 #[cfg(test)]

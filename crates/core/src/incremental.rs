@@ -49,21 +49,20 @@
 
 use crate::search::{CheckError, CheckSession, SearchConfig, SearchMode, SearchStats};
 use tm_model::{Event, History, SpecRegistry};
+use tm_obs::ObsHandle;
 
-/// The monitor's view of the execution so far.
+/// The monitor's view of the execution so far: a [`CheckSession`] that holds
+/// the events and the search state, plus the two outcomes the online form of
+/// opacity latches.
 pub struct OpacityMonitor<'a> {
     specs: &'a SpecRegistry,
-    config: SearchConfig,
+    /// Sink of the `monitor.feed` span (the session's [`SearchConfig::obs`]).
+    obs: ObsHandle,
     session: CheckSession<'a>,
-    history: History,
-    checks_run: usize,
-    checks_skipped: usize,
     violated_at: Option<usize>,
     /// A hard error (ill-formed feed, engine limit) is latched: every later
-    /// verdict repeats it, mirroring the pre-refactor behavior in which each
-    /// full re-check rediscovered the ill-formedness.
+    /// verdict repeats it.
     poisoned: Option<CheckError>,
-    last_stats: SearchStats,
 }
 
 /// The verdict after feeding one event.
@@ -88,34 +87,25 @@ impl<'a> OpacityMonitor<'a> {
         let config = SearchConfig::default();
         OpacityMonitor {
             specs,
-            config,
+            obs: config.obs,
             session: CheckSession::new(specs, SearchMode::OPACITY, config),
-            history: History::new(),
-            checks_run: 0,
-            checks_skipped: 0,
             violated_at: None,
             poisoned: None,
-            last_stats: SearchStats::default(),
         }
     }
 
-    /// Overrides the search configuration (call before feeding events).
-    ///
-    /// If events were already fed, they are replayed into a fresh session;
-    /// a replay failure (possible only if the monitor was already poisoned
-    /// by an ill-formed feed) re-latches the error rather than leaving the
-    /// session silently out of sync with the recorded history.
-    pub fn with_config(mut self, config: SearchConfig) -> Self {
-        self.config = config;
-        self.session = CheckSession::new(self.specs, SearchMode::OPACITY, config);
-        self.poisoned = None;
-        for e in self.history.events() {
-            if let Err(err) = self.session.extend(e) {
-                self.poisoned = Some(err);
-                break;
-            }
+    /// Overrides the search configuration of a fresh monitor (one that has
+    /// not been fed an event yet).
+    pub fn with_config(self, config: SearchConfig) -> Self {
+        debug_assert!(
+            self.session.events_seen() == 0 && self.poisoned.is_none(),
+            "with_config on a monitor that was already fed"
+        );
+        OpacityMonitor {
+            obs: config.obs,
+            session: CheckSession::new(self.specs, SearchMode::OPACITY, config),
+            ..self
         }
-        self
     }
 
     /// Rebuilds a monitor from a previously accepted event prefix — the
@@ -130,9 +120,9 @@ impl<'a> OpacityMonitor<'a> {
     pub fn recover(specs: &'a SpecRegistry, config: SearchConfig, events: &[Event]) -> Self {
         let mut monitor = OpacityMonitor::new(specs).with_config(config);
         for e in events {
-            // Outcomes latch internally (violated_at / poisoned); a
-            // poisoned monitor keeps recording history without checking,
-            // matching what the live feed path did before the crash.
+            // Outcomes latch internally (violated_at / poisoned); a latched
+            // monitor ignores the rest of the prefix, as the live feed path
+            // did before the crash.
             let _ = monitor.feed(e.clone());
         }
         monitor
@@ -146,39 +136,32 @@ impl<'a> OpacityMonitor<'a> {
     pub fn feed(&mut self, e: Event) -> Result<MonitorVerdict, CheckError> {
         // Covers extend + (skipped or run) check: the per-event cost of
         // online monitoring in a trace. Inert while obs is disabled.
-        let _span = self.config.obs.span("monitor.feed", "monitor");
-        let is_invocation = e.is_invocation();
-        self.history.push(e.clone());
+        let _span = self.obs.span("monitor.feed", "monitor");
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
         if let Some(at) = self.violated_at {
             return Ok(MonitorVerdict::Violated { at });
         }
-        if let Err(err) = self.session.extend(&e) {
-            self.poisoned = Some(err.clone());
-            return Err(err);
-        }
-        if is_invocation {
-            self.checks_skipped += 1;
+        self.session.extend(&e).map_err(|err| self.poison(err))?;
+        if e.is_invocation() {
             return Ok(MonitorVerdict::OpaqueBySkip);
         }
-        self.checks_run += 1;
-        let outcome = match self.session.check() {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                self.poisoned = Some(err.clone());
-                return Err(err);
-            }
-        };
-        self.last_stats = outcome.stats;
+        let outcome = self.session.check().map_err(|err| self.poison(err))?;
         if outcome.holds() {
             Ok(MonitorVerdict::OpaqueChecked)
         } else {
-            let at = self.history.len() - 1;
+            // Every event so far was consumed: a failed extend poisons.
+            let at = self.session.events_seen() - 1;
             self.violated_at = Some(at);
             Ok(MonitorVerdict::Violated { at })
         }
+    }
+
+    /// Latches a hard error and hands it back.
+    fn poison(&mut self, err: CheckError) -> CheckError {
+        self.poisoned = Some(err.clone());
+        err
     }
 
     /// Feeds a whole history; returns the first violation index, if any.
@@ -191,14 +174,12 @@ impl<'a> OpacityMonitor<'a> {
         Ok(None)
     }
 
-    /// The history accumulated so far.
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
-    /// `(checks run, checks skipped by the invocation argument)`.
+    /// `(checks run, checks skipped by the invocation argument)`: every
+    /// consumed response event ran a check, every consumed invocation
+    /// skipped one.
     pub fn check_counts(&self) -> (usize, usize) {
-        (self.checks_run, self.checks_skipped)
+        let run = self.session.checks();
+        (run, self.session.events_seen() - run)
     }
 
     /// The sticky first violation index, if any prefix was non-opaque.
@@ -213,7 +194,7 @@ impl<'a> OpacityMonitor<'a> {
 
     /// Statistics of the most recent search.
     pub fn last_stats(&self) -> SearchStats {
-        self.last_stats
+        self.session.last_stats()
     }
 
     /// Statistics accumulated over every check this monitor ran — the
@@ -244,7 +225,6 @@ impl<'a> OpacityMonitor<'a> {
     /// memo entries are pure pruning, so no retune can change a verdict
     /// (property-tested in `tm-serve`).
     pub fn set_memo_capacity(&mut self, capacity: Option<usize>) {
-        self.config.memo_capacity = capacity;
         self.session.set_memo_capacity(capacity);
     }
 }
@@ -314,7 +294,9 @@ mod tests {
         let v = m.feed(Event::Abort(TxId(1))).unwrap();
         assert!(matches!(v, MonitorVerdict::Violated { .. }));
         // Sanity: the full history is indeed non-opaque.
-        assert!(!is_opaque(m.history(), &regs()).unwrap().opaque);
+        let mut full = prefix.clone();
+        full.push(Event::Abort(TxId(1)));
+        assert!(!is_opaque(&full, &regs()).unwrap().opaque);
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //! use tm_model::builder::paper;
 //! use tm_model::SpecRegistry;
 //! use tm_opacity::opacity::is_opaque;
-//! use tm_opacity::criteria::{is_global_atomic, ScheduleProperties};
+//! use tm_opacity::criteria::{is_serializable, ScheduleProperties};
 //!
 //! let specs = SpecRegistry::registers();
 //!
 //! // Figure 1 (H1): globally atomic and recoverable, but NOT opaque.
 //! let h1 = paper::h1();
-//! assert!(is_global_atomic(&h1, &specs).unwrap());
+//! assert!(is_serializable(&h1, &specs).unwrap());
 //! assert!(ScheduleProperties::of(&h1).recoverable);
 //! assert!(!is_opaque(&h1, &specs).unwrap().opaque);
 //!

@@ -24,16 +24,15 @@
 //! | node    | `node@F:NxD`      | node budget pinned to `N` for `D` frames         |
 //! | crash   | `crash@F`         | the daemon dies before `F` (journal flushed)     |
 //!
-//! Plans come from three places: a spec string (`--fault-plan
-//! "torn@12:5,drop@30:3"`), a JSON file (`--fault-plan plan.json`, the
-//! `tm-faults/v1` document rendered by [`FaultPlan::to_json`]), or seeded
-//! generation (`gen@SEED:HORIZONxCOUNT[:kind+kind+...]`) — the chaos
-//! property suite's entry point, built on the same splitmix64 mix the
-//! harness RNG family uses so plans are stable across platforms.
+//! Plans are written in one spec grammar, given inline (`--fault-plan
+//! "torn@12:5,drop@30:3"`) or in a file (`--fault-plan plan.txt`), and may
+//! include seeded generation (`gen@SEED:HORIZONxCOUNT[:kind+kind+...]`) —
+//! the chaos property suite's entry point, built on the same splitmix64 mix
+//! the harness RNG family uses so plans are stable across platforms.
 
 use std::collections::BTreeMap;
 
-use tm_trace::Json;
+use tm_trace::json::{Lexer, Scalar, Token};
 
 use crate::table::{Routed, SessionTable};
 
@@ -82,20 +81,6 @@ pub enum Fault {
     /// Kill the daemon before this line: the journal is flushed and the
     /// process exits with code 3, leaving recovery to `--resume`.
     Crash,
-}
-
-impl Fault {
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Fault::Torn { .. } => "torn",
-            Fault::Drop { .. } => "drop",
-            Fault::Stall { .. } => "stall",
-            Fault::WriteErr { .. } => "werr",
-            Fault::MemoSpike { .. } => "memo",
-            Fault::NodeSpike { .. } => "node",
-            Fault::Crash => "crash",
-        }
-    }
 }
 
 /// The fault kinds [`FaultPlan::generate`] may draw from.
@@ -187,21 +172,11 @@ impl FaultPlan {
             .flat_map(|(f, faults)| faults.iter().map(move |fault| (*f, fault)))
     }
 
-    /// Parses a plan from either form `--fault-plan` accepts: a JSON
-    /// document (first non-space byte `{`) or the compact spec grammar.
-    pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        if text.trim_start().starts_with('{') {
-            FaultPlan::parse_json(text)
-        } else {
-            FaultPlan::parse_spec(text)
-        }
-    }
-
     /// Parses the compact spec grammar: comma-separated `kind@frame[:args]`
     /// entries (see the module docs for the per-kind argument shapes), plus
     /// `gen@SEED:HORIZONxCOUNT[:kind+kind+...]` which expands to a seeded
     /// generated plan over frames `1..=HORIZON`.
-    pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for entry in spec.split(',') {
             let entry = entry.trim();
@@ -301,103 +276,6 @@ impl FaultPlan {
             self.schedule(frame, *fault);
         }
         Ok(())
-    }
-
-    /// Parses the `tm-faults/v1` JSON document form.
-    pub fn parse_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = Json::parse(text).map_err(|e| format!("fault plan JSON: {}", e.message))?;
-        match doc.get("plan") {
-            Some(Json::Str(v)) if v == "tm-faults/v1" => {}
-            _ => return Err("fault plan JSON: missing `\"plan\":\"tm-faults/v1\"`".into()),
-        }
-        let Some(Json::Arr(faults)) = doc.get("faults") else {
-            return Err("fault plan JSON: missing `faults` array".into());
-        };
-        let int = |f: &Json, key: &str| -> Result<u64, String> {
-            match f.get(key) {
-                Some(Json::Int(v)) if *v >= 0 => Ok(*v as u64),
-                _ => Err(format!("fault plan JSON: missing integer `{key}`")),
-            }
-        };
-        let mut plan = FaultPlan::new();
-        for f in faults {
-            let Some(Json::Str(kind)) = f.get("kind") else {
-                return Err("fault plan JSON: fault without string `kind`".into());
-            };
-            let frame = int(f, "frame")? as usize;
-            if frame == 0 {
-                return Err("fault plan JSON: frame indices are 1-based".into());
-            }
-            let fault = match kind.as_str() {
-                "torn" => Fault::Torn {
-                    keep: int(f, "keep")? as usize,
-                },
-                "drop" => Fault::Drop {
-                    frames: (int(f, "frames")? as usize).max(1),
-                },
-                "stall" => Fault::Stall {
-                    turns: int(f, "turns")?,
-                },
-                "werr" => Fault::WriteErr {
-                    writes: (int(f, "writes")? as u32).max(1),
-                },
-                "memo" => Fault::MemoSpike {
-                    bytes: int(f, "bytes")?,
-                    frames: (int(f, "frames")? as usize).max(1),
-                },
-                "node" => Fault::NodeSpike {
-                    nodes: int(f, "nodes")?,
-                    frames: (int(f, "frames")? as usize).max(1),
-                },
-                "crash" => Fault::Crash,
-                other => return Err(format!("fault plan JSON: unknown kind `{other}`")),
-            };
-            plan.schedule(frame, fault);
-        }
-        Ok(plan)
-    }
-
-    /// Renders the plan as its `tm-faults/v1` JSON document (one line).
-    pub fn to_json(&self) -> String {
-        let faults: Vec<Json> = self
-            .iter()
-            .map(|(frame, fault)| {
-                let mut fields = vec![
-                    ("kind".into(), Json::Str(fault.kind_name().into())),
-                    ("frame".into(), Json::Int(frame as i64)),
-                ];
-                match fault {
-                    Fault::Torn { keep } => fields.push(("keep".into(), Json::Int(*keep as i64))),
-                    Fault::Drop { frames } => {
-                        fields.push(("frames".into(), Json::Int(*frames as i64)))
-                    }
-                    Fault::Stall { turns } => {
-                        fields.push(("turns".into(), Json::Int(*turns as i64)))
-                    }
-                    Fault::WriteErr { writes } => {
-                        fields.push(("writes".into(), Json::Int(i64::from(*writes))))
-                    }
-                    Fault::MemoSpike { bytes, frames } => {
-                        fields.push(("bytes".into(), Json::Int(*bytes as i64)));
-                        fields.push(("frames".into(), Json::Int(*frames as i64)));
-                    }
-                    Fault::NodeSpike { nodes, frames } => {
-                        fields.push(("nodes".into(), Json::Int(*nodes as i64)));
-                        fields.push(("frames".into(), Json::Int(*frames as i64)));
-                    }
-                    Fault::Crash => {}
-                }
-                Json::Obj(0, fields)
-            })
-            .collect();
-        Json::Obj(
-            0,
-            vec![
-                ("plan".into(), Json::Str("tm-faults/v1".into())),
-                ("faults".into(), Json::Arr(faults)),
-            ],
-        )
-        .to_compact_string()
     }
 
     /// Generates a seeded plan of `count` faults over frames
@@ -630,11 +508,31 @@ impl FaultDriver {
     }
 
     fn note_affected(&mut self, original_line: &str) {
-        if let Ok(doc) = Json::parse(original_line) {
-            if let Some(Json::Str(s)) = doc.get("session") {
-                self.affected.insert(s.clone());
-            }
+        if let Some(session) = session_field(original_line) {
+            self.affected.insert(session);
         }
+    }
+}
+
+/// The string `session` field of a line that is one JSON object, if it has
+/// one (the first occurrence, as in the frame parser). The line need not be
+/// a valid frame otherwise.
+fn session_field(line: &str) -> Option<String> {
+    let mut lx = Lexer::new(line);
+    let Token::Obj(_) = lx.token().ok()? else {
+        return None;
+    };
+    let mut session = None;
+    while let Some(key) = lx.next_key().ok()? {
+        match &*key {
+            "session" if session.is_none() => session = Some(lx.scalar().ok()?),
+            _ => lx.skip().ok()?,
+        }
+    }
+    lx.finish().ok()?;
+    match session? {
+        Scalar::Str(s) => Some(s.into_owned()),
+        _ => None,
     }
 }
 
@@ -643,18 +541,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_grammar_roundtrips_through_json() {
-        let plan = FaultPlan::parse_spec(
+    fn spec_grammar_parses_every_kind() {
+        let plan = FaultPlan::parse(
             "torn@12:5, drop@30:3, stall@40:5, werr@50:2, memo@60:8192x10, node@70:100x5, crash@80",
         )
         .unwrap();
         assert_eq!(plan.len(), 7);
         assert_eq!(plan.faults_at(12), &[Fault::Torn { keep: 5 }]);
+        assert_eq!(plan.faults_at(30), &[Fault::Drop { frames: 3 }]);
+        assert_eq!(plan.faults_at(40), &[Fault::Stall { turns: 5 }]);
+        assert_eq!(plan.faults_at(50), &[Fault::WriteErr { writes: 2 }]);
+        assert_eq!(
+            plan.faults_at(60),
+            &[Fault::MemoSpike {
+                bytes: 8192,
+                frames: 10
+            }]
+        );
+        assert_eq!(
+            plan.faults_at(70),
+            &[Fault::NodeSpike {
+                nodes: 100,
+                frames: 5
+            }]
+        );
         assert_eq!(plan.faults_at(80), &[Fault::Crash]);
-        let json = plan.to_json();
-        assert_eq!(FaultPlan::parse(&json).unwrap(), plan);
-        // The dispatching parse accepts the spec form too.
-        assert_eq!(FaultPlan::parse("torn@12:5").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn the_session_field_is_read_from_any_json_object_line() {
+        let feed = r#"{"frame":"feed","session":"s1","event":{"kind":"tryC","tx":1}}"#;
+        assert_eq!(session_field(feed).as_deref(), Some("s1"));
+        // An invalid frame still names its session; the first one counts.
+        let bad = r#"{"frame":"feed","session":"s2","event":[1],"session":"s3"}"#;
+        assert_eq!(session_field(bad).as_deref(), Some("s2"));
+        for none in [
+            r#"{"frame":"shutdown"}"#,
+            r#"{"session":7}"#,
+            r#"["s1"]"#,
+            r#"{"session":"s1""#,
+        ] {
+            assert_eq!(session_field(none), None, "{none}");
+        }
     }
 
     #[test]
@@ -669,12 +597,9 @@ mod tests {
             ("gen@1:abc", "expected `gen@SEED"),
             ("gen@1:10x3:torn+zap", "unknown fault kind `zap`"),
         ] {
-            let e = FaultPlan::parse_spec(bad).unwrap_err();
+            let e = FaultPlan::parse(bad).unwrap_err();
             assert!(e.contains(needle), "{bad}: {e}");
         }
-        assert!(FaultPlan::parse_json("{}")
-            .unwrap_err()
-            .contains("tm-faults/v1"));
     }
 
     #[test]
@@ -687,7 +612,7 @@ mod tests {
         let c = FaultPlan::generate(43, 100, 16, VERDICT_PRESERVING_KINDS);
         assert_ne!(a, c, "different seeds draw different plans");
         // The gen@ spec entry expands to exactly the library generation.
-        let spec = FaultPlan::parse_spec("gen@42:100x16:torn+drop+stall+memo+node").unwrap();
+        let spec = FaultPlan::parse("gen@42:100x16:torn+drop+stall+memo+node").unwrap();
         assert_eq!(spec, a);
     }
 

@@ -36,11 +36,6 @@ pub(crate) struct Session {
     accepted: usize,
     /// A `close` frame arrived; emit the summary once the inbox drains.
     pub(crate) closing: bool,
-    /// Latched on the first hard check error (ill-formed event, engine
-    /// limit). Poisoned sessions reject further feeds with `error` frames.
-    pub(crate) poisoned: bool,
-    /// Sticky first violation index, mirrored from the monitor's verdicts.
-    violated_at: Option<usize>,
     /// Transport routing tag (which connection opened the session; re-bound
     /// when the client reconnects and re-opens).
     pub(crate) conn: usize,
@@ -63,8 +58,6 @@ impl Session {
             inbox: VecDeque::new(),
             accepted: 0,
             closing: false,
-            poisoned: false,
-            violated_at: None,
             conn,
             last_active: 0,
             journaled_cursor: 0,
@@ -89,8 +82,6 @@ impl Session {
         let inbox: VecDeque<Event> = events[checked..].iter().cloned().collect();
         Session {
             id,
-            poisoned: monitor.is_poisoned(),
-            violated_at: monitor.violated_at(),
             monitor,
             inbox,
             accepted: events.len(),
@@ -125,6 +116,13 @@ impl Session {
         self.accepted += 1;
     }
 
+    /// Whether the monitor latched a hard check error (ill-formed event,
+    /// engine limit). Poisoned sessions reject further feeds with `error`
+    /// frames.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.monitor.is_poisoned()
+    }
+
     /// Retunes the monitor's memo capacity (the governor's hook).
     pub(crate) fn set_memo_capacity(&mut self, capacity: Option<usize>) {
         self.monitor.set_memo_capacity(capacity);
@@ -136,7 +134,7 @@ impl Session {
     pub(crate) fn step(&mut self, obs: ObsHandle) -> Option<(ServerFrame, u64)> {
         let event = self.inbox.pop_front()?;
         let seq = self.accepted - self.inbox.len();
-        if self.poisoned {
+        if self.is_poisoned() {
             // The monitor latches hard errors; don't burn a feed to
             // rediscover one we already reported.
             return Some((
@@ -149,30 +147,20 @@ impl Session {
             ));
         }
         let start = Instant::now();
+        let nodes_before = self.monitor.lifetime_stats().nodes;
         let fed = self.monitor.feed(event);
         match fed {
             Ok(verdict) => {
                 obs.observe("serve.verdict_ns", start.elapsed().as_nanos() as u64);
                 obs.counter_add("serve.verdicts", 1);
-                // Charge the scheduler only for checks that actually ran:
-                // invocation-skips and sticky repeat-violations are
-                // near-free, and `last_stats` still describes the previous
-                // check in those cases.
-                let checked = matches!(verdict, MonitorVerdict::OpaqueChecked)
-                    || (matches!(verdict, MonitorVerdict::Violated { .. })
-                        && self.violated_at.is_none());
-                let nodes = if checked {
-                    self.monitor.last_stats().nodes as u64
-                } else {
-                    0
-                };
+                // Charge the scheduler for the nodes of the check this feed
+                // ran, if any: invocation-skips and sticky repeat-violations
+                // run none and are near-free.
+                let nodes = (self.monitor.lifetime_stats().nodes - nodes_before) as u64;
                 let (verdict, at) = match verdict {
                     MonitorVerdict::OpaqueChecked => ("opaque", None),
                     MonitorVerdict::OpaqueBySkip => ("opaque_skip", None),
-                    MonitorVerdict::Violated { at } => {
-                        self.violated_at.get_or_insert(at);
-                        ("violated", Some(at))
-                    }
+                    MonitorVerdict::Violated { at } => ("violated", Some(at)),
                 };
                 Some((
                     ServerFrame::Verdict {
@@ -185,7 +173,6 @@ impl Session {
                 ))
             }
             Err(err) => {
-                self.poisoned = true;
                 obs.counter_add("serve.poisoned", 1);
                 Some((
                     ServerFrame::Error {
@@ -206,8 +193,8 @@ impl Session {
             session: self.id.clone(),
             events: self.accepted,
             checks,
-            violated_at: self.violated_at,
-            poisoned: self.poisoned,
+            violated_at: self.monitor.violated_at(),
+            poisoned: self.is_poisoned(),
             reaped: self.reaped,
         }
     }

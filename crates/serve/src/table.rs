@@ -627,14 +627,14 @@ impl SessionTable {
             return Vec::new();
         };
         debug_assert!(session.inbox.is_empty() && session.closing);
-        self.any_poisoned |= session.poisoned;
+        self.any_poisoned |= session.is_poisoned();
         self.apply_governor();
         let obs = self.config.obs;
         obs.counter_add("serve.sessions_closed", 1);
         obs.gauge_set("serve.sessions", self.sessions.len() as u64);
         let mut out = Vec::new();
         if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| {
-            w.close(id, session.poisoned)
+            w.close(id, session.is_poisoned())
         }) {
             out.push(err);
         }

@@ -17,13 +17,13 @@
 //! Having both protocols at the same design-space point demonstrates that
 //! the Ω(k) bound is a property of the *point*, not of one algorithm.
 
-use parking_lot::Mutex;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::{NestingInfo, NestingMode, TxId};
@@ -93,7 +93,7 @@ impl AstmStm {
     /// checking opacity.
     pub fn nesting_info(&self) -> NestingInfo {
         let mut info = NestingInfo::new();
-        for &(child, parent) in self.nested.lock().iter() {
+        for &(child, parent) in lock(&self.nested).iter() {
             info = info.child(child, parent, NestingMode::Closed);
         }
         info
@@ -102,7 +102,7 @@ impl AstmStm {
     /// One metered load of the object's committed (value, modcount).
     fn snapshot(&self, obj: usize, m: &mut Meter) -> (i64, u64) {
         m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        *self.objs[obj].inner.lock()
+        *lock(&self.objs[obj].inner)
     }
 }
 
@@ -190,7 +190,7 @@ impl AstmTx<'_> {
             "nesting is one level deep (flatten bottom-up)"
         );
         let child = self.stm.recorder.fresh_tx();
-        self.stm.nested.lock().push((child.0, self.id.0));
+        lock(&self.stm.nested).push((child.0, self.id.0));
         self.scope = Some(NestedScope {
             child,
             reads_mark: self.reads.len(),
@@ -363,7 +363,7 @@ impl Tx for AstmTx<'_> {
         for &(obj, v) in &writes {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Write);
-            let mut g = self.stm.objs[obj].inner.lock();
+            let mut g = lock(&self.stm.objs[obj].inner);
             *g = (v, g.1 + 1);
         }
         self.release(&held);

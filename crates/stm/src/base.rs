@@ -24,8 +24,8 @@
 //!
 //! Mutex-protected records are modeled as single cells: the TM announces
 //! the access with [`Meter::touch`] (or [`Meter::acquire`] for lock-shaped
-//! cells held across other accesses) *before* taking the `parking_lot`
-//! mutex, and brackets the critical section with [`Meter::begin_atomic`] /
+//! cells held across other accesses) *before* taking the mutex, and
+//! brackets the critical section with [`Meter::begin_atomic`] /
 //! [`Meter::end_atomic`] so any metered accesses inside it are reported as
 //! non-blocking — the cooperative stepper must never park a thread that
 //! holds an unmodeled lock.

@@ -176,12 +176,17 @@ mod tests {
 mod greedy_integration {
     use super::*;
     use crate::api::{run_tx, Aborted, Stm};
+    use crate::config::StmConfig;
     use crate::dstm::DstmStm;
     use crate::visible::VisibleStm;
 
+    fn greedy() -> StmConfig {
+        StmConfig::new(1).contention_manager(ContentionManager::Greedy)
+    }
+
     #[test]
     fn greedy_dstm_oldest_writer_wins_symmetric_conflict() {
-        let stm = DstmStm::with_cm(1, ContentionManager::Greedy);
+        let stm = DstmStm::with_config(&greedy());
         let mut old = stm.begin(0);
         let mut young = stm.begin(1);
         old.write(0, 1).unwrap(); // old acquires r0
@@ -195,7 +200,7 @@ mod greedy_integration {
 
     #[test]
     fn greedy_dstm_older_attacker_wounds_younger_owner() {
-        let stm = DstmStm::with_cm(1, ContentionManager::Greedy);
+        let stm = DstmStm::with_config(&greedy());
         let mut old = stm.begin(0);
         let mut young = stm.begin(1);
         young.write(0, 2).unwrap(); // young acquires r0 first
@@ -208,7 +213,7 @@ mod greedy_integration {
 
     #[test]
     fn greedy_visible_reader_vs_writer_by_seniority() {
-        let stm = VisibleStm::with_cm(1, ContentionManager::Greedy);
+        let stm = VisibleStm::with_config(&greedy());
         let mut old = stm.begin(0);
         let mut young = stm.begin(1);
         assert_eq!(old.read(0).unwrap(), 0); // old registers as reader
@@ -222,7 +227,7 @@ mod greedy_integration {
     fn greedy_workloads_conserve_invariants() {
         // Threaded sanity: seniority-based resolution completes the
         // counter workload without losing updates or livelocking.
-        let stm = DstmStm::with_cm(1, ContentionManager::Greedy);
+        let stm = DstmStm::with_config(&greedy());
         stm.recorder().set_enabled(false);
         std::thread::scope(|scope| {
             for t in 0..3 {

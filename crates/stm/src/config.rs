@@ -3,8 +3,8 @@
 //! Every TM in this crate used to be buildable only through a hardwired
 //! `new(k)`; the interesting axes of the design space (clock scheme,
 //! contention manager, initial state, recording, retry behaviour) were
-//! either fixed or reachable through ad-hoc constructors (`with_cm`). The
-//! builder collects them in one value that every constructor consumes:
+//! either fixed or reachable through ad-hoc constructors. The builder
+//! collects them in one value that every constructor consumes:
 //!
 //! ```
 //! use tm_stm::{ClockScheme, ContentionManager, RetryPolicy, StmConfig, Tl2Stm, Stm, run_tx};

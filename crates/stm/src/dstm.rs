@@ -20,20 +20,20 @@
 //!
 //! Real DSTM publishes a locator via an atomic pointer that readers load
 //! with a single instruction. Safe Rust has no atomic `Arc` swap, so each
-//! object's locator sits behind a short `parking_lot::Mutex` critical
+//! object's locator sits behind a short `std::sync::Mutex` critical
 //! section; a locator access is *logically* one load and is metered as one
 //! step (plus one step to read the owner's status word). Readers still
 //! publish nothing — the mutex is measurement-invisible scaffolding, not
 //! reader state — so the invisible-reads hypothesis is preserved at the
 //! algorithm level. See DESIGN.md.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
 use crate::cm::{try_abort_tx, ContentionManager, Resolution};
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
@@ -84,11 +84,6 @@ impl DstmStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A DSTM with an explicit contention manager.
-    pub fn with_cm(k: usize, cm: ContentionManager) -> Self {
-        Self::with_config(&StmConfig::new(k).contention_manager(cm))
-    }
-
     /// A DSTM built from an explicit configuration (contention manager,
     /// initial values, recording, retry policy; the clock scheme is not
     /// consulted — DSTM has no global clock).
@@ -114,7 +109,7 @@ impl DstmStm {
     /// one status load).
     fn current_value(&self, obj: usize, m: &mut Meter) -> i64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read); // the locator load
-        let loc = self.objs[obj].locator.lock();
+        let loc = lock(&self.objs[obj].locator);
         m.begin_atomic();
         let v = loc.committed_value(m);
         m.end_atomic();
@@ -221,7 +216,7 @@ impl Tx for DstmTx<'_> {
         let v = {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Read); // locator load
-            let loc = self.stm.objs[obj].locator.lock();
+            let loc = lock(&self.stm.objs[obj].locator);
             self.meter.begin_atomic();
             let v = match &loc.owner {
                 Some(d) if Arc::ptr_eq(d, &self.desc) => loc.new,
@@ -254,7 +249,7 @@ impl Tx for DstmTx<'_> {
             // Locator access (CAS-like acquisition).
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-            let mut loc = self.stm.objs[obj].locator.lock();
+            let mut loc = lock(&self.stm.objs[obj].locator);
             self.meter.begin_atomic();
             match loc.owner.clone() {
                 Some(d) if Arc::ptr_eq(&d, &self.desc) => {
@@ -397,7 +392,8 @@ mod tests {
 
     #[test]
     fn timid_cm_aborts_self_on_write_conflict() {
-        let stm = DstmStm::with_cm(1, ContentionManager::Timid);
+        let stm =
+            DstmStm::with_config(&StmConfig::new(1).contention_manager(ContentionManager::Timid));
         let mut t1 = stm.begin(0);
         t1.write(0, 1).unwrap();
         let mut t2 = stm.begin(1);

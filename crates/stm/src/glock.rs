@@ -6,11 +6,12 @@
 //! histories are sequential, hence opaque — at the price of zero
 //! concurrency.
 
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::api::{Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use tm_model::TxId;
 
@@ -57,14 +58,14 @@ impl Stm for GlockStm {
     }
 
     fn k(&self) -> usize {
-        self.store.lock().len()
+        lock(&self.store).len()
     }
 
     fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
         let id = self.recorder.fresh_tx();
         // The lock acquisition is the transaction's single synchronization
         // point; it happens at begin, outside any operation, and costs O(1).
-        let guard = self.store.lock();
+        let guard = lock(&self.store);
         Box::new(GlockTx {
             stm: self,
             guard: Some(guard),

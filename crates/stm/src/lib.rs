@@ -60,6 +60,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod api;
 pub mod astm;
 pub mod base;
@@ -127,22 +129,12 @@ pub fn opaque_stms(k: usize) -> Vec<Box<dyn Stm>> {
         .collect()
 }
 
-/// A factory that rebuilds the named suite TM at any register count — the
-/// shape every sweep and conformance battery consumes. The returned
-/// closure is `Copy`, so it can be handed to scoped threads freely.
-///
-/// Prefer [`TmRegistry::factory`], which returns a `Result` (and accepts
-/// full specs like `"tl2+sharded:16"`); this wrapper survives for callers
-/// with statically known names.
-///
-/// # Panics
-/// Panics if `name` is not a suite TM.
-pub fn factory_by_name(
-    name: &'static str,
-) -> impl Fn(usize) -> Box<dyn Stm> + Send + Sync + Copy + 'static {
-    TmRegistry::suite()
-        .factory(name)
-        .unwrap_or_else(|e| panic!("{e}"))
+/// Locks `m` even if a holder panicked. The race explorer
+/// (`tm_harness::dpor`) catches a panic in TM code and lets the run's other
+/// threads finish on the same TM, so a poisoned lock must stay usable; the
+/// explorer builds a fresh TM for every run.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -200,5 +192,17 @@ mod tests {
             assert!(tm_model::is_well_formed(&h), "{}: {h}", stm.name());
             assert_eq!(h.committed_txs().len(), 2, "{}", stm.name());
         }
+    }
+
+    #[test]
+    fn poison_is_recovered() {
+        let m = Mutex::new(0);
+        let _ = std::panic::catch_unwind(|| {
+            let _g = lock(&m);
+            panic!("poison the mutex");
+        });
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
     }
 }

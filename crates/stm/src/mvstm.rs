@@ -12,13 +12,13 @@
 //! global commit lock (first-committer-wins) and install new versions at a
 //! fresh timestamp.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::GlobalClock;
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
@@ -69,7 +69,7 @@ impl MvStm {
     /// each probe is one step).
     fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = self.objs[obj].versions.lock();
+        let versions = lock(&self.objs[obj].versions);
         // Binary search for the latest version with timestamp <= ts.
         let mut lo = 0usize;
         let mut hi = versions.len();
@@ -88,7 +88,7 @@ impl MvStm {
     /// The newest committed timestamp of `obj`.
     fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = self.objs[obj].versions.lock();
+        let versions = lock(&self.objs[obj].versions);
         versions.last().expect("version list never empty").0
     }
 }
@@ -198,7 +198,7 @@ impl Tx for MvTx<'_> {
             return Ok(());
         }
         self.meter.acquire(CellId::CommitLock);
-        let guard = self.stm.commit_lock.lock();
+        let guard = lock(&self.stm.commit_lock);
         // Validation: nothing we read or write was committed past start_ts.
         let stm = self.stm;
         let valid = self
@@ -228,7 +228,7 @@ impl Tx for MvTx<'_> {
         for &(obj, v) in &self.writes {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Write);
-            stm.objs[obj].versions.lock().push((wv, v));
+            lock(&stm.objs[obj].versions).push((wv, v));
         }
         self.stm.clock.publish(wv, &mut self.meter);
         drop(guard);

@@ -673,10 +673,8 @@ mod tests {
 
     #[test]
     fn every_tm_serves_typed_objects_with_object_level_histories() {
-        for make in crate::all_stms(1)
-            .into_iter()
-            .map(|s| crate::factory_by_name(s.name()))
-        {
+        let reg = crate::TmRegistry::suite();
+        for make in reg.names().into_iter().map(|n| reg.factory(n).unwrap()) {
             let tm = TypedStm::new(playground(), make);
             let c = tm.handle("c");
             let q = tm.handle("q");

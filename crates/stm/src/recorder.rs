@@ -30,9 +30,10 @@
 //! transactions recording register-level and object-level operations
 //! interleave correctly.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+use crate::lock;
 use tm_model::{Event, History, ObjId, OpName, TxId, Value};
 
 /// A shared, append-only event log with model-level object names.
@@ -101,7 +102,7 @@ impl Recorder {
     /// Appends a raw event (no-op when disabled).
     pub fn record(&self, e: Event) {
         if self.enabled() {
-            self.events.lock().push(e);
+            lock(&self.events).push(e);
         }
     }
 
@@ -113,19 +114,19 @@ impl Recorder {
         if self.suppressed_len.load(Ordering::Acquire) == 0 {
             return false;
         }
-        self.suppressed.lock().contains(&t)
+        lock(&self.suppressed).contains(&t)
     }
 
     /// Adds `t` to the suppression set.
     fn suppress(&self, t: TxId) {
-        let mut set = self.suppressed.lock();
+        let mut set = lock(&self.suppressed);
         set.push(t);
         self.suppressed_len.store(set.len(), Ordering::Release);
     }
 
     /// Removes `t` from the suppression set (idempotent).
     fn unsuppress(&self, t: TxId) {
-        let mut set = self.suppressed.lock();
+        let mut set = lock(&self.suppressed);
         set.retain(|&s| s != t);
         self.suppressed_len.store(set.len(), Ordering::Release);
     }
@@ -244,18 +245,18 @@ impl Recorder {
 
     /// A snapshot of the recorded history.
     pub fn history(&self) -> History {
-        History::from_events(self.events.lock().clone())
+        History::from_events(lock(&self.events).clone())
     }
 
     /// Clears the log (the transaction-id counter keeps increasing, so ids
     /// stay unique across clears).
     pub fn clear(&self) {
-        self.events.lock().clear();
+        lock(&self.events).clear();
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// True if nothing has been recorded.

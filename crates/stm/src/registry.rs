@@ -1,8 +1,8 @@
 //! The TM registry — fallible, spec-driven construction of the whole suite.
 //!
-//! The old shape of the suite was a hardwired `all_stms(k)` plus a
-//! `factory_by_name` that *panicked* on a typo. [`TmRegistry`] replaces
-//! both with data: one [`TmSpec`] per TM carrying its name, its static
+//! The old shape of the suite was a hardwired `all_stms(k)` plus a name
+//! lookup that *panicked* on a typo. [`TmRegistry`] replaces both with
+//! data: one [`TmSpec`] per TM carrying its name, its static
 //! [`StmProperties`], which configuration axes it honours, and a build
 //! function consuming an [`StmConfig`]. Lookups return `Result`s whose
 //! errors list every valid name, so a CLI typo produces a menu instead of a
@@ -273,8 +273,7 @@ impl TmRegistry {
 
     /// A `Copy` factory rebuilding the spec'd TM at any register count —
     /// the shape every sweep and conformance battery consumes (and safe to
-    /// hand to scoped worker threads). The fallible replacement for the
-    /// panicking `factory_by_name`.
+    /// hand to scoped worker threads).
     pub fn factory(
         &self,
         spec: &str,

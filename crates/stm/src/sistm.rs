@@ -30,13 +30,13 @@
 //! which is precisely the paper's argument that opacity is the conjunction
 //! users actually need.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::GlobalClock;
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
@@ -100,7 +100,7 @@ impl SiStm {
     /// The value of `obj` in the committed snapshot at `ts`.
     fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = self.objs[obj].versions.lock();
+        let versions = lock(&self.objs[obj].versions);
         let mut lo = 0usize;
         let mut hi = versions.len();
         while hi - lo > 1 {
@@ -118,7 +118,7 @@ impl SiStm {
     /// The newest committed timestamp of `obj`.
     fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = self.objs[obj].versions.lock();
+        let versions = lock(&self.objs[obj].versions);
         versions.last().expect("version list never empty").0
     }
 }
@@ -222,7 +222,7 @@ impl Tx for SiTx<'_> {
             return Ok(());
         }
         self.meter.acquire(CellId::CommitLock);
-        let guard = self.stm.commit_lock.lock();
+        let guard = lock(&self.stm.commit_lock);
         // First-committer-wins over the WRITE set only (the read set is
         // not consulted — compare MvStm::commit, which also validates
         // reads and is therefore opaque).
@@ -247,7 +247,7 @@ impl Tx for SiTx<'_> {
         for &(obj, v) in &self.writes {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Write);
-            stm.objs[obj].versions.lock().push((wv, v));
+            lock(&stm.objs[obj].versions).push((wv, v));
         }
         self.stm.clock.publish(wv, &mut self.meter);
         drop(guard);

@@ -41,13 +41,12 @@
 //! visible-reads hypothesis fails, and indeed every operation costs O(1)
 //! steps in `k`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
@@ -217,7 +216,7 @@ impl TplTx<'_> {
         for &obj in &self.write_locked {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-            let mut cell = self.stm.objs[obj].lock();
+            let mut cell = lock(&self.stm.objs[obj]);
             let mine = cell.writer.as_ref().is_some_and(|w| w.id == self.desc.id);
             if mine {
                 if !committed {
@@ -229,7 +228,7 @@ impl TplTx<'_> {
         for &obj in &self.read_locked {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-            let mut cell = self.stm.objs[obj].lock();
+            let mut cell = lock(&self.stm.objs[obj]);
             cell.readers.retain(|r| r.id != self.desc.id);
         }
         self.write_locked.clear();
@@ -266,7 +265,7 @@ impl Tx for TplTx<'_> {
         // an RMW on the object's record.
         self.meter
             .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-        let mut cell = self.stm.objs[obj].lock();
+        let mut cell = lock(&self.stm.objs[obj]);
         self.meter.begin_atomic();
         cell.clean(&mut self.meter);
         if let Some(w) = cell.writer.clone() {
@@ -301,7 +300,7 @@ impl Tx for TplTx<'_> {
         }
         self.meter
             .touch(CellId::Record(obj as u32), AccessKind::Rmw); // lock-word acquisition
-        let mut cell = self.stm.objs[obj].lock();
+        let mut cell = lock(&self.stm.objs[obj]);
         self.meter.begin_atomic();
         cell.clean(&mut self.meter);
         if let Some(w) = cell.writer.clone() {

@@ -20,8 +20,9 @@
 //! Probes are measurement/control apparatus, like the
 //! [`crate::recorder::Recorder`]: their callbacks never count as steps.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use crate::lock;
 
 /// A stable identity for one base shared object.
 ///
@@ -165,17 +166,17 @@ impl AccessLog {
 
     /// A snapshot of the recorded stream.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// Takes the recorded stream, leaving the log empty.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *lock(&self.events))
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// True if nothing has been recorded.
@@ -186,13 +187,11 @@ impl AccessLog {
 
 impl StepProbe for AccessLog {
     fn on_access(&self, thread: usize, cell: CellId, kind: AccessKind, _blocking: bool) {
-        self.events
-            .lock()
-            .push(TraceEvent::Access(AccessEvent { thread, cell, kind }));
+        lock(&self.events).push(TraceEvent::Access(AccessEvent { thread, cell, kind }));
     }
 
     fn on_stamp(&self, thread: usize, ts: u64) {
-        self.events.lock().push(TraceEvent::Stamp { thread, ts });
+        lock(&self.events).push(TraceEvent::Stamp { thread, ts });
     }
 }
 

@@ -15,13 +15,13 @@
 //! that transaction first, so every live transaction's snapshot remains the
 //! current committed state throughout its life.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
 use crate::cm::{try_abort_tx, ContentionManager, Resolution};
 use crate::config::{RetryPolicy, StmConfig};
+use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
@@ -69,11 +69,6 @@ impl VisibleStm {
     /// contention manager).
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
-    }
-
-    /// A visible-reads TM with an explicit contention manager.
-    pub fn with_cm(k: usize, cm: ContentionManager) -> Self {
-        Self::with_config(&StmConfig::new(k).contention_manager(cm))
     }
 
     /// A visible-reads TM built from an explicit configuration (contention
@@ -175,7 +170,7 @@ impl Tx for VisibleTx<'_> {
             // on the object's record.
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-            let mut o = self.stm.objs[obj].lock();
+            let mut o = lock(&self.stm.objs[obj]);
             self.meter.begin_atomic();
             o.settle(&mut self.meter);
             // A live foreign writer holds the object: resolve.
@@ -226,7 +221,7 @@ impl Tx for VisibleTx<'_> {
         {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Rmw); // object access
-            let mut o = self.stm.objs[obj].lock();
+            let mut o = lock(&self.stm.objs[obj]);
             self.meter.begin_atomic();
             o.settle(&mut self.meter);
             // Resolve a live foreign writer.
@@ -378,7 +373,9 @@ mod tests {
 
     #[test]
     fn timid_reader_aborts_itself() {
-        let stm = VisibleStm::with_cm(1, ContentionManager::Timid);
+        let stm = VisibleStm::with_config(
+            &StmConfig::new(1).contention_manager(ContentionManager::Timid),
+        );
         let mut t1 = stm.begin(0);
         t1.write(0, 9).unwrap();
         let mut t2 = stm.begin(1);

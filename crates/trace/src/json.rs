@@ -667,8 +667,8 @@ fn indent(compact: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 // The JSON document model.
 //
-// Kept for the fault-plan format and for callers that want a whole
-// document; the trace, frame and journal codecs do not build it.
+// Kept for callers that want a whole document (tests, and perfbench's
+// trace-layer replay); the trace, frame and journal codecs do not build it.
 
 /// A parsed JSON document node. Numbers are restricted to `i64`: every
 /// number in the trace schema (versions, transaction ids, integer values)

@@ -10,8 +10,7 @@ use opacity_tm::model::{
     TxStatus,
 };
 use opacity_tm::opacity::criteria::{
-    classify, is_global_atomic, is_serializable, is_strictly_serializable, snapshot_isolated,
-    ScheduleProperties,
+    classify, is_serializable, is_strictly_serializable, snapshot_isolated, ScheduleProperties,
 };
 use opacity_tm::opacity::graphcheck::decide_via_graph;
 use opacity_tm::opacity::opacity::{is_opaque, witness_history};
@@ -31,7 +30,6 @@ fn e1_figure1_h1_separates_opacity_from_classical_criteria() {
 
     // Classical criteria are all satisfied…
     assert!(is_serializable(&h1, &specs()).unwrap());
-    assert!(is_global_atomic(&h1, &specs()).unwrap());
     assert!(is_strictly_serializable(&h1, &specs()).unwrap());
     let sched = ScheduleProperties::of(&h1);
     assert!(sched.recoverable);

@@ -14,7 +14,7 @@ use opacity_tm::stm::objects::{run_typed_tx, TypedSpace, TypedStm};
 use opacity_tm::stm::{SiStm, Stm, Tl2Stm};
 
 fn factory(name: &'static str) -> impl Fn(usize) -> Box<dyn Stm> + Sync {
-    opacity_tm::stm::factory_by_name(name)
+    opacity_tm::stm::TmRegistry::suite().factory(name).unwrap()
 }
 
 /// The paper-level claim of this subsystem, end to end: snapshot isolation
