@@ -32,8 +32,8 @@ USAGE:
   tmcheck graph    <file>           Graphviz DOT of the Section-5.4 opacity graph
   tmcheck convert  <file> --json|--text    convert between trace formats
   tmcheck generate [--seed N] [--txs N] [--objs N] [--ops N] [--json]
-  tmcheck conformance [--jobs N] [--memo-cap M] [--tm SPEC]
-                      [--clock SCHEME] [--mutants] [--objects SET]
+  tmcheck conformance [--jobs N] [--memo-cap M] [--tm NAME]
+                      [--mutants] [--objects SET]
                       [--metrics-out FILE] [--trace-out FILE]
                                     run the TM conformance battery (exit 1 if
                                     any swept TM violates a contract); --jobs
@@ -41,10 +41,7 @@ USAGE:
                                     --memo-cap bounds each individual history
                                     check as in `check` (output is invariant
                                     under both); --tm
-                                    takes a spec (tl2, tl2+sharded:16, …);
-                                    --clock single|sharded[:N]|deferred sweeps
-                                    the clocked TMs (tl2, mvstm, sistm) under
-                                    that version-clock scheme;
+                                    restricts the sweep to one TM (see list);
                                     --objects all (or e.g. --objects set,queue)
                                     sweeps typed-object probes — write-skew
                                     sets, producer/consumer queues, commutative
@@ -52,7 +49,7 @@ USAGE:
                                     battery; --metrics-out/--trace-out write
                                     the observability artifacts as in `check`
                                     (the battery text itself is unchanged)
-  tmcheck race [--tm SPEC] [--steps N] [--preemptions K]
+  tmcheck race [--tm NAME] [--steps N] [--preemptions K]
                [--metrics-out FILE] [--trace-out FILE]
                                     step-level race analysis: explore
                                     instrumented base-object interleavings
@@ -251,16 +248,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "list" => Command::List,
         "conformance" => {
             let (mut jobs, mut search) = (1, SearchConfig::default());
-            let (mut tm, mut clock, mut mutants, mut objects) = (None, None, false, None);
+            let (mut tm, mut mutants, mut objects) = (None, false, None);
             while let Some(flag) = r.flag()? {
                 match flag {
                     "--jobs" => jobs = r.count(flag)?,
                     "--memo-cap" => search.memo_capacity = Some(r.count(flag)?),
                     "--tm" => tm = Some(r.value(flag, "a name")?),
-                    "--clock" => {
-                        let spec: String = r.value(flag, "a scheme")?;
-                        clock = Some(tm_stm::ClockScheme::parse(&spec).map_err(|e| r.error(e))?);
-                    }
                     "--mutants" => mutants = true,
                     "--objects" => {
                         let spec: String = r.value(flag, "a set (all or a comma list of kinds)")?;
@@ -273,7 +266,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 jobs,
                 search,
                 tm,
-                clock,
                 mutants,
                 objects,
                 artifacts: r.artifacts,

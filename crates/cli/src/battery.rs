@@ -6,19 +6,19 @@ use tm_harness::{
     conformance_observed, conformance_parallel_with, object_conformance_with, ObjectKind,
 };
 use tm_opacity::SearchConfig;
-use tm_stm::{ClockScheme, MutantStm, Mutation, Stm, StmConfig, TmRegistry};
+use tm_stm::{MutantStm, Mutation, Stm, StmConfig, TmRegistry, TmSpec};
 
 use crate::Error;
 
 /// `list`: the TM registry, its properties and configuration axes.
 pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
     let yn = |b: bool| if b { "yes" } else { "no " };
-    let mut row = |cells: [&str; 9]| {
-        let [tm, progressive, single, invisible, opaque, ser, clock, cm, blocking] = cells;
+    let mut row = |cells: [&str; 8]| {
+        let [tm, progressive, single, invisible, opaque, ser, cm, blocking] = cells;
         writeln!(
             out,
             "{tm:<10} {progressive:>11} {single:>10} {invisible:>9} {opaque:>6} {ser:>6} \
-             {clock:>8} {cm:>4} {blocking:>8}"
+             {cm:>4} {blocking:>8}"
         )
     };
     row([
@@ -28,7 +28,6 @@ pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
         "invisible",
         "opaque",
         "ser",
-        "clock",
         "cm",
         "blocking",
     ])?;
@@ -42,49 +41,14 @@ pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
             yn(p.invisible_reads),
             yn(p.opaque_by_design),
             yn(p.serializable_by_design),
-            any(spec.clocked),
             any(spec.cm_tunable),
             yn(spec.blocking),
         ])?;
     }
-    writeln!(
-        out,
-        "\nclock schemes (clocked TMs): single (GV1 counter), sharded:N \
-         (GV5-style padded array), deferred (GV4 pass-on-failure)\n\
-         spec syntax: <tm>[+<clock>], e.g. tl2+sharded:16, mvstm+deferred"
-    )?;
     Ok(0)
 }
 
-/// The TM specs a `conformance` run sweeps: one `--tm` spec, the clocked
-/// TMs under a `--clock` scheme, or the whole suite.
-fn sweep(
-    reg: &TmRegistry,
-    tm: Option<&str>,
-    clock: Option<ClockScheme>,
-) -> Result<Vec<String>, Error> {
-    Ok(match (tm, clock) {
-        (Some(spec), None) => vec![spec.to_string()],
-        (Some(spec), Some(scheme)) => {
-            if spec.contains('+') {
-                return Err(format!(
-                    "conformance: clock given twice ('{spec}' and --clock {scheme})"
-                )
-                .into());
-            }
-            vec![format!("{spec}+{scheme}")]
-        }
-        (None, Some(scheme)) => reg
-            .specs()
-            .iter()
-            .filter(|s| s.clocked)
-            .map(|s| format!("{}+{scheme}", s.name))
-            .collect(),
-        (None, None) => reg.names().iter().map(|n| n.to_string()).collect(),
-    })
-}
-
-/// `conformance`: the battery over every swept spec, then (with `mutants`)
+/// `conformance`: the battery over every swept TM, then (with `mutants`)
 /// over the deliberately broken mutants. `objects` selects the
 /// typed-object battery instead of the register one.
 ///
@@ -92,7 +56,6 @@ fn sweep(
 /// byte-identical to `--jobs 1` (deterministic sharded merge).
 pub(crate) fn conformance(
     tm: Option<&str>,
-    clock: Option<ClockScheme>,
     jobs: usize,
     search: SearchConfig,
     mutants: bool,
@@ -100,27 +63,25 @@ pub(crate) fn conformance(
     out: &mut dyn Write,
 ) -> Result<i32, Error> {
     let reg = TmRegistry::suite();
-    // Every lookup is fallible; the errors carry the registry's menu of
+    // The lookup is fallible; the error carries the registry's menu of
     // valid names.
-    let selection = sweep(&reg, tm, clock)?
-        .into_iter()
-        .map(|label| Ok((reg.parse_spec(&label)?, label)))
-        .collect::<Result<Vec<_>, tm_stm::TmLookupError>>()
-        .map_err(|e| format!("conformance: {e}"))?;
+    let selection: Vec<&TmSpec> = match tm {
+        Some(name) => vec![reg.get(name).map_err(|e| format!("conformance: {e}"))?],
+        None => reg.specs().iter().collect(),
+    };
     let mut failures: Vec<String> = Vec::new();
     let mut all_clean = true;
     match objects {
         Some(_) => writeln!(out, "{}", tm_harness::object_header())?,
         None => writeln!(out, "{}", tm_harness::conformance_header())?,
     }
-    for ((tm, scheme), label) in selection {
+    for tm in selection {
         let props = tm.properties;
         // The battery's TMs feed the STM-layer counters into the metrics
         // snapshot; the threaded lost-update probe's TMs do not, since its
         // aborts depend on scheduling.
-        let config = move |k: usize| StmConfig::new(k).clock(scheme);
-        let observed = |k: usize| tm.build(&config(k).obs(search.obs));
-        let unobserved = |k: usize| tm.build(&config(k));
+        let observed = |k: usize| tm.build(&StmConfig::new(k).obs(search.obs));
+        let unobserved = |k: usize| tm.build(&StmConfig::new(k));
         if let Some(kinds) = objects {
             // Typed-object battery: rich-semantics probes judged against
             // the objects' own sequential specifications. Well-formedness
@@ -138,11 +99,10 @@ pub(crate) fn conformance(
                 failures.extend(report.probes.iter().flat_map(|p| p.violations.clone()));
             }
             for probe in &report.probes {
-                writeln!(out, "{}", probe.row(&label))?;
+                writeln!(out, "{}", probe.row(tm.name))?;
             }
         } else {
-            let mut report = conformance_observed(&observed, &unobserved, jobs, search);
-            report.name = label;
+            let report = conformance_observed(&observed, &unobserved, jobs, search);
             // Opacity is the contract under test; TMs that advertise a
             // weaker criterion (sistm, nonopaque) are expected rows, not
             // failures — only well-formedness and lost updates are

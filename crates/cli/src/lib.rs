@@ -27,11 +27,8 @@
 //! `conformance` runs the `tm-harness` conformance kit over the in-tree TM
 //! suite; `--jobs N` shards the interleaving sweep across `N` worker
 //! threads with deterministic merging, so the output is identical for every
-//! `N`. TM selection goes through the fallible `tm_stm::TmRegistry`: `--tm`
-//! accepts full specs (`tl2+sharded:16`) and a typo prints the menu of
-//! valid names instead of panicking; `--clock single|sharded[:N]|deferred`
-//! sweeps the clocked TMs (tl2, mvstm, sistm) under that version-clock
-//! scheme.
+//! `N`. TM selection goes through the fallible `tm_stm::TmRegistry`: a
+//! `--tm` typo prints the menu of valid names instead of panicking.
 //!
 //! Exit codes: `0` — the property holds (or output was produced), `1` — the
 //! history violates opacity, `2` — usage or input error (reported on
@@ -116,12 +113,8 @@ pub enum Command {
         jobs: usize,
         /// Each history check's search knobs, as in `check`.
         search: SearchConfig,
-        /// Restrict to one TM spec (`tl2`, `tl2+sharded:16`, …; default:
-        /// the whole suite).
+        /// Restrict to one TM by name (default: the whole suite).
         tm: Option<String>,
-        /// Sweep the clocked TMs under this clock scheme instead of the
-        /// full suite under the default clock.
-        clock: Option<tm_stm::ClockScheme>,
         /// Also run the deliberately broken mutants.
         mutants: bool,
         /// Typed-object probe battery: `--objects all` or a comma list of
@@ -132,7 +125,7 @@ pub enum Command {
     },
     /// `race`: the step-level race analysis battery.
     Race {
-        /// Restrict to one non-blocking TM spec (default: every
+        /// Restrict to one non-blocking TM by name (default: every
         /// non-blocking TM in the suite, plus the concurrency-mutant
         /// self-test).
         tm: Option<String>,
@@ -229,13 +222,12 @@ fn execute(cmd: &Command, obs: ObsHandle, out: &mut dyn Write) -> Result<i32, Er
             jobs,
             search,
             tm,
-            clock,
             mutants,
             objects,
             ..
         } => {
             let (tm, objects) = (tm.as_deref(), objects.as_deref());
-            battery::conformance(tm, *clock, *jobs, observed(search), *mutants, objects, out)
+            battery::conformance(tm, *jobs, observed(search), *mutants, objects, out)
         }
         Command::Race { tm, dpor, .. } => race::race(tm.as_deref(), dpor, obs, out),
         Command::Serve {
@@ -369,7 +361,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
                 jobs: 1,
                 search: SearchConfig::default(),
                 tm: None,
-                clock: None,
                 mutants: false,
                 objects: None,
                 artifacts: Artifacts::default(),
@@ -381,7 +372,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
                 jobs: 4,
                 search: SearchConfig::default(),
                 tm: Some("tl2".into()),
-                clock: None,
                 mutants: true,
                 objects: None,
                 artifacts: Artifacts::default(),
@@ -393,7 +383,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
                 jobs: 1,
                 search: SearchConfig::default(),
                 tm: None,
-                clock: None,
                 mutants: false,
                 objects: Some(ObjectKind::ALL.to_vec()),
                 artifacts: Artifacts::default(),
@@ -405,7 +394,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
                 jobs: 1,
                 search: SearchConfig::default(),
                 tm: Some("sistm".into()),
-                clock: None,
                 mutants: false,
                 objects: Some(vec![ObjectKind::Queue, ObjectKind::Set]),
                 artifacts: Artifacts::default(),
@@ -469,7 +457,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 1,
             search: memo(memo_cap),
             tm: Some("tl2".into()),
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
@@ -585,7 +572,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 1,
             search: SearchConfig::default(),
             tm: None,
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
@@ -594,7 +580,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 4,
             search: SearchConfig::default(),
             tm: None,
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
@@ -612,7 +597,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 2,
             search: SearchConfig::default(),
             tm: Some("tl2".into()),
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
@@ -624,7 +608,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 1,
             search: SearchConfig::default(),
             tm: Some("nonesuch".into()),
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
@@ -642,7 +625,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 2,
             search: SearchConfig::default(),
             tm: Some("sistm".into()),
-            clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Set]),
             artifacts: Artifacts::default(),
@@ -659,7 +641,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 1,
             search: SearchConfig::default(),
             tm: Some("tl2".into()),
-            clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Set, ObjectKind::Queue]),
             artifacts: Artifacts::default(),
@@ -678,7 +659,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs,
             search: SearchConfig::default(),
             tm: Some("tl2".into()),
-            clock: None,
             mutants: false,
             objects: Some(vec![ObjectKind::Counter, ObjectKind::Set]),
             artifacts: Artifacts::default(),
@@ -697,116 +677,33 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         for name in tm_stm::TmRegistry::suite().names() {
             assert!(out.contains(name), "{out}");
         }
-        assert!(out.contains("sharded:N"), "{out}");
-        assert!(out.contains("tl2+sharded:16"), "{out}");
-    }
-
-    #[test]
-    fn conformance_clock_flag_sweeps_the_clocked_tms() {
-        let (code, out) = run_str(&Command::Conformance {
-            jobs: 2,
-            search: SearchConfig::default(),
-            tm: None,
-            clock: Some(tm_stm::ClockScheme::Sharded(4)),
-            mutants: false,
-            objects: None,
-            artifacts: Artifacts::default(),
-        });
-        assert_eq!(code, 0, "{out}");
-        for row in ["tl2+sharded:4", "mvstm+sharded:4", "sistm+sharded:4"] {
-            assert!(out.contains(row), "{out}");
-        }
-        assert!(
-            !out.contains("dstm"),
-            "clockless TMs must be skipped: {out}"
-        );
-    }
-
-    #[test]
-    fn conformance_tm_accepts_full_specs() {
-        let (code, out) = run_str(&Command::Conformance {
-            jobs: 1,
-            search: SearchConfig::default(),
-            tm: Some("tl2+deferred".into()),
-            clock: None,
-            mutants: false,
-            objects: None,
-            artifacts: Artifacts::default(),
-        });
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("tl2+deferred"), "{out}");
+        assert!(!out.contains("clock"), "{out}");
     }
 
     #[test]
     fn conformance_clock_errors_are_friendly() {
-        // Clock scheme on a clockless TM.
+        // A TM with a clock suffix is an unknown TM, answered with the menu.
         let (code, _, err) = run_io(&Command::Conformance {
             jobs: 1,
             search: SearchConfig::default(),
-            tm: Some("dstm".into()),
-            clock: Some(tm_stm::ClockScheme::Deferred),
+            tm: Some("tl2+gv4".into()),
             mutants: false,
             objects: None,
             artifacts: Artifacts::default(),
         });
         assert_eq!(code, 2);
-        assert!(err.contains("no global clock"), "{err}");
-        // Clock given twice.
-        let (code, _, err) = run_io(&Command::Conformance {
-            jobs: 1,
-            search: SearchConfig::default(),
-            tm: Some("tl2+sharded:2".into()),
-            clock: Some(tm_stm::ClockScheme::Deferred),
-            mutants: false,
-            objects: None,
-            artifacts: Artifacts::default(),
-        });
-        assert_eq!(code, 2);
-        assert!(err.contains("clock given twice"), "{err}");
-        // Unparsable scheme at parse_args level.
+        assert!(err.contains("unknown TM 'tl2+gv4'"), "{err}");
+        assert!(err.contains("glock") && err.contains("tpl"), "{err}");
+        // There is no clock flag to select.
         let a = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
-        assert!(parse_args(&a("conformance --clock gv9"))
-            .unwrap_err()
-            .contains("unknown clock scheme"));
-        assert!(parse_args(&a("conformance --clock"))
-            .unwrap_err()
-            .contains("--clock needs a scheme"));
-        assert_eq!(parse_args(&a("list")), Ok(Command::List));
-        assert_eq!(
-            parse_args(&a("conformance --clock sharded:16 --jobs 2")),
-            Ok(Command::Conformance {
-                jobs: 2,
-                search: SearchConfig::default(),
-                tm: None,
-                clock: Some(tm_stm::ClockScheme::Sharded(16)),
-                mutants: false,
-                objects: None,
-                artifacts: Artifacts::default(),
-            })
-        );
-    }
-
-    #[test]
-    fn conformance_objects_with_clock_scheme() {
-        let (code, out) = run_str(&Command::Conformance {
-            jobs: 2,
-            search: SearchConfig::default(),
-            tm: Some("sistm".into()),
-            clock: Some(tm_stm::ClockScheme::Sharded(2)),
-            mutants: false,
-            objects: Some(vec![ObjectKind::Set]),
-            artifacts: Artifacts::default(),
-        });
-        assert_eq!(code, 0, "{out}");
-        let skew_row = out
-            .lines()
-            .find(|l| l.contains("set-write-skew"))
-            .expect("row present");
-        assert!(skew_row.contains("sistm+sharded:2"), "{skew_row}");
-        assert!(
-            skew_row.contains("NO"),
-            "conviction must survive: {skew_row}"
-        );
+        for args in ["conformance --clock deferred", "conformance --clock"] {
+            assert!(
+                parse_args(&a(args))
+                    .unwrap_err()
+                    .contains("unknown flag '--clock'"),
+                "{args}"
+            );
+        }
     }
 
     #[test]
@@ -821,9 +718,9 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             })
         );
         assert_eq!(
-            parse_args(&a("race --tm tl2+deferred --steps 500 --preemptions 0")),
+            parse_args(&a("race --tm tl2 --steps 500 --preemptions 0")),
             Ok(Command::Race {
-                tm: Some("tl2+deferred".into()),
+                tm: Some("tl2".into()),
                 dpor: dpor(500, 0),
                 artifacts: Artifacts::default(),
             })
@@ -980,7 +877,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             jobs: 1,
             search: SearchConfig::default(),
             tm: Some("tl2".into()),
-            clock: None,
             mutants: false,
             objects: None,
             artifacts: artifacts(m, t),
@@ -1018,7 +914,6 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
                 jobs,
                 search: SearchConfig::default(),
                 tm: Some("tl2".into()),
-                clock: None,
                 mutants: false,
                 objects: None,
                 artifacts: artifacts(Some(metrics.clone()), None),

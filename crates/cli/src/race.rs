@@ -9,7 +9,7 @@ use tm_harness::{
 };
 use tm_obs::ObsHandle;
 use tm_stm::trace_cells::StepProbe;
-use tm_stm::{MutantStm, Mutation, StmConfig, TmRegistry};
+use tm_stm::{MutantStm, Mutation, StmConfig, TmRegistry, TmSpec};
 
 use crate::Error;
 
@@ -102,7 +102,7 @@ fn judge(
     Ok(conviction.is_some() == expected)
 }
 
-/// `race`: every probe over one TM spec, or over every non-blocking TM of
+/// `race`: every probe over one TM, or over every non-blocking TM of
 /// the suite followed by the mutant self-test. The observability handle
 /// flows into every TM the battery builds, so STM commit/abort counters
 /// land in the metrics snapshot.
@@ -113,14 +113,9 @@ pub(crate) fn race(
     out: &mut dyn Write,
 ) -> Result<i32, Error> {
     let reg = TmRegistry::suite();
-    let specs: Vec<String> = match tm {
-        Some(s) => vec![s.to_string()],
-        None => reg
-            .specs()
-            .iter()
-            .filter(|s| !s.blocking)
-            .map(|s| s.name.to_string())
-            .collect(),
+    let specs: Vec<&TmSpec> = match tm {
+        Some(name) => vec![reg.get(name).map_err(|e| format!("race: {e}"))?],
+        None => reg.specs().iter().filter(|s| !s.blocking).collect(),
     };
     writeln!(
         out,
@@ -128,20 +123,20 @@ pub(crate) fn race(
         "tm", "probe", "interleavings", "explored"
     )?;
     let mut all_clean = true;
-    for spec in &specs {
-        let (tmspec, scheme) = reg.parse_spec(spec).map_err(|e| format!("race: {e}"))?;
-        if tmspec.blocking {
+    for spec in specs {
+        if spec.blocking {
             return Err(format!(
-                "race: '{spec}' is blocking — a transaction would hold the global \
+                "race: '{}' is blocking — a transaction would hold the global \
                  lock across yield points; the step-level explorer needs \
-                 non-blocking TMs"
+                 non-blocking TMs",
+                spec.name
             )
             .into());
         }
-        let base = StmConfig::new(2).clock(scheme).recording(false).obs(obs);
-        let factory = dpor_factory(base, |cfg| Arc::from(tmspec.build(cfg)));
+        let base = StmConfig::new(2).recording(false).obs(obs);
+        let factory = dpor_factory(base, |cfg| Arc::from(spec.build(cfg)));
         for (probe, program) in race_probes() {
-            all_clean &= judge(out, spec, probe, &factory, &program, cfg, false)?;
+            all_clean &= judge(out, spec.name, probe, &factory, &program, cfg, false)?;
         }
     }
     // Suite mode doubles as a self-test of the analysis: the two seeded

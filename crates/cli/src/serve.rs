@@ -17,11 +17,8 @@ pub(crate) fn serve(
     out: &mut dyn Write,
 ) -> Result<i32, Error> {
     let fault_plan = match fault_plan {
-        // A path wins when it exists; otherwise the argument is an inline
-        // `kind@frame[:args],...` spec. A file holds the same spec grammar.
         Some(arg) => {
-            let text = std::fs::read_to_string(arg).unwrap_or_else(|_| arg.to_string());
-            FaultPlan::parse(&text).map_err(|e| format!("serve: --fault-plan: {e}"))?
+            FaultPlan::parse(&plan_text(arg)?).map_err(|e| format!("serve: --fault-plan: {e}"))?
         }
         None => FaultPlan::new(),
     };
@@ -31,4 +28,19 @@ pub(crate) fn serve(
         ..config.clone()
     };
     Ok(tm_serve::run(transport.clone(), config, out))
+}
+
+/// The fault-plan text `--fault-plan arg` names. A readable file wins; a
+/// file holds the same `kind@frame[:args],...` grammar as an inline spec.
+/// When no such file exists, an argument with a spec's `@` is the spec
+/// itself (a malformed one then reports its grammar error); any other
+/// argument is reported as the unreadable file it names.
+fn plan_text(arg: &str) -> Result<String, Error> {
+    match std::fs::read_to_string(arg) {
+        Ok(text) => Ok(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && arg.contains('@') => {
+            Ok(arg.to_string())
+        }
+        Err(e) => Err(format!("serve: --fault-plan: cannot read {arg}: {e}").into()),
+    }
 }

@@ -155,18 +155,10 @@ fn conformance_battery() {
         ),
         ("conformance_objects_all", "conformance --objects all"),
         (
-            "conformance_clock_sharded_4",
-            "conformance --clock sharded:4",
-        ),
-        (
-            "conformance_mvstm_deferred_set",
-            "conformance --tm mvstm+deferred --objects set",
+            "conformance_mvstm_set",
+            "conformance --tm mvstm --objects set",
         ),
         ("conformance_unknown_tm", "conformance --tm nonesuch"),
-        (
-            "conformance_clock_twice",
-            "conformance --tm tl2+sharded:2 --clock deferred",
-        ),
     ]);
     // The register battery's lost-update probe races real threads, so a
     // mutant may or may not lose an update on a given run: its rows' last
@@ -200,13 +192,20 @@ fn serve_errors() {
 }
 
 /// A fault plan read from a file: the torn seventh line becomes an
-/// `error` frame and the session's sixth event is never fed.
+/// `error` frame and the session's sixth event is never fed. A plan file
+/// that does not exist is an error naming it, not an inline spec.
 #[test]
 fn serve_fault_plan_file() {
-    pin_each(&[(
-        "serve_fault_plan_file",
-        "serve --replay serve_frames.jsonl --fault-plan fault_plan.txt",
-    )]);
+    pin_each(&[
+        (
+            "serve_fault_plan_file",
+            "serve --replay serve_frames.jsonl --fault-plan fault_plan.txt",
+        ),
+        (
+            "serve_fault_plan_missing_file",
+            "serve --replay serve_frames.jsonl --fault-plan missing-plan.txt",
+        ),
+    ]);
 }
 
 /// Inputs nested 200 000 levels deep, never closed: deeper than any

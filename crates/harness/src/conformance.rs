@@ -448,40 +448,6 @@ mod tests {
         }
     }
 
-    /// Satellite of the configurable-TM redesign: the register battery's
-    /// verdicts are invariant under the clock scheme — the opaque clocked
-    /// TMs stay opaque on sharded and deferred clocks, and SI-STM's
-    /// anomaly profile is unchanged (the scheme moves contention around,
-    /// never correctness).
-    #[test]
-    fn clocked_tms_keep_their_verdicts_under_every_clock_scheme() {
-        use tm_stm::{ClockScheme, TmRegistry};
-        let reg = TmRegistry::suite();
-        for base in ["tl2", "mvstm", "sistm"] {
-            for scheme in ClockScheme::SWEEP {
-                if scheme.is_single() {
-                    continue; // the default scheme is pinned by the matrix test
-                }
-                let spec = format!("{base}+{scheme}");
-                let factory = reg.factory(&spec).expect("clocked TMs accept every scheme");
-                let r = conformance_parallel(&factory, 2);
-                assert!(r.well_formed, "{spec}: {:?}", r.violations);
-                assert!(r.no_lost_updates, "{spec}: {:?}", r.violations);
-                let opaque_expected = base != "sistm";
-                assert_eq!(r.opaque, opaque_expected, "{spec}: {:?}", r.violations);
-                assert_eq!(
-                    r.serializable, opaque_expected,
-                    "{spec}: {:?}",
-                    r.violations
-                );
-                assert!(r.snapshot_isolated, "{spec}: {:?}", r.violations);
-                // TL2 stays non-progressive (the rv check is scheme-independent);
-                // the multi-version TMs keep passing the probe.
-                assert_eq!(r.progressive_probe, base != "tl2", "{spec}");
-            }
-        }
-    }
-
     #[test]
     fn mutants_fail_their_advertised_contracts() {
         let skip_read =

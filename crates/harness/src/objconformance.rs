@@ -849,54 +849,6 @@ mod tests {
         }
     }
 
-    /// Satellite of the configurable-TM redesign: the *typed-object*
-    /// battery's verdicts are invariant under the clock scheme — the
-    /// opaque clocked TMs pass the full 11-probe battery on sharded and
-    /// deferred clocks, and SI-STM's object-level write-skew conviction is
-    /// unchanged.
-    #[test]
-    fn full_object_battery_verdicts_survive_every_clock_scheme() {
-        use tm_stm::{ClockScheme, TmRegistry};
-        let reg = TmRegistry::suite();
-        for base in ["tl2", "mvstm", "sistm"] {
-            for scheme in ClockScheme::SWEEP {
-                if scheme.is_single() {
-                    continue; // the default scheme is pinned above
-                }
-                let spec = format!("{base}+{scheme}");
-                let factory = reg.factory(&spec).expect("clocked TMs accept every scheme");
-                let report = object_conformance(&factory, &ObjectKind::ALL, 2);
-                assert_eq!(report.probes.len(), 11, "{spec}");
-                for probe in &report.probes {
-                    assert!(
-                        probe.well_formed,
-                        "{spec}/{}: {:?}",
-                        probe.probe, probe.violations
-                    );
-                }
-                if base == "sistm" {
-                    let skew = report.probe("set-write-skew").unwrap();
-                    assert!(
-                        !skew.serializable && !skew.opaque,
-                        "{spec}: the write-skew conviction must survive the scheme"
-                    );
-                    let torn = report.probe("set-torn-read").unwrap();
-                    assert!(torn.opaque && torn.serializable, "{spec}");
-                } else {
-                    assert!(
-                        report.all_clean(),
-                        "{spec} must pass the whole battery: {:?}",
-                        report
-                            .probes
-                            .iter()
-                            .flat_map(|p| p.violations.iter())
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn object_battery_is_deterministic_across_job_counts() {
         for name in ["sistm", "tl2"] {

@@ -6,15 +6,16 @@
 //! TM protocols promise their version clocks:
 //!
 //! * **Stamp uniqueness** — no two commits may publish the same write
-//!   version. The sharded and deferred clocks earn uniqueness through
-//!   residue arithmetic; dropping the residue (the seeded
-//!   `DroppedResidue` mutant) makes two racing ticks collide.
+//!   version. GV1 earns uniqueness from its `fetch_add`; the mutants'
+//!   pass-on-failure clock earns it through residue arithmetic, and
+//!   dropping the residue (the seeded `DroppedResidue` mutant) makes two
+//!   racing ticks collide.
 //! * **Stamp monotonicity** — when one stamp *happens before* another, the
 //!   earlier one must be strictly smaller. Happens-before here is program
 //!   order plus release→acquire edges on modeled lock cells (commit
 //!   locks); deliberately *not* data observation, because a correct
-//!   deferred clock lets two unordered commits adopt numerically unordered
-//!   stamps — flagging those would convict innocent protocols.
+//!   pass-on-failure clock lets two unordered commits adopt numerically
+//!   unordered stamps — flagging those would convict innocent protocols.
 //! * **Publish-last** — a committer holding the global commit lock must
 //!   finish installing its writes before publishing the new clock value;
 //!   a record-cell write after the publish leaks a state where readers can
@@ -303,8 +304,8 @@ mod tests {
 
     #[test]
     fn concurrent_unordered_stamps_may_invert_freely() {
-        // No lock edge between the threads: the deferred clock is allowed
-        // to hand numerically unordered stamps to unordered commits.
+        // No lock edge between the threads: a pass-on-failure clock is
+        // allowed to hand numerically unordered stamps to unordered commits.
         let trace = vec![stamp(0, 5), stamp(1, 3)];
         assert_eq!(check(&trace, 2), vec![]);
     }

@@ -146,11 +146,8 @@ pub fn counter(stm: &dyn Stm, threads: usize, increments: usize) -> WorkloadStat
 /// The commit storm: every thread repeatedly commits a tiny update
 /// transaction on its *own* register, so data conflicts are impossible and
 /// the only shared hot spot is the TM's commit path — for the
-/// timestamp-based TMs, the global version clock. This is the
-/// discriminating workload for the pluggable clock schemes
-/// (`tm_stm::ClockScheme`): a `single` clock serializes every commit on one
-/// cache line, a `sharded` clock spreads the ticks across home shards, and
-/// a `deferred` clock never re-contends after a lost CAS.
+/// timestamp-based TMs, the GV1 version clock, whose `fetch_add` every
+/// commit issues on one cache line.
 ///
 /// Invariant: no aborts can occur (disjoint write sets; on TL2-style TMs a
 /// read of the own register never observes a foreign version) — every
@@ -470,15 +467,9 @@ mod tests {
     #[test]
     fn commit_storm_commits_every_attempt_on_disjoint_registers() {
         // The commit-storm workload: zero aborts by construction, on every
-        // clocked TM × scheme (and on the clockless TMs for good measure).
+        // clocked TM (and on a clockless TM for good measure).
         let reg = tm_stm::TmRegistry::suite();
-        for spec in [
-            "tl2",
-            "tl2+sharded:4",
-            "tl2+deferred",
-            "mvstm+sharded:4",
-            "dstm",
-        ] {
+        for spec in ["tl2", "mvstm", "sistm", "dstm"] {
             let stm = reg.build(spec, 4).expect("valid spec");
             stm.recorder().set_enabled(false);
             let s = commit_storm(stm.as_ref(), 4, 50);

@@ -27,14 +27,12 @@ use tm_harness::race::RaceViolation;
 use tm_harness::{shrink_schedule, Program, TxScript};
 use tm_stm::trace_cells::StepProbe;
 use tm_stm::{
-    AstmStm, ClockScheme, DstmStm, MutantStm, Mutation, MvStm, NonOpaqueStm, SiStm, Tl2Stm, TplStm,
-    VisibleStm,
+    AstmStm, DstmStm, MutantStm, Mutation, MvStm, NonOpaqueStm, SiStm, Tl2Stm, TplStm, VisibleStm,
 };
 
 type Factory = Box<dyn Fn(Option<Arc<dyn StepProbe>>) -> SharedStm + Sync>;
 
-/// Every non-blocking real TM, plus the TL2 clock variants that matter for
-/// the clock-discipline checks. `glock` is excluded: it is blocking (a
+/// Every non-blocking real TM. `glock` is excluded: it is blocking (a
 /// worker would sit inside the global mutex across steps), and a global
 /// lock admits no step-level interleaving to analyse in the first place.
 fn real_tms(k: usize) -> Vec<(&'static str, Factory)> {
@@ -42,22 +40,6 @@ fn real_tms(k: usize) -> Vec<(&'static str, Factory)> {
         (
             "tl2",
             Box::new(move |p| Arc::new(Tl2Stm::with_config(&probed_config(k, p))) as SharedStm),
-        ),
-        (
-            "tl2+sharded",
-            Box::new(move |p| {
-                Arc::new(Tl2Stm::with_config(
-                    &probed_config(k, p).clock(ClockScheme::Sharded(2)),
-                )) as SharedStm
-            }),
-        ),
-        (
-            "tl2+deferred",
-            Box::new(move |p| {
-                Arc::new(Tl2Stm::with_config(
-                    &probed_config(k, p).clock(ClockScheme::Deferred),
-                )) as SharedStm
-            }),
         ),
         (
             "mvstm",
@@ -174,13 +156,11 @@ fn dropped_residue_is_convicted_with_a_minimized_replayable_schedule() {
         "shrinking must not add disorder"
     );
 
-    // And the fix is exactly the residue: the same schedule on the real
-    // deferred clock is clean.
-    let fixed = real_tms(2)
-        .into_iter()
-        .find(|(name, _)| *name == "tl2+deferred")
-        .expect("battery contains tl2+deferred")
-        .1;
+    // And the fix is exactly the residue: the same schedule on the same
+    // protocol with the residue kept is clean. That protocol is
+    // UnlicensedFastPath's, whose bug needs a read set to skip — this
+    // program is write-only, so its fast path cannot fire here.
+    let fixed = mutant_factory(2, Mutation::UnlicensedFastPath);
     let replayed = replay_schedule(&fixed, &program, &minimized);
     assert_eq!(
         tm_harness::race::check(&replayed.trace, 2),
@@ -208,7 +188,7 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
         &DporConfig {
             max_interleavings: 200_000,
             preemption_bound: Some(3),
-            check_races: false, // the real deferred clock is innocent here
+            check_races: false, // the faithful pass-on-failure clock is innocent here
             stop_on_violation: true,
             ..DporConfig::default()
         },
@@ -237,7 +217,7 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
         "minimized schedule must still convict"
     );
 
-    // The licensed protocol (same clock, same schedule) refuses the skew:
+    // The licensed protocol (GV1, same schedule) refuses the skew:
     // at least one crosser validates, sees the other's lock or version,
     // and aborts.
     let baseline = mutant_factory(3, Mutation::None);
@@ -413,4 +393,36 @@ proptest! {
         let (name, factory) = &tms[tm_idx % tms.len()];
         naive_vs_reduced(name, factory, &program);
     }
+}
+
+#[test]
+fn dropped_residue_never_takes_the_fast_path() {
+    // The residue-free clock's stamps satisfy `wv == rv + 1` whenever two
+    // committers share one advance (`(c << 8 | 0xff) + 1 == (c + 1) << 8`),
+    // so a mutant that trusted the GV1 fast path would inherit
+    // UnlicensedFastPath's write skew on the same program. Its only bug is
+    // the duplicate stamp: read-set validation must always run.
+    let program = Program::new(vec![
+        TxScript::new().read(0).write(1, 5),
+        TxScript::new().read(1).write(0, 7),
+        TxScript::new().write(2, 1),
+    ]);
+    let factory = mutant_factory(3, Mutation::DroppedResidue);
+    let res = explore(
+        &factory,
+        &program,
+        &DporConfig {
+            max_interleavings: 200_000,
+            preemption_bound: Some(3),
+            check_races: false, // duplicate stamps are the other test's
+            stop_on_violation: true,
+            ..DporConfig::default()
+        },
+    );
+    assert!(
+        !res.violations
+            .iter()
+            .any(|c| matches!(c.kind, ConvictionKind::NonSerializableOutcome)),
+        "the residue-dropping mutant must keep validating its reads"
+    );
 }

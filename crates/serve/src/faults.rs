@@ -393,12 +393,6 @@ impl FaultDriver {
         }
     }
 
-    /// True when the plan injects nothing (lets the daemon loops skip the
-    /// per-line bookkeeping entirely).
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// Advances to the next input line and applies every fault scheduled
     /// there. Returns any frames produced by stall-driven scheduler turns
     /// plus the line's fate.

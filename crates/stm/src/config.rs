@@ -1,16 +1,15 @@
 //! Configured TM construction — the [`StmConfig`] builder.
 //!
 //! Every TM in this crate used to be buildable only through a hardwired
-//! `new(k)`; the interesting axes of the design space (clock scheme,
-//! contention manager, initial state, recording, retry behaviour) were
-//! either fixed or reachable through ad-hoc constructors. The builder
-//! collects them in one value that every constructor consumes:
+//! `new(k)`; the interesting axes of the design space (contention manager,
+//! initial state, recording, retry behaviour) were either fixed or
+//! reachable through ad-hoc constructors. The builder collects them in one
+//! value that every constructor consumes:
 //!
 //! ```
-//! use tm_stm::{ClockScheme, ContentionManager, RetryPolicy, StmConfig, Tl2Stm, Stm, run_tx};
+//! use tm_stm::{ContentionManager, RetryPolicy, StmConfig, Tl2Stm, Stm, run_tx};
 //!
 //! let cfg = StmConfig::new(4)
-//!     .clock(ClockScheme::Sharded(8))
 //!     .contention_manager(ContentionManager::Greedy)
 //!     .initial_value(0, 100)
 //!     .recording(false)
@@ -23,10 +22,10 @@
 //!
 //! `new(k)` survives on every TM as a thin wrapper over
 //! `with_config(&StmConfig::new(k))`, and the default configuration is
-//! bit-for-bit the old behaviour: single clock, aggressive contention
-//! manager, all-zero registers, recording on, 1 000 000-attempt retry cap.
+//! bit-for-bit the old behaviour: aggressive contention manager, all-zero
+//! registers, recording on, 1 000 000-attempt retry cap.
 
-use crate::clock::{ClockScheme, GlobalClock};
+use crate::clock::{GlobalClock, VersionClock};
 use crate::cm::ContentionManager;
 use crate::recorder::Recorder;
 use crate::trace_cells::StepProbe;
@@ -97,16 +96,11 @@ impl Default for RetryPolicy {
 
 /// A complete description of how to build a TM instance.
 ///
-/// Fields not consulted by a particular TM are ignored: the clock scheme
-/// matters only to the timestamp-based TMs (`tl2`, `mvstm`, `sistm`), the
-/// contention manager only to the conflict-resolving TMs (`dstm`,
-/// `visible`). [`crate::TmRegistry`] rejects specs that pair a clock scheme
-/// with a clockless TM, so typos surface there rather than being silently
-/// swallowed.
+/// Fields not consulted by a particular TM are ignored: the contention
+/// manager matters only to the conflict-resolving TMs (`dstm`, `visible`).
 #[derive(Clone, Debug)]
 pub struct StmConfig {
     k: usize,
-    clock: ClockScheme,
     cm: ContentionManager,
     /// Initial register values; indices past the end are 0.
     initial: Vec<i64>,
@@ -117,13 +111,12 @@ pub struct StmConfig {
 }
 
 impl StmConfig {
-    /// The default configuration over `k` registers: single clock,
-    /// aggressive contention manager, all registers 0, recording on,
+    /// The default configuration over `k` registers: aggressive
+    /// contention manager, all registers 0, recording on,
     /// default retry policy — exactly what `new(k)` always built.
     pub fn new(k: usize) -> Self {
         StmConfig {
             k,
-            clock: ClockScheme::Single,
             cm: ContentionManager::Aggressive,
             initial: Vec::new(),
             recording: true,
@@ -131,12 +124,6 @@ impl StmConfig {
             probe: None,
             obs: tm_obs::ObsHandle::disabled(),
         }
-    }
-
-    /// Selects the global-clock scheme (timestamp-based TMs only).
-    pub fn clock(mut self, scheme: ClockScheme) -> Self {
-        self.clock = scheme;
-        self
     }
 
     /// Selects the contention manager (conflict-resolving TMs only).
@@ -219,11 +206,6 @@ impl StmConfig {
         self.k
     }
 
-    /// The selected clock scheme.
-    pub fn clock_scheme(&self) -> ClockScheme {
-        self.clock
-    }
-
     /// The selected contention manager.
     pub fn cm(&self) -> ContentionManager {
         self.cm
@@ -255,12 +237,12 @@ impl StmConfig {
         self.obs
     }
 
-    /// Builds the clock this configuration names. With an enabled
-    /// observability handle the clock is wrapped in a
+    /// Builds a fresh GV1 [`VersionClock`] for a timestamp-based TM. With
+    /// an enabled observability handle the clock is wrapped in a
     /// [`crate::obs::ObsClock`] decorator; otherwise the bare clock is
     /// returned — the disabled path has no wrapper at all.
     pub fn build_clock(&self) -> Box<dyn GlobalClock> {
-        let clock = self.clock.build();
+        let clock = Box::new(VersionClock::new());
         if self.obs.enabled() {
             Box::new(crate::obs::ObsClock::new(clock, self.obs))
         } else {
@@ -289,7 +271,6 @@ mod tests {
     fn defaults_match_the_historical_constructor() {
         let cfg = StmConfig::new(3);
         assert_eq!(cfg.k(), 3);
-        assert!(cfg.clock_scheme().is_single());
         assert_eq!(cfg.cm(), ContentionManager::Aggressive);
         assert_eq!(cfg.initial(0), 0);
         assert_eq!(cfg.initial(2), 0);
@@ -304,13 +285,11 @@ mod tests {
     #[test]
     fn builder_round_trips_every_axis() {
         let cfg = StmConfig::new(4)
-            .clock(ClockScheme::Sharded(2))
             .contention_manager(ContentionManager::Karma)
             .initial_value(1, -7)
             .initial_value(3, 9)
             .recording(false)
             .retry(RetryPolicy::bounded(5).with_backoff(4, 64));
-        assert_eq!(cfg.clock_scheme(), ClockScheme::Sharded(2));
         assert_eq!(cfg.cm(), ContentionManager::Karma);
         assert_eq!(
             (

@@ -85,8 +85,7 @@ impl DstmStm {
     }
 
     /// A DSTM built from an explicit configuration (contention manager,
-    /// initial values, recording, retry policy; the clock scheme is not
-    /// consulted — DSTM has no global clock).
+    /// initial values, recording, retry policy).
     pub fn with_config(cfg: &StmConfig) -> Self {
         DstmStm {
             objs: (0..cfg.k())

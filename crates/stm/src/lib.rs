@@ -48,14 +48,14 @@
 //! # Configured construction
 //!
 //! Every TM is built from an [`StmConfig`] (its `new(k)` is a thin wrapper
-//! over the default configuration), and the [`TmRegistry`] resolves *spec
-//! strings* like `"tl2+sharded:16"` into configured instances with
-//! fallible lookup — see [`config`], [`registry`], and the clock-scheme
-//! table in [`clock`]. The timestamp-based TMs (`tl2`, `mvstm`, `sistm`)
-//! accept any [`ClockScheme`]; the conflict-resolving TMs (`dstm`,
-//! `visible`) accept any [`ContentionManager`]; all nine honour initial
-//! register values, the recording toggle, and the [`RetryPolicy`] that
-//! [`run_tx`]/[`try_run_tx`] apply.
+//! over the default configuration), and the [`TmRegistry`] resolves TM
+//! names into configured instances with fallible lookup — see [`config`]
+//! and [`registry`]. The timestamp-based TMs (`tl2`, `mvstm`, `sistm`) all
+//! run on TL2's GV1 [`VersionClock`] (see [`clock`]); the
+//! conflict-resolving TMs (`dstm`, `visible`) accept any
+//! [`ContentionManager`]; all nine honour initial register values, the
+//! recording toggle, and the [`RetryPolicy`] that [`run_tx`]/[`try_run_tx`]
+//! apply.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -89,7 +89,7 @@ pub use api::{
 };
 pub use astm::AstmStm;
 pub use base::{Meter, OpKind, StepReport, TxDesc};
-pub use clock::{ClockScheme, DeferredClock, GlobalClock, ShardedClock, VersionClock};
+pub use clock::{GlobalClock, VersionClock};
 pub use cm::{ConflictCtx, ContentionManager, Resolution};
 pub use config::{Backoff, RetryPolicy, StmConfig};
 pub use dstm::DstmStm;

@@ -29,12 +29,15 @@
 //!
 //! | mutation | the bug | who catches it |
 //! |----------|---------|----------------|
-//! | [`Mutation::DroppedResidue`] | deferred clock drops the adopter's thread residue, so a CAS loser shares its stamp with the winner | `race::check` (duplicate commit timestamps) |
-//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to the deferred clock by comparing tick *counts*, without the [`GlobalClock::tick_is_exclusive`] license | `dpor::explore` (a non-serializable write skew on 3 transactions) |
+//! | [`Mutation::DroppedResidue`] | a pass-on-failure clock drops the adopter's thread residue, so a CAS loser shares its stamp with the winner | `race::check` (duplicate commit timestamps) |
+//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to a pass-on-failure clock by comparing tick *counts*, which only GV1's `fetch_add` licenses | `dpor::explore` (a non-serializable write skew on 3 transactions) |
+//!
+//! Both run on a private GV4-style pass-on-failure clock, the one place in
+//! the crate where a version clock other than GV1 exists.
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::clock::{DeferredClock, GlobalClock, VersionClock};
+use crate::clock::{GlobalClock, VersionClock};
 use crate::config::{RetryPolicy, StmConfig};
 use crate::recorder::Recorder;
 use crate::trace_cells::{CellId, StepProbe};
@@ -59,21 +62,21 @@ pub enum Mutation {
     /// visible already to the serializability checker (and to semantic
     /// invariants under real threads).
     SkipCommitValidation,
-    /// The deferred (GV4-style) clock stamps `count << 8` on *both* the
-    /// CAS-win and the adopt-on-failure path, dropping the thread residue
-    /// that keeps adopters distinct from winners: two committers racing on
+    /// The pass-on-failure (GV4-style) clock stamps `count << 8` on *both*
+    /// the CAS-win and the adopt-on-failure path, dropping the thread
+    /// residue that keeps adopters distinct from winners: two committers racing on
     /// one clock advance share a commit timestamp. Every sequential
     /// execution is perfect — only the step-level race checker (duplicate
     /// stamps across threads) convicts it.
     DroppedResidue,
-    /// The protocol keeps the (correct) deferred clock but ports TL2's
-    /// read-validation-skipping fast path to it by comparing tick *counts*:
-    /// "the clock advanced exactly once since my `rv`, so a single
-    /// committer interleaved — skip validation". Under GV1 the licensed
-    /// check ([`GlobalClock::tick_is_exclusive`] `&& wv == rv + 1`) proves
-    /// *zero* interleaved commits; under a pass-on-failure clock one tick
-    /// can carry arbitrarily many adopter commits, each of which may be
-    /// skipping the very lock checks it owes the others. Two adopters with
+    /// The protocol keeps the (correct) pass-on-failure clock but ports
+    /// TL2's read-validation-skipping fast path to it by comparing tick
+    /// *counts*: "the clock advanced exactly once since my `rv`, so a
+    /// single committer interleaved — skip validation". Under GV1 the
+    /// check `wv == rv + 1` proves *zero* interleaved commits; under a
+    /// pass-on-failure clock one tick can carry arbitrarily many adopter
+    /// commits, each of which may be skipping the very lock checks it owes
+    /// the others. Two adopters with
     /// crossing read/write sets plus one count-winner commit a write skew.
     /// Every sequential execution — and every op-granular interleaving —
     /// is flawless; only the step-level explorer convicts it.
@@ -104,44 +107,70 @@ impl Mutation {
     }
 }
 
-/// The seeded-bug variant of [`DeferredClock`]: identical protocol, but the
-/// stamp drops the ticking thread's residue (see
-/// [`Mutation::DroppedResidue`]).
-#[derive(Debug, Default)]
-struct BrokenDeferredClock {
+/// A GV4-style pass-on-failure clock (TinySTM's `GV4`), the home of both
+/// concurrency mutants.
+///
+/// A committer attempts **one** CAS to advance the counter; on failure it
+/// does not retry but adopts the winner's advance as its own commit time.
+/// Each timestamp is `count << 8 | residue`. With `residue` on, the residue
+/// is the ticking thread's id, so adopters of one advance still get
+/// distinct stamps (unique for up to 256 thread ids) — the faithful clock
+/// [`Mutation::UnlicensedFastPath`] runs on. With it off (THE MUTATION
+/// POINT of [`Mutation::DroppedResidue`]) the residue is always 0 and a
+/// CAS loser shares the winner's stamp. `sample` returns
+/// `count << 8 | 0xff`, which dominates every stamp issued at or below
+/// `count`.
+#[derive(Debug)]
+struct PassOnFailureClock {
     now: AtomicU64,
+    residue: bool,
 }
 
-impl BrokenDeferredClock {
-    const HOME_BITS: u32 = DeferredClock::HOME_BITS;
-    const HOME_MASK: u64 = DeferredClock::HOME_MASK;
+impl PassOnFailureClock {
+    /// Low bits carrying the ticking thread's residue.
+    const HOME_BITS: u32 = 8;
+    /// Mask of the residue bits.
+    const HOME_MASK: u64 = (1 << Self::HOME_BITS) - 1;
 
-    /// THE MUTATION POINT: the faithful clock stamps
-    /// `count << 8 | thread-residue`; this one loses the residue, so the
-    /// adopter of a lost CAS collides with the winner.
-    fn stamp(count: u64) -> u64 {
-        count << Self::HOME_BITS
+    fn new(residue: bool) -> Self {
+        PassOnFailureClock {
+            now: AtomicU64::new(0),
+            residue,
+        }
+    }
+
+    fn stamp(&self, count: u64, m: &Meter) -> u64 {
+        let residue = if self.residue {
+            m.thread() as u64 & Self::HOME_MASK
+        } else {
+            0
+        };
+        (count << Self::HOME_BITS) | residue
     }
 }
 
-impl GlobalClock for BrokenDeferredClock {
+impl GlobalClock for PassOnFailureClock {
     fn sample(&self, m: &mut Meter) -> u64 {
         (m.load_u64(CellId::Clock(0), &self.now) << Self::HOME_BITS) | Self::HOME_MASK
     }
 
-    fn tick(&self, _thread: usize, m: &mut Meter) -> u64 {
+    fn tick(&self, m: &mut Meter) -> u64 {
         let cur = m.load_u64(CellId::Clock(0), &self.now);
-        let ts = if m.cas_u64(CellId::Clock(0), &self.now, cur, cur + 1) {
-            Self::stamp(cur + 1)
+        let count = if m.cas_u64(CellId::Clock(0), &self.now, cur, cur + 1) {
+            cur + 1
         } else {
-            Self::stamp(m.load_u64(CellId::Clock(0), &self.now))
+            // Pass on failure: adopt the winner's advance instead of
+            // re-contending for the line.
+            m.load_u64(CellId::Clock(0), &self.now)
         };
+        let ts = self.stamp(count, m);
         m.note_stamp(ts);
         ts
     }
 
-    fn reserve(&self, _thread: usize, m: &mut Meter) -> u64 {
-        let ts = Self::stamp(m.load_u64(CellId::Clock(0), &self.now) + 1);
+    fn reserve(&self, m: &mut Meter) -> u64 {
+        let count = m.load_u64(CellId::Clock(0), &self.now) + 1;
+        let ts = self.stamp(count, m);
         m.note_stamp(ts);
         ts
     }
@@ -201,12 +230,12 @@ impl MutantStm {
 
     /// A mutant TM built from an explicit configuration (initial values,
     /// recording, retry policy). The validation mutants keep the plain
-    /// single counter; the two concurrency mutants carry the (broken or
-    /// faithfully deferred) clock their bug lives in.
+    /// GV1 counter; the two concurrency mutants carry the (broken or
+    /// faithful) pass-on-failure clock their bug lives in.
     pub fn with_config(cfg: &StmConfig, mutation: Mutation) -> Self {
         let clock: Box<dyn GlobalClock> = match mutation {
-            Mutation::DroppedResidue => Box::<BrokenDeferredClock>::default(),
-            Mutation::UnlicensedFastPath => Box::new(DeferredClock::new()),
+            Mutation::DroppedResidue => Box::new(PassOnFailureClock::new(false)),
+            Mutation::UnlicensedFastPath => Box::new(PassOnFailureClock::new(true)),
             _ => Box::new(VersionClock::new()),
         };
         MutantStm {
@@ -234,7 +263,6 @@ impl MutantStm {
 pub struct MutantTx<'a> {
     stm: &'a MutantStm,
     id: TxId,
-    thread: usize,
     rv: u64,
     reads: Vec<usize>,
     writes: Vec<(usize, i64)>,
@@ -257,7 +285,6 @@ impl Stm for MutantStm {
         Box::new(MutantTx {
             stm: self,
             id,
-            thread,
             rv,
             reads: Vec::new(),
             writes: Vec::new(),
@@ -400,21 +427,24 @@ impl Tx for MutantTx<'_> {
             }
             held.push((obj, word));
         }
-        let wv = self.stm.clock.tick(self.thread, &mut self.meter);
+        let wv = self.stm.clock.tick(&mut self.meter);
         // TL2's fast path: `wv == rv + 1` proves no interleaved committer —
-        // but only when tick() is the sole way time advances
-        // (`tick_is_exclusive`). THE MUTATION POINT for UnlicensedFastPath:
-        // it "ports" the fast path to the deferred clock by comparing tick
-        // *counts* — "the clock advanced exactly once, so one committer
-        // interleaved and it validated against my locks". One pass-on-failure
-        // tick can carry many adopter commits, and a fellow adopter taking
-        // this same shortcut skips the lock check it owed us: two adopters
-        // with crossing read/write sets commit a write skew.
+        // but only on GV1, whose `fetch_add` is the sole way time advances.
+        // THE MUTATION POINT for UnlicensedFastPath: it "ports" the fast
+        // path to the pass-on-failure clock by comparing tick *counts* —
+        // "the clock advanced exactly once, so one committer interleaved
+        // and it validated against my locks". One pass-on-failure tick can
+        // carry many adopter commits, and a fellow adopter taking this same
+        // shortcut skips the lock check it owed us: two adopters with
+        // crossing read/write sets commit a write skew. DroppedResidue's
+        // stamps satisfy `wv == rv + 1` by accident
+        // (`(c << 8 | 0xff) + 1 == (c + 1) << 8`), so its fast path must be
+        // off explicitly.
+        let bits = PassOnFailureClock::HOME_BITS;
         let fast_path = match self.stm.mutation {
-            Mutation::UnlicensedFastPath => {
-                wv >> DeferredClock::HOME_BITS == (self.rv >> DeferredClock::HOME_BITS) + 1
-            }
-            _ => self.stm.clock.tick_is_exclusive() && wv == self.rv + 1,
+            Mutation::UnlicensedFastPath => wv >> bits == (self.rv >> bits) + 1,
+            Mutation::DroppedResidue => false,
+            _ => wv == self.rv + 1,
         };
         // Phase 3: read-set validation (THE MUTATION POINT for
         // SkipCommitValidation).
@@ -579,17 +609,21 @@ mod tests {
     fn broken_deferred_clock_duplicates_stamps_only_under_a_race() {
         // Sequentially the broken clock is indistinguishable: each tick's
         // CAS wins, stamps strictly increase.
-        let clock = BrokenDeferredClock::default();
-        let mut m = Meter::new();
-        m.begin_op(OpKind::Commit);
-        let a = clock.tick(0, &mut m);
-        let b = clock.tick(1, &mut m);
-        m.end_op();
+        let clock = PassOnFailureClock::new(false);
+        let (mut m0, mut m5) = (Meter::with_probe(0, None), Meter::with_probe(5, None));
+        m0.begin_op(OpKind::Commit);
+        m5.begin_op(OpKind::Commit);
+        let a = clock.tick(&mut m0);
+        let b = clock.tick(&mut m5);
         assert!(b > a);
         // The faithful clock keeps adopter ≠ winner even on a lost CAS;
         // the broken stamp is residue-free, so a lost CAS collides.
-        assert_eq!(BrokenDeferredClock::stamp(1), 1 << 8);
-        assert_eq!(DeferredClock::new().peek() & DeferredClock::HOME_MASK, 0xff);
+        assert_eq!(clock.stamp(1, &m5), 1 << 8);
+        let faithful = PassOnFailureClock::new(true);
+        assert_eq!(faithful.tick(&mut m5), 1 << 8 | 5);
+        assert_eq!(faithful.peek() & PassOnFailureClock::HOME_MASK, 0xff);
+        m0.end_op();
+        m5.end_op();
     }
 
     #[test]

@@ -43,13 +43,13 @@ pub struct MvStm {
 
 impl MvStm {
     /// A multi-version TM with `k` registers initialized to 0 (default
-    /// configuration: single clock).
+    /// configuration).
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A multi-version TM built from an explicit configuration (clock
-    /// scheme, initial values, recording, retry policy).
+    /// A multi-version TM built from an explicit configuration (initial
+    /// values, recording, retry policy).
     pub fn with_config(cfg: &StmConfig) -> Self {
         MvStm {
             objs: (0..cfg.k())
@@ -97,9 +97,6 @@ impl MvStm {
 pub struct MvTx<'a> {
     stm: &'a MvStm,
     id: TxId,
-    /// The OS-thread slot running this transaction (the clock's home-shard
-    /// hint).
-    thread: usize,
     /// Snapshot timestamp sampled at begin.
     start_ts: u64,
     /// Read set (object indices) — needed only for update-commit validation.
@@ -125,7 +122,6 @@ impl Stm for MvStm {
         Box::new(MvTx {
             stm: self,
             id,
-            thread,
             start_ts,
             reads: Vec::new(),
             writes: Vec::new(),
@@ -224,7 +220,7 @@ impl Tx for MvTx<'_> {
         // this: `reserve` hands out the timestamp without surfacing it,
         // `publish` surfaces it after the appends. We hold the commit
         // lock, satisfying the pair's mutual-exclusion contract.
-        let wv = self.stm.clock.reserve(self.thread, &mut self.meter);
+        let wv = self.stm.clock.reserve(&mut self.meter);
         for &(obj, v) in &self.writes {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Write);

@@ -1,45 +1,29 @@
-//! The TM registry — fallible, spec-driven construction of the whole suite.
+//! The TM registry — fallible, name-driven construction of the whole suite.
 //!
 //! The old shape of the suite was a hardwired `all_stms(k)` plus a name
 //! lookup that *panicked* on a typo. [`TmRegistry`] replaces both with
 //! data: one [`TmSpec`] per TM carrying its name, its static
-//! [`StmProperties`], which configuration axes it honours, and a build
-//! function consuming an [`StmConfig`]. Lookups return `Result`s whose
-//! errors list every valid name, so a CLI typo produces a menu instead of a
-//! backtrace.
-//!
-//! # Spec strings
-//!
-//! A *spec* names a TM plus an optional clock scheme, `+`-separated:
-//!
-//! ```text
-//! tl2                 the TL2 TM, default (single) clock
-//! tl2+sharded:16      TL2 on a 16-shard GV5-style clock array
-//! mvstm+deferred      the multi-version TM on the GV4 pass-on-failure clock
-//! ```
-//!
-//! Clock schemes are rejected for TMs without a global clock
-//! ([`TmSpec::clocked`] is false), so `dstm+sharded:4` is an error, not a
-//! silent no-op.
+//! [`StmProperties`], whether it honours the contention-manager axis, and
+//! a build function consuming an [`StmConfig`]. Lookups return `Result`s
+//! whose errors list every valid name, so a CLI typo produces a menu
+//! instead of a backtrace.
 //!
 //! ```
-//! use tm_stm::{ClockScheme, TmRegistry};
+//! use tm_stm::{StmConfig, TmRegistry};
 //!
 //! let reg = TmRegistry::suite();
-//! let stm = reg.build("tl2+sharded:4", 8).unwrap();
+//! let stm = reg.build("tl2", 8).unwrap();
 //! assert_eq!(stm.name(), "tl2");
 //! let err = reg.build("tl3", 8).err().expect("typos are errors, not panics");
 //! assert!(err.to_string().contains("tl2"));
 //!
-//! // Sweep the whole design space at every clock scheme it accepts:
+//! // Sweep the whole design space from one configuration:
 //! for spec in reg.specs() {
-//!     let schemes = if spec.clocked { ClockScheme::SWEEP.len() } else { 1 };
-//!     assert!(schemes >= 1);
+//!     assert_eq!(spec.build(&StmConfig::new(2)).name(), spec.name);
 //! }
 //! ```
 
 use crate::api::{Stm, StmProperties};
-use crate::clock::ClockScheme;
 use crate::config::StmConfig;
 
 /// One entry of the registry: everything the harness, CLI, and benches
@@ -48,9 +32,6 @@ use crate::config::StmConfig;
 pub struct TmSpec {
     /// The TM's stable name (matches [`Stm::name`]).
     pub name: &'static str,
-    /// Does this TM consume [`StmConfig::clock`]? (The timestamp-based
-    /// TMs: tl2, mvstm, sistm.)
-    pub clocked: bool,
     /// Does this TM consume [`StmConfig::contention_manager`]? (dstm,
     /// visible.)
     pub cm_tunable: bool,
@@ -73,7 +54,6 @@ impl std::fmt::Debug for TmSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TmSpec")
             .field("name", &self.name)
-            .field("clocked", &self.clocked)
             .field("cm_tunable", &self.cm_tunable)
             .field("blocking", &self.blocking)
             .finish_non_exhaustive()
@@ -90,20 +70,6 @@ pub enum TmLookupError {
         /// Every valid TM name, in registry order.
         available: Vec<&'static str>,
     },
-    /// The clock part of the spec did not parse.
-    BadClock {
-        /// The offending spec.
-        spec: String,
-        /// The parse error from [`ClockScheme::parse`].
-        reason: String,
-    },
-    /// A clock scheme was given for a TM without a global clock.
-    ClocklessTm {
-        /// The TM that has no clock.
-        name: &'static str,
-        /// The scheme that was requested.
-        scheme: ClockScheme,
-    },
 }
 
 impl std::fmt::Display for TmLookupError {
@@ -111,17 +77,8 @@ impl std::fmt::Display for TmLookupError {
         match self {
             TmLookupError::UnknownTm { name, available } => write!(
                 f,
-                "unknown TM '{name}' (available: {}; a spec may add a clock, \
-                 e.g. tl2+sharded:16)",
+                "unknown TM '{name}' (available: {})",
                 available.join(", ")
-            ),
-            TmLookupError::BadClock { spec, reason } => {
-                write!(f, "bad clock in spec '{spec}': {reason}")
-            }
-            TmLookupError::ClocklessTm { name, scheme } => write!(
-                f,
-                "TM '{name}' has no global clock — the '{scheme}' scheme only \
-                 applies to tl2, mvstm, and sistm"
             ),
         }
     }
@@ -155,42 +112,41 @@ fn build_suite_specs() -> Vec<TmSpec> {
         let probe = build(&StmConfig::new(1).recording(false));
         (probe.properties(), probe.blocking())
     }
-    let entries: [(&'static str, bool, bool, BuildFn); 9] = [
-        ("glock", false, false, |c| {
+    let entries: [(&'static str, bool, BuildFn); 9] = [
+        ("glock", false, |c| {
             Box::new(crate::glock::GlockStm::with_config(c))
         }),
-        ("tl2", true, false, |c| {
+        ("tl2", false, |c| {
             Box::new(crate::tl2::Tl2Stm::with_config(c))
         }),
-        ("dstm", false, true, |c| {
+        ("dstm", true, |c| {
             Box::new(crate::dstm::DstmStm::with_config(c))
         }),
-        ("astm", false, false, |c| {
+        ("astm", false, |c| {
             Box::new(crate::astm::AstmStm::with_config(c))
         }),
-        ("visible", false, true, |c| {
+        ("visible", true, |c| {
             Box::new(crate::visible::VisibleStm::with_config(c))
         }),
-        ("mvstm", true, false, |c| {
+        ("mvstm", false, |c| {
             Box::new(crate::mvstm::MvStm::with_config(c))
         }),
-        ("nonopaque", false, false, |c| {
+        ("nonopaque", false, |c| {
             Box::new(crate::nonopaque::NonOpaqueStm::with_config(c))
         }),
-        ("sistm", true, false, |c| {
+        ("sistm", false, |c| {
             Box::new(crate::sistm::SiStm::with_config(c))
         }),
-        ("tpl", false, false, |c| {
+        ("tpl", false, |c| {
             Box::new(crate::tpl::TplStm::with_config(c))
         }),
     ];
     entries
         .into_iter()
-        .map(|(name, clocked, cm_tunable, build)| {
+        .map(|(name, cm_tunable, build)| {
             let (properties, blocking) = props_of(build);
             TmSpec {
                 name,
-                clocked,
                 cm_tunable,
                 blocking,
                 properties,
@@ -229,58 +185,21 @@ impl TmRegistry {
             })
     }
 
-    /// Parses a spec string (`"tl2"`, `"tl2+sharded:16"`) into its TM and
-    /// clock scheme, validating that the TM accepts the scheme.
-    pub fn parse_spec(&self, spec: &str) -> Result<(&TmSpec, ClockScheme), TmLookupError> {
-        let (name, scheme) = match spec.split_once('+') {
-            None => (spec, ClockScheme::Single),
-            Some((name, clock)) => (
-                name,
-                ClockScheme::parse(clock).map_err(|reason| TmLookupError::BadClock {
-                    spec: spec.to_string(),
-                    reason,
-                })?,
-            ),
-        };
-        let tm = self.get(name.trim())?;
-        if !scheme.is_single() && !tm.clocked {
-            return Err(TmLookupError::ClocklessTm {
-                name: tm.name,
-                scheme,
-            });
-        }
-        Ok((tm, scheme))
+    /// Builds the named TM over `k` registers in the default
+    /// configuration.
+    pub fn build(&self, name: &str, k: usize) -> Result<Box<dyn Stm>, TmLookupError> {
+        Ok(self.get(name)?.build(&StmConfig::new(k)))
     }
 
-    /// Builds the TM a spec names over `k` registers (default configuration
-    /// except for the spec's clock scheme).
-    pub fn build(&self, spec: &str, k: usize) -> Result<Box<dyn Stm>, TmLookupError> {
-        let (tm, scheme) = self.parse_spec(spec)?;
-        Ok(tm.build(&StmConfig::new(k).clock(scheme)))
-    }
-
-    /// Builds the TM a spec names from an explicit configuration; the
-    /// spec's clock scheme (when present) overrides the configuration's.
-    pub fn build_with(&self, spec: &str, cfg: &StmConfig) -> Result<Box<dyn Stm>, TmLookupError> {
-        let (tm, scheme) = self.parse_spec(spec)?;
-        let cfg = if spec.contains('+') {
-            cfg.clone().clock(scheme)
-        } else {
-            cfg.clone()
-        };
-        Ok(tm.build(&cfg))
-    }
-
-    /// A `Copy` factory rebuilding the spec'd TM at any register count —
+    /// A `Copy` factory rebuilding the named TM at any register count —
     /// the shape every sweep and conformance battery consumes (and safe to
     /// hand to scoped worker threads).
     pub fn factory(
         &self,
-        spec: &str,
+        name: &str,
     ) -> Result<impl Fn(usize) -> Box<dyn Stm> + Send + Sync + Copy + 'static, TmLookupError> {
-        let (tm, scheme) = self.parse_spec(spec)?;
-        let build = tm.build;
-        Ok(move |k: usize| build(&StmConfig::new(k).clock(scheme)))
+        let build = self.get(name)?.build;
+        Ok(move |k: usize| build(&StmConfig::new(k)))
     }
 }
 
@@ -319,14 +238,6 @@ mod tests {
             assert_eq!(stm.properties(), spec.properties, "{}", spec.name);
             assert_eq!(stm.blocking(), spec.blocking, "{}", spec.name);
         }
-        // Exactly the timestamp-based TMs are clocked.
-        let clocked: Vec<&str> = reg
-            .specs()
-            .iter()
-            .filter(|s| s.clocked)
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(clocked, vec!["tl2", "mvstm", "sistm"]);
     }
 
     #[test]
@@ -336,49 +247,17 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("unknown TM 'tl3'"), "{msg}");
         assert!(msg.contains("glock") && msg.contains("tpl"), "{msg}");
-        assert_eq!(
-            reg.parse_spec("dstm+sharded:4").unwrap_err(),
-            TmLookupError::ClocklessTm {
-                name: "dstm",
-                scheme: ClockScheme::Sharded(4)
-            }
-        );
+        // A TM name with a suffix is just another unknown name.
         assert!(matches!(
-            reg.parse_spec("tl2+gv9").unwrap_err(),
-            TmLookupError::BadClock { .. }
-        ));
-        assert!(matches!(
-            reg.parse_spec("nope+sharded:4").unwrap_err(),
+            reg.get("tl2+x").unwrap_err(),
             TmLookupError::UnknownTm { .. }
         ));
     }
 
     #[test]
-    fn specs_build_working_tms_at_every_scheme() {
-        let reg = TmRegistry::suite();
-        for base in ["tl2", "mvstm", "sistm"] {
-            for scheme in ClockScheme::SWEEP {
-                let spec = if scheme.is_single() {
-                    base.to_string()
-                } else {
-                    format!("{base}+{scheme}")
-                };
-                let stm = reg.build(&spec, 2).unwrap();
-                let (v, _) = run_tx(stm.as_ref(), 0, |tx| {
-                    tx.write(0, 7)?;
-                    tx.read(0)
-                });
-                assert_eq!(v, 7, "{spec}");
-                let (v2, _) = run_tx(stm.as_ref(), 1, |tx| tx.read(0));
-                assert_eq!(v2, 7, "{spec}");
-            }
-        }
-    }
-
-    #[test]
     fn factory_is_copy_and_rebuilds_fresh_instances() {
         let reg = TmRegistry::suite();
-        let make = reg.factory("mvstm+sharded:2").unwrap();
+        let make = reg.factory("mvstm").unwrap();
         let make2 = make; // Copy
         let a = make(2);
         let b = make2(3);
@@ -387,20 +266,5 @@ mod tests {
         run_tx(a.as_ref(), 0, |tx| tx.write(0, 1));
         let (v, _) = run_tx(b.as_ref(), 0, |tx| tx.read(0));
         assert_eq!(v, 0, "instances must be independent");
-    }
-
-    #[test]
-    fn build_with_spec_clock_overrides_config_clock() {
-        let reg = TmRegistry::suite();
-        let cfg = StmConfig::new(2)
-            .clock(ClockScheme::Deferred)
-            .recording(false);
-        // Spec without a clock keeps the config's scheme; with one, the
-        // spec wins. Both must produce working TMs with recording off.
-        for spec in ["tl2", "tl2+sharded:2"] {
-            let stm = reg.build_with(spec, &cfg).unwrap();
-            run_tx(stm.as_ref(), 0, |tx| tx.write(0, 3));
-            assert!(stm.recorder().is_empty(), "{spec}: recording leaked");
-        }
     }
 }

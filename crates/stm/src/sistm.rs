@@ -75,13 +75,13 @@ pub struct SiStm {
 
 impl SiStm {
     /// A snapshot-isolation TM with `k` registers initialized to 0
-    /// (default configuration: single clock).
+    /// (default configuration).
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A snapshot-isolation TM built from an explicit configuration (clock
-    /// scheme, initial values, recording, retry policy).
+    /// A snapshot-isolation TM built from an explicit configuration
+    /// (initial values, recording, retry policy).
     pub fn with_config(cfg: &StmConfig) -> Self {
         SiStm {
             objs: (0..cfg.k())
@@ -127,9 +127,6 @@ impl SiStm {
 pub struct SiTx<'a> {
     stm: &'a SiStm,
     id: TxId,
-    /// The OS-thread slot running this transaction (the clock's home-shard
-    /// hint).
-    thread: usize,
     /// Snapshot timestamp sampled at begin.
     start_ts: u64,
     /// Redo log. The read set is deliberately *not* tracked: snapshot
@@ -155,7 +152,6 @@ impl Stm for SiStm {
         Box::new(SiTx {
             stm: self,
             id,
-            thread,
             start_ts,
             writes: Vec::new(),
             meter: Meter::with_probe(thread, self.probe.clone()),
@@ -243,7 +239,7 @@ impl Tx for SiTx<'_> {
         // note there): reserve the timestamp, install versions, then
         // publish — all under the commit lock, as the clock's
         // reserve/publish contract requires.
-        let wv = self.stm.clock.reserve(self.thread, &mut self.meter);
+        let wv = self.stm.clock.reserve(&mut self.meter);
         for &(obj, v) in &self.writes {
             self.meter
                 .touch(CellId::Record(obj as u32), AccessKind::Write);

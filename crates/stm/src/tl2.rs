@@ -68,14 +68,14 @@ pub struct Tl2Stm {
 
 impl Tl2Stm {
     /// A TL2 TM with `k` registers initialized to 0 at version 0, using the
-    /// default configuration (single clock).
+    /// default configuration.
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A TL2 TM built from an explicit configuration (clock scheme,
-    /// initial values, recording, retry policy; the contention manager is
-    /// not consulted — TL2 resolves conflicts by aborting itself).
+    /// A TL2 TM built from an explicit configuration (initial values,
+    /// recording, retry policy; the contention manager is not consulted —
+    /// TL2 resolves conflicts by aborting itself).
     pub fn with_config(cfg: &StmConfig) -> Self {
         Tl2Stm {
             objs: (0..cfg.k())
@@ -96,9 +96,6 @@ impl Tl2Stm {
 pub struct Tl2Tx<'a> {
     stm: &'a Tl2Stm,
     id: TxId,
-    /// The OS-thread slot running this transaction (the clock's home-shard
-    /// hint).
-    thread: usize,
     /// Read version: clock sample at begin.
     rv: u64,
     /// Read set: object indices (versions are re-checked against `rv`).
@@ -125,7 +122,6 @@ impl Stm for Tl2Stm {
         Box::new(Tl2Tx {
             stm: self,
             id,
-            thread,
             rv,
             reads: Vec::new(),
             writes: Vec::new(),
@@ -245,14 +241,11 @@ impl Tx for Tl2Tx<'_> {
             held.push((obj, word));
         }
         // Phase 2: increment the global clock.
-        let wv = self.stm.clock.tick(self.thread, &mut self.meter);
-        // Phase 3: validate the read set. Skippable only when the clock's
-        // tick arithmetic proves quiescence (`wv == rv + 1` on the single
-        // GV1 counter: our own fetch_add was the only advance since begin).
-        // Sharded/deferred clocks cannot prove this — a concurrent
-        // committer advances time without disturbing our tick — so under
-        // them the validation always runs (the classical GV4/GV5 cost).
-        if !(self.stm.clock.tick_is_exclusive() && wv == self.rv + 1) {
+        let wv = self.stm.clock.tick(&mut self.meter);
+        // Phase 3: validate the read set, unless `wv == rv + 1`: the GV1
+        // counter advances only by `fetch_add`, so our own tick was the
+        // only advance since begin and no transaction committed in between.
+        if wv != self.rv + 1 {
             for &obj in &self.reads {
                 if held.iter().any(|&(held_obj, _)| held_obj == obj) {
                     continue; // we hold it; version checked at lock time

@@ -112,7 +112,7 @@ impl TplStm {
 
     /// A 2PL TM built from an explicit configuration (initial values,
     /// recording, retry policy; conflicts are resolved by seniority, so
-    /// neither the clock scheme nor the contention manager is consulted).
+    /// the contention manager is not consulted).
     pub fn with_config(cfg: &StmConfig) -> Self {
         TplStm {
             objs: (0..cfg.k())

@@ -26,8 +26,8 @@ use crate::lock;
 
 /// A stable identity for one base shared object.
 ///
-/// The `u32` payloads index registers (`Lock`/`Value`/`Record`), clock
-/// shards (`Clock`), or transaction descriptors (`Status`). Identities are
+/// The `u32` payloads index registers (`Lock`/`Value`/`Record`) or
+/// transaction descriptors (`Status`); `Clock`'s is always 0. Identities are
 /// per-TM-instance: two different TM instances may reuse the same ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CellId {
@@ -38,8 +38,8 @@ pub enum CellId {
     /// A mutex-protected record treated as one cell (DSTM locators,
     /// visible-read entries, two-phase-locking cells, version lists).
     Record(u32),
-    /// Global-clock shard `i` (`Clock(0)` for the single and deferred
-    /// schemes).
+    /// The global version clock word (always `Clock(0)`: each TM instance
+    /// has one clock).
     Clock(u32),
     /// The status word of transaction descriptor `id`.
     Status(u32),

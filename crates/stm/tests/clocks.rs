@@ -1,12 +1,11 @@
-//! Property tests for the pluggable global-clock schemes: strictly
-//! monotone, unique commit timestamps under genuine multi-threaded
-//! contention, for every [`ClockScheme`] — the invariants the TL2-style
-//! and multi-version protocols lean on.
+//! Property tests for the GV1 version clock: strictly monotone, unique
+//! commit timestamps under genuine multi-threaded contention — the
+//! invariants the TL2-style and multi-version protocols lean on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tm_stm::{
-    run_tx, ClockScheme, GlobalClock, Meter, MvStm, OpKind, SiStm, Stm, StmConfig, Tl2Stm,
+    run_tx, GlobalClock, Meter, MvStm, OpKind, SiStm, Stm, StmConfig, Tl2Stm, VersionClock,
 };
 
 const THREADS: usize = 8;
@@ -31,7 +30,7 @@ fn storm(clock: &dyn GlobalClock) -> Vec<Vec<u64>> {
                     for _ in 0..TICKS_PER_THREAD {
                         let floor = high_water.load(Ordering::SeqCst);
                         let s = clock.sample(&mut m);
-                        let ts = clock.tick(t, &mut m);
+                        let ts = clock.tick(&mut m);
                         assert!(ts > s, "thread {t}: tick {ts} ≤ own sample {s}");
                         assert!(
                             ts > floor,
@@ -60,144 +59,70 @@ fn storm(clock: &dyn GlobalClock) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn every_scheme_issues_strictly_monotone_unique_timestamps_under_contention() {
-    for scheme in ClockScheme::SWEEP {
-        let clock = scheme.build();
-        let per_thread = storm(clock.as_ref());
-        // Per-thread strict monotonicity.
-        for (t, issued) in per_thread.iter().enumerate() {
-            assert!(
-                issued.windows(2).all(|w| w[0] < w[1]),
-                "{scheme}: thread {t} issued a non-increasing timestamp"
-            );
-        }
-        // Global uniqueness.
-        let mut all: Vec<u64> = per_thread.iter().flatten().copied().collect();
-        assert_eq!(all.len(), THREADS * TICKS_PER_THREAD);
-        all.sort_unstable();
-        let before = all.len();
-        all.dedup();
-        assert_eq!(
-            all.len(),
-            before,
-            "{scheme}: duplicate commit timestamps issued under contention"
+fn gv1_issues_strictly_monotone_unique_timestamps_under_contention() {
+    let clock = VersionClock::new();
+    let per_thread = storm(&clock);
+    // Per-thread strict monotonicity.
+    for (t, issued) in per_thread.iter().enumerate() {
+        assert!(
+            issued.windows(2).all(|w| w[0] < w[1]),
+            "thread {t} issued a non-increasing timestamp"
         );
-        // The final sample dominates everything issued.
-        let mut m = Meter::new();
-        m.begin_op(OpKind::Commit);
-        let final_sample = clock.sample(&mut m);
-        m.end_op();
-        assert!(final_sample >= *all.last().unwrap(), "{scheme}");
     }
-}
-
-#[test]
-fn sharded_clock_survives_more_threads_than_shards() {
-    // Threads 0..8 share 3 home shards: same-shard CAS contention is the
-    // hard path of the sharded tick loop.
-    let clock = ClockScheme::Sharded(3).build();
-    let per_thread = storm(clock.as_ref());
-    let mut all: Vec<u64> = per_thread.into_iter().flatten().collect();
+    // Global uniqueness.
+    let mut all: Vec<u64> = per_thread.iter().flatten().copied().collect();
+    assert_eq!(all.len(), THREADS * TICKS_PER_THREAD);
     all.sort_unstable();
     let before = all.len();
     all.dedup();
-    assert_eq!(all.len(), before, "same-home ticks must stay unique");
+    assert_eq!(
+        all.len(),
+        before,
+        "duplicate commit timestamps issued under contention"
+    );
+    // The final sample dominates everything issued.
+    let mut m = Meter::new();
+    m.begin_op(OpKind::Commit);
+    let final_sample = clock.sample(&mut m);
+    m.end_op();
+    assert!(final_sample >= *all.last().unwrap());
 }
 
-/// The threaded counter invariant holds for every clocked TM under every
-/// scheme — timestamps remain a sound serialization backbone when real
-/// threads race on commits.
+/// The threaded counter invariant holds for every clocked TM — timestamps
+/// remain a sound serialization backbone when real threads race on
+/// commits.
 #[test]
-fn clocked_tms_conserve_counter_updates_under_every_scheme() {
+fn clocked_tms_conserve_counter_updates_under_contention() {
     type MakeTm = fn(&StmConfig) -> Box<dyn Stm>;
     let makes: [(&str, MakeTm); 3] = [
         ("tl2", |c| Box::new(Tl2Stm::with_config(c))),
         ("mvstm", |c| Box::new(MvStm::with_config(c))),
         ("sistm", |c| Box::new(SiStm::with_config(c))),
     ];
-    for scheme in ClockScheme::SWEEP {
-        for (name, make) in makes {
-            let stm = make(&StmConfig::new(1).clock(scheme).recording(false));
-            let threads = 4;
-            let per_thread = 60;
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let stm = stm.as_ref();
-                    scope.spawn(move || {
-                        for _ in 0..per_thread {
-                            // The write set covers the read set, so even
-                            // SI's write-only validation must conserve.
-                            run_tx(stm, t, |tx| {
-                                let v = tx.read(0)?;
-                                tx.write(0, v + 1)
-                            });
-                        }
-                    });
-                }
-            });
-            let (v, _) = run_tx(stm.as_ref(), 0, |tx| tx.read(0));
-            assert_eq!(
-                v,
-                (threads * per_thread) as i64,
-                "{name}+{scheme}: lost updates"
-            );
-            assert!(
-                stm.recorder().is_empty(),
-                "{name}+{scheme}: recording-off TM allocated events"
-            );
-        }
-    }
-}
-
-/// The multi-version snapshot contract survives non-single clocks: a
-/// reader that began before a flurry of commits keeps its begin snapshot.
-#[test]
-fn mvstm_snapshots_stay_consistent_under_every_scheme() {
-    for scheme in ClockScheme::SWEEP {
-        let stm = MvStm::with_config(&StmConfig::new(2).clock(scheme));
-        let mut t1 = stm.begin(0);
-        assert_eq!(t1.read(0).unwrap(), 0, "{scheme}");
-        for v in 1..=5 {
-            run_tx(&stm, 1, |tx| {
-                tx.write(0, v)?;
-                tx.write(1, v)
-            });
-        }
-        assert_eq!(
-            t1.read(1).unwrap(),
-            0,
-            "{scheme}: snapshot read must see the begin state"
-        );
-        t1.commit().unwrap();
-        let ((a, b), _) = run_tx(&stm, 0, |tx| Ok((tx.read(0)?, tx.read(1)?)));
-        assert_eq!((a, b), (5, 5), "{scheme}");
-    }
-}
-
-/// Only the single GV1 counter may license TL2's `wv == rv + 1`
-/// validation-skip fast path: sharded and deferred ticks cannot prove
-/// that no concurrent committer advanced time, so TL2 must always run its
-/// read-set validation under them (the classical GV4/GV5 trade-off).
-#[test]
-fn only_the_single_scheme_proves_tick_exclusivity() {
-    assert!(ClockScheme::Single.build().tick_is_exclusive());
-    assert!(!ClockScheme::Sharded(4).build().tick_is_exclusive());
-    assert!(!ClockScheme::Sharded(1).build().tick_is_exclusive());
-    assert!(!ClockScheme::Deferred.build().tick_is_exclusive());
-}
-
-/// TL2's stale-read abort (the non-progressive rv check) fires identically
-/// under every scheme.
-#[test]
-fn tl2_rv_check_aborts_stale_reads_under_every_scheme() {
-    for scheme in ClockScheme::SWEEP {
-        let stm = Tl2Stm::with_config(&StmConfig::new(2).clock(scheme));
-        let mut t1 = stm.begin(0);
-        assert_eq!(t1.read(0).unwrap(), 0, "{scheme}");
-        run_tx(&stm, 1, |tx| tx.write(1, 5));
+    for (name, make) in makes {
+        let stm = make(&StmConfig::new(1).recording(false));
+        let threads = 4;
+        let per_thread = 60;
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let stm = stm.as_ref();
+                scope.spawn(move || {
+                    for _ in 0..per_thread {
+                        // The write set covers the read set, so even SI's
+                        // write-only validation must conserve.
+                        run_tx(stm, t, |tx| {
+                            let v = tx.read(0)?;
+                            tx.write(0, v + 1)
+                        });
+                    }
+                });
+            }
+        });
+        let (v, _) = run_tx(stm.as_ref(), 0, |tx| tx.read(0));
+        assert_eq!(v, (threads * per_thread) as i64, "{name}: lost updates");
         assert!(
-            t1.read(1).is_err(),
-            "{scheme}: version > rv must abort the reader"
+            stm.recorder().is_empty(),
+            "{name}: recording-off TM allocated events"
         );
     }
 }

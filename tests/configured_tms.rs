@@ -1,51 +1,45 @@
 //! End-to-end exercise of the configurable TM construction API through the
-//! facade crate: `StmConfig`-built TMs with pluggable version clocks, the
-//! `TmRegistry`'s fallible spec lookup, and recorded histories under every
-//! clock scheme judged by the real opacity checker.
+//! facade crate: `StmConfig`-built TMs, the `TmRegistry`'s fallible name
+//! lookup, and recorded histories judged by the real opacity checker.
 
 use opacity_tm::model::SpecRegistry;
 use opacity_tm::opacity::opacity::is_opaque;
 use opacity_tm::stm::{
-    run_tx, try_run_tx, Aborted, ClockScheme, ContentionManager, Livelock, RetryPolicy, Stm,
-    StmConfig, Tl2Stm, TmRegistry,
+    run_tx, try_run_tx, Aborted, ContentionManager, Livelock, RetryPolicy, Stm, StmConfig, Tl2Stm,
+    TmRegistry,
 };
 
-/// Recorded histories of a configured TL2 stay opaque under every clock
-/// scheme — the redesign's behaviour-preservation claim, checked by the
-/// actual Definition-1 decision procedure.
+/// Recorded histories of registry-built clocked TMs stay opaque, checked
+/// by the actual Definition-1 decision procedure.
 #[test]
-fn recorded_histories_are_opaque_under_every_clock_scheme() {
+fn recorded_histories_of_registry_tms_are_opaque() {
     let specs = SpecRegistry::registers();
     let reg = TmRegistry::suite();
-    for base in ["tl2", "mvstm"] {
-        for scheme in ClockScheme::SWEEP {
-            let spec = format!("{base}+{scheme}");
-            let stm = reg.build(&spec, 3).expect("clocked spec");
-            run_tx(stm.as_ref(), 0, |tx| {
-                tx.write(0, 1)?;
-                tx.write(1, 2)
-            });
-            run_tx(stm.as_ref(), 1, |tx| {
-                let a = tx.read(0)?;
-                tx.write(2, a + 10)
-            });
-            let ((a, b), _) = run_tx(stm.as_ref(), 0, |tx| Ok((tx.read(1)?, tx.read(2)?)));
-            assert_eq!((a, b), (2, 11), "{spec}");
-            let h = stm.recorder().history();
-            assert!(opacity_tm::model::is_well_formed(&h), "{spec}: {h}");
-            let report = is_opaque(&h, &specs).expect("registers");
-            assert!(report.opaque, "{spec}: recorded history must stay opaque");
-        }
+    for name in ["tl2", "mvstm"] {
+        let stm = reg.build(name, 3).expect("suite TM");
+        run_tx(stm.as_ref(), 0, |tx| {
+            tx.write(0, 1)?;
+            tx.write(1, 2)
+        });
+        run_tx(stm.as_ref(), 1, |tx| {
+            let a = tx.read(0)?;
+            tx.write(2, a + 10)
+        });
+        let ((a, b), _) = run_tx(stm.as_ref(), 0, |tx| Ok((tx.read(1)?, tx.read(2)?)));
+        assert_eq!((a, b), (2, 11), "{name}");
+        let h = stm.recorder().history();
+        assert!(opacity_tm::model::is_well_formed(&h), "{name}: {h}");
+        let report = is_opaque(&h, &specs).expect("registers");
+        assert!(report.opaque, "{name}: recorded history must stay opaque");
     }
 }
 
 /// The full configuration surface drives one TM end to end: initial
-/// values, a non-default clock and contention manager, recording off, and
+/// values, a non-default contention manager, recording off, and
 /// a typed `Livelock` from the bounded retry policy.
 #[test]
 fn full_config_surface_through_the_facade() {
     let cfg = StmConfig::new(2)
-        .clock(ClockScheme::Sharded(4))
         .contention_manager(ContentionManager::Greedy)
         .initial_values(vec![40, 2])
         .recording(false)
@@ -66,10 +60,7 @@ fn full_config_surface_through_the_facade() {
 #[test]
 fn registry_lookup_failures_list_the_suite() {
     let reg = TmRegistry::suite();
-    let err = reg
-        .build("tl2x+sharded:4", 2)
-        .err()
-        .expect("typo is an error");
+    let err = reg.build("tl2x", 2).err().expect("typo is an error");
     let msg = err.to_string();
     for name in reg.names() {
         assert!(msg.contains(name), "menu missing {name}: {msg}");
