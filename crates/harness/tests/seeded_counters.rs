@@ -1,13 +1,17 @@
-//! Deterministic counters for the GV1 version clock.
+//! Deterministic counters of the TMs on seeded schedules.
 //!
-//! The timestamp-based TMs (`tl2`, `mvstm`, `sistm`) all run on TL2's GV1
-//! counter. Wall-clock commits/s are too noisy to bound, so this test pins
-//! what the clock path does on a fixed set of seeded programs, each run
-//! under its seeded [`random_schedule`]: commits, aborts, every base-object
-//! step the [`StepProbe`](tm_stm::trace_cells::StepProbe) sees (the paper's
-//! §6.1 cost unit), and the share of those steps that touch the clock word.
-//! Any change to the commit protocol, the fast path or the clock's metering
-//! moves at least one of these figures.
+//! Wall-clock commits/s are too noisy to bound, so these tests pin what
+//! each TM does on a fixed set of seeded programs, each run under its
+//! seeded [`random_schedule`]: commits, aborts, every base-object step the
+//! [`StepProbe`](tm_stm::trace_cells::StepProbe) sees (the paper's §6.1
+//! cost unit), and the share of those steps that touch the clock word.
+//!
+//! * The timestamp-based TMs (`tl2`, `mvstm`, `sistm`) all run on TL2's GV1
+//!   counter: any change to the commit protocol, the fast path or the
+//!   clock's metering moves at least one of their figures.
+//! * The conflict-resolving TMs (`dstm`, `visible`, `astm`, `tpl`,
+//!   `nonopaque`) have no clock: their figures move with the conflict
+//!   policy (which side of a conflict aborts) and the read/acquire paths.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,24 +80,43 @@ fn run(tm: &str) -> Counters {
     c
 }
 
-#[test]
-fn gv1_counters_are_pinned_on_seeded_schedules() {
-    let got: Vec<(&str, Counters)> = ["tl2", "mvstm", "sistm"]
-        .into_iter()
-        .map(|tm| (tm, run(tm)))
-        .collect();
-    let pinned = |commits, aborts, steps, clock_steps| Counters {
+fn pinned(commits: usize, aborts: usize, steps: usize, clock_steps: usize) -> Counters {
+    Counters {
         commits,
         aborts,
         steps,
         clock_steps,
-    };
+    }
+}
+
+fn run_all<'a>(tms: &[&'a str]) -> Vec<(&'a str, Counters)> {
+    tms.iter().map(|&tm| (tm, run(tm))).collect()
+}
+
+#[test]
+fn gv1_counters_are_pinned_on_seeded_schedules() {
+    let got = run_all(&["tl2", "mvstm", "sistm"]);
     assert_eq!(
         got,
         vec![
             ("tl2", pinned(1018, 511, 9949, 717)),
             ("mvstm", pinned(1038, 491, 7970, 1282)),
             ("sistm", pinned(1127, 402, 7741, 1460)),
+        ]
+    );
+}
+
+#[test]
+fn conflict_resolving_counters_are_pinned_on_seeded_schedules() {
+    let got = run_all(&["dstm", "visible", "astm", "tpl", "nonopaque"]);
+    assert_eq!(
+        got,
+        vec![
+            ("dstm", pinned(963, 566, 17596, 0)),
+            ("visible", pinned(808, 721, 10133, 0)),
+            ("astm", pinned(1219, 310, 13426, 0)),
+            ("tpl", pinned(824, 705, 10151, 0)),
+            ("nonopaque", pinned(1219, 310, 12172, 0)),
         ]
     );
 }
