@@ -10,15 +10,15 @@ use tm_stm::{MutantStm, Mutation, Stm, StmConfig, TmRegistry, TmSpec};
 
 use crate::Error;
 
-/// `list`: the TM registry, its properties and configuration axes.
+/// `list`: the TM registry and its properties.
 pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
     let yn = |b: bool| if b { "yes" } else { "no " };
-    let mut row = |cells: [&str; 8]| {
-        let [tm, progressive, single, invisible, opaque, ser, cm, blocking] = cells;
+    let mut row = |cells: [&str; 7]| {
+        let [tm, progressive, single, invisible, opaque, ser, blocking] = cells;
         writeln!(
             out,
             "{tm:<10} {progressive:>11} {single:>10} {invisible:>9} {opaque:>6} {ser:>6} \
-             {cm:>4} {blocking:>8}"
+             {blocking:>8}"
         )
     };
     row([
@@ -28,12 +28,10 @@ pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
         "invisible",
         "opaque",
         "ser",
-        "cm",
         "blocking",
     ])?;
     for spec in TmRegistry::suite().specs() {
         let p = spec.properties;
-        let any = |b: bool| if b { "any" } else { "-" };
         row([
             spec.name,
             yn(p.progressive),
@@ -41,7 +39,6 @@ pub(crate) fn list(out: &mut dyn Write) -> Result<i32, Error> {
             yn(p.invisible_reads),
             yn(p.opaque_by_design),
             yn(p.serializable_by_design),
-            any(spec.cm_tunable),
             yn(spec.blocking),
         ])?;
     }

@@ -34,7 +34,7 @@
 //! places only the changed and new transactions, however long the history
 //! already is. `crate::search` gives the soundness argument and the
 //! full-walk fallback that keeps the check complete. Long monitored
-//! histories are therefore far cheaper than batch re-checks (`tm-bench`
+//! histories are therefore far cheaper than batch re-checks (`tests/knot_workloads.rs`
 //! pins the monitor's and the batch re-checks' node counts side by side).
 //!
 //! The memo table would otherwise grow with the history: on a streaming
@@ -44,7 +44,7 @@
 //! segmented-LRU eviction — sound because a dead-end entry is pure pruning
 //! (see `crate::memo`) — and on the standard contention-knot workload a
 //! table bounded to a quarter of its unbounded peak re-explores only a few
-//! percent more nodes (`tm-bench` pins the resident, eviction and node
+//! percent more nodes (`tests/knot_workloads.rs` pins the resident, eviction and node
 //! counts at caps of a half, a quarter and an eighth of the peak).
 
 use crate::search::{CheckError, CheckSession, SearchConfig, SearchMode, SearchStats};

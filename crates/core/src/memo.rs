@@ -70,7 +70,7 @@
 //!
 //! A check is single-threaded, so the shards do not buy concurrency; they
 //! partition eviction, and that earns their keep. On the phased
-//! contention-knot check `tm-bench` pins, a table capped at a quarter of
+//! contention-knot check `tests/knot_workloads.rs` pins, a table capped at a quarter of
 //! its unbounded peak (75 entries, 2 shards) spends 483 nodes against 460
 //! unbounded; the same cap on a single shard spent 1 145 (+149 %). At half
 //! the peak the shard count moved nothing material.

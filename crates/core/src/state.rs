@@ -16,7 +16,8 @@
 //! their entry lists are. The entry hash of `(obj, value)` must stay the
 //! `DefaultHasher` digest of `obj` then `value`: the memo picks shards by
 //! the fingerprint, so a bounded memo's evictions (and with them its node
-//! counts, pinned by `tm-bench`'s `exploration_counters_are_pinned`) follow
+//! counts, pinned by `tests/knot_workloads.rs`'s
+//! `exploration_counters_are_pinned`) follow
 //! these bits.
 //!
 //! [`SlotStates::replay`] validates a transaction's operations and applies

@@ -124,7 +124,7 @@ fn cells_may_alias(a: CellId, b: CellId) -> bool {
 pub fn dependent(a: Step, b: Step) -> bool {
     match (a, b) {
         // Starts draw transaction ids from a shared counter; id order is
-        // observable through seniority-based contention management.
+        // observable only through tpl's wound-wait seniority.
         (Step::Start, Step::Start) => true,
         // Start samples the global clock (peek), so it conflicts with any
         // clock mutation.

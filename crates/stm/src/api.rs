@@ -7,7 +7,6 @@
 //! operation, which is exactly the quantity bounded by Theorem 3.
 
 use crate::base::StepReport;
-use crate::config::RetryPolicy;
 use crate::recorder::Recorder;
 
 /// The error returned when a transaction is (or must be) aborted.
@@ -29,12 +28,12 @@ impl std::error::Error for Aborted {}
 pub type TxResult<T> = Result<T, Aborted>;
 
 /// The typed error [`try_run_tx`] returns when a transaction exhausts its
-/// [`RetryPolicy`] without committing — the retry loop's way of surfacing
-/// livelock instead of spinning forever (or panicking, as the historical
-/// [`run_tx`] still does for test ergonomics).
+/// attempt cap without committing — the retry loop's way of surfacing
+/// livelock instead of spinning forever (or panicking, as [`run_tx`] does
+/// for test ergonomics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Livelock {
-    /// Attempts made (equals the policy's `max_attempts`).
+    /// Attempts made (the cap).
     pub attempts: u64,
 }
 
@@ -120,14 +119,6 @@ pub trait Stm: Send + Sync {
     fn blocking(&self) -> bool {
         false
     }
-
-    /// The retry policy [`run_tx`]/[`try_run_tx`] apply to transactions of
-    /// this TM. TMs built through [`crate::StmConfig`] report the
-    /// configured policy; the default is the historical million-attempt
-    /// cap with no backoff.
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::default()
-    }
 }
 
 /// Statistics from [`run_tx`] retry loops.
@@ -139,76 +130,57 @@ pub struct RunStats {
     pub aborts: u64,
 }
 
-/// Runs `body` as a transaction under an explicit [`RetryPolicy`],
-/// retrying on abort (each retry is a fresh transaction with a fresh
-/// identifier, as the model requires).
-///
-/// `body` returning `Err(Aborted)` signals that the transaction was aborted
-/// mid-flight by an operation; the loop retries, applying the policy's
-/// backoff between attempts. Returns [`Livelock`] once the attempt cap is
-/// exhausted — the typed alternative to [`run_tx`]'s panic.
-pub fn try_run_tx_with<R>(
-    stm: &dyn Stm,
-    thread: usize,
-    policy: RetryPolicy,
-    mut body: impl FnMut(&mut dyn Tx) -> TxResult<R>,
+/// The attempt cap of [`run_tx`], [`try_run_tx`] and their typed twins in
+/// [`crate::objects`].
+pub const MAX_ATTEMPTS: u64 = 1_000_000;
+
+/// The retry loop behind [`try_run_tx`] and its typed twin: calls
+/// `attempt` (one fresh transaction — begin, body, commit) until it
+/// commits, at most `max_attempts` times. Each retry is a new transaction
+/// with a fresh identifier, as the model requires. Returns [`Livelock`]
+/// once the cap is exhausted.
+pub fn retry<R>(
+    max_attempts: u64,
+    mut attempt: impl FnMut() -> TxResult<R>,
 ) -> Result<(R, RunStats), Livelock> {
     let mut stats = RunStats::default();
-    for attempt in 0..policy.max_attempts {
-        if attempt > 0 {
-            if let Some(backoff) = policy.backoff {
-                backoff.wait(attempt - 1);
+    for _ in 0..max_attempts {
+        match attempt() {
+            Ok(result) => {
+                stats.commits += 1;
+                return Ok((result, stats));
             }
-        }
-        let mut tx = stm.begin(thread);
-        match body(tx.as_mut()) {
-            Ok(result) => match tx.commit() {
-                Ok(()) => {
-                    stats.commits += 1;
-                    return Ok((result, stats));
-                }
-                Err(Aborted) => {
-                    stats.aborts += 1;
-                }
-            },
-            Err(Aborted) => {
-                stats.aborts += 1;
-            }
+            Err(Aborted) => stats.aborts += 1,
         }
     }
     Err(Livelock {
-        attempts: policy.max_attempts,
+        attempts: max_attempts,
     })
 }
 
-/// [`try_run_tx_with`] under the TM's own configured policy
-/// ([`Stm::retry_policy`]).
+/// Runs `body` as a transaction, retrying on abort up to [`MAX_ATTEMPTS`]
+/// times. `body` returning `Err(Aborted)` signals that an operation
+/// aborted the transaction mid-flight.
 pub fn try_run_tx<R>(
     stm: &dyn Stm,
     thread: usize,
-    body: impl FnMut(&mut dyn Tx) -> TxResult<R>,
+    mut body: impl FnMut(&mut dyn Tx) -> TxResult<R>,
 ) -> Result<(R, RunStats), Livelock> {
-    try_run_tx_with(stm, thread, stm.retry_policy(), body)
+    retry(MAX_ATTEMPTS, || {
+        let mut tx = stm.begin(thread);
+        let result = body(tx.as_mut())?;
+        tx.commit().map(|()| result)
+    })
 }
 
-/// Runs `body` as a transaction, retrying on abort under the TM's
-/// configured [`RetryPolicy`].
-///
-/// # Panics
-/// Panics when the policy's attempt cap is exhausted, to surface livelock
-/// loudly in tests and benchmarks; use [`try_run_tx`] for the typed
-/// [`Livelock`] error instead.
+/// [`try_run_tx`], panicking on [`Livelock`] to surface it loudly in tests
+/// and benchmarks.
 pub fn run_tx<R>(
     stm: &dyn Stm,
     thread: usize,
     body: impl FnMut(&mut dyn Tx) -> TxResult<R>,
 ) -> (R, RunStats) {
-    match try_run_tx(stm, thread, body) {
-        Ok(out) => out,
-        Err(Livelock { attempts }) => {
-            panic!("transaction did not commit after {attempts} retries (livelock?)")
-        }
-    }
+    try_run_tx(stm, thread, body).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -223,9 +195,14 @@ mod tests {
     #[test]
     fn try_run_tx_reports_livelock_instead_of_panicking() {
         let stm = crate::tl2::Tl2Stm::new(1);
-        let out: Result<((), RunStats), Livelock> =
-            try_run_tx_with(&stm, 0, RetryPolicy::bounded(3), |_tx| Err(Aborted));
+        let mut begun = 0;
+        let out: Result<((), RunStats), Livelock> = retry(3, || {
+            begun += 1;
+            let _tx = stm.begin(0);
+            Err(Aborted)
+        });
         assert_eq!(out, Err(Livelock { attempts: 3 }));
+        assert_eq!(begun, 3);
         assert_eq!(
             Livelock { attempts: 3 }.to_string(),
             "transaction did not commit after 3 attempts (livelock?)"
@@ -236,16 +213,15 @@ mod tests {
     fn try_run_tx_succeeds_and_counts_aborts() {
         let stm = crate::tl2::Tl2Stm::new(1);
         let mut failures = 2;
-        let (v, stats) =
-            try_run_tx_with(&stm, 0, RetryPolicy::bounded(10).with_backoff(1, 4), |tx| {
-                if failures > 0 {
-                    failures -= 1;
-                    return Err(Aborted);
-                }
-                tx.write(0, 5)?;
-                tx.read(0)
-            })
-            .expect("commits within the cap");
+        let (v, stats) = try_run_tx(&stm, 0, |tx| {
+            if failures > 0 {
+                failures -= 1;
+                return Err(Aborted);
+            }
+            tx.write(0, 5)?;
+            tx.read(0)
+        })
+        .expect("commits within the cap");
         assert_eq!(v, 5);
         assert_eq!(
             stats,
@@ -254,16 +230,6 @@ mod tests {
                 aborts: 2
             }
         );
-    }
-
-    #[test]
-    fn configured_retry_policy_reaches_try_run_tx() {
-        use crate::config::StmConfig;
-        let stm =
-            crate::tl2::Tl2Stm::with_config(&StmConfig::new(1).retry(RetryPolicy::bounded(2)));
-        assert_eq!(stm.retry_policy(), RetryPolicy::bounded(2));
-        let out: Result<((), RunStats), Livelock> = try_run_tx(&stm, 0, |_tx| Err(Aborted));
-        assert_eq!(out, Err(Livelock { attempts: 2 }));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
@@ -31,7 +31,7 @@ use tm_model::{NestingInfo, NestingMode, TxId};
 /// Committed object state: value plus a modification counter that lets
 /// invisible readers detect overwrites (a "version" in the loose sense —
 /// there is still only ever one stored value, so the TM is single-version).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct AstmObj {
     inner: Mutex<(i64, u64)>, // (value, modification count)
     /// Commit-time ownership flag (one writer at a time per object).
@@ -43,7 +43,6 @@ struct AstmObj {
 pub struct AstmStm {
     objs: Vec<AstmObj>,
     recorder: Recorder,
-    retry: RetryPolicy,
     /// (child, parent) pairs of closed-nested scopes opened so far, for
     /// flattening recorded histories (Section 7 / experiment E22).
     nested: Mutex<Vec<(u32, u32)>>,
@@ -56,18 +55,11 @@ impl AstmStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// An ASTM built from an explicit configuration (initial values,
-    /// recording, retry policy; no clock, no contention manager).
+    /// An ASTM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         AstmStm {
-            objs: (0..cfg.k())
-                .map(|i| AstmObj {
-                    inner: Mutex::new((cfg.initial(i), 0)),
-                    owned: AtomicU64::new(0),
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| AstmObj::default()).collect(),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             nested: Mutex::new(Vec::new()),
             probe: cfg.step_probe(),
         }
@@ -147,10 +139,6 @@ impl Stm for AstmStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

@@ -339,6 +339,23 @@ impl TxDesc {
     }
 }
 
+/// Attempts to abort `victim` by CAS'ing its status from `ACTIVE` to
+/// `ABORTED` (one step), the conflict resolution of `dstm` and `visible`.
+/// Returns the victim's final status.
+pub fn try_abort_tx(victim: &TxDesc, m: &mut Meter) -> u8 {
+    if m.cas_u8(
+        victim.status_cell(),
+        &victim.status,
+        status::ACTIVE,
+        status::ABORTED,
+    ) {
+        status::ABORTED
+    } else {
+        // Lost the race: the victim committed or was already aborted.
+        m.load_u8(victim.status_cell(), &victim.status)
+    }
+}
+
 /// Unmetered acquire-load of a `u64` base word, for begin-time snapshots
 /// (clock `peek`s) that deliberately happen outside the step accounting.
 /// Keeps `Ordering` imports out of the TM and clock-variant modules.
@@ -399,6 +416,18 @@ mod tests {
         assert!(!m.cas_u8(d.status_cell(), &d.status, status::ACTIVE, status::ABORTED));
         m.end_op();
         assert_eq!(d.status_now(), status::COMMITTED);
+    }
+
+    #[test]
+    fn abort_only_succeeds_on_active() {
+        let mut m = Meter::new();
+        m.begin_op(OpKind::Commit);
+        let v = TxDesc::new(1);
+        assert_eq!(try_abort_tx(&v, &mut m), status::ABORTED);
+        let c = TxDesc::new(2);
+        c.force_status(status::COMMITTED);
+        assert_eq!(try_abort_tx(&c, &mut m), status::COMMITTED);
+        m.end_op();
     }
 
     #[test]

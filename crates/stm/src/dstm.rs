@@ -4,8 +4,8 @@
 //!
 //! * **progressive** — a transaction is forcefully aborted only upon an
 //!   actual conflict with a concurrent transaction that was live at the
-//!   conflict (writer-writer resolution through the contention manager, or
-//!   a read-set invalidation caused by a concurrent committer);
+//!   conflict (a writer-writer conflict, or a read-set invalidation caused
+//!   by a concurrent committer);
 //! * **single-version** — each object's locator holds only the latest
 //!   committed value (plus the owner's tentative value);
 //! * **invisible reads** — reading logically performs loads only; no reader
@@ -15,6 +15,15 @@
 //! *forces* incremental validation: every read re-validates the entire read
 //! set, costing Θ(|read set|) steps, i.e. Θ(k) worst case per operation and
 //! Θ(k²) per transaction. The lower-bound experiment measures exactly this.
+//!
+//! ### Conflict resolution
+//!
+//! DSTM introduced the contention manager: the policy deciding, upon a
+//! conflict with the live owner of an object, whether to abort the owner
+//! or the attacker. This TM always aborts the owner (DSTM's obstruction-free
+//! "aggressive" policy). The paper notes (Section 6.2) that DSTM/ASTM meet
+//! the Θ(k) bound "with most contention managers": the policy affects
+//! progress and throughput, not the validation cost.
 //!
 //! ### Base-object emulation note (documented substitution)
 //!
@@ -30,16 +39,15 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
-use crate::cm::{try_abort_tx, ContentionManager, Resolution};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::base::{status, try_abort_tx, Meter, OpKind, StepReport, TxDesc};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
 
 /// A DSTM locator: the owner transaction plus its old/new values.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Locator {
     owner: Option<Arc<TxDesc>>,
     old: i64,
@@ -62,7 +70,7 @@ impl Locator {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DstmObj {
     locator: Mutex<Locator>,
 }
@@ -72,34 +80,20 @@ struct DstmObj {
 pub struct DstmStm {
     objs: Vec<DstmObj>,
     recorder: Recorder,
-    cm: ContentionManager,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
 impl DstmStm {
-    /// A DSTM with `k` registers initialized to 0, using the aggressive
-    /// contention manager.
+    /// A DSTM with `k` registers initialized to 0.
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A DSTM built from an explicit configuration (contention manager,
-    /// initial values, recording, retry policy).
+    /// A DSTM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         DstmStm {
-            objs: (0..cfg.k())
-                .map(|i| DstmObj {
-                    locator: Mutex::new(Locator {
-                        owner: None,
-                        old: cfg.initial(i),
-                        new: cfg.initial(i),
-                    }),
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| DstmObj::default()).collect(),
             recorder: cfg.build_recorder(),
-            cm: cfg.cm(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -153,10 +147,6 @@ impl Stm for DstmStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {
@@ -257,25 +247,10 @@ impl Tx for DstmTx<'_> {
                     break;
                 }
                 Some(d) if self.meter.load_u8(d.status_cell(), &d.status) == status::ACTIVE => {
-                    // Writer-writer conflict with a live transaction: ask
-                    // the contention manager.
-                    match self.stm.cm.resolve(crate::cm::ConflictCtx {
-                        my_work: self.reads.len() + self.writes.len(),
-                        other_work: 1,
-                        my_birth: self.id.0,
-                        other_birth: d.id,
-                    }) {
-                        Resolution::AbortOther => {
-                            try_abort_tx(&d, &mut self.meter);
-                            self.meter.end_atomic();
-                            // Loop back and re-resolve the locator.
-                        }
-                        Resolution::AbortSelf => {
-                            self.meter.end_atomic();
-                            drop(loc);
-                            return Err(self.abort_op());
-                        }
-                    }
+                    // Writer-writer conflict with a live transaction:
+                    // abort it, then loop back and re-resolve the locator.
+                    try_abort_tx(&d, &mut self.meter);
+                    self.meter.end_atomic();
                 }
                 _ => {
                     // Owner committed/aborted or absent: fold and acquire.
@@ -387,17 +362,6 @@ mod tests {
         let mut t3 = stm.begin(0);
         assert_eq!(t3.read(0).unwrap(), 2);
         t3.commit().unwrap();
-    }
-
-    #[test]
-    fn timid_cm_aborts_self_on_write_conflict() {
-        let stm =
-            DstmStm::with_config(&StmConfig::new(1).contention_manager(ContentionManager::Timid));
-        let mut t1 = stm.begin(0);
-        t1.write(0, 1).unwrap();
-        let mut t2 = stm.begin(1);
-        assert_eq!(t2.write(0, 2), Err(Aborted));
-        t1.commit().unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::api::{Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use tm_model::TxId;
@@ -20,7 +20,6 @@ use tm_model::TxId;
 pub struct GlockStm {
     store: Mutex<Vec<i64>>,
     recorder: Recorder,
-    retry: RetryPolicy,
 }
 
 impl GlockStm {
@@ -29,14 +28,11 @@ impl GlockStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A global-lock TM built from an explicit configuration (initial
-    /// values, recording, retry policy; nothing else applies to a TM with
-    /// zero concurrency).
+    /// A global-lock TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         GlockStm {
-            store: Mutex::new((0..cfg.k()).map(|i| cfg.initial(i)).collect()),
+            store: Mutex::new(vec![0; cfg.k()]),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
         }
     }
 }
@@ -78,10 +74,6 @@ impl Stm for GlockStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

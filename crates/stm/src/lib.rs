@@ -50,12 +50,11 @@
 //! Every TM is built from an [`StmConfig`] (its `new(k)` is a thin wrapper
 //! over the default configuration), and the [`TmRegistry`] resolves TM
 //! names into configured instances with fallible lookup — see [`config`]
-//! and [`registry`]. The timestamp-based TMs (`tl2`, `mvstm`, `sistm`) all
-//! run on TL2's GV1 [`VersionClock`] (see [`clock`]); the
-//! conflict-resolving TMs (`dstm`, `visible`) accept any
-//! [`ContentionManager`]; all nine honour initial register values, the
-//! recording toggle, and the [`RetryPolicy`] that [`run_tx`]/[`try_run_tx`]
-//! apply.
+//! and [`registry`]. Registers start at 0. The timestamp-based TMs (`tl2`,
+//! `mvstm`, `sistm`) all run on TL2's GV1 [`VersionClock`] (see [`clock`]);
+//! the conflict-resolving TMs (`dstm`, `visible`) always abort the live
+//! enemy. [`run_tx`]/[`try_run_tx`] retry an aborted transaction up to
+//! [`MAX_ATTEMPTS`] times.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -66,7 +65,6 @@ pub mod api;
 pub mod astm;
 pub mod base;
 pub mod clock;
-pub mod cm;
 pub mod config;
 pub mod dstm;
 pub mod glock;
@@ -84,14 +82,13 @@ pub mod trace_cells;
 pub mod visible;
 
 pub use api::{
-    run_tx, try_run_tx, try_run_tx_with, Aborted, Livelock, RunStats, Stm, StmProperties, Tx,
-    TxResult,
+    retry, run_tx, try_run_tx, Aborted, Livelock, RunStats, Stm, StmProperties, Tx, TxResult,
+    MAX_ATTEMPTS,
 };
 pub use astm::AstmStm;
 pub use base::{Meter, OpKind, StepReport, TxDesc};
 pub use clock::{GlobalClock, VersionClock};
-pub use cm::{ConflictCtx, ContentionManager, Resolution};
-pub use config::{Backoff, RetryPolicy, StmConfig};
+pub use config::StmConfig;
 pub use dstm::DstmStm;
 pub use glock::GlockStm;
 pub use mutants::{MutantStm, Mutation};

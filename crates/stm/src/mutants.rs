@@ -38,7 +38,7 @@
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::{GlobalClock, VersionClock};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::recorder::Recorder;
 use crate::trace_cells::{CellId, StepProbe};
 use std::sync::atomic::{AtomicI64, AtomicU64};
@@ -204,7 +204,7 @@ fn unlocked_at(version: u64) -> u64 {
     version << 1
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct MutObj {
     /// `version << 1 | locked`.
     lock: AtomicU64,
@@ -218,7 +218,6 @@ pub struct MutantStm {
     clock: Box<dyn GlobalClock>,
     recorder: Recorder,
     mutation: Mutation,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -228,8 +227,8 @@ impl MutantStm {
         Self::with_config(&StmConfig::new(k), mutation)
     }
 
-    /// A mutant TM built from an explicit configuration (initial values,
-    /// recording, retry policy). The validation mutants keep the plain
+    /// A mutant TM built from an explicit configuration. The validation
+    /// mutants keep the plain
     /// GV1 counter; the two concurrency mutants carry the (broken or
     /// faithful) pass-on-failure clock their bug lives in.
     pub fn with_config(cfg: &StmConfig, mutation: Mutation) -> Self {
@@ -239,16 +238,10 @@ impl MutantStm {
             _ => Box::new(VersionClock::new()),
         };
         MutantStm {
-            objs: (0..cfg.k())
-                .map(|i| MutObj {
-                    lock: AtomicU64::new(0),
-                    value: AtomicI64::new(cfg.initial(i)),
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| MutObj::default()).collect(),
             clock,
             recorder: cfg.build_recorder(),
             mutation,
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -295,10 +288,6 @@ impl Stm for MutantStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

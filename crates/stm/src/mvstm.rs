@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::GlobalClock;
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
@@ -37,7 +37,6 @@ pub struct MvStm {
     clock: Box<dyn GlobalClock>,
     commit_lock: Mutex<()>,
     recorder: Recorder,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -48,19 +47,17 @@ impl MvStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A multi-version TM built from an explicit configuration (initial
-    /// values, recording, retry policy).
+    /// A multi-version TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         MvStm {
             objs: (0..cfg.k())
-                .map(|i| MvObj {
-                    versions: Mutex::new(vec![(0, cfg.initial(i))]),
+                .map(|_| MvObj {
+                    versions: Mutex::new(vec![(0, 0)]),
                 })
                 .collect(),
             clock: cfg.build_clock(),
             commit_lock: Mutex::new(()),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -132,10 +129,6 @@ impl Stm for MvStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

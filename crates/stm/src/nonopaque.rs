@@ -22,12 +22,12 @@ use std::sync::Arc;
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::recorder::Recorder;
 use crate::trace_cells::{CellId, StepProbe};
 use tm_model::TxId;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct NoObj {
     /// `version << 1 | locked`.
     lock: AtomicU64,
@@ -39,7 +39,6 @@ struct NoObj {
 pub struct NonOpaqueStm {
     objs: Vec<NoObj>,
     recorder: Recorder,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -50,18 +49,11 @@ impl NonOpaqueStm {
     }
 
     /// A commit-time-validation TM built from an explicit configuration
-    /// (initial values, recording, retry policy; versions are per-object
-    /// counters, so no global clock applies).
+    /// (versions are per-object counters, so no global clock applies).
     pub fn with_config(cfg: &StmConfig) -> Self {
         NonOpaqueStm {
-            objs: (0..cfg.k())
-                .map(|i| NoObj {
-                    lock: AtomicU64::new(0),
-                    value: AtomicI64::new(cfg.initial(i)),
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| NoObj::default()).collect(),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -102,10 +94,6 @@ impl Stm for NonOpaqueStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

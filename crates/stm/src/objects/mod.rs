@@ -71,7 +71,7 @@ pub mod encodings;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::api::{Aborted, Livelock, RunStats, Stm, Tx, TxResult};
+use crate::api::{retry, Aborted, Livelock, RunStats, Stm, Tx, TxResult, MAX_ATTEMPTS};
 use crate::recorder::Recorder;
 use tm_model::{History, ObjId, OpName, SeqSpec, SpecRegistry, TxId, Value};
 
@@ -546,58 +546,29 @@ impl TypedTx<'_> {
     }
 }
 
-/// Runs `body` as a typed transaction, retrying on abort under the inner
-/// TM's configured [`crate::RetryPolicy`] (attempt cap + optional
-/// backoff). The typed twin of [`crate::api::try_run_tx`]; returns
-/// [`Livelock`] once the cap is exhausted.
+/// Runs `body` as a typed transaction, retrying on abort up to
+/// [`crate::api::MAX_ATTEMPTS`] times through the same loop as
+/// [`crate::api::try_run_tx`], whose typed twin this is.
 pub fn try_run_typed_tx<R>(
     stm: &TypedStm,
     thread: usize,
     mut body: impl FnMut(&mut TypedTx<'_>) -> TxResult<R>,
 ) -> Result<(R, RunStats), Livelock> {
-    let policy = stm.stm().retry_policy();
-    let mut stats = RunStats::default();
-    for attempt in 0..policy.max_attempts {
-        if attempt > 0 {
-            if let Some(backoff) = policy.backoff {
-                backoff.wait(attempt - 1);
-            }
-        }
+    retry(MAX_ATTEMPTS, || {
         let mut tx = stm.begin(thread);
-        match body(&mut tx) {
-            Ok(result) => match tx.commit() {
-                Ok(()) => {
-                    stats.commits += 1;
-                    return Ok((result, stats));
-                }
-                Err(Aborted) => stats.aborts += 1,
-            },
-            Err(Aborted) => stats.aborts += 1,
-        }
-    }
-    Err(Livelock {
-        attempts: policy.max_attempts,
+        let result = body(&mut tx)?;
+        tx.commit().map(|()| result)
     })
 }
 
-/// Runs `body` as a typed transaction, retrying on abort (each retry is a
-/// fresh transaction, as the model requires). The typed twin of
+/// [`try_run_typed_tx`], panicking on [`Livelock`]. The typed twin of
 /// [`crate::api::run_tx`].
-///
-/// # Panics
-/// Panics when the inner TM's retry policy is exhausted, to surface
-/// livelock; use [`try_run_typed_tx`] for the typed error.
 pub fn run_typed_tx<R>(
     stm: &TypedStm,
     thread: usize,
     body: impl FnMut(&mut TypedTx<'_>) -> TxResult<R>,
 ) -> (R, RunStats) {
-    match try_run_typed_tx(stm, thread, body) {
-        Ok(out) => out,
-        Err(Livelock { attempts }) => {
-            panic!("typed transaction did not commit after {attempts} retries (livelock?)")
-        }
-    }
+    try_run_typed_tx(stm, thread, body).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -613,27 +584,6 @@ mod tests {
             .with("q", QueueEnc { cap: 8 })
             .with("s", SetEnc { domain: 4 })
             .build()
-    }
-
-    #[test]
-    fn typed_retry_honors_the_inner_tms_configured_policy() {
-        use crate::config::{RetryPolicy, StmConfig};
-        let tm = TypedStm::new(playground(), |k| {
-            Box::new(crate::tl2::Tl2Stm::with_config(
-                &StmConfig::new(k).retry(RetryPolicy::bounded(3)),
-            ))
-        });
-        let out = try_run_typed_tx(&tm, 0, |_tx| -> TxResult<()> { Err(Aborted) });
-        assert_eq!(out, Err(Livelock { attempts: 3 }));
-        // A committing body still succeeds under the bounded policy.
-        let c = tm.handle("c");
-        let (v, stats) = try_run_typed_tx(&tm, 0, |tx| {
-            tx.inc(c)?;
-            tx.get(c)
-        })
-        .expect("commits on the first attempt");
-        assert_eq!(v, 1);
-        assert_eq!(stats.commits, 1);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The old shape of the suite was a hardwired `all_stms(k)` plus a name
 //! lookup that *panicked* on a typo. [`TmRegistry`] replaces both with
 //! data: one [`TmSpec`] per TM carrying its name, its static
-//! [`StmProperties`], whether it honours the contention-manager axis, and
-//! a build function consuming an [`StmConfig`]. Lookups return `Result`s
+//! [`StmProperties`], and a build function consuming an [`StmConfig`]. Lookups return `Result`s
 //! whose errors list every valid name, so a CLI typo produces a menu
 //! instead of a backtrace.
 //!
@@ -32,9 +31,6 @@ use crate::config::StmConfig;
 pub struct TmSpec {
     /// The TM's stable name (matches [`Stm::name`]).
     pub name: &'static str,
-    /// Does this TM consume [`StmConfig::contention_manager`]? (dstm,
-    /// visible.)
-    pub cm_tunable: bool,
     /// Do this TM's transactions block all others for their lifetime
     /// (the global lock)?
     pub blocking: bool,
@@ -54,7 +50,6 @@ impl std::fmt::Debug for TmSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TmSpec")
             .field("name", &self.name)
-            .field("cm_tunable", &self.cm_tunable)
             .field("blocking", &self.blocking)
             .finish_non_exhaustive()
     }
@@ -112,42 +107,29 @@ fn build_suite_specs() -> Vec<TmSpec> {
         let probe = build(&StmConfig::new(1).recording(false));
         (probe.properties(), probe.blocking())
     }
-    let entries: [(&'static str, bool, BuildFn); 9] = [
-        ("glock", false, |c| {
+    let entries: [(&'static str, BuildFn); 9] = [
+        ("glock", |c| {
             Box::new(crate::glock::GlockStm::with_config(c))
         }),
-        ("tl2", false, |c| {
-            Box::new(crate::tl2::Tl2Stm::with_config(c))
-        }),
-        ("dstm", true, |c| {
-            Box::new(crate::dstm::DstmStm::with_config(c))
-        }),
-        ("astm", false, |c| {
-            Box::new(crate::astm::AstmStm::with_config(c))
-        }),
-        ("visible", true, |c| {
+        ("tl2", |c| Box::new(crate::tl2::Tl2Stm::with_config(c))),
+        ("dstm", |c| Box::new(crate::dstm::DstmStm::with_config(c))),
+        ("astm", |c| Box::new(crate::astm::AstmStm::with_config(c))),
+        ("visible", |c| {
             Box::new(crate::visible::VisibleStm::with_config(c))
         }),
-        ("mvstm", false, |c| {
-            Box::new(crate::mvstm::MvStm::with_config(c))
-        }),
-        ("nonopaque", false, |c| {
+        ("mvstm", |c| Box::new(crate::mvstm::MvStm::with_config(c))),
+        ("nonopaque", |c| {
             Box::new(crate::nonopaque::NonOpaqueStm::with_config(c))
         }),
-        ("sistm", false, |c| {
-            Box::new(crate::sistm::SiStm::with_config(c))
-        }),
-        ("tpl", false, |c| {
-            Box::new(crate::tpl::TplStm::with_config(c))
-        }),
+        ("sistm", |c| Box::new(crate::sistm::SiStm::with_config(c))),
+        ("tpl", |c| Box::new(crate::tpl::TplStm::with_config(c))),
     ];
     entries
         .into_iter()
-        .map(|(name, cm_tunable, build)| {
+        .map(|(name, build)| {
             let (properties, blocking) = props_of(build);
             TmSpec {
                 name,
-                cm_tunable,
                 blocking,
                 properties,
                 build,

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::GlobalClock;
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
@@ -69,7 +69,6 @@ pub struct SiStm {
     clock: Box<dyn GlobalClock>,
     commit_lock: Mutex<()>,
     recorder: Recorder,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -80,19 +79,17 @@ impl SiStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A snapshot-isolation TM built from an explicit configuration
-    /// (initial values, recording, retry policy).
+    /// A snapshot-isolation TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         SiStm {
             objs: (0..cfg.k())
-                .map(|i| SiObj {
-                    versions: Mutex::new(vec![(0, cfg.initial(i))]),
+                .map(|_| SiObj {
+                    versions: Mutex::new(vec![(0, 0)]),
                 })
                 .collect(),
             clock: cfg.build_clock(),
             commit_lock: Mutex::new(()),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -161,10 +158,6 @@ impl Stm for SiStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
 use crate::clock::GlobalClock;
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::recorder::Recorder;
 use crate::trace_cells::{CellId, StepProbe};
 use tm_model::TxId;
@@ -49,7 +49,7 @@ fn unlocked_at(version: u64) -> u64 {
     version << 1
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Tl2Obj {
     /// `version << 1 | locked`.
     lock: AtomicU64,
@@ -62,7 +62,6 @@ pub struct Tl2Stm {
     objs: Vec<Tl2Obj>,
     clock: Box<dyn GlobalClock>,
     recorder: Recorder,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -73,20 +72,12 @@ impl Tl2Stm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A TL2 TM built from an explicit configuration (initial values,
-    /// recording, retry policy; the contention manager is not consulted —
-    /// TL2 resolves conflicts by aborting itself).
+    /// A TL2 TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         Tl2Stm {
-            objs: (0..cfg.k())
-                .map(|i| Tl2Obj {
-                    lock: AtomicU64::new(0),
-                    value: AtomicI64::new(cfg.initial(i)),
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
             clock: cfg.build_clock(),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -132,10 +123,6 @@ impl Stm for Tl2Stm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

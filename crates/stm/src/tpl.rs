@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
 use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
@@ -100,7 +100,6 @@ impl TplCell {
 pub struct TplStm {
     objs: Vec<Mutex<TplCell>>,
     recorder: Recorder,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
@@ -110,21 +109,12 @@ impl TplStm {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A 2PL TM built from an explicit configuration (initial values,
-    /// recording, retry policy; conflicts are resolved by seniority, so
-    /// the contention manager is not consulted).
+    /// A 2PL TM built from an explicit configuration (conflicts are
+    /// resolved by seniority).
     pub fn with_config(cfg: &StmConfig) -> Self {
         TplStm {
-            objs: (0..cfg.k())
-                .map(|i| {
-                    Mutex::new(TplCell {
-                        value: cfg.initial(i),
-                        ..TplCell::default()
-                    })
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| Mutex::default()).collect(),
             recorder: cfg.build_recorder(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -167,10 +157,6 @@ impl Stm for TplStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {

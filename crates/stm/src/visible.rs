@@ -2,9 +2,9 @@
 //!
 //! The design point that escapes Theorem 3 by *publishing* reads: every read
 //! registers the reader in the object's reader list (a base-object write —
-//! reads are visible). A writer arriving at an object eagerly resolves the
-//! conflict with every registered live reader through the contention
-//! manager, so a transaction's read set can never be silently invalidated:
+//! reads are visible). A writer arriving at an object eagerly aborts every
+//! registered live reader (and a reader aborts a live pending writer), so
+//! a transaction's read set can never be silently invalidated:
 //! **no read-time or commit-time validation is needed at all**, and every
 //! operation costs O(1) steps in `k` (write cost depends on the number of
 //! concurrent readers of that object, bounded by the thread count, never by
@@ -18,15 +18,14 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
-use crate::cm::{try_abort_tx, ContentionManager, Resolution};
-use crate::config::{RetryPolicy, StmConfig};
+use crate::base::{status, try_abort_tx, Meter, OpKind, StepReport, TxDesc};
+use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
 use tm_model::TxId;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct VisObj {
     /// Latest committed value.
     committed: i64,
@@ -52,6 +51,16 @@ impl VisObj {
         }
         self.readers.retain(|d| d.status_now() == status::ACTIVE);
     }
+
+    /// Aborts a pending writer other than `me` and folds the outcome.
+    fn displace_writer(&mut self, me: &Arc<TxDesc>, m: &mut Meter) {
+        if let Some((d, _)) = self.writer.clone() {
+            if !Arc::ptr_eq(&d, me) {
+                try_abort_tx(&d, m);
+                self.settle(m);
+            }
+        }
+    }
 }
 
 /// The visible-reads TM over `k` registers.
@@ -59,34 +68,20 @@ impl VisObj {
 pub struct VisibleStm {
     objs: Vec<Mutex<VisObj>>,
     recorder: Recorder,
-    cm: ContentionManager,
-    retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
 }
 
 impl VisibleStm {
-    /// A visible-reads TM with `k` registers initialized to 0 (aggressive
-    /// contention manager).
+    /// A visible-reads TM with `k` registers initialized to 0.
     pub fn new(k: usize) -> Self {
         Self::with_config(&StmConfig::new(k))
     }
 
-    /// A visible-reads TM built from an explicit configuration (contention
-    /// manager, initial values, recording, retry policy; no clock).
+    /// A visible-reads TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         VisibleStm {
-            objs: (0..cfg.k())
-                .map(|i| {
-                    Mutex::new(VisObj {
-                        committed: cfg.initial(i),
-                        writer: None,
-                        readers: Vec::new(),
-                    })
-                })
-                .collect(),
+            objs: (0..cfg.k()).map(|_| Mutex::default()).collect(),
             recorder: cfg.build_recorder(),
-            cm: cfg.cm(),
-            retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
@@ -97,7 +92,6 @@ pub struct VisibleTx<'a> {
     stm: &'a VisibleStm,
     id: TxId,
     desc: Arc<TxDesc>,
-    work: usize,
     meter: Meter,
     finished: bool,
 }
@@ -117,7 +111,6 @@ impl Stm for VisibleStm {
             stm: self,
             id,
             desc: Arc::new(TxDesc::new(id.0)),
-            work: 0,
             meter: Meter::with_probe(_thread, self.probe.clone()),
             finished: false,
         })
@@ -125,10 +118,6 @@ impl Stm for VisibleStm {
 
     fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     fn properties(&self) -> StmProperties {
@@ -173,27 +162,8 @@ impl Tx for VisibleTx<'_> {
             let mut o = lock(&self.stm.objs[obj]);
             self.meter.begin_atomic();
             o.settle(&mut self.meter);
-            // A live foreign writer holds the object: resolve.
-            if let Some((d, _)) = o.writer.clone() {
-                if !Arc::ptr_eq(&d, &self.desc) {
-                    match self.stm.cm.resolve(crate::cm::ConflictCtx {
-                        my_work: self.work,
-                        other_work: 1,
-                        my_birth: self.id.0,
-                        other_birth: d.id,
-                    }) {
-                        Resolution::AbortOther => {
-                            try_abort_tx(&d, &mut self.meter);
-                            o.settle(&mut self.meter);
-                        }
-                        Resolution::AbortSelf => {
-                            self.meter.end_atomic();
-                            drop(o);
-                            return Err(self.abort_op());
-                        }
-                    }
-                }
-            }
+            // A live foreign writer holds the object: abort it.
+            o.displace_writer(&self.desc, &mut self.meter);
             // Register as a visible reader (this is a base-object write).
             if !o.readers.iter().any(|d| Arc::ptr_eq(d, &self.desc)) {
                 self.meter.step();
@@ -206,7 +176,6 @@ impl Tx for VisibleTx<'_> {
             self.meter.end_atomic();
             v
         };
-        self.work += 1;
         self.meter.end_op();
         self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
@@ -224,52 +193,11 @@ impl Tx for VisibleTx<'_> {
             let mut o = lock(&self.stm.objs[obj]);
             self.meter.begin_atomic();
             o.settle(&mut self.meter);
-            // Resolve a live foreign writer.
-            if let Some((d, _)) = o.writer.clone() {
-                if !Arc::ptr_eq(&d, &self.desc) {
-                    match self.stm.cm.resolve(crate::cm::ConflictCtx {
-                        my_work: self.work,
-                        other_work: 1,
-                        my_birth: self.id.0,
-                        other_birth: d.id,
-                    }) {
-                        Resolution::AbortOther => {
-                            try_abort_tx(&d, &mut self.meter);
-                            o.settle(&mut self.meter);
-                        }
-                        Resolution::AbortSelf => {
-                            self.meter.end_atomic();
-                            drop(o);
-                            return Err(self.abort_op());
-                        }
-                    }
-                }
-            }
-            // Resolve every live foreign reader — eager invalidation.
-            let foreign: Vec<Arc<TxDesc>> = o
-                .readers
-                .iter()
-                .filter(|d| !Arc::ptr_eq(d, &self.desc))
-                .cloned()
-                .collect();
-            for d in foreign {
-                if self.meter.load_u8(d.status_cell(), &d.status) != status::ACTIVE {
-                    continue;
-                }
-                match self.stm.cm.resolve(crate::cm::ConflictCtx {
-                    my_work: self.work,
-                    other_work: 1,
-                    my_birth: self.id.0,
-                    other_birth: d.id,
-                }) {
-                    Resolution::AbortOther => {
-                        try_abort_tx(&d, &mut self.meter);
-                    }
-                    Resolution::AbortSelf => {
-                        self.meter.end_atomic();
-                        drop(o);
-                        return Err(self.abort_op());
-                    }
+            o.displace_writer(&self.desc, &mut self.meter);
+            // Abort every live foreign reader — eager invalidation.
+            for d in o.readers.iter().filter(|d| !Arc::ptr_eq(d, &self.desc)) {
+                if self.meter.load_u8(d.status_cell(), &d.status) == status::ACTIVE {
+                    try_abort_tx(d, &mut self.meter);
                 }
             }
             o.settle(&mut self.meter);
@@ -277,7 +205,6 @@ impl Tx for VisibleTx<'_> {
             o.writer = Some((self.desc.clone(), v));
             self.meter.end_atomic();
         }
-        self.work += 1;
         self.meter.end_op();
         self.stm.recorder.ret_write(self.id, obj);
         Ok(())
@@ -364,23 +291,11 @@ mod tests {
         let stm = VisibleStm::new(1);
         let mut t1 = stm.begin(0);
         t1.write(0, 9).unwrap();
-        // T2 reads: aggressive CM aborts T1 (live writer), T2 sees 0.
+        // T2 reads: it aborts T1 (live writer) and sees 0.
         let mut t2 = stm.begin(1);
         assert_eq!(t2.read(0).unwrap(), 0);
         t2.commit().unwrap();
         assert_eq!(t1.commit(), Err(Aborted));
-    }
-
-    #[test]
-    fn timid_reader_aborts_itself() {
-        let stm = VisibleStm::with_config(
-            &StmConfig::new(1).contention_manager(ContentionManager::Timid),
-        );
-        let mut t1 = stm.begin(0);
-        t1.write(0, 9).unwrap();
-        let mut t2 = stm.begin(1);
-        assert_eq!(t2.read(0), Err(Aborted));
-        t1.commit().unwrap();
     }
 
     #[test]

@@ -4,10 +4,7 @@
 
 use opacity_tm::model::SpecRegistry;
 use opacity_tm::opacity::opacity::is_opaque;
-use opacity_tm::stm::{
-    run_tx, try_run_tx, Aborted, ContentionManager, Livelock, RetryPolicy, Stm, StmConfig, Tl2Stm,
-    TmRegistry,
-};
+use opacity_tm::stm::{retry, run_tx, Aborted, Livelock, Stm, StmConfig, Tl2Stm, TmRegistry};
 
 /// Recorded histories of registry-built clocked TMs stay opaque, checked
 /// by the actual Definition-1 decision procedure.
@@ -34,25 +31,30 @@ fn recorded_histories_of_registry_tms_are_opaque() {
     }
 }
 
-/// The full configuration surface drives one TM end to end: initial
-/// values, a non-default contention manager, recording off, and
-/// a typed `Livelock` from the bounded retry policy.
+/// The configuration surface drives one TM end to end: registers start
+/// at 0, recording off allocates nothing, and a body that never commits
+/// exhausts the capped retry loop as a typed `Livelock`.
 #[test]
 fn full_config_surface_through_the_facade() {
-    let cfg = StmConfig::new(2)
-        .contention_manager(ContentionManager::Greedy)
-        .initial_values(vec![40, 2])
-        .recording(false)
-        .retry(RetryPolicy::bounded(5).with_backoff(2, 16));
-    let stm = Tl2Stm::with_config(&cfg);
-    let (sum, _) = run_tx(&stm, 0, |tx| Ok(tx.read(0)? + tx.read(1)?));
-    assert_eq!(sum, 42, "initial values must be visible");
+    let stm = Tl2Stm::with_config(&StmConfig::new(2).recording(false));
+    let (sum, _) = run_tx(&stm, 0, |tx| {
+        tx.write(1, 42)?;
+        Ok(tx.read(0)? + tx.read(1)?)
+    });
+    assert_eq!(sum, 42, "registers start at 0");
     assert!(stm.recorder().is_empty(), "recording off allocates nothing");
 
-    // A body that never succeeds exhausts the 5-attempt cap as a typed
-    // error instead of a panic.
-    let out = try_run_tx(&stm, 0, |_tx| -> Result<(), Aborted> { Err(Aborted) });
+    let mut attempts = 0;
+    let out = retry(5, || -> Result<(), Aborted> {
+        attempts += 1;
+        let mut tx = stm.begin(0);
+        tx.write(0, attempts)?;
+        Err(Aborted)
+    });
     assert_eq!(out.unwrap_err(), Livelock { attempts: 5 });
+    assert_eq!(attempts, 5);
+    let (v, _) = run_tx(&stm, 0, |tx| tx.read(0));
+    assert_eq!(v, 0, "no abandoned attempt committed");
 }
 
 /// Registry lookups are fallible end-to-end: a typo yields the menu of
