@@ -1,5 +1,5 @@
-//! The dead-end memo table of the serialization search: a
-//! fingerprint-sharded, optionally capacity-bounded map from
+//! The dead-end memo table of the serialization search: one flat,
+//! optionally capacity-bounded table per session from
 //! `(placed-set mask, canonical object states)` to "this frontier is a
 //! dead end".
 //!
@@ -25,10 +25,9 @@
 //! re-explore (and re-discover) a dead end, never to change a verdict.
 //! A bounded table is therefore free to evict anything at any time. The
 //! *invalidation* rules are the opposite direction — an entry that became
-//! unsound after new events must go — and they are preserved verbatim:
-//! [`ShardedMemo::retain_placing`] and [`ShardedMemo::clear`] are the
-//! sharded forms of the resumable core's `retain`/`clear` on its old flat
-//! map.
+//! unsound after new events must go — and they apply to every entry
+//! whatever its shard or segment: [`ShardedMemo::retain_placing`] and
+//! [`ShardedMemo::clear`] are the resumable core's `retain`/`clear`.
 //!
 //! ## The eviction policy: cost-segmented LRU
 //!
@@ -56,33 +55,38 @@
 //! Queues are lazy — a touch enqueues a fresh record and stale records
 //! are skipped on pop and compacted when they outnumber live entries.
 //!
-//! ## Keys, fingerprints, and shards
+//! ## Layout, fingerprints, and shards
 //!
-//! The states of a key are the search's slot-indexed canonical state
-//! ([`SlotStates`], see `crate::state`). Its XOR fingerprint — one
-//! `DefaultHasher` digest of `(object, value)` per non-initial object,
-//! cached per entry and updated in place by the replay — is mixed with the
-//! placed-set mask to pick the shard. The fingerprint's bits are part of
-//! the table's behaviour: the shard choice follows them, and with it which
-//! entries a bounded table evicts (eviction is per shard, each shard
-//! capped separately), so a different hash — or a different shard count —
-//! would change node counts under a capacity bound.
+//! The table is flat: a `Vec` of records (mask, fingerprint, arena range,
+//! shard, stamp, cost bucket, collision link), a chunked arena of the
+//! `(slot, value)` pairs of each entry's canonical state ([`SlotStates`],
+//! see `crate::state`), and one index from `(mask, fingerprint)` to the
+//! newest record with that key, whose link chains the older ones. An
+//! insert appends to the arena's last chunk (a new chunk when the pairs do
+//! not fit, never a reallocation) and pushes a record; a probe is one index
+//! lookup and a chain walk comparing pairs in place. Evicted and
+//! invalidated records stay as tombstones until they outnumber live ones;
+//! one pass then compacts records and arena.
 //!
-//! A check is single-threaded, so the shards do not buy concurrency; they
-//! partition eviction, and that earns their keep. On the phased
-//! contention-knot check `tests/knot_workloads.rs` pins, a table capped at a quarter of
-//! its unbounded peak (75 entries, 2 shards) spends 483 nodes against 460
-//! unbounded; the same cap on a single shard spent 1 145 (+149 %). At half
-//! the peak the shard count moved nothing material.
+//! The fingerprint (the XOR of one `DefaultHasher` digest of
+//! `(object, value)` per non-initial object, kept by the replay) mixed with
+//! the mask picks a record's shard. A shard is only a number on the record
+//! that partitions eviction: each has its own cap, clock and cost
+//! segments. So the fingerprint's bits — and the shard count — decide what
+//! a bounded table evicts, and with it node counts. On the phased
+//! contention-knot check `tests/knot_workloads.rs` pins, a table capped at
+//! a quarter of its unbounded peak (75 entries, 2 shards) spends 483 nodes
+//! against 460 unbounded; the same cap on a single shard spent 1 145
+//! (+149 %). At half the peak the shard count moved nothing material.
 //!
-//! Within a shard the fingerprint is only a pre-filter. The maps hash it
-//! with their own `RandomState` (the values behind it come from clients),
-//! and a hit is decided by equality of the entry lists, so two distinct
-//! states with colliding fingerprints stay two entries. Probes never clone
-//! the live state (`Arc<SlotStates>: Borrow<SlotStates>` does the lookup).
+//! The fingerprint is only a pre-filter. The index hashes it with its own
+//! `RandomState` (the values behind it come from clients), and a hit is
+//! decided by equality of the pairs, so two distinct states with colliding
+//! fingerprints stay two entries.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+
+use tm_model::Value;
 
 use crate::state::SlotStates;
 
@@ -90,130 +94,99 @@ use crate::state::SlotStates;
 /// configured capacity is smaller).
 const DEFAULT_SHARDS: usize = 16;
 
-/// One queued reference to a shard entry. Queues are lazy: a recency touch
-/// leaves the previous record stale; stale records are skipped (and
-/// dropped) when popped, and compacted wholesale when they outnumber live
-/// entries.
-struct QueueRef {
-    mask: u64,
-    states: Arc<SlotStates>,
-    stamp: u64,
-}
+/// The end of a collision chain.
+const NIL: u32 = u32::MAX;
 
-/// Live metadata of one memoized dead end.
-struct EntryMeta {
-    /// Monotone per-shard clock value of the entry's latest queue record;
-    /// a queue record is current iff its stamp matches.
+/// The largest arena chunk, in pairs. Chunks double from 16 up to it, and
+/// pairs that do not fit in the last chunk's spare capacity open a new
+/// one, so the arena never reallocates and wastes less than one chunk.
+const MAX_CHUNK: usize = 1024;
+
+/// One memoized dead end, or (`live` false) its tombstone.
+struct Record {
+    mask: u64,
+    fingerprint: u64,
+    /// Per-shard clock value of the record's current queue reference.
     stamp: u64,
+    /// The `(slot, value)` pairs: `len` from `start` in arena chunk `chunk`.
+    chunk: u32,
+    start: u32,
+    len: u32,
+    /// The next older record with the same `(mask, fingerprint)`, or NIL.
+    next: u32,
+    shard: u8,
     /// Cost segment: log₂ of the subtree nodes it took to establish this
     /// dead end (recency touches re-enqueue into the same segment).
-    bucket: u32,
+    bucket: u8,
+    live: bool,
 }
 
-/// The two-level entry index of one shard.
-type MaskIndex = HashMap<u64, HashMap<Arc<SlotStates>, EntryMeta>>;
+/// A queued `(record id, stamp)`, current iff the record is live with
+/// that stamp. Queues are lazy: a recency touch or a tombstone leaves the
+/// previous reference stale, skipped when popped and dropped by compaction.
+type QueueRef = (u32, u64);
 
-/// One shard: its entries and their eviction queues.
+/// The records' pairs, in chunks that never move.
 #[derive(Default)]
-struct MemoShard {
-    /// `placed-set mask → states → metadata`. The inner key is an `Arc` so
-    /// the segment queues can reference entries without cloning snapshots.
-    by_mask: MaskIndex,
-    /// Live entries in this shard (sum of inner map sizes).
+struct Arena {
+    chunks: Vec<Vec<(u32, Value)>>,
+}
+
+impl Arena {
+    /// The live record of exactly the entries of `states` in the
+    /// collision chain from `id`, or NIL.
+    fn find(&self, records: &[Record], mut id: u32, states: &SlotStates) -> u32 {
+        while let Some(r) = records.get(id as usize) {
+            let pairs = &self.chunks[r.chunk as usize][r.start as usize..][..r.len as usize];
+            if r.live && pairs.iter().map(|(s, v)| (*s, v)).eq(states.entries()) {
+                break;
+            }
+            id = r.next;
+        }
+        id
+    }
+
+    /// Appends `states`' pairs, returning their `(chunk, start)`.
+    fn push(&mut self, states: &SlotStates) -> (u32, u32) {
+        let n = states.entries().len();
+        let room = self.chunks.last().map(|c| c.capacity() - c.len());
+        if room.map_or(true, |room| room < n) {
+            let cap = self.chunks.last().map_or(0, Vec::capacity);
+            let chunk = Vec::with_capacity((2 * cap).clamp(16, MAX_CHUNK).max(n));
+            self.chunks.push(chunk);
+        }
+        let last = self.chunks.len() - 1;
+        let start = self.chunks[last].len();
+        self.chunks[last].extend(states.entries().map(|(s, v)| (s, v.clone())));
+        (last as u32, start as u32)
+    }
+}
+
+/// The eviction state of one shard.
+#[derive(Default)]
+struct Shard {
+    /// Live records in this shard.
     len: usize,
-    /// Stale records across all segment queues (for compaction).
-    stale: usize,
     /// Per-shard LRU clock.
     clock: u64,
-    /// Cost segments: log₂(recompute nodes) → LRU queue (least-recent
-    /// first). Eviction pops from the first (cheapest) populated segment.
-    segments: BTreeMap<u32, VecDeque<QueueRef>>,
+    /// Cost segments: bucket → LRU queue (least-recent first). Eviction
+    /// pops from the first (cheapest) populated segment.
+    segments: BTreeMap<u8, VecDeque<QueueRef>>,
 }
 
-/// Is `q` the current queue record of a live entry?
-fn queue_ref_live(by_mask: &MaskIndex, q: &QueueRef) -> bool {
-    by_mask
-        .get(&q.mask)
-        .and_then(|m| m.get(q.states.as_ref()))
-        .is_some_and(|meta| meta.stamp == q.stamp)
-}
-
-impl MemoShard {
-    fn next_stamp(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Enqueues the current record of an entry into its cost segment.
-    fn enqueue(&mut self, bucket: u32, mask: u64, states: Arc<SlotStates>, stamp: u64) {
-        self.segments
-            .entry(bucket)
-            .or_default()
-            .push_back(QueueRef {
-                mask,
-                states,
-                stamp,
-            });
-    }
-
-    /// Drops stale queue records once they outnumber live entries.
-    fn maybe_compact(&mut self) {
-        if self.stale > self.len + 32 {
-            let by_mask = std::mem::take(&mut self.by_mask);
-            for q in self.segments.values_mut() {
-                q.retain(|r| queue_ref_live(&by_mask, r));
-            }
-            self.segments.retain(|_, q| !q.is_empty());
-            self.by_mask = by_mask;
-            self.stale = 0;
-        }
-    }
-
-    /// Removes the entry referenced by `q`, returning whether it was live.
-    fn remove(&mut self, q: &QueueRef) -> bool {
-        if let Some(inner) = self.by_mask.get_mut(&q.mask) {
-            if inner.remove(q.states.as_ref()).is_some() {
-                self.len -= 1;
-                if inner.is_empty() {
-                    self.by_mask.remove(&q.mask);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Evicts the least-recently-touched entry of the cheapest populated
-    /// segment. Returns `true` if something was evicted.
-    fn evict_one(&mut self) -> bool {
-        loop {
-            let Some((&bucket, _)) = self.segments.first_key_value() else {
-                return false;
-            };
-            loop {
-                let popped = self.segments.get_mut(&bucket).and_then(|q| q.pop_front());
-                let Some(q) = popped else {
-                    self.segments.remove(&bucket);
-                    break; // this segment is spent; try the next-cheapest
-                };
-                if queue_ref_live(&self.by_mask, &q) {
-                    if self.segments.get(&bucket).is_some_and(|q| q.is_empty()) {
-                        self.segments.remove(&bucket);
-                    }
-                    self.remove(&q);
-                    return true;
-                }
-                self.stale -= 1;
-            }
-        }
-    }
-}
-
-/// The fingerprint-sharded dead-end table of one search session.
+/// The dead-end table of one search session.
+#[derive(Default)]
 pub(crate) struct ShardedMemo {
-    shards: Vec<MemoShard>,
-    /// Per-shard entry cap; `0` = unbounded (no segment bookkeeping at
-    /// all).
+    records: Vec<Record>,
+    arena: Arena,
+    /// `(mask, fingerprint)` → the newest record with that key.
+    index: HashMap<(u64, u64), u32>,
+    shards: Vec<Shard>,
+    /// Live records; the rest of `records` are tombstones.
+    live: usize,
+    /// Stale queue references made since the last compaction.
+    stale: usize,
+    /// Per-shard entry cap; `usize::MAX` = unbounded (no queue bookkeeping).
     per_shard_cap: usize,
     /// Entries evicted by the capacity bound since creation (monotone).
     evictions: usize,
@@ -226,7 +199,7 @@ impl ShardedMemo {
     /// the configured bound.
     pub(crate) fn new(capacity: Option<usize>) -> Self {
         let (nshards, per_shard_cap) = match capacity {
-            None => (DEFAULT_SHARDS, None),
+            None => (DEFAULT_SHARDS, usize::MAX),
             Some(cap) => {
                 let cap = cap.max(1);
                 // Power-of-two shard count, keeping every shard at ≥ 32
@@ -235,103 +208,59 @@ impl ShardedMemo {
                 // working-set entries while other shards sit below cap.
                 let nshards = DEFAULT_SHARDS
                     .min(1usize << (usize::BITS - 1 - (cap / 32).max(1).leading_zeros()));
-                (nshards, Some(cap / nshards))
+                (nshards, cap / nshards)
             }
         };
         ShardedMemo {
-            shards: (0..nshards).map(|_| MemoShard::default()).collect(),
-            per_shard_cap: per_shard_cap.unwrap_or(0),
-            evictions: 0,
-        }
-    }
-
-    /// The per-shard cap currently in force (`None` = unbounded).
-    fn per_shard_cap(&self) -> Option<usize> {
-        match self.per_shard_cap {
-            0 => None,
-            cap => Some(cap),
+            shards: (0..nshards).map(|_| Shard::default()).collect(),
+            per_shard_cap,
+            ..ShardedMemo::default()
         }
     }
 
     /// Retunes the capacity bound of a live table (`None` = unbounded).
     ///
-    /// The shard count is fixed at construction, so unlike
-    /// [`ShardedMemo::new`] the per-shard cap here is simply
-    /// `capacity / shards` floored to 1 — the enforced bound therefore
-    /// never drops below one entry per shard. A table meant for dynamic
-    /// governance should be *constructed* bounded so its shard count
-    /// matches its size class (the governor's per-session floor sits well
-    /// above any shard count anyway).
-    ///
-    /// Sound in both directions because entries are pure pruning (see the
-    /// module docs): shrinking evicts down to the new bound through the
-    /// normal cost-segmented-LRU policy; growing simply stops evicting.
-    /// The one structural transition is unbounded → bounded: entries
-    /// inserted while unbounded carry no queue records, so the eviction
-    /// queues cannot reach them — the table is cleared instead (a pure
-    /// re-discovery cost, never a verdict change).
+    /// The shard count is fixed at construction, so the per-shard cap is
+    /// `capacity / shards` floored to 1: the enforced bound never drops
+    /// below one entry per shard. Sound in both directions because entries
+    /// are pure pruning: shrinking evicts down to the new bound by the
+    /// normal policy; growing stops evicting; bounded → unbounded leaves
+    /// the queue references to go stale. Entries inserted while unbounded
+    /// have no queue references, so unbounded → bounded clears the table
+    /// (a re-discovery cost, never a verdict change).
     pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
-        let new_per_shard = capacity.map(|c| (c.max(1) / self.shards.len()).max(1));
-        let old = std::mem::replace(&mut self.per_shard_cap, new_per_shard.unwrap_or(0));
-        let Some(cap) = new_per_shard else {
-            // Now unbounded: existing queue records go stale harmlessly
-            // (probes stop touching them, inserts stop enqueueing).
-            return;
-        };
-        if old == 0 {
-            // Unbounded → bounded: resident entries have no queue records.
+        let cap = capacity.map_or(usize::MAX, |c| (c.max(1) / self.shards.len()).max(1));
+        let old = std::mem::replace(&mut self.per_shard_cap, cap);
+        if old == usize::MAX && cap != usize::MAX {
             self.clear();
-            return;
         }
-        // Bounded → bounded: evict each shard down to the new cap.
-        for sh in &mut self.shards {
-            while sh.len > cap {
-                if sh.evict_one() {
-                    self.evictions += 1;
-                } else {
-                    break; // unreachable with len > 0; defensive
-                }
-            }
-            sh.maybe_compact();
-        }
+        (0..self.shards.len()).for_each(|s| self.evict_down(s));
     }
 
-    fn shard_for(&mut self, mask: u64, states: &SlotStates) -> &mut MemoShard {
-        // Mix the placed-set mask into the states fingerprint so frontiers
-        // sharing a state (common: many masks, few reachable states) still
-        // spread across shards.
-        let key = states.fingerprint() ^ mask.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let n = self.shards.len();
-        &mut self.shards[(key as usize) & (n - 1)]
-    }
-
-    /// Is `(mask, states)` a recorded dead end? Under a capacity bound a
-    /// hit refreshes the entry's recency within its cost segment — an
-    /// entry that keeps pruning stays at the warm end of its segment.
+    /// Is `(mask, states)` a recorded dead end? One index lookup, then a
+    /// walk of the collision chain. Under a capacity bound a hit refreshes
+    /// the entry's recency within its cost segment — an entry that keeps
+    /// pruning stays at the warm end of its segment.
     pub(crate) fn probe(&mut self, mask: u64, states: &SlotStates) -> bool {
-        let bounded = self.per_shard_cap().is_some();
-        let sh = self.shard_for(mask, states);
-        let Some(arc) = sh
-            .by_mask
-            .get(&mask)
-            .and_then(|m| m.get_key_value(states))
-            .map(|(k, _)| Arc::clone(k))
-        else {
-            return false;
-        };
-        if !bounded {
-            return true;
+        let key = (mask, states.fingerprint());
+        let head = *self.index.get(&key).unwrap_or(&NIL);
+        let id = self.arena.find(&self.records, head, states);
+        if id != NIL && self.per_shard_cap != usize::MAX {
+            self.stale += 1; // the previous queue reference
+            self.touch(id);
+            self.maybe_compact();
         }
-        let stamp = sh.next_stamp();
-        let Some(meta) = sh.by_mask.get_mut(&mask).and_then(|m| m.get_mut(states)) else {
-            return true; // found above; nothing between can remove it
-        };
-        meta.stamp = stamp;
-        let bucket = meta.bucket;
-        sh.stale += 1; // the previous queue record just went stale
-        sh.enqueue(bucket, mask, arc, stamp);
-        sh.maybe_compact();
-        true
+        id != NIL
+    }
+
+    /// Stamps record `id` as just touched and enqueues it in its segment.
+    fn touch(&mut self, id: u32) {
+        let r = &mut self.records[id as usize];
+        let sh = &mut self.shards[r.shard as usize];
+        sh.clock += 1;
+        r.stamp = sh.clock;
+        let queue = sh.segments.entry(r.bucket).or_default();
+        queue.push_back((id, r.stamp));
     }
 
     /// Records `(mask, states)` as a dead end established by exploring
@@ -339,80 +268,149 @@ impl ShardedMemo {
     /// Evicts per the cost-segmented-LRU policy when the shard is at
     /// capacity.
     pub(crate) fn insert(&mut self, mask: u64, states: &SlotStates, cost: usize) {
-        let cap = self.per_shard_cap();
-        let sh = self.shard_for(mask, states);
-        if sh
-            .by_mask
-            .get(&mask)
-            .is_some_and(|m| m.contains_key(states))
-        {
+        let fingerprint = states.fingerprint();
+        let head = self.index.entry((mask, fingerprint)).or_insert(NIL);
+        if self.arena.find(&self.records, *head, states) != NIL {
             return;
         }
-        let bucket = usize::BITS - cost.max(1).leading_zeros(); // ⌊log₂⌋ + 1
-        let arc = Arc::new(states.clone());
-        let stamp = sh.next_stamp();
-        sh.by_mask
-            .entry(mask)
-            .or_default()
-            .insert(Arc::clone(&arc), EntryMeta { stamp, bucket });
-        sh.len += 1;
-        if let Some(cap) = cap {
-            sh.enqueue(bucket, mask, arc, stamp);
-            let mut evicted = 0;
-            while sh.len > cap {
-                if sh.evict_one() {
-                    evicted += 1;
-                } else {
-                    break; // unreachable with len > 0; defensive
-                }
-            }
-            sh.maybe_compact();
-            self.evictions += evicted;
+        let id = self.records.len() as u32;
+        let next = std::mem::replace(head, id);
+        // Mix the placed-set mask into the states fingerprint so frontiers
+        // sharing a state (common: many masks, few reachable states) still
+        // spread across shards.
+        let key = fingerprint ^ mask.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let shard = (key as usize) & (self.shards.len() - 1);
+        let (chunk, start) = self.arena.push(states);
+        self.records.push(Record {
+            mask,
+            fingerprint,
+            stamp: 0,
+            chunk,
+            start,
+            len: states.entries().len() as u32,
+            next,
+            shard: shard as u8,
+            bucket: (usize::BITS - cost.max(1).leading_zeros()) as u8, // ⌊log₂⌋ + 1
+            live: true,
+        });
+        self.shards[shard].len += 1;
+        self.live += 1;
+        if self.per_shard_cap != usize::MAX {
+            self.touch(id);
+            self.evict_down(shard);
         }
+    }
+
+    /// Evicts the least-recently-touched live records of the cheapest
+    /// populated segments of shard `s` until it is down to the cap. A
+    /// victim becomes a tombstone, left in its collision chain.
+    fn evict_down(&mut self, s: usize) {
+        let sh = &mut self.shards[s];
+        while sh.len > self.per_shard_cap {
+            let Some(mut cheapest) = sh.segments.first_entry() else {
+                break; // unreachable with len > 0; defensive
+            };
+            let popped = cheapest.get_mut().pop_front();
+            if cheapest.get().is_empty() {
+                cheapest.remove();
+            }
+            let r = popped.map(|(id, stamp)| (&mut self.records[id as usize], stamp));
+            if let Some((r, _)) = r.filter(|(r, stamp)| r.live && r.stamp == *stamp) {
+                r.live = false;
+                sh.len -= 1;
+                self.live -= 1;
+                self.evictions += 1;
+            }
+        }
+        self.maybe_compact();
+    }
+
+    /// Compacts once tombstones and stale queue references outnumber live
+    /// records. Live records keep their order, so their pairs move down in
+    /// place (a record's new place is never after its old one); the index
+    /// and the chains are rebuilt, and the queues keep their current
+    /// references under the new ids.
+    fn maybe_compact(&mut self) {
+        if self.records.len() - self.live + self.stale <= self.live + 32 {
+            return;
+        }
+        let mut remap = vec![NIL; self.records.len()];
+        let (mut kept, mut chunk, mut end) = (0, 0, 0);
+        let chunks = &mut self.arena.chunks;
+        for (old, r) in self.records.iter_mut().enumerate().filter(|(_, r)| r.live) {
+            remap[old] = kept;
+            kept += 1;
+            // Pairs that do not fit behind the last ones moved live in a
+            // later chunk, so everything before them is settled.
+            while chunks[chunk].len() - end < r.len as usize {
+                chunks[chunk].truncate(end);
+                (chunk, end) = (chunk + 1, 0);
+            }
+            for i in 0..r.len as usize {
+                let from = &mut chunks[r.chunk as usize][r.start as usize + i];
+                chunks[chunk][end + i] = std::mem::replace(from, (0, Value::Unit));
+            }
+            (r.chunk, r.start) = (chunk as u32, end as u32);
+            end += r.len as usize;
+        }
+        if let Some(last) = chunks.get_mut(chunk) {
+            last.truncate(end);
+        }
+        chunks.truncate(chunk + 1);
+        self.records.retain(|r| r.live);
+        let index = &mut self.index;
+        index.clear();
+        for (id, r) in self.records.iter_mut().enumerate() {
+            let key = (r.mask, r.fingerprint);
+            r.next = index.insert(key, id as u32).unwrap_or(NIL);
+        }
+        for sh in &mut self.shards {
+            sh.segments.retain(|_, q| {
+                q.retain_mut(|(id, stamp)| {
+                    *id = remap[*id as usize];
+                    *id != NIL && self.records[*id as usize].stamp == *stamp
+                });
+                !q.is_empty()
+            });
+        }
+        self.stale = 0;
     }
 
     /// Drops every entry whose placed-set does **not** contain `bit` — the
     /// resumable core's invalidation rule for a new operation or a `tryC`
     /// widening of the transaction owning `bit` (entries that already
     /// placed the transaction only claim things about the others, so they
-    /// stay).
+    /// stay). The index is filtered in place; the dropped records become
+    /// tombstones.
     pub(crate) fn retain_placing(&mut self, bit: u64) {
-        for sh in &mut self.shards {
-            let mut removed = 0usize;
-            sh.by_mask.retain(|&mask, inner| {
-                if mask & bit != 0 {
-                    true
-                } else {
-                    removed += inner.len();
-                    false
+        let (records, shards, live) = (&mut self.records, &mut self.shards, &mut self.live);
+        self.index.retain(|&(mask, _), &mut head| {
+            let mut at = head;
+            while mask & bit == 0 && at != NIL {
+                let r = &mut records[at as usize];
+                if std::mem::replace(&mut r.live, false) {
+                    shards[r.shard as usize].len -= 1;
+                    *live -= 1;
                 }
-            });
-            sh.len -= removed;
-            // Invalidation is rare; scrub the queues eagerly so they track
-            // the live set exactly afterwards.
-            let by_mask = std::mem::take(&mut sh.by_mask);
-            for q in sh.segments.values_mut() {
-                q.retain(|r| queue_ref_live(&by_mask, r));
+                at = r.next;
             }
-            sh.segments.retain(|_, q| !q.is_empty());
-            sh.by_mask = by_mask;
-            sh.stale = 0;
-        }
+            mask & bit != 0
+        });
+        self.maybe_compact();
     }
 
     /// Drops every entry (the committed-only re-selection rule).
     pub(crate) fn clear(&mut self) {
-        for sh in &mut self.shards {
-            sh.by_mask.clear();
-            sh.len = 0;
-            sh.stale = 0;
-            sh.segments.clear();
-        }
+        self.records.clear();
+        self.arena.chunks.clear();
+        self.index.clear();
+        (self.live, self.stale) = (0, 0);
+        self.shards.iter_mut().for_each(|sh| *sh = Shard::default());
     }
 
     /// Resident entries across all shards.
     pub(crate) fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.len).sum()
+        self.live
     }
 
     /// Total entries evicted by the capacity bound since creation
@@ -422,17 +420,20 @@ impl ShardedMemo {
     }
 
     /// The total capacity actually enforced (shard count × per-shard cap);
-    /// `None` when unbounded. At most the configured capacity.
+    /// `None` when unbounded. At most the configured capacity when set at
+    /// construction; [`ShardedMemo::set_capacity`] floors it at one entry
+    /// per shard.
     pub(crate) fn capacity(&self) -> Option<usize> {
-        self.per_shard_cap().map(|c| c * self.shards.len())
+        (self.per_shard_cap != usize::MAX).then(|| self.per_shard_cap * self.shards.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::hash::{Hash, Hasher};
-    use tm_model::{ObjId, Value};
+    use tm_model::ObjId;
 
     /// The state with object `x` (slot 0) at `n`, with its real entry hash.
     fn state(n: i64) -> SlotStates {
@@ -540,7 +541,8 @@ mod tests {
                 "mask {i:#b}"
             );
         }
-        // Queues were scrubbed: inserting past capacity still works.
+        // Invalidated records left stale queue references behind; eviction
+        // skips them, so inserting past capacity still works.
         for i in 100..200 {
             memo.insert(0b100, &state(i), 1);
         }
@@ -656,5 +658,110 @@ mod tests {
         memo.insert(0b1, &c, 1);
         assert_eq!(memo.resident(), 3);
         assert!(memo.probe(0b1, &a) && memo.probe(0b1, &b) && memo.probe(0b1, &c));
+    }
+
+    /// State `i` of the proptest pool (`i` < 65): one or two register
+    /// entries, or none, with hand-forced fingerprints drawn from two
+    /// hashes, so that most masks hold chains of colliding states.
+    fn pooled(i: u8) -> SlotStates {
+        let entry = |slot: u32, v: i64| (slot, Value::Int(v), 1u64 << (v % 2));
+        let (a, b) = (i64::from(i % 8), i64::from(i / 8));
+        match i {
+            64 => SlotStates::from_entries([]),
+            _ if b == 0 => SlotStates::from_entries([entry(0, a)]),
+            _ => SlotStates::from_entries([entry(0, a), entry(1, b)]),
+        }
+    }
+
+    /// The key of the reference model.
+    fn model_key(mask: u64, states: &SlotStates) -> (u64, Vec<(u32, Value)>) {
+        (
+            mask,
+            states.entries().map(|(s, v)| (s, v.clone())).collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random insert / probe / `retain_placing` / `clear` /
+        /// `set_capacity` sequences against a set of `(mask, pairs)`.
+        /// While the table has been unbounded since it was last emptied,
+        /// a probe hits exactly the model's members and the resident count
+        /// is the model's size; otherwise every hit is a live member, the
+        /// resident count stays within the enforced capacity, an insert
+        /// evicts at most the one entry it displaces (and none while a
+        /// one-shard table has room), and the eviction count never
+        /// decreases. In the end, probing every member hits exactly the
+        /// resident entries.
+        #[test]
+        fn memo_agrees_with_a_reference_set(
+            initial in 0usize..5,
+            ops in collection::vec((0u8..64, 0u64..8, 0u8..65, 1usize..300), 1..400),
+        ) {
+            let capacity = |c: usize| [None, Some(1), Some(3), Some(8), Some(40)][c % 5];
+            let mut memo = ShardedMemo::new(capacity(initial));
+            let mut model = std::collections::HashSet::new();
+            let mut exact = memo.capacity().is_none();
+            let mut evictions = 0;
+            for &(op, mask, i, cost) in &ops {
+                let states = pooled(i);
+                match op {
+                    0..=29 => {
+                        let (before, evicted) = (memo.resident(), memo.evictions());
+                        let room = memo.shards.len() == 1
+                            && memo.capacity().is_some_and(|cap| before < cap);
+                        memo.insert(mask, &states, cost);
+                        prop_assert!(memo.resident() >= before, "an insert evicted two");
+                        prop_assert!(!room || memo.evictions() == evicted, "evicted with room");
+                        model.insert(model_key(mask, &states));
+                    }
+                    30..=57 => {
+                        let hit = memo.probe(mask, &states);
+                        let member = model.contains(&model_key(mask, &states));
+                        if exact {
+                            prop_assert_eq!(hit, member);
+                        } else {
+                            prop_assert!(member || !hit, "hit on a non-member");
+                        }
+                    }
+                    58..=61 => {
+                        let bit = 1 << (mask % 3);
+                        memo.retain_placing(bit);
+                        model.retain(|(m, _)| m & bit != 0);
+                    }
+                    62 => {
+                        memo.clear();
+                        model.clear();
+                        exact = memo.capacity().is_none();
+                    }
+                    _ => {
+                        let was_unbounded = memo.capacity().is_none();
+                        memo.set_capacity(capacity(cost));
+                        if was_unbounded && memo.capacity().is_some() {
+                            prop_assert_eq!(memo.resident(), 0);
+                            model.clear();
+                        }
+                        exact &= memo.capacity().is_none();
+                    }
+                }
+                if exact {
+                    prop_assert_eq!(memo.resident(), model.len());
+                }
+                prop_assert!(memo.resident() <= model.len());
+                if let Some(cap) = memo.capacity() {
+                    prop_assert!(memo.resident() <= cap, "{} > {}", memo.resident(), cap);
+                }
+                prop_assert!(memo.evictions() >= evictions);
+                evictions = memo.evictions();
+            }
+            let resident = memo.resident();
+            let members: Vec<(u64, SlotStates)> = (0..8)
+                .flat_map(|mask| (0..65).map(move |i| (mask, pooled(i))))
+                .filter(|(mask, states)| model.contains(&model_key(*mask, states)))
+                .collect();
+            let hits = members.iter().filter(|(mask, states)| memo.probe(*mask, states)).count();
+            prop_assert_eq!(hits, resident);
+        }
     }
 }

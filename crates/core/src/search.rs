@@ -91,9 +91,11 @@
 //! the non-initial `(slot, value, entry hash)` entries plus their XOR
 //! fingerprint — and undoes placements from a log that keeps each
 //! displaced entry's hash, so a placement and its rollback hash one value
-//! per changed object and look nothing up by name. The only clone left is
-//! the one that stores a dead end into the memo table, and [`SearchStats`]
-//! reports both counts. Slots are never reused inside a session, so a memo
+//! per changed object and look nothing up by name. The only copy of a state
+//! left is a memo insert, which appends its `(slot, value)` pairs to the
+//! memo's arena (`crate::memo`); a probe is one keyed lookup that compares
+//! the live state in place. [`SearchStats`] counts the inserts and the
+//! clones avoided. Slots are never reused inside a session, so a memo
 //! entry recorded before an object appeared (the object was then at its
 //! initial state, which has no entry) still compares correctly against
 //! every later state; equality of the entry lists, not the fingerprint,
@@ -227,12 +229,14 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Placements rejected by legality replay.
     pub illegal_placements: usize,
-    /// Object-state snapshots actually cloned (memo-table inserts — the
-    /// only clones left in the engine).
+    /// Memo-table inserts: each copies the object state's `(slot, value)`
+    /// pairs into the memo's arena, the only copy of a state the engine
+    /// makes (no allocation of its own unless the arena opens a chunk).
     pub state_clones: usize,
-    /// Object-state clones *avoided* by the in-place apply/undo replay: one
-    /// per placement expansion and one per memo probe, each of which the
-    /// pre-resumable engine paid with a full snapshot clone.
+    /// Object-state clones *avoided*: one per placement expansion (the
+    /// in-place apply/undo replay) and one per memo probe (one keyed lookup
+    /// comparing the live state in place), each of which the pre-resumable
+    /// engine paid with a full snapshot clone.
     pub clones_saved: usize,
     /// Memo entries evicted by the capacity bound during this check.
     pub evictions: usize,

@@ -140,14 +140,6 @@ impl PartialEq for SlotStates {
 
 impl Eq for SlotStates {}
 
-impl Hash for SlotStates {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // The fingerprint is a function of the entries, so this is
-        // consistent with `Eq`, and O(1).
-        state.write_u64(self.fingerprint);
-    }
-}
-
 /// One change undone by [`SlotStates::rollback_to`].
 enum Change {
     /// An entry was inserted at this position.
@@ -186,6 +178,12 @@ impl SlotStates {
     /// equal fingerprints; the converse holds up to collisions.
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The `(slot, value)` entries, sorted by slot: what the memo stores
+    /// and compares.
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (u32, &Value)> {
+        self.entries.iter().map(|e| (e.slot, &e.value))
     }
 
     fn position(&self, slot: u32) -> Result<usize, usize> {
