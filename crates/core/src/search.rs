@@ -338,11 +338,12 @@ const MAX_TXS: usize = 64;
 /// Mirror of the per-transaction well-formedness automaton of
 /// `tm_model::wellformed`, maintained incrementally so that
 /// [`CheckSession::extend`] rejects exactly the events `check_well_formed`
-/// would reject, with the same [`WfError`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// would reject, with the same [`WfError`]. A pending operation's object
+/// and operation are the transaction view's `pending` invocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TxWf {
     Idle,
-    OpPending(Event),
+    OpPending,
     CommitPending,
     AbortPending,
     Done,
@@ -771,7 +772,7 @@ impl<'a> CheckSession<'a> {
                     index,
                 }))
             }
-            (TxWf::Idle, Event::Inv { .. }) => TxWf::OpPending(e.clone()),
+            (TxWf::Idle, Event::Inv { .. }) => TxWf::OpPending,
             (TxWf::Idle, Event::TryCommit(_)) => TxWf::CommitPending,
             (TxWf::Idle, Event::TryAbort(_)) => TxWf::AbortPending,
             (TxWf::Idle, _) => {
@@ -780,8 +781,11 @@ impl<'a> CheckSession<'a> {
                     index,
                 }))
             }
-            (TxWf::OpPending(inv), Event::Ret { .. }) => {
-                if e.matches_invocation(inv) {
+            (TxWf::OpPending, Event::Ret { obj, op, .. }) => {
+                // The invocation is this transaction's, so only the object
+                // and the operation can differ.
+                let pending = &self.txs[ci].view.pending;
+                if matches!(pending, Some((o, p, _)) if o == obj && p == op) {
                     TxWf::Idle
                 } else {
                     return Err(CheckError::NotWellFormed(WfError::UnmatchedResponse {
@@ -790,14 +794,14 @@ impl<'a> CheckSession<'a> {
                     }));
                 }
             }
-            (TxWf::OpPending(_), Event::Abort(_)) => TxWf::Done,
-            (TxWf::OpPending(_), Event::Commit(_)) => {
+            (TxWf::OpPending, Event::Abort(_)) => TxWf::Done,
+            (TxWf::OpPending, Event::Commit(_)) => {
                 return Err(CheckError::NotWellFormed(WfError::CommitAnswersOperation {
                     tx,
                     index,
                 }))
             }
-            (TxWf::OpPending(_), _) => {
+            (TxWf::OpPending, _) => {
                 return Err(CheckError::NotWellFormed(WfError::InvocationWhilePending {
                     tx,
                     index,

@@ -163,7 +163,7 @@ fn knot_check_allocations_are_pinned() {
     // `(extend allocations, check allocations, nodes)`. The node counts
     // are `knot_workloads.rs`'s pins; the allocations are what the check
     // spends on them.
-    for ((knots, writers), pinned) in [((3, 3), (76, 36, 339)), ((5, 3), (118, 69, 3147))] {
+    for ((knots, writers), pinned) in [((3, 3), (64, 36, 339)), ((5, 3), (98, 69, 3147))] {
         let f = knot_footprint(knots, writers);
         assert_eq!(
             (f.extend_allocations, f.check_allocations, f.nodes),
@@ -190,7 +190,7 @@ fn session_bytes_per_resident_memo_entry_are_pinned() {
     // keeps: the memo is most of it. The bar is what a memo with one
     // hash map per mask and one boxed entry list per dead end held.
     let f = knot_footprint(5, 3);
-    assert_eq!((f.session_bytes, f.resident), (1_078_112, 2542));
+    assert_eq!((f.session_bytes, f.resident), (1_075_808, 2542));
     let per_entry = f.session_bytes / f.resident as isize;
     assert!(per_entry <= 488, "{per_entry} B per resident entry");
 }

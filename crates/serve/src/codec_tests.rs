@@ -20,7 +20,7 @@ use tm_trace::{event_from_doc, from_json, op_from_str, to_json, to_json_pretty, 
 
 use crate::frame::{
     parse_client_frame, parse_server_frame, render_client_frame, ClientFrame, ServerFrame,
-    PROTOCOL_MINOR, PROTOCOL_VERSION,
+    SessionId, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };
 use crate::journal::{journal_path, parse_record, JournalWriter, Record};
 
@@ -508,9 +508,9 @@ fn ref_parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
     let Some(Json::Str(kind)) = doc.get("frame") else {
         return Err(frame_err("missing string `frame` field".into()));
     };
-    let session_of = |doc: &Json| -> Result<String, ParseError> {
+    let session_of = |doc: &Json| -> Result<SessionId, ParseError> {
         match doc.get("session") {
-            Some(Json::Str(s)) if !s.is_empty() => Ok(s.clone()),
+            Some(Json::Str(s)) if !s.is_empty() => Ok(s.as_str().into()),
             _ => Err(frame_err("missing string `session` field".into())),
         }
     };
@@ -566,7 +566,7 @@ fn ref_parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
         }),
         "error" => {
             let session = match doc.get("session") {
-                Some(Json::Str(s)) => Some(s.clone()),
+                Some(Json::Str(s)) => Some(s.as_str().into()),
                 _ => None,
             };
             let message = match doc.get("message") {
@@ -774,7 +774,7 @@ impl Gen {
     }
 
     fn server_frame(&mut self) -> ServerFrame {
-        let session = self.name();
+        let session: SessionId = self.name().into();
         match self.below(6) {
             0 => ServerFrame::Opened { session },
             1 => {

@@ -38,10 +38,17 @@
 //! with unchanged `seq` numbering. Input errors degrade instead of
 //! aborting: transient kinds (`Interrupted`, `WouldBlock`) are retried a
 //! bounded number of times, hard errors end the input and trigger the
-//! normal drain — a broken pipe mid-stream loses no accepted work. On the
-//! output side every response line is rendered into one reused buffer and
-//! written whole: a short write or a transient error resumes from the byte
-//! the writer stopped at, so a peer never sees part of a line twice.
+//! normal drain — a broken pipe mid-stream loses no accepted work.
+//!
+//! ## One turn path, reused buffers
+//!
+//! Every transport handles an input line the same way: decode the frame in
+//! place (its session id borrows from the line), route it, take one
+//! scheduler turn, and write the frames both produced. The routed and the
+//! turn frames are appended to one `Vec` the loop reuses, and every
+//! response line is rendered into one reused `String` and written whole: a
+//! short write or a transient error resumes from the byte the writer
+//! stopped at, so a peer never sees part of a line twice.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -49,7 +56,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 
 use crate::faults::{FaultDriver, LineFate};
-use crate::frame::{parse_client_frame, ClientFrame, ServerFrame};
+use crate::frame::{decode_client_frame, ClientFrameRef, ServerFrame};
 use crate::journal::{read_journal, JournalWriter};
 use crate::table::{Routed, ServeConfig, SessionTable};
 
@@ -75,14 +82,18 @@ pub enum Transport {
     Socket(PathBuf),
 }
 
-/// Parses one input line: `None` for a blank line (ignored), else the
+/// Decodes one input line: `None` for a blank line (ignored), else the
 /// frame or, on a parse error, the `error` frame answering it, tagged with
 /// the input line number.
-fn parse_line(line: &str, lineno: usize, conn: usize) -> Option<Result<ClientFrame, Routed>> {
+fn parse_line(
+    line: &str,
+    lineno: usize,
+    conn: usize,
+) -> Option<Result<ClientFrameRef<'_>, Routed>> {
     if line.trim().is_empty() {
         return None;
     }
-    Some(parse_client_frame(line).map_err(|e| Routed {
+    Some(decode_client_frame(line).map_err(|e| Routed {
         conn,
         frame: ServerFrame::Error {
             session: None,
@@ -92,28 +103,37 @@ fn parse_line(line: &str, lineno: usize, conn: usize) -> Option<Result<ClientFra
     }))
 }
 
-/// Applies one parsed input line (see [`parse_line`]). Returns the
-/// immediate response frames and whether the frame requested shutdown.
+/// Applies one decoded input line (see [`parse_line`]), appending the
+/// immediate response frames to `out`. Returns whether the frame requested
+/// shutdown.
 fn apply(
     table: &mut SessionTable,
-    parsed: Option<Result<ClientFrame, Routed>>,
+    parsed: Option<Result<ClientFrameRef<'_>, Routed>>,
     conn: usize,
-) -> (Vec<Routed>, bool) {
+    out: &mut Vec<Routed>,
+) -> bool {
     let frame = match parsed {
-        None => return (Vec::new(), false),
-        Some(Err(error)) => return (vec![error], false),
+        None => return false,
+        Some(Err(error)) => {
+            out.push(error);
+            return false;
+        }
         Some(Ok(frame)) => frame,
     };
     match frame {
-        ClientFrame::Open { session } => (table.open(&session, conn), false),
-        ClientFrame::Feed {
+        ClientFrameRef::Open { session } => table.open_into(&session, conn, out),
+        ClientFrameRef::Feed {
             session,
             event,
             seq,
-        } => (table.feed(&session, event, seq, conn), false),
-        ClientFrame::Close { session } => (table.close(&session, conn), false),
-        ClientFrame::Shutdown => (Vec::new(), true),
+        } => {
+            let handle = table.lookup(&session);
+            table.feed_into(handle, &session, event, seq, conn, out);
+        }
+        ClientFrameRef::Close { session } => table.close_into(&session, conn, out),
+        ClientFrameRef::Shutdown => return true,
     }
+    false
 }
 
 /// Writes one whole response line, resuming after short writes from the
@@ -147,12 +167,13 @@ struct Responder<'w> {
 }
 
 impl Responder<'_> {
-    /// Writes response frames, consulting the fault driver before each
-    /// one: an armed transient write failure swallows that frame (the
-    /// daemon carries on — a lost response is the client library's problem
-    /// to recover, and seq-tagged resends make that safe).
-    fn emit(&mut self, driver: &mut FaultDriver, frames: &[Routed]) -> io::Result<()> {
-        for r in frames {
+    /// Writes response frames and empties `frames`, consulting the fault
+    /// driver before each one: an armed transient write failure swallows
+    /// that frame (the daemon carries on — a lost response is the client
+    /// library's problem to recover, and seq-tagged resends make that
+    /// safe).
+    fn emit(&mut self, driver: &mut FaultDriver, frames: &mut Vec<Routed>) -> io::Result<()> {
+        for r in frames.drain(..) {
             if driver.take_write_failure() {
                 continue;
             }
@@ -276,6 +297,7 @@ fn run_stream(
     };
     let mut lineno = 0usize;
     let mut buf = String::new();
+    let mut frames = Vec::new();
     let mut transient = 0u32;
     let mut eof = false;
     while !eof {
@@ -303,15 +325,15 @@ fn run_stream(
                 Err(e) => {
                     // A hard input error ends the stream like EOF would;
                     // the drain below still answers everything accepted.
-                    let note = [Routed {
+                    frames.push(Routed {
                         conn: 0,
                         frame: ServerFrame::Error {
                             session: None,
                             seq: None,
                             message: format!("input stream error: {e}"),
                         },
-                    }];
-                    let _ = out.emit(driver, &note);
+                    });
+                    let _ = out.emit(driver, &mut frames);
                     eof = true;
                     break !buf.is_empty();
                 }
@@ -321,36 +343,32 @@ fn run_stream(
             break;
         }
         lineno += 1;
-        let (pumped, fate) = driver.admit(table, buf.trim_end_matches(['\n', '\r']));
-        if out.emit(driver, &pumped).is_err() {
+        let fate = driver.admit(table, buf.trim_end_matches(['\n', '\r']), &mut frames);
+        if out.emit(driver, &mut frames).is_err() {
             return 2; // the response stream is gone; nothing left to serve
         }
         let line = match fate {
             LineFate::Deliver(l) => l,
             LineFate::Skip => {
-                let turn = table.pump_one();
-                if out.emit(driver, &turn).is_err() {
+                table.pump_into(&mut frames);
+                if out.emit(driver, &mut frames).is_err() {
                     return 2;
                 }
                 continue;
             }
             LineFate::Crash => return CRASH_EXIT_CODE,
         };
-        let (frames, shutdown) = apply(table, parse_line(line, lineno, 0), 0);
-        let turn = table.pump_one();
-        if out
-            .emit(driver, &frames)
-            .and_then(|()| out.emit(driver, &turn))
-            .is_err()
-        {
+        let shutdown = apply(table, parse_line(line, lineno, 0), 0, &mut frames);
+        table.pump_into(&mut frames);
+        if out.emit(driver, &mut frames).is_err() {
             return 2;
         }
         if shutdown {
             break;
         }
     }
-    let last = table.drain_and_close_all();
-    if out.emit(driver, &last).is_err() {
+    let mut last = table.drain_and_close_all();
+    if out.emit(driver, &mut last).is_err() {
         return 2;
     }
     i32::from(table.any_poisoned())
@@ -381,6 +399,7 @@ fn run_replay(
         out,
         line: String::new(),
     };
+    let mut frames = Vec::new();
     let mut shutdown = false;
     for (i, line) in text.lines().enumerate() {
         if shutdown {
@@ -390,47 +409,51 @@ fn run_replay(
         if line.trim().is_empty() {
             continue;
         }
-        let (pumped, fate) = driver.admit(table, line);
-        if out.emit(driver, &pumped).is_err() {
+        let fate = driver.admit(table, line, &mut frames);
+        if out.emit(driver, &mut frames).is_err() {
             return 2;
         }
         let line = match fate {
             LineFate::Deliver(l) => l,
             LineFate::Skip => {
-                let turn = table.pump_one();
-                if out.emit(driver, &turn).is_err() {
+                table.pump_into(&mut frames);
+                if out.emit(driver, &mut frames).is_err() {
                     return 2;
                 }
                 continue;
             }
             LineFate::Crash => return CRASH_EXIT_CODE,
         };
-        let parsed = parse_line(line, lineno, 0);
-        // Flow control: a feed into a full inbox (or past the queue
-        // watermark) waits for the scheduler instead of bouncing
-        // (deterministically — `pump_one` always checks at least one
-        // event of a runnable session).
-        if let Some(Ok(ClientFrame::Feed { session, .. })) = &parsed {
-            while !table.can_accept(session) {
-                let turn = table.pump_one();
-                if out.emit(driver, &turn).is_err() {
-                    return 2;
+        shutdown = match parse_line(line, lineno, 0) {
+            Some(Ok(ClientFrameRef::Feed {
+                session,
+                event,
+                seq,
+            })) => {
+                // Flow control: a feed into a full inbox (or past the
+                // queue watermark) waits for the scheduler instead of
+                // bouncing (deterministically — a turn always checks at
+                // least one event of a runnable session). Turns only
+                // remove sessions, so the handle stays valid or empty.
+                let handle = table.lookup(&session);
+                while !table.has_room(handle) {
+                    table.pump_into(&mut frames);
+                    if out.emit(driver, &mut frames).is_err() {
+                        return 2;
+                    }
                 }
+                table.feed_into(handle, &session, event, seq, 0, &mut frames);
+                false
             }
-        }
-        let (frames, stop) = apply(table, parsed, 0);
-        shutdown = stop;
-        let turn = table.pump_one();
-        if out
-            .emit(driver, &frames)
-            .and_then(|()| out.emit(driver, &turn))
-            .is_err()
-        {
+            parsed => apply(table, parsed, 0, &mut frames),
+        };
+        table.pump_into(&mut frames);
+        if out.emit(driver, &mut frames).is_err() {
             return 2;
         }
     }
-    let last = table.drain_and_close_all();
-    if out.emit(driver, &last).is_err() {
+    let mut last = table.drain_and_close_all();
+    if out.emit(driver, &mut last).is_err() {
         return 2;
     }
     i32::from(table.any_poisoned())
@@ -517,8 +540,9 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
     let mut writers: Vec<Option<UnixStream>> = Vec::new();
     let mut line_counts: Vec<usize> = Vec::new();
     let mut response = String::new();
-    let mut route = |writers: &mut Vec<Option<UnixStream>>, frames: &[Routed]| {
-        for r in frames {
+    let mut frames = Vec::new();
+    let mut route = |writers: &mut Vec<Option<UnixStream>>, frames: &mut Vec<Routed>| {
+        for r in frames.drain(..) {
             let Some(slot) = writers.get_mut(r.conn) else {
                 continue; // the session's connection is gone; drop the frame
             };
@@ -542,8 +566,8 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
             match rx.try_recv() {
                 Ok(m) => m,
                 Err(mpsc::TryRecvError::Empty) => {
-                    let turn = table.pump_one();
-                    route(&mut writers, &turn);
+                    table.pump_into(&mut frames);
+                    route(&mut writers, &mut frames);
                     continue;
                 }
                 Err(mpsc::TryRecvError::Disconnected) => break,
@@ -565,16 +589,16 @@ fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Wr
             SocketMsg::Line(conn, line) => {
                 line_counts[conn] += 1;
                 let parsed = parse_line(&line, line_counts[conn], conn);
-                let (frames, shutdown) = apply(table, parsed, conn);
-                route(&mut writers, &frames);
+                let shutdown = apply(table, parsed, conn, &mut frames);
+                route(&mut writers, &mut frames);
                 if shutdown {
-                    let last = table.drain_and_close_all();
-                    route(&mut writers, &last);
+                    let mut last = table.drain_and_close_all();
+                    route(&mut writers, &mut last);
                     let _ = std::fs::remove_file(path);
                     return i32::from(table.any_poisoned());
                 }
-                let turn = table.pump_one();
-                route(&mut writers, &turn);
+                table.pump_into(&mut frames);
+                route(&mut writers, &mut frames);
             }
             SocketMsg::Gone(conn) => {
                 if let Some(w) = writers.get_mut(conn) {

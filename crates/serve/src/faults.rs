@@ -397,8 +397,8 @@ impl FaultDriver {
     /// there. Returns any frames produced by stall-driven scheduler turns
     /// plus the line's fate.
     pub fn on_line(&mut self, table: &mut SessionTable, line: &str) -> (Vec<Routed>, LineFate) {
-        let (out, fate) = self.admit(table, line);
-        let fate = match fate {
+        let mut out = Vec::new();
+        let fate = match self.admit(table, line, &mut out) {
             LineFate::Deliver(l) => LineFate::Deliver(l.to_string()),
             LineFate::Skip => LineFate::Skip,
             LineFate::Crash => LineFate::Crash,
@@ -406,16 +406,16 @@ impl FaultDriver {
         (out, fate)
     }
 
-    /// [`FaultDriver::on_line`] without the copy: the delivered line is
-    /// `line` or a prefix of it.
+    /// [`FaultDriver::on_line`] without the copies: the delivered line is
+    /// `line` or a prefix of it, and stall turns append to `out`.
     pub(crate) fn admit<'l>(
         &mut self,
         table: &mut SessionTable,
         line: &'l str,
-    ) -> (Vec<Routed>, LineFate<&'l str>) {
+        out: &mut Vec<Routed>,
+    ) -> LineFate<&'l str> {
         self.frame += 1;
         let f = self.frame;
-        let mut out = Vec::new();
         // Expired spikes restore before this line's faults apply, so
         // back-to-back spikes compose predictably.
         let mut i = 0;
@@ -432,7 +432,7 @@ impl FaultDriver {
         if self.drop_left > 0 {
             self.drop_left -= 1;
             self.note_affected(line);
-            return (out, LineFate::Skip);
+            return LineFate::Skip;
         }
         let mut delivered = line;
         let mut fate_skip = false;
@@ -440,7 +440,7 @@ impl FaultDriver {
             match fault {
                 Fault::Stall { turns } => {
                     for _ in 0..turns {
-                        out.extend(table.pump_one());
+                        table.pump_into(out);
                     }
                 }
                 Fault::Torn { keep } => {
@@ -471,14 +471,14 @@ impl FaultDriver {
                 }
                 Fault::Crash => {
                     table.journal_flush();
-                    return (out, LineFate::Crash);
+                    return LineFate::Crash;
                 }
             }
         }
         if fate_skip {
-            (out, LineFate::Skip)
+            LineFate::Skip
         } else {
-            (out, LineFate::Deliver(delivered))
+            LineFate::Deliver(delivered)
         }
     }
 

@@ -8,6 +8,13 @@
 //! the accepted frames and every error message and line are those of a
 //! parse into a [`tm_trace::Json`] tree followed by a schema walk.
 //!
+//! There is one decoder. The daemon runs it in its borrowed form, whose
+//! session id is a slice of the input line, so routing a frame copies no
+//! id; [`parse_client_frame`] is the owned wrapper over the same decoder
+//! for the client library and tooling. Server frames name their session
+//! by its [`SessionId`], one shared allocation per session, so a verdict
+//! frame clones a pointer, not the id.
+//!
 //! ## Client → server
 //!
 //! ```json
@@ -66,6 +73,11 @@
 //! Schema evolution follows the workspace rule: versions only increment,
 //! fields are only added, never repurposed.
 
+use std::borrow::{Borrow, Cow};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use tm_model::Event;
 use tm_trace::json::{read_event, Lexer, ObjectWriter, Scalar, Schema, Token};
 use tm_trace::ParseError;
@@ -115,6 +127,104 @@ pub enum ClientFrame {
     Shutdown,
 }
 
+/// A client frame decoded in place: the daemon's form of [`ClientFrame`].
+/// The session id is a slice of the input line (owned only when the line
+/// spelled it with escapes), so routing a frame copies no id.
+#[derive(Debug)]
+pub(crate) enum ClientFrameRef<'a> {
+    Open {
+        session: Cow<'a, str>,
+    },
+    Feed {
+        session: Cow<'a, str>,
+        event: Event,
+        seq: Option<usize>,
+    },
+    Close {
+        session: Cow<'a, str>,
+    },
+    Shutdown,
+}
+
+impl ClientFrameRef<'_> {
+    /// The owned frame.
+    fn into_owned(self) -> ClientFrame {
+        match self {
+            ClientFrameRef::Open { session } => ClientFrame::Open {
+                session: session.into_owned(),
+            },
+            ClientFrameRef::Feed {
+                session,
+                event,
+                seq,
+            } => ClientFrame::Feed {
+                session: session.into_owned(),
+                event,
+                seq,
+            },
+            ClientFrameRef::Close { session } => ClientFrame::Close {
+                session: session.into_owned(),
+            },
+            ClientFrameRef::Shutdown => ClientFrame::Shutdown,
+        }
+    }
+}
+
+/// A session identifier as the daemon holds it: one shared allocation per
+/// session, so every frame naming the session clones a pointer, not the
+/// id. Reads as a `str` (it derefs to one and compares equal to one).
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SessionId(Arc<str>);
+
+impl Deref for SessionId {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for SessionId {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for SessionId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for SessionId {
+    fn from(id: &str) -> Self {
+        SessionId(id.into())
+    }
+}
+
+impl From<String> for SessionId {
+    fn from(id: String) -> Self {
+        SessionId(id.into())
+    }
+}
+
+impl PartialEq<str> for SessionId {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for SessionId {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for SessionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
 /// A `seq`-style field: absent, or a positive integer.
 fn opt_seq(field: Option<Scalar<'_>>, key: &str) -> Result<Option<usize>, String> {
     match field {
@@ -124,12 +234,18 @@ fn opt_seq(field: Option<Scalar<'_>>, key: &str) -> Result<Option<usize>, String
     }
 }
 
-/// Parses one client frame from one input line, in one pass: the frame is
+/// Parses one client frame from one input line: the owned form of the
+/// daemon's decoder, for the client library and tooling.
+pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
+    decode_client_frame(line).map(ClientFrameRef::into_owned)
+}
+
+/// Decodes one client frame from one input line, in one pass: the frame is
 /// decoded as it is scanned, and the embedded `event` is decoded only when
 /// the frame can still be a `feed` (it is syntax-checked either way).
 /// Errors are exactly those of a parse into a [`tm_trace::Json`] tree
 /// followed by a schema walk (see [`tm_trace::json`]).
-pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
+pub(crate) fn decode_client_frame<'a>(line: &'a str) -> Result<ClientFrameRef<'a>, ParseError> {
     let mut lx = Lexer::new(line);
     let (mut kind, mut session, mut v, mut seq) = (None, None, None, None);
     let mut event: Option<Schema<Event>> = None;
@@ -163,8 +279,8 @@ pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
     let Some(Scalar::Str(kind)) = kind else {
         return Err(frame_err("missing string `frame` field".into()));
     };
-    let session_of = |session: Option<Scalar<'_>>| match session {
-        Some(Scalar::Str(s)) if !s.is_empty() => Ok(s.into_owned()),
+    let session_of = |session: Option<Scalar<'a>>| match session {
+        Some(Scalar::Str(s)) if !s.is_empty() => Ok(s),
         Some(Scalar::Str(_)) => Err(frame_err("`session` must be non-empty".into())),
         _ => Err(frame_err("missing string `session` field".into())),
     };
@@ -181,7 +297,7 @@ pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
             }
             // `minor` is advisory: minors are additive, so any minor of a
             // supported major parses (v1 frames simply omit the field).
-            Ok(ClientFrame::Open {
+            Ok(ClientFrameRef::Open {
                 session: session_of(session)?,
             })
         }
@@ -189,16 +305,16 @@ pub fn parse_client_frame(line: &str) -> Result<ClientFrame, ParseError> {
             let session = session_of(session)?;
             let event = event.ok_or_else(|| frame_err("missing `event` field".into()))?;
             let seq = opt_seq(seq, "seq").map_err(frame_err)?;
-            Ok(ClientFrame::Feed {
+            Ok(ClientFrameRef::Feed {
                 session,
                 event: event?,
                 seq,
             })
         }
-        "close" => Ok(ClientFrame::Close {
+        "close" => Ok(ClientFrameRef::Close {
             session: session_of(session)?,
         }),
-        "shutdown" => Ok(ClientFrame::Shutdown),
+        "shutdown" => Ok(ClientFrameRef::Shutdown),
         other => Err(frame_err(format!("unknown frame kind `{other}`"))),
     }
 }
@@ -248,18 +364,19 @@ pub fn render_client_frame(frame: &ClientFrame) -> String {
     out
 }
 
-/// A server-side frame, ready to render.
+/// A server-side frame, ready to render. The daemon names sessions by
+/// their shared [`SessionId`]; any `str`-like id renders the same bytes.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ServerFrame {
+pub enum ServerFrame<S = SessionId> {
     /// Acknowledges `open` (including a reconnect re-bind).
     Opened {
         /// The session identifier.
-        session: String,
+        session: S,
     },
     /// The per-event verdict.
     Verdict {
         /// The session identifier.
-        session: String,
+        session: S,
         /// 1-based index of the event within the session's stream.
         seq: usize,
         /// `"opaque"`, `"opaque_skip"`, or `"violated"`.
@@ -271,7 +388,7 @@ pub enum ServerFrame {
     /// already accepted, nothing was fed twice.
     Ack {
         /// The session identifier.
-        session: String,
+        session: S,
         /// Events accepted so far (the session's acceptance cursor).
         seq: usize,
     },
@@ -279,7 +396,7 @@ pub enum ServerFrame {
     /// after the daemon catches up.
     Busy {
         /// The session identifier.
-        session: String,
+        session: S,
         /// The inbox bound in force.
         inbox: usize,
         /// The rejected event's would-be 1-based `seq` — resend from here.
@@ -293,7 +410,7 @@ pub enum ServerFrame {
     /// session; feed errors on a poisoned session repeat its latched error.
     Error {
         /// The session, when the error is session-scoped.
-        session: Option<String>,
+        session: Option<S>,
         /// The 1-based `seq` of the event that caused the error, when the
         /// error is positioned on a specific accepted event.
         seq: Option<usize>,
@@ -303,7 +420,7 @@ pub enum ServerFrame {
     /// The end-of-session summary emitted once the inbox is drained.
     Closed {
         /// The session identifier.
-        session: String,
+        session: S,
         /// Events accepted over the session's lifetime.
         events: usize,
         /// Full checks run (the remainder were invocation-skips).
@@ -318,7 +435,7 @@ pub enum ServerFrame {
     },
 }
 
-impl ServerFrame {
+impl<S: AsRef<str>> ServerFrame<S> {
     /// Renders the frame as its compact wire line (no trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(RENDER_CAPACITY);
@@ -335,7 +452,7 @@ impl ServerFrame {
                 o.str("frame", "opened")
                     .int("v", PROTOCOL_VERSION)
                     .int("minor", PROTOCOL_MINOR)
-                    .str("session", session);
+                    .str("session", session.as_ref());
             }
             ServerFrame::Verdict {
                 session,
@@ -344,7 +461,7 @@ impl ServerFrame {
                 at,
             } => {
                 o.str("frame", "verdict")
-                    .str("session", session)
+                    .str("session", session.as_ref())
                     .int("seq", *seq as i64)
                     .str("verdict", verdict);
                 if let Some(at) = at {
@@ -353,7 +470,7 @@ impl ServerFrame {
             }
             ServerFrame::Ack { session, seq } => {
                 o.str("frame", "ack")
-                    .str("session", session)
+                    .str("session", session.as_ref())
                     .int("seq", *seq as i64);
             }
             ServerFrame::Busy {
@@ -363,7 +480,7 @@ impl ServerFrame {
                 retry_after_turns,
             } => {
                 o.str("frame", "busy")
-                    .str("session", session)
+                    .str("session", session.as_ref())
                     .int("inbox", *inbox as i64);
                 if let Some(seq) = seq {
                     o.int("seq", *seq as i64);
@@ -379,7 +496,7 @@ impl ServerFrame {
             } => {
                 o.str("frame", "error");
                 if let Some(session) = session {
-                    o.str("session", session);
+                    o.str("session", session.as_ref());
                 }
                 if let Some(seq) = seq {
                     o.int("seq", *seq as i64);
@@ -395,7 +512,7 @@ impl ServerFrame {
                 reaped,
             } => {
                 o.str("frame", "closed")
-                    .str("session", session)
+                    .str("session", session.as_ref())
                     .int("events", *events as i64)
                     .int("checks", *checks as i64);
                 if let Some(at) = violated_at {
@@ -461,7 +578,7 @@ pub fn parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
         return Err(frame_err("missing string `frame` field".into()));
     };
     let session_of = |session: Option<Scalar<'_>>| match session {
-        Some(Scalar::Str(s)) if !s.is_empty() => Ok(s.into_owned()),
+        Some(Scalar::Str(s)) if !s.is_empty() => Ok(SessionId::from(&*s)),
         _ => Err(frame_err("missing string `session` field".into())),
     };
     let int_of = |field: Option<Scalar<'_>>, key: &str| match field {
@@ -507,7 +624,7 @@ pub fn parse_server_frame(line: &str) -> Result<ServerFrame, ParseError> {
         }),
         "error" => {
             let session = match session {
-                Some(Scalar::Str(s)) => Some(s.into_owned()),
+                Some(Scalar::Str(s)) => Some(SessionId::from(&*s)),
                 _ => None,
             };
             let message = match message {
@@ -706,7 +823,7 @@ mod tests {
     #[test]
     fn server_frames_render_compact_and_stable() {
         assert_eq!(
-            ServerFrame::Verdict {
+            ServerFrame::<SessionId>::Verdict {
                 session: "s1".into(),
                 seq: 7,
                 verdict: "violated",
@@ -716,7 +833,7 @@ mod tests {
             r#"{"frame":"verdict","session":"s1","seq":7,"verdict":"violated","at":6}"#
         );
         assert_eq!(
-            ServerFrame::Verdict {
+            ServerFrame::<SessionId>::Verdict {
                 session: "s1".into(),
                 seq: 1,
                 verdict: "opaque_skip",
@@ -728,7 +845,7 @@ mod tests {
         // v1.1 fields stay off the wire when unset, so a `closed` without
         // a reap and a `busy` without a hint render exactly their v1 bytes.
         assert_eq!(
-            ServerFrame::Closed {
+            ServerFrame::<SessionId>::Closed {
                 session: "s".into(),
                 events: 9,
                 checks: 4,
@@ -740,7 +857,7 @@ mod tests {
             r#"{"frame":"closed","session":"s","events":9,"checks":4,"poisoned":false}"#
         );
         assert_eq!(
-            ServerFrame::Busy {
+            ServerFrame::<SessionId>::Busy {
                 session: "s".into(),
                 inbox: 8,
                 seq: Some(3),
@@ -750,7 +867,7 @@ mod tests {
             r#"{"frame":"busy","session":"s","inbox":8,"seq":3}"#
         );
         assert_eq!(
-            ServerFrame::Error {
+            ServerFrame::<SessionId>::Error {
                 session: None,
                 seq: None,
                 message: "line 3: bad".into(),

@@ -61,7 +61,7 @@ pub use daemon::{replay, run, run_reader, Transport, CRASH_EXIT_CODE};
 pub use faults::{Fault, FaultDriver, FaultKind, FaultPlan, LineFate};
 pub use frame::{
     parse_client_frame, parse_server_frame, render_client_frame, ClientFrame, ServerFrame,
-    PROTOCOL, PROTOCOL_MINOR, PROTOCOL_VERSION,
+    SessionId, PROTOCOL, PROTOCOL_MINOR, PROTOCOL_VERSION,
 };
 pub use journal::{read_journal, JournalState, JournalWriter};
 pub use table::{Routed, ServeConfig, SessionTable, EST_ENTRY_BYTES, MIN_MEMO_CAP};

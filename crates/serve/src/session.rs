@@ -21,13 +21,14 @@ use tm_obs::ObsHandle;
 use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
 use tm_opacity::search::SearchConfig;
 
-use crate::frame::ServerFrame;
+use crate::frame::{ServerFrame, SessionId};
 use crate::specs;
 
 /// One open session.
 pub(crate) struct Session {
-    /// The client-chosen identifier.
-    pub(crate) id: String,
+    /// The client-chosen identifier, shared by every frame naming the
+    /// session.
+    pub(crate) id: SessionId,
     /// The resumable checker.
     monitor: OpacityMonitor<'static>,
     /// Accepted-but-unchecked events, bounded by the table's inbox capacity.
@@ -51,7 +52,7 @@ pub(crate) struct Session {
 impl Session {
     /// Opens a session whose monitor runs under `search` (the governed
     /// `memo_capacity` is already folded in by the table).
-    pub(crate) fn new(id: String, conn: usize, search: SearchConfig) -> Self {
+    pub(crate) fn new(id: SessionId, conn: usize, search: SearchConfig) -> Self {
         Session {
             id,
             monitor: OpacityMonitor::new(specs()).with_config(search),
@@ -71,7 +72,7 @@ impl Session {
     /// inbox to be answered normally. `accepted` counts every journaled
     /// event, so `seq` numbering continues exactly where it stopped.
     pub(crate) fn recover(
-        id: String,
+        id: SessionId,
         conn: usize,
         search: SearchConfig,
         events: Vec<Event>,
@@ -130,7 +131,8 @@ impl Session {
 
     /// Checks the oldest inbox event, returning the frame to emit and the
     /// search nodes the check cost (the scheduler's budget currency).
-    /// Returns `None` when the inbox is empty.
+    /// Returns `None` when the inbox is empty. The verdict latency is timed
+    /// only when `obs` records it.
     pub(crate) fn step(&mut self, obs: ObsHandle) -> Option<(ServerFrame, u64)> {
         let event = self.inbox.pop_front()?;
         let seq = self.accepted - self.inbox.len();
@@ -146,12 +148,14 @@ impl Session {
                 0,
             ));
         }
-        let start = Instant::now();
+        let start = obs.enabled().then(Instant::now);
         let nodes_before = self.monitor.lifetime_stats().nodes;
         let fed = self.monitor.feed(event);
         match fed {
             Ok(verdict) => {
-                obs.observe("serve.verdict_ns", start.elapsed().as_nanos() as u64);
+                if let Some(start) = start {
+                    obs.observe("serve.verdict_ns", start.elapsed().as_nanos() as u64);
+                }
                 obs.counter_add("serve.verdicts", 1);
                 // Charge the scheduler for the nodes of the check this feed
                 // ran, if any: invocation-skips and sticky repeat-violations

@@ -4,10 +4,12 @@
 //!
 //! ## Fairness and the node budget
 //!
-//! Runnable sessions (non-empty inbox) sit in a round-robin queue. One
-//! scheduler *turn* ([`SessionTable::pump_one`]) takes the front session
-//! and checks events from its inbox until the cumulative search nodes of
-//! the turn exceed [`ServeConfig::node_budget`] (checked *after* each
+//! Sessions live in a slab, and one map from session id to slab handle is
+//! consulted once per routed frame: a feed costs one id lookup and a turn
+//! none. Runnable sessions (non-empty inbox) sit in a round-robin queue of
+//! handles. One scheduler *turn* ([`SessionTable::pump_one`]) takes the
+//! front session and checks events from its inbox until the cumulative
+//! search nodes of the turn exceed [`ServeConfig::node_budget`] (checked *after* each
 //! event — events are atomic units, so the budget bounds when a session
 //! yields, never how much of an event gets checked). A session with work
 //! left re-queues at the back. One expensive session therefore delays its
@@ -21,7 +23,10 @@
 //! With `--memo-budget BYTES` set, the table apportions a global memo-byte
 //! ceiling equally across open sessions: each session's monitor gets
 //! `budget / EST_ENTRY_BYTES / sessions` memo entries (floored at
-//! [`MIN_MEMO_CAP`]), reapplied on every open and close. The retune hook
+//! [`MIN_MEMO_CAP`]); with no budget in force they run at the base
+//! capacity. A new session is built at its share, and the open sessions
+//! are retuned only when an open, a close or a budget retune changes the
+//! share. The retune hook
 //! ([`tm_opacity::incremental::OpacityMonitor::set_memo_capacity`]) is
 //! verdict-sound — memo entries are pure pruning, so shrinking a session's
 //! table mid-stream costs re-exploration, never correctness (the replay
@@ -68,19 +73,20 @@ use tm_obs::ObsHandle;
 use tm_opacity::search::SearchConfig;
 
 use crate::faults::FaultPlan;
-use crate::frame::ServerFrame;
+use crate::frame::{ServerFrame, SessionId};
 use crate::journal::{JournalState, JournalWriter};
 use crate::session::Session;
 
-/// Estimated resident bytes per memo entry (mask + canonical states +
-/// queue bookkeeping, measured on the register workloads; deliberately
-/// conservative so the byte ceiling errs toward under-use).
+/// Estimated resident bytes per memo entry: what a session holds per
+/// dead end it keeps, once the memo dominates its footprint.
 ///
-/// Measured: after the exhaustive check of `rt_chain_knot_history(5, 3)`
-/// a session holds 1 078 112 live bytes over 2 542 resident entries, 424 B
-/// each (`crates/core/tests/monitor_footprint.rs` pins it). That is above
-/// this estimate, so on such states the ceiling errs toward over-use.
-pub const EST_ENTRY_BYTES: u64 = 256;
+/// Measured on the real-time-chained knots of 5 × 3 transactions: the
+/// one-shot check leaves a session holding 1 075 808 live bytes over 2 542
+/// resident entries, 424 B each (`crates/core/tests/monitor_footprint.rs`
+/// pins it), and a served session that checks the same knots event by
+/// event holds 1 069 716 B over the same 2 542 entries, 421 B each
+/// (`crates/serve/tests/allocations.rs` holds it under this constant).
+pub const EST_ENTRY_BYTES: u64 = 424;
 
 /// Per-session memo-capacity floor: below this the table thrashes instead
 /// of pruning, so governance degrades gracefully to "tiny but useful"
@@ -173,16 +179,29 @@ struct SkipCounts {
     close: bool,
 }
 
+/// A session's slot in the table's slab. A closed session's slot is reused
+/// by a later open; a handle in the run queue always names an open session
+/// (only sessions with an empty inbox are removed).
+pub(crate) type Handle = u32;
+
 /// The multiplexer: all open sessions plus the scheduler's run queue.
 pub struct SessionTable {
     config: ServeConfig,
-    sessions: HashMap<String, Session>,
-    /// Round-robin queue of sessions with non-empty inboxes. A session id
+    /// The open sessions, by handle (`None`: a free slot).
+    slots: Vec<Option<Session>>,
+    /// Free slots, reused most recently freed first.
+    free: Vec<Handle>,
+    /// The handle of every open session, by id.
+    handles: HashMap<SessionId, Handle>,
+    /// Round-robin queue of sessions with non-empty inboxes. A session
     /// appears at most once (enqueued when its inbox becomes non-empty).
-    run_queue: VecDeque<String>,
+    run_queue: VecDeque<Handle>,
+    /// The memo capacity every open session runs under: the governor's
+    /// last decision, or the base capacity.
+    memo_capacity: Option<usize>,
     /// Latched when any session ever poisoned (drives the exit code).
     any_poisoned: bool,
-    /// Scheduler clock: one tick per `pump_one` (the reaper's time base).
+    /// Scheduler clock: one tick per turn (the reaper's time base).
     clock: u64,
     /// The attached journal writer, if `--journal` is in force. Dropped on
     /// the first write error (graceful degradation: serving continues,
@@ -199,27 +218,47 @@ pub struct SessionTable {
 fn write_journal(
     journal: &mut Option<JournalWriter>,
     obs: ObsHandle,
+    out: &mut Vec<Routed>,
     write: impl FnOnce(&mut JournalWriter) -> std::io::Result<()>,
-) -> Option<Routed> {
-    let writer = journal.as_mut()?;
+) {
+    let Some(writer) = journal.as_mut() else {
+        return;
+    };
     match write(writer) {
-        Ok(()) => {
-            obs.counter_add("serve.journal_records", 1);
-            None
-        }
+        Ok(()) => obs.counter_add("serve.journal_records", 1),
         Err(e) => {
             *journal = None;
             obs.counter_add("serve.journal_failed", 1);
-            Some(routed(
+            out.push(routed(
                 0,
                 ServerFrame::Error {
                     session: None,
                     seq: None,
                     message: format!("journal write failed; journaling disabled: {e}"),
                 },
-            ))
+            ));
         }
     }
+}
+
+/// A session-scoped error frame without a position.
+fn session_error(conn: usize, id: &str, message: String) -> Routed {
+    routed(
+        conn,
+        ServerFrame::Error {
+            session: Some(id.into()),
+            seq: None,
+            message,
+        },
+    )
+}
+
+/// Runs `apply` on a fresh buffer: the owned-result form of the table's
+/// buffer-appending calls.
+fn collect(apply: impl FnOnce(&mut Vec<Routed>)) -> Vec<Routed> {
+    let mut out = Vec::new();
+    apply(&mut out);
+    out
 }
 
 impl SessionTable {
@@ -227,8 +266,11 @@ impl SessionTable {
     pub fn new(config: ServeConfig) -> Self {
         config.obs.gauge_set("serve.sessions", 0);
         SessionTable {
+            memo_capacity: config.search.memo_capacity,
             config,
-            sessions: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            handles: HashMap::new(),
             run_queue: VecDeque::new(),
             any_poisoned: false,
             clock: 0,
@@ -239,7 +281,7 @@ impl SessionTable {
 
     /// Open sessions right now.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.handles.len()
     }
 
     /// Did any session (open or since closed) ever hit a hard error?
@@ -301,6 +343,53 @@ impl SessionTable {
         }
     }
 
+    /// The open sessions, with their handles.
+    fn open_sessions(&self) -> impl Iterator<Item = (Handle, &Session)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(h, s)| Some((h as Handle, s.as_ref()?)))
+    }
+
+    /// The open session behind `handle`.
+    fn session_mut(&mut self, handle: Handle) -> Option<&mut Session> {
+        self.slots.get_mut(handle as usize)?.as_mut()
+    }
+
+    /// The handle of the open session `id`: the table's one id lookup.
+    pub(crate) fn lookup(&self, id: &str) -> Option<Handle> {
+        self.handles.get(id).copied()
+    }
+
+    /// Stores a new session in a free slot (or a new one) and indexes it.
+    fn insert(&mut self, session: Session) -> Handle {
+        let id = session.id.clone();
+        let handle = match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = Some(session);
+                h
+            }
+            None => {
+                self.slots.push(Some(session));
+                (self.slots.len() - 1) as Handle
+            }
+        };
+        self.handles.insert(id, handle);
+        handle
+    }
+
+    /// A new session's search configuration: the base one, bounded to the
+    /// fair share it will have once it is open. A monitor built at its
+    /// share picks the memo shard count of its size class (`set_capacity`
+    /// keeps shard counts fixed), and needs no retune.
+    fn new_session_search(&self) -> SearchConfig {
+        let mut search = self.config.search;
+        if let Some(cap) = self.governed_capacity(self.handles.len() + 1) {
+            search.memo_capacity = Some(cap);
+        }
+        search
+    }
+
     /// Rebuilds the table from a recovered journal: closed sessions are
     /// skipped entirely (their poisoned flag still feeds the exit code),
     /// live sessions are reconstructed via `Session::recover` with their
@@ -324,15 +413,11 @@ impl SessionTable {
                 );
                 continue;
             }
-            let mut search = self.config.search;
-            if let Some(cap) = self.governed_capacity(self.sessions.len() + 1) {
-                search.memo_capacity = Some(cap);
-            }
+            let search = self.new_session_search();
             obs.counter_add("serve.recovery_events", js.events.len() as u64);
-            let session = Session::recover(id.clone(), 0, search, js.events.clone(), js.checked);
-            if !session.inbox.is_empty() {
-                self.run_queue.push_back(id.clone());
-            }
+            let session =
+                Session::recover(id.as_str().into(), 0, search, js.events.clone(), js.checked);
+            let queued = !session.inbox.is_empty();
             self.resume_skip.insert(
                 id.clone(),
                 SkipCounts {
@@ -341,29 +426,34 @@ impl SessionTable {
                     close: false,
                 },
             );
-            self.sessions.insert(id.clone(), session);
+            let handle = self.insert(session);
+            if queued {
+                self.run_queue.push_back(handle);
+            }
             recovered += 1;
         }
         self.apply_governor();
         obs.counter_add("serve.recovered_sessions", recovered as u64);
-        obs.gauge_set("serve.sessions", self.sessions.len() as u64);
+        obs.gauge_set("serve.sessions", self.handles.len() as u64);
         recovered
     }
 
-    /// Does `session` exist and have room for one more event? (The replay
-    /// driver's flow-control probe; unknown sessions report `true` so the
-    /// feed proceeds to its proper error path.) Honors the queue
-    /// watermark, so replay under `--queue-watermark` flow-controls
-    /// instead of shedding and stays busy-free.
-    pub fn can_accept(&self, session: &str) -> bool {
+    /// Does the session behind `handle` ([`SessionTable::lookup`]'s
+    /// answer) have room for one more event? (The replay driver's
+    /// flow-control probe; unknown sessions report `true` so the feed
+    /// proceeds to its proper error path.) Honors the queue watermark, so
+    /// replay under `--queue-watermark` flow-controls instead of shedding
+    /// and stays busy-free.
+    pub(crate) fn has_room(&self, handle: Option<Handle>) -> bool {
+        let Some(session) = handle.and_then(|h| self.slots.get(h as usize)?.as_ref()) else {
+            return true;
+        };
         if let Some(wm) = self.config.queue_watermark {
-            if self.run_queue.len() >= wm && self.sessions.contains_key(session) {
+            if self.run_queue.len() >= wm {
                 return false;
             }
         }
-        self.sessions
-            .get(session)
-            .map_or(true, |s| s.inbox.len() < self.config.inbox_capacity)
+        session.inbox.len() < self.config.inbox_capacity
     }
 
     /// The per-session memo capacity the governor currently mandates
@@ -374,26 +464,25 @@ impl SessionTable {
         Some((entries / session_count.max(1)).max(MIN_MEMO_CAP))
     }
 
-    /// Reapplies the governor to every open session (on open/close and on
-    /// runtime budget retunes — the points where the fair share changes).
-    /// With no budget in force, sessions return to the base capacity (the
-    /// spike-restore path needs the explicit reset).
+    /// Retunes every open session when the capacity the governor mandates
+    /// has changed: on open/close and on runtime budget retunes, the
+    /// points where the fair share can change. With no budget in force,
+    /// sessions return to the base capacity (the spike-restore path needs
+    /// the explicit reset). A new session was built at its share already.
     fn apply_governor(&mut self) {
-        match self.governed_capacity(self.sessions.len()) {
-            Some(cap) => {
-                for s in self.sessions.values_mut() {
-                    s.set_memo_capacity(Some(cap));
-                }
-                self.config
-                    .obs
-                    .gauge_set("serve.memo_capacity_per_session", cap as u64);
-            }
-            None => {
-                let base = self.config.search.memo_capacity;
-                for s in self.sessions.values_mut() {
-                    s.set_memo_capacity(base);
-                }
-            }
+        let governed = self.governed_capacity(self.handles.len());
+        let cap = governed.or(self.config.search.memo_capacity);
+        if cap == self.memo_capacity {
+            return;
+        }
+        self.memo_capacity = cap;
+        for s in self.slots.iter_mut().flatten() {
+            s.set_memo_capacity(cap);
+        }
+        if let Some(cap) = governed {
+            self.config
+                .obs
+                .gauge_set("serve.memo_capacity_per_session", cap as u64);
         }
     }
 
@@ -405,90 +494,80 @@ impl SessionTable {
 
     /// Handles an `open` frame.
     pub fn open(&mut self, id: &str, conn: usize) -> Vec<Routed> {
+        collect(|out| self.open_into(id, conn, out))
+    }
+
+    /// [`SessionTable::open`], appending its frames to `out`.
+    pub(crate) fn open_into(&mut self, id: &str, conn: usize, out: &mut Vec<Routed>) {
         if let Some(skip) = self.resume_skip.get_mut(id) {
             if skip.open {
                 // The journaled open already happened before the crash;
                 // its `opened` frame was delivered then.
                 skip.open = false;
-                return Vec::new();
+                return;
             }
         }
-        if let Some(session) = self.sessions.get_mut(id) {
+        if let Some(handle) = self.lookup(id) {
+            let obs = self.config.obs;
+            let Some(session) = self.session_mut(handle) else {
+                return;
+            };
             if session.conn != conn {
                 // A reconnecting client re-opens to re-bind its session to
                 // the new connection; state and seq numbering carry over.
                 session.conn = conn;
-                self.config.obs.counter_add("serve.rebinds", 1);
-                return vec![routed(
-                    conn,
-                    ServerFrame::Opened {
-                        session: id.to_string(),
-                    },
-                )];
+                obs.counter_add("serve.rebinds", 1);
+                let session = session.id.clone();
+                out.push(routed(conn, ServerFrame::Opened { session }));
+                return;
             }
-            return vec![routed(
+            out.push(session_error(
                 conn,
-                ServerFrame::Error {
-                    session: Some(id.to_string()),
-                    seq: None,
-                    message: format!("session `{id}` is already open"),
-                },
-            )];
+                id,
+                format!("session `{id}` is already open"),
+            ));
+            return;
         }
-        if self.sessions.len() >= self.config.max_sessions {
+        if self.handles.len() >= self.config.max_sessions {
             self.config.obs.counter_add("serve.open_refused", 1);
-            return vec![routed(
-                conn,
-                ServerFrame::Error {
-                    session: Some(id.to_string()),
-                    seq: None,
-                    message: format!(
-                        "session table full ({} open, --max-sessions {})",
-                        self.sessions.len(),
-                        self.config.max_sessions
-                    ),
-                },
-            )];
+            let message = format!(
+                "session table full ({} open, --max-sessions {})",
+                self.handles.len(),
+                self.config.max_sessions
+            );
+            out.push(session_error(conn, id, message));
+            return;
         }
         if let Some(wm) = self.config.memo_watermark_bytes {
             if self.memo_resident() as u64 * EST_ENTRY_BYTES >= wm {
                 self.config.obs.counter_add("serve.shed_opens", 1);
-                return vec![routed(
+                out.push(routed(
                     conn,
                     ServerFrame::Busy {
-                        session: id.to_string(),
+                        session: id.into(),
                         inbox: self.config.inbox_capacity,
                         seq: None,
                         retry_after_turns: Some(self.retry_hint()),
                     },
-                )];
+                ));
+                return;
             }
         }
-        // Construct the monitor already bounded to the governed share so
-        // its memo table picks a shard count matching its size class
-        // (`set_capacity` keeps shard counts fixed).
-        let mut search = self.config.search;
-        if let Some(cap) = self.governed_capacity(self.sessions.len() + 1) {
-            search.memo_capacity = Some(cap);
-        }
-        let mut session = Session::new(id.to_string(), conn, search);
+        let mut session = Session::new(id.into(), conn, self.new_session_search());
         session.last_active = self.clock;
-        self.sessions.insert(id.to_string(), session);
+        let session_id = session.id.clone();
+        self.insert(session);
         self.apply_governor();
         let obs = self.config.obs;
         obs.counter_add("serve.sessions_opened", 1);
-        obs.gauge_set("serve.sessions", self.sessions.len() as u64);
-        let mut out = Vec::new();
-        if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| w.open(id)) {
-            out.push(err);
-        }
+        obs.gauge_set("serve.sessions", self.handles.len() as u64);
+        write_journal(&mut self.journal, obs, out, |w| w.open(id));
         out.push(routed(
             conn,
             ServerFrame::Opened {
-                session: id.to_string(),
+                session: session_id,
             },
         ));
-        out
     }
 
     /// Handles a `feed` frame: enqueues the event, or pushes back with
@@ -496,13 +575,29 @@ impl SessionTable {
     /// shedding. Seq-tagged feeds are idempotent: duplicates are answered
     /// with `ack`, gaps with a positioned error.
     pub fn feed(&mut self, id: &str, event: Event, seq: Option<usize>, conn: usize) -> Vec<Routed> {
-        if seq.is_none() {
+        let handle = self.lookup(id);
+        collect(|out| self.feed_into(handle, id, event, seq, conn, out))
+    }
+
+    /// [`SessionTable::feed`] for a session already looked up (`handle` is
+    /// [`SessionTable::lookup`]'s answer for `id`), appending its frames to
+    /// `out`.
+    pub(crate) fn feed_into(
+        &mut self,
+        handle: Option<Handle>,
+        id: &str,
+        event: Event,
+        seq: Option<usize>,
+        conn: usize,
+        out: &mut Vec<Routed>,
+    ) {
+        if seq.is_none() && !self.resume_skip.is_empty() {
             if let Some(skip) = self.resume_skip.get_mut(id) {
                 if skip.feeds > 0 {
                     // Journaled before the crash: the event is already in
                     // the recovered monitor/inbox (or the closed summary).
                     skip.feeds -= 1;
-                    return Vec::new();
+                    return;
                 }
             }
         }
@@ -512,15 +607,11 @@ impl SessionTable {
         let clock = self.clock;
         let hint = self.retry_hint();
         let queue_depth = self.run_queue.len();
-        let Some(session) = self.sessions.get_mut(id) else {
-            return vec![routed(
-                conn,
-                ServerFrame::Error {
-                    session: Some(id.to_string()),
-                    seq: None,
-                    message: format!("no open session `{id}`"),
-                },
-            )];
+        let Some((h, session)) =
+            handle.and_then(|h| Some((h, self.slots.get_mut(h as usize)?.as_mut()?)))
+        else {
+            out.push(session_error(conn, id, format!("no open session `{id}`")));
+            return;
         };
         let would_be = session.accepted() + 1;
         if let Some(seq) = seq {
@@ -528,123 +619,120 @@ impl SessionTable {
                 // Idempotent resend of an already-accepted event: ack the
                 // acceptance cursor instead of feeding twice.
                 obs.counter_add("serve.dup_feeds", 1);
-                return vec![routed(
+                out.push(routed(
                     conn,
                     ServerFrame::Ack {
-                        session: id.to_string(),
+                        session: session.id.clone(),
                         seq: session.accepted(),
                     },
-                )];
+                ));
+                return;
             }
             if seq > would_be {
-                return vec![routed(
+                out.push(routed(
                     conn,
                     ServerFrame::Error {
-                        session: Some(id.to_string()),
+                        session: Some(session.id.clone()),
                         seq: Some(seq),
                         message: format!("feed seq gap: got {seq}, expected {would_be}"),
                     },
-                )];
+                ));
+                return;
             }
         }
         if session.closing {
-            return vec![routed(
+            out.push(session_error(
                 conn,
-                ServerFrame::Error {
-                    session: Some(id.to_string()),
-                    seq: None,
-                    message: format!("session `{id}` is closing"),
-                },
-            )];
+                id,
+                format!("session `{id}` is closing"),
+            ));
+            return;
         }
         if session.inbox.len() >= inbox_capacity {
             obs.counter_add("serve.busy", 1);
-            return vec![routed(
+            out.push(routed(
                 conn,
                 ServerFrame::Busy {
-                    session: id.to_string(),
+                    session: session.id.clone(),
                     inbox: inbox_capacity,
                     seq: Some(would_be),
                     retry_after_turns: None,
                 },
-            )];
+            ));
+            return;
         }
         if let Some(wm) = queue_watermark {
             if queue_depth >= wm {
                 obs.counter_add("serve.shed_feeds", 1);
-                return vec![routed(
+                out.push(routed(
                     conn,
                     ServerFrame::Busy {
-                        session: id.to_string(),
+                        session: session.id.clone(),
                         inbox: inbox_capacity,
                         seq: Some(would_be),
                         retry_after_turns: Some(hint),
                     },
-                )];
+                ));
+                return;
             }
         }
         // Journal the event before the inbox takes it: no copy is needed.
-        let mut out = Vec::new();
-        if let Some(err) = write_journal(&mut self.journal, obs, |w| w.event(id, &event)) {
-            out.push(err);
-        }
+        write_journal(&mut self.journal, obs, out, |w| w.event(id, &event));
         let was_empty = session.inbox.is_empty();
         session.enqueue(event);
         session.last_active = clock;
         obs.counter_add("serve.frames_fed", 1);
         if was_empty {
-            self.run_queue.push_back(id.to_string());
+            self.run_queue.push_back(h);
         }
-        out
     }
 
     /// Handles a `close` frame: the session drains its inbox through the
     /// scheduler as usual, then emits its `closed` summary and is removed
     /// (immediately, when the inbox is already empty).
     pub fn close(&mut self, id: &str, conn: usize) -> Vec<Routed> {
+        collect(|out| self.close_into(id, conn, out))
+    }
+
+    /// [`SessionTable::close`], appending its frames to `out`.
+    pub(crate) fn close_into(&mut self, id: &str, conn: usize, out: &mut Vec<Routed>) {
         if let Some(skip) = self.resume_skip.get_mut(id) {
             if skip.close {
                 // The session completed (summary delivered) pre-crash.
                 skip.close = false;
-                return Vec::new();
+                return;
             }
         }
-        let Some(session) = self.sessions.get_mut(id) else {
-            return vec![routed(
-                conn,
-                ServerFrame::Error {
-                    session: Some(id.to_string()),
-                    seq: None,
-                    message: format!("no open session `{id}`"),
-                },
-            )];
+        let Some(handle) = self.lookup(id) else {
+            out.push(session_error(conn, id, format!("no open session `{id}`")));
+            return;
+        };
+        let Some(session) = self.session_mut(handle) else {
+            return;
         };
         session.closing = true;
         if session.inbox.is_empty() {
-            return self.finish(id);
+            self.finish(handle, out);
         }
-        Vec::new()
     }
 
     /// Removes a fully-drained closing session, emitting its summary.
-    fn finish(&mut self, id: &str) -> Vec<Routed> {
-        let Some(session) = self.sessions.remove(id) else {
-            return Vec::new();
+    fn finish(&mut self, handle: Handle, out: &mut Vec<Routed>) {
+        let Some(session) = self.slots.get_mut(handle as usize).and_then(Option::take) else {
+            return;
         };
         debug_assert!(session.inbox.is_empty() && session.closing);
+        self.free.push(handle);
+        self.handles.remove(&*session.id);
         self.any_poisoned |= session.is_poisoned();
         self.apply_governor();
         let obs = self.config.obs;
         obs.counter_add("serve.sessions_closed", 1);
-        obs.gauge_set("serve.sessions", self.sessions.len() as u64);
-        let mut out = Vec::new();
-        if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| {
-            w.close(id, session.is_poisoned())
-        }) {
-            out.push(err);
-        }
+        obs.gauge_set("serve.sessions", self.handles.len() as u64);
+        write_journal(&mut self.journal, obs, out, |w| {
+            w.close(&session.id, session.is_poisoned())
+        });
         out.push(routed(session.conn, session.summary()));
-        out
     }
 
     /// Closes every session whose inbox is empty and whose last activity
@@ -652,23 +740,22 @@ impl SessionTable {
     /// deterministic). The reaper never touches sessions with queued work:
     /// a backlogged session is busy, not idle.
     fn reap_idle(&mut self, deadline: u64, out: &mut Vec<Routed>) {
-        let mut due: Vec<String> = self
-            .sessions
-            .values()
-            .filter(|s| {
+        let mut due: Vec<(SessionId, Handle)> = self
+            .open_sessions()
+            .filter(|(_, s)| {
                 s.inbox.is_empty()
                     && !s.closing
                     && self.clock.saturating_sub(s.last_active) >= deadline
             })
-            .map(|s| s.id.clone())
+            .map(|(h, s)| (s.id.clone(), h))
             .collect();
         due.sort();
-        for id in due {
-            if let Some(session) = self.sessions.get_mut(&id) {
+        for (_, handle) in due {
+            if let Some(session) = self.session_mut(handle) {
                 session.closing = true;
                 session.reaped = true;
                 self.config.obs.counter_add("serve.reaped", 1);
-                out.extend(self.finish(&id));
+                self.finish(handle, out);
             }
         }
     }
@@ -678,19 +765,24 @@ impl SessionTable {
     /// Advances the scheduler clock and runs the idle reaper. Returns the
     /// frames the turn produced (empty when idle).
     pub fn pump_one(&mut self) -> Vec<Routed> {
+        collect(|out| self.pump_into(out))
+    }
+
+    /// [`SessionTable::pump_one`], appending the turn's frames to `out` —
+    /// the daemon loops reuse one buffer for every turn.
+    pub(crate) fn pump_into(&mut self, out: &mut Vec<Routed>) {
         self.clock += 1;
-        let mut out = Vec::new();
         if let Some(deadline) = self.config.idle_reap_turns {
-            self.reap_idle(deadline, &mut out);
+            self.reap_idle(deadline, out);
         }
-        let Some(id) = self.run_queue.pop_front() else {
-            return out;
+        let Some(handle) = self.run_queue.pop_front() else {
+            return;
         };
         let obs = self.config.obs;
         let node_budget = self.config.node_budget;
         let clock = self.clock;
-        let Some(session) = self.sessions.get_mut(&id) else {
-            return out;
+        let Some(session) = self.slots.get_mut(handle as usize).and_then(Option::as_mut) else {
+            return;
         };
         let conn = session.conn;
         let mut spent = 0u64;
@@ -711,45 +803,46 @@ impl SessionTable {
         }
         obs.counter_add("serve.turns", 1);
         let requeue = !session.inbox.is_empty();
+        let closing = session.closing;
         if advanced {
-            if let Some(err) = write_journal(&mut self.journal, self.config.obs, |w| {
-                w.checked(&id, cursor)
-            }) {
-                out.push(err);
-            }
+            write_journal(&mut self.journal, obs, out, |w| {
+                w.checked(&session.id, cursor)
+            });
         }
         if requeue {
-            self.run_queue.push_back(id);
-        } else if self.sessions.get(&id).is_some_and(|s| s.closing) {
-            out.extend(self.finish(&id));
+            self.run_queue.push_back(handle);
+        } else if closing {
+            self.finish(handle, out);
         }
-        out
     }
 
     /// Drains every runnable session to empty (EOF / shutdown): repeated
     /// fair turns, so even the final drain interleaves sessions.
     pub fn pump_all(&mut self) -> Vec<Routed> {
-        let mut out = Vec::new();
-        while !self.idle() {
-            out.extend(self.pump_one());
-        }
-        out
+        collect(|out| {
+            while !self.idle() {
+                self.pump_into(out);
+            }
+        })
     }
 
     /// Drains everything, then closes every still-open session (shutdown's
     /// final sweep: no event is dropped, every session gets its summary).
     /// Summaries are emitted in session-id order so shutdown output is
-    /// deterministic even though `HashMap` iteration is not. Ends with a
+    /// deterministic whatever slots the sessions occupy. Ends with a
     /// journal flush so a clean exit leaves a clean journal tail.
     pub fn drain_and_close_all(&mut self) -> Vec<Routed> {
         let mut out = self.pump_all();
-        let mut ids: Vec<String> = self.sessions.keys().cloned().collect();
-        ids.sort();
-        for id in ids {
-            if let Some(session) = self.sessions.get_mut(&id) {
+        let mut open: Vec<(SessionId, Handle)> = self
+            .open_sessions()
+            .map(|(h, s)| (s.id.clone(), h))
+            .collect();
+        open.sort();
+        for (_, handle) in open {
+            if let Some(session) = self.session_mut(handle) {
                 session.closing = true;
             }
-            out.extend(self.finish(&id));
+            self.finish(handle, &mut out);
         }
         self.journal_flush();
         out
@@ -757,12 +850,12 @@ impl SessionTable {
 
     /// Total memo entries resident across open sessions (telemetry).
     pub fn memo_resident(&self) -> usize {
-        self.sessions.values().map(Session::memo_resident).sum()
+        self.open_sessions().map(|(_, s)| s.memo_resident()).sum()
     }
 
     /// The per-session memo capacity the governor currently mandates
     /// (`None` when no `--memo-budget` is configured).
     pub fn memo_capacity_per_session(&self) -> Option<usize> {
-        self.governed_capacity(self.sessions.len())
+        self.governed_capacity(self.handles.len())
     }
 }

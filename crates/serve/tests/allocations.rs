@@ -1,57 +1,82 @@
 //! Pins what the daemon allocates, deterministically, with a counting
-//! allocator that tracks, per thread, the allocations made (as
-//! `crates/core/tests/monitor_footprint.rs` does).
+//! allocator that tracks, per thread, the live bytes and the number of
+//! allocations (as `crates/core/tests/monitor_footprint.rs` does).
 //!
-//! A seeded fleet of 64 sessions, streamed through the stdin loop
-//! (`run_reader`), makes a pinned number of allocations, opens and closes
-//! included. Per fed event, the frame decoder builds an owned session id
-//! and event, the table copies the id into the run queue and into every
-//! frame it routes, each call returns a fresh `Vec` of frames, and the
-//! monitor grows its session and runs its check.
+//! * A seeded fleet of 64 sessions, streamed through the stdin loop
+//!   (`run_reader`), makes a pinned number of allocations, at most three per
+//!   fed event with the sessions' opens and closes included. Routing and
+//!   the turn allocate nothing per event: the frame's session id is a slice
+//!   of the input line, the run queue holds slab handles, every frame names
+//!   its session by the session's shared id, and the turn's frames go to
+//!   one reused buffer. What remains comes from the owned events the
+//!   decoder hands the monitor, and from the monitor itself:
+//!   - the `ObjId` of each decoded operation event (its object name);
+//!   - the argument `Vec` of each write invocation, decoded and then copied
+//!     into the transaction's pending invocation;
+//!   - the witness `Vec` of each check the monitor runs;
+//!   - session growth: per-transaction cells and operation lists, the memo,
+//!     the inbox, and each session's id and monitor at its open.
+//! * A served session holds at most [`EST_ENTRY_BYTES`] live bytes per
+//!   resident memo entry after a real-time-chained knot history, so the
+//!   governor's `--memo-budget` arithmetic does not under-count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
 
 use tm_harness::randhist::{random_history, GenConfig};
-use tm_model::History;
-use tm_serve::{render_client_frame, run_reader, ClientFrame, ServeConfig};
+use tm_model::{Event, History, OpName, TxId};
+use tm_serve::{
+    render_client_frame, run_reader, ClientFrame, ServeConfig, SessionTable, EST_ENTRY_BYTES,
+};
 
-/// The system allocator with an allocation counter bolted on.
+#[path = "../../core/tests/common/knots.rs"]
+mod knots;
+use knots::rt_chain_knot_history;
+
+/// The system allocator with a live-byte and an allocation counter bolted
+/// on.
 struct CountingAlloc;
 
 thread_local! {
-    /// Allocations (a `realloc` counts as one) made by this thread. Per
-    /// thread, so the test harness's own threads cannot count into a
-    /// measured window.
+    /// Bytes allocated and not yet freed by this thread. Per thread, so the
+    /// test harness's own threads cannot count into a measured window.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Allocations (a `realloc` counts as one) made by this thread.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(delta: isize, allocations: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + delta));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
 }
 
-// SAFETY: delegates verbatim to `System`; the counter has no effect on
+// SAFETY: delegates verbatim to `System`; the counters have no effect on
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as isize, 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize), 0);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as isize - layout.size() as isize, 1);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
 
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
@@ -110,6 +135,77 @@ fn fleet_allocations_per_fed_event_are_pinned() {
     );
     let made = allocations() - before;
     assert_eq!(code, 0, "the fleet is served cleanly");
-    // `(allocations, fed events)`.
-    assert_eq!((made, fed), (11_538, 1716));
+    // `(allocations, fed events)`: 2.35 per fed event. The loop made
+    // 11 538 (6.72 per fed event) before session handles, the borrowed
+    // decode and the reused turn buffer.
+    assert_eq!((made, fed), (4027, 1716));
+    let per_event = made as f64 / fed as f64;
+    assert!(per_event <= 3.0, "{per_event:.2} allocations per fed event");
+}
+
+/// `rt_chain_knot_history(knots, writers)` with every knot's observed
+/// writer made commit-pending before the knot's read returns. As built,
+/// the history reads a live writer's value, so a monitor latches a
+/// violation at the first knot and checks nothing after it. Moved this
+/// way, every proper prefix is opaque and the served session checks each
+/// knot, ending with the exhaustive refutation of the impossible final
+/// read.
+fn served_knot_history(knots: u32, writers: u32) -> Vec<Event> {
+    let h = rt_chain_knot_history(knots, writers);
+    let mut events: Vec<Event> = Vec::new();
+    let mut early: Vec<TxId> = Vec::new();
+    for e in h.events() {
+        match e {
+            Event::TryCommit(tx) if early.contains(tx) => continue,
+            Event::Ret {
+                tx,
+                obj,
+                op: OpName::Read,
+                val,
+            } => {
+                let writer = h.events().iter().find_map(|w| match w {
+                    Event::Inv {
+                        tx: w_tx,
+                        obj: w_obj,
+                        op: OpName::Write,
+                        args,
+                    } if w_tx != tx && w_obj == obj && args.first() == Some(val) => Some(*w_tx),
+                    _ => None,
+                });
+                if let Some(writer) = writer {
+                    events.push(Event::TryCommit(writer));
+                    early.push(writer);
+                }
+            }
+            _ => {}
+        }
+        events.push(e.clone());
+    }
+    events
+}
+
+#[test]
+fn served_bytes_per_resident_memo_entry_fit_the_estimate() {
+    let events = served_knot_history(5, 3);
+    let mut table = SessionTable::new(ServeConfig::default());
+    let before = live_bytes();
+    table.open("knots", 0);
+    let mut last = None;
+    for e in events {
+        table.feed("knots", e, None, 0);
+        last = table.pump_one().pop();
+    }
+    let last = last.expect("the last event is answered").frame.render();
+    assert!(last.contains(r#""verdict":"violated","at":101"#), "{last}");
+    let bytes = (live_bytes() - before) as u64;
+    let resident = table.memo_resident() as u64;
+    // Every byte the served session holds, over the dead ends it keeps:
+    // the same 2 542 entries the one-shot check of the unmoved history
+    // keeps (`monitor_footprint.rs`).
+    assert_eq!((bytes, resident), (1_069_716, 2542));
+    let per_entry = bytes.div_ceil(resident);
+    assert!(
+        per_entry <= EST_ENTRY_BYTES,
+        "{per_entry} B per resident entry, estimated {EST_ENTRY_BYTES} B"
+    );
 }

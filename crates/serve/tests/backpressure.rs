@@ -2,12 +2,15 @@
 //! inbox bound receives `busy` and *recovers* (resending after the daemon
 //! catches up loses nothing), and shrinking the global memo budget
 //! mid-stream — by crowding the table with new sessions — never changes a
-//! session's verdicts, frame for frame.
+//! session's verdicts, frame for frame. Sessions that close and reopen
+//! reuse the table's slots without their frames crossing.
 
+use proptest::prelude::*;
 use tm_harness::randhist::{random_history, GenConfig};
 use tm_model::Event;
 use tm_obs::ObsHandle;
-use tm_serve::{ServeConfig, ServerFrame, SessionTable, MIN_MEMO_CAP};
+use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
+use tm_serve::{Routed, ServeConfig, ServerFrame, SessionTable, MIN_MEMO_CAP};
 
 fn verdict_lines(frames: &[tm_serve::Routed]) -> Vec<String> {
     frames
@@ -72,9 +75,10 @@ fn full_inbox_bounces_busy_and_the_session_recovers() {
 
 #[test]
 fn governor_shrinks_capacity_as_sessions_crowd_in_and_restores_on_close() {
-    // 1 MiB budget: alone, a session gets the full entry allowance;
-    // with 63 peers it gets a 64th of it; when they close it grows back.
-    let budget = 1u64 << 20;
+    // A budget of 4 096 entries: alone, a session gets the full entry
+    // allowance; with 63 peers it gets a 64th of it; when they close it
+    // grows back.
+    let budget = 4096 * tm_serve::EST_ENTRY_BYTES;
     let mut table = SessionTable::new(ServeConfig {
         memo_budget_bytes: Some(budget),
         ..ServeConfig::default()
@@ -199,4 +203,182 @@ fn obs_counters_track_busy_and_sessions() {
     assert_eq!(snap.counter("serve.busy"), Some(1));
     assert_eq!(snap.counter("serve.sessions_opened"), Some(1));
     assert_eq!(snap.counter("serve.frames_fed"), Some(1));
+}
+
+/// One lifetime of a session id, from its `open` to its `closed` summary.
+struct Incarnation {
+    id: &'static str,
+    events: Vec<Event>,
+    /// Events fed (all accepted: the inbox never fills here).
+    fed: usize,
+    /// The verdict lines the table answered it with.
+    verdicts: Vec<String>,
+    /// Its `closed` summary arrived.
+    closed: bool,
+}
+
+/// The verdict lines a standalone monitor answers `events` with, rendered
+/// as the daemon renders them for session `id`.
+fn standalone_verdict_lines(id: &str, events: &[Event]) -> Vec<String> {
+    let mut monitor = OpacityMonitor::new(tm_serve::specs());
+    let mut lines = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        let Ok(verdict) = monitor.feed(e.clone()) else {
+            break; // poisoned: error frames follow, not verdicts
+        };
+        let (verdict, at) = match verdict {
+            MonitorVerdict::OpaqueChecked => ("opaque", None),
+            MonitorVerdict::OpaqueBySkip => ("opaque_skip", None),
+            MonitorVerdict::Violated { at } => ("violated", Some(at)),
+        };
+        let frame = ServerFrame::Verdict {
+            session: id.to_string(),
+            seq: i + 1,
+            verdict,
+            at,
+        };
+        lines.push(frame.render());
+    }
+    lines
+}
+
+/// Files `frames` under the incarnations they answer. `asked` is the id
+/// the call that returned them named (`None` for scheduler turns): every
+/// frame naming a session must name it. A turn's verdicts and summaries
+/// go to their id's open incarnation, which must exist.
+fn absorb(
+    incarnations: &mut [Incarnation],
+    live: &mut [Option<usize>],
+    ids: &[&'static str],
+    frames: Vec<Routed>,
+    asked: Option<&str>,
+) -> Result<(), TestCaseError> {
+    for r in frames {
+        let session = match &r.frame {
+            ServerFrame::Opened { session }
+            | ServerFrame::Verdict { session, .. }
+            | ServerFrame::Ack { session, .. }
+            | ServerFrame::Busy { session, .. }
+            | ServerFrame::Closed { session, .. } => Some(session),
+            ServerFrame::Error { session, .. } => session.as_ref(),
+        };
+        let Some(session) = session else { continue };
+        if let Some(asked) = asked {
+            prop_assert_eq!(&**session, asked, "{:?}", r.frame);
+        }
+        let slot = ids.iter().position(|id| session == id);
+        let Some(slot) = slot else {
+            return Err(TestCaseError::fail(format!(
+                "unknown session in {:?}",
+                r.frame
+            )));
+        };
+        let owner = live[slot];
+        match &r.frame {
+            ServerFrame::Verdict { .. } => {
+                let Some(i) = owner else {
+                    return Err(TestCaseError::fail(format!(
+                        "no open session: {:?}",
+                        r.frame
+                    )));
+                };
+                incarnations[i].verdicts.push(r.frame.render());
+            }
+            ServerFrame::Closed { .. } => {
+                let Some(i) = owner else {
+                    return Err(TestCaseError::fail(format!(
+                        "no open session: {:?}",
+                        r.frame
+                    )));
+                };
+                incarnations[i].closed = true;
+                live[slot] = None;
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random open / feed / close / reopen sequences over a few ids: a
+    /// closed session's slot is taken by the next open, so slots and run
+    /// queue entries are reused under other sessions. Each session's
+    /// verdicts equal a standalone monitor's on the events it was fed, and
+    /// no frame names a session other than the one it answers.
+    #[test]
+    fn reused_session_slots_keep_sessions_apart(
+        n_ids in 3usize..5,
+        seed in 0u64..100_000,
+        ops in proptest::collection::vec((0u8..9, 0usize..4), 20..160),
+    ) {
+        let ids = &["a", "b", "c", "d"][..n_ids];
+        let mut table = SessionTable::new(ServeConfig {
+            node_budget: 1,
+            ..ServeConfig::default()
+        });
+        let mut incarnations: Vec<Incarnation> = Vec::new();
+        // The incarnation each id's frames belong to, until its summary.
+        let mut live: Vec<Option<usize>> = vec![None; n_ids];
+        // Whether each id's live incarnation was asked to close.
+        let mut closing = vec![false; n_ids];
+        for (kind, which) in ops {
+            let slot = which % n_ids;
+            let id = ids[slot];
+            let frames = match kind {
+                0 | 1 => {
+                    if live[slot].is_none() {
+                        live[slot] = Some(incarnations.len());
+                        closing[slot] = false;
+                        let h = random_history(
+                            &GenConfig::default(),
+                            seed * 131 + incarnations.len() as u64,
+                        );
+                        incarnations.push(Incarnation {
+                            id,
+                            events: h.events().to_vec(),
+                            fed: 0,
+                            verdicts: Vec::new(),
+                            closed: false,
+                        });
+                    }
+                    table.open(id, 0)
+                }
+                2..=5 => match live[slot] {
+                    Some(i) if !closing[slot] => {
+                        let inc = &mut incarnations[i];
+                        let Some(e) = inc.events.get(inc.fed).cloned() else {
+                            continue;
+                        };
+                        inc.fed += 1;
+                        table.feed(id, e, None, 0)
+                    }
+                    // Not open, or closing: refused with an error naming `id`.
+                    _ => table.feed(id, Event::TryCommit(tm_model::TxId(1)), None, 0),
+                },
+                6 => {
+                    if live[slot].is_some() {
+                        closing[slot] = true;
+                    }
+                    table.close(id, 0)
+                }
+                _ => {
+                    let turn = table.pump_one();
+                    absorb(&mut incarnations, &mut live, ids, turn, None)?;
+                    continue;
+                }
+            };
+            absorb(&mut incarnations, &mut live, ids, frames, Some(id))?;
+        }
+        let last = table.drain_and_close_all();
+        absorb(&mut incarnations, &mut live, ids, last, None)?;
+        prop_assert_eq!(table.session_count(), 0);
+        for inc in &incarnations {
+            prop_assert!(inc.closed, "session `{}` never closed", inc.id);
+            let expected = standalone_verdict_lines(inc.id, &inc.events[..inc.fed]);
+            prop_assert_eq!(&inc.verdicts, &expected, "session `{}`", inc.id);
+        }
+    }
 }
