@@ -59,14 +59,18 @@
 //!
 //! The table is flat: a `Vec` of records (mask, fingerprint, arena range,
 //! shard, stamp, cost bucket, collision link), a chunked arena of the
-//! `(slot, value)` pairs of each entry's canonical state ([`SlotStates`],
-//! see `crate::state`), and one index from `(mask, fingerprint)` to the
+//! 8-byte `(slot, value id)` pairs of each entry's canonical state
+//! ([`SlotStates`], see `crate::state`: the values themselves are interned
+//! once per session), and one index from `(mask, fingerprint)` to the
 //! newest record with that key, whose link chains the older ones. An
 //! insert appends to the arena's last chunk (a new chunk when the pairs do
 //! not fit, never a reallocation) and pushes a record; a probe is one index
 //! lookup and a chain walk comparing pairs in place. Evicted and
 //! invalidated records stay as tombstones until they outnumber live ones;
-//! one pass then compacts records and arena.
+//! one pass then compacts records and arena. When the session renumbers
+//! its value ids, [`ShardedMemo::mark_ids`] reports the ids the live
+//! records hold and [`ShardedMemo::renumber`] rewrites them; a tombstone's
+//! pairs are never compared again, so they are left as they are.
 //!
 //! The fingerprint (the XOR of one `DefaultHasher` digest of
 //! `(object, value)` per non-initial object, kept by the replay) mixed with
@@ -86,8 +90,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use tm_model::Value;
-
 use crate::state::SlotStates;
 
 /// Default shard count (a power of two; also the upper bound when the
@@ -97,10 +99,10 @@ const DEFAULT_SHARDS: usize = 16;
 /// The end of a collision chain.
 const NIL: u32 = u32::MAX;
 
-/// The largest arena chunk, in pairs. Chunks double from 16 up to it, and
-/// pairs that do not fit in the last chunk's spare capacity open a new
-/// one, so the arena never reallocates and wastes less than one chunk.
-const MAX_CHUNK: usize = 1024;
+/// The largest arena chunk, in pairs (16 KiB). Chunks double from 16 up to
+/// it, and pairs that do not fit in the last chunk's spare capacity open a
+/// new one, so the arena never reallocates and wastes less than one chunk.
+const MAX_CHUNK: usize = 2048;
 
 /// One memoized dead end, or (`live` false) its tombstone.
 struct Record {
@@ -108,7 +110,7 @@ struct Record {
     fingerprint: u64,
     /// Per-shard clock value of the record's current queue reference.
     stamp: u64,
-    /// The `(slot, value)` pairs: `len` from `start` in arena chunk `chunk`.
+    /// The `(slot, id)` pairs: `len` from `start` in arena chunk `chunk`.
     chunk: u32,
     start: u32,
     len: u32,
@@ -129,16 +131,20 @@ type QueueRef = (u32, u64);
 /// The records' pairs, in chunks that never move.
 #[derive(Default)]
 struct Arena {
-    chunks: Vec<Vec<(u32, Value)>>,
+    chunks: Vec<Vec<(u32, u32)>>,
 }
 
 impl Arena {
+    /// The pairs of record `r`.
+    fn pairs(&self, r: &Record) -> &[(u32, u32)] {
+        &self.chunks[r.chunk as usize][r.start as usize..][..r.len as usize]
+    }
+
     /// The live record of exactly the entries of `states` in the
     /// collision chain from `id`, or NIL.
     fn find(&self, records: &[Record], mut id: u32, states: &SlotStates) -> u32 {
         while let Some(r) = records.get(id as usize) {
-            let pairs = &self.chunks[r.chunk as usize][r.start as usize..][..r.len as usize];
-            if r.live && pairs.iter().map(|(s, v)| (*s, v)).eq(states.entries()) {
+            if r.live && self.pairs(r).iter().copied().eq(states.entries()) {
                 break;
             }
             id = r.next;
@@ -157,7 +163,7 @@ impl Arena {
         }
         let last = self.chunks.len() - 1;
         let start = self.chunks[last].len();
-        self.chunks[last].extend(states.entries().map(|(s, v)| (s, v.clone())));
+        self.chunks[last].extend(states.entries());
         (last as u32, start as u32)
     }
 }
@@ -347,8 +353,7 @@ impl ShardedMemo {
                 (chunk, end) = (chunk + 1, 0);
             }
             for i in 0..r.len as usize {
-                let from = &mut chunks[r.chunk as usize][r.start as usize + i];
-                chunks[chunk][end + i] = std::mem::replace(from, (0, Value::Unit));
+                chunks[chunk][end + i] = chunks[r.chunk as usize][r.start as usize + i];
             }
             (r.chunk, r.start) = (chunk as u32, end as u32);
             end += r.len as usize;
@@ -408,6 +413,26 @@ impl ShardedMemo {
         self.shards.iter_mut().for_each(|sh| *sh = Shard::default());
     }
 
+    /// Sets `marks[id]` to 0 for every value id a live record holds.
+    pub(crate) fn mark_ids(&self, marks: &mut [u32]) {
+        for r in self.records.iter().filter(|r| r.live) {
+            let pairs = self.arena.pairs(r);
+            pairs.iter().for_each(|&(_, id)| marks[id as usize] = 0);
+        }
+    }
+
+    /// Rewrites every value id a live record holds through `remap`. The
+    /// ids keep their hashes, so fingerprints, the index and the shards
+    /// stay as they are.
+    pub(crate) fn renumber(&mut self, remap: &[u32]) {
+        for r in self.records.iter().filter(|r| r.live) {
+            let chunk = &mut self.arena.chunks[r.chunk as usize];
+            for (_, id) in &mut chunk[r.start as usize..][..r.len as usize] {
+                *id = remap[*id as usize];
+            }
+        }
+    }
+
     /// Resident entries across all shards.
     pub(crate) fn resident(&self) -> usize {
         self.live
@@ -433,14 +458,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::hash::{Hash, Hasher};
-    use tm_model::ObjId;
+    use tm_model::{ObjId, Value};
 
-    /// The state with object `x` (slot 0) at `n`, with its real entry hash.
+    /// The state with object `x` (slot 0) at `n` (`n` > -100), with its
+    /// real entry hash and the id `n + 100`.
     fn state(n: i64) -> SlotStates {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         ObjId::new("x").hash(&mut h);
         Value::Int(n).hash(&mut h);
-        SlotStates::from_entries([(0, Value::Int(n), h.finish())])
+        SlotStates::from_entries([(0, (n + 100) as u32, h.finish())])
     }
 
     /// A mask with `d` low bits set (depth `d`).
@@ -645,9 +671,9 @@ mod tests {
         // entry lists decides a hit. Two distinct states forced to the same
         // fingerprint are two dead ends, not one.
         let mut memo = ShardedMemo::new(None);
-        let a = SlotStates::from_entries([(0, Value::Int(1), 0xfeed)]);
-        let b = SlotStates::from_entries([(0, Value::Int(2), 0xfeed)]);
-        let c = SlotStates::from_entries([(0, Value::Int(1), 0x0f0f), (3, Value::Int(5), 0xf1e2)]);
+        let a = SlotStates::from_entries([(0, 1, 0xfeed)]);
+        let b = SlotStates::from_entries([(0, 2, 0xfeed)]);
+        let c = SlotStates::from_entries([(0, 1, 0x0f0f), (3, 5, 0xf1e2)]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), c.fingerprint());
         memo.insert(0b1, &a, 1);
@@ -660,40 +686,48 @@ mod tests {
         assert!(memo.probe(0b1, &a) && memo.probe(0b1, &b) && memo.probe(0b1, &c));
     }
 
-    /// State `i` of the proptest pool (`i` < 65): one or two register
-    /// entries, or none, with hand-forced fingerprints drawn from two
-    /// hashes, so that most masks hold chains of colliding states.
+    /// State `i` of the proptest pool (`i` < 65): one or two entries of
+    /// ids below 8, or none, with hand-forced fingerprints drawn from two
+    /// hashes, so that most masks hold chains of colliding states. An id's
+    /// hash is fixed by its parity.
     fn pooled(i: u8) -> SlotStates {
-        let entry = |slot: u32, v: i64| (slot, Value::Int(v), 1u64 << (v % 2));
-        let (a, b) = (i64::from(i % 8), i64::from(i / 8));
+        let (a, b) = (u32::from(i % 8), u32::from(i / 8));
         match i {
-            64 => SlotStates::from_entries([]),
-            _ if b == 0 => SlotStates::from_entries([entry(0, a)]),
-            _ => SlotStates::from_entries([entry(0, a), entry(1, b)]),
+            64 => from_pairs(&[]),
+            _ if b == 0 => from_pairs(&[(0, a)]),
+            _ => from_pairs(&[(0, a), (1, b)]),
         }
     }
 
-    /// The key of the reference model.
-    fn model_key(mask: u64, states: &SlotStates) -> (u64, Vec<(u32, Value)>) {
-        (
-            mask,
-            states.entries().map(|(s, v)| (s, v.clone())).collect(),
-        )
+    /// The state of these `(slot, id)` pairs, each id hashing by parity.
+    fn from_pairs(pairs: &[(u32, u32)]) -> SlotStates {
+        SlotStates::from_entries(pairs.iter().map(|&(slot, id)| (slot, id, 1u64 << (id % 2))))
     }
+
+    /// The key of the reference model.
+    fn model_key(mask: u64, states: &SlotStates) -> (u64, Vec<(u32, u32)>) {
+        (mask, states.entries().collect())
+    }
+
+    /// A renumbering of the pool's ids that keeps each id's hash: ids move
+    /// by two, within their parity.
+    const ROTATE: [u32; 8] = [2, 3, 4, 5, 6, 7, 0, 1];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random insert / probe / `retain_placing` / `clear` /
-        /// `set_capacity` sequences against a set of `(mask, pairs)`.
+        /// `set_capacity` / `renumber` sequences against a set of
+        /// `(mask, (slot, id) pairs)`.
         /// While the table has been unbounded since it was last emptied,
         /// a probe hits exactly the model's members and the resident count
         /// is the model's size; otherwise every hit is a live member, the
         /// resident count stays within the enforced capacity, an insert
         /// evicts at most the one entry it displaces (and none while a
         /// one-shard table has room), and the eviction count never
-        /// decreases. In the end, probing every member hits exactly the
-        /// resident entries.
+        /// decreases. While exact, `mark_ids` marks exactly the ids of the
+        /// model's members. In the end, probing every member hits exactly
+        /// the resident entries.
         #[test]
         fn memo_agrees_with_a_reference_set(
             initial in 0usize..5,
@@ -725,10 +759,19 @@ mod tests {
                             prop_assert!(member || !hit, "hit on a non-member");
                         }
                     }
-                    58..=61 => {
+                    58..=60 => {
                         let bit = 1 << (mask % 3);
                         memo.retain_placing(bit);
                         model.retain(|(m, _)| m & bit != 0);
+                    }
+                    61 => {
+                        memo.renumber(&ROTATE);
+                        model = model
+                            .into_iter()
+                            .map(|(m, pairs)| {
+                                (m, pairs.into_iter().map(|(s, id)| (s, ROTATE[id as usize])).collect())
+                            })
+                            .collect();
                     }
                     62 => {
                         memo.clear();
@@ -747,6 +790,13 @@ mod tests {
                 }
                 if exact {
                     prop_assert_eq!(memo.resident(), model.len());
+                    let mut marks = [NIL; 8];
+                    memo.mark_ids(&mut marks);
+                    let mut expected = [NIL; 8];
+                    for (_, pairs) in &model {
+                        pairs.iter().for_each(|&(_, id)| expected[id as usize] = 0);
+                    }
+                    prop_assert_eq!(marks, expected);
                 }
                 prop_assert!(memo.resident() <= model.len());
                 if let Some(cap) = memo.capacity() {
@@ -756,9 +806,9 @@ mod tests {
                 evictions = memo.evictions();
             }
             let resident = memo.resident();
-            let members: Vec<(u64, SlotStates)> = (0..8)
-                .flat_map(|mask| (0..65).map(move |i| (mask, pooled(i))))
-                .filter(|(mask, states)| model.contains(&model_key(*mask, states)))
+            let members: Vec<(u64, SlotStates)> = model
+                .iter()
+                .map(|(mask, pairs)| (*mask, from_pairs(pairs)))
                 .collect();
             let hits = members.iter().filter(|(mask, states)| memo.probe(*mask, states)).count();
             prop_assert_eq!(hits, resident);

@@ -82,24 +82,35 @@
 //!    fallback still runs; from the root it is the verdict. A history with
 //!    one component is explored exactly as without the rule.
 //!
-//! Object states live in a session-private, slot-indexed representation
-//! (`crate::state`). [`CheckSession::extend`] gives every object a dense
-//! slot the first time one of its operations completes, resolving its
-//! sequential specification, initial value, and name hash once, and
-//! records each completed operation's slot beside the operation. The DFS
-//! then mutates one canonical state **in place** — a slot-sorted list of
-//! the non-initial `(slot, value, entry hash)` entries plus their XOR
-//! fingerprint — and undoes placements from a log that keeps each
-//! displaced entry's hash, so a placement and its rollback hash one value
-//! per changed object and look nothing up by name. The only copy of a state
-//! left is a memo insert, which appends its `(slot, value)` pairs to the
-//! memo's arena (`crate::memo`); a probe is one keyed lookup that compares
-//! the live state in place. [`SearchStats`] counts the inserts and the
-//! clones avoided. Slots are never reused inside a session, so a memo
-//! entry recorded before an object appeared (the object was then at its
-//! initial state, which has no entry) still compares correctly against
-//! every later state; equality of the entry lists, not the fingerprint,
-//! decides a memo hit.
+//! Object states live in a session-private, slot-indexed, interned
+//! representation (`crate::state`). [`CheckSession::extend`] gives every
+//! object a dense slot the first time one of its operations completes,
+//! resolving its sequential specification, initial value, and name hash
+//! once, and records each completed operation's slot beside the operation.
+//! The session numbers every object value a replay produces with a dense
+//! id (id 0 is the initial value) and keeps the value's entry hash beside
+//! it. The DFS then mutates one canonical state **in place** — a
+//! slot-sorted list of the non-initial `(slot, id, entry hash)` entries
+//! plus their XOR fingerprint — and undoes placements from a log of the
+//! displaced entries, so a placement and its rollback copy integers, not
+//! values, and look nothing up by name. Each completed operation caches
+//! its last transition, `input id → output id` (or illegal), so a replay
+//! from a state it has seen asks the specification nothing. The only copy
+//! of a state left is a memo insert, which appends its 8-byte
+//! `(slot, id)` pairs to the memo's arena (`crate::memo`); a probe is one
+//! keyed lookup that compares the live state in place. [`SearchStats`]
+//! counts the inserts and the clones avoided. Slots are never reused inside
+//! a session, so a memo entry recorded before an object appeared (the
+//! object was then at its initial state, which has no entry) still compares
+//! correctly against every later state; equality of the `(slot, id)` lists,
+//! not the fingerprint, decides a memo hit.
+//!
+//! After a check, a session whose value table holds more than twice the
+//! ids still referenced (plus a slack) renumbers it: it keeps only the ids
+//! that live memo records, the checkpoint's state and its undo log hold,
+//! rewrites them there, and forgets every cached transition. Objects whose
+//! values are collections reach states that no history event names, so
+//! without this a long session's table would outgrow `--memo-budget`.
 //!
 //! ## The memory-bounded memo
 //!
@@ -126,7 +137,7 @@
 use std::collections::HashMap;
 
 use crate::memo::ShardedMemo;
-use crate::state::{ReplayError, Slot, SlotStates, SlotTable, Undo};
+use crate::state::{OpSlot, ReplayError, Slot, SlotStates, SlotTable, Undo, ValueTable, NIL};
 use tm_model::wellformed::WfError;
 use tm_model::{Event, History, SpecRegistry, TxId, TxStatus, TxView};
 
@@ -173,6 +184,12 @@ pub enum CheckError {
     },
     /// An operation targets an object with no sequential specification.
     NoSpec(String),
+    /// The search produced more distinct object values than a session can
+    /// number.
+    TooManyValues {
+        /// Maximum supported by the engine.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -183,6 +200,9 @@ impl std::fmt::Display for CheckError {
                 write!(f, "{found} transactions exceed engine limit of {max}")
             }
             CheckError::NoSpec(obj) => write!(f, "no sequential specification for {obj}"),
+            CheckError::TooManyValues { max } => {
+                write!(f, "more than {max} distinct object values")
+            }
         }
     }
 }
@@ -229,7 +249,7 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Placements rejected by legality replay.
     pub illegal_placements: usize,
-    /// Memo-table inserts: each copies the object state's `(slot, value)`
+    /// Memo-table inserts: each copies the object state's `(slot, id)`
     /// pairs into the memo's arena, the only copy of a state the engine
     /// makes (no allocation of its own unless the arena opens a chunk).
     pub state_clones: usize,
@@ -335,6 +355,11 @@ impl Default for SearchConfig {
 
 const MAX_TXS: usize = 64;
 
+/// The ids a session's value table may hold beyond twice the ids still
+/// referenced before a check renumbers it, and the fewest ids it must gain
+/// between two scans for references.
+const RECLAIM_SLACK: usize = 256;
+
 /// Mirror of the per-transaction well-formedness automaton of
 /// `tm_model::wellformed`, maintained incrementally so that
 /// [`CheckSession::extend`] rejects exactly the events `check_well_formed`
@@ -353,8 +378,9 @@ enum TxWf {
 struct TxCell {
     id: TxId,
     view: TxView,
-    /// The slot of each operation in `view.ops`.
-    op_slots: Vec<u32>,
+    /// The slot of each operation in `view.ops`, with the operation's last
+    /// transition.
+    op_slots: Vec<OpSlot>,
     wf: TxWf,
     issued_try_abort: bool,
     /// Bit index in the placement masks, assigned when the transaction
@@ -393,6 +419,18 @@ struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// Sets `marks[id]` to 0 for every value id the path holds.
+    fn mark_ids(&self, marks: &mut [u32]) {
+        self.states.mark_ids(marks);
+        self.undo.mark_ids(marks);
+    }
+
+    /// Rewrites every value id the path holds through `remap`.
+    fn renumber(&mut self, remap: &[u32]) {
+        self.states.renumber(remap);
+        self.undo.renumber(remap);
+    }
+
     /// Undoes every step from position `len` on.
     fn truncate(&mut self, len: usize) {
         if let Some(step) = self.stack.get(len) {
@@ -407,7 +445,10 @@ impl Checkpoint {
 /// session's checkpoint, which it extends in place and hands back.
 struct Dfs<'s> {
     slots: &'s [Slot<'s>],
-    txs: &'s [TxCell],
+    /// The session's values: a replay interns the ones it produces.
+    values: &'s mut ValueTable,
+    /// Mutable for the transition caches of their operations.
+    txs: &'s mut [TxCell],
     by_bit: &'s [usize],
     /// [`CheckSession`]'s component mask per bit.
     comp: &'s [u64],
@@ -452,14 +493,18 @@ fn allowed_placements(status: TxStatus) -> &'static [Placement] {
 impl Dfs<'_> {
     /// Replays candidate `ci` in place against the current state.
     /// `Ok(true)`: legal, effects applied; `Ok(false)`: illegal (counted,
-    /// state untouched); `Err`: an object without a specification.
+    /// state untouched); `Err`: an object without a specification, or a
+    /// value the session has no id left for.
     fn place(&mut self, ci: usize) -> Result<bool, CheckError> {
-        let tx = &self.txs[ci];
+        let tx = &mut self.txs[ci];
         let path = &mut self.path;
-        match path
-            .states
-            .replay(&tx.view.ops, &tx.op_slots, self.slots, &mut path.undo)
-        {
+        match path.states.replay(
+            &tx.view.ops,
+            &mut tx.op_slots,
+            self.slots,
+            self.values,
+            &mut path.undo,
+        ) {
             Ok(()) => Ok(true),
             Err(ReplayError::Illegal) => {
                 self.stats.illegal_placements += 1;
@@ -468,6 +513,7 @@ impl Dfs<'_> {
             Err(ReplayError::NoSpec(slot)) => Err(CheckError::NoSpec(
                 self.slots[slot as usize].obj().name().to_string(),
             )),
+            Err(ReplayError::OutOfIds) => Err(CheckError::TooManyValues { max: NIL as usize }),
         }
     }
 
@@ -582,6 +628,12 @@ pub struct CheckSession<'a> {
     specs: &'a SpecRegistry,
     /// The objects seen so far, each resolved against `specs` once.
     slots: SlotTable<'a>,
+    /// The object values the searches produced, numbered. It outlives the
+    /// checkpoint (an error drops the path), because memo records hold ids.
+    values: ValueTable,
+    /// The ids referenced at the last reclamation scan, and the table's
+    /// size after it (see [`CheckSession::reclaim`]).
+    reclaim: (usize, usize),
     mode: SearchMode,
     config: SearchConfig,
     txs: Vec<TxCell>,
@@ -626,6 +678,8 @@ impl<'a> CheckSession<'a> {
         CheckSession {
             specs,
             slots: SlotTable::default(),
+            values: ValueTable::default(),
+            reclaim: (0, 0),
             mode,
             config,
             txs: Vec::new(),
@@ -704,6 +758,8 @@ impl<'a> CheckSession<'a> {
     pub fn set_memo_capacity(&mut self, capacity: Option<usize>) {
         self.config.memo_capacity = capacity;
         self.memo.set_capacity(capacity);
+        // The memo may hold fewer ids now: scan after the next check.
+        self.reclaim = (0, 0);
     }
 
     /// Consumes one event, updating transaction metadata incrementally and
@@ -859,7 +915,7 @@ impl<'a> CheckSession<'a> {
                         index,
                     }));
                 };
-                self.txs[ci].op_slots.push(slot);
+                self.txs[ci].op_slots.push(OpSlot::new(slot));
                 self.txs[ci].view.ops.push(tm_model::OpExec {
                     tx,
                     obj,
@@ -929,7 +985,7 @@ impl<'a> CheckSession<'a> {
         self.comp.push(1 << b);
         self.join(b, self.txs[ci].pred_mask);
         for k in 0..self.txs[ci].op_slots.len() {
-            self.touch(b, self.txs[ci].op_slots[k]);
+            self.touch(b, self.txs[ci].op_slots[k].slot());
         }
     }
 
@@ -1048,7 +1104,8 @@ impl<'a> CheckSession<'a> {
         let started = obs.enabled().then(std::time::Instant::now);
         let mut dfs = Dfs {
             slots: self.slots.slots(),
-            txs: &self.txs,
+            values: &mut self.values,
+            txs: &mut self.txs,
             by_bit: &self.by_bit,
             comp: &self.comp,
             order: &self.order[valid..],
@@ -1077,6 +1134,7 @@ impl<'a> CheckSession<'a> {
         // An error above drops the path: the next check starts from the
         // root, as a fresh session would.
         self.checkpoint = path;
+        self.reclaim();
         stats.evictions = self.memo.evictions() - evictions_before;
         stats.workers = 1;
         if let Some(t0) = started {
@@ -1096,6 +1154,47 @@ impl<'a> CheckSession<'a> {
                 .collect(),
         });
         Ok(SearchOutcome { witness, stats })
+    }
+
+    /// Renumbers the value table once it holds more than twice the ids
+    /// still referenced, plus [`RECLAIM_SLACK`]: only the ids that live
+    /// memo records and the checkpoint hold are kept, and every cached
+    /// transition is forgotten. Ids keep their order and their hashes, so
+    /// fingerprints, shards and every later search are unchanged.
+    ///
+    /// Counting the references walks the memo, so it runs only once the
+    /// table has outgrown twice the count of the last scan (plus the slack)
+    /// and gained at least the slack since. After every check the table
+    /// therefore holds at most twice the ids referenced at the last scan
+    /// plus twice the slack.
+    fn reclaim(&mut self) {
+        let (referenced, scanned) = self.reclaim;
+        let len = self.values.len();
+        if len <= referenced.saturating_mul(2).saturating_add(RECLAIM_SLACK)
+            || len < scanned.saturating_add(RECLAIM_SLACK)
+        {
+            return;
+        }
+        let mut marks = self.referenced_ids();
+        let referenced = marks.iter().filter(|&&m| m != NIL).count();
+        if len > 2 * referenced + RECLAIM_SLACK {
+            self.values.renumber(&mut marks);
+            self.memo.renumber(&marks);
+            self.checkpoint.renumber(&marks);
+            for tx in &mut self.txs {
+                tx.op_slots.iter_mut().for_each(OpSlot::forget);
+            }
+        }
+        self.reclaim = (referenced, self.values.len());
+    }
+
+    /// One mark per value id: 0 for the ids that live memo records and the
+    /// checkpoint hold, `NIL` for the rest.
+    fn referenced_ids(&self) -> Vec<u32> {
+        let mut marks = vec![NIL; self.values.len()];
+        self.memo.mark_ids(&mut marks);
+        self.checkpoint.mark_ids(&mut marks);
+        marks
     }
 
     /// Folds one check's [`SearchStats`] into the observability sink — per
@@ -1133,7 +1232,10 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tm_model::builder::{paper, HistoryBuilder};
+    use tm_model::objects::FifoQueue;
+    use tm_model::{OpName, Value};
 
     fn regs() -> SpecRegistry {
         SpecRegistry::registers()
@@ -1771,6 +1873,78 @@ mod tests {
             }
             assert_eq!(s.memo_evictions(), s.lifetime_stats().evictions);
         }
+    }
+
+    // ---- value-id reclamation -------------------------------------------
+
+    #[test]
+    fn reclamation_renumbers_values_without_changing_any_check() {
+        // Rounds of five concurrent enqueuers of fresh values, each round
+        // closed by a dequeuer that pops them in the reverse of the order
+        // the search tries first: every round explores the orders of its
+        // enqueuers, reaching queue states that no event names and that no
+        // dead end keeps under a small memo. Fed event by event, with a
+        // node limit that cuts the later checks short, the session that
+        // reclaims must check exactly like one that never does.
+        let mut b = HistoryBuilder::new();
+        for r in 0..10u32 {
+            let first = 6 * r + 1;
+            let enqueuers = first..first + 5;
+            for t in enqueuers.clone() {
+                b = b.op(t, "q", OpName::Enq, vec![Value::int(t.into())], Value::Ok);
+            }
+            for t in enqueuers.clone() {
+                b = b.commit_ok(t);
+            }
+            for t in enqueuers.rev() {
+                b = b.op(first + 5, "q", OpName::Deq, vec![], Value::int(t.into()));
+            }
+            b = b.commit_ok(first + 5);
+        }
+        let h = b.build();
+        let specs = SpecRegistry::new().with_default(Arc::new(FifoQueue));
+        let config = SearchConfig {
+            node_limit: Some(300),
+            memo_capacity: Some(64),
+            ..SearchConfig::default()
+        };
+        let mut reclaiming = CheckSession::new(&specs, SearchMode::OPACITY, config);
+        let mut keeping = CheckSession::new(&specs, SearchMode::OPACITY, config);
+        keeping.reclaim = (usize::MAX, usize::MAX);
+        let (mut peak, mut renumbered, mut last_len, mut cut) = (0, 0, 0, 0);
+        for e in h.events() {
+            reclaiming.extend(e).unwrap();
+            keeping.extend(e).unwrap();
+            if !e.is_response() {
+                continue;
+            }
+            let got = reclaiming.check().unwrap();
+            let expected = keeping.check().unwrap();
+            assert_eq!(got.witness, expected.witness);
+            assert_eq!(got.stats, expected.stats);
+            let referenced = reclaiming
+                .referenced_ids()
+                .iter()
+                .filter(|&&m| m != NIL)
+                .count();
+            peak = peak.max(referenced);
+            let len = reclaiming.values.len();
+            assert!(
+                len <= 2 * peak + 2 * RECLAIM_SLACK,
+                "{len} ids, at most {peak} referenced"
+            );
+            renumbered += usize::from(len < last_len);
+            last_len = len;
+            cut += usize::from(got.stats.nodes == 300);
+        }
+        assert!(renumbered >= 2, "renumbered {renumbered} times");
+        assert!(cut > 0, "the node limit never bound");
+        assert!(
+            keeping.values.len() > 2 * peak + 2 * RECLAIM_SLACK,
+            "the workload outgrows the bound without reclamation: {} ids",
+            keeping.values.len()
+        );
+        assert_eq!(reclaiming.lifetime_stats(), keeping.lifetime_stats());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The object state of the serialization search: slot-indexed, canonical,
-//! and undone in place.
+//! The object state of the serialization search: slot-indexed, interned,
+//! canonical, and undone in place.
 //!
 //! A [`CheckSession`](crate::CheckSession) gives every object a dense **slot**
 //! the first time an operation on it completes ([`SlotTable::slot_of`]),
@@ -7,25 +7,37 @@
 //! needs to know about the object: its sequential specification, its
 //! initial value, and a `DefaultHasher` that has already absorbed the
 //! object's id. Each completed operation records its slot beside the
-//! operation, so the DFS never looks an object up by name.
+//! operation ([`OpSlot`]), so the DFS never looks an object up by name.
 //!
-//! [`SlotStates`] is the canonical state: the entries of the objects that
-//! are *not* in their initial state, sorted by slot, each with its cached
-//! entry hash, plus the XOR of those hashes (the fingerprint). An object in
-//! its initial state has no entry, so two states are equal exactly when
-//! their entry lists are. The entry hash of `(obj, value)` must stay the
-//! `DefaultHasher` digest of `obj` then `value`: the memo picks shards by
-//! the fingerprint, so a bounded memo's evictions (and with them its node
-//! counts, pinned by `tests/knot_workloads.rs`'s
-//! `exploration_counters_are_pinned`) follow
+//! Object values are **interned** in the session's [`ValueTable`]: every
+//! `(slot, value)` a replay produces gets a dense `u32` id, and id 0 stands
+//! for every slot's initial value. The table keeps each id's entry hash,
+//! computed once per distinct value.
+//!
+//! [`SlotStates`] is the canonical state: the `(slot, id, entry hash)`
+//! entries of the objects that are *not* in their initial state, sorted by
+//! slot, plus the XOR of their hashes (the fingerprint). An object in its
+//! initial state has no entry, and ids are injective per slot, so two
+//! states are equal exactly when their `(slot, id)` lists are. The entry
+//! hash of `(obj, value)` must stay the `DefaultHasher` digest of `obj` then
+//! `value`: the memo picks shards by the fingerprint, so a bounded memo's
+//! evictions (and with them its node counts, pinned by
+//! `tests/knot_workloads.rs`'s `exploration_counters_are_pinned`) follow
 //! these bits.
 //!
 //! [`SlotStates::replay`] validates a transaction's operations and applies
-//! them in place, logging each displaced entry (its hash included) in an
-//! [`Undo`] log; [`SlotStates::rollback_to`] restores them. A placement and
-//! its rollback therefore hash one value per changed object, and an
-//! operation that leaves its object's value unchanged (every register
-//! read) changes nothing and logs nothing.
+//! them in place, logging each displaced entry in an [`Undo`] log;
+//! [`SlotStates::rollback_to`] restores them. An operation that leaves its
+//! object's value unchanged (every register read) changes nothing and logs
+//! nothing. Each [`OpSlot`] also caches the last transition replayed
+//! through its operation, `input id → output id` (or illegal): a replay
+//! whose current id is the cached input skips both `SeqSpec::accepts` and
+//! the table lookup. That is sound because `accepts` is a function of the
+//! state, the operation, its arguments and its response, and an id always
+//! names the same value until [`ValueTable::renumber`], which the session
+//! follows by forgetting every cached transition. On a miss, the cached
+//! output is tried before the table: an operation that overwrites its
+//! object (every write) reaches the same value from every input.
 //!
 //! ## Why slot keys stay sound across a growing history
 //!
@@ -36,15 +48,23 @@
 //! later state holding `o` at its initial value has no entry for it
 //! either, so the old entry compares equal to exactly the states it
 //! describes. Because slots are never reused inside a core, an entry's
-//! slot numbers always name the objects they named when it was recorded.
-//! The fingerprint only picks the shard and pre-filters; equality of the
-//! entry lists decides a hit.
+//! slot numbers always name the objects they named when it was recorded,
+//! and because the session renumbers ids only together with every memo
+//! entry, checkpoint state and undo record that holds them, its ids always
+//! name the values they named. The fingerprint only picks the shard and
+//! pre-filters; equality of the `(slot, id)` lists decides a hit.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use tm_model::{ObjId, OpExec, SeqSpec, SpecRegistry, Value};
+
+/// No id: an empty transition cache, a dropped id in a renumbering.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// A cached transition's output for an operation its input rejects.
+const ILLEGAL: u32 = u32::MAX;
 
 /// One object of a core, resolved when its first operation completes.
 pub(crate) struct Slot<'a> {
@@ -109,12 +129,165 @@ impl<'a> SlotTable<'a> {
     }
 }
 
+/// A completed operation's slot, and the last transition replayed through
+/// the operation: from id `from` (`NIL` when none is cached) to id `to`,
+/// or `ILLEGAL`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OpSlot {
+    slot: u32,
+    from: u32,
+    to: u32,
+}
+
+impl OpSlot {
+    /// The slot of an operation no replay has seen yet.
+    pub(crate) fn new(slot: u32) -> Self {
+        OpSlot {
+            slot,
+            from: NIL,
+            to: NIL,
+        }
+    }
+
+    /// The operation's object slot.
+    pub(crate) fn slot(&self) -> u32 {
+        self.slot
+    }
+
+    /// Drops the cached transition (its ids are about to be renumbered).
+    pub(crate) fn forget(&mut self) {
+        (self.from, self.to) = (NIL, NIL);
+    }
+}
+
+/// One interned value.
+struct Interned {
+    slot: u32,
+    /// The entry hash of `(slot's object, value)`.
+    hash: u64,
+    /// The next older id with the same `(slot, hash)` key, or NIL.
+    next: u32,
+    value: Value,
+}
+
+/// The object values of one session, each numbered once per slot.
+///
+/// Id 0 is every slot's initial value (so "no entry ⟺ initial" holds in
+/// [`SlotStates`]); ids from 1 on are assigned in first-production order.
+/// One flat table serves every slot. Its index maps `(slot, entry hash)`
+/// to the newest id with that key, hashed with the map's own `RandomState`
+/// because the values come from clients, and a link chains the older ids
+/// whose hashes collide; equality of the values decides.
+#[derive(Default)]
+pub(crate) struct ValueTable {
+    /// Id `k` ≥ 1 at position `k - 1`.
+    ids: Vec<Interned>,
+    index: HashMap<(u32, u64), u32>,
+}
+
+impl ValueTable {
+    /// The number of ids in use, id 0 included: ids are below it.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len() + 1
+    }
+
+    /// What `id` stands for; `None` for id 0, the initial value.
+    fn get(&self, id: u32) -> Option<&Interned> {
+        self.ids.get((id as usize).wrapping_sub(1))
+    }
+
+    /// The entry hash of a non-initial id.
+    fn hash(&self, id: u32) -> u64 {
+        self.ids[id as usize - 1].hash
+    }
+
+    /// The id of `value`, not the initial value, in slot `s`; a new id on
+    /// first sight. `Err` once the id space is spent.
+    fn intern(&mut self, s: u32, slot: &Slot<'_>, value: Value) -> Result<u32, ReplayError> {
+        let hash = slot.entry_hash(&value);
+        let head = self.index.entry((s, hash)).or_insert(NIL);
+        let mut at = *head;
+        while let Some(v) = self.ids.get((at as usize).wrapping_sub(1)) {
+            if v.value == value {
+                return Ok(at);
+            }
+            at = v.next;
+        }
+        let fresh = u32::try_from(self.ids.len() + 1)
+            .ok()
+            .filter(|&id| id != NIL)
+            .ok_or(ReplayError::OutOfIds)?;
+        let next = std::mem::replace(head, fresh);
+        self.ids.push(Interned {
+            slot: s,
+            hash,
+            next,
+            value,
+        });
+        Ok(fresh)
+    }
+
+    /// Where operation `op` takes slot `s` from id `current`: an id, or
+    /// `ILLEGAL` when the specification rejects the response. `last` is the
+    /// operation's previous output (an id of slot `s`, or none), tried
+    /// before the table: an operation that overwrites its object (every
+    /// write) reaches the same value from every input.
+    fn transition(
+        &mut self,
+        s: u32,
+        slot: &Slot<'_>,
+        current: u32,
+        op: &OpExec,
+        last: u32,
+    ) -> Result<u32, ReplayError> {
+        let Some((spec, initial)) = &slot.spec else {
+            return Err(ReplayError::NoSpec(s));
+        };
+        let value = self.get(current).map_or(initial, |v| &v.value);
+        let Some(next) = spec.accepts(value, &op.op, &op.args, &op.val) else {
+            return Ok(ILLEGAL);
+        };
+        if &next == value {
+            Ok(current)
+        } else if &next == initial {
+            Ok(0)
+        } else if self.get(last).is_some_and(|v| v.value == next) {
+            Ok(last)
+        } else {
+            self.intern(s, slot, next)
+        }
+    }
+
+    /// Keeps the ids `marks` holds anything but `NIL` for, and id 0,
+    /// numbering them densely in their old order, and drops the rest.
+    /// Afterwards `marks` maps each old id to its new one (`NIL` for a
+    /// dropped id). Hashes do not change, so neither do fingerprints.
+    pub(crate) fn renumber(&mut self, marks: &mut [u32]) {
+        debug_assert_eq!(marks.len(), self.len(), "one mark per id");
+        marks[0] = 0;
+        let mut kept = 0;
+        for (old, mark) in marks[1..].iter_mut().enumerate() {
+            if *mark != NIL {
+                self.ids.swap(kept, old);
+                kept += 1;
+                *mark = kept as u32;
+            }
+        }
+        self.ids.truncate(kept);
+        self.index.clear();
+        for (k, v) in self.ids.iter_mut().enumerate() {
+            let id = k as u32 + 1;
+            v.next = self.index.insert((v.slot, v.hash), id).unwrap_or(NIL);
+        }
+    }
+}
+
 /// One non-initial object state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Entry {
     slot: u32,
-    value: Value,
-    /// `entry_hash(value)` of the slot, cached.
+    id: u32,
+    /// The id's entry hash, cached.
     hash: u64,
 }
 
@@ -128,13 +301,7 @@ pub(crate) struct SlotStates {
 
 impl PartialEq for SlotStates {
     fn eq(&self, other: &Self) -> bool {
-        self.fingerprint == other.fingerprint
-            && self.entries.len() == other.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&other.entries)
-                .all(|(a, b)| a.slot == b.slot && a.value == b.value)
+        self.fingerprint == other.fingerprint && self.entries().eq(other.entries())
     }
 }
 
@@ -143,12 +310,12 @@ impl Eq for SlotStates {}
 /// One change undone by [`SlotStates::rollback_to`].
 enum Change {
     /// An entry was inserted at this position.
-    Inserted(usize),
-    /// The entry at `pos` held `value` (hashing to `hash`) before.
-    Replaced { pos: usize, value: Value, hash: u64 },
-    /// This entry was removed from `pos` (its object went back to its
-    /// initial state).
-    Removed { pos: usize, entry: Entry },
+    Inserted(u32),
+    /// The entry at this position was this one before.
+    Replaced(u32, Entry),
+    /// This entry was removed from this position (its object went back to
+    /// its initial state).
+    Removed(u32, Entry),
 }
 
 /// The undo log of in-place replays.
@@ -162,6 +329,24 @@ impl Undo {
     pub(crate) fn mark(&self) -> usize {
         self.changes.len()
     }
+
+    /// Sets `marks[id]` to 0 for every id the log would restore.
+    pub(crate) fn mark_ids(&self, marks: &mut [u32]) {
+        for change in &self.changes {
+            if let Change::Replaced(_, e) | Change::Removed(_, e) = change {
+                marks[e.id as usize] = 0;
+            }
+        }
+    }
+
+    /// Rewrites every id the log would restore through `remap`.
+    pub(crate) fn renumber(&mut self, remap: &[u32]) {
+        for change in &mut self.changes {
+            if let Change::Replaced(_, e) | Change::Removed(_, e) = change {
+                e.id = remap[e.id as usize];
+            }
+        }
+    }
 }
 
 /// Why a replay failed.
@@ -171,6 +356,8 @@ pub(crate) enum ReplayError {
     NoSpec(u32),
     /// A response is not allowed by the object's specification.
     Illegal,
+    /// The value table has numbered 2^32 - 1 values.
+    OutOfIds,
 }
 
 impl SlotStates {
@@ -180,18 +367,19 @@ impl SlotStates {
         self.fingerprint
     }
 
-    /// The `(slot, value)` entries, sorted by slot: what the memo stores
-    /// and compares.
-    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (u32, &Value)> {
-        self.entries.iter().map(|e| (e.slot, &e.value))
+    /// The `(slot, id)` entries, sorted by slot: what the memo stores and
+    /// compares.
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        self.entries.iter().map(|e| (e.slot, e.id))
     }
 
     fn position(&self, slot: u32) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&slot, |e| e.slot)
     }
 
-    /// Validates the operations `ops` (whose slots are `op_slots`) in
-    /// order and applies them in place, logging every change in `undo`.
+    /// Validates the operations `ops` (whose slots and transition caches
+    /// are `op_slots`) in order and applies them in place, interning new
+    /// values in `values` and logging every change in `undo`.
     ///
     /// On error the partial effects are rolled back, so `self` is as it
     /// was. On success the effects stay applied; the caller keeps them (a
@@ -199,60 +387,70 @@ impl SlotStates {
     pub(crate) fn replay(
         &mut self,
         ops: &[OpExec],
-        op_slots: &[u32],
+        op_slots: &mut [OpSlot],
         slots: &[Slot<'_>],
+        values: &mut ValueTable,
         undo: &mut Undo,
     ) -> Result<(), ReplayError> {
         debug_assert_eq!(ops.len(), op_slots.len(), "one slot per operation");
         let mark = undo.mark();
-        for (op, &s) in ops.iter().zip(op_slots) {
-            let slot = &slots[s as usize];
-            let Some((spec, initial)) = &slot.spec else {
-                self.rollback_to(undo, mark);
-                return Err(ReplayError::NoSpec(s));
-            };
+        for (op, os) in ops.iter().zip(op_slots) {
+            let s = os.slot;
             let pos = self.position(s);
-            let current = match pos {
-                Ok(i) => &self.entries[i].value,
-                Err(_) => initial,
+            let current = pos.map_or(0, |i| self.entries[i].id);
+            let next = if os.from == current {
+                os.to
+            } else {
+                match values.transition(s, &slots[s as usize], current, op, os.to) {
+                    Ok(next) => {
+                        (os.from, os.to) = (current, next);
+                        next
+                    }
+                    Err(e) => {
+                        self.rollback_to(undo, mark);
+                        return Err(e);
+                    }
+                }
             };
-            let Some(next) = spec.accepts(current, &op.op, &op.args, &op.val) else {
+            if next == ILLEGAL {
                 self.rollback_to(undo, mark);
                 return Err(ReplayError::Illegal);
-            };
-            if &next == current {
+            }
+            if next == current {
                 continue;
             }
             match pos {
-                Ok(i) if &next == initial => {
+                Ok(i) if next == 0 => {
                     let entry = self.entries.remove(i);
                     self.fingerprint ^= entry.hash;
-                    undo.changes.push(Change::Removed { pos: i, entry });
+                    undo.changes.push(Change::Removed(i as u32, entry));
                 }
                 Ok(i) => {
-                    let hash = slot.entry_hash(&next);
+                    let hash = values.hash(next);
                     let e = &mut self.entries[i];
                     self.fingerprint ^= e.hash ^ hash;
-                    let value = std::mem::replace(&mut e.value, next);
-                    let hash = std::mem::replace(&mut e.hash, hash);
-                    undo.changes.push(Change::Replaced {
-                        pos: i,
-                        value,
-                        hash,
-                    });
+                    let old = std::mem::replace(
+                        e,
+                        Entry {
+                            id: next,
+                            hash,
+                            ..*e
+                        },
+                    );
+                    undo.changes.push(Change::Replaced(i as u32, old));
                 }
                 Err(i) => {
-                    let hash = slot.entry_hash(&next);
+                    let hash = values.hash(next);
                     self.fingerprint ^= hash;
                     self.entries.insert(
                         i,
                         Entry {
                             slot: s,
-                            value: next,
+                            id: next,
                             hash,
                         },
                     );
-                    undo.changes.push(Change::Inserted(i));
+                    undo.changes.push(Change::Inserted(i as u32));
                 }
             }
         }
@@ -270,31 +468,42 @@ impl SlotStates {
             };
             match change {
                 Change::Inserted(pos) => {
-                    let entry = self.entries.remove(pos);
+                    let entry = self.entries.remove(pos as usize);
                     self.fingerprint ^= entry.hash;
                 }
-                Change::Replaced { pos, value, hash } => {
-                    let e = &mut self.entries[pos];
-                    self.fingerprint ^= e.hash ^ hash;
-                    e.value = value;
-                    e.hash = hash;
+                Change::Replaced(pos, old) => {
+                    let e = &mut self.entries[pos as usize];
+                    self.fingerprint ^= e.hash ^ old.hash;
+                    *e = old;
                 }
-                Change::Removed { pos, entry } => {
+                Change::Removed(pos, entry) => {
                     self.fingerprint ^= entry.hash;
-                    self.entries.insert(pos, entry);
+                    self.entries.insert(pos as usize, entry);
                 }
             }
         }
     }
 
-    /// A state with the given `(slot, value, hash)` entries and the XOR of
+    /// Sets `marks[id]` to 0 for every id of the state.
+    pub(crate) fn mark_ids(&self, marks: &mut [u32]) {
+        self.entries.iter().for_each(|e| marks[e.id as usize] = 0);
+    }
+
+    /// Rewrites every id of the state through `remap`.
+    pub(crate) fn renumber(&mut self, remap: &[u32]) {
+        self.entries
+            .iter_mut()
+            .for_each(|e| e.id = remap[e.id as usize]);
+    }
+
+    /// A state with the given `(slot, id, hash)` entries and the XOR of
     /// the given hashes as its fingerprint, whatever the hashes are — for
     /// tests that need control over fingerprints.
     #[cfg(test)]
-    pub(crate) fn from_entries(entries: impl IntoIterator<Item = (u32, Value, u64)>) -> Self {
+    pub(crate) fn from_entries(entries: impl IntoIterator<Item = (u32, u32, u64)>) -> Self {
         let mut entries: Vec<Entry> = entries
             .into_iter()
-            .map(|(slot, value, hash)| Entry { slot, value, hash })
+            .map(|(slot, id, hash)| Entry { slot, id, hash })
             .collect();
         entries.sort_by_key(|e| e.slot);
         let fingerprint = entries.iter().fold(0, |acc, e| acc ^ e.hash);
@@ -309,17 +518,19 @@ impl SlotStates {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use tm_model::builder::{paper, HistoryBuilder};
     use tm_model::legal::replay_tx;
-    use tm_model::objects::{Counter, FifoQueue};
+    use tm_model::objects::{Counter, FifoQueue, Register};
     use tm_model::{History, ObjStates, OpName, TxId, TxStatus, TxView};
 
     /// The state as tm-model's reference representation.
-    fn to_obj_states(st: &SlotStates, table: &SlotTable<'_>) -> ObjStates {
+    fn to_obj_states(st: &SlotStates, table: &SlotTable<'_>, values: &ValueTable) -> ObjStates {
         let mut out = ObjStates::new();
         for e in &st.entries {
-            out.set(table.slots[e.slot as usize].obj.clone(), e.value.clone());
+            let value = values.get(e.id).unwrap().value.clone();
+            out.set(table.slots[e.slot as usize].obj.clone(), value);
         }
         out
     }
@@ -336,11 +547,41 @@ mod tests {
     }
 
     /// The slots of every operation of `view`, assigned in `table`.
-    fn op_slots<'a>(view: &TxView, table: &mut SlotTable<'a>, specs: &'a SpecRegistry) -> Vec<u32> {
+    fn op_slots<'a>(
+        view: &TxView,
+        table: &mut SlotTable<'a>,
+        specs: &'a SpecRegistry,
+    ) -> Vec<OpSlot> {
         view.ops
             .iter()
-            .map(|op| table.slot_of(&op.obj, specs).unwrap())
+            .map(|op| OpSlot::new(table.slot_of(&op.obj, specs).unwrap()))
             .collect()
+    }
+
+    /// A slot table, a value table, a state and an undo log.
+    #[derive(Default)]
+    struct Replayer<'a> {
+        table: SlotTable<'a>,
+        values: ValueTable,
+        states: SlotStates,
+        undo: Undo,
+    }
+
+    impl Replayer<'_> {
+        fn replay(&mut self, view: &TxView, slots: &mut [OpSlot]) -> Result<(), ReplayError> {
+            let slot_list = self.table.slots();
+            self.states.replay(
+                &view.ops,
+                slots,
+                slot_list,
+                &mut self.values,
+                &mut self.undo,
+            )
+        }
+
+        fn reference(&self) -> ObjStates {
+            to_obj_states(&self.states, &self.table, &self.values)
+        }
     }
 
     #[test]
@@ -350,31 +591,28 @@ mod tests {
         // and rollback must restore the original state.
         let specs = SpecRegistry::registers();
         for h in [paper::h1(), paper::h2(), paper::h5()] {
-            let mut table = SlotTable::default();
-            let mut states = SlotStates::default();
+            let mut r = Replayer::default();
             let mut reference = ObjStates::new();
-            let mut undo = Undo::default();
             for t in h.txs() {
                 let view = h.tx_view(t);
-                let slots = op_slots(&view, &mut table, &specs);
+                let mut slots = op_slots(&view, &mut r.table, &specs);
                 let cloning = replay_tx(&view, &reference, &specs);
-                let before = states.clone();
-                let mark = undo.mark();
-                let in_place = states.replay(&view.ops, &slots, table.slots(), &mut undo);
-                match (cloning, in_place) {
+                let before = r.states.clone();
+                let mark = r.undo.mark();
+                match (cloning, r.replay(&view, &mut slots)) {
                     (Ok(after), Ok(())) => {
                         let after = after.canonical(&specs);
-                        assert_eq!(to_obj_states(&states, &table), after, "{h} {t}");
-                        assert_eq!(states.fingerprint(), reference_fingerprint(&after));
+                        assert_eq!(r.reference(), after, "{h} {t}");
+                        assert_eq!(r.states.fingerprint(), reference_fingerprint(&after));
                         if view.status.is_committed() {
                             reference = after;
                         } else {
-                            states.rollback_to(&mut undo, mark);
-                            assert_eq!(states, before, "{h} {t}");
+                            r.states.rollback_to(&mut r.undo, mark);
+                            assert_eq!(r.states, before, "{h} {t}");
                         }
                     }
                     (Err(_), Err(ReplayError::Illegal)) => {
-                        assert_eq!(states, before, "failed replay must not mutate");
+                        assert_eq!(r.states, before, "failed replay must not mutate");
                     }
                     (a, b) => panic!("divergent replay for {t} in {h}: {a:?} vs {b:?}"),
                 }
@@ -392,17 +630,15 @@ mod tests {
             .commit_ok(1)
             .build();
         let view = h.tx_view(TxId(1));
-        let mut table = SlotTable::default();
-        let slots = op_slots(&view, &mut table, &specs);
-        let mut states = SlotStates::default();
-        let mut undo = Undo::default();
-        assert_eq!(
-            states.replay(&view.ops, &slots, table.slots(), &mut undo),
-            Err(ReplayError::Illegal)
-        );
-        assert_eq!(states, SlotStates::default());
-        assert_eq!(states.fingerprint(), 0);
-        assert_eq!(undo.mark(), 0);
+        let mut r = Replayer::default();
+        let mut slots = op_slots(&view, &mut r.table, &specs);
+        assert_eq!(r.replay(&view, &mut slots), Err(ReplayError::Illegal));
+        assert_eq!(r.states, SlotStates::default());
+        assert_eq!(r.states.fingerprint(), 0);
+        assert_eq!(r.undo.mark(), 0);
+        // The rejection is cached too: the same input is rejected again.
+        assert_eq!(r.replay(&view, &mut slots), Err(ReplayError::Illegal));
+        assert_eq!(r.states, SlotStates::default());
     }
 
     #[test]
@@ -414,16 +650,17 @@ mod tests {
             .commit_ok(1)
             .build();
         let view = h.tx_view(TxId(1));
-        let mut table = SlotTable::default();
-        let slots = op_slots(&view, &mut table, &specs);
-        let mut states = SlotStates::default();
-        let mut undo = Undo::default();
-        assert_eq!(
-            states.replay(&view.ops, &slots, table.slots(), &mut undo),
-            Err(ReplayError::NoSpec(slots[1]))
-        );
-        assert_eq!(table.slots()[slots[1] as usize].obj().name(), "x");
-        assert_eq!(states, SlotStates::default());
+        let mut r = Replayer::default();
+        let mut slots = op_slots(&view, &mut r.table, &specs);
+        for _ in 0..2 {
+            // Raised on every replay, never cached.
+            assert_eq!(
+                r.replay(&view, &mut slots),
+                Err(ReplayError::NoSpec(slots[1].slot()))
+            );
+            assert_eq!(r.states, SlotStates::default());
+        }
+        assert_eq!(r.table.slots()[slots[1].slot() as usize].obj().name(), "x");
     }
 
     #[test]
@@ -440,32 +677,30 @@ mod tests {
             .write(3, "x", 0)
             .commit_ok(3)
             .build();
-        let mut table = SlotTable::default();
-        let mut states = SlotStates::default();
-        let mut undo = Undo::default();
-        let mut replay = |t: u32, states: &mut SlotStates, undo: &mut Undo| {
+        let mut r = Replayer::default();
+        fn replay_tx_in<'a>(r: &mut Replayer<'a>, h: &History, t: u32, specs: &'a SpecRegistry) {
             let view = h.tx_view(TxId(t));
-            let slots = op_slots(&view, &mut table, &specs);
-            states
-                .replay(&view.ops, &slots, table.slots(), undo)
-                .unwrap();
-        };
-        replay(1, &mut states, &mut undo);
-        let after_t1 = states.clone();
-        let mark = undo.mark();
-        replay(2, &mut states, &mut undo);
+            let mut slots = op_slots(&view, &mut r.table, specs);
+            r.replay(&view, &mut slots).unwrap();
+        }
+        replay_tx_in(&mut r, &h, 1, &specs);
+        let after_t1 = r.states.clone();
+        let mark = r.undo.mark();
+        replay_tx_in(&mut r, &h, 2, &specs);
         // The read of x=7 and the write of y's initial 0 change nothing:
         // only x (replaced) and z (inserted) are logged.
-        assert_eq!(undo.mark() - mark, 2);
-        let mid = undo.mark();
-        replay(3, &mut states, &mut undo);
+        assert_eq!(r.undo.mark() - mark, 2);
+        let mid = r.undo.mark();
+        replay_tx_in(&mut r, &h, 3, &specs);
         // Writing x's initial value removes its entry.
-        assert_eq!(states.entries.len(), 1);
-        assert_eq!(undo.mark() - mid, 1);
-        states.rollback_to(&mut undo, mark);
-        assert_eq!(states, after_t1);
-        assert_eq!(states.fingerprint(), after_t1.fingerprint());
-        assert_eq!(undo.mark(), mark, "entries before the mark survive");
+        assert_eq!(r.states.entries.len(), 1);
+        assert_eq!(r.undo.mark() - mid, 1);
+        r.states.rollback_to(&mut r.undo, mark);
+        assert_eq!(r.states, after_t1);
+        assert_eq!(r.states.fingerprint(), after_t1.fingerprint());
+        assert_eq!(r.undo.mark(), mark, "entries before the mark survive");
+        // x=7, x=8 and z=3 are interned, besides id 0; y's 0 is initial.
+        assert_eq!(r.values.len(), 4);
     }
 
     #[test]
@@ -478,25 +713,19 @@ mod tests {
             .write(2, "y", 2)
             .commit_ok(2)
             .build();
-        let mut table = SlotTable::default();
-        let mut states = SlotStates::default();
-        let mut undo = Undo::default();
+        let mut r = Replayer::default();
         for t in [1, 2] {
             let view = h.tx_view(TxId(t));
-            let slots = op_slots(&view, &mut table, &specs);
+            let mut slots = op_slots(&view, &mut r.table, &specs);
             if t == 2 {
-                let mid = states.clone();
-                let mark = undo.mark();
-                states
-                    .replay(&view.ops, &slots, table.slots(), &mut undo)
-                    .unwrap();
-                states.rollback_to(&mut undo, mark);
-                assert_eq!(states, mid);
-                assert_eq!(undo.mark(), 1, "entries before the mark survive");
+                let mid = r.states.clone();
+                let mark = r.undo.mark();
+                r.replay(&view, &mut slots).unwrap();
+                r.states.rollback_to(&mut r.undo, mark);
+                assert_eq!(r.states, mid);
+                assert_eq!(r.undo.mark(), 1, "entries before the mark survive");
             } else {
-                states
-                    .replay(&view.ops, &slots, table.slots(), &mut undo)
-                    .unwrap();
+                r.replay(&view, &mut slots).unwrap();
             }
         }
     }
@@ -519,14 +748,10 @@ mod tests {
             .build();
         let run = |h: &History| {
             let view = h.tx_view(TxId(1));
-            let mut table = SlotTable::default();
-            let slots = op_slots(&view, &mut table, &specs);
-            let mut states = SlotStates::default();
-            states
-                .replay(&view.ops, &slots, table.slots(), &mut Undo::default())
-                .unwrap();
-            let reference = to_obj_states(&states, &table);
-            (states.fingerprint(), reference)
+            let mut r = Replayer::default();
+            let mut slots = op_slots(&view, &mut r.table, &specs);
+            r.replay(&view, &mut slots).unwrap();
+            (r.states.fingerprint(), r.reference())
         };
         let (fa, ra) = run(&a);
         let (fb, rb) = run(&b);
@@ -534,6 +759,122 @@ mod tests {
         assert_eq!(ra, rb);
         assert_eq!(fa, reference_fingerprint(&ra));
         assert_ne!(fa, 0);
+    }
+
+    /// A register that counts the transitions it is asked to decide.
+    #[derive(Debug, Default)]
+    struct CountingRegister {
+        calls: AtomicUsize,
+    }
+
+    impl SeqSpec for CountingRegister {
+        fn initial(&self) -> Value {
+            Register::new(0).initial()
+        }
+
+        fn step(&self, state: &Value, op: &OpName, args: &[Value]) -> Option<(Value, Value)> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Register::new(0).step(state, op, args)
+        }
+    }
+
+    #[test]
+    fn the_transition_cache_skips_the_specification_on_its_input_only() {
+        let spec = Arc::new(CountingRegister::default());
+        let specs = SpecRegistry::new().with_default(spec.clone());
+        let h = HistoryBuilder::new()
+            .write(1, "x", 1)
+            .commit_ok(1)
+            .read(2, "x", 1)
+            .write(2, "x", 2)
+            .commit_ok(2)
+            .build();
+        let mut r = Replayer::default();
+        let t1 = h.tx_view(TxId(1));
+        let t2 = h.tx_view(TxId(2));
+        let mut s1 = op_slots(&t1, &mut r.table, &specs);
+        let mut s2 = op_slots(&t2, &mut r.table, &specs);
+        let calls = || spec.calls.load(Ordering::Relaxed);
+        // From the initial state T2's read of 1 is illegal: one call, cached.
+        assert_eq!(r.replay(&t2, &mut s2), Err(ReplayError::Illegal));
+        assert_eq!(calls(), 1);
+        assert_eq!(r.replay(&t2, &mut s2), Err(ReplayError::Illegal));
+        assert_eq!(calls(), 1, "a cached rejection asks nothing");
+        r.replay(&t1, &mut s1).unwrap();
+        assert_eq!(calls(), 2);
+        // A new input (x = 1) misses the read's cache; the write is new.
+        let mark = r.undo.mark();
+        r.replay(&t2, &mut s2).unwrap();
+        assert_eq!(calls(), 4);
+        let after = r.states.clone();
+        r.states.rollback_to(&mut r.undo, mark);
+        r.replay(&t2, &mut s2).unwrap();
+        assert_eq!(calls(), 4, "both operations hit their caches");
+        assert_eq!(r.states, after);
+        // Forgotten caches ask again, and land on the same ids.
+        s2.iter_mut().for_each(OpSlot::forget);
+        r.states.rollback_to(&mut r.undo, mark);
+        r.replay(&t2, &mut s2).unwrap();
+        assert_eq!(calls(), 6);
+        assert_eq!(r.states, after);
+        assert_eq!(r.values.len(), 3, "x = 1 and x = 2, besides id 0");
+    }
+
+    #[test]
+    fn renumbering_keeps_the_marked_ids_in_order_and_their_lookups() {
+        let specs = SpecRegistry::registers();
+        let mut r = Replayer::default();
+        let mut b = HistoryBuilder::new();
+        for v in 1..=5 {
+            b = b.write(v as u32, "x", v).commit_ok(v as u32);
+        }
+        let h = b.build();
+        let views: Vec<TxView> = h.txs().into_iter().map(|t| h.tx_view(t)).collect();
+        let mut slots: Vec<Vec<OpSlot>> = views
+            .iter()
+            .map(|v| op_slots(v, &mut r.table, &specs))
+            .collect();
+        for (v, s) in views.iter().zip(&mut slots) {
+            r.replay(v, s).unwrap();
+        }
+        // The state is x = 5, id 5.
+        assert_eq!(r.values.len(), 6);
+        let mut marks = vec![NIL; r.values.len()];
+        r.states.mark_ids(&mut marks);
+        marks[2] = 0; // x = 2, held elsewhere
+        r.values.renumber(&mut marks);
+        assert_eq!(marks, [0, NIL, 1, NIL, NIL, 2]);
+        r.states.renumber(&marks);
+        assert_eq!(r.states.entries().collect::<Vec<_>>(), [(0, 2)]);
+        assert_eq!(r.values.len(), 3);
+        let reference = r.reference();
+        assert_eq!(r.states.fingerprint(), reference_fingerprint(&reference));
+        // Re-interning a kept value finds it; a dropped one gets a new id.
+        slots.iter_mut().flatten().for_each(OpSlot::forget);
+        let mut states = SlotStates::default();
+        let mut undo = Undo::default();
+        let slot_list = r.table.slots();
+        states
+            .replay(
+                &views[1].ops,
+                &mut slots[1],
+                slot_list,
+                &mut r.values,
+                &mut undo,
+            )
+            .unwrap();
+        assert_eq!(states.entries().collect::<Vec<_>>(), [(0, 1)]);
+        states
+            .replay(
+                &views[0].ops,
+                &mut slots[0],
+                slot_list,
+                &mut r.values,
+                &mut undo,
+            )
+            .unwrap();
+        assert_eq!(states.entries().collect::<Vec<_>>(), [(0, 3)]);
+        assert_eq!(r.values.len(), 4);
     }
 
     /// The objects of the differential property: two registers, a counter,
@@ -570,15 +911,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random place/rollback sequences through the slot replay and
-        /// through `replay_tx` + `ObjStates::canonical`: the same legality
-        /// outcome at every placement, states equal exactly when the
-        /// reference states are, and a fingerprint equal to the reference
-        /// fold recomputed from scratch.
+        /// Random place / rollback / renumber sequences through the
+        /// interned replay and through `replay_tx` + `ObjStates::canonical`:
+        /// the same legality outcome at every placement, states equal
+        /// exactly when the reference states are, and a fingerprint equal to
+        /// the reference fold recomputed from scratch. Every placement is
+        /// replayed twice from the same state (the transition caches hit),
+        /// and transactions are re-placed from other states (they miss). A
+        /// renumbering keeps the ids of the visited states and the undo log,
+        /// and forgets every cached transition.
         #[test]
         fn slot_replay_matches_the_reference_under_place_and_rollback(
             txs in collection::vec(collection::vec((0u8..9, 0i64..3), 1..5), 2..7),
-            actions in collection::vec((0usize..16, 0u8..4), 1..48),
+            actions in collection::vec((0usize..16, 0u8..5), 1..48),
         ) {
             let specs = mixed_specs();
             let views: Vec<TxView> = txs
@@ -596,43 +941,57 @@ mod tests {
                 .collect();
             // Slots in order of first appearance across the transactions,
             // which is generally not the objects' name order.
-            let mut table = SlotTable::default();
-            let view_slots: Vec<Vec<u32>> =
-                views.iter().map(|v| op_slots(v, &mut table, &specs)).collect();
-            let mut states = SlotStates::default();
-            let mut undo = Undo::default();
+            let mut r = Replayer::default();
+            let mut view_slots: Vec<Vec<OpSlot>> =
+                views.iter().map(|v| op_slots(v, &mut r.table, &specs)).collect();
             // The committed placements still applied, with their marks and
             // the reference state below each.
             let mut frames: Vec<(usize, ObjStates)> = Vec::new();
             let mut reference = ObjStates::new();
-            let mut visited: Vec<(SlotStates, ObjStates)> = vec![(states.clone(), reference.clone())];
+            let mut visited: Vec<(SlotStates, ObjStates)> = vec![(r.states.clone(), reference.clone())];
             for &(pick, op) in &actions {
                 if op == 0 && !frames.is_empty() {
                     // Backtrack the latest committed placement.
                     let (mark, below) = frames.pop().expect("non-empty");
-                    states.rollback_to(&mut undo, mark);
+                    r.states.rollback_to(&mut r.undo, mark);
                     reference = below;
+                } else if op == 4 {
+                    let mut marks = vec![NIL; r.values.len()];
+                    r.states.mark_ids(&mut marks);
+                    r.undo.mark_ids(&mut marks);
+                    visited.iter().for_each(|(st, _)| st.mark_ids(&mut marks));
+                    r.values.renumber(&mut marks);
+                    r.states.renumber(&marks);
+                    r.undo.renumber(&marks);
+                    visited.iter_mut().for_each(|(st, _)| st.renumber(&marks));
+                    view_slots.iter_mut().flatten().for_each(OpSlot::forget);
                 } else {
                     let i = pick % views.len();
-                    let mark = undo.mark();
+                    let mark = r.undo.mark();
                     let expected = replay_tx(&views[i], &reference, &specs);
-                    let got = states.replay(&views[i].ops, &view_slots[i], table.slots(), &mut undo);
+                    let got = r.replay(&views[i], &mut view_slots[i]);
                     prop_assert_eq!(expected.is_ok(), got.is_ok(), "tx {} legality", i);
+                    // Again from the same state, through the warm caches.
+                    let first = r.states.clone();
+                    r.states.rollback_to(&mut r.undo, mark);
+                    let again = r.replay(&views[i], &mut view_slots[i]);
+                    prop_assert_eq!(got, again);
+                    prop_assert_eq!(&r.states, &first);
                     match expected {
                         Ok(_) if op == 1 => {
                             // Validated, placed aborted: effects discarded.
-                            states.rollback_to(&mut undo, mark);
+                            r.states.rollback_to(&mut r.undo, mark);
                         }
                         Ok(after) => {
                             frames.push((mark, reference));
                             reference = after.canonical(&specs);
                         }
-                        Err(_) => prop_assert_eq!(undo.mark(), mark),
+                        Err(_) => prop_assert_eq!(r.undo.mark(), mark),
                     }
                 }
-                prop_assert_eq!(&to_obj_states(&states, &table), &reference);
-                prop_assert_eq!(states.fingerprint(), reference_fingerprint(&reference));
-                visited.push((states.clone(), reference.clone()));
+                prop_assert_eq!(&r.reference(), &reference);
+                prop_assert_eq!(r.states.fingerprint(), reference_fingerprint(&reference));
+                visited.push((r.states.clone(), reference.clone()));
             }
             for (a, ra) in &visited {
                 for (b, rb) in &visited {

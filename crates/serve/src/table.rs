@@ -80,13 +80,15 @@ use crate::session::Session;
 /// Estimated resident bytes per memo entry: what a session holds per
 /// dead end it keeps, once the memo dominates its footprint.
 ///
-/// Measured on the real-time-chained knots of 5 × 3 transactions: the
-/// one-shot check leaves a session holding 1 075 808 live bytes over 2 542
-/// resident entries, 424 B each (`crates/core/tests/monitor_footprint.rs`
-/// pins it), and a served session that checks the same knots event by
-/// event holds 1 069 716 B over the same 2 542 entries, 421 B each
-/// (`crates/serve/tests/allocations.rs` holds it under this constant).
-pub const EST_ENTRY_BYTES: u64 = 424;
+/// Measured on the real-time-chained knots of 5 × 3 transactions: a served
+/// session that checks them event by event holds 515 172 live bytes over
+/// 2 542 resident entries, 203 B each (`crates/serve/tests/allocations.rs`
+/// pins it and holds it under this constant), and the one-shot check of
+/// the same knots leaves a session holding 520 912 B, 205 B each
+/// (`crates/core/tests/monitor_footprint.rs`). The memo stores 8-byte
+/// `(slot, value id)` pairs, and the session numbers each object value
+/// once.
+pub const EST_ENTRY_BYTES: u64 = 203;
 
 /// Per-session memo-capacity floor: below this the table thrashes instead
 /// of pruning, so governance degrades gracefully to "tiny but useful"

@@ -14,8 +14,9 @@
 //!   - the argument `Vec` of each write invocation, decoded and then copied
 //!     into the transaction's pending invocation;
 //!   - the witness `Vec` of each check the monitor runs;
-//!   - session growth: per-transaction cells and operation lists, the memo,
-//!     the inbox, and each session's id and monitor at its open.
+//!   - session growth: per-transaction cells and operation lists, the memo
+//!     and the value table, the inbox, and each session's id and monitor at
+//!     its open.
 //! * A served session holds at most [`EST_ENTRY_BYTES`] live bytes per
 //!   resident memo entry after a real-time-chained knot history, so the
 //!   governor's `--memo-budget` arithmetic does not under-count.
@@ -25,14 +26,16 @@ use std::cell::Cell;
 use std::io;
 
 use tm_harness::randhist::{random_history, GenConfig};
-use tm_model::{Event, History, OpName, TxId};
+use tm_model::History;
 use tm_serve::{
     render_client_frame, run_reader, ClientFrame, ServeConfig, SessionTable, EST_ENTRY_BYTES,
 };
 
 #[path = "../../core/tests/common/knots.rs"]
 mod knots;
-use knots::rt_chain_knot_history;
+#[path = "common/served_knots.rs"]
+mod served_knots;
+use served_knots::served_knot_history;
 
 /// The system allocator with a live-byte and an allocation counter bolted
 /// on.
@@ -135,53 +138,14 @@ fn fleet_allocations_per_fed_event_are_pinned() {
     );
     let made = allocations() - before;
     assert_eq!(code, 0, "the fleet is served cleanly");
-    // `(allocations, fed events)`: 2.35 per fed event. The loop made
+    // `(allocations, fed events)`: 2.44 per fed event. The loop made
     // 11 538 (6.72 per fed event) before session handles, the borrowed
-    // decode and the reused turn buffer.
-    assert_eq!((made, fed), (4027, 1716));
+    // decode and the reused turn buffer, and 4 027 before each session
+    // numbered its object values (the value table's `Vec` and index grow
+    // in every session).
+    assert_eq!((made, fed), (4195, 1716));
     let per_event = made as f64 / fed as f64;
     assert!(per_event <= 3.0, "{per_event:.2} allocations per fed event");
-}
-
-/// `rt_chain_knot_history(knots, writers)` with every knot's observed
-/// writer made commit-pending before the knot's read returns. As built,
-/// the history reads a live writer's value, so a monitor latches a
-/// violation at the first knot and checks nothing after it. Moved this
-/// way, every proper prefix is opaque and the served session checks each
-/// knot, ending with the exhaustive refutation of the impossible final
-/// read.
-fn served_knot_history(knots: u32, writers: u32) -> Vec<Event> {
-    let h = rt_chain_knot_history(knots, writers);
-    let mut events: Vec<Event> = Vec::new();
-    let mut early: Vec<TxId> = Vec::new();
-    for e in h.events() {
-        match e {
-            Event::TryCommit(tx) if early.contains(tx) => continue,
-            Event::Ret {
-                tx,
-                obj,
-                op: OpName::Read,
-                val,
-            } => {
-                let writer = h.events().iter().find_map(|w| match w {
-                    Event::Inv {
-                        tx: w_tx,
-                        obj: w_obj,
-                        op: OpName::Write,
-                        args,
-                    } if w_tx != tx && w_obj == obj && args.first() == Some(val) => Some(*w_tx),
-                    _ => None,
-                });
-                if let Some(writer) = writer {
-                    events.push(Event::TryCommit(writer));
-                    early.push(writer);
-                }
-            }
-            _ => {}
-        }
-        events.push(e.clone());
-    }
-    events
 }
 
 #[test]
@@ -202,7 +166,7 @@ fn served_bytes_per_resident_memo_entry_fit_the_estimate() {
     // Every byte the served session holds, over the dead ends it keeps:
     // the same 2 542 entries the one-shot check of the unmoved history
     // keeps (`monitor_footprint.rs`).
-    assert_eq!((bytes, resident), (1_069_716, 2542));
+    assert_eq!((bytes, resident), (515_172, 2542));
     let per_entry = bytes.div_ceil(resident);
     assert!(
         per_entry <= EST_ENTRY_BYTES,

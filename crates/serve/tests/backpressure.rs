@@ -2,15 +2,26 @@
 //! inbox bound receives `busy` and *recovers* (resending after the daemon
 //! catches up loses nothing), and shrinking the global memo budget
 //! mid-stream — by crowding the table with new sessions — never changes a
-//! session's verdicts, frame for frame. Sessions that close and reopen
-//! reuse the table's slots without their frames crossing.
+//! session's verdicts, frame for frame, whether the shares it leaves each
+//! session sit at the floor or between the floor and what the sessions
+//! would keep unbounded. Sessions that close and reopen reuse the table's
+//! slots without their frames crossing.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use tm_harness::randhist::{random_history, GenConfig};
 use tm_model::Event;
 use tm_obs::ObsHandle;
 use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
-use tm_serve::{Routed, ServeConfig, ServerFrame, SessionTable, MIN_MEMO_CAP};
+use tm_opacity::search::SearchConfig;
+use tm_serve::{Routed, ServeConfig, ServerFrame, SessionTable, EST_ENTRY_BYTES, MIN_MEMO_CAP};
+
+#[path = "../../core/tests/common/knots.rs"]
+mod knots;
+#[path = "common/served_knots.rs"]
+mod served_knots;
+use served_knots::served_knot_history;
 
 fn verdict_lines(frames: &[tm_serve::Routed]) -> Vec<String> {
     frames
@@ -148,6 +159,102 @@ fn mid_stream_budget_shrink_never_changes_verdicts() {
         }
         got.extend(verdict_lines(&starved.pump_all()));
         assert_eq!(got, expected, "seed {seed}: budget shrink changed verdicts");
+    }
+}
+
+#[test]
+fn shares_between_the_floor_and_unbounded_move_without_changing_verdicts() {
+    // Three sessions stream the 3 × 3 chained knots, each starting a third
+    // of a stream after the one before, under a budget of 128 estimated
+    // entries per session. Extra sessions open just before the first and
+    // the second knot session's final, exhaustive check and close before
+    // the third's, so the three heavy checks run under shares of 96, 76
+    // and 128 entries: above the 64-entry floor, and below what a session
+    // keeps unbounded, so the memos evict.
+    let events = served_knot_history(3, 3);
+    let n = events.len();
+    let offset = n / 3;
+
+    let mut roomy = SessionTable::new(ServeConfig::default());
+    roomy.open("alone", 0);
+    let mut unbounded = 0;
+    for e in &events {
+        roomy.feed("alone", e.clone(), None, 0);
+        roomy.pump_all();
+        unbounded = unbounded.max(roomy.memo_resident());
+    }
+
+    let ids = ["k0", "k1", "k2"];
+    let obs = ObsHandle::install();
+    let mut table = SessionTable::new(ServeConfig {
+        memo_budget_bytes: Some(ids.len() as u64 * 128 * EST_ENTRY_BYTES),
+        search: SearchConfig {
+            obs,
+            ..SearchConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let mut verdicts = vec![Vec::new(); ids.len()];
+    let mut file = |frames: Vec<Routed>| {
+        for r in frames {
+            if let ServerFrame::Verdict { session, .. } = &r.frame {
+                let k = ids
+                    .iter()
+                    .position(|id| session == id)
+                    .expect("a knot session");
+                verdicts[k].push(r.frame.render());
+            }
+        }
+    };
+    let mut shares = BTreeSet::new();
+    for id in ids {
+        file(table.open(id, 0));
+    }
+    shares.insert(table.memo_capacity_per_session());
+    for round in 0..n + 2 * offset {
+        let extras = if round == n - 1 {
+            table.open("x0", 0)
+        } else if round == n + offset - 1 {
+            table.open("x1", 0)
+        } else if round == n + 2 * offset - 1 {
+            let mut closed = table.close("x0", 0);
+            closed.extend(table.close("x1", 0));
+            closed
+        } else {
+            Vec::new()
+        };
+        if !extras.is_empty() {
+            shares.insert(table.memo_capacity_per_session());
+        }
+        file(extras);
+        for (k, id) in ids.iter().enumerate() {
+            if let Some(e) = round.checked_sub(k * offset).and_then(|i| events.get(i)) {
+                file(table.feed(id, e.clone(), None, 0));
+                file(table.pump_all());
+            }
+        }
+    }
+    file(table.drain_and_close_all());
+
+    let shares: Vec<usize> = shares.into_iter().map(Option::unwrap).collect();
+    assert_eq!(shares, [76, 96, 128], "the governor's shares");
+    assert!(
+        shares.iter().all(|&s| MIN_MEMO_CAP < s && s < unbounded),
+        "unbounded {unbounded}"
+    );
+    let evictions = obs.snapshot().expect("enabled").counter("memo.evictions");
+    assert!(
+        evictions > Some(0),
+        "the shares bind: {evictions:?} evictions"
+    );
+    let expected = standalone_verdict_lines("k0", &events);
+    assert!(expected.last().is_some_and(|v| v.contains("violated")));
+    for (id, got) in ids.iter().zip(&verdicts) {
+        assert_eq!(
+            got,
+            &standalone_verdict_lines(id, &events),
+            "session `{id}`"
+        );
     }
 }
 

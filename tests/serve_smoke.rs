@@ -20,8 +20,10 @@ use opacity_tm::serve::{render_client_frame, replay, ClientFrame, ServeConfig, E
 const SESSIONS: usize = 8;
 
 /// The constrained global memo budget the fixture replays under: 4 estimated
-/// entries per session, far below the per-session floor, so the governor's
-/// apportionment path is exercised on every open and close.
+/// entries per session, far below the per-session floor, so every session
+/// runs at the 64-entry floor from its open on and the governor never
+/// retunes one. Shares that move between the floor and unbounded are
+/// covered by `crates/serve/tests/backpressure.rs`.
 fn fixture_budget() -> u64 {
     SESSIONS as u64 * 4 * EST_ENTRY_BYTES
 }
