@@ -1,7 +1,7 @@
 //! The dead-end memo table of the serialization search: one flat,
 //! optionally capacity-bounded table per session from
-//! `(placed-set mask, canonical object states)` to "this frontier is a
-//! dead end".
+//! `(placed-set mask, canonical states of the live objects)` to "this
+//! frontier is a dead end".
 //!
 //! ## Why an entry is sound
 //!
@@ -12,6 +12,16 @@
 //! further placement depends only on the committed effects accumulated in
 //! `states` and on the set of transactions still unplaced (the complement
 //! of `placed`).
+//!
+//! It depends, moreover, only on the objects those unplaced transactions
+//! have completed operations on, the *live* objects: no later placement
+//! reads or writes any other. So the key holds only the live part of
+//! `states` (a [`LiveView`], lent by the search without a copy), and a
+//! dead end recorded with one value of a dead object also prunes every
+//! sibling frontier that differs from it in dead objects only. An entry's
+//! live set must not grow while it stays in the table; the search's
+//! invalidation rules guarantee that (`crate::search`, "Keys on live
+//! objects").
 //!
 //! The one obligation the *writer* carries is completeness: an entry may be
 //! inserted only after the subtree below the frontier was explored
@@ -59,10 +69,10 @@
 //!
 //! The table is flat: a `Vec` of records (mask, fingerprint, arena range,
 //! shard, stamp, cost bucket, collision link), a chunked arena of the
-//! 8-byte `(slot, value id)` pairs of each entry's canonical state
-//! ([`SlotStates`], see `crate::state`: the values themselves are interned
-//! once per session), and one index from `(mask, fingerprint)` to the
-//! newest record with that key, whose link chains the older ones. An
+//! 8-byte `(slot, value id)` pairs of each entry's live objects (see
+//! `crate::state`: the values themselves are interned once per session),
+//! and one index from `(mask, fingerprint)` to the newest record with that
+//! key, whose link chains the older ones. An
 //! insert appends to the arena's last chunk (a new chunk when the pairs do
 //! not fit, never a reallocation) and pushes a record; a probe is one index
 //! lookup and a chain walk comparing pairs in place. Evicted and
@@ -73,15 +83,19 @@
 //! pairs are never compared again, so they are left as they are.
 //!
 //! The fingerprint (the XOR of one `DefaultHasher` digest of
-//! `(object, value)` per non-initial object, kept by the replay) mixed with
-//! the mask picks a record's shard. A shard is only a number on the record
-//! that partitions eviction: each has its own cap, clock and cost
-//! segments. So the fingerprint's bits — and the shard count — decide what
-//! a bounded table evicts, and with it node counts. On the phased
-//! contention-knot check `tests/knot_workloads.rs` pins, a table capped at
-//! a quarter of its unbounded peak (75 entries, 2 shards) spends 483 nodes
-//! against 460 unbounded; the same cap on a single shard spent 1 145
+//! `(object, value)` per non-initial live object) mixed with the mask
+//! picks a record's shard. A shard is only a number on the record that
+//! partitions eviction: each has its own cap, clock and cost segments. So
+//! the fingerprint's bits — and the shard count — decide what a bounded
+//! table evicts, and with it node counts. On the phased contention-knot
+//! check `tests/knot_workloads.rs` pins, a table capped at a quarter of its
+//! unbounded peak (75 entries, 2 shards) spends 483 nodes against 460
+//! unbounded; the same cap on a single shard spent 1 145
 //! (+149 %). At half the peak the shard count moved nothing material.
+//! That workload runs on one register, which its final read keeps live at
+//! every frontier, so keying on live objects left both figures as they
+//! were; on the chained knots it cut the unbounded 5 × 3 check from 3 147
+//! nodes to 339.
 //!
 //! The fingerprint is only a pre-filter. The index hashes it with its own
 //! `RandomState` (the values behind it come from clients), and a hit is
@@ -90,7 +104,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::state::SlotStates;
+use crate::state::LiveView;
 
 /// Default shard count (a power of two; also the upper bound when the
 /// configured capacity is smaller).
@@ -103,6 +117,10 @@ const NIL: u32 = u32::MAX;
 /// it, and pairs that do not fit in the last chunk's spare capacity open a
 /// new one, so the arena never reallocates and wastes less than one chunk.
 const MAX_CHUNK: usize = 2048;
+
+/// The chunks of the doubling series, from 16 pairs up to [`MAX_CHUNK`]:
+/// the chunk list is made with room for them all.
+const DOUBLING_CHUNKS: usize = (MAX_CHUNK / 16).trailing_zeros() as usize + 1;
 
 /// One memoized dead end, or (`live` false) its tombstone.
 struct Record {
@@ -140,11 +158,14 @@ impl Arena {
         &self.chunks[r.chunk as usize][r.start as usize..][..r.len as usize]
     }
 
-    /// The live record of exactly the entries of `states` in the
-    /// collision chain from `id`, or NIL.
-    fn find(&self, records: &[Record], mut id: u32, states: &SlotStates) -> u32 {
+    /// The live record of exactly the entries of `key` in the collision
+    /// chain from `id`, or NIL.
+    fn find(&self, records: &[Record], mut id: u32, key: LiveView<'_>) -> u32 {
         while let Some(r) = records.get(id as usize) {
-            if r.live && self.pairs(r).iter().copied().eq(states.entries()) {
+            if r.live
+                && r.len as usize == key.len()
+                && self.pairs(r).iter().copied().eq(key.entries())
+            {
                 break;
             }
             id = r.next;
@@ -152,18 +173,21 @@ impl Arena {
         id
     }
 
-    /// Appends `states`' pairs, returning their `(chunk, start)`.
-    fn push(&mut self, states: &SlotStates) -> (u32, u32) {
-        let n = states.entries().len();
+    /// Appends `key`'s pairs, returning their `(chunk, start)`.
+    fn push(&mut self, key: LiveView<'_>) -> (u32, u32) {
+        let n = key.len();
         let room = self.chunks.last().map(|c| c.capacity() - c.len());
         if room.map_or(true, |room| room < n) {
             let cap = self.chunks.last().map_or(0, Vec::capacity);
+            if self.chunks.is_empty() {
+                self.chunks.reserve(DOUBLING_CHUNKS);
+            }
             let chunk = Vec::with_capacity((2 * cap).clamp(16, MAX_CHUNK).max(n));
             self.chunks.push(chunk);
         }
         let last = self.chunks.len() - 1;
         let start = self.chunks[last].len();
-        self.chunks[last].extend(states.entries());
+        self.chunks[last].extend(key.entries());
         (last as u32, start as u32)
     }
 }
@@ -247,10 +271,9 @@ impl ShardedMemo {
     /// walk of the collision chain. Under a capacity bound a hit refreshes
     /// the entry's recency within its cost segment — an entry that keeps
     /// pruning stays at the warm end of its segment.
-    pub(crate) fn probe(&mut self, mask: u64, states: &SlotStates) -> bool {
-        let key = (mask, states.fingerprint());
-        let head = *self.index.get(&key).unwrap_or(&NIL);
-        let id = self.arena.find(&self.records, head, states);
+    pub(crate) fn probe(&mut self, mask: u64, key: LiveView<'_>) -> bool {
+        let head = *self.index.get(&(mask, key.fingerprint())).unwrap_or(&NIL);
+        let id = self.arena.find(&self.records, head, key);
         if id != NIL && self.per_shard_cap != usize::MAX {
             self.stale += 1; // the previous queue reference
             self.touch(id);
@@ -273,10 +296,10 @@ impl ShardedMemo {
     /// `cost` DFS nodes (idempotent — a duplicate insert is ignored).
     /// Evicts per the cost-segmented-LRU policy when the shard is at
     /// capacity.
-    pub(crate) fn insert(&mut self, mask: u64, states: &SlotStates, cost: usize) {
-        let fingerprint = states.fingerprint();
+    pub(crate) fn insert(&mut self, mask: u64, key: LiveView<'_>, cost: usize) {
+        let fingerprint = key.fingerprint();
         let head = self.index.entry((mask, fingerprint)).or_insert(NIL);
-        if self.arena.find(&self.records, *head, states) != NIL {
+        if self.arena.find(&self.records, *head, key) != NIL {
             return;
         }
         let id = self.records.len() as u32;
@@ -284,16 +307,16 @@ impl ShardedMemo {
         // Mix the placed-set mask into the states fingerprint so frontiers
         // sharing a state (common: many masks, few reachable states) still
         // spread across shards.
-        let key = fingerprint ^ mask.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let shard = (key as usize) & (self.shards.len() - 1);
-        let (chunk, start) = self.arena.push(states);
+        let spread = fingerprint ^ mask.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let shard = (spread as usize) & (self.shards.len() - 1);
+        let (chunk, start) = self.arena.push(key);
         self.records.push(Record {
             mask,
             fingerprint,
             stamp: 0,
             chunk,
             start,
-            len: states.entries().len() as u32,
+            len: key.len() as u32,
             next,
             shard: shard as u8,
             bucket: (usize::BITS - cost.max(1).leading_zeros()) as u8, // ⌊log₂⌋ + 1
@@ -456,6 +479,7 @@ impl ShardedMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::SlotStates;
     use proptest::prelude::*;
     use std::hash::{Hash, Hasher};
     use tm_model::{ObjId, Value};
@@ -467,6 +491,14 @@ mod tests {
         ObjId::new("x").hash(&mut h);
         Value::Int(n).hash(&mut h);
         SlotStates::from_entries([(0, (n + 100) as u32, h.finish())])
+    }
+
+    /// Every test slot used by every transaction.
+    const ALL_USED: &[u64] = &[u64::MAX; 4];
+
+    /// The whole of `states` as a key.
+    fn all(states: &SlotStates) -> LiveView<'_> {
+        states.live(ALL_USED, 1)
     }
 
     /// A mask with `d` low bits set (depth `d`).
@@ -482,20 +514,46 @@ mod tests {
     fn probe_miss_then_insert_then_hit() {
         let mut memo = ShardedMemo::new(None);
         let s = state(1);
-        assert!(!memo.probe(0b11, &s));
-        memo.insert(0b11, &s, 1);
-        assert!(memo.probe(0b11, &s));
-        assert!(!memo.probe(0b01, &s), "mask is part of the key");
+        assert!(!memo.probe(0b11, all(&s)));
+        memo.insert(0b11, all(&s), 1);
+        assert!(memo.probe(0b11, all(&s)));
+        assert!(!memo.probe(0b01, all(&s)), "mask is part of the key");
         assert_eq!(memo.resident(), 1);
         assert_eq!(memo.evictions(), 0);
         assert_eq!(memo.capacity(), None);
     }
 
     #[test]
+    fn a_key_holds_only_the_slots_an_open_transaction_uses() {
+        // Slot 0 is used by bit 0 only, slot 1 by bit 1 only. With bit 1
+        // open, states that differ only in slot 0 share one key.
+        let users = [0b01, 0b10];
+        let a = SlotStates::from_entries([(0, 1, 0xa), (1, 5, 0xb)]);
+        let b = SlotStates::from_entries([(0, 2, 0xc), (1, 5, 0xb)]);
+        let c = SlotStates::from_entries([(1, 5, 0xb)]);
+        let d = SlotStates::from_entries([(0, 1, 0xa), (1, 6, 0xd)]);
+        let mut memo = ShardedMemo::new(None);
+        memo.insert(0b01, a.live(&users, 0b10), 1);
+        assert_eq!(a.live(&users, 0b10).fingerprint(), 0xb);
+        assert!(memo.probe(0b01, b.live(&users, 0b10)));
+        assert!(memo.probe(0b01, c.live(&users, 0b10)));
+        assert!(
+            !memo.probe(0b01, d.live(&users, 0b10)),
+            "a live slot differs"
+        );
+        // With bit 0 open too, slot 0 is part of the key again.
+        memo.insert(0, a.live(&users, 0b11), 1);
+        assert!(memo.probe(0, a.live(&users, 0b11)));
+        assert!(!memo.probe(0, b.live(&users, 0b11)), "a live slot differs");
+        // A slot past the users table has no users.
+        assert_eq!(c.live(&users[..1], 0b11).len(), 0);
+    }
+
+    #[test]
     fn capacity_bounds_resident_entries() {
         let mut memo = ShardedMemo::new(Some(8));
         for i in 0..100 {
-            memo.insert(1 << (i % 60), &state(i), 1);
+            memo.insert(1 << (i % 60), all(&state(i)), 1);
         }
         assert!(
             memo.resident() <= 8,
@@ -509,8 +567,8 @@ mod tests {
     #[test]
     fn tiny_capacity_still_works() {
         let mut memo = ShardedMemo::new(Some(1));
-        memo.insert(1, &state(1), 1);
-        memo.insert(2, &state(2), 1);
+        memo.insert(1, all(&state(1)), 1);
+        memo.insert(2, all(&state(2)), 1);
         assert_eq!(memo.resident(), 1);
         assert_eq!(memo.evictions(), 1);
     }
@@ -523,12 +581,12 @@ mod tests {
         // depth-priority eviction) catastrophic for DFS backtracking.
         let mut memo = ShardedMemo::new(Some(64));
         let expensive = state(-7);
-        memo.insert(0b1, &expensive, 10_000);
+        memo.insert(0b1, all(&expensive), 10_000);
         for i in 0..400 {
-            memo.insert(deep_mask(40), &state(i), 1);
+            memo.insert(deep_mask(40), all(&state(i)), 1);
         }
         assert!(
-            memo.probe(0b1, &expensive),
+            memo.probe(0b1, all(&expensive)),
             "expensive entry evicted by a cheap flood"
         );
         assert!(memo.resident() <= 64);
@@ -542,11 +600,11 @@ mod tests {
         // insert, keeping it at the warm end of its segment's queue.
         let mut memo = ShardedMemo::new(Some(64));
         let hot = state(-1);
-        memo.insert(deep_mask(10), &hot, 8);
+        memo.insert(deep_mask(10), all(&hot), 8);
         for i in 0..400 {
-            memo.insert(deep_mask(9) | 1 << (10 + i % 50), &state(i), 8);
+            memo.insert(deep_mask(9) | 1 << (10 + i % 50), all(&state(i)), 8);
             assert!(
-                memo.probe(deep_mask(10), &hot),
+                memo.probe(deep_mask(10), all(&hot)),
                 "hot same-cost entry evicted after {i} inserts"
             );
         }
@@ -557,12 +615,12 @@ mod tests {
     fn retain_placing_drops_exactly_the_unplacing_masks() {
         let mut memo = ShardedMemo::new(Some(32));
         for i in 0..16 {
-            memo.insert(i, &state(i as i64), 1);
+            memo.insert(i, all(&state(i as i64)), 1);
         }
         memo.retain_placing(0b100);
         for i in 0..16u64 {
             assert_eq!(
-                memo.probe(i, &state(i as i64)),
+                memo.probe(i, all(&state(i as i64))),
                 i & 0b100 != 0,
                 "mask {i:#b}"
             );
@@ -570,7 +628,7 @@ mod tests {
         // Invalidated records left stale queue references behind; eviction
         // skips them, so inserting past capacity still works.
         for i in 100..200 {
-            memo.insert(0b100, &state(i), 1);
+            memo.insert(0b100, all(&state(i)), 1);
         }
         assert!(memo.resident() <= 32);
     }
@@ -579,12 +637,12 @@ mod tests {
     fn clear_empties_everything() {
         let mut memo = ShardedMemo::new(Some(16));
         for i in 0..10 {
-            memo.insert(i, &state(i as i64), 1);
+            memo.insert(i, all(&state(i as i64)), 1);
         }
         memo.clear();
         assert_eq!(memo.resident(), 0);
         for i in 0..10 {
-            assert!(!memo.probe(i, &state(i as i64)));
+            assert!(!memo.probe(i, all(&state(i as i64))));
         }
     }
 
@@ -603,7 +661,7 @@ mod tests {
         }
         let mut last = 0;
         for i in 0..50 {
-            memo.insert(1 << (i % 50), &state(i), 1);
+            memo.insert(1 << (i % 50), all(&state(i)), 1);
             let now = memo.evictions();
             assert!(now >= last);
             last = now;
@@ -615,7 +673,7 @@ mod tests {
     fn set_capacity_shrink_evicts_down_and_growth_stops_evicting() {
         let mut memo = ShardedMemo::new(Some(64));
         for i in 0..60 {
-            memo.insert(1 << (i % 60), &state(i), (i as usize) % 9 + 1);
+            memo.insert(1 << (i % 60), all(&state(i)), (i as usize) % 9 + 1);
         }
         let before = memo.resident();
         assert!(before > 16, "resident {before}");
@@ -627,7 +685,7 @@ mod tests {
         memo.set_capacity(Some(1000));
         let survivors = memo.resident();
         for i in 100..140 {
-            memo.insert(1 << (i % 60), &state(i), 1);
+            memo.insert(1 << (i % 60), all(&state(i)), 1);
         }
         assert!(memo.resident() >= survivors);
         assert!(memo.resident() <= 1000);
@@ -640,7 +698,7 @@ mod tests {
         // pure pruning) and the bound holds for everything inserted after.
         let mut memo = ShardedMemo::new(None);
         for i in 0..50 {
-            memo.insert(1 << (i % 50), &state(i), 1);
+            memo.insert(1 << (i % 50), all(&state(i)), 1);
         }
         assert_eq!(memo.resident(), 50);
         memo.set_capacity(Some(8));
@@ -650,14 +708,14 @@ mod tests {
         let enforced = memo.capacity().unwrap();
         assert!(enforced >= 8);
         for i in 0..100 {
-            memo.insert(1 << (i % 50), &state(i), 1);
+            memo.insert(1 << (i % 50), all(&state(i)), 1);
         }
         assert!(memo.resident() <= enforced, "resident {}", memo.resident());
         // Bounded → unbounded → bounded again also re-clears.
         memo.set_capacity(None);
         assert_eq!(memo.capacity(), None);
         for i in 200..260 {
-            memo.insert(1 << (i % 50), &state(i), 1);
+            memo.insert(1 << (i % 50), all(&state(i)), 1);
         }
         let unbounded_resident = memo.resident();
         memo.set_capacity(Some(4));
@@ -676,14 +734,14 @@ mod tests {
         let c = SlotStates::from_entries([(0, 1, 0x0f0f), (3, 5, 0xf1e2)]);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), c.fingerprint());
-        memo.insert(0b1, &a, 1);
-        assert!(memo.probe(0b1, &a));
-        assert!(!memo.probe(0b1, &b), "a colliding state is not a hit");
-        assert!(!memo.probe(0b1, &c), "a colliding state is not a hit");
-        memo.insert(0b1, &b, 1);
-        memo.insert(0b1, &c, 1);
+        memo.insert(0b1, all(&a), 1);
+        assert!(memo.probe(0b1, all(&a)));
+        assert!(!memo.probe(0b1, all(&b)), "a colliding state is not a hit");
+        assert!(!memo.probe(0b1, all(&c)), "a colliding state is not a hit");
+        memo.insert(0b1, all(&b), 1);
+        memo.insert(0b1, all(&c), 1);
         assert_eq!(memo.resident(), 3);
-        assert!(memo.probe(0b1, &a) && memo.probe(0b1, &b) && memo.probe(0b1, &c));
+        assert!(memo.probe(0b1, all(&a)) && memo.probe(0b1, all(&b)) && memo.probe(0b1, all(&c)));
     }
 
     /// State `i` of the proptest pool (`i` < 65): one or two entries of
@@ -745,13 +803,13 @@ mod tests {
                         let (before, evicted) = (memo.resident(), memo.evictions());
                         let room = memo.shards.len() == 1
                             && memo.capacity().is_some_and(|cap| before < cap);
-                        memo.insert(mask, &states, cost);
+                        memo.insert(mask, all(&states), cost);
                         prop_assert!(memo.resident() >= before, "an insert evicted two");
                         prop_assert!(!room || memo.evictions() == evicted, "evicted with room");
                         model.insert(model_key(mask, &states));
                     }
                     30..=57 => {
-                        let hit = memo.probe(mask, &states);
+                        let hit = memo.probe(mask, all(&states));
                         let member = model.contains(&model_key(mask, &states));
                         if exact {
                             prop_assert_eq!(hit, member);
@@ -810,7 +868,7 @@ mod tests {
                 .iter()
                 .map(|(mask, pairs)| (*mask, from_pairs(pairs)))
                 .collect();
-            let hits = members.iter().filter(|(mask, states)| memo.probe(*mask, states)).count();
+            let hits = members.iter().filter(|(mask, states)| memo.probe(*mask, all(states))).count();
             prop_assert_eq!(hits, resident);
         }
     }

@@ -18,8 +18,11 @@
 //!   aborted — which folds the choice of a member of `Complete(H)` into the
 //!   search;
 //! * dead ends are memoized on `(set of placed transactions, canonical
-//!   object states)`, which prunes the factorial search to the number of
-//!   distinct reachable states.
+//!   states of the live objects)`, which prunes the factorial search to the
+//!   number of distinct reachable states. An object is *live* at a
+//!   frontier when some unplaced transaction has a completed operation on
+//!   it; the others can no longer decide anything (see "Keys on live
+//!   objects" below).
 //!
 //! ## The resumable session
 //!
@@ -96,14 +99,37 @@
 //! values, and look nothing up by name. Each completed operation caches
 //! its last transition, `input id → output id` (or illegal), so a replay
 //! from a state it has seen asks the specification nothing. The only copy
-//! of a state left is a memo insert, which appends its 8-byte
-//! `(slot, id)` pairs to the memo's arena (`crate::memo`); a probe is one
-//! keyed lookup that compares the live state in place. [`SearchStats`]
-//! counts the inserts and the clones avoided. Slots are never reused inside
-//! a session, so a memo entry recorded before an object appeared (the
-//! object was then at its initial state, which has no entry) still compares
-//! correctly against every later state; equality of the `(slot, id)` lists,
-//! not the fingerprint, decides a memo hit.
+//! of a state left is a memo insert, which appends the 8-byte
+//! `(slot, id)` pairs of its live objects to the memo's arena
+//! (`crate::memo`); a probe is one keyed lookup that compares them in
+//! place. [`SearchStats`] counts the inserts and the clones avoided. Slots
+//! are never reused inside a session, so a memo entry recorded before an
+//! object appeared (the object was then at its initial state, which has no
+//! entry) still compares correctly against every later state; equality of
+//! the `(slot, id)` lists, not the fingerprint, decides a memo hit.
+//!
+//! ## Keys on live objects
+//!
+//! The session keeps, per slot, the mask of the selected transactions that
+//! completed an operation on it (filled where a completed operation of a
+//! selected transaction is recorded, and when a transaction is selected).
+//! At frontier `placed` the memo sees only the state's entries whose slot
+//! some transaction of `selected & !placed` uses: the state lends it that
+//! filtered view with its own fingerprint, so neither a probe nor an
+//! insert copies the state. The DFS state, the undo log and the
+//! checkpoint stay whole.
+//!
+//! In one check this is sound because the unplaced transactions replay
+//! operations on live objects only, so two states that agree on them have
+//! the same completions. Across checks an entry must not see its live set
+//! grow while it stays in the memo, and it does not: a new operation of an
+//! unplaced transaction drops every entry that left it unplaced (point 2
+//! above), a new transaction has no operation before its first response,
+//! which drops every older entry the same way, and in the committed-only
+//! modes selecting a transaction clears the memo. On the real-time-chained
+//! knots a finished knot leaves one of its writers' values behind that
+//! only the final read of `k0` can still need, so without this the memo
+//! told `writers ^ knots` states apart.
 //!
 //! After a check, a session whose value table holds more than twice the
 //! ids still referenced (plus a slack) renumbers it: it keeps only the ids
@@ -249,9 +275,10 @@ pub struct SearchStats {
     pub memo_hits: usize,
     /// Placements rejected by legality replay.
     pub illegal_placements: usize,
-    /// Memo-table inserts: each copies the object state's `(slot, id)`
-    /// pairs into the memo's arena, the only copy of a state the engine
-    /// makes (no allocation of its own unless the arena opens a chunk).
+    /// Memo-table inserts: each copies the `(slot, id)` pairs of the
+    /// state's live objects into the memo's arena, the only copy of a state
+    /// the engine makes (no allocation of its own unless the arena opens a
+    /// chunk).
     pub state_clones: usize,
     /// Object-state clones *avoided*: one per placement expansion (the
     /// in-place apply/undo replay) and one per memo probe (one keyed lookup
@@ -431,6 +458,14 @@ impl Checkpoint {
         self.undo.renumber(remap);
     }
 
+    /// Makes room for a path of `txs` placements over `slots` objects, so
+    /// that the search does not grow the path step by step.
+    fn reserve(&mut self, txs: usize, slots: usize) {
+        self.stack.reserve(txs.saturating_sub(self.stack.len()));
+        self.undo.reserve(txs);
+        self.states.reserve(slots);
+    }
+
     /// Undoes every step from position `len` on.
     fn truncate(&mut self, len: usize) {
         if let Some(step) = self.stack.get(len) {
@@ -452,6 +487,8 @@ struct Dfs<'s> {
     by_bit: &'s [usize],
     /// [`CheckSession`]'s component mask per bit.
     comp: &'s [u64],
+    /// [`CheckSession`]'s users mask per slot.
+    users: &'s [u64],
     order: &'s [u32],
     selected_mask: u64,
     node_limit: Option<usize>,
@@ -540,8 +577,13 @@ impl Dfs<'_> {
             self.obs.counter_add("search.nodes_live", 0x400);
         }
         let boundary = placed & comp == comp;
+        // Only the unplaced transactions' objects can decide the rest.
+        let unplaced = self.selected_mask & !placed;
         self.stats.clones_saved += 1; // memo probe without a key clone
-        if self.memo.probe(placed, &self.path.states) {
+        if self
+            .memo
+            .probe(placed, self.path.states.live(self.users, unplaced))
+        {
             self.stats.memo_hits += 1;
             // A dead end at a boundary condemns the whole search.
             self.abandon |= boundary && !self.truncated;
@@ -602,8 +644,9 @@ impl Dfs<'_> {
             self.stats.state_clones += 1;
             // The entry's eviction priority is what it cost to establish:
             // the nodes expanded below (and including) this frontier.
+            let key = self.path.states.live(self.users, unplaced);
             self.memo
-                .insert(placed, &self.path.states, self.stats.nodes - nodes_at_entry);
+                .insert(placed, key, self.stats.nodes - nodes_at_entry);
         }
         // The components placed since the search root are complete and the
         // rest cannot be completed: no other choice below the root helps.
@@ -644,9 +687,10 @@ pub struct CheckSession<'a> {
     /// transactions connected to it by shared objects and real-time edges
     /// (module docs, point 4). Components only ever merge.
     comp: Vec<u64>,
-    /// Per object slot, some selected transaction (its bit) that completed
-    /// an operation on it.
-    slot_owner: Vec<Option<u32>>,
+    /// Per object slot, the bits of the selected transactions that
+    /// completed an operation on it: the memo keys a frontier on the slots
+    /// its unplaced transactions use.
+    users: Vec<u64>,
     events_seen: usize,
     selected_mask: u64,
     /// Bits of selected transactions that are completed (used to freeze
@@ -686,7 +730,7 @@ impl<'a> CheckSession<'a> {
             index: HashMap::new(),
             by_bit: Vec::new(),
             comp: Vec::new(),
-            slot_owner: Vec::new(),
+            users: Vec::new(),
             events_seen: 0,
             selected_mask: 0,
             completed_selected_mask: 0,
@@ -975,7 +1019,7 @@ impl<'a> CheckSession<'a> {
     }
 
     /// Selects transaction `ci`: gives it the next bit and joins its
-    /// component with its real-time predecessors' and with the owners of
+    /// component with its real-time predecessors' and with the users of
     /// the objects its completed operations touched.
     fn assign_bit(&mut self, ci: usize) {
         let b = self.by_bit.len() as u32;
@@ -989,17 +1033,15 @@ impl<'a> CheckSession<'a> {
         }
     }
 
-    /// Bit `b` completed an operation on `slot`: joins its component with
-    /// the slot's owner's, or becomes the owner.
+    /// Bit `b` completed an operation on `slot`: becomes one of its users
+    /// and joins their component.
     fn touch(&mut self, b: u32, slot: u32) {
         let slot = slot as usize;
-        if self.slot_owner.len() <= slot {
-            self.slot_owner.resize(slot + 1, None);
+        if self.users.len() <= slot {
+            self.users.resize(slot + 1, 0);
         }
-        match self.slot_owner[slot] {
-            Some(owner) => self.join(b, 1 << owner),
-            None => self.slot_owner[slot] = Some(b),
-        }
+        self.users[slot] |= 1 << b;
+        self.join(b, self.users[slot]);
     }
 
     /// Merges the component of bit `b` with the components of the bits in
@@ -1086,6 +1128,7 @@ impl<'a> CheckSession<'a> {
         // — appending events never orders two existing transactions), then
         // every other transaction in first-selection order.
         self.order.clear();
+        self.order.reserve(self.by_bit.len());
         let mut seen = 0u64;
         for s in stack {
             seen |= 1 << s.bit;
@@ -1098,6 +1141,8 @@ impl<'a> CheckSession<'a> {
         }
         let prefix_mask = self.order[..valid].iter().fold(0u64, |m, &b| m | 1 << b);
         self.checkpoint.truncate(valid);
+        self.checkpoint
+            .reserve(self.by_bit.len(), self.slots.slots().len());
         let evictions_before = self.memo.evictions();
         let obs = self.config.obs;
         let _check_span = obs.span("check", "search");
@@ -1108,6 +1153,7 @@ impl<'a> CheckSession<'a> {
             txs: &mut self.txs,
             by_bit: &self.by_bit,
             comp: &self.comp,
+            users: &self.users,
             order: &self.order[valid..],
             selected_mask: self.selected_mask,
             node_limit: self.config.node_limit,
@@ -1830,6 +1876,132 @@ mod tests {
             counts.push(s.components());
         }
         assert_eq!(counts, [1, 1, 2, 2, 2, 2, 2, 2, 2, 1]);
+    }
+
+    // ---- live-object keys ------------------------------------------------
+
+    /// Knot 0 of two real-time-chained knots: gate 1 commits `g0`, then
+    /// writers 2 and 3 of `k0` = 20 and 30 and reader 4 of `k0` = 20 run
+    /// concurrently and commit. The first order the search tries, 2 · 4 · 3,
+    /// leaves `k0` at 30; only 3 · 2 · 4 leaves it at 20.
+    fn first_knot() -> HistoryBuilder {
+        HistoryBuilder::new()
+            .write(1, "g0", 1)
+            .commit_ok(1)
+            .write(2, "k0", 20)
+            .write(3, "k0", 30)
+            .read(4, "k0", 20)
+            .commit_ok(2)
+            .commit_ok(3)
+            .commit_ok(4)
+    }
+
+    /// Checks the first `batch` events of `h` at once, which must leave
+    /// dead ends in the memo, then checks after every further event, and
+    /// asserts that the session agrees with a fresh session on every
+    /// prefix.
+    fn assert_streamed_like_fresh(h: &History, batch: usize) {
+        let specs = regs();
+        let mut s = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+        for (i, e) in h.events().iter().enumerate() {
+            s.extend(e).unwrap();
+            if i + 1 < batch {
+                continue;
+            }
+            let live = s.check().unwrap().holds();
+            if i + 1 == batch {
+                assert!(s.memo_resident() > 0, "no dead end after the batch");
+            }
+            let fresh = search(&h.prefix(i + 1), &specs, SearchMode::OPACITY)
+                .unwrap()
+                .holds();
+            assert_eq!(live, fresh, "prefix {} of {h}", i + 1);
+        }
+    }
+
+    #[test]
+    fn a_new_transaction_reading_a_dead_object_is_checked_like_a_fresh_session() {
+        // One check of both knots records the dead ends of knot 1 (gate 5,
+        // writers 6 and 7 of `k1`, reader 8), where no unplaced transaction
+        // uses `k0`, so they are keyed without it. Then transaction 9
+        // begins and reads `k0`: 20 is left only by the second order of
+        // knot 0, 30 by the first, and 40 by none.
+        let knots = first_knot()
+            .write(5, "g1", 1)
+            .commit_ok(5)
+            .write(6, "k1", 60)
+            .write(7, "k1", 70)
+            .read(8, "k1", 60)
+            .commit_ok(6)
+            .commit_ok(7)
+            .commit_ok(8);
+        let at = knots.clone().build().len();
+        for (late, opaque) in [(20, true), (30, true), (40, false)] {
+            let h = knots.clone().read(9, "k0", late).commit_ok(9).build();
+            assert_streamed_like_fresh(&h, at);
+            assert_eq!(
+                search(&h, &regs(), SearchMode::OPACITY).unwrap().holds(),
+                opaque
+            );
+        }
+    }
+
+    #[test]
+    fn a_new_operation_on_a_dead_object_is_checked_like_a_fresh_session() {
+        // Transaction 9 begins inside knot 1 and reads `z`, so one check of
+        // both knots records dead ends of knot 1's interior that leave it
+        // unplaced and are keyed without `k0`. Then it reads `k0` (20 is
+        // left only by the second order of knot 0, 40 by none) and writes
+        // `k1`.
+        let knots = first_knot()
+            .write(5, "g1", 1)
+            .commit_ok(5)
+            .write(6, "k1", 60)
+            .write(7, "k1", 70)
+            .read(9, "z", 0)
+            .read(8, "k1", 60)
+            .commit_ok(6)
+            .commit_ok(7)
+            .commit_ok(8);
+        let at = knots.clone().build().len();
+        for (late, opaque) in [(20, true), (40, false)] {
+            let h = knots
+                .clone()
+                .read(9, "k0", late)
+                .write(9, "k1", 90)
+                .commit_ok(9)
+                .build();
+            assert_streamed_like_fresh(&h, at);
+            assert_eq!(
+                search(&h, &regs(), SearchMode::OPACITY).unwrap().holds(),
+                opaque
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_end_sibling_differing_in_a_live_object_is_not_a_hit() {
+        // Writers 1 and 2 of `x` are concurrent, and reader 3 of `x` = 1
+        // follows both. The first order, 1 · 2, leaves `x` at 2 and is a
+        // dead end at the frontier {1, 2}; the sibling 2 · 1 reaches the
+        // same frontier with `x` at 1. Only unplaced reader 3 uses `x`
+        // there: a key that left `x` out would take the sibling for the
+        // dead end and refute the history. In the committed-only mode the
+        // writers' uses of `x` are recorded when they commit.
+        let h = HistoryBuilder::new()
+            .write(1, "x", 1)
+            .write(2, "x", 2)
+            .commit_ok(1)
+            .commit_ok(2)
+            .read(3, "x", 1)
+            .commit_ok(3)
+            .build();
+        for mode in [SearchMode::OPACITY, SearchMode::STRICT_SERIALIZABILITY] {
+            let out = search(&h, &regs(), mode).unwrap();
+            assert_eq!(out.stats.memo_hits, 0, "{mode:?}");
+            let w = out.witness.expect("2 · 1 · 3 is a witness");
+            assert_eq!(w.tx_order(), vec![TxId(2), TxId(1), TxId(3)], "{mode:?}");
+        }
     }
 
     // ---- bounded memo --------------------------------------------------

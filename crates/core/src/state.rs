@@ -39,6 +39,12 @@
 //! output is tried before the table: an operation that overwrites its
 //! object (every write) reaches the same value from every input.
 //!
+//! The memo keys a dead end on part of the state only: [`SlotStates::live`]
+//! lends it a [`LiveView`] of the entries whose slots the frontier's
+//! unplaced transactions use, with the XOR of their hashes as its
+//! fingerprint, filtered on the fly so that neither a probe nor an insert
+//! copies the state.
+//!
 //! ## Why slot keys stay sound across a growing history
 //!
 //! Memo entries outlive the check that recorded them, while new objects
@@ -330,6 +336,12 @@ impl Undo {
         self.changes.len()
     }
 
+    /// Makes room for `changes` logged changes in all.
+    pub(crate) fn reserve(&mut self, changes: usize) {
+        self.changes
+            .reserve(changes.saturating_sub(self.changes.len()));
+    }
+
     /// Sets `marks[id]` to 0 for every id the log would restore.
     pub(crate) fn mark_ids(&self, marks: &mut [u32]) {
         for change in &self.changes {
@@ -363,6 +375,7 @@ pub(crate) enum ReplayError {
 impl SlotStates {
     /// The fingerprint: the XOR of the entries' hashes. Equal states have
     /// equal fingerprints; the converse holds up to collisions.
+    #[cfg(test)]
     pub(crate) fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -371,6 +384,12 @@ impl SlotStates {
     /// compares.
     pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
         self.entries.iter().map(|e| (e.slot, e.id))
+    }
+
+    /// Makes room for `slots` entries in all.
+    pub(crate) fn reserve(&mut self, slots: usize) {
+        self.entries
+            .reserve(slots.saturating_sub(self.entries.len()));
     }
 
     fn position(&self, slot: u32) -> Result<usize, usize> {
@@ -496,6 +515,26 @@ impl SlotStates {
             .for_each(|e| e.id = remap[e.id as usize]);
     }
 
+    /// The entries whose slot some transaction of `open` uses, by the
+    /// per-slot masks `users` (a slot past its end has no users): the part
+    /// of the state the memo keys a dead end on. Lent, not copied.
+    pub(crate) fn live<'a>(&'a self, users: &'a [u64], open: u64) -> LiveView<'a> {
+        let mut view = LiveView {
+            entries: &self.entries,
+            users,
+            open,
+            fingerprint: 0,
+            len: 0,
+        };
+        for e in &self.entries {
+            if view.keeps(e) {
+                view.fingerprint ^= e.hash;
+                view.len += 1;
+            }
+        }
+        view
+    }
+
     /// A state with the given `(slot, id, hash)` entries and the XOR of
     /// the given hashes as its fingerprint, whatever the hashes are — for
     /// tests that need control over fingerprints.
@@ -511,6 +550,42 @@ impl SlotStates {
             entries,
             fingerprint,
         }
+    }
+}
+
+/// The live entries of a [`SlotStates`] ([`SlotStates::live`]) and the XOR
+/// of their hashes.
+#[derive(Clone, Copy)]
+pub(crate) struct LiveView<'a> {
+    entries: &'a [Entry],
+    users: &'a [u64],
+    open: u64,
+    fingerprint: u64,
+    len: usize,
+}
+
+impl LiveView<'_> {
+    fn keeps(&self, e: &Entry) -> bool {
+        self.users
+            .get(e.slot as usize)
+            .is_some_and(|&u| u & self.open != 0)
+    }
+
+    /// The XOR of the kept entries' hashes.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The number of kept entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The kept `(slot, id)` entries, sorted by slot: what the memo stores
+    /// and compares.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let kept = self.entries.iter().filter(|e| self.keeps(e));
+        kept.map(|e| (e.slot, e.id))
     }
 }
 

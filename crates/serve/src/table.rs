@@ -81,14 +81,18 @@ use crate::session::Session;
 /// dead end it keeps, once the memo dominates its footprint.
 ///
 /// Measured on the real-time-chained knots of 5 × 3 transactions: a served
-/// session that checks them event by event holds 515 172 live bytes over
-/// 2 542 resident entries, 203 B each (`crates/serve/tests/allocations.rs`
+/// session that checks them event by event holds 60 452 live bytes over
+/// 250 resident entries, 242 B each (`crates/serve/tests/allocations.rs`
 /// pins it and holds it under this constant), and the one-shot check of
-/// the same knots leaves a session holding 520 912 B, 205 B each
+/// the same knots leaves a session holding 53 496 B, 213 B each
 /// (`crates/core/tests/monitor_footprint.rs`). The memo stores 8-byte
-/// `(slot, value id)` pairs, and the session numbers each object value
-/// once.
-pub const EST_ENTRY_BYTES: u64 = 203;
+/// `(slot, value id)` pairs of the objects that the frontier's unplaced
+/// transactions use, and the session numbers each object value once. The
+/// figure is per entry, but it includes the transactions, objects and
+/// values the session holds anyway: with 250 entries each carries a
+/// larger share of them than with the 2 542 entries the same session
+/// kept when every object was part of a key (203 B each).
+pub const EST_ENTRY_BYTES: u64 = 242;
 
 /// Per-session memo-capacity floor: below this the table thrashes instead
 /// of pruning, so governance degrades gracefully to "tiny but useful"

@@ -164,9 +164,10 @@ fn served_bytes_per_resident_memo_entry_fit_the_estimate() {
     let bytes = (live_bytes() - before) as u64;
     let resident = table.memo_resident() as u64;
     // Every byte the served session holds, over the dead ends it keeps:
-    // the same 2 542 entries the one-shot check of the unmoved history
-    // keeps (`monitor_footprint.rs`).
-    assert_eq!((bytes, resident), (515_172, 2542));
+    // the same 250 entries the one-shot check of the unmoved history
+    // keeps (`monitor_footprint.rs`). Before the memo keyed dead ends on
+    // the live objects only, it held 515 172 B over 2 542 entries.
+    assert_eq!((bytes, resident), (60_452, 250));
     let per_entry = bytes.div_ceil(resident);
     assert!(
         per_entry <= EST_ENTRY_BYTES,
