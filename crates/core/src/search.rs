@@ -164,7 +164,7 @@ use std::collections::HashMap;
 
 use crate::memo::ShardedMemo;
 use crate::state::{OpSlot, ReplayError, Slot, SlotStates, SlotTable, Undo, ValueTable, NIL};
-use tm_model::wellformed::WfError;
+use tm_model::wellformed::{WfError, WfState};
 use tm_model::{Event, History, SpecRegistry, TxId, TxStatus, TxView};
 
 /// How a transaction was placed in a serialization witness.
@@ -387,20 +387,6 @@ const MAX_TXS: usize = 64;
 /// between two scans for references.
 const RECLAIM_SLACK: usize = 256;
 
-/// Mirror of the per-transaction well-formedness automaton of
-/// `tm_model::wellformed`, maintained incrementally so that
-/// [`CheckSession::extend`] rejects exactly the events `check_well_formed`
-/// would reject, with the same [`WfError`]. A pending operation's object
-/// and operation are the transaction view's `pending` invocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TxWf {
-    Idle,
-    OpPending,
-    CommitPending,
-    AbortPending,
-    Done,
-}
-
 /// Per-transaction state of the resumable session.
 struct TxCell {
     id: TxId,
@@ -408,7 +394,7 @@ struct TxCell {
     /// The slot of each operation in `view.ops`, with the operation's last
     /// transition.
     op_slots: Vec<OpSlot>,
-    wf: TxWf,
+    wf: WfState,
     issued_try_abort: bool,
     /// Bit index in the placement masks, assigned when the transaction
     /// becomes *selected* under the search mode (immediately for opacity;
@@ -820,15 +806,9 @@ impl<'a> CheckSession<'a> {
             None => {
                 // First event of a new transaction. Validate before creating
                 // the cell so a failed extend leaves the session untouched.
-                match e {
-                    Event::Inv { .. } | Event::TryCommit(_) | Event::TryAbort(_) => {}
-                    _ => {
-                        return Err(CheckError::NotWellFormed(WfError::UnmatchedResponse {
-                            tx,
-                            index,
-                        }))
-                    }
-                }
+                WfState::Idle
+                    .step(e, index, None)
+                    .map_err(CheckError::NotWellFormed)?;
                 let selected_now = self.mode.include_noncommitted;
                 if selected_now && self.by_bit.len() >= MAX_TXS {
                     return Err(CheckError::TooManyTransactions {
@@ -851,7 +831,7 @@ impl<'a> CheckSession<'a> {
                         status: TxStatus::Live,
                     },
                     op_slots: Vec::new(),
-                    wf: TxWf::Idle,
+                    wf: WfState::Idle,
                     issued_try_abort: false,
                     bit: None,
                     pred_mask,
@@ -864,66 +844,14 @@ impl<'a> CheckSession<'a> {
             }
         };
 
-        // Well-formedness transition (mirrors tm_model::wellformed exactly).
-        let next_wf = match (&self.txs[ci].wf, e) {
-            (TxWf::Done, _) => {
-                return Err(CheckError::NotWellFormed(WfError::EventAfterCompletion {
-                    tx,
-                    index,
-                }))
-            }
-            (TxWf::Idle, Event::Inv { .. }) => TxWf::OpPending,
-            (TxWf::Idle, Event::TryCommit(_)) => TxWf::CommitPending,
-            (TxWf::Idle, Event::TryAbort(_)) => TxWf::AbortPending,
-            (TxWf::Idle, _) => {
-                return Err(CheckError::NotWellFormed(WfError::UnmatchedResponse {
-                    tx,
-                    index,
-                }))
-            }
-            (TxWf::OpPending, Event::Ret { obj, op, .. }) => {
-                // The invocation is this transaction's, so only the object
-                // and the operation can differ.
-                let pending = &self.txs[ci].view.pending;
-                if matches!(pending, Some((o, p, _)) if o == obj && p == op) {
-                    TxWf::Idle
-                } else {
-                    return Err(CheckError::NotWellFormed(WfError::UnmatchedResponse {
-                        tx,
-                        index,
-                    }));
-                }
-            }
-            (TxWf::OpPending, Event::Abort(_)) => TxWf::Done,
-            (TxWf::OpPending, Event::Commit(_)) => {
-                return Err(CheckError::NotWellFormed(WfError::CommitAnswersOperation {
-                    tx,
-                    index,
-                }))
-            }
-            (TxWf::OpPending, _) => {
-                return Err(CheckError::NotWellFormed(WfError::InvocationWhilePending {
-                    tx,
-                    index,
-                }))
-            }
-            (TxWf::CommitPending, Event::Commit(_)) | (TxWf::CommitPending, Event::Abort(_)) => {
-                TxWf::Done
-            }
-            (TxWf::CommitPending, _) => {
-                return Err(CheckError::NotWellFormed(WfError::BadEventAfterTryCommit {
-                    tx,
-                    index,
-                }))
-            }
-            (TxWf::AbortPending, Event::Abort(_)) => TxWf::Done,
-            (TxWf::AbortPending, _) => {
-                return Err(CheckError::NotWellFormed(WfError::BadEventAfterTryAbort {
-                    tx,
-                    index,
-                }))
-            }
-        };
+        // The well-formedness automaton of `tm_model::wellformed`, one
+        // event at a time: the pending invocation is the transaction view's.
+        let cell = &self.txs[ci];
+        let pending = cell.view.pending.as_ref().map(|(obj, op, _)| (obj, op));
+        let next_wf = cell
+            .wf
+            .step(e, index, pending)
+            .map_err(CheckError::NotWellFormed)?;
         // Last fallible step, checked BEFORE committing any mutation so a
         // failed extend leaves the session exactly as it was: in committed-only
         // modes a Commit event selects the transaction, which needs a bit.

@@ -14,7 +14,7 @@
 //! event can follow an abort-try event. Transactions are sequential: an
 //! operation is invoked only after the previous one responded.
 
-use crate::event::{Event, TxId};
+use crate::event::{Event, ObjId, OpName, TxId};
 use crate::history::History;
 use std::fmt;
 
@@ -77,13 +77,17 @@ impl fmt::Display for WfError {
 
 impl std::error::Error for WfError {}
 
-/// Per-transaction automaton state used by the well-formedness scan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum TxWf {
+/// One transaction's state in the well-formedness automaton.
+///
+/// [`check_well_formed`] runs it over a whole history, and a resumable
+/// checker can run it one event at a time: both reject exactly the same
+/// events with the same [`WfError`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WfState {
     /// Between operations; may invoke, tryC, or tryA.
     Idle,
     /// An operation invocation is pending (awaiting `Ret` or `Abort`).
-    OpPending(Event),
+    OpPending,
     /// `tryC` issued; awaiting `C` or `A`.
     CommitPending,
     /// `tryA` issued; awaiting `A`.
@@ -92,43 +96,62 @@ enum TxWf {
     Done,
 }
 
-/// Checks whether `h` is well-formed; returns the first violation found.
-pub fn check_well_formed(h: &History) -> Result<(), WfError> {
-    use std::collections::HashMap;
-    let mut states: HashMap<TxId, TxWf> = HashMap::new();
-    for (index, e) in h.events().iter().enumerate() {
+impl WfState {
+    /// The state after `e`, an event of this transaction and event `index`
+    /// of the history, or the violation `e` commits. `pending` is the
+    /// object and operation of the transaction's pending invocation; only
+    /// a `Ret` in [`WfState::OpPending`] consults it.
+    #[inline]
+    pub fn step(
+        self,
+        e: &Event,
+        index: usize,
+        pending: Option<(&ObjId, &OpName)>,
+    ) -> Result<WfState, WfError> {
         let tx = e.tx();
-        let st = states.entry(tx).or_insert(TxWf::Idle);
-        let next = match (&st, e) {
-            (TxWf::Done, _) => return Err(WfError::EventAfterCompletion { tx, index }),
+        Ok(match (self, e) {
+            (WfState::Done, _) => return Err(WfError::EventAfterCompletion { tx, index }),
             // --- Idle ---
-            (TxWf::Idle, Event::Inv { .. }) => TxWf::OpPending(e.clone()),
-            (TxWf::Idle, Event::TryCommit(_)) => TxWf::CommitPending,
-            (TxWf::Idle, Event::TryAbort(_)) => TxWf::AbortPending,
-            (TxWf::Idle, _) => return Err(WfError::UnmatchedResponse { tx, index }),
+            (WfState::Idle, Event::Inv { .. }) => WfState::OpPending,
+            (WfState::Idle, Event::TryCommit(_)) => WfState::CommitPending,
+            (WfState::Idle, Event::TryAbort(_)) => WfState::AbortPending,
+            (WfState::Idle, _) => return Err(WfError::UnmatchedResponse { tx, index }),
             // --- operation pending ---
-            (TxWf::OpPending(inv), Event::Ret { .. }) => {
-                if e.matches_invocation(inv) {
-                    TxWf::Idle
+            (WfState::OpPending, Event::Ret { obj, op, .. }) => {
+                if pending == Some((obj, op)) {
+                    WfState::Idle
                 } else {
                     return Err(WfError::UnmatchedResponse { tx, index });
                 }
             }
-            (TxWf::OpPending(_), Event::Abort(_)) => TxWf::Done,
-            (TxWf::OpPending(_), Event::Commit(_)) => {
+            (WfState::OpPending, Event::Abort(_)) => WfState::Done,
+            (WfState::OpPending, Event::Commit(_)) => {
                 return Err(WfError::CommitAnswersOperation { tx, index })
             }
-            (TxWf::OpPending(_), _) => return Err(WfError::InvocationWhilePending { tx, index }),
+            (WfState::OpPending, _) => return Err(WfError::InvocationWhilePending { tx, index }),
             // --- commit pending ---
-            (TxWf::CommitPending, Event::Commit(_)) | (TxWf::CommitPending, Event::Abort(_)) => {
-                TxWf::Done
+            (WfState::CommitPending, Event::Commit(_) | Event::Abort(_)) => WfState::Done,
+            (WfState::CommitPending, _) => {
+                return Err(WfError::BadEventAfterTryCommit { tx, index })
             }
-            (TxWf::CommitPending, _) => return Err(WfError::BadEventAfterTryCommit { tx, index }),
             // --- abort pending ---
-            (TxWf::AbortPending, Event::Abort(_)) => TxWf::Done,
-            (TxWf::AbortPending, _) => return Err(WfError::BadEventAfterTryAbort { tx, index }),
-        };
-        *st = next;
+            (WfState::AbortPending, Event::Abort(_)) => WfState::Done,
+            (WfState::AbortPending, _) => return Err(WfError::BadEventAfterTryAbort { tx, index }),
+        })
+    }
+}
+
+/// Checks whether `h` is well-formed; returns the first violation found.
+pub fn check_well_formed(h: &History) -> Result<(), WfError> {
+    use std::collections::HashMap;
+    // Each transaction's state and its latest operation invocation.
+    let mut txs = HashMap::new();
+    for (index, e) in h.events().iter().enumerate() {
+        let (state, pending) = txs.entry(e.tx()).or_insert((WfState::Idle, None));
+        *state = state.step(e, index, *pending)?;
+        if let Event::Inv { obj, op, .. } = e {
+            *pending = Some((obj, op));
+        }
     }
     Ok(())
 }
@@ -142,7 +165,6 @@ pub fn is_well_formed(h: &History) -> bool {
 mod tests {
     use super::*;
     use crate::builder::{paper, HistoryBuilder};
-    use crate::event::OpName;
 
     #[test]
     fn paper_histories_are_well_formed() {

@@ -17,7 +17,7 @@
 //! ## Replay determinism
 //!
 //! `--replay FILE` is the CI-facing offline mode: frames are applied in
-//! file order with exactly one scheduler turn per input line, and a full
+//! file order with exactly one scheduler turn per frame line, and a full
 //! inbox *flow-controls the reader* (the daemon runs turns until space
 //! frees up) instead of emitting `busy`. Output is therefore a pure
 //! function of the file — byte-stable across runs and machines — while
@@ -27,8 +27,8 @@
 //!
 //! ## Fault plane and crash recovery
 //!
-//! The stdin and replay loops thread every input line through a
-//! [`FaultDriver`] built from [`ServeConfig::fault_plan`], which can tear
+//! Every transport threads every input line through a [`FaultDriver`]
+//! built from [`ServeConfig::fault_plan`], which can tear
 //! or drop lines, stall the scheduler, arm transient response-write
 //! failures, spike the memo/node budgets, or kill the daemon outright
 //! (exit code 3, journal flushed, no drain — the crash-recovery tests'
@@ -40,19 +40,24 @@
 //! bounded number of times, hard errors end the input and trigger the
 //! normal drain — a broken pipe mid-stream loses no accepted work.
 //!
-//! ## One turn path, reused buffers
+//! ## One line path, reused buffers
 //!
-//! Every transport handles an input line the same way: decode the frame in
-//! place (its session id borrows from the line), route it, take one
-//! scheduler turn, and write the frames both produced. The routed and the
-//! turn frames are appended to one `Vec` the loop reuses, and every
-//! response line is rendered into one reused `String` and written whole: a
-//! short write or a transient error resumes from the byte the writer
-//! stopped at, so a peer never sees part of a line twice.
+//! Every transport hands its input lines to one routine. A blank line is
+//! not a frame: the fault plan does not count it and it takes no turn,
+//! though it still counts in the `input line N` positions of error frames.
+//! Any other line passes fault admission, is decoded in place (its session
+//! id borrows from the line), is routed, takes one scheduler turn, and the
+//! frames both produced are written through the driver's write-failure
+//! check. Transports differ only in where lines come from and in the
+//! backpressure rule above. The frames are appended to one `Vec` the
+//! daemon reuses, and every response line is rendered into one reused
+//! `String` and written whole: a short write or a transient error resumes
+//! from the byte the writer stopped at, so a peer never sees part of a
+//! line twice.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 use crate::faults::{FaultDriver, LineFate};
@@ -82,103 +87,74 @@ pub enum Transport {
     Socket(PathBuf),
 }
 
-/// Decodes one input line: `None` for a blank line (ignored), else the
-/// frame or, on a parse error, the `error` frame answering it, tagged with
-/// the input line number.
-fn parse_line(
-    line: &str,
-    lineno: usize,
-    conn: usize,
-) -> Option<Result<ClientFrameRef<'_>, Routed>> {
-    if line.trim().is_empty() {
-        return None;
-    }
-    Some(decode_client_frame(line).map_err(|e| Routed {
-        conn,
-        frame: ServerFrame::Error {
-            session: None,
-            seq: None,
-            message: format!("input line {lineno}: {}", e.message),
-        },
-    }))
+fn is_transient(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
 }
 
-/// Applies one decoded input line (see [`parse_line`]), appending the
-/// immediate response frames to `out`. Returns whether the frame requested
-/// shutdown.
-fn apply(
-    table: &mut SessionTable,
-    parsed: Option<Result<ClientFrameRef<'_>, Routed>>,
-    conn: usize,
-    out: &mut Vec<Routed>,
-) -> bool {
-    let frame = match parsed {
-        None => return false,
-        Some(Err(error)) => {
-            out.push(error);
-            return false;
+/// Reads the next line into the cleared `buf`, retrying transient errors
+/// a bounded number of times in a row. A `WouldBlock` mid-line keeps the
+/// prefix already read (`read_line` appends, so the retry completes the
+/// line in place). `Ok(true)` while more input may follow; at the end of
+/// the input — EOF or retries exhausted (`Ok(false)`), or a hard error
+/// (`Err`) — `buf` holds whatever final partial line came before it.
+fn read_line(input: &mut impl BufRead, buf: &mut String) -> io::Result<bool> {
+    buf.clear();
+    let mut retries = 0u32;
+    loop {
+        match input.read_line(buf) {
+            Ok(n) => return Ok(n > 0),
+            Err(e) if is_transient(&e) => {
+                if retries == MAX_TRANSIENT_RETRIES {
+                    return Ok(false);
+                }
+                retries += 1;
+            }
+            Err(e) => return Err(e),
         }
-        Some(Ok(frame)) => frame,
-    };
-    match frame {
-        ClientFrameRef::Open { session } => table.open_into(&session, conn, out),
-        ClientFrameRef::Feed {
-            session,
-            event,
-            seq,
-        } => {
-            let handle = table.lookup(&session);
-            table.feed_into(handle, &session, event, seq, conn, out);
-        }
-        ClientFrameRef::Close { session } => table.close_into(&session, conn, out),
-        ClientFrameRef::Shutdown => return true,
     }
-    false
 }
 
 /// Writes one whole response line, resuming after short writes from the
 /// byte offset already accepted: a transient error (`Interrupted`,
 /// `WouldBlock`) is retried a bounded number of times without re-sending
 /// any byte the writer took.
-fn write_line(w: &mut dyn Write, line: &[u8]) -> io::Result<()> {
+fn write_line<W: Write + ?Sized>(w: &mut W, line: &[u8]) -> io::Result<()> {
     let mut done = 0;
     let mut retries = 0u32;
     while done < line.len() {
         match w.write(&line[done..]) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => done += n,
-            Err(e)
-                if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock)
-                    && retries < MAX_TRANSIENT_RETRIES =>
-            {
-                retries += 1;
-            }
+            Err(e) if is_transient(&e) && retries < MAX_TRANSIENT_RETRIES => retries += 1,
             Err(e) => return Err(e),
         }
     }
     Ok(())
 }
 
-/// The single-stream response side: the writer plus the buffer every
-/// response line is rendered into, reused across frames.
-struct Responder<'w> {
-    out: &'w mut dyn Write,
-    line: String,
+/// Where response lines go.
+trait Sink {
+    /// Writes one rendered response line for connection `conn`. An error
+    /// means the response stream is gone, which ends the run.
+    fn send(&mut self, conn: usize, line: &[u8]) -> io::Result<()>;
 }
 
-impl Responder<'_> {
-    /// Writes response frames and empties `frames`, consulting the fault
-    /// driver before each one: an armed transient write failure swallows
-    /// that frame (the daemon carries on — a lost response is the client
-    /// library's problem to recover, and seq-tagged resends make that
-    /// safe).
-    fn emit(&mut self, driver: &mut FaultDriver, frames: &mut Vec<Routed>) -> io::Result<()> {
-        for r in frames.drain(..) {
-            if driver.take_write_failure() {
-                continue;
+/// The single-stream transports (stdin, replay) answer on one writer.
+impl<W: Write + ?Sized> Sink for &mut W {
+    fn send(&mut self, _conn: usize, line: &[u8]) -> io::Result<()> {
+        write_line(&mut **self, line)
+    }
+}
+
+/// The socket answers on each frame's connection (`None` once the peer is
+/// gone). Peer failures degrade per connection: a frame for a gone peer is
+/// dropped, and a failed write marks that peer gone.
+impl Sink for Vec<Option<UnixStream>> {
+    fn send(&mut self, conn: usize, line: &[u8]) -> io::Result<()> {
+        if let Some(slot) = self.get_mut(conn) {
+            if slot.as_mut().is_some_and(|w| write_line(w, line).is_err()) {
+                *slot = None;
             }
-            render_line(&mut self.line, &r.frame);
-            write_line(self.out, self.line.as_bytes())?;
         }
         Ok(())
     }
@@ -191,48 +167,287 @@ fn render_line(buf: &mut String, frame: &ServerFrame) {
     buf.push('\n');
 }
 
-/// Builds the table a run starts from: resume from the journal when
-/// configured (then keep appending to it), otherwise start a fresh journal
-/// (when configured) or none at all. Errors here are startup failures —
-/// the caller exits 2 before serving anything.
-fn prepare(config: ServeConfig) -> Result<(SessionTable, FaultDriver), i32> {
-    let driver = FaultDriver::new(config.fault_plan.clone());
-    let journal_dir = config.journal_dir.clone();
-    let resume = config.resume;
-    let fsync_every = config.fsync_every;
-    let mut table = SessionTable::new(config);
-    if let Some(dir) = journal_dir {
-        if resume {
-            match read_journal(&dir) {
-                Ok(state) => {
-                    table.resume_from(&state);
+/// An `error` frame about the input itself, not about a session.
+fn input_error(conn: usize, message: String) -> Routed {
+    let frame = ServerFrame::Error {
+        session: None,
+        seq: None,
+        message,
+    };
+    Routed { conn, frame }
+}
+
+/// One run's serving state, whatever the transport.
+struct Daemon {
+    table: SessionTable,
+    driver: FaultDriver,
+    /// Frames produced and not yet written.
+    frames: Vec<Routed>,
+    /// The response line being written.
+    line: String,
+    /// Replay flow-controls its reader: a feed into a full inbox waits for
+    /// scheduler turns instead of bouncing with `busy`.
+    flow_control: bool,
+}
+
+impl Daemon {
+    /// Builds the table a run starts from: resume from the journal when
+    /// configured (then keep appending to it), otherwise start a fresh
+    /// journal (when configured) or none at all. Errors here are startup
+    /// failures — the caller exits 2 before serving anything.
+    fn new(config: ServeConfig, flow_control: bool) -> Result<Daemon, i32> {
+        let driver = FaultDriver::new(config.fault_plan.clone());
+        let journal_dir = config.journal_dir.clone();
+        let resume = config.resume;
+        let fsync_every = config.fsync_every;
+        let mut table = SessionTable::new(config);
+        if let Some(dir) = journal_dir {
+            if resume {
+                match read_journal(&dir) {
+                    Ok(state) => {
+                        table.resume_from(&state);
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "tmcheck serve: cannot resume from journal in {}: {e}",
+                            dir.display()
+                        );
+                        return Err(2);
+                    }
                 }
+            }
+            let writer = if resume {
+                JournalWriter::append_to(&dir, fsync_every)
+            } else {
+                JournalWriter::create(&dir, fsync_every)
+            };
+            match writer {
+                Ok(w) => table.attach_journal(w),
                 Err(e) => {
                     eprintln!(
-                        "tmcheck serve: cannot resume from journal in {}: {e}",
+                        "tmcheck serve: cannot open journal in {}: {e}",
                         dir.display()
                     );
                     return Err(2);
                 }
             }
         }
-        let writer = if resume {
-            JournalWriter::append_to(&dir, fsync_every)
-        } else {
-            JournalWriter::create(&dir, fsync_every)
-        };
-        match writer {
-            Ok(w) => table.attach_journal(w),
-            Err(e) => {
-                eprintln!(
-                    "tmcheck serve: cannot open journal in {}: {e}",
-                    dir.display()
-                );
-                return Err(2);
+        Ok(Daemon {
+            table,
+            driver,
+            frames: Vec::new(),
+            line: String::new(),
+            flow_control,
+        })
+    }
+
+    /// Writes and empties the pending frames, consulting the fault driver
+    /// before each one: an armed transient write failure swallows that
+    /// frame (the daemon carries on — a lost response is the client
+    /// library's problem to recover, and seq-tagged resends make that
+    /// safe). `Err(2)` when the response stream is gone.
+    fn emit(&mut self, sink: &mut impl Sink) -> Result<(), i32> {
+        for r in self.frames.drain(..) {
+            if self.driver.take_write_failure() {
+                continue;
             }
+            render_line(&mut self.line, &r.frame);
+            sink.send(r.conn, self.line.as_bytes()).map_err(|_| 2)?;
+        }
+        Ok(())
+    }
+
+    /// One scheduler turn, its frames written.
+    fn turn(&mut self, sink: &mut impl Sink) -> Result<(), i32> {
+        self.table.pump_into(&mut self.frames);
+        self.emit(sink)
+    }
+
+    /// Serves input line `lineno` of connection `conn` (line ending
+    /// stripped): the one line path of every transport. Returns whether
+    /// the line asked for shutdown; `Err` carries the exit code that ends
+    /// the run ([`CRASH_EXIT_CODE`] for a crash fault, 2 when the response
+    /// stream is gone).
+    fn serve_line(
+        &mut self,
+        line: &str,
+        lineno: usize,
+        conn: usize,
+        sink: &mut impl Sink,
+    ) -> Result<bool, i32> {
+        if line.trim().is_empty() {
+            return Ok(false);
+        }
+        let fate = self.driver.admit(&mut self.table, line, &mut self.frames);
+        self.emit(sink)?;
+        let shutdown = match fate {
+            LineFate::Deliver(line) => self.apply(line, lineno, conn, sink)?,
+            LineFate::Skip => false,
+            LineFate::Crash => return Err(CRASH_EXIT_CODE),
+        };
+        self.turn(sink)?;
+        Ok(shutdown)
+    }
+
+    /// Decodes a delivered line in place and routes it, appending the
+    /// immediate responses (a parse error answers with an `error` frame
+    /// naming the input line). A line a torn fault cut to blank is no
+    /// frame. Returns whether the frame was `shutdown`.
+    fn apply(
+        &mut self,
+        line: &str,
+        lineno: usize,
+        conn: usize,
+        sink: &mut impl Sink,
+    ) -> Result<bool, i32> {
+        if line.trim().is_empty() {
+            return Ok(false);
+        }
+        match decode_client_frame(line) {
+            Err(e) => {
+                let message = format!("input line {lineno}: {}", e.message);
+                self.frames.push(input_error(conn, message));
+            }
+            Ok(ClientFrameRef::Open { session }) => {
+                self.table.open_into(&session, conn, &mut self.frames)
+            }
+            Ok(ClientFrameRef::Feed {
+                session,
+                event,
+                seq,
+            }) => {
+                let handle = self.table.lookup(&session);
+                // Flow control: a feed into a full inbox (or past the
+                // queue watermark) waits for the scheduler instead of
+                // bouncing (deterministically — a turn always checks at
+                // least one event of a runnable session). Turns only
+                // remove sessions, so the handle stays valid or empty.
+                while self.flow_control && !self.table.has_room(handle) {
+                    self.turn(sink)?;
+                }
+                self.table
+                    .feed_into(handle, &session, event, seq, conn, &mut self.frames);
+            }
+            Ok(ClientFrameRef::Close { session }) => {
+                self.table.close_into(&session, conn, &mut self.frames)
+            }
+            Ok(ClientFrameRef::Shutdown) => return Ok(true),
+        }
+        Ok(false)
+    }
+
+    /// Drains every session, closes what is open, and returns the exit
+    /// code.
+    fn finish(&mut self, sink: &mut impl Sink) -> i32 {
+        self.frames.extend(self.table.drain_and_close_all());
+        match self.emit(sink) {
+            Ok(()) => i32::from(self.table.any_poisoned()),
+            Err(code) => code,
         }
     }
-    Ok((table, driver))
+
+    /// The single-stream loop (stdin, replay) until EOF or `shutdown`. A
+    /// hard read error ends the input like EOF would, after an `error`
+    /// frame naming it: the drain still answers everything accepted.
+    fn serve_stream(&mut self, mut input: impl BufRead, mut out: &mut dyn Write) -> i32 {
+        let mut buf = String::new();
+        let mut lineno = 0usize;
+        loop {
+            let more = read_line(&mut input, &mut buf).unwrap_or_else(|e| {
+                let message = format!("input stream error: {e}");
+                self.frames.push(input_error(0, message));
+                let _ = self.emit(&mut out);
+                false
+            });
+            if buf.is_empty() {
+                break;
+            }
+            lineno += 1;
+            match self.serve_line(buf.trim_end_matches(['\n', '\r']), lineno, 0, &mut out) {
+                Ok(false) if more => {}
+                Ok(_) => break,
+                Err(code) => return code,
+            }
+        }
+        self.finish(&mut out)
+    }
+
+    /// The Unix-socket transport: an acceptor thread plus one reader
+    /// thread per connection feed a channel; this thread owns the table
+    /// and the write halves, interleaving scheduler turns with frame
+    /// ingest. Runs until a `shutdown` frame arrives on any connection.
+    fn serve_socket(&mut self, path: &Path, out: &mut dyn Write) -> i32 {
+        // A stale socket file from a previous run would make bind fail.
+        let _ = std::fs::remove_file(path);
+        let listener = match UnixListener::bind(path) {
+            Ok(l) => l,
+            Err(e) => {
+                eprintln!("tmcheck serve: cannot bind {}: {e}", path.display());
+                return 2;
+            }
+        };
+        let _ = writeln!(
+            out,
+            "{} listening on {}",
+            crate::frame::PROTOCOL,
+            path.display()
+        );
+        let _ = out.flush();
+        let (tx, rx) = mpsc::channel::<SocketMsg>();
+        {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                for stream in listener.incoming().flatten() {
+                    if tx.send(SocketMsg::Conn(stream)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        // Write halves by connection index, plus per-connection input line
+        // counts for error positions.
+        let mut writers: Vec<Option<UnixStream>> = Vec::new();
+        let mut line_counts: Vec<usize> = Vec::new();
+        loop {
+            // Idle: block for input. Busy: poll, and spend the gap on turns.
+            let msg = if self.table.idle() {
+                let Ok(msg) = rx.recv() else { break };
+                msg
+            } else {
+                match rx.try_recv() {
+                    Ok(msg) => msg,
+                    Err(mpsc::TryRecvError::Empty) => {
+                        let _ = self.turn(&mut writers);
+                        continue;
+                    }
+                    Err(mpsc::TryRecvError::Disconnected) => break,
+                }
+            };
+            match msg {
+                SocketMsg::Conn(stream) => {
+                    let conn = writers.len();
+                    if let Ok(read_half) = stream.try_clone() {
+                        writers.push(Some(stream));
+                        line_counts.push(0);
+                        let tx = tx.clone();
+                        std::thread::spawn(move || run_conn_reader(conn, read_half, tx));
+                    }
+                }
+                SocketMsg::Line(conn, line) => {
+                    line_counts[conn] += 1;
+                    match self.serve_line(&line, line_counts[conn], conn, &mut writers) {
+                        Ok(false) => {}
+                        Ok(true) => break,
+                        Err(code) => return code,
+                    }
+                }
+                SocketMsg::Gone(conn) => writers[conn] = None,
+            }
+        }
+        let code = self.finish(&mut writers);
+        let _ = std::fs::remove_file(path);
+        code
+    }
 }
 
 /// Runs the daemon until EOF/shutdown and returns the process exit code:
@@ -244,17 +459,15 @@ fn prepare(config: ServeConfig) -> Result<(SessionTable, FaultDriver), i32> {
 /// startup banner.
 pub fn run(transport: Transport, config: ServeConfig, out: &mut dyn Write) -> i32 {
     let obs = config.obs;
-    let (mut table, mut driver) = match prepare(config) {
-        Ok(pair) => pair,
+    let flow_control = matches!(transport, Transport::Replay(_));
+    let mut daemon = match Daemon::new(config, flow_control) {
+        Ok(daemon) => daemon,
         Err(code) => return code,
     };
     let code = match transport {
-        Transport::Stdin => {
-            let stdin = io::stdin();
-            run_stream(&mut table, &mut driver, stdin.lock(), out)
-        }
+        Transport::Stdin => daemon.serve_stream(io::stdin().lock(), out),
         Transport::Replay(path) => match std::fs::read_to_string(&path) {
-            Ok(text) => run_replay(&mut table, &mut driver, &text, out),
+            Ok(text) => daemon.serve_stream(text.as_bytes(), out),
             Err(e) => {
                 eprintln!(
                     "tmcheck serve: cannot read replay file {}: {e}",
@@ -263,9 +476,12 @@ pub fn run(transport: Transport, config: ServeConfig, out: &mut dyn Write) -> i3
                 2
             }
         },
-        Transport::Socket(path) => run_socket(&mut table, &path, out),
+        Transport::Socket(path) => daemon.serve_socket(&path, out),
     };
-    obs.gauge_set("serve.memo_resident_final", table.memo_resident() as u64);
+    obs.gauge_set(
+        "serve.memo_resident_final",
+        daemon.table.memo_resident() as u64,
+    );
     code
 }
 
@@ -274,104 +490,10 @@ pub fn run(transport: Transport, config: ServeConfig, out: &mut dyn Write) -> i3
 /// transport-error and chaos suites inject failing readers here). Same
 /// exit-code contract as [`run`].
 pub fn run_reader(config: ServeConfig, input: impl BufRead, out: &mut dyn Write) -> i32 {
-    let (mut table, mut driver) = match prepare(config) {
-        Ok(pair) => pair,
-        Err(code) => return code,
-    };
-    run_stream(&mut table, &mut driver, input, out)
-}
-
-/// The live single-stream loop (stdin): one scheduler turn per input
-/// line, backpressure via `busy`, drain on EOF or `shutdown`. Transient
-/// read errors are retried; hard read errors end the input and trigger
-/// the normal drain (accepted work is never dropped on a broken input).
-fn run_stream(
-    table: &mut SessionTable,
-    driver: &mut FaultDriver,
-    mut input: impl BufRead,
-    out: &mut dyn Write,
-) -> i32 {
-    let mut out = Responder {
-        out,
-        line: String::new(),
-    };
-    let mut lineno = 0usize;
-    let mut buf = String::new();
-    let mut frames = Vec::new();
-    let mut transient = 0u32;
-    let mut eof = false;
-    while !eof {
-        buf.clear();
-        // Read one line, accumulating across transient failures — a
-        // WouldBlock mid-line must not discard the prefix already read
-        // (`read_line` appends, so retrying completes the line in place).
-        let got_line = loop {
-            match input.read_line(&mut buf) {
-                Ok(0) => {
-                    eof = true;
-                    break !buf.is_empty();
-                }
-                Ok(_) => {
-                    transient = 0;
-                    break true;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
-                    transient += 1;
-                    if transient > MAX_TRANSIENT_RETRIES {
-                        eof = true;
-                        break !buf.is_empty();
-                    }
-                }
-                Err(e) => {
-                    // A hard input error ends the stream like EOF would;
-                    // the drain below still answers everything accepted.
-                    frames.push(Routed {
-                        conn: 0,
-                        frame: ServerFrame::Error {
-                            session: None,
-                            seq: None,
-                            message: format!("input stream error: {e}"),
-                        },
-                    });
-                    let _ = out.emit(driver, &mut frames);
-                    eof = true;
-                    break !buf.is_empty();
-                }
-            }
-        };
-        if !got_line {
-            break;
-        }
-        lineno += 1;
-        let fate = driver.admit(table, buf.trim_end_matches(['\n', '\r']), &mut frames);
-        if out.emit(driver, &mut frames).is_err() {
-            return 2; // the response stream is gone; nothing left to serve
-        }
-        let line = match fate {
-            LineFate::Deliver(l) => l,
-            LineFate::Skip => {
-                table.pump_into(&mut frames);
-                if out.emit(driver, &mut frames).is_err() {
-                    return 2;
-                }
-                continue;
-            }
-            LineFate::Crash => return CRASH_EXIT_CODE,
-        };
-        let shutdown = apply(table, parse_line(line, lineno, 0), 0, &mut frames);
-        table.pump_into(&mut frames);
-        if out.emit(driver, &mut frames).is_err() {
-            return 2;
-        }
-        if shutdown {
-            break;
-        }
+    match Daemon::new(config, false) {
+        Ok(mut daemon) => daemon.serve_stream(input, out),
+        Err(code) => code,
     }
-    let mut last = table.drain_and_close_all();
-    if out.emit(driver, &mut last).is_err() {
-        return 2;
-    }
-    i32::from(table.any_poisoned())
 }
 
 /// Drains a recorded frame stream deterministically (the engine behind
@@ -379,84 +501,10 @@ fn run_stream(
 /// replay/chaos tests use this directly). Same exit-code contract as
 /// [`run`]; honors `fault_plan`/`journal_dir`/`resume` from `config`.
 pub fn replay(config: ServeConfig, text: &str, out: &mut dyn Write) -> i32 {
-    let (mut table, mut driver) = match prepare(config) {
-        Ok(pair) => pair,
-        Err(code) => return code,
-    };
-    run_replay(&mut table, &mut driver, text, out)
-}
-
-/// The offline deterministic loop: flow-controls full inboxes instead of
-/// emitting `busy`, so output is a pure function of the replay file (and
-/// the fault plan, which is part of that function's input).
-fn run_replay(
-    table: &mut SessionTable,
-    driver: &mut FaultDriver,
-    text: &str,
-    out: &mut dyn Write,
-) -> i32 {
-    let mut out = Responder {
-        out,
-        line: String::new(),
-    };
-    let mut frames = Vec::new();
-    let mut shutdown = false;
-    for (i, line) in text.lines().enumerate() {
-        if shutdown {
-            break;
-        }
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fate = driver.admit(table, line, &mut frames);
-        if out.emit(driver, &mut frames).is_err() {
-            return 2;
-        }
-        let line = match fate {
-            LineFate::Deliver(l) => l,
-            LineFate::Skip => {
-                table.pump_into(&mut frames);
-                if out.emit(driver, &mut frames).is_err() {
-                    return 2;
-                }
-                continue;
-            }
-            LineFate::Crash => return CRASH_EXIT_CODE,
-        };
-        shutdown = match parse_line(line, lineno, 0) {
-            Some(Ok(ClientFrameRef::Feed {
-                session,
-                event,
-                seq,
-            })) => {
-                // Flow control: a feed into a full inbox (or past the
-                // queue watermark) waits for the scheduler instead of
-                // bouncing (deterministically — a turn always checks at
-                // least one event of a runnable session). Turns only
-                // remove sessions, so the handle stays valid or empty.
-                let handle = table.lookup(&session);
-                while !table.has_room(handle) {
-                    table.pump_into(&mut frames);
-                    if out.emit(driver, &mut frames).is_err() {
-                        return 2;
-                    }
-                }
-                table.feed_into(handle, &session, event, seq, 0, &mut frames);
-                false
-            }
-            parsed => apply(table, parsed, 0, &mut frames),
-        };
-        table.pump_into(&mut frames);
-        if out.emit(driver, &mut frames).is_err() {
-            return 2;
-        }
+    match Daemon::new(config, true) {
+        Ok(mut daemon) => daemon.serve_stream(text.as_bytes(), out),
+        Err(code) => code,
     }
-    let mut last = table.drain_and_close_all();
-    if out.emit(driver, &mut last).is_err() {
-        return 2;
-    }
-    i32::from(table.any_poisoned())
 }
 
 /// Messages from the socket threads to the scheduler thread.
@@ -469,145 +517,25 @@ enum SocketMsg {
     Gone(usize),
 }
 
-/// The per-connection reader loop: forwards complete lines, retries
-/// transient errors a bounded number of times, forwards a final partial
-/// line without its newline (a torn frame — the parser answers with a
-/// positioned `error`), and reports `Gone` on EOF or hard errors. Never
-/// panics: a misbehaving client can at worst disconnect itself.
+/// The per-connection reader loop: forwards every line without its line
+/// ending — a final partial line too (a torn frame — the parser answers
+/// with a positioned `error`) — and reports `Gone` at the end of the
+/// input. Never panics: a misbehaving client can at worst disconnect
+/// itself.
 fn run_conn_reader(conn: usize, read_half: UnixStream, tx: mpsc::Sender<SocketMsg>) {
     let mut reader = BufReader::new(read_half);
     let mut buf = String::new();
-    let mut transient = 0u32;
     loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                transient = 0;
-                let line = buf.trim_end_matches(['\n', '\r']).to_string();
-                if tx.send(SocketMsg::Line(conn, line)).is_err() {
-                    return;
-                }
+        let more = read_line(&mut reader, &mut buf).unwrap_or(false);
+        if !buf.is_empty() {
+            let line = buf.trim_end_matches(['\n', '\r']).to_string();
+            if tx.send(SocketMsg::Line(conn, line)).is_err() {
+                return;
             }
-            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
-                transient += 1;
-                if transient > MAX_TRANSIENT_RETRIES {
-                    break;
-                }
-            }
-            Err(_) => break,
+        }
+        if !more {
+            break;
         }
     }
     let _ = tx.send(SocketMsg::Gone(conn));
-}
-
-/// The Unix-socket transport: an acceptor thread plus one reader thread
-/// per connection feed a channel; this thread owns the table and the
-/// write halves, interleaving scheduler turns with frame ingest. Runs
-/// until a `shutdown` frame arrives on any connection. Peer failures
-/// degrade per-connection — a write error or disconnect marks that
-/// connection gone and the daemon serves on.
-fn run_socket(table: &mut SessionTable, path: &std::path::Path, out: &mut dyn Write) -> i32 {
-    // A stale socket file from a previous run would make bind fail.
-    let _ = std::fs::remove_file(path);
-    let listener = match UnixListener::bind(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("tmcheck serve: cannot bind {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let _ = writeln!(
-        out,
-        "{} listening on {}",
-        crate::frame::PROTOCOL,
-        path.display()
-    );
-    let _ = out.flush();
-    let (tx, rx) = mpsc::channel::<SocketMsg>();
-    {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                if tx.send(SocketMsg::Conn(stream)).is_err() {
-                    return;
-                }
-            }
-        });
-    }
-    // Write halves by connection index (`None` once the peer is gone),
-    // plus per-connection input line counts for error positions.
-    let mut writers: Vec<Option<UnixStream>> = Vec::new();
-    let mut line_counts: Vec<usize> = Vec::new();
-    let mut response = String::new();
-    let mut frames = Vec::new();
-    let mut route = |writers: &mut Vec<Option<UnixStream>>, frames: &mut Vec<Routed>| {
-        for r in frames.drain(..) {
-            let Some(slot) = writers.get_mut(r.conn) else {
-                continue; // the session's connection is gone; drop the frame
-            };
-            let Some(w) = slot.as_mut() else {
-                continue;
-            };
-            render_line(&mut response, &r.frame);
-            if write_line(w, response.as_bytes()).is_err() {
-                *slot = None;
-            }
-        }
-    };
-    loop {
-        // Idle: block for input. Busy: poll, and spend the gap on turns.
-        let msg = if table.idle() {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        } else {
-            match rx.try_recv() {
-                Ok(m) => m,
-                Err(mpsc::TryRecvError::Empty) => {
-                    table.pump_into(&mut frames);
-                    route(&mut writers, &mut frames);
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-        };
-        match msg {
-            SocketMsg::Conn(stream) => {
-                let conn = writers.len();
-                match stream.try_clone() {
-                    Ok(read_half) => {
-                        writers.push(Some(stream));
-                        line_counts.push(0);
-                        let tx = tx.clone();
-                        std::thread::spawn(move || run_conn_reader(conn, read_half, tx));
-                    }
-                    Err(_) => continue,
-                }
-            }
-            SocketMsg::Line(conn, line) => {
-                line_counts[conn] += 1;
-                let parsed = parse_line(&line, line_counts[conn], conn);
-                let shutdown = apply(table, parsed, conn, &mut frames);
-                route(&mut writers, &mut frames);
-                if shutdown {
-                    let mut last = table.drain_and_close_all();
-                    route(&mut writers, &mut last);
-                    let _ = std::fs::remove_file(path);
-                    return i32::from(table.any_poisoned());
-                }
-                table.pump_into(&mut frames);
-                route(&mut writers, &mut frames);
-            }
-            SocketMsg::Gone(conn) => {
-                if let Some(w) = writers.get_mut(conn) {
-                    *w = None;
-                }
-            }
-        }
-    }
-    table.journal_flush();
-    let _ = std::fs::remove_file(path);
-    i32::from(table.any_poisoned())
 }

@@ -2,7 +2,8 @@
 //! [`FaultDriver`] that applies it to a running daemon.
 //!
 //! A fault plan is a schedule keyed by **input frame index** (1-based: the
-//! N-th non-ignored line the transport hands the daemon). Keying on frame
+//! N-th non-blank line a transport hands the daemon; blank lines are not
+//! frames, on stdin, replay and socket alike). Keying on frame
 //! indices rather than wall time makes every injected failure replayable:
 //! the same plan over the same frame stream produces the same torn bytes,
 //! the same dropped lines, the same budget spikes — so the chaos suite can

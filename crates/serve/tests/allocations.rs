@@ -25,17 +25,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
 
-use tm_harness::randhist::{random_history, GenConfig};
-use tm_model::History;
-use tm_serve::{
-    render_client_frame, run_reader, ClientFrame, ServeConfig, SessionTable, EST_ENTRY_BYTES,
-};
+use tm_serve::{run_reader, ServeConfig, SessionTable, EST_ENTRY_BYTES};
 
 #[path = "../../core/tests/common/knots.rs"]
 mod knots;
 #[path = "common/served_knots.rs"]
 mod served_knots;
+#[path = "common/streams.rs"]
+mod streams;
 use served_knots::served_knot_history;
+use streams::{fleet, interleaved_stream};
 
 /// The system allocator with a live-byte and an allocation counter bolted
 /// on.
@@ -85,50 +84,12 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A fleet stream in `replay_identity.rs`'s shape: every session opens,
-/// events interleave round-robin one per session per round, then every
-/// session closes. Returns the frame lines and the number of fed events.
-fn interleaved_stream(sessions: &[(String, History)]) -> (String, usize) {
-    let mut lines = Vec::new();
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Open {
-            session: id.clone(),
-        }));
-    }
-    let max_len = sessions.iter().map(|(_, h)| h.len()).max().unwrap_or(0);
-    let mut fed = 0;
-    for round in 0..max_len {
-        for (id, h) in sessions {
-            if let Some(event) = h.events().get(round) {
-                lines.push(render_client_frame(&ClientFrame::Feed {
-                    session: id.clone(),
-                    event: event.clone(),
-                    seq: None,
-                }));
-                fed += 1;
-            }
-        }
-    }
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Close {
-            session: id.clone(),
-        }));
-    }
-    (lines.join("\n"), fed)
-}
-
 #[test]
 fn fleet_allocations_per_fed_event_are_pinned() {
     // `replay_identity.rs`'s 64-session benchmark fleet.
-    let fleet: Vec<(String, History)> = (0..64)
-        .map(|i| {
-            (
-                format!("s{i:03}"),
-                random_history(&GenConfig::default(), 9000 + i as u64),
-            )
-        })
-        .collect();
-    let (stream, fed) = interleaved_stream(&fleet);
+    let fleet = fleet(64);
+    let stream = interleaved_stream(&fleet);
+    let fed: usize = fleet.iter().map(|(_, h)| h.len()).sum();
 
     let before = allocations();
     let code = run_reader(

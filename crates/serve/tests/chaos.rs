@@ -28,10 +28,14 @@ use tm_harness::randhist::{random_history, GenConfig};
 use tm_model::History;
 use tm_serve::faults::VERDICT_PRESERVING_KINDS;
 use tm_serve::{
-    parse_client_frame, render_client_frame, replay, Backoff, Client, ClientFrame, Fault,
-    FaultPlan, FrameLink, Routed, ServeConfig, SessionTable, CRASH_EXIT_CODE,
+    parse_client_frame, replay, Backoff, Client, ClientFrame, Fault, FaultPlan, FrameLink, Routed,
+    ServeConfig, SessionTable, CRASH_EXIT_CODE,
 };
 use tm_trace::Json;
+
+#[path = "common/streams.rs"]
+mod streams;
+use streams::interleaved_stream;
 
 /// A fleet of random sessions across the three generator profiles.
 fn battery(n: usize, base_seed: u64) -> Vec<(String, History)> {
@@ -62,34 +66,6 @@ fn battery(n: usize, base_seed: u64) -> Vec<(String, History)> {
             )
         })
         .collect()
-}
-
-/// All sessions open, events interleave round-robin, all sessions close.
-fn interleaved_stream(sessions: &[(String, History)]) -> String {
-    let mut lines = Vec::new();
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Open {
-            session: id.clone(),
-        }));
-    }
-    let max_len = sessions.iter().map(|(_, h)| h.len()).max().unwrap_or(0);
-    for round in 0..max_len {
-        for (id, h) in sessions {
-            if let Some(event) = h.events().get(round) {
-                lines.push(render_client_frame(&ClientFrame::Feed {
-                    session: id.clone(),
-                    event: event.clone(),
-                    seq: None,
-                }));
-            }
-        }
-    }
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Close {
-            session: id.clone(),
-        }));
-    }
-    lines.join("\n")
 }
 
 fn run_replay(config: ServeConfig, stream: &str) -> (i32, String) {

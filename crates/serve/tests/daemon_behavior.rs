@@ -1,28 +1,22 @@
 //! Daemon lifecycle coverage: graceful drain on EOF, the `shutdown` frame,
 //! exit codes (poisoned sessions → 1), parse-error frames with line
-//! numbers, and a live Unix-socket round trip.
+//! numbers, and a live Unix-socket round trip, also under a fault plan.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::thread::JoinHandle;
 
 use tm_model::builder::paper;
-use tm_serve::{render_client_frame, replay, run, ClientFrame, ServeConfig, Transport};
+use tm_serve::{
+    read_journal, render_client_frame, replay, run, ClientFrame, FaultPlan, ServeConfig, Transport,
+    CRASH_EXIT_CODE,
+};
 use tm_trace::Json;
 
-fn frames_of(output: &[u8]) -> Vec<Json> {
-    String::from_utf8(output.to_vec())
-        .expect("daemon output is UTF-8")
-        .lines()
-        .map(|l| Json::parse(l).expect("daemon emits valid JSON"))
-        .collect()
-}
-
-fn kind(doc: &Json) -> String {
-    match doc.get("frame") {
-        Some(Json::Str(s)) => s.clone(),
-        other => panic!("frame field missing or non-string: {other:?}"),
-    }
-}
+#[path = "common/streams.rs"]
+mod streams;
+use streams::{frames_of, kind};
 
 fn stream(frames: &[ClientFrame]) -> String {
     frames
@@ -218,41 +212,38 @@ fn missing_replay_file_is_a_usage_error() {
     assert!(out.is_empty(), "no frames on a usage failure");
 }
 
-#[test]
-fn socket_round_trip_serves_a_session_and_shuts_down() {
-    let dir = std::env::temp_dir().join(format!("tm-serve-test-{}", std::process::id()));
+/// A daemon serving `config` on a socket in a fresh directory named by
+/// `tag`, and a client connection to it: `(directory, daemon thread,
+/// connection)`. The daemon thread returns the exit code.
+fn serve_on_socket(tag: &str, config: ServeConfig) -> (PathBuf, JoinHandle<i32>, UnixStream) {
+    let dir = std::env::temp_dir().join(format!("tm-serve-test-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("serve.sock");
     let server = {
         let path = path.clone();
-        std::thread::spawn(move || {
-            let mut banner = Vec::new();
-            run(Transport::Socket(path), ServeConfig::default(), &mut banner)
-        })
+        std::thread::spawn(move || run(Transport::Socket(path), config, &mut Vec::new()))
     };
     // The daemon removes stale files then binds; poll until it is up.
-    let mut conn = None;
     for _ in 0..200 {
-        match UnixStream::connect(&path) {
-            Ok(c) => {
-                conn = Some(c);
-                break;
-            }
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        if let Ok(conn) = UnixStream::connect(&path) {
+            return (dir, server, conn);
         }
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    let conn = conn.expect("daemon socket never came up");
-    let mut writer = conn.try_clone().expect("clone socket");
-    let mut reader = BufReader::new(conn);
+    panic!("daemon socket never came up");
+}
 
-    let h = paper::h1(); // violates: exercises the full verdict vocabulary
-    let mut frames = open_feed_all("live", &h);
-    frames.push(ClientFrame::Close {
-        session: "live".to_string(),
-    });
-    for f in &frames {
+/// Writes `frames` to the daemon, one line each.
+fn send(conn: &UnixStream, frames: &[ClientFrame]) {
+    let mut writer = conn;
+    for f in frames {
         writeln!(writer, "{}", render_client_frame(f)).expect("write frame");
     }
+}
+
+/// Reads response frames up to and including the first `closed` summary.
+fn read_until_closed(reader: &mut impl BufRead) -> Vec<Json> {
     let mut got = Vec::new();
     loop {
         let mut line = String::new();
@@ -260,12 +251,28 @@ fn socket_round_trip_serves_a_session_and_shuts_down() {
             panic!("socket closed before the session summary: {got:?}");
         }
         let doc = Json::parse(line.trim_end()).expect("server emits valid JSON");
-        let k = kind(&doc);
+        let closed = kind(&doc) == "closed";
         got.push(doc);
-        if k == "closed" {
-            break;
+        if closed {
+            return got;
         }
     }
+}
+
+fn open_feed_close(id: &str, h: &tm_model::History) -> Vec<ClientFrame> {
+    let mut frames = open_feed_all(id, h);
+    frames.push(ClientFrame::Close {
+        session: id.to_string(),
+    });
+    frames
+}
+
+#[test]
+fn socket_round_trip_serves_a_session_and_shuts_down() {
+    let (dir, server, conn) = serve_on_socket("round-trip", ServeConfig::default());
+    let h = paper::h1(); // violates: exercises the full verdict vocabulary
+    send(&conn, &open_feed_close("live", &h));
+    let got = read_until_closed(&mut BufReader::new(&conn));
     assert_eq!(kind(&got[0]), "opened");
     let verdicts = got.iter().filter(|f| kind(f) == "verdict").count();
     assert_eq!(verdicts, h.len(), "one verdict per fed event");
@@ -273,9 +280,76 @@ fn socket_round_trip_serves_a_session_and_shuts_down() {
         .iter()
         .any(|f| f.get("verdict") == Some(&Json::Str("violated".into()))));
 
-    writeln!(writer, "{}", render_client_frame(&ClientFrame::Shutdown)).expect("write shutdown");
+    send(&conn, &[ClientFrame::Shutdown]);
     let code = server.join().expect("daemon thread");
     assert_eq!(code, 0);
-    assert!(!path.exists(), "socket file removed on shutdown");
+    assert!(
+        !dir.join("serve.sock").exists(),
+        "socket file removed on shutdown"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fault_plan_tears_socket_frames_into_positioned_errors() {
+    // The plan tears the first frame to 5 bytes: the client is answered
+    // with an `error` frame naming its input line 1, and the session it
+    // then opens is served whole.
+    let config = ServeConfig {
+        fault_plan: FaultPlan::parse("torn@1:5").expect("valid plan"),
+        ..ServeConfig::default()
+    };
+    let (dir, server, conn) = serve_on_socket("torn", config);
+    let h = paper::h4();
+    let mut frames = vec![ClientFrame::Open {
+        session: "live".to_string(),
+    }];
+    frames.extend(open_feed_close("live", &h));
+    send(&conn, &frames);
+    let got = read_until_closed(&mut BufReader::new(&conn));
+    assert_eq!(kind(&got[0]), "error");
+    let Some(Json::Str(message)) = got[0].get("message") else {
+        panic!("error frame without message: {:?}", got[0]);
+    };
+    assert!(message.starts_with("input line 1:"), "got: {message}");
+    assert_eq!(kind(&got[1]), "opened");
+    let verdicts = got.iter().filter(|f| kind(f) == "verdict").count();
+    assert_eq!(verdicts, h.len(), "one verdict per fed event");
+
+    send(&conn, &[ClientFrame::Shutdown]);
+    assert_eq!(server.join().expect("daemon thread"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_fault_on_the_socket_exits_3_with_the_journal_flushed() {
+    // Frame 1 opens the session and frames 2..=5 feed it; the crash fires
+    // before frame 6 is applied. The journal, far from its fsync batch,
+    // still holds every accepted record.
+    let dir = std::env::temp_dir().join(format!(
+        "tm-serve-test-crash-journal-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig {
+        fault_plan: FaultPlan::parse("crash@6").expect("valid plan"),
+        journal_dir: Some(dir.clone()),
+        fsync_every: 1000,
+        ..ServeConfig::default()
+    };
+    let (socket_dir, server, conn) = serve_on_socket("crash", config);
+    let h = paper::h4();
+    assert!(h.len() > 4, "the crash lands mid-session");
+    send(&conn, &open_feed_close("live", &h));
+    assert_eq!(server.join().expect("daemon thread"), CRASH_EXIT_CODE);
+    let state = read_journal(&dir).expect("the crash flushed the journal");
+    assert_eq!(state.torn_bytes, 0);
+    let [(id, session)] = &state.sessions[..] else {
+        panic!("one journaled session expected: {:?}", state.sessions);
+    };
+    assert_eq!(id, "live");
+    assert_eq!(session.events, h.events()[..4]);
+    assert!(!session.closed);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&socket_dir);
 }

@@ -5,43 +5,24 @@
 //! same resumable `CheckSession` a standalone caller would) — including
 //! under a constrained memo budget, where the governor is shrinking every
 //! session's memo table as sessions come and go.
+//!
+//! Replay and stdin run one line path, so the same stream gives the same
+//! bytes on both whenever no inbox fills — blank lines and fault plans
+//! included.
 
 use proptest::prelude::*;
 use tm_harness::randhist::{random_history, GenConfig};
 use tm_model::builder::paper;
 use tm_model::History;
 use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
-use tm_serve::{render_client_frame, replay, ClientFrame, ServeConfig, ServerFrame};
+use tm_serve::{
+    replay, run_reader, FaultKind, FaultPlan, ServeConfig, ServerFrame, CRASH_EXIT_CODE,
+};
 use tm_trace::Json;
 
-/// Builds a replay stream: all sessions open, then events interleave
-/// round-robin one per session per round, then all sessions close.
-fn interleaved_stream(sessions: &[(String, History)]) -> String {
-    let mut lines = Vec::new();
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Open {
-            session: id.clone(),
-        }));
-    }
-    let max_len = sessions.iter().map(|(_, h)| h.len()).max().unwrap_or(0);
-    for round in 0..max_len {
-        for (id, h) in sessions {
-            if let Some(event) = h.events().get(round) {
-                lines.push(render_client_frame(&ClientFrame::Feed {
-                    session: id.clone(),
-                    event: event.clone(),
-                    seq: None,
-                }));
-            }
-        }
-    }
-    for (id, _) in sessions {
-        lines.push(render_client_frame(&ClientFrame::Close {
-            session: id.clone(),
-        }));
-    }
-    lines.join("\n")
-}
+#[path = "common/streams.rs"]
+mod streams;
+use streams::{fleet, interleaved_stream};
 
 /// The reference: one standalone monitor per history, its verdicts
 /// rendered through the same frame schema the daemon speaks.
@@ -202,14 +183,7 @@ fn benchmark_fleets_pin_exit_codes_verdicts_and_turns() {
         (64, [(0, 1716, 1716), (0, 1716, 1716), (1, 1582, 1705)]),
     ];
     for (sessions, runs) in pinned {
-        let fleet: Vec<(String, History)> = (0..sessions)
-            .map(|i| {
-                (
-                    format!("s{i:03}"),
-                    random_history(&GenConfig::default(), 9000 + i as u64),
-                )
-            })
-            .collect();
+        let fleet = fleet(sessions);
         let stream = interleaved_stream(&fleet);
         let starved = sessions as u64 * 4 * tm_serve::EST_ENTRY_BYTES;
         let faults = FaultPlan::generate(
@@ -240,6 +214,62 @@ fn benchmark_fleets_pin_exit_codes_verdicts_and_turns() {
                 "{sessions} sessions, {label}"
             );
         }
+    }
+}
+
+#[test]
+fn stdin_and_replay_agree_on_blank_lines_and_fault_plans() {
+    // Blank and whitespace-only lines between the frames are not frames on
+    // either transport: a plan keyed by frame index hits the same frames,
+    // and the scheduler takes the same turns. Stalls and budget spikes
+    // only add or slow turns, and with one turn per frame line no inbox of
+    // a round-robin fleet ever fills, so replay never waits where stdin
+    // would answer `busy`.
+    let fleet = fleet(16);
+    let frames = interleaved_stream(&fleet);
+    let mut stream = String::new();
+    for (i, line) in frames.lines().enumerate() {
+        stream.push_str(line);
+        stream.push('\n');
+        match i % 7 {
+            2 => stream.push('\n'),
+            5 => stream.push_str("  \t\n\n"),
+            _ => {}
+        }
+    }
+    let all_kinds = [
+        FaultKind::Torn,
+        FaultKind::Drop,
+        FaultKind::Stall,
+        FaultKind::WriteErr,
+        FaultKind::MemoSpike,
+        FaultKind::NodeSpike,
+        FaultKind::Crash,
+    ];
+    let horizon = frames.lines().count();
+    for seed in 0..6u64 {
+        // Even seeds leave the crash out, so those runs reach the drain.
+        let kinds = &all_kinds[..all_kinds.len() - (seed % 2 == 0) as usize];
+        let plan = FaultPlan::generate(seed, horizon, 24, kinds);
+        let config = || ServeConfig {
+            fault_plan: plan.clone(),
+            ..ServeConfig::default()
+        };
+        let mut replayed = Vec::new();
+        let replay_code = replay(config(), &stream, &mut replayed);
+        let mut read = Vec::new();
+        let stdin_code = run_reader(config(), stream.as_bytes(), &mut read);
+        let read = String::from_utf8(read).expect("daemon output is UTF-8");
+        assert!(
+            !read.contains(r#""frame":"busy""#),
+            "seed {seed}: an inbox filled"
+        );
+        assert_eq!(replay_code == CRASH_EXIT_CODE, seed % 2 == 1, "seed {seed}");
+        assert_eq!(
+            (stdin_code, read.as_str()),
+            (replay_code, std::str::from_utf8(&replayed).expect("UTF-8")),
+            "seed {seed}: stdin and replay diverge"
+        );
     }
 }
 

@@ -15,6 +15,10 @@ use tm_serve::{
 };
 use tm_trace::Json;
 
+#[path = "common/streams.rs"]
+mod streams;
+use streams::{frames_of, kind};
+
 /// A reader that follows a script of data chunks and injected errors,
 /// then reports EOF. Wrapped in a `BufReader` it feeds the daemon's
 /// stdin-style loop exactly the failure sequence under test.
@@ -97,21 +101,6 @@ fn open_feed_close(id: &str, h: &History) -> String {
         session: id.to_string(),
     }));
     lines.join("\n") + "\n"
-}
-
-fn frames_of(output: &[u8]) -> Vec<Json> {
-    String::from_utf8(output.to_vec())
-        .expect("daemon output is UTF-8")
-        .lines()
-        .map(|l| Json::parse(l).expect("daemon emits valid JSON"))
-        .collect()
-}
-
-fn kind(doc: &Json) -> String {
-    match doc.get("frame") {
-        Some(Json::Str(s)) => s.clone(),
-        other => panic!("frame field missing or non-string: {other:?}"),
-    }
 }
 
 fn message(doc: &Json) -> String {
