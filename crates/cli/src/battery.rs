@@ -2,9 +2,7 @@
 
 use std::io::Write;
 
-use tm_harness::{
-    conformance_observed, conformance_parallel_with, object_conformance_with, ObjectKind,
-};
+use tm_harness::ObjectKind;
 use tm_opacity::SearchConfig;
 use tm_stm::{MutantStm, Mutation, Stm, StmConfig, TmRegistry, TmSpec};
 
@@ -87,7 +85,7 @@ pub(crate) fn conformance(
             // serializable wherever the TM advertises it (the object-level
             // analogue of the register battery's lost-update gate).
             // SI-STM's convictions are expected rows, not failures.
-            let report = object_conformance_with(&observed, kinds, jobs, search);
+            let report = tm_harness::object_conformance(&observed, kinds, jobs, search);
             let ok = report.probes.iter().all(|p| p.well_formed)
                 && (!props.opaque_by_design || report.all_clean())
                 && (!props.serializable_by_design || report.probes.iter().all(|p| p.serializable));
@@ -99,7 +97,7 @@ pub(crate) fn conformance(
                 writeln!(out, "{}", probe.row(tm.name))?;
             }
         } else {
-            let report = conformance_observed(&observed, &unobserved, jobs, search);
+            let report = tm_harness::conformance(&observed, &unobserved, jobs, search);
             // Opacity is the contract under test; TMs that advertise a
             // weaker criterion (sistm, nonopaque) are expected rows, not
             // failures — only well-formedness and lost updates are
@@ -119,7 +117,7 @@ pub(crate) fn conformance(
         ] {
             let factory = |k: usize| -> Box<dyn Stm> { Box::new(MutantStm::new(k, mutation)) };
             if let Some(kinds) = objects {
-                let report = object_conformance_with(&factory, kinds, jobs, search);
+                let report = tm_harness::object_conformance(&factory, kinds, jobs, search);
                 for probe in &report.probes {
                     writeln!(out, "{}", probe.row(&report.name))?;
                 }
@@ -127,7 +125,7 @@ pub(crate) fn conformance(
                 writeln!(
                     out,
                     "{}",
-                    conformance_parallel_with(&factory, jobs, search).row()
+                    tm_harness::conformance(&factory, &factory, jobs, search).row()
                 )?;
             }
         }

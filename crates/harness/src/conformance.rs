@@ -2,9 +2,9 @@
 //! formalization, it is impossible to check the correctness of these
 //! implementations") packaged as a reusable battery.
 //!
-//! [`check_conformance`] takes any [`Stm`] factory, drives it through
-//! every interleaving of a set of adversarial probe programs plus a
-//! threaded invariant workload, judges every recorded history with the
+//! [`conformance`] takes any [`Stm`] factory, drives it through every
+//! interleaving of a set of adversarial probe programs plus a threaded
+//! invariant workload, judges every recorded history with the
 //! `tm-opacity` checkers, and reports which contracts held:
 //!
 //! * **opacity** (Definition 1) on every recorded history;
@@ -20,22 +20,22 @@
 //! the same battery on their TM and compares rows. Violations carry the
 //! offending schedule so failures are reproducible.
 //!
-//! The interleaving sweep is embarrassingly parallel — every `(probe,
-//! schedule)` pair drives a *fresh* TM instance — so
-//! [`conformance_parallel`] shards it across a scoped-thread worker pool
-//! ([`crate::parallel`]) and merges the per-schedule verdicts back **in
-//! schedule order**: the report (flags, violation list, counts) is
-//! byte-identical for any worker count. [`check_conformance`] is the
-//! single-threaded wrapper.
+//! This module also holds the sweep driver that the typed-object battery
+//! ([`crate::objconformance`]) shares: every `(probe, schedule)` pair of
+//! [`sweep_schedules`] drives a *fresh* TM instance, so the sweep shards
+//! across a scoped-thread worker pool ([`crate::parallel`]); one judge
+//! decides each recorded history, and the verdicts are folded back **in
+//! schedule order**, so a report (flags, violation list, counts) is
+//! byte-identical for any worker count.
 
-use tm_model::SpecRegistry;
+use tm_model::{History, SpecRegistry};
 use tm_opacity::criteria::{is_serializable_with, snapshot_isolated};
 use tm_opacity::opacity::is_opaque_with;
 use tm_opacity::SearchConfig;
 use tm_stm::{run_tx, Stm};
 
 use crate::parallel::parallel_map;
-use crate::sched::{all_schedules_reduced, execute, Schedule};
+use crate::sched::{execute, sweep_schedules, Schedule};
 use crate::script::{Program, TxScript};
 
 /// The outcome of one conformance run.
@@ -115,176 +115,135 @@ fn probes() -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// Runs a program one whole transaction at a time (for blocking TMs),
-/// following the thread order in which `schedule` first mentions each
-/// thread.
-fn run_serially(stm: &dyn Stm, program: &Program, schedule: &[usize]) {
-    let mut order: Vec<usize> = Vec::new();
-    for &t in schedule {
-        if !order.contains(&t) {
-            order.push(t);
-        }
-    }
-    for ti in order {
-        let mut tx = stm.begin(ti);
-        let mut dead = false;
-        for op in &program.threads[ti].ops {
-            let r = match *op {
-                crate::script::ScriptOp::Read(obj) => tx.read(obj).map(|_| ()),
-                crate::script::ScriptOp::Write(obj, v) => tx.write(obj, v),
-            };
-            if r.is_err() {
-                dead = true;
-                break;
-            }
-        }
-        if !dead {
-            let _ = tx.commit();
-        }
-    }
-}
-
-/// One `(probe, schedule)` unit of sweep work.
-struct SweepItem {
-    pname: &'static str,
-    program: Program,
-    sched: Schedule,
-}
-
-/// The verdicts for one recorded history, computed on any worker thread.
-struct SweepVerdict {
-    wf: bool,
+/// The verdicts on one recorded history.
+pub(crate) struct Verdict {
+    well_formed: bool,
     opaque: bool,
     serializable: bool,
     snapshot_isolated: bool,
 }
 
-/// Builds the full deterministic work list for the sweep phase.
-fn sweep_items(blocking: bool) -> Vec<SweepItem> {
-    let mut items = Vec::new();
-    for (pname, program) in probes() {
-        // Blocking TMs (the global lock) cannot be interleaved on one OS
-        // thread: run the two serial orders through the raw Tx API instead.
-        let schedules = if blocking {
-            let counts = program.action_counts();
-            let serial_01: Vec<usize> = std::iter::repeat(0)
-                .take(counts[0])
-                .chain(std::iter::repeat(1).take(counts[1]))
-                .collect();
-            let serial_10: Vec<usize> = std::iter::repeat(1)
-                .take(counts[1])
-                .chain(std::iter::repeat(0).take(counts[0]))
-                .collect();
-            vec![serial_01, serial_10]
-        } else {
-            // One representative per commutation class; `visible_reads =
-            // true` because the battery hosts visible-reader TMs, for which
-            // even read/read overlap is observable. (On these probes every
-            // footprint overlaps from the first action, so the conservative
-            // relation merges nothing and coverage is exactly the full
-            // sweep — the reduction pays off on disjoint-footprint
-            // programs, see the pinned counts in `sched`.)
-            all_schedules_reduced(&program, true, 200)
-        };
-        for sched in schedules {
-            items.push(SweepItem {
-                pname,
-                program: program.clone(),
-                sched,
-            });
-        }
+/// The one history judge of both batteries. An ill-formed history fails
+/// only well-formedness: the other verdicts are meaningless without it.
+/// Snapshot isolation is judged only `with_si` (the typed battery does not
+/// report it) and reads as held otherwise.
+pub(crate) fn judge(
+    h: &History,
+    specs: &SpecRegistry,
+    search: SearchConfig,
+    with_si: bool,
+) -> Verdict {
+    let well_formed = tm_model::is_well_formed(h);
+    Verdict {
+        well_formed,
+        opaque: !well_formed
+            || is_opaque_with(h, specs, search)
+                .map(|r| r.opaque)
+                .unwrap_or(false),
+        serializable: !well_formed || is_serializable_with(h, specs, search).unwrap_or(false),
+        snapshot_isolated: !well_formed || !with_si || snapshot_isolated(h, specs).unwrap_or(false),
     }
-    items
 }
 
-/// Executes one sweep item against a fresh TM and judges the recorded
-/// history. Pure in the item index: safe to run on any worker.
-fn run_sweep_item(
-    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
-    blocking: bool,
-    item: &SweepItem,
-    search: SearchConfig,
-) -> SweepVerdict {
-    let specs = SpecRegistry::registers();
-    let stm = make(2);
-    run_tx(stm.as_ref(), 0, |tx| {
-        tx.write(0, 1)?;
-        tx.write(1, 1)
-    });
-    if blocking {
-        run_serially(stm.as_ref(), &item.program, &item.sched);
-    } else {
-        execute(stm.as_ref(), &item.program, &item.sched);
-    }
-    let h = stm.recorder().history();
-    let wf = tm_model::is_well_formed(&h);
-    if !wf {
-        return SweepVerdict {
-            wf,
+/// Verdicts folded in schedule order: which contracts held on every
+/// history, and the first eight violations.
+#[derive(Clone)]
+pub(crate) struct Tally {
+    pub(crate) well_formed: bool,
+    pub(crate) opaque: bool,
+    pub(crate) serializable: bool,
+    pub(crate) snapshot_isolated: bool,
+    pub(crate) histories_checked: usize,
+    pub(crate) violations: Vec<String>,
+}
+
+impl Tally {
+    pub(crate) fn new() -> Self {
+        Tally {
+            well_formed: true,
             opaque: true,
             serializable: true,
             snapshot_isolated: true,
-        };
+            histories_checked: 0,
+            violations: Vec::new(),
+        }
     }
-    SweepVerdict {
-        wf,
-        opaque: is_opaque_with(&h, &specs, search)
-            .map(|r| r.opaque)
-            .unwrap_or(false),
-        serializable: is_serializable_with(&h, &specs, search).unwrap_or(false),
-        snapshot_isolated: snapshot_isolated(&h, &specs).unwrap_or(false),
+
+    pub(crate) fn record(&mut self, probe: &str, sched: &[usize], v: &Verdict) {
+        self.histories_checked += 1;
+        for (field, ok, what) in [
+            (&mut self.well_formed, v.well_formed, "ill-formed history"),
+            (&mut self.opaque, v.opaque, "opacity violated"),
+            (
+                &mut self.serializable,
+                v.serializable,
+                "committed txs not serializable",
+            ),
+            (
+                &mut self.snapshot_isolated,
+                v.snapshot_isolated,
+                "snapshot isolation violated",
+            ),
+        ] {
+            if !ok {
+                *field = false;
+                if self.violations.len() < 8 {
+                    self.violations.push(format!("{probe} {sched:?}: {what}"));
+                }
+            }
+        }
     }
 }
 
-/// Runs the full battery against TMs built by `make` (called with the
+/// The sweep driver of both batteries: runs every `(probe, schedule)` pair
+/// through `run` on up to `jobs` workers and returns the verdicts with
+/// their probe index and schedule, in sweep order.
+pub(crate) fn sweep<P: Sync>(
+    probes: &[P],
+    counts: impl Fn(&P) -> Vec<usize>,
+    blocking: bool,
+    jobs: usize,
+    run: impl Fn(&P, &[usize]) -> Verdict + Sync,
+) -> Vec<(usize, Schedule, Verdict)> {
+    let items: Vec<(usize, Schedule)> = probes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| {
+            sweep_schedules(&counts(p), blocking)
+                .into_iter()
+                .map(move |s| (i, s))
+        })
+        .collect();
+    let verdicts = parallel_map(items.len(), jobs, |i| {
+        let (p, sched) = &items[i];
+        run(&probes[*p], sched)
+    });
+    items
+        .into_iter()
+        .zip(verdicts)
+        .map(|((p, sched), v)| (p, sched, v))
+        .collect()
+}
+
+/// Runs the register battery against TMs built by `make` (called with the
 /// number of registers each sub-experiment needs; every history is taken
-/// from a fresh instance). Single-threaded; equivalent to
-/// [`conformance_parallel`] with `jobs = 1`.
-pub fn check_conformance(make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync)) -> ConformanceReport {
-    conformance_parallel(make, 1)
-}
-
-/// [`check_conformance`] with the interleaving sweep sharded across `jobs`
+/// from a fresh instance), sharding the interleaving sweep across `jobs`
 /// scoped worker threads.
 ///
-/// Every `(probe, schedule)` pair runs against a fresh TM instance, so the
-/// items are independent; the per-item verdicts are merged back in schedule
-/// order, making the report **identical for every `jobs` value** (the
-/// property is pinned by a test below and by the harness property suite).
-pub fn conformance_parallel(
-    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
-    jobs: usize,
-) -> ConformanceReport {
-    conformance_parallel_with(make, jobs, SearchConfig::default())
-}
-
-/// [`conformance_parallel`] with an explicit serialization-search
-/// configuration for the per-history opacity/serializability checks.
+/// `make` builds the TMs of the scheduled executions (the interleaving
+/// sweep and the progressiveness probe), `unobserved` the one the threaded
+/// lost-update probe runs on. That probe's aborts depend on how the OS
+/// schedules its two threads, so a factory that carries an observability
+/// handle passes its handle-free twin as `unobserved`: the `stm.*` counters
+/// are then a function of the scheduled executions alone and agree for
+/// every `jobs` value. Other callers pass the same factory twice.
 ///
-/// `jobs` spreads independent `(probe, schedule)` pairs across workers —
-/// the level at which the checker runs in parallel; each check itself is
-/// single-threaded — while `search.memo_capacity` bounds each check's
-/// dead-end table. Verdicts are independent of both (eviction only costs
+/// `search` configures the per-history opacity and serializability
+/// checks: `search.memo_capacity` bounds each check's dead-end table.
+/// Verdicts are independent of it and of `jobs` (eviction only costs
 /// recomputation), so the report stays byte-identical — pinned by the
 /// property tests.
-pub fn conformance_parallel_with(
-    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
-    jobs: usize,
-    search: SearchConfig,
-) -> ConformanceReport {
-    conformance_observed(make, make, jobs, search)
-}
-
-/// [`conformance_parallel_with`] for a factory whose TMs carry an
-/// observability handle: `make` builds the TMs of the scheduled executions
-/// (the interleaving sweep and the progressiveness probe), `unobserved`
-/// builds the one the threaded lost-update probe runs on.
-///
-/// The threaded probe's aborts depend on how the OS schedules its two
-/// threads, so it must not count into the `stm.*` metrics: with the
-/// handle kept off it, those counters are a function of the scheduled
-/// executions alone and agree for every `jobs` value.
-pub fn conformance_observed(
+pub fn conformance(
     make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
     unobserved: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
     jobs: usize,
@@ -292,62 +251,40 @@ pub fn conformance_observed(
 ) -> ConformanceReport {
     let name = make(1).name().to_string();
     let blocking = make(1).blocking();
-    let mut report = ConformanceReport {
-        name,
-        well_formed: true,
-        opaque: true,
-        serializable: true,
-        snapshot_isolated: true,
-        progressive_probe: false,
-        no_lost_updates: true,
-        violations: Vec::new(),
-        histories_checked: 0,
-    };
-    let flag = |field: &mut bool, ok: bool, what: &str, violations: &mut Vec<String>| {
-        if !ok {
-            *field = false;
-            if violations.len() < 8 {
-                violations.push(what.to_string());
-            }
-        }
-    };
 
     // ---- interleaving sweeps (sharded) ------------------------------------
-    let items = sweep_items(blocking);
-    let verdicts = parallel_map(items.len(), jobs, |i| {
-        run_sweep_item(make, blocking, &items[i], search)
-    });
-    for (item, v) in items.iter().zip(&verdicts) {
-        let SweepItem { pname, sched, .. } = item;
-        report.histories_checked += 1;
-        flag(
-            &mut report.well_formed,
-            v.wf,
-            &format!("{pname} {sched:?}: ill-formed history"),
-            &mut report.violations,
-        );
-        if !v.wf {
-            continue;
-        }
-        flag(
-            &mut report.opaque,
-            v.opaque,
-            &format!("{pname} {sched:?}: opacity violated"),
-            &mut report.violations,
-        );
-        flag(
-            &mut report.serializable,
-            v.serializable,
-            &format!("{pname} {sched:?}: committed txs not serializable"),
-            &mut report.violations,
-        );
-        flag(
-            &mut report.snapshot_isolated,
-            v.snapshot_isolated,
-            &format!("{pname} {sched:?}: snapshot isolation violated"),
-            &mut report.violations,
-        );
+    let probes = probes();
+    let specs = SpecRegistry::registers();
+    let mut tally = Tally::new();
+    let verdicts = sweep(
+        &probes,
+        |(_, program)| program.action_counts(),
+        blocking,
+        jobs,
+        |(_, program), sched| {
+            let stm = make(2);
+            run_tx(stm.as_ref(), 0, |tx| {
+                tx.write(0, 1)?;
+                tx.write(1, 1)
+            });
+            execute(stm.as_ref(), program, sched);
+            judge(&stm.recorder().history(), &specs, search, true)
+        },
+    );
+    for (p, sched, v) in verdicts {
+        tally.record(probes[p].0, &sched, &v);
     }
+    let mut report = ConformanceReport {
+        name,
+        well_formed: tally.well_formed,
+        opaque: tally.opaque,
+        serializable: tally.serializable,
+        snapshot_isolated: tally.snapshot_isolated,
+        progressive_probe: true, // serial execution never conflicts
+        no_lost_updates: true,
+        violations: tally.violations,
+        histories_checked: tally.histories_checked,
+    };
 
     // ---- progressiveness probe (Section 6.2's discriminating schedule) ----
     if !blocking {
@@ -360,8 +297,6 @@ pub fn conformance_observed(
         // operation invoked after the conflicting peer completed).
         let out = execute(stm.as_ref(), &program, &[0, 1, 1, 0, 0]);
         report.progressive_probe = out.txs[0].committed;
-    } else {
-        report.progressive_probe = true; // serial execution never conflicts
     }
 
     // ---- threaded lost-update probe ----------------------------------------
@@ -399,6 +334,10 @@ mod tests {
     use super::*;
     use tm_stm::{MutantStm, Mutation};
 
+    fn battery(make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync)) -> ConformanceReport {
+        conformance(make, make, 1, SearchConfig::default())
+    }
+
     /// The pinned conformance matrix of the in-tree TMs (the reference a
     /// downstream implementor compares against).
     #[test]
@@ -424,7 +363,7 @@ mod tests {
                     .find(|s| s.name() == name)
                     .expect("name stable")
             };
-            let r = check_conformance(&factory);
+            let r = battery(&factory);
             let row = expected
                 .iter()
                 .find(|(n, ..)| *n == name)
@@ -450,23 +389,21 @@ mod tests {
 
     #[test]
     fn mutants_fail_their_advertised_contracts() {
-        let skip_read =
-            check_conformance(&|k| Box::new(MutantStm::new(k, Mutation::SkipReadValidation)));
+        let skip_read = battery(&|k| Box::new(MutantStm::new(k, Mutation::SkipReadValidation)));
         assert!(!skip_read.opaque);
         assert!(skip_read.serializable, "{:?}", skip_read.violations);
-        let skip_commit =
-            check_conformance(&|k| Box::new(MutantStm::new(k, Mutation::SkipCommitValidation)));
+        let skip_commit = battery(&|k| Box::new(MutantStm::new(k, Mutation::SkipCommitValidation)));
         assert!(!skip_commit.serializable);
         // Lost updates under real threads are probabilistic at this scale;
         // the deterministic interleaving sweep above already convicts the
         // mutant, so the threaded probe is informative, not asserted.
-        let baseline = check_conformance(&|k| Box::new(MutantStm::new(k, Mutation::None)));
+        let baseline = battery(&|k| Box::new(MutantStm::new(k, Mutation::None)));
         assert!(baseline.opaque && baseline.serializable && baseline.no_lost_updates);
     }
 
     #[test]
     fn report_rendering() {
-        let r = check_conformance(&|k| Box::new(tm_stm::Tl2Stm::new(k)));
+        let r = battery(&|k| Box::new(tm_stm::Tl2Stm::new(k)));
         assert!(header().contains("opaque"));
         assert!(r.row().contains("tl2"));
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -491,9 +428,14 @@ mod tests {
                 as fn(usize) -> Box<dyn tm_stm::Stm>,
             |k| Box::new(tm_stm::Tl2Stm::new(k)) as Box<dyn tm_stm::Stm>,
         ] {
-            let sequential = normalize(conformance_parallel(&factory, 1));
+            let sequential = normalize(battery(&factory));
             for jobs in [2, 4, 7] {
-                let parallel = normalize(conformance_parallel(&factory, jobs));
+                let parallel = normalize(conformance(
+                    &factory,
+                    &factory,
+                    jobs,
+                    SearchConfig::default(),
+                ));
                 assert_eq!(sequential, parallel, "jobs={jobs}");
             }
         }

@@ -55,6 +55,15 @@
 //! (`preemption_bound`) additionally prunes schedules with more than K
 //! context switches away from an enabled thread; that mode is an explicit
 //! under-approximation, in the spirit of bounded model checking.
+//!
+//! # Judging a run
+//!
+//! Each complete run is judged by the vector-clock race checker
+//! ([`crate::race`]) and by [`committed_serializable`], which replays the
+//! committed transactions in every serial order on a probe-free TM through
+//! the op-level executor ([`crate::sched::execute`]) and looks for one
+//! that reproduces their reads and the final registers. Recorded histories
+//! are not yet handed to the opacity checker.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,6 +71,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::race::{self, RaceViolation};
+use crate::sched::execute;
 use crate::script::{Program, ScriptOp};
 use tm_stm::trace_cells::{AccessKind, CellId, StepProbe, TraceEvent};
 use tm_stm::{Stm, StmConfig};
@@ -714,8 +724,9 @@ fn judge(
 // Serial reference
 // ---------------------------------------------------------------------------
 
-/// Does some serial order of the *committed* transactions reproduce their
-/// read values and the observed final state? Aborted transactions are
+/// Does some serial order of the *committed* transactions, run through
+/// [`execute`] on a serial schedule, reproduce their read values and the
+/// observed final state? Aborted transactions are
 /// excluded: outcome-level checking cannot judge their reads (that is the
 /// opacity checker's job on recorded histories); what it can judge is that
 /// committed transactions form a serializable whole — exactly the invariant
@@ -729,44 +740,23 @@ pub fn committed_serializable(
     let committed: Vec<usize> = (0..outcomes.len())
         .filter(|&i| outcomes[i].committed)
         .collect();
+    let counts = program.action_counts();
     let mut orders = Vec::new();
     permutations(&committed, &mut Vec::new(), &mut orders);
-    'order: for order in orders {
+    orders.into_iter().any(|order| {
         let stm = factory(None);
         stm.recorder().set_enabled(false);
-        let mut reads_by_thread: BTreeMap<usize, Vec<i64>> = BTreeMap::new();
-        for &t in &order {
-            let mut tx = stm.begin(t);
-            let mut reads = Vec::new();
-            for op in &program.threads[t].ops {
-                let failed = match *op {
-                    ScriptOp::Read(o) => match tx.read(o) {
-                        Ok(v) => {
-                            reads.push(v);
-                            false
-                        }
-                        Err(_) => true,
-                    },
-                    ScriptOp::Write(o, v) => tx.write(o, v).is_err(),
-                };
-                if failed {
-                    continue 'order; // serial aborts: not a witness order
-                }
-            }
-            if tx.commit().is_err() {
-                continue 'order;
-            }
-            reads_by_thread.insert(t, reads);
-        }
-        let serial_final = read_back(stm.as_ref(), final_state.len());
-        let reads_match = committed
+        let serial: Vec<usize> = order
             .iter()
-            .all(|&t| reads_by_thread.get(&t) == Some(&outcomes[t].reads));
-        if reads_match && serial_final == final_state {
-            return true;
-        }
-    }
-    false
+            .flat_map(|&t| std::iter::repeat(t).take(counts[t]))
+            .collect();
+        // A serial abort disqualifies the order as a witness.
+        let out = execute(stm.as_ref(), program, &serial);
+        committed
+            .iter()
+            .all(|&t| out.txs[t].committed && out.txs[t].reads == outcomes[t].reads)
+            && read_back(stm.as_ref(), final_state.len()) == final_state
+    })
 }
 
 /// All permutations of `items`, appended to `out`.

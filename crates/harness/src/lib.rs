@@ -4,14 +4,17 @@
 //! `tm-opacity` checkers into reproducible experiments:
 //!
 //! * [`script`] / [`sched`] — scripted transactions under deterministic,
-//!   exhaustively enumerable interleavings (a miniature schedule explorer);
-//! * [`objconformance`] — the typed-object conformance battery: rich
-//!   probes (write-skew sets, producer/consumer queues, commutative
-//!   counter storms) swept against any TM through `tm_stm::objects`;
+//!   exhaustively enumerable interleavings (a miniature schedule explorer
+//!   with one op-level executor, [`execute`], for every TM);
+//! * [`mod@conformance`] / [`objconformance`] — the register and typed-object
+//!   conformance batteries, two probe sets over one sweep driver and one
+//!   history judge. The typed probes (write-skew sets, producer/consumer
+//!   queues, commutative counter storms) reach any TM through
+//!   `tm_stm::objects`;
 //! * [`parallel`] — a dependency-free scoped-thread worker pool with
 //!   deterministic index-order merging, powering the parallel checking
-//!   pipeline ([`conformance_parallel`], [`cross_validate`],
-//!   [`object_conformance`]);
+//!   pipeline ([`conformance()`], [`object_conformance`],
+//!   [`cross_validate`]);
 //! * [`randhist`] — random well-formed register histories for the Theorem-2
 //!   cross-validation;
 //! * [`workload`] — real-thread workloads (bank, counter, read-mostly, and
@@ -40,25 +43,21 @@ pub mod stats;
 pub mod workload;
 
 pub use complexity::{fraction_scenario, paper_scenario, solo_scan, sweep, ComplexityRow};
-pub use conformance::{
-    check_conformance, conformance_observed, conformance_parallel, conformance_parallel_with,
-    header as conformance_header, ConformanceReport,
-};
+pub use conformance::{conformance, header as conformance_header, ConformanceReport};
 pub use dpor::{
     committed_serializable, explore, probed_config, replay_schedule, Conviction, ConvictionKind,
     DporConfig, ExploreResult, LiveRun, RunResult, SharedStm, Step, StepTxOutcome, StmFactory,
 };
 pub use objconformance::{
-    execute_objects, execute_objects_serially, object_conformance, object_conformance_with,
-    object_header, ObjExecOutcome, ObjOp, ObjProgram, ObjScript, ObjTxOutcome,
-    ObjectConformanceReport, ObjectKind, ObjectProbeReport,
+    execute_objects, object_conformance, object_header, ObjExecOutcome, ObjOp, ObjProgram,
+    ObjScript, ObjTxOutcome, ObjectConformanceReport, ObjectKind, ObjectProbeReport,
 };
 pub use parallel::{default_jobs, parallel_map};
 pub use race::{check as check_race_trace, RaceViolation};
 pub use randhist::{batch, cross_validate, random_history, CrossValReport, GenConfig};
 pub use sched::{
-    all_schedules, all_schedules_reduced, complete_schedule, execute, inversions, random_schedule,
-    shrink_schedule, ExecOutcome, Schedule, TxOutcome,
+    all_schedules, complete_schedule, execute, inversions, random_schedule, shrink_schedule,
+    sweep_schedules, ExecOutcome, Schedule, TxOutcome,
 };
 pub use script::{Program, ScriptOp, TxScript};
 pub use stats::{ascii_chart, Table};

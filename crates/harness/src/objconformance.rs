@@ -1,6 +1,6 @@
 //! The object-level conformance battery: rich-semantics probes for every TM.
 //!
-//! The register battery in [`crate::conformance`] exercises the weakest
+//! The register battery in [`mod@crate::conformance`] exercises the weakest
 //! slice of the theory — the paper's model is parameterized by *arbitrary*
 //! sequential specifications, and some anomalies are simply invisible to
 //! register probes. This module sweeps **typed transactional objects**
@@ -20,14 +20,13 @@
 //! * commutative **counter storms** document the cost of read/write
 //!   encodings (aborts without semantic conflicts — Section 3.4).
 //!
-//! Every `(probe, schedule)` pair drives a fresh TM instance, so the sweep
-//! shards across the [`crate::parallel`] worker pool with deterministic
-//! index-order merging: [`object_conformance`] output is identical for
-//! every job count.
+//! The sweep runs through the register battery's driver
+//! ([`mod@crate::conformance`]): every `(probe, schedule)` pair drives a fresh
+//! TM instance on the [`crate::parallel`] worker pool, one judge decides
+//! each history, and the verdicts merge in schedule order, so
+//! [`object_conformance`] output is identical for every job count.
 
 use tm_model::{OpName, Value};
-use tm_opacity::criteria::is_serializable_with;
-use tm_opacity::opacity::is_opaque_with;
 use tm_opacity::SearchConfig;
 use tm_stm::objects::encodings::{
     CasEnc, CounterEnc, LogEnc, MapEnc, PQueueEnc, QueueEnc, RegisterEnc, SetEnc, StackEnc,
@@ -35,8 +34,7 @@ use tm_stm::objects::encodings::{
 use tm_stm::objects::{TypedSpace, TypedStm, TypedTx};
 use tm_stm::Stm;
 
-use crate::parallel::parallel_map;
-use crate::sched::{all_schedules, Schedule};
+use crate::conformance::{judge, sweep, Tally};
 
 /// The rich object families the battery can probe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -207,14 +205,9 @@ pub struct ObjExecOutcome {
 /// are skipped.
 ///
 /// # Panics
-/// Panics if `tm` is a blocking TM and the program has more than one
-/// thread; use [`execute_objects_serially`] for those.
+/// Panics if `tm` is blocking (the global lock) and the schedule begins a
+/// transaction while another is live; serial schedules drive it fine.
 pub fn execute_objects(tm: &TypedStm, program: &ObjProgram, schedule: &[usize]) -> ObjExecOutcome {
-    assert!(
-        program.threads.len() <= 1 || !tm.blocking(),
-        "blocking TM '{}' cannot be interleaved on one OS thread",
-        tm.name()
-    );
     struct Thread<'a> {
         tx: Option<TypedTx<'a>>,
         pc: usize,
@@ -234,13 +227,18 @@ pub fn execute_objects(tm: &TypedStm, program: &ObjProgram, schedule: &[usize]) 
 
     for &ti in schedule {
         let script = &program.threads[ti];
-        let t = &mut threads[ti];
-        if t.committed || t.aborted {
+        if threads[ti].committed || threads[ti].aborted {
             continue;
         }
-        if t.tx.is_none() {
-            t.tx = Some(tm.begin(ti));
+        if threads[ti].tx.is_none() {
+            assert!(
+                !tm.blocking() || threads.iter().all(|t| t.tx.is_none()),
+                "blocking TM '{}' cannot be interleaved on one OS thread",
+                tm.name()
+            );
+            threads[ti].tx = Some(tm.begin(ti));
         }
+        let t = &mut threads[ti];
         if t.pc < script.ops.len() {
             let tx = t.tx.as_mut().expect("live thread has a tx");
             let ObjOp { obj, op, args } = &script.ops[t.pc];
@@ -271,48 +269,6 @@ pub fn execute_objects(tm: &TypedStm, program: &ObjProgram, schedule: &[usize]) 
             })
             .collect(),
     }
-}
-
-/// Runs a typed program one whole transaction at a time, following the
-/// thread order in which `schedule` first mentions each thread — the only
-/// way to drive a blocking TM through a multi-thread probe on one OS
-/// thread.
-pub fn execute_objects_serially(
-    tm: &TypedStm,
-    program: &ObjProgram,
-    schedule: &[usize],
-) -> ObjExecOutcome {
-    let mut order: Vec<usize> = Vec::new();
-    for &t in schedule {
-        if !order.contains(&t) {
-            order.push(t);
-        }
-    }
-    let mut outcomes: Vec<ObjTxOutcome> = program
-        .threads
-        .iter()
-        .map(|_| ObjTxOutcome {
-            committed: false,
-            returns: Vec::new(),
-        })
-        .collect();
-    for ti in order {
-        let mut tx = tm.begin(ti);
-        let mut dead = false;
-        for ObjOp { obj, op, args } in &program.threads[ti].ops {
-            match tx.invoke(tm.handle(obj), op, args) {
-                Ok(ret) => outcomes[ti].returns.push(ret),
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if !dead {
-            outcomes[ti].committed = tx.commit().is_ok();
-        }
-    }
-    ObjExecOutcome { txs: outcomes }
 }
 
 /// One probe: a typed space factory plus a program over its objects.
@@ -611,37 +567,13 @@ impl ObjectConformanceReport {
     }
 }
 
-/// The verdicts for one recorded history.
-struct SweepVerdict {
-    wf: bool,
-    opaque: bool,
-    serializable: bool,
-}
-
-/// One `(probe index, schedule)` unit of sweep work.
-struct SweepItem {
-    probe: usize,
-    sched: Schedule,
-}
-
 /// Runs the object battery for the TM built by `make` over the probes of
 /// the selected `kinds`, sharding the schedule sweep across `jobs` worker
-/// threads with deterministic index-order merging (output is identical for
-/// every `jobs` value). Single-threaded callers pass `jobs = 1`.
+/// threads with deterministic index-order merging. `search` configures the
+/// per-history checks: `search.memo_capacity` bounds the dead-end table of
+/// each opacity / serializability decision. Verdicts — and therefore the
+/// rendered battery — are invariant under both knobs.
 pub fn object_conformance(
-    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
-    kinds: &[ObjectKind],
-    jobs: usize,
-) -> ObjectConformanceReport {
-    object_conformance_with(make, kinds, jobs, SearchConfig::default())
-}
-
-/// [`object_conformance`] with an explicit serialization-search
-/// configuration for the per-history checks: `search.memo_capacity` bounds
-/// the dead-end table of each opacity / serializability decision, and
-/// `jobs` spreads the independent histories across workers. Verdicts — and
-/// therefore the rendered battery — are invariant under both.
-pub fn object_conformance_with(
     make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
     kinds: &[ObjectKind],
     jobs: usize,
@@ -653,95 +585,36 @@ pub fn object_conformance_with(
         .into_iter()
         .filter(|p| kinds.contains(&p.kind))
         .collect();
-
-    // Build the deterministic work list: every (probe, schedule) pair.
-    let mut items = Vec::new();
-    for (pi, probe) in selected.iter().enumerate() {
-        let schedules = if blocking {
-            let counts = probe.program.action_counts();
-            let serial_01: Vec<usize> = std::iter::repeat(0)
-                .take(counts[0])
-                .chain(std::iter::repeat(1).take(counts[1]))
-                .collect();
-            let serial_10: Vec<usize> = std::iter::repeat(1)
-                .take(counts[1])
-                .chain(std::iter::repeat(0).take(counts[0]))
-                .collect();
-            vec![serial_01, serial_10]
-        } else {
-            all_schedules(&probe.program.action_counts(), 200)
-        };
-        for sched in schedules {
-            items.push(SweepItem { probe: pi, sched });
-        }
+    let mut tallies = vec![Tally::new(); selected.len()];
+    let verdicts = sweep(
+        &selected,
+        |probe| probe.program.action_counts(),
+        blocking,
+        jobs,
+        |probe, sched| {
+            let tm = TypedStm::new((probe.space)(), |k| make(k));
+            execute_objects(&tm, &probe.program, sched);
+            judge(&tm.history(), &tm.registry(), search, false)
+        },
+    );
+    for (p, sched, v) in verdicts {
+        tallies[p].record(selected[p].name, &sched, &v);
     }
-
-    let verdicts = parallel_map(items.len(), jobs, |idx| {
-        let item = &items[idx];
-        let probe = &selected[item.probe];
-        let tm = TypedStm::new((probe.space)(), |k| make(k));
-        if blocking {
-            execute_objects_serially(&tm, &probe.program, &item.sched);
-        } else {
-            execute_objects(&tm, &probe.program, &item.sched);
-        }
-        let h = tm.history();
-        let specs = tm.registry();
-        let wf = tm_model::is_well_formed(&h);
-        if !wf {
-            return SweepVerdict {
-                wf,
-                opaque: true,
-                serializable: true,
-            };
-        }
-        SweepVerdict {
-            wf,
-            opaque: is_opaque_with(&h, &specs, search)
-                .map(|r| r.opaque)
-                .unwrap_or(false),
-            serializable: is_serializable_with(&h, &specs, search).unwrap_or(false),
-        }
-    });
-
-    let mut reports: Vec<ObjectProbeReport> = selected
-        .iter()
-        .map(|p| ObjectProbeReport {
-            probe: p.name,
-            kind: p.kind,
-            well_formed: true,
-            opaque: true,
-            serializable: true,
-            histories_checked: 0,
-            violations: Vec::new(),
-        })
-        .collect();
-    for (item, v) in items.iter().zip(&verdicts) {
-        let report = &mut reports[item.probe];
-        report.histories_checked += 1;
-        let flag = |field_ok: bool, what: &str, violations: &mut Vec<String>| {
-            if !field_ok && violations.len() < 8 {
-                violations.push(format!(
-                    "{} {:?}: {what}",
-                    selected[item.probe].name, item.sched
-                ));
-            }
-            field_ok
-        };
-        report.well_formed &= flag(v.wf, "ill-formed history", &mut report.violations);
-        if v.wf {
-            report.opaque &= flag(v.opaque, "opacity violated", &mut report.violations);
-            report.serializable &= flag(
-                v.serializable,
-                "committed txs not serializable",
-                &mut report.violations,
-            );
-        }
-    }
-
     ObjectConformanceReport {
         name,
-        probes: reports,
+        probes: selected
+            .iter()
+            .zip(tallies)
+            .map(|(p, t)| ObjectProbeReport {
+                probe: p.name,
+                kind: p.kind,
+                well_formed: t.well_formed,
+                opaque: t.opaque,
+                serializable: t.serializable,
+                histories_checked: t.histories_checked,
+                violations: t.violations,
+            })
+            .collect(),
     }
 }
 
@@ -792,7 +665,12 @@ mod tests {
             let name = stm.name();
             let props = stm.properties();
             drop(stm);
-            let report = object_conformance(&factory_for(name), &ObjectKind::ALL, 1);
+            let report = object_conformance(
+                &factory_for(name),
+                &ObjectKind::ALL,
+                1,
+                SearchConfig::default(),
+            );
             assert_eq!(report.name, name);
             assert_eq!(report.probes.len(), 11, "{name}");
             for probe in &report.probes {
@@ -856,12 +734,14 @@ mod tests {
                 &factory_for(name),
                 &[ObjectKind::Set, ObjectKind::Counter],
                 1,
+                SearchConfig::default(),
             );
             for jobs in [2, 5] {
                 let parallel = object_conformance(
                     &factory_for(name),
                     &[ObjectKind::Set, ObjectKind::Counter],
                     jobs,
+                    SearchConfig::default(),
                 );
                 assert_eq!(sequential, parallel, "{name} jobs={jobs}");
             }
@@ -870,7 +750,12 @@ mod tests {
 
     #[test]
     fn report_rendering() {
-        let report = object_conformance(&factory_for("tl2"), &[ObjectKind::Set], 1);
+        let report = object_conformance(
+            &factory_for("tl2"),
+            &[ObjectKind::Set],
+            1,
+            SearchConfig::default(),
+        );
         assert!(object_header().contains("opaque"));
         for probe in &report.probes {
             let row = probe.row(&report.name);
@@ -898,7 +783,12 @@ mod tests {
 
     #[test]
     fn serial_executor_drives_the_blocking_tm() {
-        let report = object_conformance(&factory_for("glock"), &[ObjectKind::Queue], 1);
+        let report = object_conformance(
+            &factory_for("glock"),
+            &[ObjectKind::Queue],
+            1,
+            SearchConfig::default(),
+        );
         let probe = report.probe("queue-producer-consumer").unwrap();
         assert!(probe.well_formed && probe.opaque && probe.serializable);
         assert_eq!(probe.histories_checked, 2, "two serial orders");

@@ -1,14 +1,16 @@
 //! The deterministic interleaving explorer.
 //!
-//! Executes a [`Program`] against any non-blocking TM under an explicit
-//! [`Schedule`] — a sequence of thread indices, each meaning "that thread
-//! performs its next action (operation or commit)". Because every TM in
-//! `tm-stm` except the global-lock one is non-blocking at operation
-//! granularity, a single OS thread can drive any interleaving, making
-//! anomalies (and their absence) perfectly reproducible:
+//! Executes a [`Program`] against a TM under an explicit [`Schedule`] — a
+//! sequence of thread indices, each meaning "that thread performs its next
+//! action (operation or commit)". Because every TM in `tm-stm` except the
+//! global-lock one is non-blocking at operation granularity, a single OS
+//! thread can drive any interleaving, making anomalies (and their absence)
+//! perfectly reproducible. The global lock runs through the same
+//! [`execute`] on schedules that never overlap two transactions.
 //!
 //! * exhaustive enumeration of all interleavings of small programs
-//!   ([`all_schedules`]) powers the opacity-validation experiment E11;
+//!   ([`all_schedules`]) powers the opacity-validation experiment E11 and,
+//!   through [`sweep_schedules`], both conformance batteries;
 //! * seeded random schedules ([`random_schedule`]) scale to larger programs;
 //! * hand-written schedules reproduce the paper's scenarios exactly (the
 //!   proof sketch of Theorem 3, TL2's non-progressiveness, the Section 2
@@ -55,17 +57,17 @@ impl ExecOutcome {
 /// Schedule entries pointing at finished (committed/aborted) threads are
 /// skipped, so any sequence long enough is valid; [`complete_schedule`]
 /// appends a round-robin tail to guarantee completion.
+///
+/// # Panics
+/// Panics if `stm` is blocking (the global lock) and the schedule begins a
+/// transaction while another is live: on one OS thread that `begin` would
+/// wait forever. Serial schedules drive a blocking TM fine.
 pub fn execute(stm: &dyn Stm, program: &Program, schedule: &[usize]) -> ExecOutcome {
     assert!(
         stm.k() >= program.required_k(),
         "program touches register {} but TM has k={}",
         program.required_k().saturating_sub(1),
         stm.k()
-    );
-    assert!(
-        program.threads.len() <= 1 || !stm.blocking(),
-        "blocking TM '{}' cannot be interleaved on one OS thread",
-        stm.name()
     );
     struct Thread<'a> {
         tx: Option<Box<dyn Tx + 'a>>,
@@ -88,13 +90,18 @@ pub fn execute(stm: &dyn Stm, program: &Program, schedule: &[usize]) -> ExecOutc
 
     for &ti in schedule {
         let script = &program.threads[ti];
-        let t = &mut threads[ti];
-        if t.committed || t.aborted {
+        if threads[ti].committed || threads[ti].aborted {
             continue;
         }
-        if t.tx.is_none() {
-            t.tx = Some(stm.begin(ti));
+        if threads[ti].tx.is_none() {
+            assert!(
+                !stm.blocking() || threads.iter().all(|t| t.tx.is_none()),
+                "blocking TM '{}' cannot be interleaved on one OS thread",
+                stm.name()
+            );
+            threads[ti].tx = Some(stm.begin(ti));
         }
+        let t = &mut threads[ti];
         if t.pc < script.ops.len() {
             let tx = t.tx.as_mut().expect("live thread has a tx");
             let result = match script.ops[t.pc] {
@@ -182,166 +189,21 @@ pub fn all_schedules(action_counts: &[usize], limit: usize) -> Vec<Schedule> {
     out
 }
 
-/// Cumulative summary of one thread's action for the commutation check of
-/// [`all_schedules_reduced`].
-///
-/// Footprints are *cumulative* (everything the transaction touched up to
-/// and including this action) because op-level execution is not memoryless:
-/// a TM's response to an action may depend on the whole read/write set so
-/// far (validation, bookkeeping), so the action's true footprint is its
-/// prefix's. Cumulative sets also make the dependence relation
-/// prefix-closed, which the canonical-form argument below needs.
-#[derive(Clone, Copy, Debug)]
-struct ActionInfo {
-    /// Registers in the transaction's footprint after this action (bit `r`
-    /// for register `r`; registers ≥ 63 share the top bit, which is merely
-    /// conservative).
-    foot: u64,
-    /// Registers written so far.
-    written: u64,
-    /// Is this the final (commit) action?
-    is_commit: bool,
-    /// Is this the thread's first action (its transaction's begin)?
-    is_first: bool,
-}
-
-fn register_bit(r: usize) -> u64 {
-    1u64 << r.min(63)
-}
-
-fn action_table(program: &Program) -> Vec<Vec<ActionInfo>> {
-    program
-        .threads
-        .iter()
-        .map(|script| {
-            let mut foot = 0u64;
-            let mut written = 0u64;
-            let mut infos = Vec::with_capacity(script.ops.len() + 1);
-            for (i, op) in script.ops.iter().enumerate() {
-                match *op {
-                    ScriptOp::Read(r) => foot |= register_bit(r),
-                    ScriptOp::Write(r, _) => {
-                        foot |= register_bit(r);
-                        written |= register_bit(r);
-                    }
-                }
-                infos.push(ActionInfo {
-                    foot,
-                    written,
-                    is_commit: false,
-                    is_first: i == 0,
-                });
-            }
-            infos.push(ActionInfo {
-                foot,
-                written,
-                is_commit: true,
-                is_first: script.ops.is_empty(),
-            });
-            infos
-        })
-        .collect()
-}
-
-/// May these two actions of *different* threads fail to commute?
-fn op_dependent(a: ActionInfo, b: ActionInfo, visible_reads: bool) -> bool {
-    // Real time: a commit ordered before another transaction's first
-    // action creates a real-time edge that recorded histories (and the
-    // opacity checker) observe; swapping the pair changes the history.
-    if (a.is_commit && b.is_first) || (b.is_commit && a.is_first) {
-        return true;
+/// The schedules a conformance battery sweeps for a program with these
+/// per-thread action counts: every interleaving, or for a blocking TM,
+/// whose transactions cannot overlap on one OS thread, the two serial
+/// orders (threads ascending, then descending).
+pub fn sweep_schedules(action_counts: &[usize], blocking: bool) -> Vec<Schedule> {
+    if !blocking {
+        return all_schedules(action_counts, 200);
     }
-    // Two writing commits serialize against the global version clock in
-    // either order, and the order is observable through the versions
-    // later readers see.
-    if a.is_commit && b.is_commit && a.written != 0 && b.written != 0 {
-        return true;
-    }
-    if visible_reads {
-        // Visible-reader TMs publish metadata on every read, so even
-        // read/read overlap is observable.
-        a.foot & b.foot != 0
-    } else {
-        (a.written & b.foot) | (b.written & a.foot) != 0
-    }
-}
-
-/// [`all_schedules`] with commutation-equivalent schedules deduplicated.
-///
-/// Two schedules that differ only in the order of *independent* adjacent
-/// actions drive any TM through indistinguishable executions, so sweeping
-/// both is wasted work. This enumerates exactly one representative per
-/// equivalence class: the schedules in which every adjacent out-of-order
-/// pair (a higher thread index immediately before a lower one) is a
-/// *dependent* pair. If an adjacent inversion were independent, swapping
-/// it would yield an equivalent, lexicographically smaller schedule — so
-/// the surviving representative is the lex-least member of its class, and
-/// every class has exactly one.
-///
-/// The dependence relation errs conservative: cumulative footprints with a
-/// writer involved, commit-versus-begin real-time edges, clock
-/// serialization between writing commits, and — with `visible_reads` —
-/// any footprint overlap at all (correct for TMs whose reads write shared
-/// metadata; pass `true` unless you know every read is invisible).
-///
-/// Panics if more than `limit` representatives survive.
-pub fn all_schedules_reduced(
-    program: &Program,
-    visible_reads: bool,
-    limit: usize,
-) -> Vec<Schedule> {
-    let table = action_table(program);
-    let total: usize = table.iter().map(Vec::len).sum();
-    let mut out = Vec::new();
-    let mut progress = vec![0usize; table.len()];
-    let mut prefix: Vec<usize> = Vec::with_capacity(total);
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        table: &[Vec<ActionInfo>],
-        progress: &mut [usize],
-        prefix: &mut Vec<usize>,
-        total: usize,
-        visible_reads: bool,
-        out: &mut Vec<Schedule>,
-        limit: usize,
-    ) {
-        if prefix.len() == total {
-            assert!(
-                out.len() < limit,
-                "interleaving enumeration exceeds limit {limit}"
-            );
-            out.push(prefix.clone());
-            return;
-        }
-        let last = prefix.last().map(|&t| (t, table[t][progress[t] - 1]));
-        for t in 0..table.len() {
-            if progress[t] >= table[t].len() {
-                continue;
-            }
-            if let Some((pt, pa)) = last {
-                // A smaller thread index right after a larger one is
-                // canonical only if the two actions genuinely conflict.
-                if pt > t && !op_dependent(pa, table[t][progress[t]], visible_reads) {
-                    continue;
-                }
-            }
-            progress[t] += 1;
-            prefix.push(t);
-            rec(table, progress, prefix, total, visible_reads, out, limit);
-            prefix.pop();
-            progress[t] -= 1;
-        }
-    }
-    rec(
-        &table,
-        &mut progress,
-        &mut prefix,
-        total,
-        visible_reads,
-        &mut out,
-        limit,
-    );
-    out
+    let serial = |order: &mut dyn Iterator<Item = usize>| -> Schedule {
+        order
+            .flat_map(|t| std::iter::repeat(t).take(action_counts[t]))
+            .collect()
+    };
+    let n = action_counts.len();
+    vec![serial(&mut (0..n)), serial(&mut (0..n).rev())]
 }
 
 /// A seeded random interleaving of the program's actions.
@@ -361,7 +223,7 @@ pub fn random_schedule(program: &Program, seed: u64) -> Schedule {
 mod tests {
     use super::*;
     use crate::script::TxScript;
-    use tm_stm::{NonOpaqueStm, Tl2Stm};
+    use tm_stm::{GlockStm, NonOpaqueStm, Tl2Stm};
 
     fn two_thread_program() -> Program {
         Program::new(vec![
@@ -445,6 +307,26 @@ mod tests {
         assert_eq!(
             out.commits() + out.txs.iter().filter(|t| !t.committed).count(),
             2
+        );
+    }
+
+    #[test]
+    fn blocking_tm_runs_its_serial_sweep() {
+        let p = two_thread_program();
+        let serial = sweep_schedules(&p.action_counts(), true);
+        assert_eq!(serial, vec![vec![0, 0, 0, 1, 1, 1], vec![1, 1, 1, 0, 0, 0]]);
+        for sched in serial {
+            assert_eq!(execute(&GlockStm::new(2), &p, &sched).commits(), 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "blocking TM 'glock' cannot be interleaved")]
+    fn blocking_tm_refuses_a_second_live_transaction() {
+        execute(
+            &GlockStm::new(2),
+            &two_thread_program(),
+            &[0, 1, 0, 1, 0, 1],
         );
     }
 
@@ -574,123 +456,5 @@ mod shrink_tests {
     #[should_panic(expected = "needs a violating schedule")]
     fn rejects_non_violating_input() {
         shrink_schedule(&[0, 1], |_| false);
-    }
-}
-
-#[cfg(test)]
-mod reduction_tests {
-    use super::*;
-    use crate::script::TxScript;
-    use std::collections::BTreeSet;
-    use tm_stm::{NonOpaqueStm, Tl2Stm, VisibleStm};
-
-    fn outcome_set(
-        make: &dyn Fn() -> Box<dyn Stm>,
-        program: &Program,
-        schedules: &[Schedule],
-    ) -> BTreeSet<Vec<(bool, Vec<i64>)>> {
-        schedules
-            .iter()
-            .map(|sched| {
-                let stm = make();
-                let out = execute(stm.as_ref(), program, sched);
-                out.txs
-                    .into_iter()
-                    .map(|t| (t.committed, t.reads))
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn reduced_counts_are_pinned() {
-        // Overlapping footprints from the first action: every adjacent pair
-        // is dependent, nothing merges — the conservative mode costs zero
-        // coverage on the conformance probes.
-        let rw = Program::new(vec![
-            TxScript::new().read(0).read(1),
-            TxScript::new().write(0, 7).write(1, 7),
-        ]);
-        assert_eq!(all_schedules_reduced(&rw, true, 1000).len(), 20);
-
-        // Disjoint registers: only the begin/commit real-time edges order
-        // the threads, and 20 interleavings collapse to 3 classes (commit
-        // before the peer begins, the mirror image, and "truly concurrent").
-        let disjoint = Program::new(vec![
-            TxScript::new().read(0).read(1),
-            TxScript::new().write(2, 7).write(3, 7),
-        ]);
-        assert_eq!(all_schedules_reduced(&disjoint, true, 1000).len(), 3);
-
-        // Three disjoint single-op transactions: 90 interleavings, 24
-        // classes (the pairwise concurrent-or-ordered structure).
-        let three = Program::new(vec![
-            TxScript::new().write(0, 1),
-            TxScript::new().write(1, 2),
-            TxScript::new().read(2),
-        ]);
-        assert_eq!(all_schedules_reduced(&three, true, 1000).len(), 24);
-
-        // With invisible reads the two leading reads of the rmw probe
-        // commute; visible readers must keep them ordered.
-        let rmw = Program::new(vec![
-            TxScript::new().read(0).write(0, 100),
-            TxScript::new().read(0).write(0, 200),
-        ]);
-        assert_eq!(all_schedules_reduced(&rmw, false, 1000).len(), 14);
-        assert_eq!(all_schedules_reduced(&rmw, true, 1000).len(), 20);
-    }
-
-    #[test]
-    fn reduced_schedules_are_a_subset_of_all() {
-        let p = Program::new(vec![
-            TxScript::new().read(0).write(1, 3),
-            TxScript::new().write(0, 4).read(1),
-        ]);
-        let all: BTreeSet<Schedule> = all_schedules(&p.action_counts(), 1000)
-            .into_iter()
-            .collect();
-        for vis in [false, true] {
-            let reduced = all_schedules_reduced(&p, vis, 1000);
-            assert!(reduced.iter().all(|s| all.contains(s)));
-            assert!(!reduced.is_empty());
-        }
-    }
-
-    #[test]
-    fn reduction_preserves_the_outcome_set() {
-        // The merged schedules were equivalent: sweeping only the class
-        // representatives observes exactly the outcomes the full sweep
-        // does. Checked on an invisible-read TM (reduction active), a
-        // commit-time validator whose *anomalies* must not be lost, and a
-        // visible-reader TM under the conservative mode.
-        let programs = [
-            Program::new(vec![
-                TxScript::new().read(0).write(0, 100),
-                TxScript::new().read(0).write(0, 200),
-            ]),
-            Program::new(vec![
-                TxScript::new().read(0).read(1),
-                TxScript::new().write(2, 7).write(3, 7),
-            ]),
-        ];
-        type MakeStm = (&'static str, bool, fn() -> Box<dyn Stm>);
-        let tms: [MakeStm; 3] = [
-            ("tl2", false, || Box::new(Tl2Stm::new(4))),
-            ("nonopaque", false, || Box::new(NonOpaqueStm::new(4))),
-            ("visible", true, || Box::new(VisibleStm::new(4))),
-        ];
-        for program in &programs {
-            let full = all_schedules(&program.action_counts(), 1000);
-            for (name, visible_reads, make) in &tms {
-                let reduced = all_schedules_reduced(program, *visible_reads, 1000);
-                assert!(reduced.len() <= full.len());
-                assert_eq!(
-                    outcome_set(make, program, &reduced),
-                    outcome_set(make, program, &full),
-                    "{name}: reduction lost an outcome"
-                );
-            }
-        }
     }
 }

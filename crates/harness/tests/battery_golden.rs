@@ -22,11 +22,11 @@ use tm_stm::{MutantStm, Mutation, Stm, TmRegistry};
 type Factory<'a> = &'a (dyn Fn(usize) -> Box<dyn Stm> + Sync);
 
 fn register_report(make: Factory<'_>) -> ConformanceReport {
-    tm_harness::conformance_observed(make, make, 2, SearchConfig::default())
+    tm_harness::conformance(make, make, 2, SearchConfig::default())
 }
 
 fn object_report(make: Factory<'_>) -> ObjectConformanceReport {
-    tm_harness::object_conformance_with(make, &ObjectKind::ALL, 2, SearchConfig::default())
+    tm_harness::object_conformance(make, &ObjectKind::ALL, 2, SearchConfig::default())
 }
 
 fn render(make: Factory<'_>, mask_lost_updates: bool, out: &mut String) {

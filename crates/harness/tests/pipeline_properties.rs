@@ -13,10 +13,11 @@
 //!    across worker threads must be invisible in the report.
 
 use tm_harness::randhist::{random_history, GenConfig};
-use tm_harness::{conformance_parallel, ConformanceReport};
+use tm_harness::{conformance, ConformanceReport};
 use tm_model::SpecRegistry;
 use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
 use tm_opacity::opacity::is_opaque;
+use tm_opacity::SearchConfig;
 use tm_stm::{MutantStm, Mutation};
 
 /// Batch reference: index of the first event whose prefix is non-opaque.
@@ -109,8 +110,8 @@ fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
                 .find(|s| s.name() == name)
                 .expect("name stable")
         };
-        let sequential = normalize(conformance_parallel(&factory, 1));
-        let parallel = normalize(conformance_parallel(&factory, 4));
+        let sequential = normalize(conformance(&factory, &factory, 1, SearchConfig::default()));
+        let parallel = normalize(conformance(&factory, &factory, 4, SearchConfig::default()));
         assert_eq!(sequential, parallel, "{name}: jobs=4 diverged");
         assert_eq!(sequential.row(), parallel.row(), "{name}: rendered row");
     }
@@ -122,8 +123,8 @@ fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
     ] {
         let factory =
             move |k: usize| -> Box<dyn tm_stm::Stm> { Box::new(MutantStm::new(k, mutation)) };
-        let sequential = normalize(conformance_parallel(&factory, 1));
-        let parallel = normalize(conformance_parallel(&factory, 4));
+        let sequential = normalize(conformance(&factory, &factory, 1, SearchConfig::default()));
+        let parallel = normalize(conformance(&factory, &factory, 4, SearchConfig::default()));
         assert_eq!(sequential, parallel, "{mutation:?}: jobs=4 diverged");
     }
 }

@@ -3,10 +3,7 @@
 //! how fast a history is judged, never what the judgment is — pinned here
 //! for the full register battery and the typed-object battery.
 
-use tm_harness::{
-    conformance_parallel, conformance_parallel_with, object_conformance, object_conformance_with,
-    ConformanceReport, ObjectKind,
-};
+use tm_harness::{conformance, object_conformance, ConformanceReport, ObjectKind};
 use tm_model::SpecRegistry;
 use tm_opacity::{CheckSession, SearchConfig, SearchMode};
 use tm_stm::{MutantStm, Mutation, TmRegistry};
@@ -30,16 +27,16 @@ fn register_battery_is_invariant_under_tiny_memo_capacity() {
     let reg = TmRegistry::suite();
     for tm in ["tl2", "nonopaque"] {
         let factory = reg.factory(tm).expect("suite TM");
-        let baseline = normalize(conformance_parallel(&factory, 1));
-        let bounded = normalize(conformance_parallel_with(&factory, 1, search));
+        let baseline = normalize(conformance(&factory, &factory, 1, SearchConfig::default()));
+        let bounded = normalize(conformance(&factory, &factory, 1, search));
         assert_eq!(baseline, bounded, "{tm} under memo_capacity=8");
     }
     let mutant = |k: usize| -> Box<dyn tm_stm::Stm> {
         Box::new(MutantStm::new(k, Mutation::SkipReadValidation))
     };
-    let baseline = normalize(conformance_parallel(&mutant, 1));
+    let baseline = normalize(conformance(&mutant, &mutant, 1, SearchConfig::default()));
     assert!(!baseline.opaque, "the mutant must be convicted");
-    let bounded = normalize(conformance_parallel_with(&mutant, 1, search));
+    let bounded = normalize(conformance(&mutant, &mutant, 1, search));
     assert_eq!(baseline, bounded, "mutant conviction under memo_capacity=8");
 }
 
@@ -51,13 +48,13 @@ fn typed_object_battery_is_invariant_under_search_knobs() {
     let kinds = [ObjectKind::Set, ObjectKind::Counter, ObjectKind::Queue];
     for tm in ["tl2", "sistm"] {
         let factory = reg.factory(tm).expect("suite TM");
-        let baseline = object_conformance(&factory, &kinds, 1);
+        let baseline = object_conformance(&factory, &kinds, 1, SearchConfig::default());
         for cap in [8usize, 16] {
             let search = SearchConfig {
                 memo_capacity: Some(cap),
                 ..SearchConfig::default()
             };
-            let knobs = object_conformance_with(&factory, &kinds, 2, search);
+            let knobs = object_conformance(&factory, &kinds, 2, search);
             assert_eq!(baseline, knobs, "{tm} typed battery under memo_cap={cap}");
         }
     }

@@ -5,15 +5,23 @@
 //! formalization, it is impossible to check the correctness of these
 //! implementations". With the formalization executable, checking them is
 //! one function call per TM; a downstream implementor of the `Stm` trait
-//! runs the same battery (`tm_harness::check_conformance`) on their own
+//! runs the same battery (`tm_harness::conformance`) on their own
 //! system and compares rows.
 //!
 //! ```sh
 //! cargo run --release --example conformance_matrix
 //! ```
 
-use opacity_tm::harness::{check_conformance, conformance_header};
+use opacity_tm::harness::{conformance, conformance_header};
+use opacity_tm::opacity::SearchConfig;
 use opacity_tm::stm::{MutantStm, Mutation, Stm};
+
+/// The register battery on one worker with the default search.
+fn battery(
+    make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
+) -> opacity_tm::harness::ConformanceReport {
+    conformance(make, make, 1, SearchConfig::default())
+}
 
 fn main() {
     println!("== TM conformance matrix ==");
@@ -32,13 +40,13 @@ fn main() {
                 .find(|s| s.name() == name)
                 .expect("stable names")
         };
-        println!("{}", check_conformance(&factory).row());
+        println!("{}", battery(&factory).row());
     }
     for m in Mutation::all() {
         if m == Mutation::None {
             continue; // the baseline behaves like TL2; mutants are the story
         }
-        let report = check_conformance(&|k| Box::new(MutantStm::new(k, m)));
+        let report = battery(&|k| Box::new(MutantStm::new(k, m)));
         println!("{}", report.row());
         if !report.violations.is_empty() {
             println!("    e.g. {}", report.violations[0]);

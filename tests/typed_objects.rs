@@ -9,6 +9,7 @@ use opacity_tm::harness::{
 use opacity_tm::model::{ObjId, OpName, Value};
 use opacity_tm::opacity::incremental::OpacityMonitor;
 use opacity_tm::opacity::opacity::is_opaque;
+use opacity_tm::opacity::SearchConfig;
 use opacity_tm::stm::objects::encodings::{CounterEnc, QueueEnc, SetEnc};
 use opacity_tm::stm::objects::{run_typed_tx, TypedSpace, TypedStm};
 use opacity_tm::stm::{SiStm, Stm, Tl2Stm};
@@ -23,13 +24,23 @@ fn factory(name: &'static str) -> impl Fn(usize) -> Box<dyn Stm> + Sync {
 /// through the very same probe, stays opaque in every interleaving.
 #[test]
 fn object_level_write_skew_separates_si_from_opacity() {
-    let si = object_conformance(&factory("sistm"), &[ObjectKind::Set], 2);
+    let si = object_conformance(
+        &factory("sistm"),
+        &[ObjectKind::Set],
+        2,
+        SearchConfig::default(),
+    );
     let skew = si.probe("set-write-skew").expect("probe selected");
     assert!(skew.well_formed);
     assert!(!skew.opaque && !skew.serializable, "SI must be convicted");
     assert!(!skew.violations.is_empty(), "violations carry the schedule");
 
-    let tl2 = object_conformance(&factory("tl2"), &[ObjectKind::Set], 2);
+    let tl2 = object_conformance(
+        &factory("tl2"),
+        &[ObjectKind::Set],
+        2,
+        SearchConfig::default(),
+    );
     assert!(
         tl2.all_clean(),
         "an opaque TM is acquitted on the same probe"
