@@ -17,7 +17,7 @@
 //!   every non-blocking TM — checked on fixed programs and on
 //!   property-tested random tiny programs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tm_harness::dpor::{
@@ -25,6 +25,8 @@ use tm_harness::dpor::{
 };
 use tm_harness::race::RaceViolation;
 use tm_harness::{shrink_schedule, Program, TxScript};
+use tm_model::SpecRegistry;
+use tm_opacity::opacity::is_opaque;
 use tm_stm::trace_cells::StepProbe;
 use tm_stm::{
     AstmStm, DstmStm, MutantStm, Mutation, MvStm, NonOpaqueStm, SiStm, Tl2Stm, TplStm, VisibleStm,
@@ -266,6 +268,68 @@ fn every_real_tm_is_acquitted_on_the_probe_programs() {
                     .map(|c| c.kind.to_string())
                     .collect::<Vec<_>>()
                     .join("; ")
+            );
+        }
+    }
+}
+
+#[test]
+fn every_stepped_history_of_an_opaque_tm_is_opaque() {
+    // The explorer's own judge sees only races and committed outcomes, so
+    // a TM that hands an aborted reader a torn snapshot passes it. Here
+    // every stepped run's recorded history goes to the opacity checker:
+    // the opaque-by-design TMs must be acquitted on every one, and
+    // commit-time-only validation must be convicted on some.
+    let specs = SpecRegistry::registers();
+    let judged = [
+        "tl2",
+        "mvstm",
+        "dstm",
+        "astm",
+        "visible",
+        "tpl",
+        "nonopaque",
+    ];
+    for (name, factory) in real_tms(2) {
+        if !judged.contains(&name) {
+            continue;
+        }
+        let mut nonopaque = Vec::new();
+        for (pname, program) in [
+            ("reader-vs-writer", reader_vs_writer()),
+            ("rmw-vs-rmw", rmw_vs_rmw()),
+        ] {
+            // Keep every probe-wired TM: one per stepped run.
+            let kept: Mutex<Vec<SharedStm>> = Mutex::new(Vec::new());
+            let keeping = |p: Option<Arc<dyn StepProbe>>| {
+                let wired = p.is_some();
+                let stm = factory(p);
+                if wired {
+                    kept.lock().unwrap().push(Arc::clone(&stm));
+                }
+                stm
+            };
+            let res = explore(&keeping, &program, &DporConfig::default());
+            let kept = kept.into_inner().unwrap();
+            assert!(kept.len() >= res.interleavings, "{name}/{pname}");
+            let torn = kept
+                .iter()
+                .filter(|stm| {
+                    let h = stm.recorder().history();
+                    !is_opaque(&h, &specs).unwrap().opaque
+                })
+                .count();
+            nonopaque.push((pname, torn));
+        }
+        if name == "nonopaque" {
+            assert!(
+                nonopaque.iter().any(|&(_, torn)| torn > 0),
+                "commit-time-only validation must leak a torn read: {nonopaque:?}"
+            );
+        } else {
+            assert!(
+                nonopaque.iter().all(|&(_, torn)| torn == 0),
+                "{name}: non-opaque stepped histories {nonopaque:?}"
             );
         }
     }

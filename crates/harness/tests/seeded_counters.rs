@@ -113,9 +113,9 @@ fn conflict_resolving_counters_are_pinned_on_seeded_schedules() {
         got,
         vec![
             ("dstm", pinned(963, 566, 17596, 0)),
-            ("visible", pinned(808, 721, 10133, 0)),
+            ("visible", pinned(808, 721, 11684, 0)),
             ("astm", pinned(1219, 310, 13426, 0)),
-            ("tpl", pinned(824, 705, 10151, 0)),
+            ("tpl", pinned(824, 705, 11489, 0)),
             ("nonopaque", pinned(1219, 310, 12172, 0)),
         ]
     );

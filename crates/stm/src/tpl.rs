@@ -273,6 +273,12 @@ impl Tx for TplTx<'_> {
         }
         self.meter.end_atomic();
         drop(cell);
+        // A whole writer may have run between the wound check above and the
+        // lock-word acquisition, wounding this transaction through an
+        // object it read earlier: `v` may then be newer than that read.
+        if self.wounded() {
+            return Err(self.abort_op());
+        }
         self.meter.end_op();
         self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)

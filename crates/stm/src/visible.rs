@@ -176,6 +176,12 @@ impl Tx for VisibleTx<'_> {
             self.meter.end_atomic();
             v
         };
+        // A whole writer may have run between the status check above and
+        // the record section, aborting this transaction through an object
+        // it read earlier: `v` may then be newer than that earlier read.
+        if !self.still_active() {
+            return Err(self.abort_op());
+        }
         self.meter.end_op();
         self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
