@@ -9,7 +9,8 @@
 //! code of 1 if any session was ever poisoned by a hard error (0
 //! otherwise; opacity *violations* are normal verdict output, not
 //! failures). The drain triggers on EOF of the input stream or on a
-//! `shutdown` frame. A true SIGINT handler is impossible here by design —
+//! `shutdown` frame. The socket transport then shuts every connection
+//! down, so each client reads EOF, and joins the threads it spawned. A true SIGINT handler is impossible here by design —
 //! the workspace forbids `unsafe` and vendors no `libc` — so interactive
 //! users get the same guarantee by closing the daemon's stdin or sending
 //! `{"frame":"shutdown"}`.
@@ -56,9 +57,11 @@
 //! line twice.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 use crate::faults::{FaultDriver, LineFate};
 use crate::frame::{decode_client_frame, ClientFrameRef, ServerFrame};
@@ -375,7 +378,9 @@ impl Daemon {
     /// The Unix-socket transport: an acceptor thread plus one reader
     /// thread per connection feed a channel; this thread owns the table
     /// and the write halves, interleaving scheduler turns with frame
-    /// ingest. Runs until a `shutdown` frame arrives on any connection.
+    /// ingest. Runs until a `shutdown` frame arrives on any connection;
+    /// after the drain it shuts every connection down, so each client
+    /// reads EOF, and joins every thread it spawned.
     fn serve_socket(&mut self, path: &Path, out: &mut dyn Write) -> i32 {
         // A stale socket file from a previous run would make bind fail.
         let _ = std::fs::remove_file(path);
@@ -394,7 +399,7 @@ impl Daemon {
         );
         let _ = out.flush();
         let (tx, rx) = mpsc::channel::<SocketMsg>();
-        {
+        let acceptor = {
             let tx = tx.clone();
             std::thread::spawn(move || {
                 for stream in listener.incoming().flatten() {
@@ -402,12 +407,14 @@ impl Daemon {
                         return;
                     }
                 }
-            });
-        }
+            })
+        };
         // Write halves by connection index, plus per-connection input line
-        // counts for error positions.
+        // counts for error positions, and each connection's reader thread
+        // with a handle to shut the connection down by.
         let mut writers: Vec<Option<UnixStream>> = Vec::new();
         let mut line_counts: Vec<usize> = Vec::new();
+        let mut readers: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
         loop {
             // Idle: block for input. Busy: poll, and spend the gap on turns.
             let msg = if self.table.idle() {
@@ -426,11 +433,13 @@ impl Daemon {
             match msg {
                 SocketMsg::Conn(stream) => {
                     let conn = writers.len();
-                    if let Ok(read_half) = stream.try_clone() {
+                    if let (Ok(read_half), Ok(control)) = (stream.try_clone(), stream.try_clone()) {
                         writers.push(Some(stream));
                         line_counts.push(0);
                         let tx = tx.clone();
-                        std::thread::spawn(move || run_conn_reader(conn, read_half, tx));
+                        let reader =
+                            std::thread::spawn(move || run_conn_reader(conn, read_half, tx));
+                        readers.push((control, reader));
                     }
                 }
                 SocketMsg::Line(conn, line) => {
@@ -445,6 +454,16 @@ impl Daemon {
             }
         }
         let code = self.finish(&mut writers);
+        // A shut-down connection ends its reader's `read`; with the channel
+        // gone, a connection of our own ends the acceptor's `accept`.
+        drop(rx);
+        for (control, reader) in readers {
+            let _ = control.shutdown(Shutdown::Both);
+            let _ = reader.join();
+        }
+        if UnixStream::connect(path).is_ok() {
+            let _ = acceptor.join();
+        }
         let _ = std::fs::remove_file(path);
         code
     }

@@ -2,7 +2,7 @@
 //! exit codes (poisoned sessions → 1), parse-error frames with line
 //! numbers, and a live Unix-socket round trip, also under a fault plan.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
@@ -287,6 +287,25 @@ fn socket_round_trip_serves_a_session_and_shuts_down() {
         !dir.join("serve.sock").exists(),
         "socket file removed on shutdown"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn socket_shutdown_closes_every_connection() {
+    // After the drain the daemon shuts each connection down and joins its
+    // reader thread: a client still holding its connection reads EOF
+    // instead of waiting on a socket nobody serves.
+    let (dir, server, conn) = serve_on_socket("eof", ServeConfig::default());
+    let other = UnixStream::connect(dir.join("serve.sock")).expect("second client");
+    send(&conn, &[ClientFrame::Shutdown]);
+    assert_eq!(server.join().expect("daemon thread"), 0);
+    for mut client in [&conn, &other] {
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .expect("read timeout");
+        let mut buf = [0u8; 64];
+        assert_eq!(client.read(&mut buf).expect("EOF, not a timeout"), 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
