@@ -16,11 +16,11 @@
 //!
 //! [`SlotStates`] is the canonical state: the `(slot, id, entry hash)`
 //! entries of the objects that are *not* in their initial state, sorted by
-//! slot, plus the XOR of their hashes (the fingerprint). An object in its
-//! initial state has no entry, and ids are injective per slot, so two
-//! states are equal exactly when their `(slot, id)` lists are. The entry
-//! hash of `(obj, value)` must stay the `DefaultHasher` digest of `obj` then
-//! `value`: the memo picks shards by the fingerprint, so a bounded memo's
+//! slot. An object in its initial state has no entry, and ids are
+//! injective per slot, so two states are equal exactly when their
+//! `(slot, id)` lists are. The entry hash of `(obj, value)` must stay the
+//! `DefaultHasher` digest of `obj` then `value`: the memo picks shards by
+//! the XOR of the live entries' hashes (below), so a bounded memo's
 //! evictions (and with them its node counts, pinned by
 //! `tests/knot_workloads.rs`'s `exploration_counters_are_pinned`) follow
 //! these bits.
@@ -298,20 +298,11 @@ struct Entry {
 }
 
 /// The canonical state of every object, keyed by slot: the non-initial
-/// entries sorted by slot, and the XOR of their hashes.
+/// entries sorted by slot.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotStates {
     entries: Vec<Entry>,
-    fingerprint: u64,
 }
-
-impl PartialEq for SlotStates {
-    fn eq(&self, other: &Self) -> bool {
-        self.fingerprint == other.fingerprint && self.entries().eq(other.entries())
-    }
-}
-
-impl Eq for SlotStates {}
 
 /// One change undone by [`SlotStates::rollback_to`].
 enum Change {
@@ -373,19 +364,6 @@ pub(crate) enum ReplayError {
 }
 
 impl SlotStates {
-    /// The fingerprint: the XOR of the entries' hashes. Equal states have
-    /// equal fingerprints; the converse holds up to collisions.
-    #[cfg(test)]
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The `(slot, id)` entries, sorted by slot: what the memo stores and
-    /// compares.
-    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
-        self.entries.iter().map(|e| (e.slot, e.id))
-    }
-
     /// Makes room for `slots` entries in all.
     pub(crate) fn reserve(&mut self, slots: usize) {
         self.entries
@@ -441,13 +419,11 @@ impl SlotStates {
             match pos {
                 Ok(i) if next == 0 => {
                     let entry = self.entries.remove(i);
-                    self.fingerprint ^= entry.hash;
                     undo.changes.push(Change::Removed(i as u32, entry));
                 }
                 Ok(i) => {
                     let hash = values.hash(next);
                     let e = &mut self.entries[i];
-                    self.fingerprint ^= e.hash ^ hash;
                     let old = std::mem::replace(
                         e,
                         Entry {
@@ -460,7 +436,6 @@ impl SlotStates {
                 }
                 Err(i) => {
                     let hash = values.hash(next);
-                    self.fingerprint ^= hash;
                     self.entries.insert(
                         i,
                         Entry {
@@ -478,8 +453,8 @@ impl SlotStates {
         Ok(())
     }
 
-    /// Undoes every change logged after `mark`, restoring the entries and
-    /// the fingerprint exactly.
+    /// Undoes every change logged after `mark`, restoring the entries
+    /// exactly.
     pub(crate) fn rollback_to(&mut self, undo: &mut Undo, mark: usize) {
         while undo.changes.len() > mark {
             let Some(change) = undo.changes.pop() else {
@@ -487,18 +462,10 @@ impl SlotStates {
             };
             match change {
                 Change::Inserted(pos) => {
-                    let entry = self.entries.remove(pos as usize);
-                    self.fingerprint ^= entry.hash;
+                    self.entries.remove(pos as usize);
                 }
-                Change::Replaced(pos, old) => {
-                    let e = &mut self.entries[pos as usize];
-                    self.fingerprint ^= e.hash ^ old.hash;
-                    *e = old;
-                }
-                Change::Removed(pos, entry) => {
-                    self.fingerprint ^= entry.hash;
-                    self.entries.insert(pos as usize, entry);
-                }
+                Change::Replaced(pos, old) => self.entries[pos as usize] = old,
+                Change::Removed(pos, entry) => self.entries.insert(pos as usize, entry),
             }
         }
     }
@@ -535,9 +502,8 @@ impl SlotStates {
         view
     }
 
-    /// A state with the given `(slot, id, hash)` entries and the XOR of
-    /// the given hashes as its fingerprint, whatever the hashes are — for
-    /// tests that need control over fingerprints.
+    /// A state with the given `(slot, id, hash)` entries, whatever the
+    /// hashes are — for tests that need control over fingerprints.
     #[cfg(test)]
     pub(crate) fn from_entries(entries: impl IntoIterator<Item = (u32, u32, u64)>) -> Self {
         let mut entries: Vec<Entry> = entries
@@ -545,11 +511,7 @@ impl SlotStates {
             .map(|(slot, id, hash)| Entry { slot, id, hash })
             .collect();
         entries.sort_by_key(|e| e.slot);
-        let fingerprint = entries.iter().fold(0, |acc, e| acc ^ e.hash);
-        SlotStates {
-            entries,
-            fingerprint,
-        }
+        SlotStates { entries }
     }
 }
 
@@ -621,6 +583,17 @@ mod tests {
         })
     }
 
+    /// The `(slot, id)` entries: two states are equal exactly when these are.
+    fn entries(st: &SlotStates) -> Vec<(u32, u32)> {
+        st.entries.iter().map(|e| (e.slot, e.id)).collect()
+    }
+
+    /// The XOR of every entry's hash: the live view with every slot in use.
+    fn fingerprint(st: &SlotStates) -> u64 {
+        let users = vec![1; st.entries.last().map_or(0, |e| e.slot as usize + 1)];
+        st.live(&users, 1).fingerprint()
+    }
+
     /// The slots of every operation of `view`, assigned in `table`.
     fn op_slots<'a>(
         view: &TxView,
@@ -678,16 +651,20 @@ mod tests {
                     (Ok(after), Ok(())) => {
                         let after = after.canonical(&specs);
                         assert_eq!(r.reference(), after, "{h} {t}");
-                        assert_eq!(r.states.fingerprint(), reference_fingerprint(&after));
+                        assert_eq!(fingerprint(&r.states), reference_fingerprint(&after));
                         if view.status.is_committed() {
                             reference = after;
                         } else {
                             r.states.rollback_to(&mut r.undo, mark);
-                            assert_eq!(r.states, before, "{h} {t}");
+                            assert_eq!(entries(&r.states), entries(&before), "{h} {t}");
                         }
                     }
                     (Err(_), Err(ReplayError::Illegal)) => {
-                        assert_eq!(r.states, before, "failed replay must not mutate");
+                        assert_eq!(
+                            entries(&r.states),
+                            entries(&before),
+                            "failed replay must not mutate"
+                        );
                     }
                     (a, b) => panic!("divergent replay for {t} in {h}: {a:?} vs {b:?}"),
                 }
@@ -708,12 +685,12 @@ mod tests {
         let mut r = Replayer::default();
         let mut slots = op_slots(&view, &mut r.table, &specs);
         assert_eq!(r.replay(&view, &mut slots), Err(ReplayError::Illegal));
-        assert_eq!(r.states, SlotStates::default());
-        assert_eq!(r.states.fingerprint(), 0);
+        assert!(r.states.entries.is_empty());
+        assert_eq!(fingerprint(&r.states), 0);
         assert_eq!(r.undo.mark(), 0);
         // The rejection is cached too: the same input is rejected again.
         assert_eq!(r.replay(&view, &mut slots), Err(ReplayError::Illegal));
-        assert_eq!(r.states, SlotStates::default());
+        assert!(r.states.entries.is_empty());
     }
 
     #[test]
@@ -733,7 +710,7 @@ mod tests {
                 r.replay(&view, &mut slots),
                 Err(ReplayError::NoSpec(slots[1].slot()))
             );
-            assert_eq!(r.states, SlotStates::default());
+            assert!(r.states.entries.is_empty());
         }
         assert_eq!(r.table.slots()[slots[1].slot() as usize].obj().name(), "x");
     }
@@ -771,8 +748,8 @@ mod tests {
         assert_eq!(r.states.entries.len(), 1);
         assert_eq!(r.undo.mark() - mid, 1);
         r.states.rollback_to(&mut r.undo, mark);
-        assert_eq!(r.states, after_t1);
-        assert_eq!(r.states.fingerprint(), after_t1.fingerprint());
+        assert_eq!(entries(&r.states), entries(&after_t1));
+        assert_eq!(fingerprint(&r.states), fingerprint(&after_t1));
         assert_eq!(r.undo.mark(), mark, "entries before the mark survive");
         // x=7, x=8 and z=3 are interned, besides id 0; y's 0 is initial.
         assert_eq!(r.values.len(), 4);
@@ -797,7 +774,7 @@ mod tests {
                 let mark = r.undo.mark();
                 r.replay(&view, &mut slots).unwrap();
                 r.states.rollback_to(&mut r.undo, mark);
-                assert_eq!(r.states, mid);
+                assert_eq!(entries(&r.states), entries(&mid));
                 assert_eq!(r.undo.mark(), 1, "entries before the mark survive");
             } else {
                 r.replay(&view, &mut slots).unwrap();
@@ -826,7 +803,7 @@ mod tests {
             let mut r = Replayer::default();
             let mut slots = op_slots(&view, &mut r.table, &specs);
             r.replay(&view, &mut slots).unwrap();
-            (r.states.fingerprint(), r.reference())
+            (fingerprint(&r.states), r.reference())
         };
         let (fa, ra) = run(&a);
         let (fb, rb) = run(&b);
@@ -885,13 +862,13 @@ mod tests {
         r.states.rollback_to(&mut r.undo, mark);
         r.replay(&t2, &mut s2).unwrap();
         assert_eq!(calls(), 4, "both operations hit their caches");
-        assert_eq!(r.states, after);
+        assert_eq!(entries(&r.states), entries(&after));
         // Forgotten caches ask again, and land on the same ids.
         s2.iter_mut().for_each(OpSlot::forget);
         r.states.rollback_to(&mut r.undo, mark);
         r.replay(&t2, &mut s2).unwrap();
         assert_eq!(calls(), 6);
-        assert_eq!(r.states, after);
+        assert_eq!(entries(&r.states), entries(&after));
         assert_eq!(r.values.len(), 3, "x = 1 and x = 2, besides id 0");
     }
 
@@ -920,10 +897,10 @@ mod tests {
         r.values.renumber(&mut marks);
         assert_eq!(marks, [0, NIL, 1, NIL, NIL, 2]);
         r.states.renumber(&marks);
-        assert_eq!(r.states.entries().collect::<Vec<_>>(), [(0, 2)]);
+        assert_eq!(entries(&r.states), [(0, 2)]);
         assert_eq!(r.values.len(), 3);
         let reference = r.reference();
-        assert_eq!(r.states.fingerprint(), reference_fingerprint(&reference));
+        assert_eq!(fingerprint(&r.states), reference_fingerprint(&reference));
         // Re-interning a kept value finds it; a dropped one gets a new id.
         slots.iter_mut().flatten().for_each(OpSlot::forget);
         let mut states = SlotStates::default();
@@ -938,7 +915,7 @@ mod tests {
                 &mut undo,
             )
             .unwrap();
-        assert_eq!(states.entries().collect::<Vec<_>>(), [(0, 1)]);
+        assert_eq!(entries(&states), [(0, 1)]);
         states
             .replay(
                 &views[0].ops,
@@ -948,7 +925,7 @@ mod tests {
                 &mut undo,
             )
             .unwrap();
-        assert_eq!(states.entries().collect::<Vec<_>>(), [(0, 3)]);
+        assert_eq!(entries(&states), [(0, 3)]);
         assert_eq!(r.values.len(), 4);
     }
 
@@ -1051,7 +1028,7 @@ mod tests {
                     r.states.rollback_to(&mut r.undo, mark);
                     let again = r.replay(&views[i], &mut view_slots[i]);
                     prop_assert_eq!(got, again);
-                    prop_assert_eq!(&r.states, &first);
+                    prop_assert_eq!(entries(&r.states), entries(&first));
                     match expected {
                         Ok(_) if op == 1 => {
                             // Validated, placed aborted: effects discarded.
@@ -1065,12 +1042,12 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&r.reference(), &reference);
-                prop_assert_eq!(r.states.fingerprint(), reference_fingerprint(&reference));
+                prop_assert_eq!(fingerprint(&r.states), reference_fingerprint(&reference));
                 visited.push((r.states.clone(), reference.clone()));
             }
             for (a, ra) in &visited {
                 for (b, rb) in &visited {
-                    prop_assert_eq!(a == b, ra == rb);
+                    prop_assert_eq!(entries(a) == entries(b), ra == rb);
                 }
             }
         }
