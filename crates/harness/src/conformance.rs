@@ -22,7 +22,7 @@
 //!
 //! This module also holds the sweep driver that the typed-object battery
 //! ([`crate::objconformance`]) shares: every `(probe, schedule)` pair of
-//! [`sweep_schedules`] drives a *fresh* TM instance, so the sweep shards
+//! `sweep_schedules` drives a *fresh* TM instance, so the sweep shards
 //! across a scoped-thread worker pool ([`crate::parallel`]); one judge
 //! decides each recorded history, and the verdicts are folded back **in
 //! schedule order**, so a report (flags, violation list, counts) is

@@ -57,7 +57,7 @@ pub use race::{check as check_race_trace, RaceViolation};
 pub use randhist::{batch, cross_validate, random_history, CrossValReport, GenConfig};
 pub use sched::{
     all_schedules, complete_schedule, execute, inversions, random_schedule, shrink_schedule,
-    sweep_schedules, ExecOutcome, Schedule, TxOutcome,
+    ExecOutcome, Schedule, TxOutcome,
 };
 pub use script::{Program, ScriptOp, TxScript};
 pub use stats::{ascii_chart, Table};

@@ -10,7 +10,7 @@
 //!
 //! * exhaustive enumeration of all interleavings of small programs
 //!   ([`all_schedules`]) powers the opacity-validation experiment E11 and,
-//!   through [`sweep_schedules`], both conformance batteries;
+//!   through `sweep_schedules`, both conformance batteries;
 //! * seeded random schedules ([`random_schedule`]) scale to larger programs;
 //! * hand-written schedules reproduce the paper's scenarios exactly (the
 //!   proof sketch of Theorem 3, TL2's non-progressiveness, the Section 2
@@ -193,7 +193,7 @@ pub fn all_schedules(action_counts: &[usize], limit: usize) -> Vec<Schedule> {
 /// per-thread action counts: every interleaving, or for a blocking TM,
 /// whose transactions cannot overlap on one OS thread, the two serial
 /// orders (threads ascending, then descending).
-pub fn sweep_schedules(action_counts: &[usize], blocking: bool) -> Vec<Schedule> {
+pub(crate) fn sweep_schedules(action_counts: &[usize], blocking: bool) -> Vec<Schedule> {
     if !blocking {
         return all_schedules(action_counts, 200);
     }
