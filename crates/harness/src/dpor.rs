@@ -726,11 +726,11 @@ fn judge(
 
 /// Does some serial order of the *committed* transactions, run through
 /// [`execute`] on a serial schedule, reproduce their read values and the
-/// observed final state? Aborted transactions are
-/// excluded: outcome-level checking cannot judge their reads (that is the
-/// opacity checker's job on recorded histories); what it can judge is that
-/// committed transactions form a serializable whole — exactly the invariant
-/// an unlicensed commit fast path breaks.
+/// observed final state? Aborted transactions are excluded: outcome-level
+/// checking cannot judge their reads (that is the opacity checker's job on
+/// recorded histories); what it can judge is that committed transactions
+/// form a serializable whole — exactly the invariant an unlicensed commit
+/// fast path breaks.
 pub fn committed_serializable(
     factory: StmFactory<'_>,
     program: &Program,
