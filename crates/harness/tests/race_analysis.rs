@@ -17,6 +17,7 @@
 //!   every non-blocking TM — checked on fixed programs and on
 //!   property-tested random tiny programs.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -25,7 +26,7 @@ use tm_harness::dpor::{
 };
 use tm_harness::race::RaceViolation;
 use tm_harness::{shrink_schedule, Program, TxScript};
-use tm_model::SpecRegistry;
+use tm_model::{History, SpecRegistry};
 use tm_opacity::opacity::is_opaque;
 use tm_stm::trace_cells::StepProbe;
 use tm_stm::{
@@ -273,6 +274,25 @@ fn every_real_tm_is_acquitted_on_the_probe_programs() {
     }
 }
 
+/// The recorded history of every stepped run of `program` under the
+/// default explorer budget: the explorer keeps no histories, so every
+/// probe-wired TM it builds (one per stepped run) is kept here.
+fn stepped_histories(factory: &Factory, program: &Program, what: &str) -> Vec<History> {
+    let kept: Mutex<Vec<SharedStm>> = Mutex::new(Vec::new());
+    let keeping = |p: Option<Arc<dyn StepProbe>>| {
+        let wired = p.is_some();
+        let stm = factory(p);
+        if wired {
+            kept.lock().unwrap().push(Arc::clone(&stm));
+        }
+        stm
+    };
+    let res = explore(&keeping, program, &DporConfig::default());
+    let kept = kept.into_inner().unwrap();
+    assert!(kept.len() >= res.interleavings, "{what}");
+    kept.iter().map(|stm| stm.recorder().history()).collect()
+}
+
 #[test]
 fn every_stepped_history_of_an_opaque_tm_is_opaque() {
     // The explorer's own judge sees only races and committed outcomes, so
@@ -299,25 +319,9 @@ fn every_stepped_history_of_an_opaque_tm_is_opaque() {
             ("reader-vs-writer", reader_vs_writer()),
             ("rmw-vs-rmw", rmw_vs_rmw()),
         ] {
-            // Keep every probe-wired TM: one per stepped run.
-            let kept: Mutex<Vec<SharedStm>> = Mutex::new(Vec::new());
-            let keeping = |p: Option<Arc<dyn StepProbe>>| {
-                let wired = p.is_some();
-                let stm = factory(p);
-                if wired {
-                    kept.lock().unwrap().push(Arc::clone(&stm));
-                }
-                stm
-            };
-            let res = explore(&keeping, &program, &DporConfig::default());
-            let kept = kept.into_inner().unwrap();
-            assert!(kept.len() >= res.interleavings, "{name}/{pname}");
-            let torn = kept
+            let torn = stepped_histories(&factory, &program, &format!("{name}/{pname}"))
                 .iter()
-                .filter(|stm| {
-                    let h = stm.recorder().history();
-                    !is_opaque(&h, &specs).unwrap().opaque
-                })
+                .filter(|h| !is_opaque(h, &specs).unwrap().opaque)
                 .count();
             nonopaque.push((pname, torn));
         }
@@ -333,6 +337,66 @@ fn every_stepped_history_of_an_opaque_tm_is_opaque() {
             );
         }
     }
+}
+
+/// 64-bit FNV-1a, written out here so the pins below do not depend on a
+/// hasher whose output may change between toolchains.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn distinct_stepped_histories_are_pinned() {
+    // Where a TM records each event relative to its base-object steps
+    // decides which histories the step-level interleavings produce: the
+    // count and a digest of the distinct ones pin that order per TM.
+    let mut got = Vec::new();
+    for (name, factory) in real_tms(2) {
+        for (pname, program) in [
+            ("reader-vs-writer", reader_vs_writer()),
+            ("rmw-vs-rmw", rmw_vs_rmw()),
+        ] {
+            // Only a completed interleaving is deterministic: a branch the
+            // explorer abandons lets its threads free-run. A completed one
+            // ends with the explorer's read-back transaction, one more
+            // than the program's threads.
+            let distinct: BTreeSet<String> =
+                stepped_histories(&factory, &program, &format!("{name}/{pname}"))
+                    .iter()
+                    .filter(|h| h.txs().len() > program.threads.len())
+                    .map(|h| format!("{h}\n"))
+                    .collect();
+            let digest = distinct
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |d, h| fnv1a(d, h.as_bytes()));
+            got.push((name, pname, distinct.len(), digest));
+        }
+    }
+    assert_eq!(
+        got,
+        vec![
+            ("tl2", "reader-vs-writer", 13, 0x8811e20575a3d7d7),
+            ("tl2", "rmw-vs-rmw", 18, 0x5f4cc12456a07bdd),
+            ("mvstm", "reader-vs-writer", 7, 0x8017bbe80fa907e9),
+            ("mvstm", "rmw-vs-rmw", 8, 0x3534e673820f125c),
+            ("sistm", "reader-vs-writer", 7, 0x8017bbe80fa907e9),
+            ("sistm", "rmw-vs-rmw", 8, 0x3534e673820f125c),
+            ("dstm", "reader-vs-writer", 73, 0x4940644ed7508d99),
+            ("dstm", "rmw-vs-rmw", 56, 0x32cce2456a7be7e3),
+            ("visible", "reader-vs-writer", 59, 0x172dea7d7c877127),
+            ("visible", "rmw-vs-rmw", 66, 0x0261046d6a454635),
+            ("tpl", "reader-vs-writer", 65, 0xe1c77af18511aabe),
+            ("tpl", "rmw-vs-rmw", 90, 0xfb9f93840aa0b7de),
+            ("astm", "reader-vs-writer", 18, 0xd0e3259f0eec3e5d),
+            ("astm", "rmw-vs-rmw", 20, 0xfd61faec265bb36f),
+            ("nonopaque", "reader-vs-writer", 22, 0x3132f51237681a53),
+            ("nonopaque", "rmw-vs-rmw", 20, 0xfd61faec265bb36f),
+            ("mutant-none", "reader-vs-writer", 13, 0x8811e20575a3d7d7),
+            ("mutant-none", "rmw-vs-rmw", 18, 0x5f4cc12456a07bdd),
+        ]
+    );
 }
 
 #[test]

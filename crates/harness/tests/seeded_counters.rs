@@ -12,12 +12,17 @@
 //! * The conflict-resolving TMs (`dstm`, `visible`, `astm`, `tpl`,
 //!   `nonopaque`) have no clock: their figures move with the conflict
 //!   policy (which side of a conflict aborts) and the read/acquire paths.
+//!
+//! A digest of every recorded history pins the order of the recorded
+//! events as well, for the same TMs and for [`MutantStm`] under every
+//! [`Mutation`]: where an event is recorded relative to the base-object
+//! steps changes the histories even when no count moves.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tm_harness::{execute, random_schedule, Program, TxScript};
 use tm_stm::trace_cells::{AccessLog, CellId, TraceEvent};
-use tm_stm::{StmConfig, TmRegistry};
+use tm_stm::{MutantStm, Mutation, Stm, StmConfig, TmRegistry};
 
 /// Registers every generated program draws from: few enough that the
 /// transactions conflict often.
@@ -117,6 +122,76 @@ fn conflict_resolving_counters_are_pinned_on_seeded_schedules() {
             ("astm", pinned(1219, 310, 13426, 0)),
             ("tpl", pinned(824, 705, 11489, 0)),
             ("nonopaque", pinned(1219, 310, 12172, 0)),
+        ]
+    );
+}
+
+/// 64-bit FNV-1a, written out here so the pins below do not depend on a
+/// hasher whose output may change between toolchains.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One digest over the `Display` text of the history each seeded program
+/// records, in seed order: it moves if any recorded event moves.
+fn history_digest(build: impl Fn(&StmConfig) -> Box<dyn Stm>) -> u64 {
+    (0..PROGRAMS).fold(FNV_BASIS, |h, seed| {
+        let program = seeded_program(seed);
+        let stm = build(&StmConfig::new(REGS));
+        execute(stm.as_ref(), &program, &random_schedule(&program, seed));
+        fnv1a(h, format!("{}\n", stm.recorder().history()).as_bytes())
+    })
+}
+
+#[test]
+fn recorded_histories_are_pinned_on_seeded_schedules() {
+    let registry = TmRegistry::suite();
+    let mut got: Vec<(&str, u64)> = [
+        "tl2",
+        "mvstm",
+        "sistm",
+        "dstm",
+        "visible",
+        "astm",
+        "tpl",
+        "nonopaque",
+    ]
+    .iter()
+    .map(|&tm| {
+        let spec = registry.get(tm).expect("suite TM");
+        (tm, history_digest(|cfg| spec.build(cfg)))
+    })
+    .collect();
+    for m in Mutation::all() {
+        got.push((
+            m.name(),
+            history_digest(|cfg| Box::new(MutantStm::with_config(cfg, m))),
+        ));
+    }
+    // The TL2-shaped protocols record the same histories on these
+    // op-granular schedules: the concurrency mutants differ only below
+    // the operation, and the baseline mutant is TL2.
+    assert_eq!(
+        got,
+        vec![
+            ("tl2", 0xfb68934432cdc688),
+            ("mvstm", 0x26599c7a858a481b),
+            ("sistm", 0x266941eb1b520109),
+            ("dstm", 0x361dd4f6b33b5d25),
+            ("visible", 0x30d9445d6546add1),
+            ("astm", 0x86fa5d5e7b0fb08a),
+            ("tpl", 0x0f1f4af9f7221a75),
+            ("nonopaque", 0xf88c534fb86ffdb5),
+            ("mutant-none", 0xfb68934432cdc688),
+            ("mutant-skip-read-validation", 0xee781f650e01cfd2),
+            ("mutant-skip-commit-validation", 0x5a43d02d608a51cb),
+            ("mutant-dropped-residue", 0xfb68934432cdc688),
+            ("mutant-unlicensed-fast-path", 0xfb68934432cdc688),
         ]
     );
 }
