@@ -42,6 +42,14 @@
 //!    shutdown discipline (and an audit surface CI doesn't know about).
 //!    Test code is exempt, as in rule 3: integration tests dial sockets to
 //!    exercise the daemon.
+//! 6. **recording-containment** — no `.inv_read(`, `.ret_read(`,
+//!    `.inv_write(`, `.ret_write(`, `.begin_op(` or `.end_op(` call in
+//!    `crates/stm/src` outside the transaction lifecycle (`txn.rs`) and the
+//!    layers it drives (`base.rs`, `recorder.rs`). When an operation's
+//!    events are recorded relative to its metered steps is decided once,
+//!    in the lifecycle; a TM that records or meters an operation itself
+//!    would grow a private copy of that decision. Test code is exempt, as
+//!    in rule 3.
 //!
 //! ```text
 //! tm-lint [--root DIR]     # DIR defaults to the workspace root
@@ -369,6 +377,48 @@ fn lint_socket_containment(root: &Path, findings: &mut Vec<Finding>) -> Result<(
     Ok(())
 }
 
+/// Rule 6: operations are recorded and metered only by the transaction
+/// lifecycle, so every TM keeps one order of events and steps.
+fn lint_recording_containment(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
+    const ALLOWED: [&str; 3] = ["txn.rs", "base.rs", "recorder.rs"];
+    const TOKENS: [&str; 6] = [
+        ".inv_read(",
+        ".ret_read(",
+        ".inv_write(",
+        ".ret_write(",
+        ".begin_op(",
+        ".end_op(",
+    ];
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/stm/src"), &mut files)?;
+    for file in files {
+        if file
+            .file_name()
+            .is_some_and(|n| ALLOWED.iter().any(|a| n == *a))
+        {
+            continue;
+        }
+        for (i, line) in read(&file)?.lines().enumerate() {
+            if line.contains(TEST_MARKER) {
+                break;
+            }
+            if !is_comment(line) && TOKENS.iter().any(|t| line.contains(t)) {
+                findings.push(Finding {
+                    file: file.clone(),
+                    line: i + 1,
+                    rule: "recording-containment",
+                    excerpt: format!(
+                        "operation recorded or metered outside the transaction lifecycle \
+                         (txn.rs); implement txn::Protocol instead: {}",
+                        line.trim()
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Runs all rules under `root`, returning findings sorted by location.
 fn lint(root: &Path) -> Result<Vec<Finding>, String> {
     if !root.join("crates").is_dir() {
@@ -384,6 +434,7 @@ fn lint(root: &Path) -> Result<Vec<Finding>, String> {
     lint_no_unwrap(root, &mut findings)?;
     lint_atomic_telemetry(root, &mut findings)?;
     lint_socket_containment(root, &mut findings)?;
+    lint_recording_containment(root, &mut findings)?;
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -392,7 +443,8 @@ fn lint(root: &Path) -> Result<Vec<Finding>, String> {
 const USAGE: &str = "\
 tm-lint — source-discipline gate (ordering containment, forbid(unsafe), no unwraps on
           cli/serve/trace/core paths, no raw-atomic telemetry outside tm-obs, no
-          sockets outside tm-serve)
+          sockets outside tm-serve, no recording or metering of operations
+          outside the tm-stm transaction lifecycle)
 
 USAGE:
   tm-lint [--root DIR]     DIR defaults to the workspace root containing crates/
@@ -705,6 +757,36 @@ mod tests {
         assert!(hits[0].file.ends_with("crates/stm/src/net_sneak.rs"));
         assert_eq!(hits[0].line, 3);
         assert!(hits[0].excerpt.contains("crates/serve"), "{}", hits[0]);
+    }
+
+    #[test]
+    fn a_stray_recording_call_is_flagged_outside_the_lifecycle() {
+        let s = Scratch::new("recording");
+        s.write(
+            "crates/stm/src/private_copy.rs",
+            "// a doc line about m.begin_op( is fine\n\
+             fn read(&mut self, obj: usize) {\n    self.recorder.inv_read(self.id, obj);\n    \
+             self.meter.begin_op(OpKind::Read);\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t(m: &mut Meter) { m.end_op(); }\n}\n",
+        );
+        // The lifecycle and the layers it drives are the sanctioned callers.
+        s.write(
+            "crates/stm/src/txn.rs",
+            "fn read(&mut self) {\n    self.recorder.inv_read(id, obj);\n    self.meter.begin_op(kind);\n}\n",
+        );
+        let findings = lint(&s.0).unwrap();
+        let hits: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "recording-containment")
+            .collect();
+        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert!(hits
+            .iter()
+            .all(|h| h.file.ends_with("crates/stm/src/private_copy.rs")));
+        assert_eq!((hits[0].line, hits[1].line), (3, 4));
+        assert!(hits[0]
+            .to_string()
+            .contains("private_copy.rs:3: [recording-containment]"));
     }
 
     #[test]

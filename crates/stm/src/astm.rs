@@ -21,12 +21,13 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::{NestingInfo, NestingMode, TxId};
+use crate::txn::{Protocol, Txn};
+use tm_model::{NestingInfo, NestingMode};
 
 /// Committed object state: value plus a modification counter that lets
 /// invisible readers detect overwrites (a "version" in the loose sense —
@@ -65,19 +66,31 @@ impl AstmStm {
         }
     }
 
-    /// Starts a transaction with the concrete handle, which additionally
-    /// exposes the closed-nesting scope API ([`AstmTx::begin_nested`]).
-    pub fn begin_astm(&self, _thread: usize) -> AstmTx<'_> {
-        let id = self.recorder.fresh_tx();
-        AstmTx {
+    /// Starts a transaction whose handle additionally exposes the
+    /// closed-nesting scope API: `begin_nested`, `commit_nested` and
+    /// `abort_nested` (Section 7; experiment E22).
+    ///
+    /// While a nested scope is open, reads and writes execute in the
+    /// child's name: the child sees the parent's buffered writes (the
+    /// paper: "a nested transaction should observe the changes done by its
+    /// parent"), and aborting the child restores the parent's redo log
+    /// exactly — a partial abort the flat `Tx` interface cannot express. A
+    /// closed commit is internal: the child's reads and writes simply
+    /// remain the parent's. One level deep, matching
+    /// [`tm_model::flatten`]'s translation: `begin_nested` panics if a
+    /// scope is already open, `commit_nested` and `abort_nested` if none
+    /// is. A scope left open when the transaction commits or aborts is
+    /// aborted first (the conservative reading of an unterminated nested
+    /// transaction).
+    pub fn begin_astm(&self, thread: usize) -> Txn<'_, AstmTx<'_>> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Txn::begin(&self.recorder, meter, |id| AstmTx {
             stm: self,
-            id,
+            me: u64::from(id.0),
             reads: Vec::new(),
             writes: Vec::new(),
-            scope: None,
-            meter: Meter::with_probe(_thread, self.probe.clone()),
-            finished: false,
-        }
+            mark: None,
+        })
     }
 
     /// The nesting structure of the recorded history: pass it with
@@ -98,31 +111,26 @@ impl AstmStm {
     }
 }
 
-/// A live closed-nested scope inside an [`AstmTx`] (one level, matching
-/// the Section 7 translation).
-#[derive(Debug)]
-struct NestedScope {
-    /// The child's model-level transaction id.
-    child: TxId,
-    /// Parent read-set length at scope entry (child reads come after).
-    reads_mark: usize,
-    /// Parent redo log at scope entry, restored on child abort.
-    writes_before: Vec<(usize, i64)>,
+/// `pub` only so that [`AstmStm::begin_astm`] can return it; the private
+/// module keeps it out of the crate's API.
+mod state {
+    /// A live ASTM transaction's protocol state.
+    pub struct AstmTx<'a> {
+        pub(super) stm: &'a super::AstmStm,
+        /// The transaction id, as the commit-time owner word.
+        pub(super) me: u64,
+        /// Invisible read set: (object, modcount observed).
+        pub(super) reads: Vec<(usize, u64)>,
+        /// Lazy redo log, sorted by object index for deadlock-free
+        /// acquisition.
+        pub(super) writes: Vec<(usize, i64)>,
+        /// While a closed-nested scope is open: the parent's read-set
+        /// length and redo log when it began, restored if the child aborts.
+        pub(super) mark: Option<(usize, Vec<(usize, i64)>)>,
+    }
 }
 
-/// A live ASTM transaction.
-pub struct AstmTx<'a> {
-    stm: &'a AstmStm,
-    id: TxId,
-    /// Invisible read set: (object, modcount observed).
-    reads: Vec<(usize, u64)>,
-    /// Lazy redo log, sorted by object index for deadlock-free acquisition.
-    writes: Vec<(usize, i64)>,
-    /// The open closed-nested scope, if any.
-    scope: Option<NestedScope>,
-    meter: Meter,
-    finished: bool,
-}
+use state::AstmTx;
 
 impl Stm for AstmStm {
     fn name(&self) -> &'static str {
@@ -152,49 +160,34 @@ impl Stm for AstmStm {
     }
 }
 
-impl AstmTx<'_> {
-    /// The id operations are recorded under: the child's while a nested
-    /// scope is open, the transaction's own otherwise.
-    fn rec_id(&self) -> TxId {
-        self.scope.as_ref().map(|s| s.child).unwrap_or(self.id)
-    }
-
-    /// Opens a closed-nested transaction (Section 7; experiment E22).
-    ///
-    /// Until [`AstmTx::commit_nested`] or [`AstmTx::abort_nested`], reads
-    /// and writes execute in the child's name: the child sees the parent's
-    /// buffered writes (the paper: "a nested transaction should observe
-    /// the changes done by its parent") and aborting the child restores
-    /// the parent's redo log exactly — a partial abort the flat `Tx`
-    /// interface cannot express.
-    ///
-    /// One level deep, matching [`tm_model::flatten`]'s translation.
+/// The closed-nesting scope API of [`AstmStm::begin_astm`]. The lifecycle
+/// records operations under the open child's id and ends a child left open
+/// when the transaction finishes.
+impl<'a> Txn<'a, AstmTx<'a>> {
+    /// Opens a closed-nested transaction.
     ///
     /// # Panics
     /// Panics if a nested scope is already open.
     pub fn begin_nested(&mut self) {
         assert!(
-            self.scope.is_none(),
+            self.child.is_none(),
             "nesting is one level deep (flatten bottom-up)"
         );
-        let child = self.stm.recorder.fresh_tx();
-        lock(&self.stm.nested).push((child.0, self.id.0));
-        self.scope = Some(NestedScope {
-            child,
-            reads_mark: self.reads.len(),
-            writes_before: self.writes.clone(),
-        });
+        let child = self.recorder.fresh_tx();
+        lock(&self.proto.stm.nested).push((child.0, self.id.0));
+        self.child = Some(child);
+        self.proto.mark = Some((self.proto.reads.len(), self.proto.writes.clone()));
     }
 
-    /// Commits the open nested scope into the parent (a closed commit is
-    /// internal: the child's reads and writes simply remain the parent's).
+    /// Commits the open nested scope into the parent.
     ///
     /// # Panics
     /// Panics if no nested scope is open.
     pub fn commit_nested(&mut self) {
-        let scope = self.scope.take().expect("no nested scope open");
-        self.stm.recorder.try_commit(scope.child);
-        self.stm.recorder.commit(scope.child);
+        let child = self.child.take().expect("no nested scope open");
+        self.proto.mark = None;
+        self.recorder.try_commit(child);
+        self.recorder.commit(child);
     }
 
     /// Aborts the open nested scope: the parent's redo log is restored to
@@ -204,11 +197,18 @@ impl AstmTx<'_> {
     /// # Panics
     /// Panics if no nested scope is open.
     pub fn abort_nested(&mut self) {
-        let scope = self.scope.take().expect("no nested scope open");
-        self.writes = scope.writes_before;
-        self.reads.truncate(scope.reads_mark);
-        self.stm.recorder.try_abort(scope.child);
-        self.stm.recorder.abort(scope.child);
+        let mark = self.proto.mark.take().expect("no nested scope open");
+        self.proto.unwind(mark);
+        self.abort_child();
+    }
+}
+
+impl AstmTx<'_> {
+    /// Restores the parent's read set and redo log to a nested scope's
+    /// `mark`.
+    fn unwind(&mut self, (reads, writes): (usize, Vec<(usize, i64)>)) {
+        self.reads.truncate(reads);
+        self.writes = writes;
     }
 
     /// Incremental validation: every recorded modcount must be current and
@@ -216,74 +216,40 @@ impl AstmTx<'_> {
     /// ownership check, two committers with disjoint write sets could both
     /// validate before either publishes — the classic r-w cycle).
     /// Θ(|read set|) — the Theorem 3 cost.
-    fn validate_read_set(&mut self) -> bool {
-        let stm = self.stm;
-        let me = self.id.0 as u64;
-        for i in 0..self.reads.len() {
-            let (obj, seen) = self.reads[i];
-            let owner = self
-                .meter
-                .load_u64(CellId::Lock(obj as u32), &stm.objs[obj].owned);
-            if owner != 0 && owner != me {
-                return false;
-            }
-            if stm.snapshot(obj, &mut self.meter).1 != seen {
-                return false;
+    fn validate_read_set(&self, m: &mut Meter) -> TxResult<()> {
+        for &(obj, seen) in &self.reads {
+            let owner = m.load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].owned);
+            if (owner != 0 && owner != self.me) || self.stm.snapshot(obj, m).1 != seen {
+                return Err(Aborted);
             }
         }
-        true
-    }
-
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        if let Some(scope) = self.scope.take() {
-            // The forced abort answers the child's pending invocation; the
-            // parent then aborts voluntarily (its fate is sealed).
-            self.stm.recorder.abort(scope.child);
-            self.stm.recorder.try_abort(self.id);
-        }
-        self.stm.recorder.abort(self.id);
-        Aborted
+        Ok(())
     }
 
     /// Releases commit-time ownership of `held` objects.
-    fn release(&mut self, held: &[usize]) {
+    fn release(&self, m: &mut Meter, held: &[usize]) {
         for &obj in held {
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].owned, 0);
+            m.store_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].owned, 0);
         }
     }
 }
 
-impl Tx for AstmTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        let rid = self.rec_id();
-        self.stm.recorder.inv_read(rid, obj);
-        self.meter.begin_op(OpKind::Read);
+impl Protocol for AstmTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         // Lazy writes: read-own-write from the buffer, no base access.
         // With a nested scope open this is also where the child observes
         // the parent's buffered writes.
         if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(rid, obj, v);
             return Ok(v);
         }
-        let (v, modc) = self.stm.snapshot(obj, &mut self.meter);
+        let (v, modc) = self.stm.snapshot(obj, m);
         self.reads.push((obj, modc));
         // Opacity's price: re-validate the whole read set on every read.
-        if !self.validate_read_set() {
-            return Err(self.abort_op());
-        }
-        self.meter.end_op();
-        self.stm.recorder.ret_read(rid, obj, v);
+        self.validate_read_set(m)?;
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        let rid = self.rec_id();
-        self.stm.recorder.inv_write(rid, obj, v);
-        self.meter.begin_op(OpKind::Write);
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
         // Purely local: lazy acquire defers all conflict work to commit.
         match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
@@ -292,103 +258,48 @@ impl Tx for AstmTx<'_> {
                 self.writes.sort_unstable_by_key(|(o, _)| *o);
             }
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(rid, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        if self.scope.is_some() {
-            // A scope left open at top-level commit aborts the child (the
-            // conservative reading of an unterminated nested transaction).
-            self.abort_nested();
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
+        // A scope still open here was aborted ahead of `tryC`.
+        if let Some(mark) = self.mark.take() {
+            self.unwind(mark);
         }
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
         if self.writes.is_empty() {
             // Read-only: the per-read validation already guaranteed a
             // consistent snapshot at the last read; one final validation
             // pins it at commit time.
-            let ok = self.validate_read_set();
-            self.meter.end_op();
-            self.finished = true;
-            if ok {
-                self.stm.recorder.commit(self.id);
-                return Ok(());
-            }
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
+            return self.validate_read_set(m);
         }
         // Acquire the write set (index order). A held object means a live
         // committing conflicting peer: abort self (obstruction-style; the
         // peer is live and conflicting, so this is progressive).
-        let writes = std::mem::take(&mut self.writes);
-        let mut held: Vec<usize> = Vec::with_capacity(writes.len());
-        for &(obj, _) in &writes {
-            let claimed = self.meter.cas_u64(
-                CellId::Lock(obj as u32),
-                &self.stm.objs[obj].owned,
-                0,
-                self.id.0 as u64,
-            );
-            if !claimed {
-                self.release(&held);
-                self.meter.end_op();
-                self.finished = true;
-                self.stm.recorder.abort(self.id);
+        let mut held: Vec<usize> = Vec::with_capacity(self.writes.len());
+        for &(obj, _) in &self.writes {
+            let owned = &self.stm.objs[obj].owned;
+            if !m.cas_u64(CellId::Lock(obj as u32), owned, 0, self.me) {
+                self.release(m, &held);
                 return Err(Aborted);
             }
             held.push(obj);
         }
         // Validate reads once more, then publish.
-        if !self.validate_read_set() {
-            self.release(&held);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
-        }
-        for &(obj, v) in &writes {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Write);
-            let mut g = lock(&self.stm.objs[obj].inner);
-            *g = (v, g.1 + 1);
-        }
-        self.release(&held);
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        if self.scope.is_some() {
-            self.abort_nested();
-        }
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for AstmTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            if self.scope.is_some() {
-                self.abort_nested();
+        let valid = self.validate_read_set(m);
+        if valid.is_ok() {
+            for &(obj, v) in &self.writes {
+                m.touch(CellId::Record(obj as u32), AccessKind::Write);
+                let mut g = lock(&self.stm.objs[obj].inner);
+                *g = (v, g.1 + 1);
             }
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
         }
+        self.release(m, &held);
+        valid
+    }
+
+    /// An open scope dies with the transaction.
+    fn aborted(&mut self, _m: &mut Meter) {
+        self.mark = None;
     }
 }
 
@@ -396,6 +307,7 @@ impl Drop for AstmTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn roundtrip_and_lazy_buffering() {

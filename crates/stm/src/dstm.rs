@@ -39,12 +39,12 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{status, try_abort_tx, Meter, OpKind, StepReport, TxDesc};
+use crate::base::{status, try_abort_tx, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
 /// A DSTM locator: the owner transaction plus its old/new values.
 #[derive(Debug, Clone, Default)]
@@ -110,17 +110,14 @@ impl DstmStm {
     }
 }
 
-/// A live DSTM transaction.
-pub struct DstmTx<'a> {
+/// A live DSTM transaction's protocol state.
+struct DstmTx<'a> {
     stm: &'a DstmStm,
-    id: TxId,
     desc: Arc<TxDesc>,
     /// Invisible read set: (object, value observed).
     reads: Vec<(usize, i64)>,
     /// Objects currently owned (acquired) by this transaction.
     writes: Vec<usize>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for DstmStm {
@@ -132,17 +129,14 @@ impl Stm for DstmStm {
         self.objs.len()
     }
 
-    fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        Box::new(DstmTx {
+    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |id| DstmTx {
             stm: self,
-            id,
             desc: Arc::new(TxDesc::new(id.0)),
             reads: Vec::new(),
             writes: Vec::new(),
-            meter: Meter::with_probe(_thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -162,163 +156,105 @@ impl Stm for DstmStm {
 
 impl DstmTx<'_> {
     /// Is this transaction still active (nobody aborted it)?
-    fn still_active(&mut self) -> bool {
-        self.meter
-            .load_u8(self.desc.status_cell(), &self.desc.status)
-            == status::ACTIVE
+    fn still_active(&self, m: &mut Meter) -> bool {
+        m.load_u8(self.desc.status_cell(), &self.desc.status) == status::ACTIVE
     }
 
     /// Re-validates the entire read set: every recorded value must still be
     /// the current committed value. This is the Θ(|read set|) incremental
     /// validation that opacity forces on invisible-read TMs (Theorem 3).
-    fn validate_read_set(&mut self) -> bool {
-        let stm = self.stm;
-        for i in 0..self.reads.len() {
-            let (obj, seen) = self.reads[i];
-            if stm.current_value(obj, &mut self.meter) != seen {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Records the forced abort answering a pending operation invocation.
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        // Flip our own status so concurrent observers agree.
-        self.desc.force_status(status::ABORTED);
-        self.stm.recorder.abort(self.id);
-        Aborted
+    fn validate_read_set(&self, m: &mut Meter) -> bool {
+        self.reads
+            .iter()
+            .all(|&(obj, seen)| self.stm.current_value(obj, m) == seen)
     }
 }
 
-impl Tx for DstmTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
-        if !self.still_active() {
-            return Err(self.abort_op());
+impl Protocol for DstmTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
+        if !self.still_active(m) {
+            return Err(Aborted);
         }
         // Current value: our own tentative value if we own the object,
         // otherwise the committed value.
         let v = {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Read); // locator load
+            m.touch(CellId::Record(obj as u32), AccessKind::Read); // locator load
             let loc = lock(&self.stm.objs[obj].locator);
-            self.meter.begin_atomic();
+            m.begin_atomic();
             let v = match &loc.owner {
                 Some(d) if Arc::ptr_eq(d, &self.desc) => loc.new,
-                _ => loc.committed_value(&mut self.meter),
+                _ => loc.committed_value(m),
             };
-            self.meter.end_atomic();
+            m.end_atomic();
             v
         };
         // Incremental validation: the *whole* read set (including this
         // read) must describe the current committed state.
-        let own = self.writes.contains(&obj);
-        if !own {
+        if !self.writes.contains(&obj) {
             self.reads.push((obj, v));
         }
-        if !self.validate_read_set() || !self.still_active() {
-            return Err(self.abort_op());
+        if !self.validate_read_set(m) || !self.still_active(m) {
+            return Err(Aborted);
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        if !self.still_active() {
-            return Err(self.abort_op());
+    fn write(&mut self, m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        if !self.still_active(m) {
+            return Err(Aborted);
         }
         loop {
             // Locator access (CAS-like acquisition).
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Rmw);
+            m.touch(CellId::Record(obj as u32), AccessKind::Rmw);
             let mut loc = lock(&self.stm.objs[obj].locator);
-            self.meter.begin_atomic();
+            m.begin_atomic();
             match loc.owner.clone() {
                 Some(d) if Arc::ptr_eq(&d, &self.desc) => {
                     loc.new = v;
-                    self.meter.end_atomic();
-                    break;
+                    m.end_atomic();
+                    return Ok(());
                 }
-                Some(d) if self.meter.load_u8(d.status_cell(), &d.status) == status::ACTIVE => {
+                Some(d) if m.load_u8(d.status_cell(), &d.status) == status::ACTIVE => {
                     // Writer-writer conflict with a live transaction:
                     // abort it, then loop back and re-resolve the locator.
-                    try_abort_tx(&d, &mut self.meter);
-                    self.meter.end_atomic();
+                    try_abort_tx(&d, m);
+                    m.end_atomic();
                 }
                 _ => {
                     // Owner committed/aborted or absent: fold and acquire.
-                    let cur = loc.committed_value(&mut self.meter);
+                    let cur = loc.committed_value(m);
                     *loc = Locator {
                         owner: Some(self.desc.clone()),
                         old: cur,
                         new: v,
                     };
                     self.writes.push(obj);
-                    self.meter.end_atomic();
-                    break;
+                    m.end_atomic();
+                    return Ok(());
                 }
             }
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
-        Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         // Final validation, then the single linearizing status CAS.
-        let valid = self.validate_read_set();
-        let committed = valid
-            && self.meter.cas_u8(
+        if self.validate_read_set(m)
+            && m.cas_u8(
                 self.desc.status_cell(),
                 &self.desc.status,
                 status::ACTIVE,
                 status::COMMITTED,
-            );
-        self.meter.end_op();
-        self.finished = true;
-        if committed {
-            self.stm.recorder.commit(self.id);
+            )
+        {
             Ok(())
         } else {
-            self.desc.force_status(status::ABORTED);
-            self.stm.recorder.abort(self.id);
             Err(Aborted)
         }
     }
 
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
+    /// Flips our own status so concurrent observers agree.
+    fn aborted(&mut self, _m: &mut Meter) {
         self.desc.force_status(status::ABORTED);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for DstmTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.desc.force_status(status::ABORTED);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
     }
 }
 
@@ -326,6 +262,7 @@ impl Drop for DstmTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn read_write_commit_roundtrip() {

@@ -9,16 +9,19 @@
 use std::sync::{Mutex, MutexGuard};
 
 use crate::api::{Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
 /// The global-lock TM over `k` registers.
 #[derive(Debug)]
 pub struct GlockStm {
     store: Mutex<Vec<i64>>,
+    /// The register count, kept apart from `store`: a live transaction
+    /// holds the store's lock until it finishes.
+    k: usize,
     recorder: Recorder,
 }
 
@@ -32,20 +35,17 @@ impl GlockStm {
     pub fn with_config(cfg: &StmConfig) -> Self {
         GlockStm {
             store: Mutex::new(vec![0; cfg.k()]),
+            k: cfg.k(),
             recorder: cfg.build_recorder(),
         }
     }
 }
 
-/// A live global-lock transaction: owns the store guard for its entire
-/// lifetime.
-pub struct GlockTx<'a> {
-    stm: &'a GlockStm,
+/// A live global-lock transaction's protocol state: the store guard, held
+/// for the transaction's entire lifetime.
+struct GlockTx<'a> {
     guard: Option<MutexGuard<'a, Vec<i64>>>,
     undo: Vec<(usize, i64)>,
-    id: TxId,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for GlockStm {
@@ -54,22 +54,17 @@ impl Stm for GlockStm {
     }
 
     fn k(&self) -> usize {
-        lock(&self.store).len()
+        self.k
     }
 
     fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        // The lock acquisition is the transaction's single synchronization
-        // point; it happens at begin, outside any operation, and costs O(1).
-        let guard = lock(&self.store);
-        Box::new(GlockTx {
-            stm: self,
-            guard: Some(guard),
+        Box::new(Txn::begin(&self.recorder, Meter::new(), |_| GlockTx {
+            // The lock acquisition is the transaction's single
+            // synchronization point; it happens at begin, outside any
+            // operation, and costs O(1).
+            guard: Some(lock(&self.store)),
             undo: Vec::new(),
-            id,
-            meter: Meter::new(),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -91,57 +86,32 @@ impl Stm for GlockStm {
     }
 }
 
-impl Tx for GlockTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
-        self.meter.step(); // one store access
-        let v = self.guard.as_ref().expect("live tx holds guard")[obj];
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
-        Ok(v)
-    }
-
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        self.meter.step();
-        let guard = self.guard.as_mut().expect("live tx holds guard");
-        self.undo.push((obj, guard[obj]));
-        guard[obj] = v;
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
-        Ok(())
-    }
-
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
-        self.meter.end_op();
-        self.guard = None; // release the lock
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.rollback();
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
+impl GlockTx<'_> {
+    fn store(&mut self) -> &mut Vec<i64> {
+        self.guard.as_mut().expect("live tx holds guard")
     }
 }
 
-impl GlockTx<'_> {
-    fn rollback(&mut self) {
+impl Protocol for GlockTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
+        m.step(); // one store access
+        Ok(self.store()[obj])
+    }
+
+    fn write(&mut self, m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        m.step();
+        let old = std::mem::replace(&mut self.store()[obj], v);
+        self.undo.push((obj, old));
+        Ok(())
+    }
+
+    fn commit(&mut self, _m: &mut Meter) -> TxResult<()> {
+        self.guard = None; // release the lock
+        Ok(())
+    }
+
+    /// Rolls the writes back and releases the lock.
+    fn aborted(&mut self, _m: &mut Meter) {
         if let Some(guard) = self.guard.as_mut() {
             // Undo in reverse so earlier values win.
             for (obj, old) in self.undo.drain(..).rev() {
@@ -152,23 +122,13 @@ impl GlockTx<'_> {
     }
 }
 
-impl Drop for GlockTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Dropped without commit/abort: treat as a voluntary abort so
-            // the recorded history stays well-formed and the lock releases.
-            self.stm.recorder.try_abort(self.id);
-            self.rollback();
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn read_write_commit() {
@@ -197,6 +157,20 @@ mod tests {
         assert_eq!(tx2.read(0).unwrap(), 0);
         assert_eq!(tx2.read(1).unwrap(), 0);
         tx2.commit().unwrap();
+    }
+
+    #[test]
+    fn k_does_not_wait_for_a_live_transaction() {
+        let stm = Arc::new(GlockStm::new(3));
+        let tx = stm.begin(0);
+        let (done, k) = mpsc::channel();
+        let other = Arc::clone(&stm);
+        let reader = std::thread::spawn(move || {
+            let _ = done.send(other.k());
+        });
+        assert_eq!(k.recv_timeout(Duration::from_secs(2)), Ok(3));
+        tx.commit().unwrap();
+        reader.join().expect("k() does not panic");
     }
 
     #[test]

@@ -16,12 +16,19 @@
 //! | [`tpl::TplStm`] | ✔ | ✔ | ✘ | ✔ (rigorous) | O(1) |
 //! | [`glock::GlockStm`] | ✔ | ✔ | ✘ | ✔ | O(1), zero concurrency |
 //!
-//! Every implementation:
+//! Every implementation runs on one shared transaction lifecycle, so that
+//! each TM module holds only its base-object protocol. The lifecycle:
 //!
 //! * records the paper's transactional events into a [`recorder::Recorder`]
 //!   so that recorded executions can be fed to the `tm-opacity` checkers;
-//! * meters its accesses to base shared objects per operation through
-//!   [`base::Meter`] — the exact step counts of Theorem 3, noise-free.
+//! * meters the protocol's accesses to base shared objects per operation
+//!   through [`base::Meter`] — the exact step counts of Theorem 3,
+//!   noise-free;
+//! * fixes, for every TM alike, where each event falls relative to the
+//!   operation's steps: `inv`/`tryC` before the first access, `ret`/`C`
+//!   after the last, a forced abort's cleanup inside the operation before
+//!   its `A`, and `tryA`, cleanup, `A` for a voluntary abort or a dropped
+//!   transaction.
 //!
 //! # Typed transactional objects
 //!
@@ -79,6 +86,7 @@ pub mod sistm;
 pub mod tl2;
 pub mod tpl;
 pub mod trace_cells;
+mod txn;
 pub mod visible;
 
 pub use api::{

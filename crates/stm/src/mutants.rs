@@ -36,14 +36,15 @@
 //! the crate where a version clock other than GV1 exists.
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::clock::{GlobalClock, VersionClock};
 use crate::config::StmConfig;
 use crate::recorder::Recorder;
+use crate::tl2::{is_locked, locked, release_locks, unlocked_at, version_of, Tl2Obj};
 use crate::trace_cells::{CellId, StepProbe};
-use std::sync::atomic::{AtomicI64, AtomicU64};
+use crate::txn::{Protocol, Txn};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use tm_model::TxId;
 
 /// The protocol bug planted into [`MutantStm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,37 +185,10 @@ impl GlobalClock for PassOnFailureClock {
     }
 }
 
-#[inline]
-fn version_of(word: u64) -> u64 {
-    word >> 1
-}
-
-#[inline]
-fn is_locked(word: u64) -> bool {
-    word & 1 == 1
-}
-
-#[inline]
-fn locked(word: u64) -> u64 {
-    word | 1
-}
-
-#[inline]
-fn unlocked_at(version: u64) -> u64 {
-    version << 1
-}
-
-#[derive(Debug, Default)]
-struct MutObj {
-    /// `version << 1 | locked`.
-    lock: AtomicU64,
-    value: AtomicI64,
-}
-
 /// A TL2-style TM with a planted [`Mutation`].
 #[derive(Debug)]
 pub struct MutantStm {
-    objs: Vec<MutObj>,
+    objs: Vec<Tl2Obj>,
     clock: Box<dyn GlobalClock>,
     recorder: Recorder,
     mutation: Mutation,
@@ -238,7 +212,7 @@ impl MutantStm {
             _ => Box::new(VersionClock::new()),
         };
         MutantStm {
-            objs: (0..cfg.k()).map(|_| MutObj::default()).collect(),
+            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
             clock,
             recorder: cfg.build_recorder(),
             mutation,
@@ -252,15 +226,12 @@ impl MutantStm {
     }
 }
 
-/// A live transaction of the mutant TM.
-pub struct MutantTx<'a> {
+/// A live mutant transaction's protocol state.
+struct MutantTx<'a> {
     stm: &'a MutantStm,
-    id: TxId,
     rv: u64,
     reads: Vec<usize>,
     writes: Vec<(usize, i64)>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for MutantStm {
@@ -273,17 +244,13 @@ impl Stm for MutantStm {
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        let rv = self.clock.peek();
-        Box::new(MutantTx {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |_| MutantTx {
             stm: self,
-            id,
-            rv,
+            rv: self.clock.peek(),
             reads: Vec::new(),
             writes: Vec::new(),
-            meter: Meter::with_probe(thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -308,68 +275,49 @@ impl Stm for MutantStm {
 }
 
 impl MutantTx<'_> {
-    fn write_slot(&mut self, obj: usize) -> Option<&mut (usize, i64)> {
-        self.writes.iter_mut().find(|(o, _)| *o == obj)
-    }
-
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-        Aborted
-    }
-
-    fn release_locks(&mut self, held: &[(usize, u64)]) {
-        for &(obj, old_word) in held {
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock, old_word);
+    /// Fails unless `obj`'s lock word is unlocked and not newer than `rv`
+    /// (one metered load).
+    fn validate(&self, m: &mut Meter, obj: usize) -> TxResult<()> {
+        let word = m.load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
+        if is_locked(word) || version_of(word) > self.rv {
+            Err(Aborted)
+        } else {
+            Ok(())
         }
     }
 }
 
-impl Tx for MutantTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
-        if let Some(&mut (_, v)) = self.write_slot(obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(self.id, obj, v);
+impl Protocol for MutantTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
+        if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
             return Ok(v);
         }
         let o = &self.stm.objs[obj];
-        let pre = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
-        let v = self.meter.load_i64(CellId::Value(obj as u32), &o.value);
-        let post = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
+        let pre = m.load_u64(CellId::Lock(obj as u32), &o.lock);
+        let v = m.load_i64(CellId::Value(obj as u32), &o.value);
+        let post = m.load_u64(CellId::Lock(obj as u32), &o.lock);
         // THE MUTATION POINT: a faithful protocol validates every read.
         if self.stm.mutation != Mutation::SkipReadValidation
             && (pre != post || is_locked(pre) || version_of(pre) > self.rv)
         {
-            return Err(self.abort_op());
+            return Err(Aborted);
         }
         self.reads.push(obj);
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        match self.write_slot(obj) {
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
             None => {
                 self.writes.push((obj, v));
                 self.writes.sort_unstable_by_key(|(o, _)| *o);
             }
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         let validate = self.stm.mutation != Mutation::SkipCommitValidation;
         if self.writes.is_empty() {
             // Read-only path. Under SkipReadValidation the reads were never
@@ -378,45 +326,29 @@ impl Tx for MutantTx<'_> {
             // serializable while its live reads are broken.
             if self.stm.mutation == Mutation::SkipReadValidation {
                 for &obj in &self.reads {
-                    let word = self
-                        .meter
-                        .load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
-                    if is_locked(word) || version_of(word) > self.rv {
-                        self.meter.end_op();
-                        self.finished = true;
-                        self.stm.recorder.abort(self.id);
-                        return Err(Aborted);
-                    }
+                    self.validate(m, obj)?;
                 }
             }
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.commit(self.id);
             return Ok(());
         }
+        let objs = &self.stm.objs;
         // Phase 1: lock the write set (locks are kept even in the mutant —
         // publication stays atomic; only *validation* is mutated away).
         let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
-        let writes = std::mem::take(&mut self.writes);
-        for &(obj, _) in &writes {
-            let o = &self.stm.objs[obj];
-            let word = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
+        for &(obj, _) in &self.writes {
+            let lock = &objs[obj].lock;
+            let word = m.load_u64(CellId::Lock(obj as u32), lock);
             let stale = validate && version_of(word) > self.rv;
             if is_locked(word)
                 || stale
-                || !self
-                    .meter
-                    .cas_u64(CellId::Lock(obj as u32), &o.lock, word, locked(word))
+                || !m.cas_u64(CellId::Lock(obj as u32), lock, word, locked(word))
             {
-                self.release_locks(&held);
-                self.meter.end_op();
-                self.finished = true;
-                self.stm.recorder.abort(self.id);
+                release_locks(objs, &held, m);
                 return Err(Aborted);
             }
             held.push((obj, word));
         }
-        let wv = self.stm.clock.tick(&mut self.meter);
+        let wv = self.stm.clock.tick(m);
         // TL2's fast path: `wv == rv + 1` proves no interleaved committer —
         // but only on GV1, whose `fetch_add` is the sole way time advances.
         // THE MUTATION POINT for UnlicensedFastPath: it "ports" the fast
@@ -439,55 +371,20 @@ impl Tx for MutantTx<'_> {
         // SkipCommitValidation).
         if validate && !fast_path {
             for &obj in &self.reads {
-                if held.iter().any(|&(held_obj, _)| held_obj == obj) {
-                    continue;
-                }
-                let word = self
-                    .meter
-                    .load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
-                if is_locked(word) || version_of(word) > self.rv {
-                    self.release_locks(&held);
-                    self.meter.end_op();
-                    self.finished = true;
-                    self.stm.recorder.abort(self.id);
+                if held.iter().all(|&(held_obj, _)| held_obj != obj)
+                    && self.validate(m, obj).is_err()
+                {
+                    release_locks(objs, &held, m);
                     return Err(Aborted);
                 }
             }
         }
-        for &(obj, v) in &writes {
-            let o = &self.stm.objs[obj];
-            self.meter.store_i64(CellId::Value(obj as u32), &o.value, v);
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &o.lock, unlocked_at(wv));
+        for &(obj, v) in &self.writes {
+            let o = &objs[obj];
+            m.store_i64(CellId::Value(obj as u32), &o.value, v);
+            m.store_u64(CellId::Lock(obj as u32), &o.lock, unlocked_at(wv));
         }
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
         Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for MutantTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
     }
 }
 
@@ -495,6 +392,7 @@ impl Drop for MutantTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn baseline_mutant_behaves_like_tl2() {

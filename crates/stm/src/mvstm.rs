@@ -15,58 +15,49 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
+/// The committed versions of `k` registers, the clock that stamps them and
+/// the global commit lock: the shared state of both multi-version TMs
+/// ([`MvStm`] and [`crate::sistm::SiStm`]).
 #[derive(Debug)]
-struct MvObj {
-    /// Committed versions `(timestamp, value)`, ascending by timestamp.
-    /// Timestamp 0 is the initial value.
-    versions: Mutex<Vec<(u64, i64)>>,
-}
-
-/// The multi-version TM over `k` registers.
-#[derive(Debug)]
-pub struct MvStm {
-    objs: Vec<MvObj>,
+pub(crate) struct VersionStore {
+    /// Per register: committed versions `(timestamp, value)`, ascending by
+    /// timestamp. Timestamp 0 is the initial value.
+    objs: Vec<Mutex<Vec<(u64, i64)>>>,
     clock: Box<dyn GlobalClock>,
     commit_lock: Mutex<()>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl MvStm {
-    /// A multi-version TM with `k` registers initialized to 0 (default
-    /// configuration).
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
-    }
-
-    /// A multi-version TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        MvStm {
-            objs: (0..cfg.k())
-                .map(|_| MvObj {
-                    versions: Mutex::new(vec![(0, 0)]),
-                })
-                .collect(),
+impl VersionStore {
+    pub(crate) fn new(cfg: &StmConfig) -> Self {
+        VersionStore {
+            objs: (0..cfg.k()).map(|_| Mutex::new(vec![(0, 0)])).collect(),
             clock: cfg.build_clock(),
             commit_lock: Mutex::new(()),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
         }
+    }
+
+    pub(crate) fn k(&self) -> usize {
+        self.objs.len()
+    }
+
+    /// The snapshot timestamp a beginning transaction reads at.
+    pub(crate) fn start_ts(&self) -> u64 {
+        self.clock.peek()
     }
 
     /// The value of `obj` in the committed snapshot at `ts` (binary search;
     /// each probe is one step).
-    fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
+    pub(crate) fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = lock(&self.objs[obj].versions);
+        let versions = lock(&self.objs[obj]);
         // Binary search for the latest version with timestamp <= ts.
         let mut lo = 0usize;
         let mut hi = versions.len();
@@ -85,23 +76,87 @@ impl MvStm {
     /// The newest committed timestamp of `obj`.
     fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
         m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = lock(&self.objs[obj].versions);
+        let versions = lock(&self.objs[obj]);
         versions.last().expect("version list never empty").0
+    }
+
+    /// First-committer-wins commit of `writes` by a transaction that began
+    /// at `start_ts`: under the commit lock, aborts if any object in
+    /// `checked` has a version newer than `start_ts`, otherwise installs
+    /// `writes` at a fresh timestamp.
+    pub(crate) fn commit(
+        &self,
+        m: &mut Meter,
+        start_ts: u64,
+        mut checked: impl Iterator<Item = usize>,
+        writes: &[(usize, i64)],
+    ) -> TxResult<()> {
+        m.acquire(CellId::CommitLock);
+        let guard = lock(&self.commit_lock);
+        let valid = checked.all(|obj| self.latest_ts(obj, m) <= start_ts);
+        if valid {
+            // Publish-last ordering (regression: found by the
+            // invariant-checked throughput bench): versions must be
+            // installed BEFORE the clock advance makes the new timestamp
+            // observable, otherwise a transaction beginning between advance
+            // and append adopts a snapshot timestamp whose versions are not
+            // yet visible, reads stale data, and still passes
+            // first-committer-wins validation — a lost update. The clock's
+            // reserve/publish pair expresses exactly this: `reserve` hands
+            // out the timestamp without surfacing it, `publish` surfaces it
+            // after the appends. We hold the commit lock, satisfying the
+            // pair's mutual-exclusion contract.
+            let wv = self.clock.reserve(m);
+            for &(obj, v) in writes {
+                m.touch(CellId::Record(obj as u32), AccessKind::Write);
+                lock(&self.objs[obj]).push((wv, v));
+            }
+            self.clock.publish(wv, m);
+        }
+        drop(guard);
+        m.release(CellId::CommitLock);
+        if valid {
+            Ok(())
+        } else {
+            Err(Aborted)
+        }
     }
 }
 
-/// A live multi-version transaction.
-pub struct MvTx<'a> {
-    stm: &'a MvStm,
-    id: TxId,
+/// The multi-version TM over `k` registers.
+#[derive(Debug)]
+pub struct MvStm {
+    store: VersionStore,
+    recorder: Recorder,
+    probe: Option<Arc<dyn StepProbe>>,
+}
+
+impl MvStm {
+    /// A multi-version TM with `k` registers initialized to 0 (default
+    /// configuration).
+    pub fn new(k: usize) -> Self {
+        Self::with_config(&StmConfig::new(k))
+    }
+
+    /// A multi-version TM built from an explicit configuration.
+    pub fn with_config(cfg: &StmConfig) -> Self {
+        MvStm {
+            store: VersionStore::new(cfg),
+            recorder: cfg.build_recorder(),
+            probe: cfg.step_probe(),
+        }
+    }
+}
+
+/// A live multi-version transaction's protocol state.
+struct MvTx<'a> {
+    store: &'a VersionStore,
     /// Snapshot timestamp sampled at begin.
     start_ts: u64,
     /// Read set (object indices) — needed only for update-commit validation.
     reads: Vec<usize>,
     /// Redo log.
     writes: Vec<(usize, i64)>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for MvStm {
@@ -110,21 +165,17 @@ impl Stm for MvStm {
     }
 
     fn k(&self) -> usize {
-        self.objs.len()
+        self.store.k()
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        let start_ts = self.clock.peek();
-        Box::new(MvTx {
-            stm: self,
-            id,
-            start_ts,
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |_| MvTx {
+            store: &self.store,
+            start_ts: self.store.start_ts(),
             reads: Vec::new(),
             writes: Vec::new(),
-            meter: Meter::with_probe(thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -143,113 +194,38 @@ impl Stm for MvStm {
     }
 }
 
-impl Tx for MvTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
+impl Protocol for MvTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         // Read-own-write first.
         if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(self.id, obj, v);
             return Ok(v);
         }
         // Snapshot read: never fails, never validates the read set.
-        let v = self.stm.value_at(obj, self.start_ts, &mut self.meter);
+        let v = self.store.value_at(obj, self.start_ts, m);
         if !self.reads.contains(&obj) {
             self.reads.push(obj);
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
         match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
             None => self.writes.push((obj, v)),
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         if self.writes.is_empty() {
             // Read-only transactions commit unconditionally: their snapshot
             // at start_ts is a legal serialization point.
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.commit(self.id);
             return Ok(());
         }
-        self.meter.acquire(CellId::CommitLock);
-        let guard = lock(&self.stm.commit_lock);
         // Validation: nothing we read or write was committed past start_ts.
-        let stm = self.stm;
-        let valid = self
-            .reads
-            .iter()
-            .chain(self.writes.iter().map(|(o, _)| o))
-            .all(|&obj| stm.latest_ts(obj, &mut self.meter) <= self.start_ts);
-        if !valid {
-            drop(guard);
-            self.meter.release(CellId::CommitLock);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
-        }
-        // Publish-last ordering (regression: found by the invariant-checked
-        // throughput bench): versions must be installed BEFORE the clock
-        // advance makes the new timestamp observable, otherwise a
-        // transaction beginning between advance and append adopts a
-        // snapshot timestamp whose versions are not yet visible, reads
-        // stale data, and still passes first-committer-wins validation — a
-        // lost update. The clock's reserve/publish pair expresses exactly
-        // this: `reserve` hands out the timestamp without surfacing it,
-        // `publish` surfaces it after the appends. We hold the commit
-        // lock, satisfying the pair's mutual-exclusion contract.
-        let wv = self.stm.clock.reserve(&mut self.meter);
-        for &(obj, v) in &self.writes {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Write);
-            lock(&stm.objs[obj].versions).push((wv, v));
-        }
-        self.stm.clock.publish(wv, &mut self.meter);
-        drop(guard);
-        self.meter.release(CellId::CommitLock);
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for MvTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
+        let written = self.writes.iter().map(|&(obj, _)| obj);
+        let checked = self.reads.iter().copied().chain(written);
+        self.store.commit(m, self.start_ts, checked, &self.writes)
     }
 }
 
@@ -257,6 +233,7 @@ impl Drop for MvTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn roundtrip() {
@@ -344,10 +321,10 @@ mod tests {
         }
         let mut m = Meter::new();
         m.begin_op(OpKind::Read);
-        assert_eq!(stm.value_at(0, 0, &mut m), 0);
-        assert_eq!(stm.value_at(0, 1, &mut m), 1);
-        assert_eq!(stm.value_at(0, 2, &mut m), 2);
-        assert_eq!(stm.value_at(0, 999, &mut m), 3);
+        assert_eq!(stm.store.value_at(0, 0, &mut m), 0);
+        assert_eq!(stm.store.value_at(0, 1, &mut m), 1);
+        assert_eq!(stm.store.value_at(0, 2, &mut m), 2);
+        assert_eq!(stm.store.value_at(0, 999, &mut m), 3);
         m.end_op();
     }
 

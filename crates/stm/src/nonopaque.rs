@@ -17,27 +17,21 @@
 //! and still fail Definition 1 (experiments E11/E12, the inconsistent-view
 //! example of Section 2).
 
-use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::Arc;
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::recorder::Recorder;
+use crate::tl2::{is_locked, locked, release_locks, unlocked_at, version_of, Tl2Obj};
 use crate::trace_cells::{CellId, StepProbe};
-use tm_model::TxId;
-
-#[derive(Debug, Default)]
-struct NoObj {
-    /// `version << 1 | locked`.
-    lock: AtomicU64,
-    value: AtomicI64,
-}
+use crate::txn::{Protocol, Txn};
 
 /// The commit-time-validation (non-opaque) TM over `k` registers.
 #[derive(Debug)]
 pub struct NonOpaqueStm {
-    objs: Vec<NoObj>,
+    /// TL2's versioned lock words, with per-object version counters.
+    objs: Vec<Tl2Obj>,
     recorder: Recorder,
     probe: Option<Arc<dyn StepProbe>>,
 }
@@ -52,23 +46,20 @@ impl NonOpaqueStm {
     /// (versions are per-object counters, so no global clock applies).
     pub fn with_config(cfg: &StmConfig) -> Self {
         NonOpaqueStm {
-            objs: (0..cfg.k()).map(|_| NoObj::default()).collect(),
+            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
             recorder: cfg.build_recorder(),
             probe: cfg.step_probe(),
         }
     }
 }
 
-/// A live non-opaque transaction.
-pub struct NonOpaqueTx<'a> {
+/// A live non-opaque transaction's protocol state.
+struct NonOpaqueTx<'a> {
     stm: &'a NonOpaqueStm,
-    id: TxId,
     /// Read set: (object, version observed) — used only at commit.
     reads: Vec<(usize, u64)>,
     /// Redo log, kept sorted by object for deadlock-free commit locking.
     writes: Vec<(usize, i64)>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for NonOpaqueStm {
@@ -80,16 +71,13 @@ impl Stm for NonOpaqueStm {
         self.objs.len()
     }
 
-    fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        Box::new(NonOpaqueTx {
+    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |_| NonOpaqueTx {
             stm: self,
-            id,
             reads: Vec::new(),
             writes: Vec::new(),
-            meter: Meter::with_probe(_thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -107,50 +95,26 @@ impl Stm for NonOpaqueStm {
     }
 }
 
-impl NonOpaqueTx<'_> {
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-        Aborted
-    }
-
-    fn release_locks(&mut self, held: &[(usize, u64)]) {
-        for &(obj, old_word) in held {
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock, old_word);
-        }
-    }
-}
-
-impl Tx for NonOpaqueTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
+impl Protocol for NonOpaqueTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(self.id, obj, v);
             return Ok(v);
         }
         let o = &self.stm.objs[obj];
         // Per-object atomic snapshot (no cross-object validation!).
-        let pre = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
-        let v = self.meter.load_i64(CellId::Value(obj as u32), &o.value);
-        let post = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
-        if pre != post || pre & 1 == 1 {
+        let pre = m.load_u64(CellId::Lock(obj as u32), &o.lock);
+        let v = m.load_i64(CellId::Value(obj as u32), &o.value);
+        let post = m.load_u64(CellId::Lock(obj as u32), &o.lock);
+        if pre != post || is_locked(pre) {
             // The object is mid-commit by a live conflicting writer: abort
             // (still progressive — the writer is live and conflicting).
-            return Err(self.abort_op());
+            return Err(Aborted);
         }
-        self.reads.push((obj, pre >> 1));
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
+        self.reads.push((obj, version_of(pre)));
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
         match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
             None => {
@@ -158,100 +122,45 @@ impl Tx for NonOpaqueTx<'_> {
                 self.writes.sort_unstable_by_key(|(o, _)| *o);
             }
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
+        let objs = &self.stm.objs;
         // Lock write set (index order), validate reads once, publish.
-        let writes = std::mem::take(&mut self.writes);
-        let mut held: Vec<(usize, u64)> = Vec::with_capacity(writes.len());
-        for &(obj, _) in &writes {
-            let o = &self.stm.objs[obj];
-            let word = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
-            if word & 1 == 1
-                || !self
-                    .meter
-                    .cas_u64(CellId::Lock(obj as u32), &o.lock, word, word | 1)
-            {
-                self.release_locks(&held);
-                self.meter.end_op();
-                self.finished = true;
-                self.stm.recorder.abort(self.id);
+        let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
+        for &(obj, _) in &self.writes {
+            let lock = &objs[obj].lock;
+            let word = m.load_u64(CellId::Lock(obj as u32), lock);
+            if is_locked(word) || !m.cas_u64(CellId::Lock(obj as u32), lock, word, locked(word)) {
+                release_locks(objs, &held, m);
                 return Err(Aborted);
             }
             held.push((obj, word));
         }
-        let reads = std::mem::take(&mut self.reads);
-        for &(obj, seen_ver) in &reads {
+        for &(obj, seen_ver) in &self.reads {
             // For objects we hold, validate against the pre-lock word (the
             // lock phase itself checks nothing — unlike TL2's rv check).
-            let current_ver = match held.iter().find(|&&(o, _)| o == obj) {
-                Some(&(_, old_word)) => old_word >> 1,
-                None => {
-                    let word = self
-                        .meter
-                        .load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
-                    if word & 1 == 1 {
-                        self.release_locks(&held);
-                        self.meter.end_op();
-                        self.finished = true;
-                        self.stm.recorder.abort(self.id);
-                        return Err(Aborted);
-                    }
-                    word >> 1
-                }
+            let word = match held.iter().find(|&&(o, _)| o == obj) {
+                Some(&(_, old_word)) => old_word,
+                None => m.load_u64(CellId::Lock(obj as u32), &objs[obj].lock),
             };
-            if current_ver != seen_ver {
-                self.release_locks(&held);
-                self.meter.end_op();
-                self.finished = true;
-                self.stm.recorder.abort(self.id);
+            if is_locked(word) || version_of(word) != seen_ver {
+                release_locks(objs, &held, m);
                 return Err(Aborted);
             }
         }
-        for &(obj, v) in &writes {
-            let o = &self.stm.objs[obj];
-            let (_, old_word) = held.iter().find(|&&(ho, _)| ho == obj).copied().unwrap();
-            self.meter.store_i64(CellId::Value(obj as u32), &o.value, v);
+        for (&(obj, v), &(_, old_word)) in self.writes.iter().zip(&held) {
+            let o = &objs[obj];
+            m.store_i64(CellId::Value(obj as u32), &o.value, v);
             // Publish: bump the version, clear the lock bit.
-            self.meter.store_u64(
+            m.store_u64(
                 CellId::Lock(obj as u32),
                 &o.lock,
-                ((old_word >> 1) + 1) << 1,
+                unlocked_at(version_of(old_word) + 1),
             );
         }
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
         Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for NonOpaqueTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
     }
 }
 
@@ -259,6 +168,7 @@ impl Drop for NonOpaqueTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn roundtrip() {

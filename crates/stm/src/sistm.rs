@@ -30,23 +30,15 @@
 //! which is precisely the paper's argument that opacity is the conjunction
 //! users actually need.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
-use crate::clock::GlobalClock;
+use crate::api::{Stm, StmProperties, Tx, TxResult};
+use crate::base::Meter;
 use crate::config::StmConfig;
-use crate::lock;
+use crate::mvstm::VersionStore;
 use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::TxId;
-
-#[derive(Debug)]
-struct SiObj {
-    /// Committed versions `(timestamp, value)`, ascending by timestamp.
-    /// Timestamp 0 is the initial value.
-    versions: Mutex<Vec<(u64, i64)>>,
-}
+use crate::trace_cells::StepProbe;
+use crate::txn::{Protocol, Txn};
 
 /// The snapshot-isolation TM over `k` registers.
 ///
@@ -65,9 +57,7 @@ struct SiObj {
 /// ```
 #[derive(Debug)]
 pub struct SiStm {
-    objs: Vec<SiObj>,
-    clock: Box<dyn GlobalClock>,
-    commit_lock: Mutex<()>,
+    store: VersionStore,
     recorder: Recorder,
     probe: Option<Arc<dyn StepProbe>>,
 }
@@ -82,56 +72,22 @@ impl SiStm {
     /// A snapshot-isolation TM built from an explicit configuration.
     pub fn with_config(cfg: &StmConfig) -> Self {
         SiStm {
-            objs: (0..cfg.k())
-                .map(|_| SiObj {
-                    versions: Mutex::new(vec![(0, 0)]),
-                })
-                .collect(),
-            clock: cfg.build_clock(),
-            commit_lock: Mutex::new(()),
+            store: VersionStore::new(cfg),
             recorder: cfg.build_recorder(),
             probe: cfg.step_probe(),
         }
     }
-
-    /// The value of `obj` in the committed snapshot at `ts`.
-    fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = lock(&self.objs[obj].versions);
-        let mut lo = 0usize;
-        let mut hi = versions.len();
-        while hi - lo > 1 {
-            m.step();
-            let mid = (lo + hi) / 2;
-            if versions[mid].0 <= ts {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        versions[lo].1
-    }
-
-    /// The newest committed timestamp of `obj`.
-    fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = lock(&self.objs[obj].versions);
-        versions.last().expect("version list never empty").0
-    }
 }
 
-/// A live snapshot-isolation transaction.
-pub struct SiTx<'a> {
-    stm: &'a SiStm,
-    id: TxId,
+/// A live snapshot-isolation transaction's protocol state.
+struct SiTx<'a> {
+    store: &'a VersionStore,
     /// Snapshot timestamp sampled at begin.
     start_ts: u64,
     /// Redo log. The read set is deliberately *not* tracked: snapshot
     /// isolation never validates reads — that omission is the write-skew
     /// hole.
     writes: Vec<(usize, i64)>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for SiStm {
@@ -140,20 +96,16 @@ impl Stm for SiStm {
     }
 
     fn k(&self) -> usize {
-        self.objs.len()
+        self.store.k()
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        let start_ts = self.clock.peek();
-        Box::new(SiTx {
-            stm: self,
-            id,
-            start_ts,
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |_| SiTx {
+            store: &self.store,
+            start_ts: self.store.start_ts(),
             writes: Vec::new(),
-            meter: Meter::with_probe(thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -172,110 +124,41 @@ impl Stm for SiStm {
     }
 }
 
-impl Tx for SiTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
+impl Protocol for SiTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(self.id, obj, v);
             return Ok(v);
         }
         // Snapshot read: never fails, never validates anything.
-        let v = self.stm.value_at(obj, self.start_ts, &mut self.meter);
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
-        Ok(v)
+        Ok(self.store.value_at(obj, self.start_ts, m))
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
         match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
             None => self.writes.push((obj, v)),
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         if self.writes.is_empty() {
             // Read-only transactions commit unconditionally.
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.commit(self.id);
             return Ok(());
         }
-        self.meter.acquire(CellId::CommitLock);
-        let guard = lock(&self.stm.commit_lock);
         // First-committer-wins over the WRITE set only (the read set is
-        // not consulted — compare MvStm::commit, which also validates
-        // reads and is therefore opaque).
-        let stm = self.stm;
-        let valid = self
-            .writes
-            .iter()
-            .all(|&(obj, _)| stm.latest_ts(obj, &mut self.meter) <= self.start_ts);
-        if !valid {
-            drop(guard);
-            self.meter.release(CellId::CommitLock);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
-        }
-        // Publish-last ordering, exactly as in MvStm (see the regression
-        // note there): reserve the timestamp, install versions, then
-        // publish — all under the commit lock, as the clock's
-        // reserve/publish contract requires.
-        let wv = self.stm.clock.reserve(&mut self.meter);
-        for &(obj, v) in &self.writes {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Write);
-            lock(&stm.objs[obj].versions).push((wv, v));
-        }
-        self.stm.clock.publish(wv, &mut self.meter);
-        drop(guard);
-        self.meter.release(CellId::CommitLock);
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for SiTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
+        // not consulted — compare MvStm's commit, which also validates
+        // reads and is therefore opaque). Publish-last ordering, exactly
+        // as in MvStm.
+        let written = self.writes.iter().map(|&(obj, _)| obj);
+        self.store.commit(m, self.start_ts, written, &self.writes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Aborted};
 
     #[test]
     fn roundtrip() {

@@ -21,39 +21,47 @@ use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::Arc;
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{Meter, OpKind, StepReport};
+use crate::base::Meter;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::recorder::Recorder;
 use crate::trace_cells::{CellId, StepProbe};
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
 /// Versioned write-lock encoding: `version << 1 | locked`.
 #[inline]
-fn version_of(word: u64) -> u64 {
+pub(crate) fn version_of(word: u64) -> u64 {
     word >> 1
 }
 
 #[inline]
-fn is_locked(word: u64) -> bool {
+pub(crate) fn is_locked(word: u64) -> bool {
     word & 1 == 1
 }
 
 #[inline]
-fn locked(word: u64) -> u64 {
+pub(crate) fn locked(word: u64) -> u64 {
     word | 1
 }
 
 #[inline]
-fn unlocked_at(version: u64) -> u64 {
+pub(crate) fn unlocked_at(version: u64) -> u64 {
     version << 1
 }
 
+/// One register: a versioned write lock and the value it guards.
 #[derive(Debug, Default)]
-struct Tl2Obj {
+pub(crate) struct Tl2Obj {
     /// `version << 1 | locked`.
-    lock: AtomicU64,
-    value: AtomicI64,
+    pub(crate) lock: AtomicU64,
+    pub(crate) value: AtomicI64,
+}
+
+/// Releases commit-time locks `held` (restoring their pre-lock words).
+pub(crate) fn release_locks(objs: &[Tl2Obj], held: &[(usize, u64)], m: &mut Meter) {
+    for &(obj, old_word) in held {
+        m.store_u64(CellId::Lock(obj as u32), &objs[obj].lock, old_word);
+    }
 }
 
 /// The TL2 TM over `k` registers.
@@ -83,18 +91,15 @@ impl Tl2Stm {
     }
 }
 
-/// A live TL2 transaction.
-pub struct Tl2Tx<'a> {
+/// A live TL2 transaction's protocol state.
+struct Tl2Tx<'a> {
     stm: &'a Tl2Stm,
-    id: TxId,
     /// Read version: clock sample at begin.
     rv: u64,
     /// Read set: object indices (versions are re-checked against `rv`).
     reads: Vec<usize>,
     /// Redo log, ordered by object index for deadlock-free locking.
     writes: Vec<(usize, i64)>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for Tl2Stm {
@@ -107,18 +112,14 @@ impl Stm for Tl2Stm {
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        // Sampling the clock at begin is TL2's only begin-time work (O(1)).
-        let rv = self.clock.peek();
-        Box::new(Tl2Tx {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |_| Tl2Tx {
             stm: self,
-            id,
-            rv,
+            // Sampling the clock at begin is TL2's only begin-time work (O(1)).
+            rv: self.clock.peek(),
             reads: Vec::new(),
             writes: Vec::new(),
-            meter: Meter::with_probe(thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -136,99 +137,57 @@ impl Stm for Tl2Stm {
     }
 }
 
-impl Tl2Tx<'_> {
-    fn write_slot(&mut self, obj: usize) -> Option<&mut (usize, i64)> {
-        self.writes.iter_mut().find(|(o, _)| *o == obj)
-    }
-
-    /// Aborts in place (records `A` answering the pending invocation).
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-        Aborted
-    }
-
-    /// Releases commit-time locks `held` (restoring their pre-lock words).
-    fn release_locks(&mut self, held: &[(usize, u64)]) {
-        for &(obj, old_word) in held {
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock, old_word);
-        }
-    }
-}
-
-impl Tx for Tl2Tx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
+impl Protocol for Tl2Tx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         // Read-own-write from the redo log (no base-object access).
-        if let Some(&mut (_, v)) = self.write_slot(obj) {
-            self.meter.end_op();
-            self.stm.recorder.ret_read(self.id, obj, v);
+        if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
             return Ok(v);
         }
         let o = &self.stm.objs[obj];
-        let pre = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
-        let v = self.meter.load_i64(CellId::Value(obj as u32), &o.value);
-        let post = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
+        let pre = m.load_u64(CellId::Lock(obj as u32), &o.lock);
+        let v = m.load_i64(CellId::Value(obj as u32), &o.value);
+        let post = m.load_u64(CellId::Lock(obj as u32), &o.lock);
         // TL2 read validation: stable, unlocked, and not newer than rv.
         if pre != post || is_locked(pre) || version_of(pre) > self.rv {
-            return Err(self.abort_op());
+            return Err(Aborted);
         }
         self.reads.push(obj);
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        match self.write_slot(obj) {
+    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        match self.writes.iter_mut().find(|(o, _)| *o == obj) {
             Some(slot) => slot.1 = v,
             None => {
                 self.writes.push((obj, v));
                 self.writes.sort_unstable_by_key(|(o, _)| *o);
             }
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         if self.writes.is_empty() {
             // Read-only fast path: all reads validated against rv already.
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.commit(self.id);
             return Ok(());
         }
+        let objs = &self.stm.objs;
         // Phase 1: lock the write set in index order.
         let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
-        let writes = std::mem::take(&mut self.writes);
-        for &(obj, _) in &writes {
-            let o = &self.stm.objs[obj];
-            let word = self.meter.load_u64(CellId::Lock(obj as u32), &o.lock);
+        for &(obj, _) in &self.writes {
+            let lock = &objs[obj].lock;
+            let word = m.load_u64(CellId::Lock(obj as u32), lock);
             if is_locked(word)
                 || version_of(word) > self.rv
-                || !self
-                    .meter
-                    .cas_u64(CellId::Lock(obj as u32), &o.lock, word, locked(word))
+                || !m.cas_u64(CellId::Lock(obj as u32), lock, word, locked(word))
             {
-                self.release_locks(&held);
-                self.meter.end_op();
-                self.finished = true;
-                self.stm.recorder.abort(self.id);
+                release_locks(objs, &held, m);
                 return Err(Aborted);
             }
             held.push((obj, word));
         }
         // Phase 2: increment the global clock.
-        let wv = self.stm.clock.tick(&mut self.meter);
+        let wv = self.stm.clock.tick(m);
         // Phase 3: validate the read set, unless `wv == rv + 1`: the GV1
         // counter advances only by `fetch_add`, so our own tick was the
         // only advance since begin and no transaction committed in between.
@@ -237,53 +196,20 @@ impl Tx for Tl2Tx<'_> {
                 if held.iter().any(|&(held_obj, _)| held_obj == obj) {
                     continue; // we hold it; version checked at lock time
                 }
-                let word = self
-                    .meter
-                    .load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
+                let word = m.load_u64(CellId::Lock(obj as u32), &objs[obj].lock);
                 if is_locked(word) || version_of(word) > self.rv {
-                    self.release_locks(&held);
-                    self.meter.end_op();
-                    self.finished = true;
-                    self.stm.recorder.abort(self.id);
+                    release_locks(objs, &held, m);
                     return Err(Aborted);
                 }
             }
         }
         // Phase 4: publish values and release locks at version wv.
-        for &(obj, v) in &writes {
-            let o = &self.stm.objs[obj];
-            self.meter.store_i64(CellId::Value(obj as u32), &o.value, v);
-            self.meter
-                .store_u64(CellId::Lock(obj as u32), &o.lock, unlocked_at(wv));
+        for &(obj, v) in &self.writes {
+            let o = &objs[obj];
+            m.store_i64(CellId::Value(obj as u32), &o.value, v);
+            m.store_u64(CellId::Lock(obj as u32), &o.lock, unlocked_at(wv));
         }
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
         Ok(())
-    }
-
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for Tl2Tx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
     }
 }
 
@@ -291,6 +217,7 @@ impl Drop for Tl2Tx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn read_write_commit_roundtrip() {

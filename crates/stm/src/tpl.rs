@@ -44,12 +44,12 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{status, Meter, OpKind, StepReport, TxDesc};
+use crate::base::{status, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
 /// Per-object lock word: current value, pre-image while write-locked, and
 /// the lock holders. Guarded by one mutex = one base shared object.
@@ -120,17 +120,14 @@ impl TplStm {
     }
 }
 
-/// A live 2PL transaction.
-pub struct TplTx<'a> {
+/// A live 2PL transaction's protocol state.
+struct TplTx<'a> {
     stm: &'a TplStm,
-    id: TxId,
     desc: Arc<TxDesc>,
     /// Objects whose reader lists contain this transaction.
     read_locked: Vec<usize>,
     /// Objects this transaction write-locked (pre-images live in the cells).
     write_locked: Vec<usize>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for TplStm {
@@ -142,17 +139,14 @@ impl Stm for TplStm {
         self.objs.len()
     }
 
-    fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        Box::new(TplTx {
+    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |id| TplTx {
             stm: self,
-            id,
             desc: Arc::new(TxDesc::new(id.0)),
             read_locked: Vec::new(),
             write_locked: Vec::new(),
-            meter: Meter::with_probe(_thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -172,19 +166,13 @@ impl Stm for TplStm {
 }
 
 impl TplTx<'_> {
-    /// Is this transaction older (= higher priority) than `other`?
-    fn older_than(&self, other: &TxDesc) -> bool {
-        self.desc.id < other.id
-    }
-
-    /// Resolves a conflict with `holder`: wound it if we are older (the
-    /// caller repairs the cell), die otherwise. Returns `Err(Aborted)` on
-    /// die — the caller must roll back and finish.
-    fn wound_or_die(&mut self, holder: &TxDesc) -> Result<(), Aborted> {
-        if self.older_than(holder) {
+    /// Resolves a conflict with `holder`: wound it if we are older (= higher
+    /// priority; the caller repairs the cell), die otherwise.
+    fn wound_or_die(&self, holder: &TxDesc, m: &mut Meter) -> TxResult<()> {
+        if self.desc.id < holder.id {
             // Wound: either we flip it to ABORTED or it already completed;
             // both outcomes let `clean` dispose of the entry.
-            let _ = self.meter.cas_u8(
+            let _ = m.cas_u8(
                 holder.status_cell(),
                 &holder.status,
                 status::ACTIVE,
@@ -196,12 +184,54 @@ impl TplTx<'_> {
         }
     }
 
+    /// Acquires `obj`'s lock word for reading or writing: disposes of
+    /// completed holders and wounds a live foreign writer (and, for
+    /// writes, every live foreign reader), or dies. Runs `then` on the
+    /// cleaned cell inside the same critical section.
+    fn acquire<T>(
+        &mut self,
+        m: &mut Meter,
+        obj: usize,
+        exclusive: bool,
+        then: impl FnOnce(&mut Self, &mut TplCell) -> T,
+    ) -> TxResult<T> {
+        // Lock-word acquisition: reads register in the lock word too, so
+        // this is an RMW on the object's record.
+        m.touch(CellId::Record(obj as u32), AccessKind::Rmw);
+        let mut cell = lock(&self.stm.objs[obj]);
+        m.begin_atomic();
+        let res = self.resolve(m, &mut cell, exclusive);
+        let res = res.map(|()| then(self, &mut cell));
+        m.end_atomic();
+        res
+    }
+
+    /// The conflict resolution of [`TplTx::acquire`], under the cell's lock.
+    fn resolve(&self, m: &mut Meter, cell: &mut TplCell, exclusive: bool) -> TxResult<()> {
+        cell.clean(m);
+        if let Some(w) = cell.writer.clone() {
+            if w.id != self.desc.id {
+                self.wound_or_die(&w, m)?;
+                cell.clean(m); // dispose of the wounded writer
+            }
+        }
+        if exclusive {
+            // Exclusive access also requires displacing other readers.
+            for r in cell.readers.clone() {
+                if r.id != self.desc.id {
+                    self.wound_or_die(&r, m)?;
+                }
+            }
+            cell.clean(m); // drop wounded readers
+        }
+        Ok(())
+    }
+
     /// Rolls back in-place writes and releases every lock. Safe to call
     /// after a remote wound: only entries still owned are touched.
-    fn release_all(&mut self, committed: bool) {
+    fn release_all(&mut self, m: &mut Meter, committed: bool) {
         for &obj in &self.write_locked {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Rmw);
+            m.touch(CellId::Record(obj as u32), AccessKind::Rmw);
             let mut cell = lock(&self.stm.objs[obj]);
             let mine = cell.writer.as_ref().is_some_and(|w| w.id == self.desc.id);
             if mine {
@@ -212,8 +242,7 @@ impl TplTx<'_> {
             }
         }
         for &obj in &self.read_locked {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Rmw);
+            m.touch(CellId::Record(obj as u32), AccessKind::Rmw);
             let mut cell = lock(&self.stm.objs[obj]);
             cell.readers.retain(|r| r.id != self.desc.id);
         }
@@ -221,170 +250,66 @@ impl TplTx<'_> {
         self.read_locked.clear();
     }
 
-    /// Forced-abort epilogue from inside an operation: roll back, release,
-    /// record `A`, close the meter.
-    fn abort_op(&mut self) -> Aborted {
-        self.desc.force_status(status::ABORTED);
-        self.release_all(false);
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-        Aborted
-    }
-
-    /// True if this transaction was wounded by a peer.
-    fn wounded(&mut self) -> bool {
-        self.meter
-            .load_u8(self.desc.status_cell(), &self.desc.status)
-            == status::ABORTED
+    /// Fails if a peer wounded this transaction (one metered status load).
+    fn not_wounded(&self, m: &mut Meter) -> TxResult<()> {
+        if m.load_u8(self.desc.status_cell(), &self.desc.status) == status::ABORTED {
+            Err(Aborted)
+        } else {
+            Ok(())
+        }
     }
 }
 
-impl Tx for TplTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
-        if self.wounded() {
-            return Err(self.abort_op());
-        }
-        // Lock-word acquisition: reads register in the lock word, so this is
-        // an RMW on the object's record.
-        self.meter
-            .touch(CellId::Record(obj as u32), AccessKind::Rmw);
-        let mut cell = lock(&self.stm.objs[obj]);
-        self.meter.begin_atomic();
-        cell.clean(&mut self.meter);
-        if let Some(w) = cell.writer.clone() {
-            if w.id != self.desc.id {
-                if self.wound_or_die(&w).is_err() {
-                    self.meter.end_atomic();
-                    drop(cell);
-                    return Err(self.abort_op());
-                }
-                cell.clean(&mut self.meter); // dispose of the wounded writer
+impl Protocol for TplTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
+        self.not_wounded(m)?;
+        let v = self.acquire(m, obj, false, |tx, cell| {
+            let me = tx.desc.id;
+            let registered = cell.writer.as_ref().is_some_and(|w| w.id == me)
+                || cell.readers.iter().any(|r| r.id == me);
+            if !registered {
+                cell.readers.push(Arc::clone(&tx.desc));
+                tx.read_locked.push(obj);
             }
-        }
-        let v = cell.value;
-        let registered = cell.writer.as_ref().is_some_and(|w| w.id == self.desc.id)
-            || cell.readers.iter().any(|r| r.id == self.desc.id);
-        if !registered {
-            cell.readers.push(Arc::clone(&self.desc));
-            self.read_locked.push(obj);
-        }
-        self.meter.end_atomic();
-        drop(cell);
+            cell.value
+        })?;
         // A whole writer may have run between the wound check above and the
         // lock-word acquisition, wounding this transaction through an
         // object it read earlier: `v` may then be newer than that read.
-        if self.wounded() {
-            return Err(self.abort_op());
-        }
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
+        self.not_wounded(m)?;
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        if self.wounded() {
-            return Err(self.abort_op());
-        }
-        self.meter
-            .touch(CellId::Record(obj as u32), AccessKind::Rmw); // lock-word acquisition
-        let mut cell = lock(&self.stm.objs[obj]);
-        self.meter.begin_atomic();
-        cell.clean(&mut self.meter);
-        if let Some(w) = cell.writer.clone() {
-            if w.id != self.desc.id {
-                if self.wound_or_die(&w).is_err() {
-                    self.meter.end_atomic();
-                    drop(cell);
-                    return Err(self.abort_op());
-                }
-                cell.clean(&mut self.meter);
+    fn write(&mut self, m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        self.not_wounded(m)?;
+        self.acquire(m, obj, true, |tx, cell| {
+            if cell.writer.is_none() {
+                cell.saved = cell.value;
+                cell.writer = Some(Arc::clone(&tx.desc));
+                tx.write_locked.push(obj);
             }
-        }
-        // Exclusive access also requires displacing other readers.
-        let mut die = false;
-        for r in cell.readers.clone() {
-            if r.id == self.desc.id {
-                continue;
-            }
-            if self.wound_or_die(&r).is_err() {
-                die = true;
-                break;
-            }
-        }
-        if die {
-            self.meter.end_atomic();
-            drop(cell);
-            return Err(self.abort_op());
-        }
-        cell.clean(&mut self.meter); // drop wounded readers
-        if cell.writer.is_none() {
-            cell.saved = cell.value;
-            cell.writer = Some(Arc::clone(&self.desc));
-            self.write_locked.push(obj);
-        }
-        cell.value = v;
-        self.meter.end_atomic();
-        drop(cell);
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
-        Ok(())
+            cell.value = v;
+        })
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         // The commit point: one CAS on the own status word. Failure means a
         // peer wounded us first.
-        if !self.meter.cas_u8(
+        if !m.cas_u8(
             self.desc.status_cell(),
             &self.desc.status,
             status::ACTIVE,
             status::COMMITTED,
         ) {
-            self.release_all(false);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
             return Err(Aborted);
         }
-        self.release_all(true);
-        self.meter.end_op();
-        self.finished = true;
-        self.stm.recorder.commit(self.id);
+        self.release_all(m, true);
         Ok(())
     }
 
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
+    fn aborted(&mut self, m: &mut Meter) {
         self.desc.force_status(status::ABORTED);
-        self.release_all(false);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for TplTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.desc.force_status(status::ABORTED);
-            self.release_all(false);
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-        }
+        self.release_all(m, false);
     }
 }
 
@@ -392,6 +317,7 @@ impl Drop for TplTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn read_write_commit_roundtrip() {

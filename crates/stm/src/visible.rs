@@ -18,12 +18,12 @@
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
-use crate::base::{status, try_abort_tx, Meter, OpKind, StepReport, TxDesc};
+use crate::base::{status, try_abort_tx, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
 use crate::recorder::Recorder;
 use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_model::TxId;
+use crate::txn::{Protocol, Txn};
 
 #[derive(Debug, Default)]
 struct VisObj {
@@ -87,13 +87,10 @@ impl VisibleStm {
     }
 }
 
-/// A live visible-reads transaction.
-pub struct VisibleTx<'a> {
+/// A live visible-reads transaction's protocol state.
+struct VisibleTx<'a> {
     stm: &'a VisibleStm,
-    id: TxId,
     desc: Arc<TxDesc>,
-    meter: Meter,
-    finished: bool,
 }
 
 impl Stm for VisibleStm {
@@ -105,15 +102,12 @@ impl Stm for VisibleStm {
         self.objs.len()
     }
 
-    fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        let id = self.recorder.fresh_tx();
-        Box::new(VisibleTx {
+    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Box::new(Txn::begin(&self.recorder, meter, |id| VisibleTx {
             stm: self,
-            id,
             desc: Arc::new(TxDesc::new(id.0)),
-            meter: Meter::with_probe(_thread, self.probe.clone()),
-            finished: false,
-        })
+        }))
     }
 
     fn recorder(&self) -> &Recorder {
@@ -132,135 +126,83 @@ impl Stm for VisibleStm {
 }
 
 impl VisibleTx<'_> {
-    fn still_active(&mut self) -> bool {
-        self.meter
-            .load_u8(self.desc.status_cell(), &self.desc.status)
-            == status::ACTIVE
-    }
-
-    fn abort_op(&mut self) -> Aborted {
-        self.meter.end_op();
-        self.finished = true;
-        self.desc.force_status(status::ABORTED);
-        self.stm.recorder.abort(self.id);
-        Aborted
+    /// One metered status load: has no peer aborted this transaction?
+    fn still_active(&self, m: &mut Meter) -> TxResult<()> {
+        if m.load_u8(self.desc.status_cell(), &self.desc.status) == status::ACTIVE {
+            Ok(())
+        } else {
+            Err(Aborted)
+        }
     }
 }
 
-impl Tx for VisibleTx<'_> {
-    fn read(&mut self, obj: usize) -> TxResult<i64> {
-        self.stm.recorder.inv_read(self.id, obj);
-        self.meter.begin_op(OpKind::Read);
-        if !self.still_active() {
-            return Err(self.abort_op());
-        }
+impl Protocol for VisibleTx<'_> {
+    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
+        self.still_active(m)?;
         let v = {
             // A visible read *writes* the reader list: model it as one RMW
             // on the object's record.
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Rmw);
+            m.touch(CellId::Record(obj as u32), AccessKind::Rmw);
             let mut o = lock(&self.stm.objs[obj]);
-            self.meter.begin_atomic();
-            o.settle(&mut self.meter);
+            m.begin_atomic();
+            o.settle(m);
             // A live foreign writer holds the object: abort it.
-            o.displace_writer(&self.desc, &mut self.meter);
+            o.displace_writer(&self.desc, m);
             // Register as a visible reader (this is a base-object write).
             if !o.readers.iter().any(|d| Arc::ptr_eq(d, &self.desc)) {
-                self.meter.step();
+                m.step();
                 o.readers.push(self.desc.clone());
             }
             let v = match &o.writer {
                 Some((d, v)) if Arc::ptr_eq(d, &self.desc) => *v, // own write
                 _ => o.committed,
             };
-            self.meter.end_atomic();
+            m.end_atomic();
             v
         };
         // A whole writer may have run between the status check above and
         // the record section, aborting this transaction through an object
         // it read earlier: `v` may then be newer than that earlier read.
-        if !self.still_active() {
-            return Err(self.abort_op());
-        }
-        self.meter.end_op();
-        self.stm.recorder.ret_read(self.id, obj, v);
+        self.still_active(m)?;
         Ok(v)
     }
 
-    fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
-        self.stm.recorder.inv_write(self.id, obj, v);
-        self.meter.begin_op(OpKind::Write);
-        if !self.still_active() {
-            return Err(self.abort_op());
-        }
-        {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Rmw); // object access
-            let mut o = lock(&self.stm.objs[obj]);
-            self.meter.begin_atomic();
-            o.settle(&mut self.meter);
-            o.displace_writer(&self.desc, &mut self.meter);
-            // Abort every live foreign reader — eager invalidation.
-            for d in o.readers.iter().filter(|d| !Arc::ptr_eq(d, &self.desc)) {
-                if self.meter.load_u8(d.status_cell(), &d.status) == status::ACTIVE {
-                    try_abort_tx(d, &mut self.meter);
-                }
+    fn write(&mut self, m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
+        self.still_active(m)?;
+        m.touch(CellId::Record(obj as u32), AccessKind::Rmw); // object access
+        let mut o = lock(&self.stm.objs[obj]);
+        m.begin_atomic();
+        o.settle(m);
+        o.displace_writer(&self.desc, m);
+        // Abort every live foreign reader — eager invalidation.
+        for d in o.readers.iter().filter(|d| !Arc::ptr_eq(d, &self.desc)) {
+            if m.load_u8(d.status_cell(), &d.status) == status::ACTIVE {
+                try_abort_tx(d, m);
             }
-            o.settle(&mut self.meter);
-            self.meter.step(); // install the pending write
-            o.writer = Some((self.desc.clone(), v));
-            self.meter.end_atomic();
         }
-        self.meter.end_op();
-        self.stm.recorder.ret_write(self.id, obj);
+        o.settle(m);
+        m.step(); // install the pending write
+        o.writer = Some((self.desc.clone(), v));
+        m.end_atomic();
         Ok(())
     }
 
-    fn commit(mut self: Box<Self>) -> TxResult<()> {
-        self.stm.recorder.try_commit(self.id);
-        self.meter.begin_op(OpKind::Commit);
+    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
         // No validation: conflicts were resolved eagerly. One status CAS.
-        let committed = self.meter.cas_u8(
+        if m.cas_u8(
             self.desc.status_cell(),
             &self.desc.status,
             status::ACTIVE,
             status::COMMITTED,
-        );
-        self.meter.end_op();
-        self.finished = true;
-        if committed {
-            self.stm.recorder.commit(self.id);
+        ) {
             Ok(())
         } else {
-            self.stm.recorder.abort(self.id);
             Err(Aborted)
         }
     }
 
-    fn abort(mut self: Box<Self>) {
-        self.stm.recorder.try_abort(self.id);
+    fn aborted(&mut self, _m: &mut Meter) {
         self.desc.force_status(status::ABORTED);
-        self.finished = true;
-        self.stm.recorder.abort(self.id);
-    }
-
-    fn steps(&self) -> StepReport {
-        self.meter.report()
-    }
-
-    fn id(&self) -> u32 {
-        self.id.0
-    }
-}
-
-impl Drop for VisibleTx<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.stm.recorder.try_abort(self.id);
-            self.desc.force_status(status::ABORTED);
-            self.stm.recorder.abort(self.id);
-            self.finished = true;
-        }
     }
 }
 
@@ -268,6 +210,7 @@ impl Drop for VisibleTx<'_> {
 mod tests {
     use super::*;
     use crate::api::run_tx;
+    use crate::base::OpKind;
 
     #[test]
     fn roundtrip() {

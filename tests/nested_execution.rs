@@ -1,7 +1,7 @@
 //! Experiment E22: closed nesting, executable (Section 7).
 //!
 //! E15 validates the Section 7 *translation* on hand-built histories; this
-//! suite runs actual nested transactions on the lazy-acquire TM (`AstmTx`'s
+//! suite runs actual nested transactions on the lazy-acquire TM (`begin_astm`'s
 //! scope API), records parent and child under separate transaction ids,
 //! flattens with `tm_model::flatten`, and judges the result with the
 //! ordinary opacity machinery — the full path from executable nesting to
