@@ -167,11 +167,96 @@ impl<P: Protocol> Drop for Txn<'_, P> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
+    use super::*;
+    use crate::api::Aborted;
     use crate::{MutantStm, Mutation, Stm, StmConfig, TmRegistry};
-    use tm_model::{is_well_formed, Event, TxId};
+    use tm_model::{is_well_formed, Event};
+
+    /// A protocol that takes one step per call and notes how many events
+    /// the recorder held at that moment. Its reads always fail.
+    struct Noting<'a> {
+        recorder: &'a Recorder,
+        notes: Rc<RefCell<Vec<(&'static str, usize)>>>,
+    }
+
+    impl Noting<'_> {
+        fn note(&self, m: &mut Meter, what: &'static str) {
+            m.step();
+            self.notes.borrow_mut().push((what, self.recorder.len()));
+        }
+    }
+
+    impl Protocol for Noting<'_> {
+        fn read(&mut self, m: &mut Meter, _obj: usize) -> TxResult<i64> {
+            self.note(m, "read");
+            Err(Aborted)
+        }
+
+        fn write(&mut self, m: &mut Meter, _obj: usize, _v: i64) -> TxResult<()> {
+            self.note(m, "write");
+            Ok(())
+        }
+
+        fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
+            self.note(m, "commit");
+            Ok(())
+        }
+
+        fn aborted(&mut self, m: &mut Meter) {
+            self.note(m, "aborted");
+        }
+    }
+
+    #[test]
+    fn events_fall_where_the_ordering_rule_puts_them() {
+        let recorder = Recorder::new(1);
+        let notes = Rc::new(RefCell::new(Vec::new()));
+        let begin = || {
+            Box::new(Txn::begin(&recorder, Meter::new(), |_| Noting {
+                recorder: &recorder,
+                notes: Rc::clone(&notes),
+            }))
+        };
+        // `inv` before the operation's steps, `ret` after them; `tryC`
+        // before commit processing, `C` after it.
+        let mut tx = begin();
+        tx.write(0, 1).unwrap();
+        tx.commit().unwrap();
+        // A forced abort: the cleanup runs inside the failed operation
+        // (its step counts there), after `inv` and before `A`.
+        let mut tx = begin();
+        assert_eq!(tx.read(0), Err(Aborted));
+        assert_eq!(
+            tx.steps().per_op,
+            vec![(OpKind::Read, 2)],
+            "the cleanup is metered inside the read"
+        );
+        drop(tx);
+        // A drop (and `abort`, which drops): `tryA`, cleanup, `A`.
+        let mut tx = begin();
+        tx.write(0, 2).unwrap();
+        drop(tx);
+        let h = recorder.history();
+        assert_eq!(h.len(), 10, "{h}");
+        assert!(is_well_formed(&h), "{h}");
+        // Each protocol call, with the number of events recorded before it.
+        assert_eq!(
+            *notes.borrow(),
+            [
+                ("write", 1),   // after inv
+                ("commit", 3),  // after inv, ret, tryC
+                ("read", 5),    // after C, inv
+                ("aborted", 5), // still before A
+                ("write", 7),   // after A, inv
+                ("aborted", 9), // after ret, tryA; before A
+            ]
+        );
+    }
 
     /// Every suite TM and every mutant, each over one register.
     fn every_tm() -> Vec<Arc<dyn Stm>> {
