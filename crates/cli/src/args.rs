@@ -55,13 +55,16 @@ USAGE:
                                     instrumented base-object interleavings
                                     with dynamic partial-order reduction,
                                     check version-clock discipline
-                                    (vector-clock happens-before) and
-                                    committed-subset serializability on every
-                                    schedule (exit 1 on a conviction);
-                                    without --tm, sweeps every non-blocking
-                                    TM and re-convicts the two seeded
-                                    concurrency mutants as a self-test,
-                                    printing minimized replayable schedules;
+                                    (vector-clock happens-before) and the
+                                    opacity of the recorded history on every
+                                    schedule (exit 1 on a conviction, except
+                                    a non-opaque history of a TM that is not
+                                    opaque by design, printed as CONVICTED
+                                    (by design)); without --tm, sweeps every
+                                    non-blocking TM and re-convicts the two
+                                    seeded concurrency mutants as a
+                                    self-test, printing minimized replayable
+                                    schedules;
                                     --steps bounds explored interleavings per
                                     probe, --preemptions bounds context
                                     switches away from a runnable thread

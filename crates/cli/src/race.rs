@@ -4,8 +4,8 @@ use std::io::Write;
 use std::sync::Arc;
 
 use tm_harness::{
-    check_race_trace, committed_serializable, explore, replay_schedule, shrink_schedule,
-    DporConfig, Program, SharedStm, StmFactory, TxScript,
+    convictions, explore, replay_schedule, shrink_schedule, Conviction, ConvictionKind, DporConfig,
+    Program, SharedStm, StmFactory, TxScript,
 };
 use tm_obs::ObsHandle;
 use tm_stm::trace_cells::StepProbe;
@@ -38,22 +38,30 @@ fn race_probes() -> [(&'static str, Program); 2] {
     ]
 }
 
-/// A DPOR factory: `build` over `base`, with the explorer's step probe
-/// attached when it passes one.
+/// A DPOR factory: `build` over `base` with the explorer's step probe
+/// attached.
 fn dpor_factory(
     base: StmConfig,
     build: impl Fn(&StmConfig) -> SharedStm + Sync,
-) -> impl Fn(Option<Arc<dyn StepProbe>>) -> SharedStm + Sync {
-    move |probe| match probe {
-        Some(probe) => build(&base.clone().probe(probe)),
-        None => build(&base),
-    }
+) -> impl Fn(Arc<dyn StepProbe>) -> SharedStm + Sync {
+    move |probe| build(&base.clone().probe(probe))
+}
+
+/// What a row's exploration is expected to find.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// Nothing: the TM is opaque by design.
+    Acquittal,
+    /// Perhaps non-opaque histories, which are reported but expected, and
+    /// no race: the TM is not opaque by design.
+    NotOpaque,
+    /// A conviction: the seeded mutants' self-test.
+    Conviction,
 }
 
 /// Explores one probe program and prints its row; a conviction also
-/// prints its minimized replayable schedule. `expected` says whether a
-/// conviction is the expected outcome (the mutant self-test). Returns
-/// whether the outcome was the expected one.
+/// prints its minimized replayable schedule. Returns whether the outcome
+/// was the expected one.
 fn judge(
     out: &mut dyn Write,
     label: &str,
@@ -61,15 +69,24 @@ fn judge(
     factory: StmFactory<'_>,
     program: &Program,
     cfg: &DporConfig,
-    expected: bool,
+    expect: Expect,
 ) -> Result<bool, Error> {
     let res = explore(factory, program, cfg);
-    let conviction = res.violations.first();
-    let verdict = match (conviction, expected) {
-        (None, false) => "clean".to_string(),
-        (None, true) => "ESCAPED — the analysis lost its teeth".to_string(),
-        (Some(c), false) => format!("CONVICTED: {}", c.kind),
-        (Some(c), true) => format!("CONVICTED (expected): {}", c.kind),
+    let by_design = |c: &Conviction| {
+        expect == Expect::NotOpaque && matches!(c.kind, ConvictionKind::NonOpaqueHistory)
+    };
+    // A race outranks a non-opaque history the TM owns up to.
+    let conviction = res
+        .violations
+        .iter()
+        .find(|c| !by_design(c))
+        .or(res.violations.first());
+    let verdict = match (conviction, expect) {
+        (None, Expect::Conviction) => "ESCAPED — the analysis lost its teeth".to_string(),
+        (None, _) => "clean".to_string(),
+        (Some(c), Expect::Conviction) => format!("CONVICTED (expected): {}", c.kind),
+        (Some(c), _) if by_design(c) => format!("CONVICTED (by design): {}", c.kind),
+        (Some(c), _) => format!("CONVICTED: {}", c.kind),
     };
     let explored = if res.truncated {
         "truncated"
@@ -87,8 +104,7 @@ fn judge(
         // stepper reproduces the violation deterministically.
         let violates = |sched: &[usize]| {
             let r = replay_schedule(factory, program, sched);
-            !check_race_trace(&r.trace, program.threads.len()).is_empty()
-                || !committed_serializable(factory, program, &r.outcomes, &r.final_state)
+            !convictions(program, &r, cfg.check_races).is_empty()
         };
         let minimized = if violates(&conviction.schedule) {
             shrink_schedule(&conviction.schedule, violates)
@@ -99,7 +115,10 @@ fn judge(
         let rendered = rendered.join(" ");
         writeln!(out, "  minimized schedule (thread per step): {rendered}")?;
     }
-    Ok(conviction.is_some() == expected)
+    Ok(match conviction {
+        None => expect != Expect::Conviction,
+        Some(c) => expect == Expect::Conviction || by_design(c),
+    })
 }
 
 /// `race`: every probe over one TM, or over every non-blocking TM of
@@ -133,10 +152,14 @@ pub(crate) fn race(
             )
             .into());
         }
-        let base = StmConfig::new(2).recording(false).obs(obs);
-        let factory = dpor_factory(base, |cfg| Arc::from(spec.build(cfg)));
+        let factory = dpor_factory(StmConfig::new(2).obs(obs), |cfg| Arc::from(spec.build(cfg)));
+        let expect = if spec.properties.opaque_by_design {
+            Expect::Acquittal
+        } else {
+            Expect::NotOpaque
+        };
         for (probe, program) in race_probes() {
-            all_clean &= judge(out, spec.name, probe, &factory, &program, cfg, false)?;
+            all_clean &= judge(out, spec.name, probe, &factory, &program, cfg, expect)?;
         }
     }
     // Suite mode doubles as a self-test of the analysis: the two seeded
@@ -168,9 +191,7 @@ pub(crate) fn race(
             ),
         ];
         for (label, mutation, program, bound) in teeth {
-            let base = StmConfig::new(program.required_k())
-                .recording(false)
-                .obs(obs);
+            let base = StmConfig::new(program.required_k()).obs(obs);
             let factory = dpor_factory(base, |cfg| Arc::new(MutantStm::with_config(cfg, mutation)));
             let mcfg = DporConfig {
                 max_interleavings: cfg.max_interleavings.max(200_000),
@@ -178,8 +199,15 @@ pub(crate) fn race(
                 stop_on_violation: true,
                 ..DporConfig::default()
             };
-            mutants_convicted &=
-                judge(out, label, "seeded-hazard", &factory, &program, &mcfg, true)?;
+            mutants_convicted &= judge(
+                out,
+                label,
+                "seeded-hazard",
+                &factory,
+                &program,
+                &mcfg,
+                Expect::Conviction,
+            )?;
         }
     }
     Ok(if all_clean && mutants_convicted { 0 } else { 1 })

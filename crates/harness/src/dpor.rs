@@ -58,39 +58,44 @@
 //!
 //! # Judging a run
 //!
-//! Each complete run is judged by the vector-clock race checker
-//! ([`crate::race`]) and by [`committed_serializable`], which replays the
-//! committed transactions in every serial order on a probe-free TM through
-//! the op-level executor ([`crate::sched::execute`]) and looks for one
-//! that reproduces their reads and the final registers. Recorded histories
-//! are not yet handed to the opacity checker.
+//! Each complete run is judged by [`convictions`]: the vector-clock race
+//! checker ([`crate::race`]) reads its step trace, and the opacity checker
+//! ([`tm_opacity::opacity::is_opaque`]) reads its recorded history. That
+//! history ends with the explorer's read-back transaction, so the final
+//! registers are judged too. A non-opaque history convicts the run whether
+//! the torn view reached a committed transaction or only an aborted one
+//! (the paper's §2 hazard).
+//!
+//! One known limit: sleep sets keep the outcome set but not every recorded
+//! history, because recorder appends are not modeled steps. Two runs that
+//! differ only in where another thread's events fall between commuting
+//! steps count as one trace, so the reduced explorer may judge only one of
+//! them. On `nonopaque`'s reader-vs-writer probe it finds 2 of the 3
+//! non-opaque histories that naive enumeration finds.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::race::{self, RaceViolation};
-use crate::sched::execute;
 use crate::script::{Program, ScriptOp};
+use tm_model::{History, SpecRegistry};
+use tm_opacity::opacity::is_opaque;
 use tm_stm::trace_cells::{AccessKind, CellId, StepProbe, TraceEvent};
 use tm_stm::{Stm, StmConfig};
 
 /// A shared, probe-wired TM instance for the stepper to drive.
 pub type SharedStm = Arc<dyn Stm>;
 
-/// Builds a fresh TM. The explorer passes its own gate as the probe for
-/// stepped runs and `None` for the serial reference runs.
-pub type StmFactory<'a> = &'a (dyn Fn(Option<Arc<dyn StepProbe>>) -> SharedStm + Sync);
+/// Builds a fresh TM wired to the explorer's gate, the probe it is passed.
+/// The TM should record its history: [`convictions`] judges it.
+pub type StmFactory<'a> = &'a (dyn Fn(Arc<dyn StepProbe>) -> SharedStm + Sync);
 
-/// Wires `probe` into a fresh [`StmConfig`] for `k` registers — the shape
-/// every factory closure wants.
-pub fn probed_config(k: usize, probe: Option<Arc<dyn StepProbe>>) -> StmConfig {
-    let cfg = StmConfig::new(k);
-    match probe {
-        Some(p) => cfg.probe(p),
-        None => cfg,
-    }
+/// Wires `probe` into a fresh, recording [`StmConfig`] for `k` registers —
+/// the shape every factory closure wants.
+pub fn probed_config(k: usize, probe: Arc<dyn StepProbe>) -> StmConfig {
+    StmConfig::new(k).probe(probe)
 }
 
 // ---------------------------------------------------------------------------
@@ -316,7 +321,7 @@ impl LiveRun {
     pub fn spawn(factory: StmFactory<'_>, program: &Program) -> LiveRun {
         let n = program.threads.len();
         let gate = Arc::new(StepGate::new(n));
-        let stm = factory(Some(gate.clone() as Arc<dyn StepProbe>));
+        let stm = factory(gate.clone());
         let mut handles = Vec::with_capacity(n);
         for (t, script) in program.threads.iter().enumerate() {
             let gate = gate.clone();
@@ -441,7 +446,8 @@ impl LiveRun {
 
     /// Tears the run down: poisons the gate so every parked worker
     /// free-runs to completion, joins them, and returns the per-thread
-    /// outcomes, the step trace, and the final register state.
+    /// outcomes, the step trace, the final register state and the
+    /// recorded history.
     pub fn finish(mut self, k: usize) -> RunResult {
         self.gate.poison();
         for h in self.handles.drain(..) {
@@ -469,6 +475,7 @@ impl LiveRun {
             outcomes,
             trace,
             final_state,
+            history: self.stm.recorder().history(),
         }
     }
 }
@@ -493,6 +500,9 @@ pub struct RunResult {
     pub trace: Vec<TraceEvent>,
     /// Register values after all transactions finished.
     pub final_state: Vec<i64>,
+    /// The TM's recorded history, ending with the read-back transaction
+    /// that produced `final_state` (empty when the TM does not record).
+    pub history: History,
 }
 
 /// Reads registers `0..k` through a throwaway transaction.
@@ -520,9 +530,6 @@ pub struct DporConfig {
     pub sleep_sets: bool,
     /// Run the vector-clock race checker on every complete trace.
     pub check_races: bool,
-    /// Check every distinct outcome for committed-transaction
-    /// serializability against serial reference runs.
-    pub check_serializability: bool,
     /// Stop the search as soon as the first violation is found — the
     /// conviction mode, where one replayable witness is the goal.
     pub stop_on_violation: bool,
@@ -535,7 +542,6 @@ impl Default for DporConfig {
             preemption_bound: None,
             sleep_sets: true,
             check_races: true,
-            check_serializability: true,
             stop_on_violation: false,
         }
     }
@@ -546,18 +552,16 @@ impl Default for DporConfig {
 pub enum ConvictionKind {
     /// The access trace violated a vector-clock invariant.
     Race(RaceViolation),
-    /// All-committed reads (or the final state) match no serial order of
-    /// the committed transactions.
-    NonSerializableOutcome,
+    /// The recorded history, read-back transaction included, is not
+    /// opaque.
+    NonOpaqueHistory,
 }
 
 impl std::fmt::Display for ConvictionKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConvictionKind::Race(v) => write!(f, "{v}"),
-            ConvictionKind::NonSerializableOutcome => {
-                write!(f, "committed transactions are not serializable")
-            }
+            ConvictionKind::NonOpaqueHistory => write!(f, "recorded history is not opaque"),
         }
     }
 }
@@ -597,8 +601,6 @@ pub fn explore(factory: StmFactory<'_>, program: &Program, cfg: &DporConfig) -> 
     let k = program.required_k().max(1);
     let n = program.threads.len();
     let mut res = ExploreResult::default();
-    // Memoized verdicts: (outcomes, final state) -> serializable?
-    let mut serial_cache: BTreeMap<(Vec<StepTxOutcome>, Vec<i64>), bool> = BTreeMap::new();
     let mut stack = vec![Branch {
         prefix: Vec::new(),
         sleep: Vec::new(),
@@ -625,7 +627,13 @@ pub fn explore(factory: StmFactory<'_>, program: &Program, cfg: &DporConfig) -> 
                 // Terminal: a complete interleaving.
                 res.interleavings += 1;
                 let result = run.finish(k);
-                judge(factory, program, cfg, &result, &mut serial_cache, &mut res);
+                for kind in convictions(program, &result, cfg.check_races) {
+                    res.violations.push(Conviction {
+                        schedule: result.schedule.clone(),
+                        kind,
+                    });
+                }
+                res.outcomes.insert(result.outcomes);
                 break;
             }
             let held = run.held();
@@ -688,90 +696,22 @@ pub fn explore(factory: StmFactory<'_>, program: &Program, cfg: &DporConfig) -> 
     res
 }
 
-/// Checks one completed run, appending convictions to `res`.
-fn judge(
-    factory: StmFactory<'_>,
-    program: &Program,
-    cfg: &DporConfig,
-    result: &RunResult,
-    serial_cache: &mut BTreeMap<(Vec<StepTxOutcome>, Vec<i64>), bool>,
-    res: &mut ExploreResult,
-) {
-    res.outcomes.insert(result.outcomes.clone());
-    if cfg.check_races {
-        for v in race::check(&result.trace, program.threads.len()) {
-            res.violations.push(Conviction {
-                schedule: result.schedule.clone(),
-                kind: ConvictionKind::Race(v),
-            });
-        }
+/// Judges one completed run: the race checker's violations (when
+/// `check_races`) and, if its recorded history is not opaque,
+/// [`ConvictionKind::NonOpaqueHistory`]. Empty means acquitted.
+pub fn convictions(program: &Program, run: &RunResult, check_races: bool) -> Vec<ConvictionKind> {
+    let mut found: Vec<ConvictionKind> = Vec::new();
+    if check_races {
+        found.extend(
+            race::check(&run.trace, program.threads.len())
+                .into_iter()
+                .map(ConvictionKind::Race),
+        );
     }
-    if cfg.check_serializability {
-        let key = (result.outcomes.clone(), result.final_state.clone());
-        let ok = *serial_cache.entry(key).or_insert_with(|| {
-            committed_serializable(factory, program, &result.outcomes, &result.final_state)
-        });
-        if !ok {
-            res.violations.push(Conviction {
-                schedule: result.schedule.clone(),
-                kind: ConvictionKind::NonSerializableOutcome,
-            });
-        }
+    if !matches!(is_opaque(&run.history, &SpecRegistry::registers()), Ok(r) if r.opaque) {
+        found.push(ConvictionKind::NonOpaqueHistory);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Serial reference
-// ---------------------------------------------------------------------------
-
-/// Does some serial order of the *committed* transactions, run through
-/// [`execute`] on a serial schedule, reproduce their read values and the
-/// observed final state? Aborted transactions are excluded: outcome-level
-/// checking cannot judge their reads (that is the opacity checker's job on
-/// recorded histories); what it can judge is that committed transactions
-/// form a serializable whole — exactly the invariant an unlicensed commit
-/// fast path breaks.
-pub fn committed_serializable(
-    factory: StmFactory<'_>,
-    program: &Program,
-    outcomes: &[StepTxOutcome],
-    final_state: &[i64],
-) -> bool {
-    let committed: Vec<usize> = (0..outcomes.len())
-        .filter(|&i| outcomes[i].committed)
-        .collect();
-    let counts = program.action_counts();
-    let mut orders = Vec::new();
-    permutations(&committed, &mut Vec::new(), &mut orders);
-    orders.into_iter().any(|order| {
-        let stm = factory(None);
-        stm.recorder().set_enabled(false);
-        let serial: Vec<usize> = order
-            .iter()
-            .flat_map(|&t| std::iter::repeat(t).take(counts[t]))
-            .collect();
-        // A serial abort disqualifies the order as a witness.
-        let out = execute(stm.as_ref(), program, &serial);
-        committed
-            .iter()
-            .all(|&t| out.txs[t].committed && out.txs[t].reads == outcomes[t].reads)
-            && read_back(stm.as_ref(), final_state.len()) == final_state
-    })
-}
-
-/// All permutations of `items`, appended to `out`.
-fn permutations(items: &[usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if prefix.len() == items.len() {
-        out.push(prefix.clone());
-        return;
-    }
-    for &x in items {
-        if !prefix.contains(&x) {
-            prefix.push(x);
-            permutations(items, prefix, out);
-            prefix.pop();
-        }
-    }
+    found
 }
 
 // ---------------------------------------------------------------------------
@@ -826,7 +766,7 @@ mod tests {
     use crate::script::TxScript;
     use tm_stm::Tl2Stm;
 
-    fn tl2_factory() -> impl Fn(Option<Arc<dyn StepProbe>>) -> SharedStm + Sync {
+    fn tl2_factory() -> impl Fn(Arc<dyn StepProbe>) -> SharedStm + Sync {
         |probe| Arc::new(Tl2Stm::with_config(&probed_config(2, probe))) as SharedStm
     }
 
@@ -920,7 +860,6 @@ mod tests {
             &DporConfig {
                 sleep_sets: false,
                 check_races: false,
-                check_serializability: false,
                 ..DporConfig::default()
             },
         );
@@ -929,7 +868,6 @@ mod tests {
             &p,
             &DporConfig {
                 check_races: false,
-                check_serializability: false,
                 ..DporConfig::default()
             },
         );
@@ -963,27 +901,23 @@ mod tests {
     }
 
     #[test]
-    fn committed_serializable_accepts_serial_truth() {
+    fn convictions_acquit_serial_truth_and_judge_the_recorded_history() {
         let factory = tl2_factory();
         let p = writer_vs_writer();
         let r = replay_schedule(&factory, &p, &[]);
-        assert!(committed_serializable(
-            &factory,
-            &p,
-            &r.outcomes,
-            &r.final_state
-        ));
-        // A fabricated impossible outcome is rejected.
-        let wrong = vec![
-            StepTxOutcome {
-                committed: true,
-                reads: vec![],
-            },
-            StepTxOutcome {
-                committed: true,
-                reads: vec![],
-            },
-        ];
-        assert!(!committed_serializable(&factory, &p, &wrong, &[9, 9]));
+        // Two writers and the read-back transaction, which saw both writes.
+        assert_eq!(r.history.txs().len(), 3, "{}", r.history);
+        assert!(convictions(&p, &r, true).is_empty());
+        // The same run with a non-opaque history (the paper's H1) is
+        // convicted of exactly that.
+        let torn = RunResult {
+            history: tm_model::builder::paper::h1(),
+            ..r
+        };
+        let found = convictions(&p, &torn, true);
+        assert!(
+            matches!(found[..], [ConvictionKind::NonOpaqueHistory]),
+            "{found:?}"
+        );
     }
 }

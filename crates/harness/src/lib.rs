@@ -45,8 +45,8 @@ pub mod workload;
 pub use complexity::{fraction_scenario, paper_scenario, solo_scan, sweep, ComplexityRow};
 pub use conformance::{conformance, header as conformance_header, ConformanceReport};
 pub use dpor::{
-    committed_serializable, explore, probed_config, replay_schedule, Conviction, ConvictionKind,
-    DporConfig, ExploreResult, LiveRun, RunResult, SharedStm, Step, StepTxOutcome, StmFactory,
+    convictions, explore, probed_config, replay_schedule, Conviction, ConvictionKind, DporConfig,
+    ExploreResult, LiveRun, RunResult, SharedStm, Step, StepTxOutcome, StmFactory,
 };
 pub use objconformance::{
     execute_objects, object_conformance, object_header, ObjExecOutcome, ObjOp, ObjProgram,

@@ -9,9 +9,10 @@
 //!
 //! * both concurrency mutants are **convicted** by the step-level explorer,
 //!   each with a minimized, replayable schedule artifact;
-//! * every real TM is **acquitted** on the same probes within the same
-//!   budget — and `sistm`'s *documented* write skew is found (a true
-//!   positive on a real TM, not a false alarm);
+//! * every TM that is opaque by design is **acquitted** on the probes:
+//!   every explored run's recorded history is opaque and its step trace
+//!   race-free — while `nonopaque`'s torn reads and `sistm`'s *documented*
+//!   write skew are found (true positives on real TMs, not false alarms);
 //! * the sleep-set reduction explores strictly fewer interleavings than
 //!   naive enumeration while observing the **identical outcome set**, for
 //!   every non-blocking TM — checked on fixed programs and on
@@ -22,18 +23,17 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tm_harness::dpor::{
-    explore, probed_config, replay_schedule, ConvictionKind, DporConfig, SharedStm,
+    convictions, explore, probed_config, replay_schedule, ConvictionKind, DporConfig, SharedStm,
 };
 use tm_harness::race::RaceViolation;
 use tm_harness::{shrink_schedule, Program, TxScript};
-use tm_model::{History, SpecRegistry};
-use tm_opacity::opacity::is_opaque;
+use tm_model::History;
 use tm_stm::trace_cells::StepProbe;
 use tm_stm::{
     AstmStm, DstmStm, MutantStm, Mutation, MvStm, NonOpaqueStm, SiStm, Tl2Stm, TplStm, VisibleStm,
 };
 
-type Factory = Box<dyn Fn(Option<Arc<dyn StepProbe>>) -> SharedStm + Sync>;
+type Factory = Box<dyn Fn(Arc<dyn StepProbe>) -> SharedStm + Sync>;
 
 /// Every non-blocking real TM. `glock` is excluded: it is blocking (a
 /// worker would sit inside the global mutex across steps), and a global
@@ -178,7 +178,8 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
     // count-mover. Both crossers adopt the mover's tick (their tick-loads
     // read the old count, their CASes fail), see "the clock advanced
     // exactly once", skip read validation — and miss each other's write
-    // locks. Both commit: a write skew no serial order explains.
+    // locks. Both commit: a write skew no serial order explains, so the
+    // recorded history is not opaque.
     let program = Program::new(vec![
         TxScript::new().read(0).write(1, 5),
         TxScript::new().read(1).write(0, 7),
@@ -199,14 +200,14 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
     let conviction = res
         .violations
         .iter()
-        .find(|c| matches!(c.kind, ConvictionKind::NonSerializableOutcome))
+        .find(|c| matches!(c.kind, ConvictionKind::NonOpaqueHistory))
         .expect("the unlicensed fast path must commit a write skew");
 
     // Replay the witness and inspect it: both crossing transactions
     // committed having read the *old* value of the other's write target.
     let convicts = |sched: &[usize]| {
         let r = replay_schedule(&factory, &program, sched);
-        !tm_harness::dpor::committed_serializable(&factory, &program, &r.outcomes, &r.final_state)
+        !convictions(&program, &r, false).is_empty()
     };
     assert!(convicts(&conviction.schedule), "conviction must replay");
     let witness = replay_schedule(&factory, &program, &conviction.schedule);
@@ -226,13 +227,8 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
     let baseline = mutant_factory(3, Mutation::None);
     let replayed = replay_schedule(&baseline, &program, &minimized);
     assert!(
-        tm_harness::dpor::committed_serializable(
-            &baseline,
-            &program,
-            &replayed.outcomes,
-            &replayed.final_state
-        ),
-        "the licensed protocol stays serializable on the convicting schedule"
+        convictions(&program, &replayed, false).is_empty(),
+        "the licensed protocol stays opaque on the convicting schedule"
     );
 }
 
@@ -242,101 +238,53 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
 
 #[test]
 fn every_real_tm_is_acquitted_on_the_probe_programs() {
-    // The same budget that convicts the mutants finds nothing to flag on
-    // any real TM: no clock-discipline violation, no non-serializable
-    // committed outcome. (`sistm` is acquitted here because neither probe
-    // has the write-skew shape; see the dedicated test below.)
+    // Every explored run is judged: its step trace by the race checker,
+    // its recorded history by the opacity checker. A TM that is opaque by
+    // design must be acquitted on every run; commit-time-only validation
+    // hands an aborted reader a torn snapshot, so `nonopaque` must be
+    // convicted of a non-opaque history, and of nothing else.
     for (name, factory) in real_tms(2) {
+        let mut convicted = Vec::new();
         for (pname, program) in [
             ("reader-vs-writer", reader_vs_writer()),
             ("rmw-vs-rmw", rmw_vs_rmw()),
         ] {
-            let res = explore(
-                &factory,
-                &program,
-                &DporConfig {
-                    max_interleavings: 1_500,
-                    preemption_bound: Some(2),
-                    ..DporConfig::default()
-                },
-            );
+            let res = explore(&factory, &program, &DporConfig::default());
             assert!(res.interleavings > 0, "{name}/{pname}: nothing explored");
+            let kinds: Vec<String> = res.violations.iter().map(|c| c.kind.to_string()).collect();
             assert!(
-                res.violations.is_empty(),
-                "{name}/{pname}: false conviction: {}",
                 res.violations
                     .iter()
-                    .map(|c| c.kind.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
+                    .all(|c| matches!(c.kind, ConvictionKind::NonOpaqueHistory)),
+                "{name}/{pname}: {}",
+                kinds.join("; ")
             );
+            if !res.violations.is_empty() {
+                convicted.push(pname);
+            }
         }
+        let expected: &[&str] = match name {
+            "nonopaque" => &["reader-vs-writer"],
+            _ => &[],
+        };
+        assert_eq!(convicted, expected, "{name}: convicted on");
     }
 }
 
 /// The recorded history of every stepped run of `program` under the
-/// default explorer budget: the explorer keeps no histories, so every
-/// probe-wired TM it builds (one per stepped run) is kept here.
+/// default explorer budget, abandoned branches included: every TM the
+/// explorer builds (one per stepped run) is kept here.
 fn stepped_histories(factory: &Factory, program: &Program, what: &str) -> Vec<History> {
     let kept: Mutex<Vec<SharedStm>> = Mutex::new(Vec::new());
-    let keeping = |p: Option<Arc<dyn StepProbe>>| {
-        let wired = p.is_some();
+    let keeping = |p: Arc<dyn StepProbe>| {
         let stm = factory(p);
-        if wired {
-            kept.lock().unwrap().push(Arc::clone(&stm));
-        }
+        kept.lock().unwrap().push(Arc::clone(&stm));
         stm
     };
     let res = explore(&keeping, program, &DporConfig::default());
     let kept = kept.into_inner().unwrap();
     assert!(kept.len() >= res.interleavings, "{what}");
     kept.iter().map(|stm| stm.recorder().history()).collect()
-}
-
-#[test]
-fn every_stepped_history_of_an_opaque_tm_is_opaque() {
-    // The explorer's own judge sees only races and committed outcomes, so
-    // a TM that hands an aborted reader a torn snapshot passes it. Here
-    // every stepped run's recorded history goes to the opacity checker:
-    // the opaque-by-design TMs must be acquitted on every one, and
-    // commit-time-only validation must be convicted on some.
-    let specs = SpecRegistry::registers();
-    let judged = [
-        "tl2",
-        "mvstm",
-        "dstm",
-        "astm",
-        "visible",
-        "tpl",
-        "nonopaque",
-    ];
-    for (name, factory) in real_tms(2) {
-        if !judged.contains(&name) {
-            continue;
-        }
-        let mut nonopaque = Vec::new();
-        for (pname, program) in [
-            ("reader-vs-writer", reader_vs_writer()),
-            ("rmw-vs-rmw", rmw_vs_rmw()),
-        ] {
-            let torn = stepped_histories(&factory, &program, &format!("{name}/{pname}"))
-                .iter()
-                .filter(|h| !is_opaque(h, &specs).unwrap().opaque)
-                .count();
-            nonopaque.push((pname, torn));
-        }
-        if name == "nonopaque" {
-            assert!(
-                nonopaque.iter().any(|&(_, torn)| torn > 0),
-                "commit-time-only validation must leak a torn read: {nonopaque:?}"
-            );
-        } else {
-            assert!(
-                nonopaque.iter().all(|&(_, torn)| torn == 0),
-                "{name}: non-opaque stepped histories {nonopaque:?}"
-            );
-        }
-    }
 }
 
 /// 64-bit FNV-1a, written out here so the pins below do not depend on a
@@ -403,8 +351,8 @@ fn distinct_stepped_histories_are_pinned() {
 fn snapshot_isolation_write_skew_is_a_true_positive() {
     // `sistm` documents its own anomaly: snapshot reads plus write-set-only
     // validation commit write skew. The explorer finds exactly that — which
-    // is evidence the serializability oracle has teeth on *real* TMs, and
-    // that the acquittals above are not vacuous.
+    // is evidence the history judge has teeth on *real* TMs, and that the
+    // acquittals above are not vacuous.
     let program = Program::new(vec![
         TxScript::new().read(0).write(1, 5),
         TxScript::new().read(1).write(0, 7),
@@ -424,7 +372,7 @@ fn snapshot_isolation_write_skew_is_a_true_positive() {
     assert!(
         res.violations
             .iter()
-            .any(|c| matches!(c.kind, ConvictionKind::NonSerializableOutcome)),
+            .any(|c| matches!(c.kind, ConvictionKind::NonOpaqueHistory)),
         "snapshot isolation's write skew must be found"
     );
 }
@@ -439,7 +387,6 @@ fn naive_vs_reduced(name: &str, factory: &Factory, program: &Program) -> (usize,
     let quiet = DporConfig {
         max_interleavings: 60_000,
         check_races: false,
-        check_serializability: false,
         ..DporConfig::default()
     };
     let naive = explore(
@@ -550,7 +497,7 @@ fn dropped_residue_never_takes_the_fast_path() {
     assert!(
         !res.violations
             .iter()
-            .any(|c| matches!(c.kind, ConvictionKind::NonSerializableOutcome)),
+            .any(|c| matches!(c.kind, ConvictionKind::NonOpaqueHistory)),
         "the residue-dropping mutant must keep validating its reads"
     );
 }
