@@ -279,6 +279,13 @@ impl Meter {
         a.load(Ordering::Acquire)
     }
 
+    /// Metered `AtomicU8::store` to `cell` (a status only its owner moves).
+    #[inline]
+    pub fn store_u8(&mut self, cell: CellId, a: &AtomicU8, v: u8) {
+        self.observe(cell, AccessKind::Write);
+        a.store(v, Ordering::Release);
+    }
+
     /// Metered `AtomicU8::compare_exchange` on `cell` (status transitions).
     #[inline]
     pub fn cas_u8(&mut self, cell: CellId, a: &AtomicU8, old: u8, new: u8) -> bool {
@@ -298,6 +305,10 @@ pub mod status {
     pub const COMMITTED: u8 = 1;
     /// The transaction aborted; its pending writes are discarded.
     pub const ABORTED: u8 = 2;
+    /// The transaction is validating its commit (`dstm`): nobody can abort
+    /// it any more, and its pending writes become current only if it then
+    /// stores `COMMITTED`.
+    pub const COMMITTING: u8 = 3;
 }
 
 /// A shared transaction descriptor for TMs whose conflict resolution flips

@@ -25,6 +25,17 @@
 //! the Θ(k) bound "with most contention managers": the policy affects
 //! progress and throughput, not the validation cost.
 //!
+//! ### Commit
+//!
+//! A commit first CASes its status from ACTIVE to COMMITTING, then
+//! re-validates its read set, then stores COMMITTED (or ABORTED). A
+//! COMMITTING transaction can no longer be aborted, and a reader,
+//! validator or writer that meets another transaction's COMMITTING owner
+//! aborts itself. Validating before the CAS let two crossing transactions
+//! each validate while the other was still ACTIVE and both commit (write
+//! skew; DESIGN.md, "Checker-found bugs"). An operation never observes
+//! COMMITTING when every operation runs atomically.
+//!
 //! ### Base-object emulation note (documented substitution)
 //!
 //! Real DSTM publishes a locator via an atomic pointer that readers load
@@ -55,17 +66,17 @@ struct Locator {
 }
 
 impl Locator {
-    /// The current committed value, given the owner's status.
-    fn committed_value(&self, m: &mut Meter) -> i64 {
+    /// The current committed value, given the owner's status, as `me`
+    /// sees it: `None` while another owner's commit is undecided
+    /// (`COMMITTING`), a state `me` must not read past.
+    fn committed_value(&self, m: &mut Meter, me: &TxDesc) -> Option<i64> {
         match &self.owner {
-            None => self.old,
-            Some(d) => {
-                if m.load_u8(d.status_cell(), &d.status) == status::COMMITTED {
-                    self.new
-                } else {
-                    self.old
-                }
-            }
+            None => Some(self.old),
+            Some(d) => match m.load_u8(d.status_cell(), &d.status) {
+                status::COMMITTED => Some(self.new),
+                status::COMMITTING if !std::ptr::eq(&**d, me) => None,
+                _ => Some(self.old),
+            },
         }
     }
 }
@@ -98,13 +109,13 @@ impl DstmStm {
         }
     }
 
-    /// Reads the current committed value of `obj` (one locator load plus
-    /// one status load).
-    fn current_value(&self, obj: usize, m: &mut Meter) -> i64 {
+    /// Reads the current committed value of `obj` as `me` sees it (one
+    /// locator load plus one status load).
+    fn current_value(&self, obj: usize, m: &mut Meter, me: &TxDesc) -> Option<i64> {
         m.touch(CellId::Record(obj as u32), AccessKind::Read); // the locator load
         let loc = lock(&self.objs[obj].locator);
         m.begin_atomic();
-        let v = loc.committed_value(m);
+        let v = loc.committed_value(m, me);
         m.end_atomic();
         v
     }
@@ -166,7 +177,7 @@ impl DstmTx<'_> {
     fn validate_read_set(&self, m: &mut Meter) -> bool {
         self.reads
             .iter()
-            .all(|&(obj, seen)| self.stm.current_value(obj, m) == seen)
+            .all(|&(obj, seen)| self.stm.current_value(obj, m, &self.desc) == Some(seen))
     }
 }
 
@@ -182,11 +193,11 @@ impl Protocol for DstmTx<'_> {
             let loc = lock(&self.stm.objs[obj].locator);
             m.begin_atomic();
             let v = match &loc.owner {
-                Some(d) if Arc::ptr_eq(d, &self.desc) => loc.new,
-                _ => loc.committed_value(m),
+                Some(d) if Arc::ptr_eq(d, &self.desc) => Some(loc.new),
+                _ => loc.committed_value(m, &self.desc),
             };
             m.end_atomic();
-            v
+            v.ok_or(Aborted)?
         };
         // Incremental validation: the *whole* read set (including this
         // read) must describe the current committed state.
@@ -222,7 +233,12 @@ impl Protocol for DstmTx<'_> {
                 }
                 _ => {
                     // Owner committed/aborted or absent: fold and acquire.
-                    let cur = loc.committed_value(m);
+                    // An owner still committing may yet make its value
+                    // current, so the writer yields to it.
+                    let Some(cur) = loc.committed_value(m, &self.desc) else {
+                        m.end_atomic();
+                        return Err(Aborted);
+                    };
                     *loc = Locator {
                         owner: Some(self.desc.clone()),
                         old: cur,
@@ -237,17 +253,20 @@ impl Protocol for DstmTx<'_> {
     }
 
     fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
-        // Final validation, then the single linearizing status CAS.
-        if self.validate_read_set(m)
-            && m.cas_u8(
-                self.desc.status_cell(),
-                &self.desc.status,
-                status::ACTIVE,
-                status::COMMITTED,
-            )
-        {
+        // Announce the commit first, so nobody can abort us any more and
+        // every validator that meets one of our objects yields; then
+        // validate, and decide. Validating before the CAS would let two
+        // crossing transactions each validate while the other is still
+        // ACTIVE and both commit: write skew.
+        let cell = self.desc.status_cell();
+        if !m.cas_u8(cell, &self.desc.status, status::ACTIVE, status::COMMITTING) {
+            return Err(Aborted);
+        }
+        if self.validate_read_set(m) {
+            m.store_u8(cell, &self.desc.status, status::COMMITTED);
             Ok(())
         } else {
+            m.store_u8(cell, &self.desc.status, status::ABORTED);
             Err(Aborted)
         }
     }
