@@ -752,6 +752,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("reader-vs-writer"), "{out}");
         assert!(out.contains("rmw-vs-rmw"), "{out}");
+        assert!(out.contains("write-skew"), "{out}");
         assert!(out.contains("clean"), "{out}");
         assert!(!out.contains("CONVICTED"), "{out}");
         // Single-TM mode has no mutant self-test rows.
@@ -779,7 +780,8 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     #[test]
     fn race_suite_convicts_the_mutants_and_acquits_everyone_else() {
         // The full battery: every TM that is opaque by design clean,
-        // `nonopaque`'s torn reads reported as by design, both seeded
+        // `nonopaque`'s torn reads and `sistm`'s write skew reported as by
+        // design, both seeded
         // concurrency mutants convicted, each conviction with a printed
         // schedule artifact.
         let (code, out) = run_str(&Command::Race {
@@ -799,10 +801,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             .lines()
             .filter(|l| l.contains("CONVICTED (by design)"))
             .collect();
-        assert_eq!(by_design.len(), 1, "{out}");
+        assert_eq!(by_design.len(), 2, "{out}");
         assert!(by_design[0].starts_with("nonopaque "), "{out}");
         assert!(by_design[0].contains("reader-vs-writer"), "{out}");
-        assert_eq!(out.matches("minimized schedule").count(), 3, "{out}");
+        assert!(by_design[1].starts_with("sistm "), "{out}");
+        assert!(by_design[1].contains("write-skew"), "{out}");
+        assert_eq!(out.matches("minimized schedule").count(), 4, "{out}");
         assert!(!out.contains("ESCAPED"), "{out}");
     }
 

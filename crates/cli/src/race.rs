@@ -14,12 +14,11 @@ use tm_stm::{MutantStm, Mutation, StmConfig, TmRegistry, TmSpec};
 use crate::Error;
 
 /// The step-level probe programs of the `race` sweep — the same §2 hazard
-/// shapes as the conformance battery, minus write skew: `sistm` commits
-/// write skew *by design* (a documented anomaly, not a clock-discipline
-/// race), so a skew probe would convict a TM that is exactly as weak as it
-/// advertises. The mutant self-test supplies the skew program where it
-/// belongs.
-fn race_probes() -> [(&'static str, Program); 2] {
+/// shapes as the conformance battery. `sistm` commits write skew *by
+/// design* (a documented anomaly, not a clock-discipline race), so its
+/// `write-skew` row reads `CONVICTED (by design)` without failing the
+/// sweep; every TM that is opaque by design must stay clean on it.
+fn race_probes() -> [(&'static str, Program); 3] {
     [
         (
             "reader-vs-writer",
@@ -33,6 +32,13 @@ fn race_probes() -> [(&'static str, Program); 2] {
             Program::new(vec![
                 TxScript::new().read(0).write(0, 100),
                 TxScript::new().read(0).write(0, 200),
+            ]),
+        ),
+        (
+            "write-skew",
+            Program::new(vec![
+                TxScript::new().read(0).write(1, 5),
+                TxScript::new().read(1).write(0, 7),
             ]),
         ),
     ]
