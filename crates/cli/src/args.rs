@@ -53,18 +53,17 @@ USAGE:
                [--metrics-out FILE] [--trace-out FILE]
                                     step-level race analysis: explore
                                     instrumented base-object interleavings
-                                    with dynamic partial-order reduction,
-                                    check version-clock discipline
-                                    (vector-clock happens-before) and the
-                                    opacity of the recorded history on every
-                                    schedule (exit 1 on a conviction, except
-                                    a non-opaque history of a TM that is not
-                                    opaque by design, printed as CONVICTED
-                                    (by design)); without --tm, sweeps every
-                                    non-blocking TM and re-convicts the two
-                                    seeded concurrency mutants as a
-                                    self-test, printing minimized replayable
-                                    schedules;
+                                    with dynamic partial-order reduction;
+                                    check every schedule's version-clock
+                                    discipline (vector-clock happens-before)
+                                    and recorded history's opacity (exit 1
+                                    on a conviction, except CONVICTED (by
+                                    design): a non-opaque history of a TM
+                                    not opaque by design); without --tm,
+                                    sweeps every non-blocking TM and
+                                    re-convicts the two seeded concurrency
+                                    mutants as a self-test, printing
+                                    minimized replayable schedules;
                                     --steps bounds explored interleavings per
                                     probe, --preemptions bounds context
                                     switches away from a runnable thread

@@ -13,9 +13,8 @@
 //! the opacity checker over its recorded history, and — in suite mode —
 //! re-convicts the two seeded concurrency mutants as a self-test, printing
 //! each conviction's minimized replayable schedule. A non-opaque history
-//! of a TM that is not opaque by design (`nonopaque`, `sistm`) is reported
-//! as `CONVICTED (by design)` and does not fail the exit code; a race
-//! always does.
+//! of a TM not opaque by design (`nonopaque`, `sistm`) reads `CONVICTED
+//! (by design)` and keeps exit 0; a race always fails.
 //!
 //! `serve` turns the checker into a long-lived streaming daemon (the
 //! `tm-serve` crate): line-delimited `tm-serve/v1.1` JSON frames open,

@@ -53,15 +53,13 @@ fn dpor_factory(
     move |probe| build(&base.clone().probe(probe))
 }
 
-/// What a row's exploration is expected to find.
+/// What a row's exploration is expected to find: nothing (a TM that is
+/// opaque by design), no race but perhaps non-opaque histories (one that
+/// is not), or a conviction (the seeded mutants).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Expect {
-    /// Nothing: the TM is opaque by design.
     Acquittal,
-    /// Perhaps non-opaque histories, which are reported but expected, and
-    /// no race: the TM is not opaque by design.
     NotOpaque,
-    /// A conviction: the seeded mutants' self-test.
     Conviction,
 }
 
@@ -117,8 +115,11 @@ fn judge(
         } else {
             conviction.schedule.clone()
         };
-        let rendered: Vec<String> = minimized.iter().map(usize::to_string).collect();
-        let rendered = rendered.join(" ");
+        let rendered = minimized
+            .iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(" ");
         writeln!(out, "  minimized schedule (thread per step): {rendered}")?;
     }
     Ok(match conviction {

@@ -294,7 +294,7 @@ impl StepProbe for StepGate {
 /// The externally observable result of one scripted transaction under the
 /// stepper. `Ord` so outcome *vectors* can live in sets and serve as
 /// equivalence-class keys.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StepTxOutcome {
     /// Did the final commit succeed?
     pub committed: bool,
@@ -358,16 +358,7 @@ impl LiveRun {
                     };
                     StepTxOutcome { committed, reads }
                 });
-                match catch_unwind(body) {
-                    Ok(out) => gate.finish(t, out),
-                    Err(_) => gate.finish(
-                        t,
-                        StepTxOutcome {
-                            committed: false,
-                            reads: Vec::new(),
-                        },
-                    ),
-                }
+                gate.finish(t, catch_unwind(body).unwrap_or_default());
             }));
         }
         LiveRun {
@@ -439,11 +430,6 @@ impl LiveRun {
         step
     }
 
-    /// True when every worker has finished.
-    pub fn is_done(&self) -> bool {
-        self.pending().iter().all(Option::is_none)
-    }
-
     /// Tears the run down: poisons the gate so every parked worker
     /// free-runs to completion, joins them, and returns the per-thread
     /// outcomes, the step trace, the final register state and the
@@ -458,12 +444,7 @@ impl LiveRun {
             let outcomes = g
                 .outcomes
                 .iter_mut()
-                .map(|o| {
-                    o.take().unwrap_or(StepTxOutcome {
-                        committed: false,
-                        reads: Vec::new(),
-                    })
-                })
+                .map(|o| o.take().unwrap_or_default())
                 .collect();
             (outcomes, std::mem::take(&mut g.trace))
         };

@@ -25,16 +25,9 @@
 //! the Θ(k) bound "with most contention managers": the policy affects
 //! progress and throughput, not the validation cost.
 //!
-//! ### Commit
-//!
-//! A commit first CASes its status from ACTIVE to COMMITTING, then
-//! re-validates its read set, then stores COMMITTED (or ABORTED). A
-//! COMMITTING transaction can no longer be aborted, and a reader,
-//! validator or writer that meets another transaction's COMMITTING owner
-//! aborts itself. Validating before the CAS let two crossing transactions
-//! each validate while the other was still ACTIVE and both commit (write
-//! skew; DESIGN.md, "Checker-found bugs"). An operation never observes
-//! COMMITTING when every operation runs atomically.
+//! A commit CASes ACTIVE → COMMITTING, validates, then stores its
+//! decision; whoever meets another's COMMITTING owner aborts itself
+//! (DESIGN.md, "Checker-found bugs": the write skew this closes).
 //!
 //! ### Base-object emulation note (documented substitution)
 //!
@@ -253,11 +246,9 @@ impl Protocol for DstmTx<'_> {
     }
 
     fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
-        // Announce the commit first, so nobody can abort us any more and
-        // every validator that meets one of our objects yields; then
-        // validate, and decide. Validating before the CAS would let two
-        // crossing transactions each validate while the other is still
-        // ACTIVE and both commit: write skew.
+        // Announce, then validate, then decide. Validating first would let
+        // two crossing transactions each validate while the other is
+        // still ACTIVE and both commit: write skew.
         let cell = self.desc.status_cell();
         if !m.cas_u8(cell, &self.desc.status, status::ACTIVE, status::COMMITTING) {
             return Err(Aborted);
