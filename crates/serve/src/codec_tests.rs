@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The one-pass wire codec against the tree path it replaced.
 //!
 //! The reference functions below are the decoders and encoders as they
