@@ -89,11 +89,10 @@ use tm_stm::{Stm, StmConfig};
 pub type SharedStm = Arc<dyn Stm>;
 
 /// Builds a fresh TM wired to the explorer's gate, the probe it is passed.
-/// The TM should record its history: [`convictions`] judges it.
 pub type StmFactory<'a> = &'a (dyn Fn(Arc<dyn StepProbe>) -> SharedStm + Sync);
 
-/// Wires `probe` into a fresh, recording [`StmConfig`] for `k` registers —
-/// the shape every factory closure wants.
+/// Wires `probe` into a fresh [`StmConfig`] for `k` registers — the shape
+/// every factory closure wants.
 pub fn probed_config(k: usize, probe: Arc<dyn StepProbe>) -> StmConfig {
     StmConfig::new(k).probe(probe)
 }
@@ -317,11 +316,14 @@ pub struct LiveRun {
 
 impl LiveRun {
     /// Spawns workers for every thread of `program` on a fresh TM from
-    /// `factory`. All workers immediately park at [`Step::Start`].
+    /// `factory`, with recording on. All workers immediately park at
+    /// [`Step::Start`].
     pub fn spawn(factory: StmFactory<'_>, program: &Program) -> LiveRun {
         let n = program.threads.len();
         let gate = Arc::new(StepGate::new(n));
         let stm = factory(gate.clone());
+        // The judge reads the recorded history, whatever the factory chose.
+        stm.recorder().set_enabled(true);
         let mut handles = Vec::with_capacity(n);
         for (t, script) in program.threads.iter().enumerate() {
             let gate = gate.clone();
@@ -482,7 +484,7 @@ pub struct RunResult {
     /// Register values after all transactions finished.
     pub final_state: Vec<i64>,
     /// The TM's recorded history, ending with the read-back transaction
-    /// that produced `final_state` (empty when the TM does not record).
+    /// that produced `final_state`.
     pub history: History,
 }
 
@@ -889,6 +891,14 @@ mod tests {
         // Two writers and the read-back transaction, which saw both writes.
         assert_eq!(r.history.txs().len(), 3, "{}", r.history);
         assert!(convictions(&p, &r, true).is_empty());
+        // A factory that turns recording off cannot blind the judge.
+        let quiet = |probe| {
+            Arc::new(Tl2Stm::with_config(
+                &probed_config(2, probe).recording(false),
+            )) as SharedStm
+        };
+        let q = replay_schedule(&quiet, &p, &[]);
+        assert_eq!(q.history.events(), r.history.events());
         // The same run with a non-opaque history (the paper's H1) is
         // convicted of exactly that.
         let torn = RunResult {
