@@ -45,11 +45,13 @@
 //! 6. **recording-containment** — no `.inv_read(`, `.ret_read(`,
 //!    `.inv_write(`, `.ret_write(`, `.begin_op(` or `.end_op(` call in
 //!    `crates/stm/src` outside the transaction lifecycle (`txn.rs`) and the
-//!    layers it drives (`base.rs`, `recorder.rs`). When an operation's
-//!    events are recorded relative to its metered steps is decided once,
-//!    in the lifecycle; a TM that records or meters an operation itself
-//!    would grow a private copy of that decision. Test code is exempt, as
-//!    in rule 3.
+//!    layers it drives (`base.rs`, `recorder.rs`), and no `Meter::new(` or
+//!    `Meter::with_probe(` outside `txn.rs` and `base.rs`. When an
+//!    operation's events are recorded relative to its metered steps is
+//!    decided once, in the lifecycle, and the one TM shell (`txn::Tm`)
+//!    builds every transaction's meter; a TM that records or meters an
+//!    operation itself, or builds its own meter, would grow a private copy
+//!    of that decision or of the shell. Test code is exempt, as in rule 3.
 //!
 //! ```text
 //! tm-lint [--root DIR]     # DIR defaults to the workspace root
@@ -378,38 +380,49 @@ fn lint_socket_containment(root: &Path, findings: &mut Vec<Finding>) -> Result<(
 }
 
 /// Rule 6: operations are recorded and metered only by the transaction
-/// lifecycle, so every TM keeps one order of events and steps.
+/// lifecycle, and meters are built only by the TM shell, so every TM keeps
+/// one order of events and steps and no TM grows its own shell back.
 fn lint_recording_containment(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
-    const ALLOWED: [&str; 3] = ["txn.rs", "base.rs", "recorder.rs"];
-    const TOKENS: [&str; 6] = [
-        ".inv_read(",
-        ".ret_read(",
-        ".inv_write(",
-        ".ret_write(",
-        ".begin_op(",
-        ".end_op(",
+    /// Each group of tokens, with the files sanctioned to use it.
+    const GROUPS: [(&[&str], &[&str]); 2] = [
+        (
+            &[
+                ".inv_read(",
+                ".ret_read(",
+                ".inv_write(",
+                ".ret_write(",
+                ".begin_op(",
+                ".end_op(",
+            ],
+            &["txn.rs", "base.rs", "recorder.rs"],
+        ),
+        (
+            &["Meter::new(", "Meter::with_probe("],
+            &["txn.rs", "base.rs"],
+        ),
     ];
     let mut files = Vec::new();
     rust_files(&root.join("crates/stm/src"), &mut files)?;
     for file in files {
-        if file
+        let name = file
             .file_name()
-            .is_some_and(|n| ALLOWED.iter().any(|a| n == *a))
-        {
-            continue;
-        }
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
         for (i, line) in read(&file)?.lines().enumerate() {
             if line.contains(TEST_MARKER) {
                 break;
             }
-            if !is_comment(line) && TOKENS.iter().any(|t| line.contains(t)) {
+            let stray = GROUPS.iter().any(|(tokens, allowed)| {
+                !allowed.contains(&name.as_str()) && tokens.iter().any(|t| line.contains(t))
+            });
+            if stray && !is_comment(line) {
                 findings.push(Finding {
                     file: file.clone(),
                     line: i + 1,
                     rule: "recording-containment",
                     excerpt: format!(
                         "operation recorded or metered outside the transaction lifecycle \
-                         (txn.rs); implement txn::Protocol instead: {}",
+                         (txn.rs); implement txn::Design and txn::Protocol instead: {}",
                         line.trim()
                     ),
                 });
@@ -787,6 +800,33 @@ mod tests {
         assert!(hits[0]
             .to_string()
             .contains("private_copy.rs:3: [recording-containment]"));
+    }
+
+    #[test]
+    fn a_meter_built_outside_the_shell_is_flagged() {
+        let s = Scratch::new("meter");
+        s.write(
+            "crates/stm/src/own_shell.rs",
+            "// a doc line about Meter::new( is fine\n\
+             fn begin(&self, thread: usize) {\n    let m = Meter::with_probe(thread, None);\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { let _ = Meter::new(); }\n}\n",
+        );
+        // The recorder may record but not meter; the shell and base may.
+        s.write("crates/stm/src/recorder.rs", "fn f() { Meter::new(); }\n");
+        s.write(
+            "crates/stm/src/txn.rs",
+            "fn f() { Meter::with_probe(0, None); }\n",
+        );
+        s.write("crates/stm/src/base.rs", "fn f() { Meter::new(); }\n");
+        let findings = lint(&s.0).unwrap();
+        let hits: Vec<String> = findings
+            .iter()
+            .filter(|f| f.rule == "recording-containment")
+            .map(|f| f.to_string())
+            .collect();
+        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert!(hits[0].contains("own_shell.rs:3: [recording-containment]"));
+        assert!(hits[1].contains("recorder.rs:1: [recording-containment]"));
     }
 
     #[test]

@@ -192,9 +192,8 @@ pub(crate) fn race(
                 Program::new(vec![
                     TxScript::new().read(0).write(1, 5),
                     TxScript::new().read(1).write(0, 7),
-                    TxScript::new().write(2, 1),
                 ]),
-                3,
+                2,
             ),
         ];
         for (label, mutation, program, bound) in teeth {

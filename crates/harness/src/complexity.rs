@@ -22,7 +22,7 @@
 
 use crate::sched::{execute, ExecOutcome};
 use crate::script::{Program, TxScript};
-use tm_stm::{OpKind, Stm};
+use tm_stm::{OpKind, Stm, StmConfig, TmRegistry};
 
 /// Measurements for one TM at one value of `k`.
 #[derive(Clone, Debug)]
@@ -143,15 +143,15 @@ pub fn sweep(
     multi_threaded: bool,
     scenario: impl Fn(&dyn Stm, usize) -> ComplexityRow,
 ) -> Vec<ComplexityRow> {
+    let suite = TmRegistry::suite();
     let mut rows = Vec::new();
     for &k in ks {
-        for stm in tm_stm::all_stms(k) {
-            if multi_threaded && stm.blocking() {
-                continue;
+        // Recording off: the experiment measures steps, not histories.
+        let cfg = StmConfig::new(k).recording(false);
+        for spec in suite.specs() {
+            if !(multi_threaded && spec.blocking) {
+                rows.push(scenario(spec.build(&cfg).as_ref(), k));
             }
-            // Recording off: the experiment measures steps, not histories.
-            stm.recorder().set_enabled(false);
-            rows.push(scenario(stm.as_ref(), k));
         }
     }
     rows

@@ -354,15 +354,9 @@ mod tests {
             ("sistm", false, false, true, true),
             ("nonopaque", false, true, false, true),
         ];
-        for stm in tm_stm::all_stms(2) {
-            let name = stm.name();
-            drop(stm);
-            let factory = move |k: usize| -> Box<dyn tm_stm::Stm> {
-                tm_stm::all_stms(k)
-                    .into_iter()
-                    .find(|s| s.name() == name)
-                    .expect("name stable")
-            };
+        let suite = tm_stm::TmRegistry::suite();
+        for name in suite.names() {
+            let factory = suite.factory(name).expect("suite TM name");
             let r = battery(&factory);
             let row = expected
                 .iter()

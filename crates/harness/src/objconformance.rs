@@ -661,10 +661,8 @@ mod tests {
     /// opaque-by-design TM is acquitted on the full battery.
     #[test]
     fn write_skew_convicts_si_and_acquits_the_opaque_tms() {
-        for stm in tm_stm::all_stms(2) {
-            let name = stm.name();
-            let props = stm.properties();
-            drop(stm);
+        for spec in tm_stm::TmRegistry::suite().specs() {
+            let (name, props) = (spec.name, spec.properties);
             let report = object_conformance(
                 &factory_for(name),
                 &ObjectKind::ALL,

@@ -436,10 +436,16 @@ pub fn typed_storm(
 mod tests {
     use super::*;
 
+    /// Every suite TM over `k` registers, recording off.
+    fn quiet_suite(k: usize) -> Vec<Box<dyn Stm>> {
+        let cfg = tm_stm::StmConfig::new(k).recording(false);
+        let suite = tm_stm::TmRegistry::suite();
+        suite.specs().iter().map(|s| s.build(&cfg)).collect()
+    }
+
     #[test]
     fn bank_conserves_money_on_every_stm() {
-        for stm in tm_stm::all_stms(8) {
-            stm.recorder().set_enabled(false);
+        for stm in quiet_suite(8) {
             let s = bank(stm.as_ref(), 3, 8, 30, 42);
             assert!(s.commits >= 3 * 30, "{}", stm.name());
         }
@@ -447,8 +453,7 @@ mod tests {
 
     #[test]
     fn counter_counts_on_every_stm() {
-        for stm in tm_stm::all_stms(1) {
-            stm.recorder().set_enabled(false);
+        for stm in quiet_suite(1) {
             let s = counter(stm.as_ref(), 3, 25);
             assert_eq!(s.commits, (3 * 25), "{}", stm.name());
             assert!(s.abort_rate() < 1.0);
@@ -457,8 +462,7 @@ mod tests {
 
     #[test]
     fn read_mostly_completes() {
-        for stm in tm_stm::all_stms(16) {
-            stm.recorder().set_enabled(false);
+        for stm in quiet_suite(16) {
             let s = read_mostly(stm.as_ref(), 2, 40, 5, 10, 7);
             assert!(s.commits >= 80, "{}", stm.name());
         }
@@ -484,9 +488,7 @@ mod tests {
         let ops = 12;
         let reg = tm_stm::TmRegistry::suite();
         for kind in ObjectKind::ALL {
-            for stm in tm_stm::all_stms(1) {
-                let name = stm.name();
-                drop(stm);
+            for name in reg.names() {
                 let typed = TypedStm::new(
                     kind.standard_space(threads * ops),
                     reg.factory(name).expect("suite TM name"),

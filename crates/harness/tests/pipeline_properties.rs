@@ -101,15 +101,10 @@ fn normalize(mut r: ConformanceReport) -> ConformanceReport {
 #[test]
 fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
     // The nine in-tree TMs…
-    let names: Vec<&'static str> = tm_stm::all_stms(2).iter().map(|s| s.name()).collect();
-    assert_eq!(names.len(), 9);
-    for name in names {
-        let factory = move |k: usize| -> Box<dyn tm_stm::Stm> {
-            tm_stm::all_stms(k)
-                .into_iter()
-                .find(|s| s.name() == name)
-                .expect("name stable")
-        };
+    let suite = tm_stm::TmRegistry::suite();
+    assert_eq!(suite.names().len(), 9);
+    for name in suite.names() {
+        let factory = suite.factory(name).expect("suite TM name");
         let sequential = normalize(conformance(&factory, &factory, 1, SearchConfig::default()));
         let parallel = normalize(conformance(&factory, &factory, 4, SearchConfig::default()));
         assert_eq!(sequential, parallel, "{name}: jobs=4 diverged");

@@ -183,29 +183,31 @@ fn dropped_residue_is_convicted_with_a_minimized_replayable_schedule() {
 
 #[test]
 fn unlicensed_fast_path_is_convicted_of_write_skew() {
-    // Two transactions with crossing read/write sets plus one blind
-    // count-mover. Both crossers adopt the mover's tick (their tick-loads
-    // read the old count, their CASes fail), see "the clock advanced
-    // exactly once", skip read validation — and miss each other's write
-    // locks. Both commit: a write skew no serial order explains, so the
-    // recorded history is not opaque.
+    // Two transactions with crossing read/write sets commit in one clock
+    // advance: the CAS winner ticks, the loser adopts its tick (its
+    // tick-load read the old count, its CAS failed). Each sees "the clock
+    // advanced exactly once since my begin", skips read validation — and
+    // misses the other's write lock. Both commit: a write skew no serial
+    // order explains, so the recorded history is not opaque. It takes two
+    // preemptions; bounds 0 and 1 acquit.
     let program = Program::new(vec![
         TxScript::new().read(0).write(1, 5),
         TxScript::new().read(1).write(0, 7),
-        TxScript::new().write(2, 1),
     ]);
-    let factory = mutant_factory(3, Mutation::UnlicensedFastPath);
-    let res = explore(
-        &factory,
-        &program,
-        &DporConfig {
-            max_interleavings: 200_000,
-            preemption_bound: Some(3),
-            check_races: false, // the faithful pass-on-failure clock is innocent here
-            stop_on_violation: true,
-            ..DporConfig::default()
-        },
-    );
+    let factory = mutant_factory(2, Mutation::UnlicensedFastPath);
+    let cfg = |bound| DporConfig {
+        max_interleavings: 200_000,
+        preemption_bound: Some(bound),
+        check_races: false, // the faithful pass-on-failure clock is innocent here
+        stop_on_violation: true,
+        ..DporConfig::default()
+    };
+    for bound in [0, 1] {
+        let res = explore(&factory, &program, &cfg(bound));
+        assert!(!res.truncated, "bound {bound}");
+        assert!(res.violations.is_empty(), "bound {bound} convicts");
+    }
+    let res = explore(&factory, &program, &cfg(2));
     let conviction = res
         .violations
         .iter()
@@ -233,7 +235,7 @@ fn unlicensed_fast_path_is_convicted_of_write_skew() {
     // The licensed protocol (GV1, same schedule) refuses the skew:
     // at least one crosser validates, sees the other's lock or version,
     // and aborts.
-    let baseline = mutant_factory(3, Mutation::None);
+    let baseline = mutant_factory(2, Mutation::None);
     let replayed = replay_schedule(&baseline, &program, &minimized);
     assert!(
         convictions(&program, &replayed, false).is_empty(),

@@ -33,8 +33,6 @@
 
 use std::collections::BTreeMap;
 
-use tm_trace::json::{Lexer, Scalar, Token};
-
 use crate::table::{Routed, SessionTable};
 
 /// One injected failure.
@@ -357,9 +355,7 @@ pub enum LineFate<L = String> {
 ///
 /// The driver owns the plan's runtime state: the frame counter, in-flight
 /// drop spans, armed transient write failures, and pending budget-spike
-/// restores. It also records which sessions injected input mutations
-/// (torn/dropped lines) touched, so the chaos suite can partition sessions
-/// into "affected" and "must-be-byte-identical".
+/// restores.
 pub struct FaultDriver {
     plan: FaultPlan,
     /// 1-based index of the most recently begun input line.
@@ -370,8 +366,6 @@ pub struct FaultDriver {
     write_fails_left: u32,
     /// Budget restores due at a future frame index.
     restores: Vec<(usize, Restore)>,
-    /// Sessions whose input stream an injected mutation touched.
-    affected: std::collections::BTreeSet<String>,
 }
 
 /// A budget value to put back when a spike expires.
@@ -390,7 +384,6 @@ impl FaultDriver {
             drop_left: 0,
             write_fails_left: 0,
             restores: Vec::new(),
-            affected: std::collections::BTreeSet::new(),
         }
     }
 
@@ -432,7 +425,6 @@ impl FaultDriver {
         }
         if self.drop_left > 0 {
             self.drop_left -= 1;
-            self.note_affected(line);
             return LineFate::Skip;
         }
         let mut delivered = line;
@@ -445,7 +437,6 @@ impl FaultDriver {
                     }
                 }
                 Fault::Torn { keep } => {
-                    self.note_affected(line);
                     let mut keep = keep.min(delivered.len());
                     while !delivered.is_char_boundary(keep) {
                         keep -= 1;
@@ -453,7 +444,6 @@ impl FaultDriver {
                     delivered = &delivered[..keep];
                 }
                 Fault::Drop { frames } => {
-                    self.note_affected(line);
                     self.drop_left = frames - 1;
                     fate_skip = true;
                 }
@@ -493,42 +483,6 @@ impl FaultDriver {
             false
         }
     }
-
-    /// Sessions whose *input* an injected mutation touched (torn or
-    /// dropped lines, attributed by parsing the original line). The
-    /// complement of this set is what the chaos suite holds byte-identical
-    /// to the fault-free run.
-    pub fn affected_sessions(&self) -> &std::collections::BTreeSet<String> {
-        &self.affected
-    }
-
-    fn note_affected(&mut self, original_line: &str) {
-        if let Some(session) = session_field(original_line) {
-            self.affected.insert(session);
-        }
-    }
-}
-
-/// The string `session` field of a line that is one JSON object, if it has
-/// one (the first occurrence, as in the frame parser). The line need not be
-/// a valid frame otherwise.
-fn session_field(line: &str) -> Option<String> {
-    let mut lx = Lexer::new(line);
-    let Token::Obj(_) = lx.token().ok()? else {
-        return None;
-    };
-    let mut session = None;
-    while let Some(key) = lx.next_key().ok()? {
-        match &*key {
-            "session" if session.is_none() => session = Some(lx.scalar().ok()?),
-            _ => lx.skip().ok()?,
-        }
-    }
-    lx.finish().ok()?;
-    match session? {
-        Scalar::Str(s) => Some(s.into_owned()),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -561,23 +515,6 @@ mod tests {
             }]
         );
         assert_eq!(plan.faults_at(80), &[Fault::Crash]);
-    }
-
-    #[test]
-    fn the_session_field_is_read_from_any_json_object_line() {
-        let feed = r#"{"frame":"feed","session":"s1","event":{"kind":"tryC","tx":1}}"#;
-        assert_eq!(session_field(feed).as_deref(), Some("s1"));
-        // An invalid frame still names its session; the first one counts.
-        let bad = r#"{"frame":"feed","session":"s2","event":[1],"session":"s3"}"#;
-        assert_eq!(session_field(bad).as_deref(), Some("s2"));
-        for none in [
-            r#"{"frame":"shutdown"}"#,
-            r#"{"session":7}"#,
-            r#"["s1"]"#,
-            r#"{"session":"s1""#,
-        ] {
-            assert_eq!(session_field(none), None, "{none}");
-        }
     }
 
     #[test]

@@ -94,6 +94,12 @@ pub trait Tx {
 
     /// The model-level transaction identifier.
     fn id(&self) -> u32;
+
+    /// Resumes (`true`, the default) or stops (`false`) recording this
+    /// transaction's `inv`/`ret` events for reads and writes. The
+    /// typed-object layer stops them around one object operation, whose
+    /// own `inv`/`ret` pair stands for the reads and writes beneath it.
+    fn record_ops(&mut self, on: bool);
 }
 
 /// A software transactional memory over `k` integer registers.
@@ -116,9 +122,7 @@ pub trait Stm: Send + Sync {
     /// True if transactions of this TM *block* other transactions for their
     /// whole lifetime (the global-lock TM). Blocking TMs cannot be driven
     /// through interleaved schedules on a single OS thread.
-    fn blocking(&self) -> bool {
-        false
-    }
+    fn blocking(&self) -> bool;
 }
 
 /// Statistics from [`run_tx`] retry loops.

@@ -18,16 +18,15 @@
 //! the Ω(k) bound is a property of the *point*, not of one algorithm.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
-use tm_model::{NestingInfo, NestingMode};
+use crate::trace_cells::{AccessKind, CellId};
+use crate::txn::{Design, Protocol, Tm, Txn};
+use tm_model::{NestingInfo, NestingMode, TxId};
 
 /// Committed object state: value plus a modification counter that lets
 /// invisible readers detect overwrites (a "version" in the loose sense —
@@ -39,33 +38,20 @@ struct AstmObj {
     owned: AtomicU64, // 0 = free, else owner tx id
 }
 
-/// The ASTM-like TM over `k` registers.
+/// The ASTM-like TM over `k` registers, initialized to 0.
+pub type AstmStm = Tm<Astm>;
+
+/// ASTM's base objects: one committed record and ownership word per
+/// register, and the nesting structure of the recorded history.
 #[derive(Debug)]
-pub struct AstmStm {
+pub struct Astm {
     objs: Vec<AstmObj>,
-    recorder: Recorder,
     /// (child, parent) pairs of closed-nested scopes opened so far, for
     /// flattening recorded histories (Section 7 / experiment E22).
     nested: Mutex<Vec<(u32, u32)>>,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
 impl AstmStm {
-    /// An ASTM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
-    }
-
-    /// An ASTM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        AstmStm {
-            objs: (0..cfg.k()).map(|_| AstmObj::default()).collect(),
-            recorder: cfg.build_recorder(),
-            nested: Mutex::new(Vec::new()),
-            probe: cfg.step_probe(),
-        }
-    }
-
     /// Starts a transaction whose handle additionally exposes the
     /// closed-nesting scope API: `begin_nested`, `commit_nested` and
     /// `abort_nested` (Section 7; experiment E22).
@@ -83,27 +69,22 @@ impl AstmStm {
     /// aborted first (the conservative reading of an unterminated nested
     /// transaction).
     pub fn begin_astm(&self, thread: usize) -> Txn<'_, AstmTx<'_>> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Txn::begin(&self.recorder, meter, |id| AstmTx {
-            stm: self,
-            me: u64::from(id.0),
-            reads: Vec::new(),
-            writes: Vec::new(),
-            mark: None,
-        })
+        self.begin_txn(thread)
     }
 
     /// The nesting structure of the recorded history: pass it with
-    /// [`Stm::recorder`]'s history to [`tm_model::flatten`] before
+    /// [`crate::Stm::recorder`]'s history to [`tm_model::flatten`] before
     /// checking opacity.
     pub fn nesting_info(&self) -> NestingInfo {
         let mut info = NestingInfo::new();
-        for &(child, parent) in lock(&self.nested).iter() {
+        for &(child, parent) in lock(&self.design.nested).iter() {
             info = info.child(child, parent, NestingMode::Closed);
         }
         info
     }
+}
 
+impl Astm {
     /// One metered load of the object's committed (value, modcount).
     fn snapshot(&self, obj: usize, m: &mut Meter) -> (i64, u64) {
         m.touch(CellId::Record(obj as u32), AccessKind::Read);
@@ -116,7 +97,7 @@ impl AstmStm {
 mod state {
     /// A live ASTM transaction's protocol state.
     pub struct AstmTx<'a> {
-        pub(super) stm: &'a super::AstmStm,
+        pub(super) stm: &'a super::Astm,
         /// The transaction id, as the commit-time owner word.
         pub(super) me: u64,
         /// Invisible read set: (object, modcount observed).
@@ -132,30 +113,36 @@ mod state {
 
 use state::AstmTx;
 
-impl Stm for AstmStm {
-    fn name(&self) -> &'static str {
-        "astm"
+impl Design for Astm {
+    const NAME: &'static str = "astm";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true,
+        single_version: true,
+        invisible_reads: true,
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = AstmTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Astm {
+            objs: (0..cfg.k()).map(|_| AstmObj::default()).collect(),
+            nested: Mutex::new(Vec::new()),
+        }
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        Box::new(self.begin_astm(thread))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true,
-            single_version: true,
-            invisible_reads: true,
-            opaque_by_design: true,
-            serializable_by_design: true,
+    fn begin(&self, id: TxId) -> AstmTx<'_> {
+        AstmTx {
+            stm: self,
+            me: u64::from(id.0),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            mark: None,
         }
     }
 }
@@ -306,7 +293,7 @@ impl Protocol for AstmTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

@@ -16,8 +16,7 @@
 //! assert!(stm.recorder().is_empty()); // recording off: no events allocated
 //! ```
 //!
-//! `new(k)` survives on every TM as a thin wrapper over
-//! `with_config(&StmConfig::new(k))`.
+//! Every TM's `new(k)` is `with_config(&StmConfig::new(k))`.
 
 use crate::clock::{GlobalClock, VersionClock};
 use crate::recorder::Recorder;
@@ -62,9 +61,9 @@ impl StmConfig {
     }
 
     /// Attaches an observability handle (default disabled). An enabled
-    /// handle makes [`StmConfig::build_recorder`] count
-    /// `stm.commits`/`stm.aborts` and [`StmConfig::build_clock`] wrap the
-    /// clock in a [`crate::obs::ObsClock`] counting
+    /// handle makes the built TM's recorder count
+    /// `stm.commits`/`stm.aborts` and wraps a timestamp-based TM's clock in
+    /// a [`crate::obs::ObsClock`] counting
     /// `stm.clock.samples`/`stm.clock.ticks`. A disabled handle changes
     /// nothing: the built TM is bit-for-bit the uninstrumented one.
     pub fn obs(mut self, obs: tm_obs::ObsHandle) -> Self {
@@ -72,34 +71,24 @@ impl StmConfig {
         self
     }
 
-    // ---- getters (consumed by the TM constructors) -------------------------
+    // ---- read by the TM constructors ----------------------------------------
 
     /// The number of registers.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
-    /// Is history recording enabled?
-    pub fn recording_enabled(&self) -> bool {
-        self.recording
-    }
-
     /// The attached step probe, if any (cloned into every transaction's
-    /// meter by the TM constructors).
-    pub fn step_probe(&self) -> Option<Arc<dyn StepProbe>> {
+    /// meter).
+    pub(crate) fn step_probe(&self) -> Option<Arc<dyn StepProbe>> {
         self.probe.clone()
-    }
-
-    /// The attached observability handle.
-    pub fn obs_handle(&self) -> tm_obs::ObsHandle {
-        self.obs
     }
 
     /// Builds a fresh GV1 [`VersionClock`] for a timestamp-based TM. With
     /// an enabled observability handle the clock is wrapped in a
     /// [`crate::obs::ObsClock`] decorator; otherwise the bare clock is
     /// returned — the disabled path has no wrapper at all.
-    pub fn build_clock(&self) -> Box<dyn GlobalClock> {
+    pub(crate) fn build_clock(&self) -> Box<dyn GlobalClock> {
         let clock = Box::new(VersionClock::new());
         if self.obs.enabled() {
             Box::new(crate::obs::ObsClock::new(clock, self.obs))
@@ -111,7 +100,7 @@ impl StmConfig {
     /// Builds the recorder this configuration names (recording toggle
     /// applied, so a recording-off TM skips event construction entirely;
     /// observability handle attached, so commit/abort chokepoints count).
-    pub fn build_recorder(&self) -> Recorder {
+    pub(crate) fn build_recorder(&self) -> Recorder {
         let mut r = Recorder::new(self.k);
         if !self.recording {
             r.set_enabled(false);
@@ -129,9 +118,8 @@ mod tests {
     fn defaults_match_the_historical_constructor() {
         let cfg = StmConfig::new(3);
         assert_eq!(cfg.k(), 3);
-        assert!(cfg.recording_enabled());
         assert!(cfg.step_probe().is_none());
-        assert!(!cfg.obs_handle().enabled());
+        assert!(!cfg.obs.enabled());
         assert!(cfg.build_recorder().enabled());
     }
 
@@ -142,9 +130,8 @@ mod tests {
             .probe(crate::trace_cells::AccessLog::shared())
             .obs(tm_obs::ObsHandle::install());
         assert_eq!(cfg.k(), 4);
-        assert!(!cfg.recording_enabled());
         assert!(cfg.step_probe().is_some());
-        assert!(cfg.obs_handle().enabled());
+        assert!(cfg.obs.enabled());
         assert!(!cfg.build_recorder().enabled());
     }
 }

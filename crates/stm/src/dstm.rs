@@ -42,13 +42,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::{status, try_abort_tx, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::{AccessKind, CellId};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
 /// A DSTM locator: the owner transaction plus its old/new values.
 #[derive(Debug, Clone, Default)]
@@ -79,29 +79,16 @@ struct DstmObj {
     locator: Mutex<Locator>,
 }
 
-/// The DSTM-like TM over `k` registers.
+/// The DSTM-like TM over `k` registers, initialized to 0.
+pub type DstmStm = Tm<Dstm>;
+
+/// DSTM's base objects: one locator per register.
 #[derive(Debug)]
-pub struct DstmStm {
+pub struct Dstm {
     objs: Vec<DstmObj>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl DstmStm {
-    /// A DSTM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
-    }
-
-    /// A DSTM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        DstmStm {
-            objs: (0..cfg.k()).map(|_| DstmObj::default()).collect(),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
-        }
-    }
-
+impl Dstm {
     /// Reads the current committed value of `obj` as `me` sees it (one
     /// locator load plus one status load).
     fn current_value(&self, obj: usize, m: &mut Meter, me: &TxDesc) -> Option<i64> {
@@ -114,46 +101,48 @@ impl DstmStm {
     }
 }
 
-/// A live DSTM transaction's protocol state.
-struct DstmTx<'a> {
-    stm: &'a DstmStm,
-    desc: Arc<TxDesc>,
-    /// Invisible read set: (object, value observed).
-    reads: Vec<(usize, i64)>,
-    /// Objects currently owned (acquired) by this transaction.
-    writes: Vec<usize>,
+mod state {
+    /// A live DSTM transaction's protocol state.
+    pub struct DstmTx<'a> {
+        pub(super) stm: &'a super::Dstm,
+        pub(super) desc: std::sync::Arc<crate::base::TxDesc>,
+        /// Invisible read set: (object, value observed).
+        pub(super) reads: Vec<(usize, i64)>,
+        /// Objects currently owned (acquired) by this transaction.
+        pub(super) writes: Vec<usize>,
+    }
 }
 
-impl Stm for DstmStm {
-    fn name(&self) -> &'static str {
-        "dstm"
+use state::DstmTx;
+
+impl Design for Dstm {
+    const NAME: &'static str = "dstm";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true,
+        single_version: true,
+        invisible_reads: true,
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = DstmTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Dstm {
+            objs: (0..cfg.k()).map(|_| DstmObj::default()).collect(),
+        }
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |id| DstmTx {
+    fn begin(&self, id: TxId) -> DstmTx<'_> {
+        DstmTx {
             stm: self,
             desc: Arc::new(TxDesc::new(id.0)),
             reads: Vec::new(),
             writes: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true,
-            single_version: true,
-            invisible_reads: true,
-            opaque_by_design: true,
-            serializable_by_design: true,
         }
     }
 }
@@ -271,7 +260,7 @@ impl Protocol for DstmTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

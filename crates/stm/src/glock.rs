@@ -6,83 +6,70 @@
 //! histories are sequential, hence opaque — at the price of zero
 //! concurrency.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
-use crate::api::{Stm, StmProperties, Tx, TxResult};
+use crate::api::{StmProperties, TxResult};
 use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::txn::{Protocol, Txn};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
-/// The global-lock TM over `k` registers.
+/// The global-lock TM over `k` registers, initialized to 0.
+pub type GlockStm = Tm<Glock>;
+
+/// The global-lock TM's base objects: the registers behind one lock.
 #[derive(Debug)]
-pub struct GlockStm {
+pub struct Glock {
     store: Mutex<Vec<i64>>,
     /// The register count, kept apart from `store`: a live transaction
     /// holds the store's lock until it finishes.
     k: usize,
-    recorder: Recorder,
 }
 
-impl GlockStm {
-    /// A global-lock TM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
+mod state {
+    /// A live global-lock transaction's protocol state: the store guard,
+    /// held for the transaction's entire lifetime.
+    pub struct GlockTx<'a> {
+        pub(super) guard: Option<std::sync::MutexGuard<'a, Vec<i64>>>,
+        pub(super) undo: Vec<(usize, i64)>,
     }
+}
 
-    /// A global-lock TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        GlockStm {
+use state::GlockTx;
+
+impl Design for Glock {
+    const NAME: &'static str = "glock";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true, // never forcefully aborts at all
+        single_version: true,
+        invisible_reads: false, // the lock word is written at begin
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    const BLOCKING: bool = true;
+    type Args = ();
+    type Tx<'a> = GlockTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Glock {
             store: Mutex::new(vec![0; cfg.k()]),
             k: cfg.k(),
-            recorder: cfg.build_recorder(),
         }
-    }
-}
-
-/// A live global-lock transaction's protocol state: the store guard, held
-/// for the transaction's entire lifetime.
-struct GlockTx<'a> {
-    guard: Option<MutexGuard<'a, Vec<i64>>>,
-    undo: Vec<(usize, i64)>,
-}
-
-impl Stm for GlockStm {
-    fn name(&self) -> &'static str {
-        "glock"
     }
 
     fn k(&self) -> usize {
         self.k
     }
 
-    fn begin(&self, _thread: usize) -> Box<dyn Tx + '_> {
-        Box::new(Txn::begin(&self.recorder, Meter::new(), |_| GlockTx {
+    fn begin(&self, _: TxId) -> GlockTx<'_> {
+        GlockTx {
             // The lock acquisition is the transaction's single
             // synchronization point; it happens at begin, outside any
             // operation, and costs O(1).
             guard: Some(lock(&self.store)),
             undo: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true, // never forcefully aborts at all
-            single_version: true,
-            invisible_reads: false, // the lock word is written at begin
-            opaque_by_design: true,
-            serializable_by_design: true,
         }
-    }
-
-    fn blocking(&self) -> bool {
-        true
     }
 }
 
@@ -125,7 +112,7 @@ impl Protocol for GlockTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;

@@ -16,8 +16,9 @@
 //! | [`tpl::TplStm`] | ✔ | ✔ | ✘ | ✔ (rigorous) | O(1) |
 //! | [`glock::GlockStm`] | ✔ | ✔ | ✘ | ✔ | O(1), zero concurrency |
 //!
-//! Every implementation runs on one shared transaction lifecycle, so that
-//! each TM module holds only its base-object protocol. The lifecycle:
+//! Every implementation is one generic TM shell around its design, so each
+//! TM module states only its name, its design-space facts, its base objects
+//! and its per-transaction protocol. The shell's transaction lifecycle:
 //!
 //! * records the paper's transactional events into a [`recorder::Recorder`]
 //!   so that recorded executions can be fed to the `tm-opacity` checkers;
@@ -54,10 +55,11 @@
 //!
 //! # Configured construction
 //!
-//! Every TM is built from an [`StmConfig`] (its `new(k)` is a thin wrapper
-//! over the default configuration), and the [`TmRegistry`] resolves TM
-//! names into configured instances with fallible lookup — see [`config`]
-//! and [`registry`]. Registers start at 0. The timestamp-based TMs (`tl2`,
+//! Every TM is built from an [`StmConfig`] by the one shell constructor
+//! (`new(k)` builds the default configuration), and the [`TmRegistry`]
+//! resolves TM names into configured instances with fallible lookup — see
+//! [`config`] and [`registry`]. The registry reads each TM's name and
+//! design-space facts from its design, without building it. Registers start at 0. The timestamp-based TMs (`tl2`,
 //! `mvstm`, `sistm`) all run on TL2's GV1 [`VersionClock`] (see [`clock`]);
 //! the conflict-resolving TMs (`dstm`, `visible`) always abort the live
 //! enemy. [`run_tx`]/[`try_run_tx`] retry an aborted transaction up to
@@ -105,7 +107,7 @@ pub use nonopaque::NonOpaqueStm;
 pub use objects::{
     run_typed_tx, try_run_typed_tx, ObjEncoding, TObj, TypedSpace, TypedStm, TypedTx,
 };
-pub use obs::{ObsClock, ObsStepProbe};
+pub use obs::ObsClock;
 pub use recorder::Recorder;
 pub use registry::{TmLookupError, TmRegistry, TmSpec};
 pub use sistm::SiStm;
@@ -113,26 +115,6 @@ pub use tl2::Tl2Stm;
 pub use tpl::TplStm;
 pub use trace_cells::{AccessEvent, AccessKind, AccessLog, CellId, StepProbe, TraceEvent};
 pub use visible::VisibleStm;
-
-/// Constructs every TM in the suite under the default configuration, for
-/// experiments that sweep the design space. `k` is the number of shared
-/// registers. (A thin wrapper over [`TmRegistry::suite`].)
-pub fn all_stms(k: usize) -> Vec<Box<dyn Stm>> {
-    let cfg = StmConfig::new(k);
-    TmRegistry::suite()
-        .specs()
-        .iter()
-        .map(|spec| spec.build(&cfg))
-        .collect()
-}
-
-/// Constructs only the opaque-by-design TMs.
-pub fn opaque_stms(k: usize) -> Vec<Box<dyn Stm>> {
-    all_stms(k)
-        .into_iter()
-        .filter(|s| s.properties().opaque_by_design)
-        .collect()
-}
 
 /// Locks `m` even if a holder panicked. The race explorer
 /// (`tm_harness::dpor`) catches a panic in TM code and lets the run's other
@@ -146,37 +128,36 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
+    /// The names of the suite TMs whose properties satisfy `keep`.
+    fn names_where(keep: impl Fn(&StmProperties) -> bool) -> Vec<&'static str> {
+        let suite = TmRegistry::suite();
+        let specs = suite.specs().iter();
+        specs
+            .filter(|s| keep(&s.properties))
+            .map(|s| s.name)
+            .collect()
+    }
+
     #[test]
     fn suite_covers_the_design_space() {
-        let stms = all_stms(4);
-        assert_eq!(stms.len(), 9);
+        assert_eq!(TmRegistry::suite().specs().len(), 9);
         // Exactly two TMs satisfy all three Theorem-3 hypotheses AND
         // opacity: DSTM and ASTM — the configurations the lower bound
         // binds (and the two systems the paper names for tightness).
-        let bound: Vec<&str> = stms
-            .iter()
-            .filter(|s| {
-                let p = s.properties();
-                p.progressive && p.single_version && p.invisible_reads && p.opaque_by_design
-            })
-            .map(|s| s.name())
-            .collect();
+        let bound = names_where(|p| {
+            p.progressive && p.single_version && p.invisible_reads && p.opaque_by_design
+        });
         assert_eq!(bound, vec!["dstm", "astm"]);
         // Exactly one TM has the hypotheses but trades opacity away.
-        let escape: Vec<&str> = stms
-            .iter()
-            .filter(|s| {
-                let p = s.properties();
-                p.progressive && p.single_version && p.invisible_reads && !p.opaque_by_design
-            })
-            .map(|s| s.name())
-            .collect();
+        let escape = names_where(|p| {
+            p.progressive && p.single_version && p.invisible_reads && !p.opaque_by_design
+        });
         assert_eq!(escape, vec!["nonopaque"]);
     }
 
     #[test]
     fn opaque_suite_excludes_nonopaque() {
-        let names: Vec<&str> = opaque_stms(2).iter().map(|s| s.name()).collect();
+        let names = names_where(|p| p.opaque_by_design);
         assert!(!names.contains(&"nonopaque"));
         assert!(!names.contains(&"sistm"));
         assert_eq!(names.len(), 7);
@@ -184,7 +165,8 @@ mod tests {
 
     #[test]
     fn all_stms_basic_smoke() {
-        for stm in all_stms(3) {
+        let cfg = StmConfig::new(3);
+        for stm in TmRegistry::suite().specs().iter().map(|s| s.build(&cfg)) {
             let (v, stats) = run_tx(stm.as_ref(), 0, |tx| {
                 tx.write(0, 7)?;
                 tx.read(0)

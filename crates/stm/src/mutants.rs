@@ -30,21 +30,20 @@
 //! | mutation | the bug | who catches it |
 //! |----------|---------|----------------|
 //! | [`Mutation::DroppedResidue`] | a pass-on-failure clock drops the adopter's thread residue, so a CAS loser shares its stamp with the winner | `race::check` (duplicate commit timestamps) |
-//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to a pass-on-failure clock by comparing tick *counts*, which only GV1's `fetch_add` licenses | `dpor::explore` (a non-serializable write skew on 3 transactions) |
+//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to a pass-on-failure clock by comparing tick *counts*, which only GV1's `fetch_add` licenses | `dpor::explore` (a non-serializable write skew on 2 transactions, at preemption bound 2) |
 //!
 //! Both run on a private GV4-style pass-on-failure clock, the one place in
 //! the crate where a version clock other than GV1 exists.
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::clock::{GlobalClock, VersionClock};
 use crate::config::StmConfig;
-use crate::recorder::Recorder;
 use crate::tl2::{is_locked, locked, release_locks, unlocked_at, version_of, Tl2Obj};
-use crate::trace_cells::{CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::CellId;
+use crate::txn::{Design, Protocol, Tm};
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use tm_model::TxId;
 
 /// The protocol bug planted into [`MutantStm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,10 +74,11 @@ pub enum Mutation {
     /// *counts*: "the clock advanced exactly once since my `rv`, so a
     /// single committer interleaved — skip validation". Under GV1 the
     /// check `wv == rv + 1` proves *zero* interleaved commits; under a
-    /// pass-on-failure clock one tick can carry arbitrarily many adopter
-    /// commits, each of which may be skipping the very lock checks it owes
-    /// the others. Two adopters with
-    /// crossing read/write sets plus one count-winner commit a write skew.
+    /// pass-on-failure clock one tick can carry the winner's commit and any
+    /// number of adopters', each of which may be skipping the very lock
+    /// checks it owes the others. Two transactions with crossing read/write
+    /// sets that commit in one tick — the CAS winner and its adopter —
+    /// commit a write skew; the explorer finds it at preemption bound 2.
     /// Every sequential execution — and every op-granular interleaving —
     /// is flawless; only the step-level explorer convicts it.
     UnlicensedFastPath,
@@ -186,13 +186,14 @@ impl GlobalClock for PassOnFailureClock {
 }
 
 /// A TL2-style TM with a planted [`Mutation`].
+pub type MutantStm = Tm<Mutant>;
+
+/// The mutant TM's base objects: TL2's, its clock, and the planted bug.
 #[derive(Debug)]
-pub struct MutantStm {
+pub struct Mutant {
     objs: Vec<Tl2Obj>,
     clock: Box<dyn GlobalClock>,
-    recorder: Recorder,
     mutation: Mutation,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
 impl MutantStm {
@@ -202,66 +203,73 @@ impl MutantStm {
     }
 
     /// A mutant TM built from an explicit configuration. The validation
-    /// mutants keep the plain
-    /// GV1 counter; the two concurrency mutants carry the (broken or
-    /// faithful) pass-on-failure clock their bug lives in.
+    /// mutants keep the plain GV1 counter; the two concurrency mutants
+    /// carry the (broken or faithful) pass-on-failure clock their bug
+    /// lives in.
     pub fn with_config(cfg: &StmConfig, mutation: Mutation) -> Self {
+        Tm::build(cfg, mutation)
+    }
+}
+
+mod state {
+    /// A live mutant transaction's protocol state.
+    pub struct MutantTx<'a> {
+        pub(super) stm: &'a super::Mutant,
+        pub(super) rv: u64,
+        pub(super) reads: Vec<usize>,
+        pub(super) writes: Vec<(usize, i64)>,
+    }
+}
+
+use state::MutantTx;
+
+impl Design for Mutant {
+    /// The faithful baseline's name; [`Design::name`] names the mutation.
+    const NAME: &'static str = "mutant-none";
+    /// The faithful baseline's facts; [`Design::properties`] gives the
+    /// mutation's.
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: false,
+        single_version: true,
+        invisible_reads: true,
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = Mutation;
+    type Tx<'a> = MutantTx<'a>;
+
+    fn build(cfg: &StmConfig, mutation: Mutation) -> Self {
         let clock: Box<dyn GlobalClock> = match mutation {
             Mutation::DroppedResidue => Box::new(PassOnFailureClock::new(false)),
             Mutation::UnlicensedFastPath => Box::new(PassOnFailureClock::new(true)),
             _ => Box::new(VersionClock::new()),
         };
-        MutantStm {
+        Mutant {
             objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
             clock,
-            recorder: cfg.build_recorder(),
             mutation,
-            probe: cfg.step_probe(),
         }
-    }
-
-    /// The planted mutation.
-    pub fn mutation(&self) -> Mutation {
-        self.mutation
-    }
-}
-
-/// A live mutant transaction's protocol state.
-struct MutantTx<'a> {
-    stm: &'a MutantStm,
-    rv: u64,
-    reads: Vec<usize>,
-    writes: Vec<(usize, i64)>,
-}
-
-impl Stm for MutantStm {
-    fn name(&self) -> &'static str {
-        self.mutation.name()
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |_| MutantTx {
+    fn begin(&self, _: TxId) -> MutantTx<'_> {
+        MutantTx {
             stm: self,
             rv: self.clock.peek(),
             reads: Vec::new(),
             writes: Vec::new(),
-        }))
+        }
     }
 
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
+    fn name(&self) -> &'static str {
+        self.mutation.name()
     }
 
     fn properties(&self) -> StmProperties {
         StmProperties {
-            progressive: false,
-            single_version: true,
-            invisible_reads: true,
             // The two concurrency mutants *claim* correctness — every
             // sequential execution honours it; the step-level race analysis
             // exists to falsify the claim.
@@ -270,6 +278,7 @@ impl Stm for MutantStm {
                 Mutation::SkipReadValidation | Mutation::SkipCommitValidation
             ),
             serializable_by_design: self.mutation != Mutation::SkipCommitValidation,
+            ..Self::PROPERTIES
         }
     }
 }
@@ -353,11 +362,12 @@ impl Protocol for MutantTx<'_> {
         // but only on GV1, whose `fetch_add` is the sole way time advances.
         // THE MUTATION POINT for UnlicensedFastPath: it "ports" the fast
         // path to the pass-on-failure clock by comparing tick *counts* —
-        // "the clock advanced exactly once, so one committer interleaved
-        // and it validated against my locks". One pass-on-failure tick can
-        // carry many adopter commits, and a fellow adopter taking this same
-        // shortcut skips the lock check it owed us: two adopters with
-        // crossing read/write sets commit a write skew. DroppedResidue's
+        // "the clock advanced exactly once, so at most one committer
+        // interleaved". One pass-on-failure tick can carry the winner's
+        // commit and its adopters', and a fellow committer of the same tick
+        // taking this same shortcut skips the lock check it owed us: a CAS
+        // winner and its adopter with crossing read/write sets commit a
+        // write skew. DroppedResidue's
         // stamps satisfy `wv == rv + 1` by accident
         // (`(c << 8 | 0xff) + 1 == (c + 1) << 8`), so its fast path must be
         // off explicitly.
@@ -391,7 +401,7 @@ impl Protocol for MutantTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

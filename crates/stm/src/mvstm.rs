@@ -12,19 +12,19 @@
 //! global commit lock (first-committer-wins) and install new versions at a
 //! fresh timestamp.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::{AccessKind, CellId};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
 /// The committed versions of `k` registers, the clock that stamps them and
-/// the global commit lock: the shared state of both multi-version TMs
+/// the global commit lock: the base objects of both multi-version TMs
 /// ([`MvStm`] and [`crate::sistm::SiStm`]).
 #[derive(Debug)]
 pub(crate) struct VersionStore {
@@ -123,73 +123,56 @@ impl VersionStore {
     }
 }
 
-/// The multi-version TM over `k` registers.
+/// The multi-version TM over `k` registers, initialized to 0.
+pub type MvStm = Tm<Mv>;
+
+/// The multi-version TM's base objects.
 #[derive(Debug)]
-pub struct MvStm {
-    store: VersionStore,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
-}
+pub struct Mv(VersionStore);
 
-impl MvStm {
-    /// A multi-version TM with `k` registers initialized to 0 (default
-    /// configuration).
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
-    }
-
-    /// A multi-version TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        MvStm {
-            store: VersionStore::new(cfg),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
-        }
+mod state {
+    /// A live multi-version transaction's protocol state.
+    pub struct MvTx<'a> {
+        pub(super) store: &'a super::VersionStore,
+        /// Snapshot timestamp sampled at begin.
+        pub(super) start_ts: u64,
+        /// Read set (object indices) — needed only for update-commit
+        /// validation.
+        pub(super) reads: Vec<usize>,
+        /// Redo log.
+        pub(super) writes: Vec<(usize, i64)>,
     }
 }
 
-/// A live multi-version transaction's protocol state.
-struct MvTx<'a> {
-    store: &'a VersionStore,
-    /// Snapshot timestamp sampled at begin.
-    start_ts: u64,
-    /// Read set (object indices) — needed only for update-commit validation.
-    reads: Vec<usize>,
-    /// Redo log.
-    writes: Vec<(usize, i64)>,
-}
+use state::MvTx;
 
-impl Stm for MvStm {
-    fn name(&self) -> &'static str {
-        "mvstm"
+impl Design for Mv {
+    const NAME: &'static str = "mvstm";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: false, // first-committer-wins can abort after the
+        // conflicting peer already committed
+        single_version: false,
+        invisible_reads: true,
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = MvTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Mv(VersionStore::new(cfg))
     }
 
     fn k(&self) -> usize {
-        self.store.k()
+        self.0.k()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |_| MvTx {
-            store: &self.store,
-            start_ts: self.store.start_ts(),
+    fn begin(&self, _: TxId) -> MvTx<'_> {
+        MvTx {
+            store: &self.0,
+            start_ts: self.0.start_ts(),
             reads: Vec::new(),
             writes: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: false, // first-committer-wins can abort after the
-            // conflicting peer already committed
-            single_version: false,
-            invisible_reads: true,
-            opaque_by_design: true,
-            serializable_by_design: true,
         }
     }
 }
@@ -232,7 +215,7 @@ impl Protocol for MvTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]
@@ -321,10 +304,10 @@ mod tests {
         }
         let mut m = Meter::new();
         m.begin_op(OpKind::Read);
-        assert_eq!(stm.store.value_at(0, 0, &mut m), 0);
-        assert_eq!(stm.store.value_at(0, 1, &mut m), 1);
-        assert_eq!(stm.store.value_at(0, 2, &mut m), 2);
-        assert_eq!(stm.store.value_at(0, 999, &mut m), 3);
+        assert_eq!(stm.design.0.value_at(0, 0, &mut m), 0);
+        assert_eq!(stm.design.0.value_at(0, 1, &mut m), 1);
+        assert_eq!(stm.design.0.value_at(0, 2, &mut m), 2);
+        assert_eq!(stm.design.0.value_at(0, 999, &mut m), 3);
         m.end_op();
     }
 

@@ -17,80 +17,66 @@
 //! and still fail Definition 1 (experiments E11/E12, the inconsistent-view
 //! example of Section 2).
 
-use std::sync::Arc;
-
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::config::StmConfig;
-use crate::recorder::Recorder;
 use crate::tl2::{is_locked, locked, release_locks, unlocked_at, version_of, Tl2Obj};
-use crate::trace_cells::{CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::CellId;
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
-/// The commit-time-validation (non-opaque) TM over `k` registers.
+/// The commit-time-validation (non-opaque) TM over `k` registers,
+/// initialized to 0.
+pub type NonOpaqueStm = Tm<NonOpaque>;
+
+/// The non-opaque TM's base objects: TL2's versioned lock words, with
+/// per-object version counters (no global clock).
 #[derive(Debug)]
-pub struct NonOpaqueStm {
-    /// TL2's versioned lock words, with per-object version counters.
+pub struct NonOpaque {
     objs: Vec<Tl2Obj>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl NonOpaqueStm {
-    /// A non-opaque TM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
+mod state {
+    /// A live non-opaque transaction's protocol state.
+    pub struct NonOpaqueTx<'a> {
+        pub(super) stm: &'a super::NonOpaque,
+        /// Read set: (object, version observed) — used only at commit.
+        pub(super) reads: Vec<(usize, u64)>,
+        /// Redo log, kept sorted by object for deadlock-free commit
+        /// locking.
+        pub(super) writes: Vec<(usize, i64)>,
     }
+}
 
-    /// A commit-time-validation TM built from an explicit configuration
-    /// (versions are per-object counters, so no global clock applies).
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        NonOpaqueStm {
+use state::NonOpaqueTx;
+
+impl Design for NonOpaque {
+    const NAME: &'static str = "nonopaque";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true,
+        single_version: true,
+        invisible_reads: true,
+        opaque_by_design: false,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = NonOpaqueTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        NonOpaque {
             objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
         }
-    }
-}
-
-/// A live non-opaque transaction's protocol state.
-struct NonOpaqueTx<'a> {
-    stm: &'a NonOpaqueStm,
-    /// Read set: (object, version observed) — used only at commit.
-    reads: Vec<(usize, u64)>,
-    /// Redo log, kept sorted by object for deadlock-free commit locking.
-    writes: Vec<(usize, i64)>,
-}
-
-impl Stm for NonOpaqueStm {
-    fn name(&self) -> &'static str {
-        "nonopaque"
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |_| NonOpaqueTx {
+    fn begin(&self, _: TxId) -> NonOpaqueTx<'_> {
+        NonOpaqueTx {
             stm: self,
             reads: Vec::new(),
             writes: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true,
-            single_version: true,
-            invisible_reads: true,
-            opaque_by_design: false,
-            serializable_by_design: true,
         }
     }
 }
@@ -167,7 +153,7 @@ impl Protocol for NonOpaqueTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

@@ -71,7 +71,7 @@ pub mod encodings;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::api::{retry, Aborted, Livelock, RunStats, Stm, Tx, TxResult, MAX_ATTEMPTS};
+use crate::api::{retry, Livelock, RunStats, Stm, Tx, TxResult, MAX_ATTEMPTS};
 use crate::recorder::Recorder;
 use tm_model::{History, ObjId, OpName, SeqSpec, SpecRegistry, TxId, Value};
 
@@ -373,23 +373,19 @@ impl TypedTx<'_> {
         let entry = &self.space.entries[obj.0];
         let t = TxId(self.tx.id());
         self.recorder
-            .begin_object_op(t, entry.id.clone(), op.clone(), args.to_vec());
+            .inv_object(t, entry.id.clone(), op.clone(), args.to_vec());
+        self.tx.record_ops(false);
         let mut regs = RegBlock {
             tx: self.tx.as_mut(),
             base: entry.base,
             len: entry.encoding.footprint(),
         };
-        match entry.encoding.apply(&mut regs, op, args) {
-            Ok(ret) => {
-                self.recorder
-                    .end_object_op(t, entry.id.clone(), op.clone(), ret.clone());
-                Ok(ret)
-            }
-            Err(Aborted) => {
-                self.recorder.cancel_object_op(t);
-                Err(Aborted)
-            }
-        }
+        let res = entry.encoding.apply(&mut regs, op, args);
+        self.tx.record_ops(true);
+        let ret = res?;
+        self.recorder
+            .ret_object(t, entry.id.clone(), op.clone(), ret.clone());
+        Ok(ret)
     }
 
     /// Requests commit.
@@ -575,6 +571,7 @@ pub fn run_typed_tx<R>(
 mod tests {
     use super::encodings::*;
     use super::*;
+    use crate::api::Aborted;
     use tm_model::is_well_formed;
     use tm_opacity::opacity::is_opaque;
 

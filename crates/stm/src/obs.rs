@@ -1,30 +1,17 @@
-//! Observability adapters for the STM layer.
+//! Observability for the STM layer's clock.
 //!
-//! Two decorators connect the existing instrumentation seams to the
-//! `tm-obs` registry, both constructed **only when an enabled handle is
-//! attached** — a TM built from a default [`crate::StmConfig`] contains
-//! neither, so the disabled path is not "a cheap branch" but the complete
-//! absence of the adapter:
-//!
-//! * [`ObsClock`] wraps any [`GlobalClock`] and counts
-//!   `stm.clock.samples` / `stm.clock.ticks` (reservations count as
-//!   ticks — they issue commit timestamps). Installed by
-//!   [`crate::StmConfig::build_clock`].
-//! * [`ObsStepProbe`] is a [`StepProbe`] that tallies the meter's
-//!   step stream into lock-free [`Counter`]s and publishes the totals as
-//!   `stm.steps` / `stm.stamps` on demand — the per-step path never
-//!   touches the registry mutex. Attach it like any other probe via
-//!   [`crate::StmConfig::probe`].
-//!
-//! This module deliberately contains no atomic orderings: all atomics live
-//! behind [`Counter`], whose relaxed monotone semantics are exactly right
-//! for telemetry (and nothing else — synchronization mirrors like the
-//! recorder's `suppressed_len` must stay on raw atomics).
+//! [`ObsClock`] wraps any [`GlobalClock`] and counts `stm.clock.samples` /
+//! `stm.clock.ticks` on the `tm-obs` registry (reservations count as
+//! ticks — they issue commit timestamps). A timestamp-based TM gets one
+//! **only when an enabled handle is attached** to its
+//! [`crate::StmConfig`]: a TM built from the default configuration has no
+//! wrapper, so the disabled path is not "a cheap branch" but the complete
+//! absence of the adapter. (The recorder counts `stm.commits` /
+//! `stm.aborts` on the same handle.)
 
 use crate::base::Meter;
 use crate::clock::GlobalClock;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use tm_obs::{Counter, ObsHandle};
+use tm_obs::ObsHandle;
 
 /// A [`GlobalClock`] decorator that counts samples and ticks on an
 /// observability handle while delegating every operation unchanged.
@@ -70,60 +57,6 @@ impl GlobalClock for ObsClock {
     }
 }
 
-/// A passive [`StepProbe`] that tallies the step stream into relaxed
-/// counters, off the registry mutex.
-///
-/// The meter calls [`StepProbe::on_access`] once per base-object
-/// instruction — the hottest path in the whole STM layer — so this probe
-/// does one relaxed `fetch_add` per event and nothing else. Call
-/// [`ObsStepProbe::publish`] once, after the workload, to fold the totals
-/// into the registry as `stm.steps` and `stm.stamps`.
-#[derive(Debug)]
-pub struct ObsStepProbe {
-    obs: ObsHandle,
-    steps: Counter,
-    stamps: Counter,
-}
-
-impl ObsStepProbe {
-    /// A fresh probe publishing to `obs`.
-    pub fn new(obs: ObsHandle) -> Self {
-        ObsStepProbe {
-            obs,
-            steps: Counter::new(),
-            stamps: Counter::new(),
-        }
-    }
-
-    /// Steps tallied so far.
-    pub fn steps(&self) -> u64 {
-        self.steps.get()
-    }
-
-    /// Commit timestamps tallied so far.
-    pub fn stamps(&self) -> u64 {
-        self.stamps.get()
-    }
-
-    /// Folds the tallies into the registry (`stm.steps`, `stm.stamps`).
-    /// Call once, after the workload — a second call would add the totals
-    /// again.
-    pub fn publish(&self) {
-        self.obs.counter_add("stm.steps", self.steps.get());
-        self.obs.counter_add("stm.stamps", self.stamps.get());
-    }
-}
-
-impl StepProbe for ObsStepProbe {
-    fn on_access(&self, _thread: usize, _cell: CellId, _kind: AccessKind, _blocking: bool) {
-        self.steps.add(1);
-    }
-
-    fn on_stamp(&self, _thread: usize, _ts: u64) {
-        self.stamps.add(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +64,6 @@ mod tests {
     use crate::clock::VersionClock;
     use crate::config::StmConfig;
     use crate::tl2::Tl2Stm;
-    use std::sync::Arc;
 
     fn installed() -> ObsHandle {
         ObsHandle::install()
@@ -183,29 +115,11 @@ mod tests {
     #[test]
     fn default_config_builds_unwrapped_clock_and_silent_recorder() {
         let cfg = StmConfig::new(1);
-        assert!(!cfg.obs_handle().enabled());
         // The debug representation proves no ObsClock wrapper is present.
         let clock = cfg.build_clock();
         assert!(!format!("{clock:?}").contains("ObsClock"));
         let stm = Tl2Stm::with_config(&cfg);
         let (_, _) = run_tx(&stm, 0, |tx| tx.write(0, 1));
         assert_eq!(stm.recorder().history().committed_txs().len(), 1);
-    }
-
-    #[test]
-    fn step_probe_tallies_and_publishes_once() {
-        let obs = installed();
-        let probe = Arc::new(ObsStepProbe::new(obs));
-        let cfg = StmConfig::new(2).obs(obs).probe(probe.clone());
-        let stm = Tl2Stm::with_config(&cfg);
-        let (_, _) = run_tx(&stm, 0, |tx| {
-            tx.write(0, 3)?;
-            tx.read(1)
-        });
-        assert!(probe.steps() > 0, "metered accesses must reach the probe");
-        assert!(probe.stamps() >= 1, "the commit tick stamps");
-        probe.publish();
-        assert_eq!(count(obs, "stm.steps"), probe.steps());
-        assert_eq!(count(obs, "stm.stamps"), probe.stamps());
     }
 }

@@ -21,16 +21,16 @@
 //! to be checkable against the *object's* sequential specification, the
 //! recorder must emit one `inv`/`ret` pair carrying the object's `ObjId`,
 //! `OpName`, and arguments — not the storm of register events underneath.
-//! [`Recorder::begin_object_op`] records the object-level invocation and
-//! *suppresses* register-level events of that transaction until the matching
-//! [`Recorder::end_object_op`] (or [`Recorder::cancel_object_op`] when the
-//! TM aborted the transaction mid-operation — the `A` event, which is never
-//! suppressed, then answers the pending object-level invocation, exactly as
-//! the model allows). Suppression is per-transaction, so concurrent
-//! transactions recording register-level and object-level operations
-//! interleave correctly.
+//! [`Recorder::inv_object`] records the object-level invocation, and the
+//! layer turns the transaction's register-level events off
+//! ([`crate::Tx::record_ops`]) until [`Recorder::ret_object`] records the
+//! response. When the TM aborts the transaction mid-operation there is no
+//! response: the `A` event, which is never turned off, answers the pending
+//! object-level invocation, exactly as the model allows. The switch is a
+//! flag of the one transaction, so concurrent transactions recording
+//! register-level and object-level operations interleave correctly.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::lock;
@@ -43,16 +43,6 @@ pub struct Recorder {
     events: Mutex<Vec<Event>>,
     names: Vec<ObjId>,
     next_tx: AtomicU32,
-    /// Transactions currently inside an object-level operation: their
-    /// register-level events are dropped (the object-level `inv`/`ret`
-    /// stands for the whole read-modify-write sequence).
-    suppressed: Mutex<Vec<TxId>>,
-    /// Mirror of `suppressed.len()`, so the (hot) register-level event
-    /// helpers skip the suppression lock entirely while no typed-object
-    /// operation is in flight anywhere — the permanent state of every
-    /// register-only workload. (A synchronization fast path, not a
-    /// telemetry counter: it needs Acquire/Release and can go down.)
-    suppressed_len: AtomicUsize,
     /// Observability handle: [`Recorder::commit`]/[`Recorder::abort`] count
     /// `stm.commits`/`stm.aborts` through it even when event recording is
     /// disabled. Disabled by default — zero cost.
@@ -67,8 +57,6 @@ impl Recorder {
             events: Mutex::new(Vec::new()),
             names: (0..k).map(ObjId::register).collect(),
             next_tx: AtomicU32::new(1),
-            suppressed: Mutex::new(Vec::new()),
-            suppressed_len: AtomicUsize::new(0),
             obs: tm_obs::ObsHandle::disabled(),
         }
     }
@@ -106,73 +94,29 @@ impl Recorder {
         }
     }
 
-    /// True while `t` is inside an object-level operation scope.
-    fn is_suppressed(&self, t: TxId) -> bool {
-        // Fast path: no transaction anywhere is inside an object op. A
-        // transaction always observes its own suppression (same-thread
-        // program order), so the relaxed count can never hide it.
-        if self.suppressed_len.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        lock(&self.suppressed).contains(&t)
+    /// Records the object-level invocation `inv_t(obj, op, args)`.
+    pub fn inv_object(&self, t: TxId, obj: ObjId, op: OpName, args: Vec<Value>) {
+        self.record(Event::Inv {
+            tx: t,
+            obj,
+            op,
+            args,
+        });
     }
 
-    /// Adds `t` to the suppression set.
-    fn suppress(&self, t: TxId) {
-        let mut set = lock(&self.suppressed);
-        set.push(t);
-        self.suppressed_len.store(set.len(), Ordering::Release);
-    }
-
-    /// Removes `t` from the suppression set (idempotent).
-    fn unsuppress(&self, t: TxId) {
-        let mut set = lock(&self.suppressed);
-        set.retain(|&s| s != t);
-        self.suppressed_len.store(set.len(), Ordering::Release);
-    }
-
-    /// Opens an object-level operation scope for `t`: records
-    /// `inv_t(obj, op, args)` and suppresses `t`'s register-level events
-    /// until [`Recorder::end_object_op`] or [`Recorder::cancel_object_op`].
-    ///
-    /// No-op when recording is disabled.
-    pub fn begin_object_op(&self, t: TxId, obj: ObjId, op: OpName, args: Vec<Value>) {
-        if self.enabled() {
-            self.record(Event::Inv {
-                tx: t,
-                obj,
-                op,
-                args,
-            });
-            self.suppress(t);
-        }
-    }
-
-    /// Closes `t`'s object-level operation scope successfully: lifts the
-    /// suppression and records `ret_t(obj, op) → val`.
-    pub fn end_object_op(&self, t: TxId, obj: ObjId, op: OpName, val: Value) {
-        self.unsuppress(t);
-        if self.enabled() {
-            self.record(Event::Ret {
-                tx: t,
-                obj,
-                op,
-                val,
-            });
-        }
-    }
-
-    /// Closes `t`'s object-level operation scope without a response — used
-    /// when the TM aborted the transaction mid-operation. The `A_t` event
-    /// (recorded by the TM, never suppressed) answers the pending
-    /// object-level invocation, as the model allows.
-    pub fn cancel_object_op(&self, t: TxId) {
-        self.unsuppress(t);
+    /// Records the object-level response `ret_t(obj, op) → val`.
+    pub fn ret_object(&self, t: TxId, obj: ObjId, op: OpName, val: Value) {
+        self.record(Event::Ret {
+            tx: t,
+            obj,
+            op,
+            val,
+        });
     }
 
     /// Records `inv_t(r_i, read, ⊥)`.
     pub fn inv_read(&self, t: TxId, i: usize) {
-        if self.enabled() && !self.is_suppressed(t) {
+        if self.enabled() {
             self.record(Event::Inv {
                 tx: t,
                 obj: self.obj(i),
@@ -184,7 +128,7 @@ impl Recorder {
 
     /// Records `ret_t(r_i, read) → v`.
     pub fn ret_read(&self, t: TxId, i: usize, v: i64) {
-        if self.enabled() && !self.is_suppressed(t) {
+        if self.enabled() {
             self.record(Event::Ret {
                 tx: t,
                 obj: self.obj(i),
@@ -196,7 +140,7 @@ impl Recorder {
 
     /// Records `inv_t(r_i, write, v)`.
     pub fn inv_write(&self, t: TxId, i: usize, v: i64) {
-        if self.enabled() && !self.is_suppressed(t) {
+        if self.enabled() {
             self.record(Event::Inv {
                 tx: t,
                 obj: self.obj(i),
@@ -208,7 +152,7 @@ impl Recorder {
 
     /// Records `ret_t(r_i, write) → ok`.
     pub fn ret_write(&self, t: TxId, i: usize) {
-        if self.enabled() && !self.is_suppressed(t) {
+        if self.enabled() {
             self.record(Event::Ret {
                 tx: t,
                 obj: self.obj(i),
@@ -268,6 +212,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_tx, Aborted, Stm, Tl2Stm};
     use tm_model::is_well_formed;
 
     #[test]
@@ -316,30 +261,29 @@ mod tests {
 
     #[test]
     fn object_scope_suppresses_register_events_per_transaction() {
-        let r = Recorder::new(2);
-        let t1 = r.fresh_tx();
-        let t2 = r.fresh_tx();
-        r.begin_object_op(t1, ObjId::new("q"), OpName::Enq, vec![Value::int(5)]);
-        // t1's register traffic is the encoding of the enq: suppressed.
-        r.inv_read(t1, 0);
-        r.ret_read(t1, 0, 0);
-        r.inv_write(t1, 0, 1);
-        r.ret_write(t1, 0);
+        let stm = Tl2Stm::new(2);
+        let r = stm.recorder();
+        let mut t1 = stm.begin(0);
+        let mut t2 = stm.begin(1);
+        let id1 = TxId(t1.id());
+        r.inv_object(id1, ObjId::new("q"), OpName::Enq, vec![Value::int(5)]);
+        // t1's register traffic is the encoding of the enq: not recorded.
+        t1.record_ops(false);
+        t1.read(0).unwrap();
+        t1.write(0, 1).unwrap();
         // A concurrent register-level transaction records normally.
-        r.inv_read(t2, 1);
-        r.ret_read(t2, 1, 0);
-        r.end_object_op(t1, ObjId::new("q"), OpName::Enq, Value::Ok);
-        r.try_commit(t1);
-        r.commit(t1);
-        r.try_commit(t2);
-        r.commit(t2);
+        t2.read(1).unwrap();
+        t1.record_ops(true);
+        r.ret_object(id1, ObjId::new("q"), OpName::Enq, Value::Ok);
+        t1.commit().unwrap();
+        t2.commit().unwrap();
         let h = r.history();
         assert!(is_well_formed(&h), "{h}");
         // t1: inv(q,enq) ret(q,enq) tryC C — 4 events; t2: 4 register events.
         assert_eq!(h.len(), 8);
         assert!(h.events().iter().all(|e| {
             e.obj().map_or(true, |o| match e.tx() {
-                tx if tx == t1 => o.name() == "q",
+                tx if tx == id1 => o.name() == "q",
                 _ => o.name() == "r1",
             })
         }));
@@ -347,20 +291,24 @@ mod tests {
 
     #[test]
     fn cancelled_object_op_leaves_pending_invocation_for_the_abort() {
-        let r = Recorder::new(1);
-        let t = r.fresh_tx();
-        r.begin_object_op(t, ObjId::new("c"), OpName::Inc, vec![]);
-        r.inv_read(t, 0); // suppressed
-        r.cancel_object_op(t);
-        r.abort(t); // the TM's A_t answers the pending inv
+        let stm = Tl2Stm::new(1);
+        let r = stm.recorder();
+        let mut t = stm.begin(0);
+        // A committed write makes t's next read stale: TL2 aborts it.
+        run_tx(&stm, 1, |tx| tx.write(0, 1));
+        let before = r.len();
+        let id = TxId(t.id());
+        r.inv_object(id, ObjId::new("c"), OpName::Inc, vec![]);
+        t.record_ops(false);
+        // The read records nothing; the TM's A_t answers the pending inv.
+        assert_eq!(t.read(0), Err(Aborted));
+        drop(t);
         let h = r.history();
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.len(), before + 2);
         assert!(is_well_formed(&h), "{h}");
-        // Suppression is lifted after cancel: later events record again.
-        let t2 = r.fresh_tx();
-        r.inv_read(t2, 0);
-        r.ret_read(t2, 0, 0);
-        assert_eq!(r.len(), 4);
+        // Other transactions record register events as ever.
+        run_tx(&stm, 0, |tx| tx.read(0));
+        assert_eq!(r.len(), before + 6);
     }
 
     #[test]
@@ -368,8 +316,8 @@ mod tests {
         let r = Recorder::new(1);
         r.set_enabled(false);
         let t = r.fresh_tx();
-        r.begin_object_op(t, ObjId::new("c"), OpName::Inc, vec![]);
-        r.end_object_op(t, ObjId::new("c"), OpName::Inc, Value::Ok);
+        r.inv_object(t, ObjId::new("c"), OpName::Inc, vec![]);
+        r.ret_object(t, ObjId::new("c"), OpName::Inc, Value::Ok);
         assert!(r.is_empty());
     }
 }

@@ -1,11 +1,11 @@
 //! The TM registry — fallible, name-driven construction of the whole suite.
 //!
-//! The old shape of the suite was a hardwired `all_stms(k)` plus a name
-//! lookup that *panicked* on a typo. [`TmRegistry`] replaces both with
-//! data: one [`TmSpec`] per TM carrying its name, its static
-//! [`StmProperties`], and a build function consuming an [`StmConfig`]. Lookups return `Result`s
-//! whose errors list every valid name, so a CLI typo produces a menu
-//! instead of a backtrace.
+//! [`TmRegistry`] is data: one [`TmSpec`] per TM carrying its name, its
+//! static [`StmProperties`], and a build function consuming an
+//! [`StmConfig`]. Each entry reads the facts its TM's design states once,
+//! without building an instance. Lookups return `Result`s whose errors
+//! list every valid name, so a CLI typo produces a menu instead of a
+//! backtrace.
 //!
 //! ```
 //! use tm_stm::{StmConfig, TmRegistry};
@@ -24,6 +24,7 @@
 
 use crate::api::{Stm, StmProperties};
 use crate::config::StmConfig;
+use crate::txn::{Design, Tm};
 
 /// One entry of the registry: everything the harness, CLI, and benches
 /// need to know about a TM without instantiating it.
@@ -40,6 +41,16 @@ pub struct TmSpec {
 }
 
 impl TmSpec {
+    /// The entry of the TM whose design is `D`.
+    const fn of<D: Design<Args = ()> + 'static>() -> TmSpec {
+        TmSpec {
+            name: D::NAME,
+            blocking: D::BLOCKING,
+            properties: D::PROPERTIES,
+            build: |cfg| Box::new(Tm::<D>::with_config(cfg)),
+        }
+    }
+
     /// Builds an instance from a configuration.
     pub fn build(&self, cfg: &StmConfig) -> Box<dyn Stm> {
         (self.build)(cfg)
@@ -82,7 +93,7 @@ impl std::fmt::Display for TmLookupError {
 impl std::error::Error for TmLookupError {}
 
 /// The registry of suite TMs. Cheap to construct and clone: the spec
-/// table is a process-wide static built on first use.
+/// table is a process-wide static.
 #[derive(Clone, Debug)]
 pub struct TmRegistry {
     specs: &'static [TmSpec],
@@ -91,59 +102,24 @@ pub struct TmRegistry {
 /// The build-function shape shared by every registry entry.
 type BuildFn = fn(&StmConfig) -> Box<dyn Stm>;
 
-/// The registry entries, computed once per process: the cached properties
-/// come from one probe instance per TM, built on first use (the registry
-/// test cross-checks them against live instances).
-fn suite_specs() -> &'static [TmSpec] {
-    static SPECS: std::sync::OnceLock<Vec<TmSpec>> = std::sync::OnceLock::new();
-    SPECS.get_or_init(build_suite_specs)
-}
-
-/// The entry table, in the registry's canonical TM order (the historical
-/// `all_stms` order — pinned because rendered tables and swept batteries
-/// follow it).
-fn build_suite_specs() -> Vec<TmSpec> {
-    fn props_of(build: BuildFn) -> (StmProperties, bool) {
-        let probe = build(&StmConfig::new(1).recording(false));
-        (probe.properties(), probe.blocking())
-    }
-    let entries: [(&'static str, BuildFn); 9] = [
-        ("glock", |c| {
-            Box::new(crate::glock::GlockStm::with_config(c))
-        }),
-        ("tl2", |c| Box::new(crate::tl2::Tl2Stm::with_config(c))),
-        ("dstm", |c| Box::new(crate::dstm::DstmStm::with_config(c))),
-        ("astm", |c| Box::new(crate::astm::AstmStm::with_config(c))),
-        ("visible", |c| {
-            Box::new(crate::visible::VisibleStm::with_config(c))
-        }),
-        ("mvstm", |c| Box::new(crate::mvstm::MvStm::with_config(c))),
-        ("nonopaque", |c| {
-            Box::new(crate::nonopaque::NonOpaqueStm::with_config(c))
-        }),
-        ("sistm", |c| Box::new(crate::sistm::SiStm::with_config(c))),
-        ("tpl", |c| Box::new(crate::tpl::TplStm::with_config(c))),
-    ];
-    entries
-        .into_iter()
-        .map(|(name, build)| {
-            let (properties, blocking) = props_of(build);
-            TmSpec {
-                name,
-                blocking,
-                properties,
-                build,
-            }
-        })
-        .collect()
-}
+/// The entry table, in the registry's canonical TM order (pinned because
+/// rendered tables and swept batteries follow it).
+static SUITE: [TmSpec; 9] = [
+    TmSpec::of::<crate::glock::Glock>(),
+    TmSpec::of::<crate::tl2::Tl2>(),
+    TmSpec::of::<crate::dstm::Dstm>(),
+    TmSpec::of::<crate::astm::Astm>(),
+    TmSpec::of::<crate::visible::Visible>(),
+    TmSpec::of::<crate::mvstm::Mv>(),
+    TmSpec::of::<crate::nonopaque::NonOpaque>(),
+    TmSpec::of::<crate::sistm::Si>(),
+    TmSpec::of::<crate::tpl::Tpl>(),
+];
 
 impl TmRegistry {
     /// The registry of the nine in-tree TMs, in the canonical sweep order.
     pub fn suite() -> Self {
-        TmRegistry {
-            specs: suite_specs(),
-        }
+        TmRegistry { specs: &SUITE }
     }
 
     /// All specs, in registry order.
@@ -213,12 +189,9 @@ mod tests {
                 "tpl"
             ]
         );
-        // The cached spec properties agree with the live instances.
+        // Each entry builds the TM it names.
         for spec in reg.specs() {
-            let stm = spec.build(&StmConfig::new(1));
-            assert_eq!(stm.name(), spec.name);
-            assert_eq!(stm.properties(), spec.properties, "{}", spec.name);
-            assert_eq!(stm.blocking(), spec.blocking, "{}", spec.name);
+            assert_eq!(spec.build(&StmConfig::new(1)).name(), spec.name);
         }
     }
 

@@ -30,17 +30,14 @@
 //! which is precisely the paper's argument that opacity is the conjunction
 //! users actually need.
 
-use std::sync::Arc;
-
-use crate::api::{Stm, StmProperties, Tx, TxResult};
+use crate::api::{StmProperties, TxResult};
 use crate::base::Meter;
 use crate::config::StmConfig;
 use crate::mvstm::VersionStore;
-use crate::recorder::Recorder;
-use crate::trace_cells::StepProbe;
-use crate::txn::{Protocol, Txn};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
-/// The snapshot-isolation TM over `k` registers.
+/// The snapshot-isolation TM over `k` registers, initialized to 0.
 ///
 /// ```
 /// use tm_stm::{SiStm, Stm, run_tx};
@@ -55,71 +52,53 @@ use crate::txn::{Protocol, Txn};
 /// t.commit().unwrap();
 /// assert!(!stm.properties().opaque_by_design); // …but write skew commits
 /// ```
+pub type SiStm = Tm<Si>;
+
+/// The snapshot-isolation TM's base objects.
 #[derive(Debug)]
-pub struct SiStm {
-    store: VersionStore,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
-}
+pub struct Si(VersionStore);
 
-impl SiStm {
-    /// A snapshot-isolation TM with `k` registers initialized to 0
-    /// (default configuration).
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
-    }
-
-    /// A snapshot-isolation TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        SiStm {
-            store: VersionStore::new(cfg),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
-        }
+mod state {
+    /// A live snapshot-isolation transaction's protocol state.
+    pub struct SiTx<'a> {
+        pub(super) store: &'a crate::mvstm::VersionStore,
+        /// Snapshot timestamp sampled at begin.
+        pub(super) start_ts: u64,
+        /// Redo log. The read set is deliberately *not* tracked: snapshot
+        /// isolation never validates reads — that omission is the
+        /// write-skew hole.
+        pub(super) writes: Vec<(usize, i64)>,
     }
 }
 
-/// A live snapshot-isolation transaction's protocol state.
-struct SiTx<'a> {
-    store: &'a VersionStore,
-    /// Snapshot timestamp sampled at begin.
-    start_ts: u64,
-    /// Redo log. The read set is deliberately *not* tracked: snapshot
-    /// isolation never validates reads — that omission is the write-skew
-    /// hole.
-    writes: Vec<(usize, i64)>,
-}
+use state::SiTx;
 
-impl Stm for SiStm {
-    fn name(&self) -> &'static str {
-        "sistm"
+impl Design for Si {
+    const NAME: &'static str = "sistm";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: false, // first-committer-wins can abort after the
+        // conflicting peer already committed
+        single_version: false,
+        invisible_reads: true,
+        opaque_by_design: false,
+        serializable_by_design: false, // write skew
+    };
+    type Args = ();
+    type Tx<'a> = SiTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Si(VersionStore::new(cfg))
     }
 
     fn k(&self) -> usize {
-        self.store.k()
+        self.0.k()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |_| SiTx {
-            store: &self.store,
-            start_ts: self.store.start_ts(),
+    fn begin(&self, _: TxId) -> SiTx<'_> {
+        SiTx {
+            store: &self.0,
+            start_ts: self.0.start_ts(),
             writes: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: false, // first-committer-wins can abort after the
-            // conflicting peer already committed
-            single_version: false,
-            invisible_reads: true,
-            opaque_by_design: false,
-            serializable_by_design: false, // write skew
         }
     }
 }
@@ -158,7 +137,7 @@ impl Protocol for SiTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{run_tx, Aborted};
+    use crate::api::{run_tx, Aborted, Stm};
 
     #[test]
     fn roundtrip() {

@@ -18,15 +18,14 @@
 //! serializes updates at their write-version.
 
 use std::sync::atomic::{AtomicI64, AtomicU64};
-use std::sync::Arc;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
-use crate::recorder::Recorder;
-use crate::trace_cells::{CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::CellId;
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
 /// Versioned write-lock encoding: `version << 1 | locked`.
 #[inline]
@@ -64,75 +63,62 @@ pub(crate) fn release_locks(objs: &[Tl2Obj], held: &[(usize, u64)], m: &mut Mete
     }
 }
 
-/// The TL2 TM over `k` registers.
+/// The TL2 TM over `k` registers, initialized to 0 at version 0.
+pub type Tl2Stm = Tm<Tl2>;
+
+/// TL2's base objects: one versioned lock word and value per register, and
+/// the GV1 clock.
 #[derive(Debug)]
-pub struct Tl2Stm {
+pub struct Tl2 {
     objs: Vec<Tl2Obj>,
     clock: Box<dyn GlobalClock>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl Tl2Stm {
-    /// A TL2 TM with `k` registers initialized to 0 at version 0, using the
-    /// default configuration.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
+mod state {
+    /// A live TL2 transaction's protocol state.
+    pub struct Tl2Tx<'a> {
+        pub(super) stm: &'a super::Tl2,
+        /// Read version: clock sample at begin.
+        pub(super) rv: u64,
+        /// Read set: object indices (versions are re-checked against `rv`).
+        pub(super) reads: Vec<usize>,
+        /// Redo log, ordered by object index for deadlock-free locking.
+        pub(super) writes: Vec<(usize, i64)>,
     }
+}
 
-    /// A TL2 TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        Tl2Stm {
+use state::Tl2Tx;
+
+impl Design for Tl2 {
+    const NAME: &'static str = "tl2";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: false, // the rv check aborts without live conflicts
+        single_version: true,
+        invisible_reads: true,
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = Tl2Tx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Tl2 {
             objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
             clock: cfg.build_clock(),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
         }
-    }
-}
-
-/// A live TL2 transaction's protocol state.
-struct Tl2Tx<'a> {
-    stm: &'a Tl2Stm,
-    /// Read version: clock sample at begin.
-    rv: u64,
-    /// Read set: object indices (versions are re-checked against `rv`).
-    reads: Vec<usize>,
-    /// Redo log, ordered by object index for deadlock-free locking.
-    writes: Vec<(usize, i64)>,
-}
-
-impl Stm for Tl2Stm {
-    fn name(&self) -> &'static str {
-        "tl2"
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |_| Tl2Tx {
+    fn begin(&self, _: TxId) -> Tl2Tx<'_> {
+        Tl2Tx {
             stm: self,
             // Sampling the clock at begin is TL2's only begin-time work (O(1)).
             rv: self.clock.peek(),
             reads: Vec::new(),
             writes: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: false, // the rv check aborts without live conflicts
-            single_version: true,
-            invisible_reads: true,
-            opaque_by_design: true,
-            serializable_by_design: true,
         }
     }
 }
@@ -216,7 +202,7 @@ impl Protocol for Tl2Tx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

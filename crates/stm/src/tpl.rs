@@ -43,13 +43,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::{status, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::{AccessKind, CellId};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
 /// Per-object lock word: current value, pre-image while write-locked, and
 /// the lock holders. Guarded by one mutex = one base shared object.
@@ -84,7 +84,7 @@ impl TplCell {
     }
 }
 
-/// The strict two-phase-locking TM over `k` registers.
+/// The strict two-phase-locking TM over `k` registers, initialized to 0.
 ///
 /// ```
 /// use tm_stm::{TplStm, Stm, Aborted};
@@ -96,71 +96,58 @@ impl TplCell {
 /// assert_eq!(young.read(0), Err(Aborted)); // younger dies, never waits
 /// old.commit().unwrap();
 /// ```
+pub type TplStm = Tm<Tpl>;
+
+/// The 2PL TM's base objects: one lock word per register.
 #[derive(Debug)]
-pub struct TplStm {
+pub struct Tpl {
     objs: Vec<Mutex<TplCell>>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl TplStm {
-    /// A 2PL TM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
+mod state {
+    /// A live 2PL transaction's protocol state.
+    pub struct TplTx<'a> {
+        pub(super) stm: &'a super::Tpl,
+        pub(super) desc: std::sync::Arc<crate::base::TxDesc>,
+        /// Objects whose reader lists contain this transaction.
+        pub(super) read_locked: Vec<usize>,
+        /// Objects this transaction write-locked (pre-images live in the
+        /// cells).
+        pub(super) write_locked: Vec<usize>,
     }
+}
 
-    /// A 2PL TM built from an explicit configuration (conflicts are
-    /// resolved by seniority).
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        TplStm {
+use state::TplTx;
+
+impl Design for Tpl {
+    const NAME: &'static str = "tpl";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true, // wounds/dies happen only at conflicts with
+        // live lock holders
+        single_version: true,
+        invisible_reads: false, // readers register in the lock word
+        opaque_by_design: true, // rigorous ⇒ opaque
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = TplTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Tpl {
             objs: (0..cfg.k()).map(|_| Mutex::default()).collect(),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
         }
-    }
-}
-
-/// A live 2PL transaction's protocol state.
-struct TplTx<'a> {
-    stm: &'a TplStm,
-    desc: Arc<TxDesc>,
-    /// Objects whose reader lists contain this transaction.
-    read_locked: Vec<usize>,
-    /// Objects this transaction write-locked (pre-images live in the cells).
-    write_locked: Vec<usize>,
-}
-
-impl Stm for TplStm {
-    fn name(&self) -> &'static str {
-        "tpl"
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |id| TplTx {
+    fn begin(&self, id: TxId) -> TplTx<'_> {
+        TplTx {
             stm: self,
             desc: Arc::new(TxDesc::new(id.0)),
             read_locked: Vec::new(),
             write_locked: Vec::new(),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true, // wounds/dies happen only at conflicts with
-            // live lock holders
-            single_version: true,
-            invisible_reads: false, // readers register in the lock word
-            opaque_by_design: true, // rigorous ⇒ opaque
-            serializable_by_design: true,
         }
     }
 }
@@ -316,8 +303,28 @@ impl Protocol for TplTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
+
+    #[test]
+    fn a_wounded_reader_wounds_no_one_on_its_next_read() {
+        // T1 r(2) w(0,1), T2 r(0) r(1), T3 w(1,5), in the op-level order
+        // 0 1 2 0 1 2 0 1 1. T1's write wounds the reader T2. Were T2's
+        // next read to skip the pre-read check, the already wounded T2
+        // would still acquire r1 and wound T3's write lock, and T3's commit
+        // would fail (`… inv2(r1,read), A2, tryC3, A3 …`).
+        let stm = TplStm::new(3);
+        let mut t1 = stm.begin(0);
+        let mut t2 = stm.begin(1);
+        let mut t3 = stm.begin(2);
+        t1.read(2).unwrap();
+        t2.read(0).unwrap();
+        t3.write(1, 5).unwrap();
+        t1.write(0, 1).unwrap();
+        assert_eq!(t2.read(1), Err(Aborted));
+        assert_eq!(t3.commit(), Ok(()), "a doomed reader wounded T3");
+        assert_eq!(t1.commit(), Ok(()));
+    }
 
     #[test]
     fn read_write_commit_roundtrip() {

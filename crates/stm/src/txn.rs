@@ -1,11 +1,18 @@
-//! The transaction lifecycle every TM in this crate runs on.
+//! The TM shell and the transaction lifecycle every TM in this crate runs
+//! on.
+//!
+//! A TM module states only its [`Design`]: its name, its place in the
+//! Theorem-3 design space, its shared base objects, and the per-transaction
+//! [`Protocol`] over them. [`Tm`] wraps any design in the parts every TM
+//! shares: the history [`Recorder`], the step probe, the constructors and
+//! the one `impl Stm`.
 //!
 //! The paper models a TM run as a history of `inv`/`ret`/`tryC`/`C`/
 //! `tryA`/`A` events (Section 4) and prices it in steps per operation
 //! (Section 6.1). [`Txn`] maps the [`Tx`] interface onto both once, for
 //! every TM: it records the events, meters each operation between
 //! [`Meter::begin_op`] and [`Meter::end_op`], and owns the transaction id
-//! and the finished flag. A TM supplies only its base-object [`Protocol`].
+//! and the finished flag.
 //!
 //! The order is fixed, because the recorded histories, the step counts and
 //! the race explorer's park points all depend on it:
@@ -19,6 +26,9 @@
 //! * a voluntary abort or a drop records `tryA`, runs
 //!   [`Protocol::aborted`], then records `A`.
 //!
+//! While [`Tx::record_ops`] is off, reads and writes record no `inv`/`ret`:
+//! the typed-object layer records one object-level pair in their place.
+//!
 //! A closed-nested child (ASTM's scope API in [`crate::astm`]) changes only
 //! the ids: while it is open, operations are recorded under the child's id,
 //! and a transaction that finishes with the child still open ends the child
@@ -26,10 +36,121 @@
 //! and the parent then requests its own abort (`tryA`); on a commit, a
 //! voluntary abort or a drop the child records `tryA` then `A`.
 
-use crate::api::{Tx, TxResult};
+use std::sync::Arc;
+
+use crate::api::{Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
+use crate::config::StmConfig;
 use crate::recorder::Recorder;
+use crate::trace_cells::StepProbe;
 use tm_model::TxId;
+
+/// One TM's design: the facts that place it in the design space, its
+/// shared base objects, and the protocol a transaction runs over them.
+pub trait Design: Send + Sync + Sized {
+    /// The TM's stable name ("tl2", "dstm", …).
+    const NAME: &'static str;
+    /// The TM's position in the design space.
+    const PROPERTIES: StmProperties;
+    /// Do this TM's transactions block all others for their whole lifetime
+    /// (the global lock)? Such transactions cannot be interleaved on one
+    /// OS thread.
+    const BLOCKING: bool = false;
+    /// What a constructor takes besides the configuration: `()` for every
+    /// suite TM, the planted bug for [`crate::MutantStm`].
+    type Args;
+    /// A live transaction's protocol state.
+    type Tx<'a>: Protocol + 'a
+    where
+        Self: 'a;
+
+    /// Builds the base objects over `cfg`'s registers, all 0.
+    fn build(cfg: &StmConfig, args: Self::Args) -> Self;
+
+    /// The number of registers.
+    fn k(&self) -> usize;
+
+    /// The protocol state of the transaction with id `id`.
+    fn begin(&self, id: TxId) -> Self::Tx<'_>;
+
+    /// This instance's name: [`Design::NAME`], unless the design is a
+    /// family whose members differ (the mutants).
+    fn name(&self) -> &'static str {
+        Self::NAME
+    }
+
+    /// This instance's design-space position: [`Design::PROPERTIES`],
+    /// unless the design is a family whose members differ.
+    fn properties(&self) -> StmProperties {
+        Self::PROPERTIES
+    }
+}
+
+/// A TM: a [`Design`] with the history recorder and step probe that every
+/// TM shares. Each TM module names its own, e.g.
+/// [`crate::Tl2Stm`] `= Tm<Tl2>`.
+#[derive(Debug)]
+pub struct Tm<D> {
+    pub(crate) design: D,
+    recorder: Recorder,
+    probe: Option<Arc<dyn StepProbe>>,
+}
+
+impl<D: Design> Tm<D> {
+    /// Builds the TM `cfg` describes.
+    pub(crate) fn build(cfg: &StmConfig, args: D::Args) -> Self {
+        Tm {
+            design: D::build(cfg, args),
+            recorder: cfg.build_recorder(),
+            probe: cfg.step_probe(),
+        }
+    }
+
+    /// Begins a transaction on behalf of `thread`. The id is drawn before
+    /// the protocol state exists, so a design can name the state after it.
+    pub(crate) fn begin_txn(&self, thread: usize) -> Txn<'_, D::Tx<'_>> {
+        let meter = Meter::with_probe(thread, self.probe.clone());
+        Txn::begin(&self.recorder, meter, |id| self.design.begin(id))
+    }
+}
+
+impl<D: Design<Args = ()>> Tm<D> {
+    /// The TM over `k` registers, all 0, in the default configuration.
+    pub fn new(k: usize) -> Self {
+        Self::with_config(&StmConfig::new(k))
+    }
+
+    /// The TM built from an explicit configuration.
+    pub fn with_config(cfg: &StmConfig) -> Self {
+        Self::build(cfg, ())
+    }
+}
+
+impl<D: Design> Stm for Tm<D> {
+    fn name(&self) -> &'static str {
+        self.design.name()
+    }
+
+    fn k(&self) -> usize {
+        self.design.k()
+    }
+
+    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
+        Box::new(self.begin_txn(thread))
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    fn properties(&self) -> StmProperties {
+        self.design.properties()
+    }
+
+    fn blocking(&self) -> bool {
+        D::BLOCKING
+    }
+}
 
 /// One TM's base-object protocol for one transaction. Every base-object
 /// access goes through the [`Meter`]; an `Err` is a forced abort.
@@ -56,6 +177,8 @@ pub struct Txn<'a, P: Protocol> {
     pub(crate) child: Option<TxId>,
     meter: Meter,
     finished: bool,
+    /// Reads and writes record no `inv`/`ret` (see [`Tx::record_ops`]).
+    quiet: bool,
     pub(crate) proto: P,
 }
 
@@ -74,6 +197,7 @@ impl<'a, P: Protocol> Txn<'a, P> {
             child: None,
             meter,
             finished: false,
+            quiet: false,
             proto: proto(id),
         }
     }
@@ -119,17 +243,25 @@ impl<'a, P: Protocol> Txn<'a, P> {
 impl<P: Protocol> Tx for Txn<'_, P> {
     fn read(&mut self, obj: usize) -> TxResult<i64> {
         let id = self.op_id();
-        self.recorder.inv_read(id, obj);
+        if !self.quiet {
+            self.recorder.inv_read(id, obj);
+        }
         let v = self.op(OpKind::Read, |p, m| p.read(m, obj))?;
-        self.recorder.ret_read(id, obj, v);
+        if !self.quiet {
+            self.recorder.ret_read(id, obj, v);
+        }
         Ok(v)
     }
 
     fn write(&mut self, obj: usize, v: i64) -> TxResult<()> {
         let id = self.op_id();
-        self.recorder.inv_write(id, obj, v);
+        if !self.quiet {
+            self.recorder.inv_write(id, obj, v);
+        }
         self.op(OpKind::Write, |p, m| p.write(m, obj, v))?;
-        self.recorder.ret_write(id, obj);
+        if !self.quiet {
+            self.recorder.ret_write(id, obj);
+        }
         Ok(())
     }
 
@@ -151,6 +283,10 @@ impl<P: Protocol> Tx for Txn<'_, P> {
 
     fn id(&self) -> u32 {
         self.id.0
+    }
+
+    fn record_ops(&mut self, on: bool) {
+        self.quiet = !on;
     }
 }
 

@@ -17,13 +17,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::{status, try_abort_tx, Meter, TxDesc};
 use crate::config::StmConfig;
 use crate::lock;
-use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
-use crate::txn::{Protocol, Txn};
+use crate::trace_cells::{AccessKind, CellId};
+use crate::txn::{Design, Protocol, Tm};
+use tm_model::TxId;
 
 #[derive(Debug, Default)]
 struct VisObj {
@@ -63,64 +63,51 @@ impl VisObj {
     }
 }
 
-/// The visible-reads TM over `k` registers.
+/// The visible-reads TM over `k` registers, initialized to 0.
+pub type VisibleStm = Tm<Visible>;
+
+/// The visible-reads TM's base objects: one lock record per register.
 #[derive(Debug)]
-pub struct VisibleStm {
+pub struct Visible {
     objs: Vec<Mutex<VisObj>>,
-    recorder: Recorder,
-    probe: Option<Arc<dyn StepProbe>>,
 }
 
-impl VisibleStm {
-    /// A visible-reads TM with `k` registers initialized to 0.
-    pub fn new(k: usize) -> Self {
-        Self::with_config(&StmConfig::new(k))
+mod state {
+    /// A live visible-reads transaction's protocol state.
+    pub struct VisibleTx<'a> {
+        pub(super) stm: &'a super::Visible,
+        pub(super) desc: std::sync::Arc<crate::base::TxDesc>,
     }
+}
 
-    /// A visible-reads TM built from an explicit configuration.
-    pub fn with_config(cfg: &StmConfig) -> Self {
-        VisibleStm {
+use state::VisibleTx;
+
+impl Design for Visible {
+    const NAME: &'static str = "visible";
+    const PROPERTIES: StmProperties = StmProperties {
+        progressive: true,
+        single_version: true,
+        invisible_reads: false, // readers register themselves
+        opaque_by_design: true,
+        serializable_by_design: true,
+    };
+    type Args = ();
+    type Tx<'a> = VisibleTx<'a>;
+
+    fn build(cfg: &StmConfig, (): ()) -> Self {
+        Visible {
             objs: (0..cfg.k()).map(|_| Mutex::default()).collect(),
-            recorder: cfg.build_recorder(),
-            probe: cfg.step_probe(),
         }
-    }
-}
-
-/// A live visible-reads transaction's protocol state.
-struct VisibleTx<'a> {
-    stm: &'a VisibleStm,
-    desc: Arc<TxDesc>,
-}
-
-impl Stm for VisibleStm {
-    fn name(&self) -> &'static str {
-        "visible"
     }
 
     fn k(&self) -> usize {
         self.objs.len()
     }
 
-    fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
-        let meter = Meter::with_probe(thread, self.probe.clone());
-        Box::new(Txn::begin(&self.recorder, meter, |id| VisibleTx {
+    fn begin(&self, id: TxId) -> VisibleTx<'_> {
+        VisibleTx {
             stm: self,
             desc: Arc::new(TxDesc::new(id.0)),
-        }))
-    }
-
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    fn properties(&self) -> StmProperties {
-        StmProperties {
-            progressive: true,
-            single_version: true,
-            invisible_reads: false, // readers register themselves
-            opaque_by_design: true,
-            serializable_by_design: true,
         }
     }
 }
@@ -209,7 +196,7 @@ impl Protocol for VisibleTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
 
     #[test]

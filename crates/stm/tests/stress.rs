@@ -12,11 +12,21 @@ use rand::{Rng, SeedableRng};
 use tm_model::SpecRegistry;
 use tm_opacity::criteria::is_serializable;
 use tm_opacity::opacity::is_opaque;
-use tm_stm::{all_stms, run_tx, Stm};
+use tm_stm::{run_tx, Stm, StmConfig, TmRegistry};
+
+/// Every suite TM over `k` registers.
+fn suite(k: usize) -> Vec<Box<dyn Stm>> {
+    let registry = TmRegistry::suite();
+    registry
+        .specs()
+        .iter()
+        .map(|s| s.build(&StmConfig::new(k)))
+        .collect()
+}
 
 #[test]
 fn four_thread_bank_on_every_stm() {
-    for stm in all_stms(12) {
+    for stm in suite(12) {
         stm.recorder().set_enabled(false);
         // `bank` (in tm-harness) isn't available here without a cycle;
         // inline a minimal version: threads transfer, then conservation.
@@ -57,7 +67,7 @@ fn four_thread_bank_on_every_stm() {
 
 #[test]
 fn recorded_threaded_histories_are_well_formed_everywhere() {
-    for stm in all_stms(4) {
+    for stm in suite(4) {
         let stm = stm.as_ref();
         std::thread::scope(|scope| {
             for t in 0..3 {
@@ -110,7 +120,10 @@ fn mvstm_counter_no_lost_updates_under_sustained_contention() {
 /// reader commit with a fractured view of a two-register invariant.
 #[test]
 fn snapshot_invariant_under_real_races() {
-    for stm in tm_stm::opaque_stms(2) {
+    for stm in suite(2)
+        .into_iter()
+        .filter(|s| s.properties().opaque_by_design)
+    {
         let stm = stm.as_ref();
         stm.recorder().set_enabled(false);
         std::thread::scope(|scope| {
@@ -167,7 +180,7 @@ proptest! {
         use rand::seq::SliceRandom;
         actions.shuffle(&mut rng);
 
-        for stm in all_stms(3) {
+        for stm in suite(3) {
             if stm.blocking() {
                 continue;
             }

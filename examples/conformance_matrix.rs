@@ -31,15 +31,9 @@ fn main() {
     println!("{}", conformance_header());
     println!("{}", "-".repeat(82));
 
-    for stm in opacity_tm::stm::all_stms(2) {
-        let name = stm.name();
-        drop(stm);
-        let factory = move |k: usize| -> Box<dyn Stm> {
-            opacity_tm::stm::all_stms(k)
-                .into_iter()
-                .find(|s| s.name() == name)
-                .expect("stable names")
-        };
+    let suite = opacity_tm::stm::TmRegistry::suite();
+    for name in suite.names() {
+        let factory = suite.factory(name).expect("suite TM name");
         println!("{}", battery(&factory).row());
     }
     for m in Mutation::all() {

@@ -98,9 +98,15 @@ fn main() {
     let specs = SpecRegistry::registers();
 
     println!("== concurrency torture: 3 threads × 120 ops per TM ==");
-    for stm in opacity_tm::stm::opaque_stms(KEYS + 1) {
+    let suite = opacity_tm::stm::TmRegistry::suite();
+    let quiet = opacity_tm::stm::StmConfig::new(KEYS + 1).recording(false);
+    for spec in suite
+        .specs()
+        .iter()
+        .filter(|s| s.properties.opaque_by_design)
+    {
+        let stm = spec.build(&quiet);
         let stm = stm.as_ref();
-        stm.recorder().set_enabled(false);
         init_list(stm);
         let net = std::sync::atomic::AtomicI64::new(0);
         std::thread::scope(|scope| {

@@ -12,7 +12,17 @@ use opacity_tm::harness::{all_schedules, execute, random_schedule, Program, TxSc
 use opacity_tm::model::{History, SpecRegistry};
 use opacity_tm::opacity::criteria::is_serializable;
 use opacity_tm::opacity::opacity::is_opaque;
-use opacity_tm::stm::{run_tx, NonOpaqueStm, Stm};
+use opacity_tm::stm::{run_tx, NonOpaqueStm, Stm, StmConfig, TmRegistry};
+
+/// Every opaque-by-design suite TM over `k` registers.
+fn opaque_suite(k: usize) -> Vec<Box<dyn Stm>> {
+    let suite = TmRegistry::suite();
+    let opaque = suite
+        .specs()
+        .iter()
+        .filter(|s| s.properties.opaque_by_design);
+    opaque.map(|s| s.build(&StmConfig::new(k))).collect()
+}
 
 fn specs() -> SpecRegistry {
     SpecRegistry::registers()
@@ -50,7 +60,7 @@ fn opaque_stms_exhaustive_interleavings_reader_vs_writer() {
     let schedules = all_schedules(&p.action_counts(), 100);
     assert_eq!(schedules.len(), 20);
     for sched in &schedules {
-        for stm in opacity_tm::stm::opaque_stms(2) {
+        for stm in opaque_suite(2) {
             if stm.blocking() {
                 continue;
             }
@@ -76,7 +86,7 @@ fn opaque_stms_exhaustive_interleavings_three_way() {
         if i % 3 != 0 {
             continue;
         }
-        for stm in opacity_tm::stm::opaque_stms(2) {
+        for stm in opaque_suite(2) {
             if stm.blocking() {
                 continue;
             }
@@ -100,7 +110,7 @@ fn opaque_stms_random_interleavings_larger_program() {
     ]);
     for seed in 0..40 {
         let sched = random_schedule(&p, seed);
-        for stm in opacity_tm::stm::opaque_stms(4) {
+        for stm in opaque_suite(4) {
             if stm.blocking() {
                 continue;
             }
@@ -117,7 +127,7 @@ fn opaque_stms_random_interleavings_larger_program() {
 #[test]
 fn opaque_stms_threaded_histories_are_opaque() {
     // Real threads, real races; small scale so the checker stays fast.
-    for stm in opacity_tm::stm::opaque_stms(3) {
+    for stm in opaque_suite(3) {
         let stm = stm.as_ref();
         std::thread::scope(|s| {
             s.spawn(|| {

@@ -12,7 +12,7 @@ use opacity_tm::opacity::opacity::is_opaque;
 use opacity_tm::opacity::SearchConfig;
 use opacity_tm::stm::objects::encodings::{CounterEnc, QueueEnc, SetEnc};
 use opacity_tm::stm::objects::{run_typed_tx, TypedSpace, TypedStm};
-use opacity_tm::stm::{SiStm, Stm, Tl2Stm};
+use opacity_tm::stm::{SiStm, Stm, Tl2Stm, TmRegistry};
 
 fn factory(name: &'static str) -> impl Fn(usize) -> Box<dyn Stm> + Sync {
     opacity_tm::stm::TmRegistry::suite().factory(name).unwrap()
@@ -153,10 +153,7 @@ fn online_monitor_follows_a_typed_history() {
 /// facade — the "zero per-TM changes" claim.
 #[test]
 fn typed_counter_conserves_increments_on_every_tm() {
-    for make in opacity_tm::stm::all_stms(1)
-        .into_iter()
-        .map(|s| factory(s.name()))
-    {
+    for make in TmRegistry::suite().names().into_iter().map(factory) {
         let typed = TypedStm::new(ObjectKind::Counter.standard_space(64), |k| make(k));
         let total = 10;
         for i in 0..total {
