@@ -363,7 +363,14 @@ fn distinct_stepped_histories_are_pinned() {
     // decides which histories the step-level interleavings produce: the
     // count and a digest of the distinct ones pin that order per TM.
     let mut got = Vec::new();
-    for (name, factory) in real_tms(2) {
+    let sabotaged = [
+        Mutation::SkipReadValidation,
+        Mutation::SkipCommitValidation,
+        Mutation::DroppedResidue,
+        Mutation::UnlicensedFastPath,
+    ]
+    .map(|m| (m.name(), mutant_factory(2, m)));
+    for (name, factory) in real_tms(2).into_iter().chain(sabotaged) {
         for (pname, program) in [
             ("reader-vs-writer", reader_vs_writer()),
             ("rmw-vs-rmw", rmw_vs_rmw()),
@@ -407,6 +414,54 @@ fn distinct_stepped_histories_are_pinned() {
             ("nonopaque", "rmw-vs-rmw", 20, 0xfd61faec265bb36f),
             ("mutant-none", "reader-vs-writer", 13, 0x8811e20575a3d7d7),
             ("mutant-none", "rmw-vs-rmw", 18, 0x5f4cc12456a07bdd),
+            (
+                "mutant-skip-read-validation",
+                "reader-vs-writer",
+                43,
+                0x66f1f4efbb02e9f6
+            ),
+            (
+                "mutant-skip-read-validation",
+                "rmw-vs-rmw",
+                38,
+                0xd04e8c72e70f4f39
+            ),
+            (
+                "mutant-skip-commit-validation",
+                "reader-vs-writer",
+                13,
+                0x8811e20575a3d7d7
+            ),
+            (
+                "mutant-skip-commit-validation",
+                "rmw-vs-rmw",
+                22,
+                0x07ab95b296f293fd
+            ),
+            (
+                "mutant-dropped-residue",
+                "reader-vs-writer",
+                13,
+                0x8811e20575a3d7d7
+            ),
+            (
+                "mutant-dropped-residue",
+                "rmw-vs-rmw",
+                18,
+                0x5f4cc12456a07bdd
+            ),
+            (
+                "mutant-unlicensed-fast-path",
+                "reader-vs-writer",
+                13,
+                0x8811e20575a3d7d7
+            ),
+            (
+                "mutant-unlicensed-fast-path",
+                "rmw-vs-rmw",
+                18,
+                0x5f4cc12456a07bdd
+            ),
         ]
     );
 }

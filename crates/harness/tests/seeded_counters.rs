@@ -62,14 +62,12 @@ struct Counters {
     clock_steps: usize,
 }
 
-fn run(tm: &str) -> Counters {
-    let registry = TmRegistry::suite();
-    let spec = registry.get(tm).expect("suite TM");
+fn run(build: impl Fn(&StmConfig) -> Box<dyn Stm>) -> Counters {
     let mut c = Counters::default();
     for seed in 0..PROGRAMS {
         let program = seeded_program(seed);
         let log = AccessLog::shared();
-        let stm = spec.build(&StmConfig::new(REGS).probe(log.clone()));
+        let stm = build(&StmConfig::new(REGS).probe(log.clone()));
         let out = execute(stm.as_ref(), &program, &random_schedule(&program, seed));
         c.commits += out.commits();
         c.aborts += out.txs.len() - out.commits();
@@ -95,7 +93,13 @@ fn pinned(commits: usize, aborts: usize, steps: usize, clock_steps: usize) -> Co
 }
 
 fn run_all<'a>(tms: &[&'a str]) -> Vec<(&'a str, Counters)> {
-    tms.iter().map(|&tm| (tm, run(tm))).collect()
+    let registry = TmRegistry::suite();
+    tms.iter()
+        .map(|&tm| {
+            let spec = registry.get(tm).expect("suite TM");
+            (tm, run(|cfg| spec.build(cfg)))
+        })
+        .collect()
 }
 
 #[test]
@@ -124,6 +128,36 @@ fn conflict_resolving_counters_are_pinned_on_seeded_schedules() {
             ("astm", pinned(1219, 310, 13426, 0)),
             ("tpl", pinned(824, 705, 11489, 0)),
             ("nonopaque", pinned(1219, 310, 12172, 0)),
+        ]
+    );
+}
+
+#[test]
+fn mutant_counters_are_pinned_on_seeded_schedules() {
+    // The baseline's figures are tl2's; each planted bug moves its own.
+    let got: Vec<(&str, Counters)> = Mutation::all()
+        .into_iter()
+        .map(|m| {
+            (
+                m.name(),
+                run(|cfg| Box::new(MutantStm::with_config(cfg, m))),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("mutant-none", pinned(1018, 511, 9949, 717)),
+            ("mutant-skip-read-validation", pinned(932, 597, 10760, 743)),
+            (
+                "mutant-skip-commit-validation",
+                pinned(1456, 73, 12005, 1079)
+            ),
+            ("mutant-dropped-residue", pinned(1018, 511, 10936, 1434)),
+            (
+                "mutant-unlicensed-fast-path",
+                pinned(1018, 511, 10666, 1434)
+            ),
         ]
     );
 }
