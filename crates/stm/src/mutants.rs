@@ -35,13 +35,13 @@
 //! Both run on a private GV4-style pass-on-failure clock, the one place in
 //! the crate where a version clock other than GV1 exists.
 
-use crate::api::{Aborted, StmProperties, TxResult};
+use crate::api::StmProperties;
 use crate::base::Meter;
 use crate::clock::{GlobalClock, VersionClock};
 use crate::config::StmConfig;
-use crate::tl2::{is_locked, locked, release_locks, unlocked_at, version_of, Tl2Obj};
+use crate::tl2::{Tl2, Tl2Tx};
 use crate::trace_cells::CellId;
-use crate::txn::{Design, Protocol, Tm};
+use crate::txn::{Design, Tm};
 use std::sync::atomic::AtomicU64;
 use tm_model::TxId;
 
@@ -104,6 +104,46 @@ impl Mutation {
             Mutation::SkipCommitValidation => "mutant-skip-commit-validation",
             Mutation::DroppedResidue => "mutant-dropped-residue",
             Mutation::UnlicensedFastPath => "mutant-unlicensed-fast-path",
+        }
+    }
+
+    /// Does a read check its lock word (THE MUTATION POINT of
+    /// [`Mutation::SkipReadValidation`])? A transaction whose reads went
+    /// unchecked has its read set validated at a read-only commit instead:
+    /// that keeps this mutant's *committed* transactions serializable
+    /// while its live reads are broken.
+    pub(crate) fn validates_reads(self) -> bool {
+        self != Mutation::SkipReadValidation
+    }
+
+    /// Does commit check versions, at lock time and over the read set (THE
+    /// MUTATION POINT of [`Mutation::SkipCommitValidation`])? Locks are
+    /// taken either way, so publication stays atomic.
+    pub(crate) fn validates_commit(self) -> bool {
+        self != Mutation::SkipCommitValidation
+    }
+
+    /// May a commit that read version `rv` and ticked `wv` skip read-set
+    /// validation? TL2's fast path: `wv == rv + 1` proves no interleaved
+    /// committer — but only on GV1, whose `fetch_add` is the sole way time
+    /// advances.
+    ///
+    /// THE MUTATION POINT of [`Mutation::UnlicensedFastPath`]: it "ports"
+    /// the fast path to the pass-on-failure clock by comparing tick
+    /// *counts* — "the clock advanced exactly once, so at most one
+    /// committer interleaved". One pass-on-failure tick can carry the
+    /// winner's commit and its adopters', and a fellow committer of the
+    /// same tick taking this same shortcut skips the lock check it owed
+    /// us: a CAS winner and its adopter with crossing read/write sets
+    /// commit a write skew. [`Mutation::DroppedResidue`]'s stamps satisfy
+    /// `wv == rv + 1` by accident (`(c << 8 | 0xff) + 1 == (c + 1) << 8`),
+    /// so its fast path is off.
+    pub(crate) fn fast_path(self, rv: u64, wv: u64) -> bool {
+        let bits = PassOnFailureClock::HOME_BITS;
+        match self {
+            Mutation::UnlicensedFastPath => wv >> bits == (rv >> bits) + 1,
+            Mutation::DroppedResidue => false,
+            _ => wv == rv + 1,
         }
     }
 }
@@ -185,16 +225,12 @@ impl GlobalClock for PassOnFailureClock {
     }
 }
 
-/// A TL2-style TM with a planted [`Mutation`].
+/// TL2 with a planted [`Mutation`].
 pub type MutantStm = Tm<Mutant>;
 
-/// The mutant TM's base objects: TL2's, its clock, and the planted bug.
+/// TL2's base objects with a planted bug, on the clock that bug lives in.
 #[derive(Debug)]
-pub struct Mutant {
-    objs: Vec<Tl2Obj>,
-    clock: Box<dyn GlobalClock>,
-    mutation: Mutation,
-}
+pub struct Mutant(Tl2);
 
 impl MutantStm {
     /// A mutant TM over `k` registers with the given planted bug.
@@ -211,32 +247,14 @@ impl MutantStm {
     }
 }
 
-mod state {
-    /// A live mutant transaction's protocol state.
-    pub struct MutantTx<'a> {
-        pub(super) stm: &'a super::Mutant,
-        pub(super) rv: u64,
-        pub(super) reads: Vec<usize>,
-        pub(super) writes: Vec<(usize, i64)>,
-    }
-}
-
-use state::MutantTx;
-
 impl Design for Mutant {
     /// The faithful baseline's name; [`Design::name`] names the mutation.
     const NAME: &'static str = "mutant-none";
-    /// The faithful baseline's facts; [`Design::properties`] gives the
-    /// mutation's.
-    const PROPERTIES: StmProperties = StmProperties {
-        progressive: false,
-        single_version: true,
-        invisible_reads: true,
-        opaque_by_design: true,
-        serializable_by_design: true,
-    };
+    /// The faithful baseline's facts, TL2's; [`Design::properties`] gives
+    /// the mutation's.
+    const PROPERTIES: StmProperties = Tl2::PROPERTIES;
     type Args = Mutation;
-    type Tx<'a> = MutantTx<'a>;
+    type Tx<'a> = Tl2Tx<'a>;
 
     fn build(cfg: &StmConfig, mutation: Mutation) -> Self {
         let clock: Box<dyn GlobalClock> = match mutation {
@@ -244,164 +262,38 @@ impl Design for Mutant {
             Mutation::UnlicensedFastPath => Box::new(PassOnFailureClock::new(true)),
             _ => Box::new(VersionClock::new()),
         };
-        Mutant {
-            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
-            clock,
-            mutation,
-        }
+        Mutant(Tl2::planted(cfg, clock, mutation))
     }
 
     fn k(&self) -> usize {
-        self.objs.len()
+        self.0.k()
     }
 
-    fn begin(&self, _: TxId) -> MutantTx<'_> {
-        MutantTx {
-            stm: self,
-            rv: self.clock.peek(),
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
+    fn begin(&self, id: TxId) -> Tl2Tx<'_> {
+        self.0.begin(id)
     }
 
     fn name(&self) -> &'static str {
-        self.mutation.name()
+        self.0.mutation.name()
     }
 
     fn properties(&self) -> StmProperties {
+        let mutation = self.0.mutation;
         StmProperties {
             // The two concurrency mutants *claim* correctness — every
             // sequential execution honours it; the step-level race analysis
             // exists to falsify the claim.
-            opaque_by_design: !matches!(
-                self.mutation,
-                Mutation::SkipReadValidation | Mutation::SkipCommitValidation
-            ),
-            serializable_by_design: self.mutation != Mutation::SkipCommitValidation,
+            opaque_by_design: mutation.validates_reads() && mutation.validates_commit(),
+            serializable_by_design: mutation.validates_commit(),
             ..Self::PROPERTIES
         }
-    }
-}
-
-impl MutantTx<'_> {
-    /// Fails unless `obj`'s lock word is unlocked and not newer than `rv`
-    /// (one metered load).
-    fn validate(&self, m: &mut Meter, obj: usize) -> TxResult<()> {
-        let word = m.load_u64(CellId::Lock(obj as u32), &self.stm.objs[obj].lock);
-        if is_locked(word) || version_of(word) > self.rv {
-            Err(Aborted)
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Protocol for MutantTx<'_> {
-    fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
-        if let Some(&(_, v)) = self.writes.iter().find(|(o, _)| *o == obj) {
-            return Ok(v);
-        }
-        let o = &self.stm.objs[obj];
-        let pre = m.load_u64(CellId::Lock(obj as u32), &o.lock);
-        let v = m.load_i64(CellId::Value(obj as u32), &o.value);
-        let post = m.load_u64(CellId::Lock(obj as u32), &o.lock);
-        // THE MUTATION POINT: a faithful protocol validates every read.
-        if self.stm.mutation != Mutation::SkipReadValidation
-            && (pre != post || is_locked(pre) || version_of(pre) > self.rv)
-        {
-            return Err(Aborted);
-        }
-        self.reads.push(obj);
-        Ok(v)
-    }
-
-    fn write(&mut self, _m: &mut Meter, obj: usize, v: i64) -> TxResult<()> {
-        match self.writes.iter_mut().find(|(o, _)| *o == obj) {
-            Some(slot) => slot.1 = v,
-            None => {
-                self.writes.push((obj, v));
-                self.writes.sort_unstable_by_key(|(o, _)| *o);
-            }
-        }
-        Ok(())
-    }
-
-    fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
-        let validate = self.stm.mutation != Mutation::SkipCommitValidation;
-        if self.writes.is_empty() {
-            // Read-only path. Under SkipReadValidation the reads were never
-            // checked, so the (intact) commit validation must run here —
-            // that is what keeps this mutant's *committed* transactions
-            // serializable while its live reads are broken.
-            if self.stm.mutation == Mutation::SkipReadValidation {
-                for &obj in &self.reads {
-                    self.validate(m, obj)?;
-                }
-            }
-            return Ok(());
-        }
-        let objs = &self.stm.objs;
-        // Phase 1: lock the write set (locks are kept even in the mutant —
-        // publication stays atomic; only *validation* is mutated away).
-        let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
-        for &(obj, _) in &self.writes {
-            let lock = &objs[obj].lock;
-            let word = m.load_u64(CellId::Lock(obj as u32), lock);
-            let stale = validate && version_of(word) > self.rv;
-            if is_locked(word)
-                || stale
-                || !m.cas_u64(CellId::Lock(obj as u32), lock, word, locked(word))
-            {
-                release_locks(objs, &held, m);
-                return Err(Aborted);
-            }
-            held.push((obj, word));
-        }
-        let wv = self.stm.clock.tick(m);
-        // TL2's fast path: `wv == rv + 1` proves no interleaved committer —
-        // but only on GV1, whose `fetch_add` is the sole way time advances.
-        // THE MUTATION POINT for UnlicensedFastPath: it "ports" the fast
-        // path to the pass-on-failure clock by comparing tick *counts* —
-        // "the clock advanced exactly once, so at most one committer
-        // interleaved". One pass-on-failure tick can carry the winner's
-        // commit and its adopters', and a fellow committer of the same tick
-        // taking this same shortcut skips the lock check it owed us: a CAS
-        // winner and its adopter with crossing read/write sets commit a
-        // write skew. DroppedResidue's
-        // stamps satisfy `wv == rv + 1` by accident
-        // (`(c << 8 | 0xff) + 1 == (c + 1) << 8`), so its fast path must be
-        // off explicitly.
-        let bits = PassOnFailureClock::HOME_BITS;
-        let fast_path = match self.stm.mutation {
-            Mutation::UnlicensedFastPath => wv >> bits == (self.rv >> bits) + 1,
-            Mutation::DroppedResidue => false,
-            _ => wv == self.rv + 1,
-        };
-        // Phase 3: read-set validation (THE MUTATION POINT for
-        // SkipCommitValidation).
-        if validate && !fast_path {
-            for &obj in &self.reads {
-                if held.iter().all(|&(held_obj, _)| held_obj != obj)
-                    && self.validate(m, obj).is_err()
-                {
-                    release_locks(objs, &held, m);
-                    return Err(Aborted);
-                }
-            }
-        }
-        for &(obj, v) in &self.writes {
-            let o = &objs[obj];
-            m.store_i64(CellId::Value(obj as u32), &o.value, v);
-            m.store_u64(CellId::Lock(obj as u32), &o.lock, unlocked_at(wv));
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{run_tx, Stm};
+    use crate::api::{run_tx, Aborted, Stm};
     use crate::base::OpKind;
 
     #[test]

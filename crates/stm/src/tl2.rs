@@ -16,6 +16,10 @@
 //! Opacity holds: every read returns a value consistent with the snapshot at
 //! `rv`, and commit-time lock acquisition plus read-set validation
 //! serializes updates at their write-version.
+//!
+//! The protocol mutants ([`crate::mutants`]) plant their bugs here: the
+//! read and commit ask the instance's [`Mutation`] which checks to run,
+//! and TL2 itself carries [`Mutation::None`], which runs them all.
 
 use std::sync::atomic::{AtomicI64, AtomicU64};
 
@@ -23,6 +27,7 @@ use crate::api::{Aborted, StmProperties, TxResult};
 use crate::base::Meter;
 use crate::clock::GlobalClock;
 use crate::config::StmConfig;
+use crate::mutants::Mutation;
 use crate::trace_cells::CellId;
 use crate::txn::{Design, Protocol, Tm};
 use tm_model::TxId;
@@ -72,6 +77,23 @@ pub type Tl2Stm = Tm<Tl2>;
 pub struct Tl2 {
     objs: Vec<Tl2Obj>,
     clock: Box<dyn GlobalClock>,
+    /// The planted bug: [`Mutation::None`] unless built as a mutant.
+    pub(crate) mutation: Mutation,
+}
+
+impl Tl2 {
+    /// TL2's registers over `clock`, with `mutation` planted.
+    pub(crate) fn planted(
+        cfg: &StmConfig,
+        clock: Box<dyn GlobalClock>,
+        mutation: Mutation,
+    ) -> Self {
+        Tl2 {
+            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
+            clock,
+            mutation,
+        }
+    }
 }
 
 mod state {
@@ -87,7 +109,7 @@ mod state {
     }
 }
 
-use state::Tl2Tx;
+pub(crate) use state::Tl2Tx;
 
 impl Design for Tl2 {
     const NAME: &'static str = "tl2";
@@ -102,10 +124,7 @@ impl Design for Tl2 {
     type Tx<'a> = Tl2Tx<'a>;
 
     fn build(cfg: &StmConfig, (): ()) -> Self {
-        Tl2 {
-            objs: (0..cfg.k()).map(|_| Tl2Obj::default()).collect(),
-            clock: cfg.build_clock(),
-        }
+        Tl2::planted(cfg, cfg.build_clock(), Mutation::None)
     }
 
     fn k(&self) -> usize {
@@ -123,6 +142,13 @@ impl Design for Tl2 {
     }
 }
 
+impl Tl2Tx<'_> {
+    /// Is a lock word unlocked and not newer than `rv`?
+    fn current(&self, word: u64) -> bool {
+        !is_locked(word) && version_of(word) <= self.rv
+    }
+}
+
 impl Protocol for Tl2Tx<'_> {
     fn read(&mut self, m: &mut Meter, obj: usize) -> TxResult<i64> {
         // Read-own-write from the redo log (no base-object access).
@@ -134,7 +160,7 @@ impl Protocol for Tl2Tx<'_> {
         let v = m.load_i64(CellId::Value(obj as u32), &o.value);
         let post = m.load_u64(CellId::Lock(obj as u32), &o.lock);
         // TL2 read validation: stable, unlocked, and not newer than rv.
-        if pre != post || is_locked(pre) || version_of(pre) > self.rv {
+        if self.stm.mutation.validates_reads() && (pre != post || !self.current(pre)) {
             return Err(Aborted);
         }
         self.reads.push(obj);
@@ -153,18 +179,27 @@ impl Protocol for Tl2Tx<'_> {
     }
 
     fn commit(&mut self, m: &mut Meter) -> TxResult<()> {
+        let mutation = self.stm.mutation;
+        let objs = &self.stm.objs;
         if self.writes.is_empty() {
-            // Read-only fast path: all reads validated against rv already.
+            // Read-only fast path: all reads validated against rv already,
+            // unless the reads skipped their check and commit still owes it.
+            if !mutation.validates_reads() {
+                for &obj in &self.reads {
+                    if !self.current(m.load_u64(CellId::Lock(obj as u32), &objs[obj].lock)) {
+                        return Err(Aborted);
+                    }
+                }
+            }
             return Ok(());
         }
-        let objs = &self.stm.objs;
         // Phase 1: lock the write set in index order.
         let mut held: Vec<(usize, u64)> = Vec::with_capacity(self.writes.len());
         for &(obj, _) in &self.writes {
             let lock = &objs[obj].lock;
             let word = m.load_u64(CellId::Lock(obj as u32), lock);
             if is_locked(word)
-                || version_of(word) > self.rv
+                || (mutation.validates_commit() && version_of(word) > self.rv)
                 || !m.cas_u64(CellId::Lock(obj as u32), lock, word, locked(word))
             {
                 release_locks(objs, &held, m);
@@ -174,16 +209,17 @@ impl Protocol for Tl2Tx<'_> {
         }
         // Phase 2: increment the global clock.
         let wv = self.stm.clock.tick(m);
-        // Phase 3: validate the read set, unless `wv == rv + 1`: the GV1
-        // counter advances only by `fetch_add`, so our own tick was the
-        // only advance since begin and no transaction committed in between.
-        if wv != self.rv + 1 {
+        // Phase 3: validate the read set, unless the fast path applies. On
+        // GV1 that is `wv == rv + 1`: the counter advances only by
+        // `fetch_add`, so our own tick was the only advance since begin and
+        // no transaction committed in between.
+        if mutation.validates_commit() && !mutation.fast_path(self.rv, wv) {
             for &obj in &self.reads {
                 if held.iter().any(|&(held_obj, _)| held_obj == obj) {
                     continue; // we hold it; version checked at lock time
                 }
                 let word = m.load_u64(CellId::Lock(obj as u32), &objs[obj].lock);
-                if is_locked(word) || version_of(word) > self.rv {
+                if !self.current(word) {
                     release_locks(objs, &held, m);
                     return Err(Aborted);
                 }
@@ -204,6 +240,8 @@ mod tests {
     use super::*;
     use crate::api::{run_tx, Stm};
     use crate::base::OpKind;
+    use crate::trace_cells::{AccessEvent, AccessKind, AccessLog, TraceEvent};
+    use crate::MutantStm;
 
     #[test]
     fn read_write_commit_roundtrip() {
@@ -297,15 +335,36 @@ mod tests {
 
     #[test]
     fn read_only_commit_is_free() {
-        let stm = Tl2Stm::new(8);
-        let mut tx = stm.begin(0);
-        for i in 0..8 {
-            tx.read(i).unwrap();
-        }
-        let steps_before = tx.steps().total();
-        tx.commit().unwrap();
-        // Commit adds no base-object steps on the read-only path; verify by
-        // construction (commit op metered as 0 steps).
-        let _ = steps_before;
+        // The steps of a read-only commit after 8 reads: none on TL2, whose
+        // reads validated themselves; one lock load per read on the mutant
+        // whose reads skipped the check that commit then owes.
+        let commit_steps = |build: &dyn Fn(&StmConfig) -> Box<dyn Stm>| {
+            let log = AccessLog::shared();
+            let stm = build(&StmConfig::new(8).probe(log.clone()));
+            let mut tx = stm.begin(0);
+            for i in 0..8 {
+                tx.read(i).unwrap();
+            }
+            log.take();
+            tx.commit().unwrap();
+            log.take()
+        };
+        assert_eq!(
+            commit_steps(&|cfg| Box::new(Tl2Stm::with_config(cfg))),
+            vec![]
+        );
+        let owed: Vec<TraceEvent> = (0..8)
+            .map(|i| {
+                TraceEvent::Access(AccessEvent {
+                    thread: 0,
+                    cell: CellId::Lock(i),
+                    kind: AccessKind::Read,
+                })
+            })
+            .collect();
+        let skipping = |cfg: &StmConfig| {
+            Box::new(MutantStm::with_config(cfg, Mutation::SkipReadValidation)) as Box<dyn Stm>
+        };
+        assert_eq!(commit_steps(&skipping), owed);
     }
 }
