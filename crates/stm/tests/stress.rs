@@ -9,65 +9,30 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use tm_harness::{bank, execute, Program, TxScript};
 use tm_model::SpecRegistry;
 use tm_opacity::criteria::is_serializable;
 use tm_opacity::opacity::is_opaque;
 use tm_stm::{run_tx, Stm, StmConfig, TmRegistry};
 
-/// Every suite TM over `k` registers.
-fn suite(k: usize) -> Vec<Box<dyn Stm>> {
+/// Every suite TM, each built from `cfg`.
+fn suite(cfg: &StmConfig) -> Vec<Box<dyn Stm>> {
     let registry = TmRegistry::suite();
-    registry
-        .specs()
-        .iter()
-        .map(|s| s.build(&StmConfig::new(k)))
-        .collect()
+    registry.specs().iter().map(|s| s.build(cfg)).collect()
 }
 
 #[test]
 fn four_thread_bank_on_every_stm() {
-    for stm in suite(12) {
-        stm.recorder().set_enabled(false);
-        // `bank` (in tm-harness) isn't available here without a cycle;
-        // inline a minimal version: threads transfer, then conservation.
-        let stm = stm.as_ref();
-        run_tx(stm, 0, |tx| {
-            for a in 0..12 {
-                tx.write(a, 100)?;
-            }
-            Ok(())
-        });
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(1000 + t as u64);
-                    for _ in 0..50 {
-                        let from = rng.gen_range(0..12);
-                        let to = (from + 1 + rng.gen_range(0..11usize)) % 12;
-                        run_tx(stm, t, |tx| {
-                            let a = tx.read(from)?;
-                            let b = tx.read(to)?;
-                            tx.write(from, a - 3)?;
-                            tx.write(to, b + 3)
-                        });
-                    }
-                });
-            }
-        });
-        let (sum, _) = run_tx(stm, 0, |tx| {
-            let mut s = 0;
-            for a in 0..12 {
-                s += tx.read(a)?;
-            }
-            Ok(s)
-        });
-        assert_eq!(sum, 1200, "{}: conservation violated", stm.name());
+    // Four threads transfer between 12 accounts; `bank` panics unless the
+    // total is conserved.
+    for stm in suite(&StmConfig::new(12).recording(false)) {
+        bank(stm.as_ref(), 4, 12, 50, 1000);
     }
 }
 
 #[test]
 fn recorded_threaded_histories_are_well_formed_everywhere() {
-    for stm in suite(4) {
+    for stm in suite(&StmConfig::new(4)) {
         let stm = stm.as_ref();
         std::thread::scope(|scope| {
             for t in 0..3 {
@@ -95,8 +60,7 @@ fn recorded_threaded_histories_are_well_formed_everywhere() {
 #[test]
 fn mvstm_counter_no_lost_updates_under_sustained_contention() {
     for _round in 0..5 {
-        let stm = tm_stm::MvStm::new(1);
-        stm.recorder().set_enabled(false);
+        let stm = tm_stm::MvStm::with_config(&StmConfig::new(1).recording(false));
         let per_thread = 400;
         std::thread::scope(|scope| {
             for t in 0..2 {
@@ -120,12 +84,11 @@ fn mvstm_counter_no_lost_updates_under_sustained_contention() {
 /// reader commit with a fractured view of a two-register invariant.
 #[test]
 fn snapshot_invariant_under_real_races() {
-    for stm in suite(2)
+    for stm in suite(&StmConfig::new(2).recording(false))
         .into_iter()
         .filter(|s| s.properties().opaque_by_design)
     {
         let stm = stm.as_ref();
-        stm.recorder().set_enabled(false);
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 for i in 1..100i64 {
@@ -161,17 +124,20 @@ proptest! {
         ops_a in 1usize..4,
         ops_b in 1usize..4,
     ) {
-        use tm_harness_shim::*;
         let specs = SpecRegistry::registers();
         let mut rng = StdRng::seed_from_u64(seed);
         // Two scripted transactions over 3 registers with random ops.
-        let mk = |rng: &mut StdRng, n: usize, base: i64| -> Vec<(bool, usize, i64)> {
-            (0..n)
-                .map(|i| (rng.gen_bool(0.5), rng.gen_range(0..3usize), base + i as i64))
-                .collect()
+        let mk = |rng: &mut StdRng, n: usize, base: i64| -> TxScript {
+            (0..n).fold(TxScript::new(), |script, i| {
+                let (read, obj) = (rng.gen_bool(0.5), rng.gen_range(0..3usize));
+                if read {
+                    script.read(obj)
+                } else {
+                    script.write(obj, base + i as i64)
+                }
+            })
         };
-        let a = mk(&mut rng, ops_a, 100);
-        let b = mk(&mut rng, ops_b, 200);
+        let program = Program::new(vec![mk(&mut rng, ops_a, 100), mk(&mut rng, ops_b, 200)]);
         // A random interleaving of (ops+commit) actions.
         let mut actions: Vec<usize> = std::iter::repeat(0)
             .take(ops_a + 1)
@@ -180,12 +146,12 @@ proptest! {
         use rand::seq::SliceRandom;
         actions.shuffle(&mut rng);
 
-        for stm in suite(3) {
+        for stm in suite(&StmConfig::new(3)) {
             if stm.blocking() {
                 continue;
             }
             let stm = stm.as_ref();
-            run_scripted(stm, &[&a, &b], &actions);
+            execute(stm, &program, &actions);
             let h = stm.recorder().history();
             prop_assert!(tm_model::is_well_formed(&h), "{}: {}", stm.name(), h);
             if stm.properties().serializable_by_design {
@@ -213,52 +179,6 @@ proptest! {
                     h
                 );
             }
-        }
-    }
-}
-
-/// A minimal scripted executor local to this test crate (tm-harness cannot
-/// be a dev-dependency here without a cycle through tm-stm).
-mod tm_harness_shim {
-    use tm_stm::Stm;
-
-    /// Runs scripts `(is_read, obj, value)` interleaved per `actions`
-    /// (thread indices; each entry executes that thread's next op, the
-    /// final one its commit). Aborted threads go inert.
-    pub fn run_scripted(stm: &dyn Stm, scripts: &[&Vec<(bool, usize, i64)>], actions: &[usize]) {
-        let mut txs: Vec<_> = (0..scripts.len()).map(|_| None).collect();
-        let mut pcs = vec![0usize; scripts.len()];
-        let mut dead = vec![false; scripts.len()];
-        for &ti in actions {
-            if dead[ti] {
-                continue;
-            }
-            if txs[ti].is_none() {
-                txs[ti] = Some(stm.begin(ti));
-            }
-            let script = scripts[ti];
-            if pcs[ti] < script.len() {
-                let (is_read, obj, v) = script[pcs[ti]];
-                let tx = txs[ti].as_mut().unwrap();
-                let r = if is_read {
-                    tx.read(obj).map(|_| ())
-                } else {
-                    tx.write(obj, v)
-                };
-                pcs[ti] += 1;
-                if r.is_err() {
-                    dead[ti] = true;
-                    txs[ti] = None;
-                }
-            } else {
-                let tx = txs[ti].take().unwrap();
-                let _ = tx.commit();
-                dead[ti] = true;
-            }
-        }
-        // Anything still live: voluntary abort for a complete history.
-        for tx in txs.into_iter().flatten() {
-            tx.abort();
         }
     }
 }
