@@ -74,9 +74,10 @@ pub(crate) fn conformance(
         let props = tm.properties;
         // The battery's TMs feed the STM-layer counters into the metrics
         // snapshot; the threaded lost-update probe's TMs do not, since its
-        // aborts depend on scheduling.
+        // aborts depend on scheduling, and record nothing, since it reads
+        // no history.
         let observed = |k: usize| tm.build(&StmConfig::new(k).obs(search.obs));
-        let unobserved = |k: usize| tm.build(&StmConfig::new(k));
+        let unobserved = |k: usize| tm.build(&StmConfig::new(k).recording(false));
         if let Some(kinds) = objects {
             // Typed-object battery: rich-semantics probes judged against
             // the objects' own sequential specifications. Well-formedness

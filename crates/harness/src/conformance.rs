@@ -236,7 +236,9 @@ pub(crate) fn sweep<P: Sync>(
 /// schedules its two threads, so a factory that carries an observability
 /// handle passes its handle-free twin as `unobserved`: the `stm.*` counters
 /// are then a function of the scheduled executions alone and agree for
-/// every `jobs` value. Other callers pass the same factory twice.
+/// every `jobs` value. The probe reads no history, so `unobserved` may
+/// build its TM with recording off. Other callers pass the same factory
+/// twice.
 ///
 /// `search` configures the per-history opacity and serializability
 /// checks: `search.memo_capacity` bounds each check's dead-end table.
@@ -301,7 +303,6 @@ pub fn conformance(
 
     // ---- threaded lost-update probe ----------------------------------------
     let stm = unobserved(1);
-    stm.recorder().set_enabled(false);
     let per_thread = 150;
     std::thread::scope(|scope| {
         for t in 0..2 {

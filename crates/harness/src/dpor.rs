@@ -316,14 +316,20 @@ pub struct LiveRun {
 
 impl LiveRun {
     /// Spawns workers for every thread of `program` on a fresh TM from
-    /// `factory`, with recording on. All workers immediately park at
-    /// [`Step::Start`].
+    /// `factory`. All workers immediately park at [`Step::Start`].
+    ///
+    /// # Panics
+    /// Panics if the factory built a TM with recording off: the judge
+    /// reads the recorded history.
     pub fn spawn(factory: StmFactory<'_>, program: &Program) -> LiveRun {
         let n = program.threads.len();
         let gate = Arc::new(StepGate::new(n));
         let stm = factory(gate.clone());
-        // The judge reads the recorded history, whatever the factory chose.
-        stm.recorder().set_enabled(true);
+        assert!(
+            stm.recorder().enabled(),
+            "{}: the explorer judges recorded histories; build the TM with recording on",
+            stm.name()
+        );
         let mut handles = Vec::with_capacity(n);
         for (t, script) in program.threads.iter().enumerate() {
             let gate = gate.clone();
@@ -891,14 +897,15 @@ mod tests {
         // Two writers and the read-back transaction, which saw both writes.
         assert_eq!(r.history.txs().len(), 3, "{}", r.history);
         assert!(convictions(&p, &r, true).is_empty());
-        // A factory that turns recording off cannot blind the judge.
+        // A factory that turns recording off would blind the judge: the
+        // explorer refuses it before any worker starts.
         let quiet = |probe| {
             Arc::new(Tl2Stm::with_config(
                 &probed_config(2, probe).recording(false),
             )) as SharedStm
         };
-        let q = replay_schedule(&quiet, &p, &[]);
-        assert_eq!(q.history.events(), r.history.events());
+        let refused = catch_unwind(AssertUnwindSafe(|| replay_schedule(&quiet, &p, &[])));
+        assert!(refused.is_err(), "a non-recording TM must be refused");
         // The same run with a non-opaque history (the paper's H1) is
         // convicted of exactly that.
         let torn = RunResult {

@@ -474,8 +474,10 @@ mod tests {
         // clocked TM (and on a clockless TM for good measure).
         let reg = tm_stm::TmRegistry::suite();
         for spec in ["tl2", "mvstm", "sistm", "dstm"] {
-            let stm = reg.build(spec, 4).expect("valid spec");
-            stm.recorder().set_enabled(false);
+            let stm = reg
+                .get(spec)
+                .expect("valid spec")
+                .build(&tm_stm::StmConfig::new(4).recording(false));
             let s = commit_storm(stm.as_ref(), 4, 50);
             assert_eq!(s.commits, 200, "{spec}");
             assert_eq!(s.aborts, 0, "{spec}: disjoint writes must not conflict");
@@ -488,12 +490,11 @@ mod tests {
         let ops = 12;
         let reg = tm_stm::TmRegistry::suite();
         for kind in ObjectKind::ALL {
-            for name in reg.names() {
-                let typed = TypedStm::new(
-                    kind.standard_space(threads * ops),
-                    reg.factory(name).expect("suite TM name"),
-                );
-                typed.stm().recorder().set_enabled(false);
+            for spec in reg.specs() {
+                let name = spec.name;
+                let typed = TypedStm::new(kind.standard_space(threads * ops), |k| {
+                    spec.build(&tm_stm::StmConfig::new(k).recording(false))
+                });
                 let s = typed_storm(&typed, kind, threads, ops);
                 assert!(
                     s.commits >= (threads * ops) as u64,

@@ -44,8 +44,9 @@ impl StmConfig {
         }
     }
 
-    /// Enables or disables history recording (default on). A TM built with
-    /// recording off never allocates events — the hot path pays nothing.
+    /// Enables or disables history recording (default on), for the TM's
+    /// whole life. A TM built with recording off never allocates events —
+    /// the hot path pays nothing.
     pub fn recording(mut self, on: bool) -> Self {
         self.recording = on;
         self
@@ -97,16 +98,12 @@ impl StmConfig {
         }
     }
 
-    /// Builds the recorder this configuration names (recording toggle
-    /// applied, so a recording-off TM skips event construction entirely;
-    /// observability handle attached, so commit/abort chokepoints count).
+    /// Builds the recorder this configuration names: keeping events only
+    /// with recording on, so a recording-off TM skips event construction
+    /// entirely, and counting commits and aborts on the observability
+    /// handle.
     pub(crate) fn build_recorder(&self) -> Recorder {
-        let mut r = Recorder::new(self.k);
-        if !self.recording {
-            r.set_enabled(false);
-        }
-        r.set_obs(self.obs);
-        r
+        Recorder::new(self.k, self.recording, self.obs)
     }
 }
 

@@ -9,8 +9,9 @@
 //! is how experiment E11 validates the opacity claims about each
 //! implementation.
 //!
-//! Recording can be disabled (throughput benchmarks) — the TMs then skip the
-//! event construction entirely. Recorder accesses never count as steps:
+//! Recording is fixed when the TM is built ([`crate::StmConfig::recording`]);
+//! a TM built with it off (throughput benchmarks) skips the event
+//! construction entirely. Recorder accesses never count as steps:
 //! they are measurement apparatus, not part of the algorithm.
 //!
 //! # Object-level recording
@@ -30,7 +31,7 @@
 //! flag of the one transaction, so concurrent transactions recording
 //! register-level and object-level operations interleave correctly.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::lock;
@@ -39,7 +40,7 @@ use tm_model::{Event, History, ObjId, OpName, TxId, Value};
 /// A shared, append-only event log with model-level object names.
 #[derive(Debug)]
 pub struct Recorder {
-    enabled: AtomicBool,
+    enabled: bool,
     events: Mutex<Vec<Event>>,
     names: Vec<ObjId>,
     next_tx: AtomicU32,
@@ -50,31 +51,21 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder for `k` registers named `r0..r{k-1}`, enabled by default.
-    pub fn new(k: usize) -> Self {
+    /// A recorder for `k` registers named `r0..r{k-1}` that keeps events
+    /// iff `enabled` and counts commits and aborts on `obs`.
+    pub(crate) fn new(k: usize, enabled: bool, obs: tm_obs::ObsHandle) -> Self {
         Recorder {
-            enabled: AtomicBool::new(true),
+            enabled,
             events: Mutex::new(Vec::new()),
             names: (0..k).map(ObjId::register).collect(),
             next_tx: AtomicU32::new(1),
-            obs: tm_obs::ObsHandle::disabled(),
+            obs,
         }
     }
 
-    /// Attaches an observability handle; subsequent [`Recorder::commit`]
-    /// and [`Recorder::abort`] calls count `stm.commits`/`stm.aborts`.
-    pub fn set_obs(&mut self, obs: tm_obs::ObsHandle) {
-        self.obs = obs;
-    }
-
-    /// Enables or disables recording.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    /// Is recording enabled?
+    /// Does this recorder keep events?
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
+        self.enabled
     }
 
     /// Allocates a fresh model-level transaction identifier.
@@ -89,8 +80,13 @@ impl Recorder {
 
     /// Appends a raw event (no-op when disabled).
     pub fn record(&self, e: Event) {
-        if self.enabled() {
-            lock(&self.events).push(e);
+        self.record_with(|| e);
+    }
+
+    /// Builds and appends an event, only when enabled.
+    fn record_with(&self, event: impl FnOnce() -> Event) {
+        if self.enabled {
+            lock(&self.events).push(event());
         }
     }
 
@@ -116,50 +112,42 @@ impl Recorder {
 
     /// Records `inv_t(r_i, read, ⊥)`.
     pub fn inv_read(&self, t: TxId, i: usize) {
-        if self.enabled() {
-            self.record(Event::Inv {
-                tx: t,
-                obj: self.obj(i),
-                op: OpName::Read,
-                args: vec![],
-            });
-        }
+        self.record_with(|| Event::Inv {
+            tx: t,
+            obj: self.obj(i),
+            op: OpName::Read,
+            args: vec![],
+        });
     }
 
     /// Records `ret_t(r_i, read) → v`.
     pub fn ret_read(&self, t: TxId, i: usize, v: i64) {
-        if self.enabled() {
-            self.record(Event::Ret {
-                tx: t,
-                obj: self.obj(i),
-                op: OpName::Read,
-                val: Value::int(v),
-            });
-        }
+        self.record_with(|| Event::Ret {
+            tx: t,
+            obj: self.obj(i),
+            op: OpName::Read,
+            val: Value::int(v),
+        });
     }
 
     /// Records `inv_t(r_i, write, v)`.
     pub fn inv_write(&self, t: TxId, i: usize, v: i64) {
-        if self.enabled() {
-            self.record(Event::Inv {
-                tx: t,
-                obj: self.obj(i),
-                op: OpName::Write,
-                args: vec![Value::int(v)],
-            });
-        }
+        self.record_with(|| Event::Inv {
+            tx: t,
+            obj: self.obj(i),
+            op: OpName::Write,
+            args: vec![Value::int(v)],
+        });
     }
 
     /// Records `ret_t(r_i, write) → ok`.
     pub fn ret_write(&self, t: TxId, i: usize) {
-        if self.enabled() {
-            self.record(Event::Ret {
-                tx: t,
-                obj: self.obj(i),
-                op: OpName::Write,
-                val: Value::Ok,
-            });
-        }
+        self.record_with(|| Event::Ret {
+            tx: t,
+            obj: self.obj(i),
+            op: OpName::Write,
+            val: Value::Ok,
+        });
     }
 
     /// Records `tryC_t`.
@@ -173,15 +161,15 @@ impl Recorder {
     }
 
     /// Records `C_t`. Counts `stm.commits` on the attached observability
-    /// handle regardless of the recording toggle — the commit happened
-    /// whether or not its event is kept.
+    /// handle whether or not events are kept — the commit happened either
+    /// way.
     pub fn commit(&self, t: TxId) {
         self.obs.counter_add("stm.commits", 1);
         self.record(Event::Commit(t));
     }
 
     /// Records `A_t`. Counts `stm.aborts` on the attached observability
-    /// handle regardless of the recording toggle.
+    /// handle whether or not events are kept.
     pub fn abort(&self, t: TxId) {
         self.obs.counter_add("stm.aborts", 1);
         self.record(Event::Abort(t));
@@ -214,10 +202,11 @@ mod tests {
     use super::*;
     use crate::{run_tx, Aborted, Stm, Tl2Stm};
     use tm_model::is_well_formed;
+    use tm_obs::ObsHandle;
 
     #[test]
     fn records_well_formed_history() {
-        let r = Recorder::new(2);
+        let r = Recorder::new(2, true, ObsHandle::disabled());
         let t = r.fresh_tx();
         r.inv_write(t, 0, 5);
         r.ret_write(t, 0);
@@ -233,20 +222,19 @@ mod tests {
 
     #[test]
     fn disabled_recorder_drops_events() {
-        let r = Recorder::new(1);
-        r.set_enabled(false);
+        let r = Recorder::new(1, false, ObsHandle::disabled());
         let t = r.fresh_tx();
         r.inv_read(t, 0);
         r.ret_read(t, 0, 0);
-        assert!(r.is_empty());
-        r.set_enabled(true);
         r.try_commit(t);
-        assert_eq!(r.len(), 1);
+        r.commit(t);
+        assert!(r.is_empty());
+        assert!(!r.enabled());
     }
 
     #[test]
     fn fresh_tx_ids_are_unique_and_survive_clear() {
-        let r = Recorder::new(1);
+        let r = Recorder::new(1, true, ObsHandle::disabled());
         let a = r.fresh_tx();
         r.clear();
         let b = r.fresh_tx();
@@ -255,7 +243,7 @@ mod tests {
 
     #[test]
     fn object_names_follow_register_convention() {
-        let r = Recorder::new(3);
+        let r = Recorder::new(3, true, ObsHandle::disabled());
         assert_eq!(r.obj(2).name(), "r2");
     }
 
@@ -313,8 +301,7 @@ mod tests {
 
     #[test]
     fn object_scope_noops_when_disabled() {
-        let r = Recorder::new(1);
-        r.set_enabled(false);
+        let r = Recorder::new(1, false, ObsHandle::disabled());
         let t = r.fresh_tx();
         r.inv_object(t, ObjId::new("c"), OpName::Inc, vec![]);
         r.ret_object(t, ObjId::new("c"), OpName::Inc, Value::Ok);

@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn events_fall_where_the_ordering_rule_puts_them() {
-        let recorder = Recorder::new(1);
+        let recorder = StmConfig::new(1).build_recorder();
         let notes = Rc::new(RefCell::new(Vec::new()));
         let begin = || {
             Box::new(Txn::begin(&recorder, Meter::new(), |_| Noting {

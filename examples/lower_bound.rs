@@ -83,30 +83,30 @@ fn main() {
     println!("(the Ω(k) cost is mechanistically one step per read-set ENTRY;");
     println!(" k itself is inert — sweeping m at fixed k isolates that)\n");
     {
-        use opacity_tm::stm::{AstmStm, DstmStm, Stm, Tl2Stm};
+        use opacity_tm::stm::{AstmStm, DstmStm, Stm, StmConfig, Tl2Stm};
         let k = 256;
         let ms = [8usize, 16, 32, 64, 128, 255];
         let mut table = Table::new(&["stm", "m=8", "m=16", "m=32", "m=64", "m=128", "m=255"]);
-        type StmMaker = Box<dyn Fn() -> Box<dyn Stm>>;
+        type StmMaker = Box<dyn Fn(&StmConfig) -> Box<dyn Stm>>;
         let factories: Vec<(&str, StmMaker)> = vec![
             (
                 "dstm",
-                Box::new(move || Box::new(DstmStm::new(k)) as Box<dyn Stm>),
+                Box::new(|cfg: &StmConfig| Box::new(DstmStm::with_config(cfg)) as Box<dyn Stm>),
             ),
             (
                 "astm",
-                Box::new(move || Box::new(AstmStm::new(k)) as Box<dyn Stm>),
+                Box::new(|cfg: &StmConfig| Box::new(AstmStm::with_config(cfg)) as Box<dyn Stm>),
             ),
             (
                 "tl2",
-                Box::new(move || Box::new(Tl2Stm::new(k)) as Box<dyn Stm>),
+                Box::new(|cfg: &StmConfig| Box::new(Tl2Stm::with_config(cfg)) as Box<dyn Stm>),
             ),
         ];
+        let quiet = StmConfig::new(k).recording(false);
         for (name, make) in &factories {
             let mut row = vec![name.to_string()];
             for &m in &ms {
-                let stm = make();
-                stm.recorder().set_enabled(false);
+                let stm = make(&quiet);
                 row.push(
                     fraction_scenario(stm.as_ref(), k, m)
                         .last_read_steps

@@ -22,7 +22,7 @@ use opacity_tm::harness::{all_schedules, execute, Program, TxScript};
 use opacity_tm::model::SpecRegistry;
 use opacity_tm::opacity::criteria::is_serializable;
 use opacity_tm::opacity::opacity::is_opaque;
-use opacity_tm::stm::{run_tx, MutantStm, Mutation, Stm};
+use opacity_tm::stm::{run_tx, MutantStm, Mutation, Stm, StmConfig};
 
 fn specs() -> SpecRegistry {
     SpecRegistry::registers()
@@ -111,8 +111,8 @@ fn lost_update_mutant_breaks_semantic_invariant_under_threads() {
     // *which* increments collide, but with no validation at all every
     // concurrent overlap loses an update, so detection over a few hundred
     // increments is effectively certain.
-    let stm = MutantStm::new(1, Mutation::SkipCommitValidation);
-    stm.recorder().set_enabled(false);
+    let quiet = StmConfig::new(1).recording(false);
+    let stm = MutantStm::with_config(&quiet, Mutation::SkipCommitValidation);
     let per_thread = 400;
     std::thread::scope(|scope| {
         for t in 0..2 {
@@ -134,8 +134,7 @@ fn lost_update_mutant_breaks_semantic_invariant_under_threads() {
     );
     // The faithful baseline must conserve every increment under the very
     // same load (regression guard for the harness itself).
-    let good = MutantStm::new(1, Mutation::None);
-    good.recorder().set_enabled(false);
+    let good = MutantStm::with_config(&quiet, Mutation::None);
     std::thread::scope(|scope| {
         for t in 0..2 {
             let good = &good;
