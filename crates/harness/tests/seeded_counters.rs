@@ -209,9 +209,9 @@ fn recorded_histories_are_pinned_on_seeded_schedules() {
             history_digest(|cfg| Box::new(MutantStm::with_config(cfg, m))),
         ));
     }
-    // The TL2-shaped protocols record the same histories on these
-    // op-granular schedules: the concurrency mutants differ only below
-    // the operation, and the baseline mutant is TL2.
+    // The mutants run tl2's own protocol, so three of them record tl2's
+    // histories on these op-granular schedules: the concurrency mutants
+    // differ only below the operation, and the baseline plants nothing.
     assert_eq!(
         got,
         vec![

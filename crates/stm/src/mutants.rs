@@ -4,18 +4,24 @@
 //! The paper's core motivation is that "without such formalization, it is
 //! impossible to check the correctness of these implementations". This
 //! module closes the loop experimentally: it plants realistic protocol bugs
-//! (each one a mutation a TM implementor could plausibly ship) into a
-//! TL2-style protocol, and the test-suite demonstrates that the
+//! (each one a mutation a TM implementor could plausibly ship) into TL2
+//! itself, and the test-suite demonstrates that the
 //! Definition-1 checker over recorded histories *finds every one of them* —
 //! while the faithful baseline stays clean. During development of this
 //! repository the same harness caught two unplanned bugs (see DESIGN.md);
 //! the mutants make that capability a reproducible experiment.
 //!
-//! | mutation | the bug | violated contract | oracle that catches it |
-//! |----------|---------|-------------------|------------------------|
-//! | [`Mutation::None`] | — | — | none (baseline stays green) |
-//! | [`Mutation::SkipReadValidation`] | reads skip the version/lock check | live transactions observe inconsistent states (the §2 hazard) | `is_opaque` = false |
-//! | [`Mutation::SkipCommitValidation`] | commit publishes without revalidating versions | lost updates / write cycles commit | `is_serializable` = false |
+//! There is no second copy of the protocol: a [`MutantStm`] is
+//! [`crate::Tl2Stm`]'s design carrying its [`Mutation`], and TL2's read and
+//! commit ask that mutation the predicates defined here
+//! (`validates_reads`, `validates_commit`, `fast_path`). TL2 itself carries [`Mutation::None`], so a
+//! bug the checkers find is a bug in the code the suite ships.
+//!
+//! | mutation | the bug | planted in | violated contract | oracle that catches it |
+//! |----------|---------|------------|-------------------|------------------------|
+//! | [`Mutation::None`] | — | — | — | none (baseline stays green) |
+//! | [`Mutation::SkipReadValidation`] | reads skip the version/lock check | `validates_reads` | live transactions observe inconsistent states (the §2 hazard) | `is_opaque` = false |
+//! | [`Mutation::SkipCommitValidation`] | commit publishes without revalidating versions | `validates_commit` | lost updates / write cycles commit | `is_serializable` = false |
 //!
 //! `SkipReadValidation` keeps committed transactions serializable (commit
 //! validation is intact) — precisely the gap between serializability and
@@ -27,13 +33,14 @@
 //! to give the step-level race analysis (`tm-harness::dpor` / `::race`)
 //! something real to convict:
 //!
-//! | mutation | the bug | who catches it |
-//! |----------|---------|----------------|
-//! | [`Mutation::DroppedResidue`] | a pass-on-failure clock drops the adopter's thread residue, so a CAS loser shares its stamp with the winner | `race::check` (duplicate commit timestamps) |
-//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to a pass-on-failure clock by comparing tick *counts*, which only GV1's `fetch_add` licenses | `dpor::explore` (a non-serializable write skew on 2 transactions, at preemption bound 2) |
+//! | mutation | the bug | planted in | who catches it |
+//! |----------|---------|------------|----------------|
+//! | [`Mutation::DroppedResidue`] | a pass-on-failure clock drops the adopter's thread residue, so a CAS loser shares its stamp with the winner | the clock TL2 is built over | `race::check` (duplicate commit timestamps) |
+//! | [`Mutation::UnlicensedFastPath`] | TL2's "clock advanced exactly once" fast path ported to a pass-on-failure clock by comparing tick *counts*, which only GV1's `fetch_add` licenses | `fast_path` | `dpor::explore` (a non-serializable write skew on 2 transactions, at preemption bound 2) |
 //!
-//! Both run on a private GV4-style pass-on-failure clock, the one place in
-//! the crate where a version clock other than GV1 exists.
+//! Both build TL2 over a private GV4-style pass-on-failure clock, the one
+//! place in the crate where a version clock other than GV1 exists; the
+//! validation mutants keep GV1.
 
 use crate::api::StmProperties;
 use crate::base::Meter;
@@ -48,7 +55,7 @@ use tm_model::TxId;
 /// The protocol bug planted into [`MutantStm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Faithful TL2-style protocol (the sanity baseline).
+    /// TL2 as shipped (the sanity baseline).
     None,
     /// Reads return the current value without the version/lock check:
     /// live transactions can observe inconsistent snapshots. Commit
