@@ -86,7 +86,8 @@ impl Recorder {
     /// Builds and appends an event, only when enabled.
     fn record_with(&self, event: impl FnOnce() -> Event) {
         if self.enabled {
-            lock(&self.events).push(event());
+            let e = event();
+            lock(&self.events).push(e);
         }
     }
 
