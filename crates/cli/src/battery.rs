@@ -117,6 +117,10 @@ pub(crate) fn conformance(
             Mutation::SkipCommitValidation,
         ] {
             let factory = |k: usize| -> Box<dyn Stm> { Box::new(MutantStm::new(k, mutation)) };
+            let quiet = |k: usize| -> Box<dyn Stm> {
+                let cfg = StmConfig::new(k).recording(false);
+                Box::new(MutantStm::with_config(&cfg, mutation))
+            };
             if let Some(kinds) = objects {
                 let report = tm_harness::object_conformance(&factory, kinds, jobs, search);
                 for probe in &report.probes {
@@ -126,7 +130,7 @@ pub(crate) fn conformance(
                 writeln!(
                     out,
                     "{}",
-                    tm_harness::conformance(&factory, &factory, jobs, search).row()
+                    tm_harness::conformance(&factory, &quiet, jobs, search).row()
                 )?;
             }
         }
